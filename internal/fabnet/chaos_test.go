@@ -69,10 +69,7 @@ func TestChaosLossyLinkSnapshotCatchup(t *testing.T) {
 		}
 	}
 
-	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
-	if sum.SnapshotBootstraps < 1 {
-		t.Errorf("SnapshotBootstraps = %d, want >= 1 (gap of 14 vs threshold 10)", sum.SnapshotBootstraps)
-	}
+	waitSnapshotBootstrap(t, n, col, "gap of 14 vs threshold 10")
 }
 
 // TestChaosWANRegions verifies the canned WAN matrix wiring: Build

@@ -1184,6 +1184,12 @@ type RestartResult struct {
 	// moment the old incarnation stopped — the tip a persistent restart
 	// should recover to, and the gap a volatile one must replay.
 	OldHeights map[string]uint64
+	// StartHeights records the chain height per channel the new
+	// incarnation was rebuilt at, read before it started: 1 (genesis) for
+	// an empty mem ledger, the recovered height for a reopened one. Once
+	// RestartPeer returns the peer is already catching up, so its live
+	// height says nothing about where it began.
+	StartHeights map[string]uint64
 	// Persistent reports whether the restarted peer reopened file-backed
 	// ledgers (true) or came back with empty mem ledgers.
 	Persistent bool
@@ -1212,12 +1218,7 @@ func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, e
 	}
 	old := n.Peers[idx]
 	old.Stop()
-	res := &RestartResult{OldHeights: make(map[string]uint64, len(old.Channels()))}
-	for _, ch := range old.Channels() {
-		if led, ok := old.LedgerFor(ch); ok {
-			res.OldHeights[ch] = led.Height()
-		}
-	}
+	res := &RestartResult{OldHeights: ledgerHeights(old)}
 	var ep transport.Endpoint
 	var err error
 	if n.Transport != nil {
@@ -1236,6 +1237,7 @@ func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, e
 	if err != nil {
 		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
 	}
+	res.StartHeights = ledgerHeights(p)
 	if err := p.Start(ctx); err != nil {
 		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
 	}
@@ -1243,6 +1245,17 @@ func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, e
 	res.Peer = p
 	res.Persistent = p.Ledger().Persistent()
 	return res, nil
+}
+
+// ledgerHeights reads a peer's committed chain height on every channel.
+func ledgerHeights(p *peer.Peer) map[string]uint64 {
+	heights := make(map[string]uint64, len(p.Channels()))
+	for _, ch := range p.Channels() {
+		if led, ok := p.LedgerFor(ch); ok {
+			heights[ch] = led.Height()
+		}
+	}
+	return heights
 }
 
 // OrdererRestartResult reports one OSN crash + restart.

@@ -239,8 +239,8 @@ func TestGossipPeerRestartRejoins(t *testing.T) {
 	if got := res.OldHeights[n.Cfg.ChannelID]; got < 2 {
 		t.Fatalf("old incarnation stopped at height %d, want >= 2", got)
 	}
-	if restarted.Ledger().Height() != 1 {
-		t.Fatalf("restarted peer starts at height %d, want 1 (genesis only)", restarted.Ledger().Height())
+	if got := res.StartHeights[n.Cfg.ChannelID]; got != 1 {
+		t.Fatalf("restarted peer starts at height %d, want 1 (genesis only)", got)
 	}
 	invokeN(t, n, "post", 4)
 	waitPeersConverged(t, n.Peers, 15*time.Second)

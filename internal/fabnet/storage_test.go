@@ -52,6 +52,39 @@ func waitStateConverged(t *testing.T, peers []*peer.Peer, d time.Duration) {
 	t.FailNow()
 }
 
+// followerReplica returns a replica that neither serves client commit
+// events (peer 0 does) nor leads its org's delivery. Restarted, it
+// rejoins through gossip anti-entropy alone; a restarted leader also
+// subscribes to the orderer at once and races anti-entropy with a
+// block-by-block catch-up from there, and whichever path closes the gap
+// first decides whether a snapshot is ever fetched.
+func followerReplica(t *testing.T, n *Network) *peer.Peer {
+	t.Helper()
+	for i := len(n.Peers) - 1; i > 0; i-- {
+		if p := n.Peers[i]; !p.GossipNode().IsLeader(n.Cfg.ChannelID) {
+			return p
+		}
+	}
+	t.Fatal("no follower replica to restart")
+	return nil
+}
+
+// waitSnapshotBootstrap waits until the collector has counted a snapshot
+// bootstrap. Gossip reports one only after the snapshot is installed, so
+// the peer can read as converged a moment before the count moves; an
+// assertion made on convergence alone loses that race on a busy box.
+func waitSnapshotBootstrap(t *testing.T, n *Network, col *metrics.Collector, why string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale}).SnapshotBootstraps >= 1 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Errorf("SnapshotBootstraps = 0, want >= 1 (%s)", why)
+}
+
 // TestMixedBackendConvergence runs one network where peer1 keeps the
 // mem backend and peer2 runs file-backed, drives writes through both,
 // and requires the two to land on the identical tip hash and state
@@ -121,7 +154,7 @@ func TestFileBackedRestartCheckpointTail(t *testing.T) {
 	// The reopen must recover the full committed prefix from disk —
 	// checkpoint plus tail — so the restarted peer resumes at (not
 	// below) its pre-restart height instead of replaying from genesis.
-	if got := res.Peer.Ledger().Height(); got != old {
+	if got := res.StartHeights[n.Cfg.ChannelID]; got != old {
 		t.Fatalf("restarted peer reopened at height %d, want %d", got, old)
 	}
 	waitStateConverged(t, n.Peers, 15*time.Second)
@@ -152,7 +185,7 @@ func TestSnapshotBootstrapRejoin(t *testing.T) {
 	invokeN(t, n, "s", 24) // well past the snapshot threshold
 	waitStateConverged(t, n.Peers, 15*time.Second)
 
-	target := n.Peers[len(n.Peers)-1]
+	target := followerReplica(t, n)
 	res, err := n.RestartPeer(context.Background(), target.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +197,7 @@ func TestSnapshotBootstrapRejoin(t *testing.T) {
 	if err := res.Peer.Ledger().VerifyChain(); err != nil {
 		t.Error(err)
 	}
-	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
-	if sum.SnapshotBootstraps < 1 {
-		t.Errorf("SnapshotBootstraps = %d, want >= 1 (rejoin should have used snapshot-then-tail)", sum.SnapshotBootstraps)
-	}
+	waitSnapshotBootstrap(t, n, col, "rejoin should have used snapshot-then-tail")
 	if _, ok, err := res.Peer.Ledger().State().Get(ChaincodeBench, "s0"); err != nil || !ok {
 		t.Errorf("rejoined peer missing pre-restart key (ok=%v err=%v)", ok, err)
 	}
@@ -191,7 +221,7 @@ func TestSnapshotBootstrapRejoinTCP(t *testing.T) {
 	invokeN(t, n, "t", 24)
 	waitStateConverged(t, n.Peers, 15*time.Second)
 
-	target := n.Peers[len(n.Peers)-1]
+	target := followerReplica(t, n)
 	res, err := n.RestartPeer(context.Background(), target.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +230,5 @@ func TestSnapshotBootstrapRejoinTCP(t *testing.T) {
 	if err := res.Peer.Ledger().VerifyChain(); err != nil {
 		t.Error(err)
 	}
-	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
-	if sum.SnapshotBootstraps < 1 {
-		t.Errorf("SnapshotBootstraps = %d, want >= 1", sum.SnapshotBootstraps)
-	}
+	waitSnapshotBootstrap(t, n, col, "rejoin over TCP should have used snapshot-then-tail")
 }

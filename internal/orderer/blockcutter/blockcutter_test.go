@@ -3,6 +3,7 @@ package blockcutter
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,5 +249,32 @@ func TestReorderTinyBatch(t *testing.T) {
 	}
 	if out, aborted := Reorder(nil); aborted != 0 || len(out) != 0 {
 		t.Fatal("empty batch must pass through")
+	}
+}
+
+var benchSink int
+
+// BenchmarkReorder times the whole pass an OSN runs on a cut batch —
+// peek, key qualification, schedule — on the benchmark's contended
+// shape: 100 SmallBank-like envelopes, three in four a two-account
+// read-modify-write and the rest a balance read, accounts Zipf(1.2)
+// over 10 000.
+func BenchmarkReorder(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(rng, 1.2, 1, 9999)
+	batch := make([][]byte, 100)
+	for i := range batch {
+		from, to := fmt.Sprintf("acc%d", z.Uint64()), fmt.Sprintf("acc%d", z.Uint64())
+		if i%4 == 3 {
+			batch[i] = env(fmt.Sprintf("tx%d", i), []string{from}, nil)
+		} else {
+			batch[i] = env(fmt.Sprintf("tx%d", i), []string{from, to}, []string{from, to})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, aborted := Reorder(batch)
+		benchSink += len(out) + aborted
 	}
 }

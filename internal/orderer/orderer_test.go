@@ -193,6 +193,16 @@ func TestBatchEncodeDecode(t *testing.T) {
 	if _, err := decodeBatch([]byte("garbage-that-overruns")); err == nil {
 		t.Error("garbage decoded")
 	}
+	// A count the entry cannot hold must be an error: it used to size the
+	// slice (2^63 panics make, 2^28-1 allocates 6 GiB of headers).
+	for _, data := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		{0xff, 0xff, 0xff, 0x7f, 1, 'a'},
+	} {
+		if _, err := decodeBatch(data); err == nil {
+			t.Errorf("batch %x decoded", data)
+		}
+	}
 }
 
 // waitFor polls cond until it returns true or the deadline passes.

@@ -413,8 +413,13 @@ func encodeBatch(batch [][]byte) []byte {
 func decodeBatch(data []byte) ([][]byte, error) {
 	dec := types.NewDecoder(data)
 	n := dec.Uvarint()
+	// Every envelope occupies at least its length byte: a larger count is
+	// corrupt, and must not size the slice.
+	if n > uint64(dec.Remaining()) {
+		return nil, fmt.Errorf("orderer: batch of %d envelopes in %d bytes: %w", n, dec.Remaining(), types.ErrShortBuffer)
+	}
 	out := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && dec.Err() == nil; i++ {
 		out = append(out, dec.Bytes2())
 	}
 	if err := dec.Finish(); err != nil {

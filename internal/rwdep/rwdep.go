@@ -29,6 +29,7 @@ package rwdep
 
 import (
 	"container/heap"
+	"math"
 	"sort"
 
 	"fabricsim/internal/types"
@@ -250,10 +251,13 @@ func PartitionGroups(groups [][]int, pool int) [][][]int {
 // in the block for u's read to stay fresh. Transactions without rwset
 // information (participates[i] unset) are isolated vertices: they keep
 // their place in any ordering and are never aborted.
+//
+// Adjacency is in compressed rows: the successors of u are
+// succ[succOff[u]:succOff[u+1]], predecessors likewise.
 type Graph struct {
-	n    int
-	succ [][]int
-	pred [][]int
+	n                int
+	succOff, predOff []int
+	succ, pred       []int
 }
 
 // BuildGraph constructs the precedence graph. Edges are deduplicated
@@ -261,41 +265,89 @@ type Graph struct {
 // everything derived from it — is a pure function of the input.
 func BuildGraph(rws []RW, participates []bool) *Graph {
 	n := len(rws)
-	readers := make(map[string][]int) // key -> txs reading it
-	writers := make(map[string][]int) // key -> txs writing it
+	in := func(i int) bool { return participates == nil || participates[i] }
+	nr, nw := 0, 0
 	for i, rw := range rws {
-		if participates != nil && !participates[i] {
+		if in(i) {
+			nr += len(rw.Reads)
+			nw += len(rw.Writes)
+		}
+	}
+	// Only a written key can carry an edge. lastWrite interns each one
+	// as the position of its latest write, and every write links back to
+	// the previous write of its key, so a key's writers are one chain
+	// walk from there; depth is the length of that walk.
+	type write struct{ tx, prev, depth int }
+	writes := make([]write, 0, nw)
+	lastWrite := make(map[string]int, nw)
+	for i, rw := range rws {
+		if !in(i) {
+			continue
+		}
+		for _, k := range rw.Writes {
+			w := write{tx: i, prev: -1, depth: 1}
+			if prev, ok := lastWrite[k]; ok {
+				w.prev, w.depth = prev, writes[prev].depth+1
+			}
+			lastWrite[k] = len(writes)
+			writes = append(writes, w)
+		}
+	}
+	// Resolve every read to its key's chain once; the chain lengths
+	// bound the edge count, so succ is allocated once.
+	chains := make([]int, 0, nr)
+	bound := 0
+	for i, rw := range rws {
+		if !in(i) {
 			continue
 		}
 		for _, k := range rw.Reads {
-			readers[k] = append(readers[k], i)
-		}
-		for _, k := range rw.Writes {
-			writers[k] = append(writers[k], i)
+			at, ok := lastWrite[k]
+			if !ok {
+				at = -1
+			} else {
+				bound += writes[at].depth
+			}
+			chains = append(chains, at)
 		}
 	}
-	edges := make(map[[2]int]struct{})
-	for k, rs := range readers {
-		ws := writers[k]
-		if len(ws) == 0 {
-			continue
-		}
-		for _, r := range rs {
-			for _, w := range ws {
-				if r != w {
-					edges[[2]int{r, w}] = struct{}{}
+
+	offs := make([]int, 2*(n+1))
+	g := &Graph{n: n, succOff: offs[:n+1], predOff: offs[n+1:], succ: make([]int, 0, bound)}
+	// seen[w] == u+1 marks the edge u→w as already emitted.
+	seen := make([]int, n)
+	for u, rw := range rws {
+		if in(u) {
+			for _, at := range chains[:len(rw.Reads)] {
+				for ; at >= 0; at = writes[at].prev {
+					if w := writes[at].tx; w != u && seen[w] != u+1 {
+						seen[w] = u + 1
+						g.succ = append(g.succ, w)
+					}
 				}
 			}
+			chains = chains[len(rw.Reads):]
+			sort.Ints(g.succ[g.succOff[u]:])
 		}
+		g.succOff[u+1] = len(g.succ)
 	}
-	g := &Graph{n: n, succ: make([][]int, n), pred: make([][]int, n)}
-	for e := range edges {
-		g.succ[e[0]] = append(g.succ[e[0]], e[1])
-		g.pred[e[1]] = append(g.pred[e[1]], e[0])
+
+	// pred is the transpose; filling it in ascending u keeps every list
+	// ascending.
+	for _, w := range g.succ {
+		g.predOff[w+1]++
 	}
-	for i := 0; i < n; i++ {
-		sort.Ints(g.succ[i])
-		sort.Ints(g.pred[i])
+	for v := 0; v < n; v++ {
+		g.predOff[v+1] += g.predOff[v]
+	}
+	g.pred = make([]int, len(g.succ))
+	fill := seen
+	copy(fill, g.predOff)
+	for u := 0; u < n; u++ {
+		for _, w := range g.Succ(u) {
+			g.pred[fill[w]] = u
+			fill[w]++
+		}
 	}
 	return g
 }
@@ -304,152 +356,228 @@ func BuildGraph(rws []RW, participates []bool) *Graph {
 func (g *Graph) Len() int { return g.n }
 
 // Succ returns the successors of u: transactions that must come after u.
-func (g *Graph) Succ(u int) []int { return g.succ[u] }
+func (g *Graph) Succ(u int) []int { return g.succ[g.succOff[u]:g.succOff[u+1]] }
+
+func (g *Graph) predOf(v int) []int { return g.pred[g.predOff[v]:g.predOff[v+1]] }
 
 // Cyclic reports whether the graph contains a directed cycle — a set of
 // transactions no block order can serialize (e.g. two read-modify-writes
 // of the same key).
-func (g *Graph) Cyclic() bool {
-	return len(g.cycleVertices(nil)) > 0
+func (g *Graph) Cyclic() bool { return components(g).ncomp > 0 }
+
+// tarjan is the package's one strongly-connected-components routine: an
+// iterative Tarjan whose scratch outlives a single pass, so breakCycles
+// can re-run it over part of the graph without allocating.
+type tarjan struct {
+	g *Graph
+	// index[v] is unvisited, v's discovery number while v is on the
+	// stack, or finished once its component is known. A finished vertex
+	// can never lower a low-link, so an edge into one is ignored — which
+	// is also what confines a re-run to the vertices it was reset on.
+	index, low []int
+	// comp[v] identifies v's component when that component is
+	// non-trivial (v lies on a cycle), else -1.
+	comp   []int
+	stack  []int
+	frames []tarjanFrame
+	next   int // next discovery number
+	ncomp  int // non-trivial components found so far, over all passes
 }
 
-// cycleVertices returns, sorted ascending, every vertex belonging to a
-// non-trivial strongly connected component, ignoring removed vertices.
-func (g *Graph) cycleVertices(removed []bool) []int {
-	// Iterative Tarjan SCC.
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var stack []int
-	var cyclic []int
-	next := 0
+type tarjanFrame struct{ v, edge int } // edge indexes g.succ
 
-	type frame struct {
-		v  int
-		ei int
+const (
+	unvisited = -1
+	finished  = math.MaxInt
+)
+
+// components finds the strongly connected components of the whole graph.
+func components(g *Graph) *tarjan {
+	t := &tarjan{
+		g: g, index: make([]int, g.n), low: make([]int, g.n), comp: make([]int, g.n),
+		// Neither outgrows the vertex count, so no pass reallocates.
+		stack: make([]int, 0, g.n), frames: make([]tarjanFrame, 0, g.n),
 	}
-	for root := 0; root < g.n; root++ {
-		if index[root] != unvisited || (removed != nil && removed[root]) {
+	for v := range t.index {
+		t.index[v], t.comp[v] = unvisited, -1
+	}
+	for v := range t.index {
+		t.visit(v)
+	}
+	return t
+}
+
+// visit explores everything reachable from root through unvisited
+// vertices and labels comp for each component it completes.
+func (t *tarjan) visit(root int) {
+	if t.index[root] != unvisited {
+		return
+	}
+	g := t.g
+	t.discover(root)
+	for len(t.frames) > 0 {
+		f := &t.frames[len(t.frames)-1]
+		v := f.v
+		if f.edge < g.succOff[v+1] {
+			w := g.succ[f.edge]
+			f.edge++
+			if t.index[w] == unvisited {
+				t.discover(w)
+			} else if t.index[w] < t.low[v] {
+				t.low[v] = t.index[w]
+			}
 			continue
 		}
-		frames := []frame{{v: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.ei < len(g.succ[f.v]) {
-				w := g.succ[f.v][f.ei]
-				f.ei++
-				if removed != nil && removed[w] {
-					continue
-				}
-				if index[w] == unvisited {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if p := &frames[len(frames)-1]; low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				if len(comp) > 1 {
-					cyclic = append(cyclic, comp...)
-				}
+		t.frames = t.frames[:len(t.frames)-1]
+		if len(t.frames) > 0 {
+			if p := t.frames[len(t.frames)-1].v; t.low[v] < t.low[p] {
+				t.low[p] = t.low[v]
 			}
 		}
+		if t.low[v] != t.index[v] {
+			continue
+		}
+		// v roots a component: everything above it on the stack.
+		k := len(t.stack) - 1
+		for t.stack[k] != v {
+			k--
+		}
+		id := -1
+		if len(t.stack)-k > 1 {
+			id = t.ncomp
+			t.ncomp++
+		}
+		for _, w := range t.stack[k:] {
+			t.index[w], t.comp[w] = finished, id
+		}
+		t.stack = t.stack[:k]
 	}
-	sort.Ints(cyclic)
-	return cyclic
+}
+
+func (t *tarjan) discover(v int) {
+	t.index[v], t.low[v] = t.next, t.next
+	t.next++
+	t.stack = append(t.stack, v)
+	t.frames = append(t.frames, tarjanFrame{v: v, edge: t.g.succOff[v]})
 }
 
 // intHeap is a min-heap of transaction indices.
 type intHeap []int
 
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)         { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any           { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h intHeap) Len() int           { return len(h) }
+func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *intHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// breakCycles picks vertices to abort until none of the others lies on a
+// cycle, and returns them in the order chosen. t holds the components of
+// the whole graph.
+//
+// The rule is greedy: abort the vertex on a cycle with the highest
+// degree, where degree counts its successor and predecessor entries that
+// themselves lie on a cycle — in any component, not only its own — and
+// ties go to the latest arrival (aborting the youngest equally-entangled
+// transaction preserves more of the earlier-submitted work). It is
+// applied incrementally: removing a victim re-examines only the victim's
+// own component, because no other vertex's component can change and
+// every path between two members of a component stays inside it, and
+// degrees are kept current by decrement. The cost follows the shrinking
+// components, not victims × batch.
+func breakCycles(t *tarjan) (aborted []int) {
+	g := t.g
+	ncyclic := 0
+	for _, c := range t.comp {
+		if c >= 0 {
+			ncyclic++
+		}
+	}
+	if ncyclic == 0 {
+		return nil
+	}
+	// cyclic lists, ascending, the vertices on a cycle (comp >= 0); rest
+	// is the victim's component without the victim.
+	cyclic := make([]int, 0, ncyclic)
+	rest := make([]int, 0, ncyclic)
+	aborted = make([]int, 0, ncyclic)
+	deg := make([]int, g.n)
+	for v, c := range t.comp {
+		if c < 0 {
+			continue
+		}
+		cyclic = append(cyclic, v)
+		for _, w := range g.Succ(v) {
+			if t.comp[w] >= 0 {
+				deg[v]++
+			}
+		}
+		for _, w := range g.predOf(v) {
+			if t.comp[w] >= 0 {
+				deg[v]++
+			}
+		}
+	}
+	// leave takes v out of the cyclic set. Only degrees of vertices
+	// still in it are ever read, so the others may go stale.
+	leave := func(v int) {
+		t.comp[v] = -1
+		for _, w := range g.Succ(v) {
+			deg[w]--
+		}
+		for _, w := range g.predOf(v) {
+			deg[w]--
+		}
+	}
+	for len(cyclic) > 0 {
+		victim := cyclic[0]
+		for _, v := range cyclic[1:] {
+			if deg[v] >= deg[victim] {
+				victim = v
+			}
+		}
+		aborted = append(aborted, victim)
+		// The victim stays finished, so the re-run never enters it.
+		rest = rest[:0]
+		for _, v := range cyclic {
+			if v != victim && t.comp[v] == t.comp[victim] {
+				rest = append(rest, v)
+				t.index[v] = unvisited
+			}
+		}
+		leave(victim)
+		for _, v := range rest {
+			t.visit(v)
+		}
+		for _, v := range rest {
+			if t.comp[v] < 0 {
+				leave(v)
+			}
+		}
+		live := cyclic[:0]
+		for _, v := range cyclic {
+			if t.comp[v] >= 0 {
+				live = append(live, v)
+			}
+		}
+		cyclic = live
+	}
+	return aborted
+}
 
 // Schedule runs the Fabric++-style conflict-aware pass over one batch:
 // it builds the precedence graph, aborts transactions on unresolvable
-// read-write cycles (greedy cycle-breaking: within each cyclic
-// component the highest-degree member goes first, ties to the latest
-// arrival), and returns the survivors in a topological order with no
-// intra-block read-write conflict left among them. The order is the
-// lexicographically smallest topological order by arrival index, so
-// identical input sequences always produce identical blocks, and a
-// conflict-free batch comes back exactly FIFO. Aborted indices are
-// returned ascending.
+// read-write cycles (see breakCycles for the victim rule), and returns
+// the survivors in a topological order with no intra-block read-write
+// conflict left among them. The order is the lexicographically smallest
+// topological order by arrival index, so identical input sequences
+// always produce identical blocks, and a conflict-free batch comes back
+// exactly FIFO. Aborted indices are returned ascending.
 func Schedule(rws []RW, participates []bool) (order []int, aborted []int) {
 	g := BuildGraph(rws, participates)
+	aborted = breakCycles(components(g))
 	removed := make([]bool, g.n)
-
-	// Break cycles: repeatedly abort the heaviest member of each
-	// remaining cyclic component until the graph is acyclic.
-	for {
-		cyclic := g.cycleVertices(removed)
-		if len(cyclic) == 0 {
-			break
-		}
-		inCycle := make(map[int]bool, len(cyclic))
-		for _, v := range cyclic {
-			inCycle[v] = true
-		}
-		victim, victimDeg := -1, -1
-		for _, v := range cyclic {
-			deg := 0
-			for _, w := range g.succ[v] {
-				if inCycle[w] && !removed[w] {
-					deg++
-				}
-			}
-			for _, w := range g.pred[v] {
-				if inCycle[w] && !removed[w] {
-					deg++
-				}
-			}
-			// >= ties to the latest arrival: aborting the youngest
-			// equally-entangled transaction preserves more of the
-			// earlier-submitted work.
-			if deg >= victimDeg {
-				victim, victimDeg = v, deg
-			}
-		}
-		removed[victim] = true
-		aborted = append(aborted, victim)
+	for _, v := range aborted {
+		removed[v] = true
 	}
 
 	// Kahn's algorithm with a min-index heap: deterministic, FIFO when
@@ -459,7 +587,7 @@ func Schedule(rws []RW, participates []bool) (order []int, aborted []int) {
 		if removed[u] {
 			continue
 		}
-		for _, w := range g.succ[u] {
+		for _, w := range g.Succ(u) {
 			if !removed[w] {
 				indeg[w]++
 			}
@@ -475,7 +603,7 @@ func Schedule(rws []RW, participates []bool) (order []int, aborted []int) {
 	for h.Len() > 0 {
 		u := heap.Pop(h).(int)
 		order = append(order, u)
-		for _, w := range g.succ[u] {
+		for _, w := range g.Succ(u) {
 			if removed[w] {
 				continue
 			}

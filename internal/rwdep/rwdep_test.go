@@ -1,8 +1,13 @@
 package rwdep
 
 import (
+	"container/heap"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"fabricsim/internal/types"
@@ -386,4 +391,394 @@ func TestScheduleSurvivorsConflictFree(t *testing.T) {
 			dirty[k] = true
 		}
 	}
+}
+
+// randomBatch draws n transactions over nkeys keys, uniformly or (zipf
+// > 1) Zipf-skewed: read-modify-writes, blind writes, read-only and
+// mixed transactions of up to three keys a side, about one in twenty
+// masked out as a non-participant.
+func randomBatch(rng *rand.Rand, n, nkeys int, zipf float64) ([]RW, []bool) {
+	pick := func() string { return fmt.Sprintf("cc/k%d", rng.Intn(nkeys)) }
+	if zipf > 1 {
+		z := rand.NewZipf(rng, zipf, 1, uint64(nkeys-1))
+		pick = func() string { return fmt.Sprintf("cc/k%d", z.Uint64()) }
+	}
+	keys := func(m int) []string {
+		out := make([]string, m)
+		for i := range out {
+			out[i] = pick()
+		}
+		return out
+	}
+	rws := make([]RW, n)
+	participates := make([]bool, n)
+	for i := range rws {
+		participates[i] = rng.Intn(20) != 0
+		switch rng.Intn(5) {
+		case 0: // read-modify-write
+			ks := keys(1 + rng.Intn(2))
+			rws[i] = RW{Reads: ks, Writes: ks}
+		case 1: // blind write
+			rws[i] = RW{Writes: keys(1 + rng.Intn(3))}
+		case 2: // read-only
+			rws[i] = RW{Reads: keys(1 + rng.Intn(3))}
+		default:
+			rws[i] = RW{Reads: keys(rng.Intn(4)), Writes: keys(rng.Intn(4))}
+		}
+	}
+	return rws, participates
+}
+
+// TestScheduleMatchesReference diffs the incremental Schedule against
+// the implementation it replaced: every OSN must keep cutting the blocks
+// it cut before, so order and abort set have to be equal, not merely
+// both valid.
+func TestScheduleMatchesReference(t *testing.T) {
+	const batches = 10000
+	rng := rand.New(rand.NewSource(19))
+	victims := 0
+	for b := 0; b < batches; b++ {
+		// The reference costs victims × batch, so three batches in four
+		// are small; those also reach the odd shapes (one component, a
+		// chain of them, none) far more often per millisecond.
+		n := 1 + rng.Intn(40)
+		if b%4 == 0 {
+			n = 1 + rng.Intn(150)
+		}
+		nkeys := 2 + rng.Intn(2*n)
+		zipf := 0.0
+		if b%2 == 1 {
+			zipf = 1.05 + rng.Float64()
+		}
+		rws, participates := randomBatch(rng, n, nkeys, zipf)
+		if b%16 == 0 {
+			participates = nil // nil means all participate
+		}
+		wantOrder, wantAborted := scheduleReference(rws, participates)
+		order, aborted := Schedule(rws, participates)
+		if !reflect.DeepEqual(order, wantOrder) || !reflect.DeepEqual(aborted, wantAborted) {
+			t.Fatalf("batch %d (%d tx, %d keys, zipf %.2f):\n order   %v\n want    %v\n aborted %v\n want    %v",
+				b, n, nkeys, zipf, order, wantOrder, aborted, wantAborted)
+		}
+		victims += len(aborted)
+		// The exported graph keeps its contract too: ascending,
+		// de-duplicated successors.
+		g, ref := BuildGraph(rws, participates), buildRefGraph(rws, participates)
+		for u := 0; u < n; u++ {
+			if got, want := g.Succ(u), ref.succ[u]; !slices.Equal(got, want) {
+				t.Fatalf("batch %d: Succ(%d) = %v, want %v", b, u, got, want)
+			}
+		}
+	}
+	if victims < batches {
+		t.Fatalf("only %d victims over %d batches: the generator no longer exercises cycle breaking", victims, batches)
+	}
+}
+
+// TestScheduleDegreeCountsOtherComponents pins the cross-component half
+// of the victim rule. {0,1} and {2,3} are separate 2-cycles joined by
+// the edge 0→2 (tx0 also reads q, which tx2 writes), so 0 and 2 start
+// at degree 3. 2 goes first (tie to the latest arrival), which must
+// lower 0 to degree 2 even though 0 sits in the other component; the
+// tie in {0,1} then aborts 1. A degree left stale would abort 0, and a
+// degree counted inside a vertex's own component only would abort 3.
+func TestScheduleDegreeCountsOtherComponents(t *testing.T) {
+	rws := []RW{
+		{Reads: []string{"x", "q"}, Writes: []string{"y"}},
+		{Reads: []string{"y"}, Writes: []string{"x"}},
+		{Reads: []string{"p"}, Writes: []string{"q"}},
+		{Reads: []string{"q"}, Writes: []string{"p"}},
+	}
+	order, aborted := Schedule(rws, nil)
+	if !reflect.DeepEqual(aborted, []int{1, 2}) || !reflect.DeepEqual(order, []int{0, 3}) {
+		t.Fatalf("order = %v aborted = %v, want [0 3] and [1 2]", order, aborted)
+	}
+	refOrder, refAborted := scheduleReference(rws, nil)
+	if !reflect.DeepEqual(order, refOrder) || !reflect.DeepEqual(aborted, refAborted) {
+		t.Fatalf("reference disagrees: order = %v aborted = %v", refOrder, refAborted)
+	}
+}
+
+// zipfBatch is the benchmark's contended shape: 100 SmallBank-like
+// transactions, three in four a two-account read-modify-write and the
+// rest a balance read, accounts Zipf(1.2) over 10 000. v is the Zipf
+// offset: 1 is the benchmark's skew, larger flattens the head.
+func zipfBatch(v float64) []RW {
+	rng := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(rng, 1.2, v, 9999)
+	rws := make([]RW, 100)
+	for i := range rws {
+		a, b := fmt.Sprintf("bank/acc%d", z.Uint64()), fmt.Sprintf("bank/acc%d", z.Uint64())
+		if i%4 == 3 {
+			rws[i] = RW{Reads: []string{a}}
+		} else {
+			rws[i] = RW{Reads: []string{a, b}, Writes: []string{a, b}}
+		}
+	}
+	return rws
+}
+
+// TestScheduleAllocationBudget holds Schedule to a handful of
+// allocations per batch, and — the point of the incremental pass — to
+// the same handful however many victims the batch has. The old
+// implementation spent about fifty allocations per victim.
+func TestScheduleAllocationBudget(t *testing.T) {
+	few, many := zipfBatch(20), zipfBatch(1)
+	_, fewAborted := Schedule(few, nil)
+	_, manyAborted := Schedule(many, nil)
+	if len(fewAborted) < 10 || len(manyAborted) < 2*len(fewAborted) {
+		t.Fatalf("victims = %d and %d, want >= 10 and at least twice as many", len(fewAborted), len(manyAborted))
+	}
+	fewAllocs := testing.AllocsPerRun(20, func() { Schedule(few, nil) })
+	manyAllocs := testing.AllocsPerRun(20, func() { Schedule(many, nil) })
+	t.Logf("%d victims: %.0f allocs; %d victims: %.0f allocs", len(fewAborted), fewAllocs, len(manyAborted), manyAllocs)
+	if fewAllocs > 300 || manyAllocs > 300 {
+		t.Errorf("allocs per Schedule = %.0f and %.0f, want <= 300", fewAllocs, manyAllocs)
+	}
+	if d := manyAllocs - fewAllocs; d > 5 || d < -5 {
+		t.Errorf("allocs moved by %.0f with the victim count (%.0f -> %.0f), want within 5", d, fewAllocs, manyAllocs)
+	}
+}
+
+// TestScheduleConcurrentCallers runs Schedule from several goroutines at
+// once, as OSNs and channels do: under -race it fails if scratch ever
+// becomes shared between calls.
+func TestScheduleConcurrentCallers(t *testing.T) {
+	rws := zipfBatch(1)
+	wantOrder, wantAborted := Schedule(rws, nil)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				order, aborted := Schedule(rws, nil)
+				if !reflect.DeepEqual(order, wantOrder) || !reflect.DeepEqual(aborted, wantAborted) {
+					t.Errorf("concurrent call returned order %v aborted %v", order, aborted)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+var benchSink int
+
+func BenchmarkSchedule(b *testing.B) {
+	rws := zipfBatch(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		order, aborted := Schedule(rws, nil)
+		benchSink += len(order) + len(aborted)
+	}
+}
+
+// refGraph, buildRefGraph, cycleVertices and scheduleReference are the
+// implementation Schedule replaced, kept verbatim as the oracle the
+// incremental one is diffed against: one full-graph Tarjan pass and a
+// full degree rescan per aborted transaction.
+type refGraph struct {
+	n    int
+	succ [][]int
+	pred [][]int
+}
+
+func buildRefGraph(rws []RW, participates []bool) *refGraph {
+	n := len(rws)
+	readers := make(map[string][]int) // key -> txs reading it
+	writers := make(map[string][]int) // key -> txs writing it
+	for i, rw := range rws {
+		if participates != nil && !participates[i] {
+			continue
+		}
+		for _, k := range rw.Reads {
+			readers[k] = append(readers[k], i)
+		}
+		for _, k := range rw.Writes {
+			writers[k] = append(writers[k], i)
+		}
+	}
+	edges := make(map[[2]int]struct{})
+	for k, rs := range readers {
+		ws := writers[k]
+		if len(ws) == 0 {
+			continue
+		}
+		for _, r := range rs {
+			for _, w := range ws {
+				if r != w {
+					edges[[2]int{r, w}] = struct{}{}
+				}
+			}
+		}
+	}
+	g := &refGraph{n: n, succ: make([][]int, n), pred: make([][]int, n)}
+	for e := range edges {
+		g.succ[e[0]] = append(g.succ[e[0]], e[1])
+		g.pred[e[1]] = append(g.pred[e[1]], e[0])
+	}
+	for i := 0; i < n; i++ {
+		sort.Ints(g.succ[i])
+		sort.Ints(g.pred[i])
+	}
+	return g
+}
+
+// cycleVertices returns, sorted ascending, every vertex belonging to a
+// non-trivial strongly connected component, ignoring removed vertices.
+func (g *refGraph) cycleVertices(removed []bool) []int {
+	// Iterative Tarjan SCC.
+	const unvisited = -1
+	index := make([]int, g.n)
+	low := make([]int, g.n)
+	onStack := make([]bool, g.n)
+	for i := range index {
+		index[i] = unvisited
+	}
+	var stack []int
+	var cyclic []int
+	next := 0
+
+	type frame struct {
+		v  int
+		ei int
+	}
+	for root := 0; root < g.n; root++ {
+		if index[root] != unvisited || (removed != nil && removed[root]) {
+			continue
+		}
+		frames := []frame{{v: root}}
+		index[root], low[root] = next, next
+		next++
+		stack = append(stack, root)
+		onStack[root] = true
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			advanced := false
+			for f.ei < len(g.succ[f.v]) {
+				w := g.succ[f.v][f.ei]
+				f.ei++
+				if removed != nil && removed[w] {
+					continue
+				}
+				if index[w] == unvisited {
+					index[w], low[w] = next, next
+					next++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{v: w})
+					advanced = true
+					break
+				}
+				if onStack[w] && index[w] < low[f.v] {
+					low[f.v] = index[w]
+				}
+			}
+			if advanced {
+				continue
+			}
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := &frames[len(frames)-1]; low[v] < low[p.v] {
+					low[p.v] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				var comp []int
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp = append(comp, w)
+					if w == v {
+						break
+					}
+				}
+				if len(comp) > 1 {
+					cyclic = append(cyclic, comp...)
+				}
+			}
+		}
+	}
+	sort.Ints(cyclic)
+	return cyclic
+}
+
+func scheduleReference(rws []RW, participates []bool) (order []int, aborted []int) {
+	g := buildRefGraph(rws, participates)
+	removed := make([]bool, g.n)
+
+	// Break cycles: repeatedly abort the heaviest member of each
+	// remaining cyclic component until the graph is acyclic.
+	for {
+		cyclic := g.cycleVertices(removed)
+		if len(cyclic) == 0 {
+			break
+		}
+		inCycle := make(map[int]bool, len(cyclic))
+		for _, v := range cyclic {
+			inCycle[v] = true
+		}
+		victim, victimDeg := -1, -1
+		for _, v := range cyclic {
+			deg := 0
+			for _, w := range g.succ[v] {
+				if inCycle[w] && !removed[w] {
+					deg++
+				}
+			}
+			for _, w := range g.pred[v] {
+				if inCycle[w] && !removed[w] {
+					deg++
+				}
+			}
+			// >= ties to the latest arrival: aborting the youngest
+			// equally-entangled transaction preserves more of the
+			// earlier-submitted work.
+			if deg >= victimDeg {
+				victim, victimDeg = v, deg
+			}
+		}
+		removed[victim] = true
+		aborted = append(aborted, victim)
+	}
+
+	// Kahn's algorithm with a min-index heap: deterministic, FIFO when
+	// unconstrained.
+	indeg := make([]int, g.n)
+	for u := 0; u < g.n; u++ {
+		if removed[u] {
+			continue
+		}
+		for _, w := range g.succ[u] {
+			if !removed[w] {
+				indeg[w]++
+			}
+		}
+	}
+	h := &intHeap{}
+	for i := 0; i < g.n; i++ {
+		if !removed[i] && indeg[i] == 0 {
+			heap.Push(h, i)
+		}
+	}
+	order = make([]int, 0, g.n-len(aborted))
+	for h.Len() > 0 {
+		u := heap.Pop(h).(int)
+		order = append(order, u)
+		for _, w := range g.succ[u] {
+			if removed[w] {
+				continue
+			}
+			indeg[w]--
+			if indeg[w] == 0 {
+				heap.Push(h, w)
+			}
+		}
+	}
+	sort.Ints(aborted)
+	return order, aborted
 }

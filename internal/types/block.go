@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -70,11 +71,9 @@ type Block struct {
 // ComputeDataHash hashes the concatenation of length-prefixed payloads.
 func ComputeDataHash(data [][]byte) []byte {
 	h := sha256.New()
-	var lenBuf [10]byte
+	var lenBuf [binary.MaxVarintLen64]byte
 	for _, d := range data {
-		enc := NewEncoder(10)
-		enc.Uvarint(uint64(len(d)))
-		n := copy(lenBuf[:], enc.Bytes())
+		n := binary.PutUvarint(lenBuf[:], uint64(len(d)))
 		h.Write(lenBuf[:n])
 		h.Write(d)
 	}
@@ -153,20 +152,14 @@ func UnmarshalBlock(buf []byte) (*Block, error) {
 	b.Header.Number = dec.Uvarint()
 	b.Header.PrevHash = dec.Bytes2()
 	b.Header.DataHash = dec.Bytes2()
-	n := dec.Uvarint()
-	if n > maxFieldLen {
-		return nil, ErrOversize
-	}
+	n := dec.length()
 	b.Data = make([][]byte, 0, n)
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
+	for i := 0; i < n && dec.Err() == nil; i++ {
 		b.Data = append(b.Data, dec.Bytes2())
 	}
-	nf := dec.Uvarint()
-	if nf > maxFieldLen {
-		return nil, ErrOversize
-	}
+	nf := dec.length()
 	b.Metadata.ValidationFlags = make([]ValidationCode, 0, nf)
-	for i := uint64(0); i < nf && dec.Err() == nil; i++ {
+	for i := 0; i < nf && dec.Err() == nil; i++ {
 		b.Metadata.ValidationFlags = append(b.Metadata.ValidationFlags, ValidationCode(dec.Byte()))
 	}
 	b.Metadata.OrderedTime = dec.Int64()

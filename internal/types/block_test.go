@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,18 @@ func TestComputeDataHashUnambiguous(t *testing.T) {
 	b := ComputeDataHash([][]byte{[]byte("a"), []byte("bc")})
 	if bytes.Equal(a, b) {
 		t.Error("data hash ambiguous under re-chunking")
+	}
+}
+
+// TestComputeDataHashGolden pins the hash bytes: every ledger's chain and
+// every OSN's blocks depend on them, so how the length prefix is produced
+// may change but what is hashed may not. The payloads cover a one-byte
+// prefix, a two-byte one, and an empty envelope.
+func TestComputeDataHashGolden(t *testing.T) {
+	got := ComputeDataHash([][]byte{[]byte("tx1"), bytes.Repeat([]byte{0xab}, 300), nil})
+	const want = "3c69d20db32bc5bd45dcfbaaf05f43d5cf2abbe0afcde40d49cbcfd9ec50e996"
+	if hex.EncodeToString(got) != want {
+		t.Errorf("data hash = %x, want %s", got, want)
 	}
 }
 

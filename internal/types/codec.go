@@ -170,32 +170,47 @@ func (d *Decoder) Byte() byte {
 	return b
 }
 
-// Bytes2 reads a length-prefixed byte slice. The result is a copy.
-func (d *Decoder) Bytes2() []byte {
+// length reads a length prefix or an element count and checks it against
+// the bytes left: a field needs that many, and every counted element
+// occupies at least one. A corrupt or hostile prefix fails here, before
+// anything is sized by it; length then returns 0.
+func (d *Decoder) length() int {
 	n := d.Uvarint()
 	if d.err != nil {
-		return nil
+		return 0
 	}
 	if n > maxFieldLen {
 		d.fail(ErrOversize)
-		return nil
+		return 0
 	}
 	if uint64(d.Remaining()) < n {
 		d.fail(ErrShortBuffer)
-		return nil
+		return 0
 	}
-	if n == 0 {
+	return int(n)
+}
+
+// field consumes a length-prefixed field and returns its bytes, which
+// alias the input.
+func (d *Decoder) field() []byte {
+	n := d.length()
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+// Bytes2 reads a length-prefixed byte slice. The result is a copy.
+func (d *Decoder) Bytes2() []byte {
+	b := d.field()
+	if len(b) == 0 {
 		return nil // nil is the canonical empty slice
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += int(n)
-	return out
+	return append([]byte(nil), b...)
 }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
-	return string(d.Bytes2())
+	return string(d.field())
 }
 
 // Float64 reads a fixed-width IEEE-754 float.

@@ -2,7 +2,9 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -106,5 +108,57 @@ func TestBytesStringRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeHostileCounts feeds every decoder that sizes a slice from the
+// wire a few bytes claiming 2^28-1 elements. The orderer runs these on
+// untrusted bytes at broadcast ingress: each must fail, and must fail
+// before allocating what the count asks for (the first case used to
+// allocate 6 GiB on its way to "short buffer").
+func TestDecodeHostileCounts(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0x7f} // uvarint 2^28-1, just under maxFieldLen
+	with := func(encode func(*Encoder)) []byte {
+		enc := NewEncoder(64)
+		encode(enc)
+		return append(enc.Bytes(), huge...)
+	}
+	emptyProposal := func(enc *Encoder) { (&Proposal{}).encode(enc) }
+	// TxID, ChannelID, ChaincodeID and Fn empty, then the Args count.
+	args := append([]byte{0, 0, 0, 0}, huge...)
+	header := func(enc *Encoder) {
+		enc.Uvarint(1)
+		enc.Bytes2(nil)
+		enc.Bytes2(nil)
+	}
+	peek := func(b []byte) error { _, err := PeekEnvelopeInfo(b); return err }
+	transaction := func(b []byte) error { _, err := UnmarshalTransaction(b); return err }
+	block := func(b []byte) error { _, err := UnmarshalBlock(b); return err }
+	cases := []struct {
+		name   string
+		input  []byte
+		decode func([]byte) error
+	}{
+		{"peek args", args, peek},
+		{"peek reads", with(emptyProposal), peek},
+		{"peek writes", with(func(enc *Encoder) { emptyProposal(enc); enc.Uvarint(0) }), peek},
+		{"proposal args", args, func(b []byte) error { _, err := UnmarshalProposal(b); return err }},
+		{"rwset reads", huge, func(b []byte) error { _, err := UnmarshalRWSet(b); return err }},
+		{"transaction args", args, transaction},
+		{"transaction endorsements", with(func(enc *Encoder) { emptyProposal(enc); (&RWSet{}).encode(enc) }), transaction},
+		{"block data", with(header), block},
+		{"block flags", with(func(enc *Encoder) { header(enc); enc.Uvarint(0) }), block},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(c.input)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, ErrShortBuffer)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes decoding %d", c.name, got, len(c.input))
+		}
 	}
 }

@@ -82,13 +82,9 @@ func (rw *RWSet) encode(enc *Encoder) {
 
 // decode reads the set from dec.
 func (rw *RWSet) decode(dec *Decoder) {
-	nr := dec.Uvarint()
-	if nr > maxFieldLen {
-		dec.fail(ErrOversize)
-		return
-	}
+	nr := dec.length()
 	rw.Reads = make([]KVRead, 0, nr)
-	for i := uint64(0); i < nr && dec.Err() == nil; i++ {
+	for i := 0; i < nr && dec.Err() == nil; i++ {
 		var r KVRead
 		r.Key = dec.String()
 		r.Version.BlockNum = dec.Uvarint()
@@ -96,13 +92,9 @@ func (rw *RWSet) decode(dec *Decoder) {
 		r.Exists = dec.Bool()
 		rw.Reads = append(rw.Reads, r)
 	}
-	nw := dec.Uvarint()
-	if nw > maxFieldLen {
-		dec.fail(ErrOversize)
-		return
-	}
+	nw := dec.length()
 	rw.Writes = make([]KVWrite, 0, nw)
-	for i := uint64(0); i < nw && dec.Err() == nil; i++ {
+	for i := 0; i < nw && dec.Err() == nil; i++ {
 		var w KVWrite
 		w.Key = dec.String()
 		w.Value = dec.Bytes2()

@@ -116,18 +116,31 @@ func (p *Proposal) decode(dec *Decoder) {
 	p.ChannelID = dec.String()
 	p.ChaincodeID = dec.String()
 	p.Fn = dec.String()
-	n := dec.Uvarint()
-	if n > maxFieldLen {
-		dec.fail(ErrOversize)
-		return
-	}
+	n := dec.length()
 	p.Args = make([][]byte, 0, n)
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
+	for i := 0; i < n && dec.Err() == nil; i++ {
 		p.Args = append(p.Args, dec.Bytes2())
 	}
 	p.Creator = dec.Bytes2()
 	p.Nonce = dec.Bytes2()
 	p.Timestamp = dec.Int64()
+	p.TraceID = dec.String()
+}
+
+// peek is decode for the ordering path: it keeps TxID, ChaincodeID and
+// TraceID and steps over every other field, with the same bounds checks
+// and no copy.
+func (p *Proposal) peek(dec *Decoder) {
+	p.TxID = TxID(dec.String())
+	dec.field() // ChannelID
+	p.ChaincodeID = dec.String()
+	dec.field() // Fn
+	for n := dec.length(); n > 0 && dec.Err() == nil; n-- {
+		dec.field() // Args
+	}
+	dec.field() // Creator
+	dec.field() // Nonce
+	dec.Int64() // Timestamp
 	p.TraceID = dec.String()
 }
 
@@ -255,13 +268,9 @@ func (t *Transaction) encode(enc *Encoder) {
 func (t *Transaction) decode(dec *Decoder) {
 	t.Proposal.decode(dec)
 	t.Results.decode(dec)
-	n := dec.Uvarint()
-	if n > maxFieldLen {
-		dec.fail(ErrOversize)
-		return
-	}
+	n := dec.length()
 	t.Endorsements = make([]Endorsement, n)
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
+	for i := 0; i < n && dec.Err() == nil; i++ {
 		t.Endorsements[i].decode(dec)
 	}
 	t.ClientSig = dec.Bytes2()
@@ -306,7 +315,7 @@ type EnvelopeInfo struct {
 func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 	dec := NewDecoder(b)
 	var p Proposal
-	p.decode(dec)
+	p.peek(dec)
 	var rw RWSet
 	rw.decode(dec)
 	if err := dec.Err(); err != nil {

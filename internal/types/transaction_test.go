@@ -162,16 +162,22 @@ func TestTransactionRoundTrip(t *testing.T) {
 // TestPeekEnvelopeInfoTraceID pins the prefix property the orderer
 // relies on: the TraceID appended at the end of the Proposal encoding
 // must survive a marshaled-Transaction peek, with and without tracing.
+// The peek must agree with the full decode on everything it returns, and
+// — although it steps over the fields the ordering path never reads —
+// must still fail on every prefix that cuts into the proposal or the
+// rwset.
 func TestPeekEnvelopeInfoTraceID(t *testing.T) {
 	for _, traceID := range []string{"trace-xyz", ""} {
 		tx := &Transaction{
-			Proposal:   *sampleProposal(),
-			Results:    sampleRWSet(),
-			ClientSig:  []byte("csig"),
-			SubmitTime: 42,
+			Proposal:     *sampleProposal(),
+			Results:      sampleRWSet(),
+			Endorsements: []Endorsement{{EndorserID: "Org1.peer0", EndorserOrg: "Org1", Signature: []byte("sig")}},
+			ClientSig:    []byte("csig"),
+			SubmitTime:   42,
 		}
 		tx.Proposal.TraceID = traceID
-		info, err := PeekEnvelopeInfo(tx.Marshal())
+		env := tx.Marshal()
+		info, err := PeekEnvelopeInfo(env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,8 +185,32 @@ func TestPeekEnvelopeInfoTraceID(t *testing.T) {
 			t.Errorf("peek = {TxID:%s TraceID:%q}, want {%s %q}",
 				info.TxID, info.TraceID, tx.Proposal.TxID, traceID)
 		}
-		if !reflect.DeepEqual(info.Results, tx.Results) {
-			t.Errorf("peeked rwset mismatch")
+		full, err := UnmarshalTransaction(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &EnvelopeInfo{
+			TxID:        full.Proposal.TxID,
+			ChaincodeID: full.Proposal.ChaincodeID,
+			TraceID:     full.Proposal.TraceID,
+			Results:     full.Results,
+		}
+		if !reflect.DeepEqual(info, want) {
+			t.Errorf("peek = %+v, full decode gives %+v", info, want)
+		}
+
+		enc := NewEncoder(256)
+		tx.Proposal.encode(enc)
+		tx.Results.encode(enc)
+		peeked := len(enc.Bytes()) // what the peek has to read
+		for n := 0; n < len(env); n++ {
+			got, err := PeekEnvelopeInfo(env[:n])
+			switch {
+			case n < peeked && err == nil:
+				t.Errorf("peek of %d of %d prefix bytes succeeded", n, peeked)
+			case n >= peeked && (err != nil || !reflect.DeepEqual(got, want)):
+				t.Errorf("peek of %d bytes (prefix is %d) = %+v, %v", n, peeked, got, err)
+			}
 		}
 	}
 }
