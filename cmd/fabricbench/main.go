@@ -10,12 +10,15 @@
 //	fabricbench -experiment dissemination  # direct-deliver vs gossip egress sweep
 //	fabricbench -list                      # show available experiments
 //
-// The -scale flag compresses model time (0.1 = 10x faster than the
-// paper's wall clock); reported numbers are always in model time and
-// therefore directly comparable with the paper.
+// Experiments that read the same sweep (fig2..fig7, table2 and table3)
+// are measured once per invocation and print different columns of the
+// same runs. The -scale flag compresses model time (0.25 = 4x faster
+// than the paper's wall clock); reported numbers are always in model
+// time and therefore directly comparable with the paper.
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -36,8 +39,8 @@ func main() {
 func run() int {
 	var (
 		experiment = flag.String("experiment", "all", "experiment id (fig2..fig8, table2, table3) or 'all'")
-		scale      = flag.Float64("scale", 0.1, "time-compression factor (1.0 = real time)")
-		duration   = flag.Duration("duration", 0, "model-time load duration per data point (default 12s, quick 5s)")
+		scale      = flag.Float64("scale", 0, fmt.Sprintf("time-compression factor (1.0 = real time; default %v)", bench.DefaultScale))
+		duration   = flag.Duration("duration", 0, "model-time load duration per data point (default 12s, quick 6s)")
 		quick      = flag.Bool("quick", false, "trimmed sweeps for smoke runs")
 		txSize     = flag.Int("txsize", 1, "transaction value size in bytes")
 		seed       = flag.Int64("seed", 1, "workload random seed")
@@ -65,7 +68,7 @@ func run() int {
 		srv, err := obs.Start(obs.Config{
 			Addr:      *obsAddr,
 			Tracer:    opt.Tracer,
-			TimeScale: *scale,
+			TimeScale: cmp.Or(*scale, bench.DefaultScale),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fabricbench:", err)
@@ -104,16 +107,11 @@ func run() int {
 		}
 	}
 
-	ctx := context.Background()
 	start := time.Now()
 	fmt.Printf("seed=%d (re-run with -seed %d to replay workloads and fault schedules)\n", *seed, *seed)
-	for _, e := range exps {
-		expStart := time.Now()
-		if err := e.Run(ctx, opt, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "fabricbench: %s: %v\n", e.ID, err)
-			return 1
-		}
-		fmt.Printf("[%s done in %s]\n", e.ID, time.Since(expStart).Round(time.Millisecond))
+	if err := bench.Run(context.Background(), exps, opt, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "fabricbench:", err)
+		return 1
 	}
 	fmt.Printf("\nall experiments done in %s\n", time.Since(start).Round(time.Millisecond))
 	return 0

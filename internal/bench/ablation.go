@@ -1,16 +1,6 @@
 package bench
 
-import (
-	"context"
-	"io"
-	"time"
-
-	"fabricsim/internal/costmodel"
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/metrics"
-	"fabricsim/internal/policy"
-	"fabricsim/internal/workload"
-)
+import "time"
 
 // Ablation experiments for the design parameters the paper names as the
 // ordering service's "two core conditions" (Section III: BatchSize and
@@ -18,136 +8,48 @@ import (
 // "transaction size of 1 byte"). These are not paper figures; they
 // quantify how sensitive the headline results are to those choices.
 
-// AblationBatchSize sweeps the BatchSize cut condition at a fixed
+// ablation sweeps one field of the headline Solo/OR configuration at a
+// fixed arrival rate; set writes the field into the point.
+func ablation[V any](id, title string, rate float64, full, trimmed []V,
+	set func(*PointConfig, V), cols ...column[Point]) Experiment {
+	return Experiment{
+		ID:    id,
+		Title: title,
+		sweeps: []sweep{{id, func(quick bool) (pcs []measurer) {
+			for _, v := range ifElse(quick, trimmed, full) {
+				pc := soloOR(figPeers, 0)
+				pc.Rate = rate
+				set(&pc, v)
+				pcs = append(pcs, pc)
+			}
+			return pcs
+		}}},
+		tables: []table[Point]{{cols: cols}},
+	}
+}
+
+// ablationBatchSize sweeps the BatchSize cut condition at a fixed
 // arrival rate and reports throughput, latency, and block time.
-func AblationBatchSize() Experiment {
-	return Experiment{
-		ID:    "batchsize",
-		Title: "Ablation: BatchSize vs throughput/latency/block time",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			opt = opt.withDefaults()
-			header(w, "Ablation — BatchSize (Solo, OR, 250 tps offered)")
-			fprintf(w, "%-10s %12s %12s %12s %12s\n", "batchsize", "throughput", "latency(s)", "blocktime(s)", "txs/block")
-			sizes := []int{10, 50, 100, 200, 500}
-			if opt.Quick {
-				sizes = []int{10, 100, 500}
-			}
-			for _, bs := range sizes {
-				p, err := runCustomPoint(ctx, opt, customPoint{
-					batchSize: bs,
-					rate:      250,
-				})
-				if err != nil {
-					return err
-				}
-				fprintf(w, "%-10d %12.1f %12s %12s %12.1f\n",
-					bs, p.Summary.ValidateTPS, secs(p.Summary.TotalLatency.Avg),
-					secs(p.Summary.BlockTime), p.Summary.AvgBlockSize)
-			}
-			return nil
-		},
-	}
-}
+var ablationBatchSize = ablation("batchsize", "Ablation — BatchSize (Solo, OR, 250 tps offered)", 250,
+	[]int{10, 50, 100, 200, 500}, []int{10, 100, 500},
+	func(pc *PointConfig, bs int) { pc.BatchSize = bs },
+	pcol("batchsize", "%-10d", func(p Point) any { return p.Config.BatchSize }),
+	colThroughput, colLatency, colBlockTime,
+	pcol("txs/block", "%12.1f", func(p Point) any { return p.Summary.AvgBlockSize }))
 
-// AblationBatchTimeout sweeps BatchTimeout at a low arrival rate, where
+// ablationBatchTimeout sweeps BatchTimeout at a low arrival rate, where
 // blocks cut on the timer and latency tracks timeout/2.
-func AblationBatchTimeout() Experiment {
-	return Experiment{
-		ID:    "batchtimeout",
-		Title: "Ablation: BatchTimeout vs latency at low load",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			opt = opt.withDefaults()
-			header(w, "Ablation — BatchTimeout (Solo, OR, 50 tps offered)")
-			fprintf(w, "%-12s %12s %12s %12s\n", "timeout(s)", "throughput", "latency(s)", "blocktime(s)")
-			timeouts := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second}
-			if opt.Quick {
-				timeouts = []time.Duration{500 * time.Millisecond, 2 * time.Second}
-			}
-			for _, bt := range timeouts {
-				p, err := runCustomPoint(ctx, opt, customPoint{
-					batchTimeout: bt,
-					rate:         50,
-				})
-				if err != nil {
-					return err
-				}
-				fprintf(w, "%-12s %12.1f %12s %12s\n",
-					secs(bt), p.Summary.ValidateTPS, secs(p.Summary.TotalLatency.Avg), secs(p.Summary.BlockTime))
-			}
-			return nil
-		},
-	}
-}
+var ablationBatchTimeout = ablation("batchtimeout", "Ablation — BatchTimeout (Solo, OR, 50 tps offered)", 50,
+	[]time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second},
+	[]time.Duration{500 * time.Millisecond, 2 * time.Second},
+	func(pc *PointConfig, bt time.Duration) { pc.BatchTimeout = bt },
+	pcol("timeout(s)", "%-12s", func(p Point) any { return secs(p.Config.BatchTimeout) }),
+	colThroughput, colLatency, colBlockTime)
 
-// AblationTxSize sweeps the written value size; larger transactions pay
+// ablationTxSize sweeps the written value size; larger transactions pay
 // chaincode per-byte cost and block transfer time.
-func AblationTxSize() Experiment {
-	return Experiment{
-		ID:    "txsize",
-		Title: "Ablation: transaction size vs throughput/latency",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			opt = opt.withDefaults()
-			header(w, "Ablation — Transaction size (Solo, OR, 250 tps offered)")
-			fprintf(w, "%-10s %12s %12s\n", "bytes", "throughput", "latency(s)")
-			sizes := []int{1, 1024, 16 * 1024, 64 * 1024}
-			if opt.Quick {
-				sizes = []int{1, 16 * 1024}
-			}
-			for _, sz := range sizes {
-				pointOpt := opt
-				pointOpt.TxSize = sz
-				p, err := runCustomPoint(ctx, pointOpt, customPoint{rate: 250})
-				if err != nil {
-					return err
-				}
-				fprintf(w, "%-10d %12.1f %12s\n",
-					sz, p.Summary.ValidateTPS, secs(p.Summary.TotalLatency.Avg))
-			}
-			return nil
-		},
-	}
-}
-
-// customPoint is a RunPoint variant with batching overrides.
-type customPoint struct {
-	batchSize    int
-	batchTimeout time.Duration
-	rate         float64
-}
-
-func runCustomPoint(ctx context.Context, opt Options, cp customPoint) (Point, error) {
-	model := costmodel.Default(opt.Scale)
-	col := metrics.NewCollector()
-	cfg := fabnet.Config{
-		Orderer:           fabnet.Solo,
-		NumEndorsingPeers: figPeers,
-		Policy:            policy.OrOverPeers(figPeers),
-		BatchSize:         cp.batchSize,
-		BatchTimeout:      cp.batchTimeout,
-		Model:             model,
-		Collector:         col,
-	}
-	net, err := fabnet.Build(cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	defer net.Stop()
-	if err := net.Start(ctx); err != nil {
-		return Point{}, err
-	}
-	stats, err := workload.Run(ctx, net.Clients, workload.Config{
-		Rate:     cp.rate,
-		Duration: opt.Duration,
-		TxSize:   opt.TxSize,
-		Model:    model,
-		Seed:     opt.Seed,
-	})
-	if err != nil {
-		return Point{}, err
-	}
-	sum := col.Summarize(metrics.SummaryOptions{
-		TimeScale:     model.TimeScale,
-		RejectLatency: model.OrderTimeout,
-	})
-	return Point{Orderer: fabnet.Solo, Policy: "OR", Peers: figPeers, Rate: cp.rate, Summary: sum, Stats: stats}, nil
-}
+var ablationTxSize = ablation("txsize", "Ablation — Transaction size (Solo, OR, 250 tps offered)", 250,
+	[]int{1, 1024, 16 * 1024, 64 * 1024}, []int{1, 16 * 1024},
+	func(pc *PointConfig, sz int) { pc.TxSize = sz },
+	pcol("bytes", "%-10d", func(p Point) any { return p.Config.TxSize }),
+	colThroughput, colLatency)

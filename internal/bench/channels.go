@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"context"
-	"io"
-
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/policy"
-)
+import "fmt"
 
 // Channel-sweep configuration: few enough peers that the per-channel
 // serial commit walk — not the endorsers — is the bottleneck, and
@@ -18,53 +12,31 @@ const (
 	chanSweepRate    = 800
 )
 
-// chanSweepCounts is the 1 -> 8 channel sweep (trimmed in quick mode).
-func chanSweepCounts(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 4, 8}
-}
-
-// FigChannels measures throughput and per-phase latency as the network
+// figChannels measures throughput and per-phase latency as the network
 // is sharded into concurrently-ordered channels at fixed peer count.
 // A single channel saturates on the committer's serial MVCC+commit walk
 // (one pipeline per channel); adding channels multiplies the pipelines
 // — separate ordering lanes, ledgers, and commit loops — so aggregate
 // committed throughput climbs until the shared peer CPUs or the client
 // pool become the next bottleneck.
-func FigChannels() Experiment {
-	return Experiment{
-		ID:    "channels",
-		Title: "Channel sweep: Throughput/Latency vs. Number of Channels",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Channel sweep — Aggregate Throughput and Per-Phase Latency vs. #Channels")
-			fprintf(w, "(orderer=solo, peers=%d, clients=%d, policy=OR, offered rate=%d tps)\n\n",
-				chanSweepPeers, chanSweepClients, chanSweepRate)
-			fprintf(w, "%-10s %12s %12s %12s %12s %10s\n",
-				"#channels", "throughput", "execute(s)", "order&val(s)", "total(s)", "rejected")
-			for _, nch := range chanSweepCounts(opt.Quick) {
-				p, err := RunPoint(ctx, PointConfig{
-					Orderer:     fabnet.Solo,
-					OSNs:        1,
-					Peers:       chanSweepPeers,
-					Clients:     chanSweepClients,
-					Policy:      policy.OrOverPeers(chanSweepPeers),
-					PolicyLabel: "OR",
-					Rate:        chanSweepRate,
-					Channels:    nch,
-				}, opt)
-				if err != nil {
-					return err
-				}
-				fprintf(w, "%-10d %12.1f %12s %12s %12s %10d\n",
-					p.Channels, p.Summary.ValidateTPS,
-					secs(p.Summary.ExecuteLatency.Avg),
-					secs(p.Summary.OrderValidateLatency.Avg),
-					secs(p.Summary.TotalLatency.Avg),
-					p.Summary.RejectedCount)
-			}
-			return nil
-		},
-	}
+var figChannels = Experiment{
+	ID:    "channels",
+	Title: "Channel sweep — Aggregate Throughput and Per-Phase Latency vs. #Channels",
+	note: fmt.Sprintf("(orderer=solo, peers=%d, clients=%d, policy=OR, offered rate=%d tps)\n\n",
+		chanSweepPeers, chanSweepClients, chanSweepRate),
+	sweeps: []sweep{{"channels", func(quick bool) (pcs []measurer) {
+		// The 1 -> 8 channel sweep (trimmed in quick mode).
+		for _, nch := range ifElse(quick, []int{1, 4}, []int{1, 2, 4, 8}) {
+			pc := soloOR(chanSweepPeers, chanSweepClients)
+			pc.Rate, pc.Channels = chanSweepRate, nch
+			pcs = append(pcs, pc)
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{{cols: []column[Point]{
+		pcol("#channels", "%-10d", func(p Point) any { return p.Channels }),
+		colThroughput, colExecuteLat,
+		pcol("order&val(s)", "%12s", func(p Point) any { return secs(p.Summary.OrderValidateLatency.Avg) }),
+		colTotalLat, colRejected,
+	}}},
 }

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"fabricsim/internal/chaos"
@@ -46,23 +44,8 @@ const (
 
 // chaosKinds is the soak's fault taxonomy: the classic four plus the
 // opt-in orderer crash (blackout, then a durable restart on heal).
-func chaosKinds() []string {
-	return []string{
-		chaos.KindCrash,
-		chaos.KindOrdererCrash,
-		chaos.KindPartition,
-		chaos.KindDegrade,
-		chaos.KindThrottle,
-	}
-}
-
-// chaosFaults sizes the schedule; all five fault kinds always appear
-// (the builder cycles through kinds before repeating).
-func chaosFaults(quick bool) int {
-	if quick {
-		return 5
-	}
-	return 6
+var chaosKinds = []string{
+	chaos.KindCrash, chaos.KindOrdererCrash, chaos.KindPartition, chaos.KindDegrade, chaos.KindThrottle,
 }
 
 // chaosSoak stretches the soak beyond the default point duration in
@@ -118,7 +101,14 @@ type ChaosPoint struct {
 	TipConverged     bool `json:"tip_converged"`
 	StateConverged   bool `json:"state_converged"`
 	ChainValid       bool `json:"chain_valid"`
+
+	// Soak and ConvergenceErr are shown in the report only.
+	Soak           time.Duration `json:"-"`
+	ConvergenceErr error         `json:"-"`
 }
+
+// chaosSoakPoint is the chaos sweep's single point.
+type chaosSoakPoint struct{}
 
 // phaseP99s extracts the per-phase tail (p99, model seconds) of a
 // window summary's critical-path decomposition.
@@ -130,28 +120,10 @@ func phaseP99s(sum metrics.Summary) map[string]float64 {
 	return out
 }
 
-// phaseP99Header and phaseP99Cells render the per-phase tail columns of
-// the SLO table, in lifecycle order.
-func phaseP99Header() string {
-	var b []byte
-	for _, ph := range metrics.PhaseOrdering() {
-		b = fmt.Appendf(b, " %12s", ph+"-p99(s)")
-	}
-	return string(b)
-}
-
-func phaseP99Cells(p99s map[string]float64) string {
-	var b []byte
-	for _, ph := range metrics.PhaseOrdering() {
-		b = fmt.Appendf(b, " %12.3f", p99s[ph])
-	}
-	return string(b)
-}
-
-// runChaosSoak builds the WAN network, plays the seeded fault schedule
+// measure builds the WAN network, plays the seeded fault schedule
 // against the open-loop workload, waits for post-heal convergence, and
 // checks the invariants.
-func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, error) {
+func (chaosSoakPoint) measure(ctx context.Context, opt Options) (Point, error) {
 	model := costmodel.Default(opt.Scale)
 	col := metrics.NewCollector()
 	if opt.OnCollector != nil {
@@ -162,7 +134,7 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	// crashed orderer restarts from its log instead of from genesis.
 	raftDir, err := os.MkdirTemp("", "fabricsim-chaos-raft-")
 	if err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 	defer os.RemoveAll(raftDir)
 	osnBackends := make(map[string]string, chaosOrderers)
@@ -201,11 +173,11 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	}
 	net, err := fabnet.Build(cfg)
 	if err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 	defer net.Stop()
 	if err := net.Start(ctx); err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 	net.Links().Seed(opt.SubSeed("links"))
 
@@ -213,14 +185,9 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	// it does not survive that peer's restart, so event peers are
 	// protected from crash/throttle faults (partitions and degradation
 	// still hit them).
-	protected := make([]string, 0, chaosClients)
-	seen := make(map[string]bool)
-	for i := 1; i <= chaosClients; i++ {
-		id := net.Peers[(i-1)%len(net.Peers)].ID()
-		if !seen[id] {
-			seen[id] = true
-			protected = append(protected, id)
-		}
+	protected := make([]string, chaosClients)
+	for i := range protected {
+		protected[i] = net.Peers[i].ID()
 	}
 
 	soak := chaosSoak(opt)
@@ -229,16 +196,18 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	sched, err := ctl.BuildSchedule(scheduleSeed, chaos.ScheduleConfig{
 		// The schedule runs on the wall clock, so its span is the
 		// soak's wall-time footprint.
-		Duration:  model.ScaledDelay(soak),
-		Faults:    chaosFaults(opt.Quick),
-		Kinds:     chaosKinds(),
+		Duration: model.ScaledDelay(soak),
+		// All five fault kinds always appear (the builder cycles
+		// through kinds before repeating).
+		Faults:    ifElse(opt.Quick, 5, 6),
+		Kinds:     chaosKinds,
 		Protected: protected,
 	})
 	if err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 
-	point := ChaosPoint{
+	point := &ChaosPoint{
 		Seed:         opt.Seed,
 		ScheduleSeed: scheduleSeed,
 		Orgs:         chaosOrgs,
@@ -247,12 +216,7 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 		Faults:       len(sched.Events),
 		FaultKinds:   sched.Kinds(),
 		Timeline:     sched.Timeline(),
-	}
-	fprintf(w, "seed=%d schedule_seed=%d faults=%d kinds=%v soak=%s wan=%s\n",
-		opt.Seed, scheduleSeed, point.Faults, point.FaultKinds, soak, cfg.WANMatrix)
-	fprintf(w, "fault timeline (wall offsets, replayable from seed):\n")
-	for _, line := range point.Timeline {
-		fprintf(w, "  %s\n", line)
+		Soak:         soak,
 	}
 
 	// Soak: the fault schedule plays out while the open-loop workload
@@ -269,17 +233,18 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	})
 	chaosErr := <-chaosDone
 	if err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: workload: %w", err)
+		return Point{}, fmt.Errorf("bench: workload: %w", err)
 	}
 	if chaosErr != nil {
 		// A fault that failed to apply or heal voids the run — the
 		// invariants below would be measuring an unknown topology.
-		return ChaosPoint{}, fmt.Errorf("bench: chaos schedule: %w", chaosErr)
+		return Point{}, fmt.Errorf("bench: chaos schedule: %w", chaosErr)
 	}
 
 	// Post-heal: every peer (including crashed-and-wiped ones) must
 	// converge back to one tip hash and state hash.
 	convErr := waitRecoveryConverged(net.Peers[0], net.Peers[1:], 60*time.Second)
+	point.ConvergenceErr = convErr
 
 	// --- Invariants ---
 	ref := net.Peers[0].Ledger()
@@ -287,7 +252,7 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	refTip := string(ref.LastHash())
 	refState, err := ref.StateHash()
 	if err != nil {
-		return ChaosPoint{}, fmt.Errorf("bench: state hash: %w", err)
+		return Point{}, fmt.Errorf("bench: state hash: %w", err)
 	}
 	point.TipConverged = convErr == nil
 	point.StateConverged = convErr == nil
@@ -324,11 +289,11 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	for num := scan.Base() + 1; num < scan.Height(); num++ {
 		blk, err := scan.GetBlock(num)
 		if err != nil {
-			return ChaosPoint{}, fmt.Errorf("bench: block %d: %w", num, err)
+			return Point{}, fmt.Errorf("bench: block %d: %w", num, err)
 		}
 		txs, err := blk.Transactions()
 		if err != nil {
-			return ChaosPoint{}, fmt.Errorf("bench: block %d: %w", num, err)
+			return Point{}, fmt.Errorf("bench: block %d: %w", num, err)
 		}
 		for i, tx := range txs {
 			if i < len(blk.Metadata.ValidationFlags) && blk.Metadata.ValidationFlags[i].Valid() {
@@ -341,16 +306,13 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	}
 
 	// --- SLO rows ---
-	fprintf(w, "\n%-34s %-10s %9s %9s %13s %16s%s\n",
-		"fault window", "kind", "start(s)", "end(s)", "committed tps", "commit-lag p99(s)",
-		phaseP99Header())
 	for _, ev := range sched.Events {
 		sum := col.Summarize(metrics.SummaryOptions{
 			TimeScale:   model.TimeScale,
 			WindowStart: runStart.Add(ev.At),
 			WindowEnd:   runStart.Add(ev.At + ev.For),
 		})
-		win := ChaosWindow{
+		point.Windows = append(point.Windows, ChaosWindow{
 			Fault:        ev.Fault.Name(),
 			Kind:         ev.Fault.Kind(),
 			StartS:       ev.At.Seconds() / model.TimeScale,
@@ -358,11 +320,10 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 			CommittedTPS: sum.ValidateTPS,
 			CommitLagP99: sum.CommitLag.P99.Seconds(),
 			PhaseP99S:    phaseP99s(sum),
+		})
+		if ev.Fault.Kind() == chaos.KindOrdererCrash {
+			point.OrdererCrashes++
 		}
-		point.Windows = append(point.Windows, win)
-		fprintf(w, "%-34s %-10s %9.2f %9.2f %13.1f %16.3f%s\n",
-			win.Fault, win.Kind, win.StartS, win.EndS, win.CommittedTPS, win.CommitLagP99,
-			phaseP99Cells(win.PhaseP99S))
 	}
 
 	overall := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
@@ -372,11 +333,34 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	point.SnapshotBootstraps = overall.SnapshotBootstraps
 	point.SubscriberEvictions = overall.SubscriberEvictions
 	point.BroadcastFailovers = overall.BroadcastFailovers
-	for _, ev := range sched.Events {
-		if ev.Fault.Kind() == chaos.KindOrdererCrash {
-			point.OrdererCrashes++
-		}
+
+	return Point{Chaos: point}, nil
+}
+
+// writeChaosReport prints the soak's fault timeline, one SLO row per
+// fault window, and the invariants.
+func writeChaosReport(w io.Writer, pts []Point) {
+	point := pts[0].Chaos
+	fprintf(w, "seed=%d schedule_seed=%d faults=%d kinds=%v soak=%s wan=%s\n",
+		point.Seed, point.ScheduleSeed, point.Faults, point.FaultKinds, point.Soak, point.WANMatrix)
+	fprintf(w, "fault timeline (wall offsets, replayable from seed):\n")
+	for _, line := range point.Timeline {
+		fprintf(w, "  %s\n", line)
 	}
+	cols := []column[ChaosWindow]{
+		{head: "fault window", verb: "%-34s", val: func(c ChaosWindow) any { return c.Fault }},
+		{head: "kind", verb: "%-10s", val: func(c ChaosWindow) any { return c.Kind }},
+		{head: "start(s)", verb: "%9.2f", val: func(c ChaosWindow) any { return c.StartS }},
+		{head: "end(s)", verb: "%9.2f", val: func(c ChaosWindow) any { return c.EndS }},
+		{head: "committed tps", verb: "%13.1f", val: func(c ChaosWindow) any { return c.CommittedTPS }},
+		{head: "commit-lag p99(s)", verb: "%16.3f", val: func(c ChaosWindow) any { return c.CommitLagP99 }},
+	}
+	for _, ph := range metrics.PhaseOrdering() {
+		cols = append(cols, column[ChaosWindow]{head: ph + "-p99(s)", verb: "%12.3f",
+			val: func(c ChaosWindow) any { return c.PhaseP99S[ph] }})
+	}
+	fprintf(w, "\n")
+	table[ChaosWindow]{cols: cols}.write(w, point.Windows)
 
 	fprintf(w, "\noverall: committed tps=%.1f commit-lag p99=%.3fs re-elections=%d snapshot-bootstraps=%d evictions=%d orderer-crashes=%d broadcast-failovers=%d\n",
 		point.OverallTPS, point.CommitLagP99S, point.Reelections,
@@ -385,39 +369,19 @@ func runChaosSoak(ctx context.Context, opt Options, w io.Writer) (ChaosPoint, er
 	fprintf(w, "invariants: lost_blocks=%d duplicate_commits=%d tip_converged=%v state_converged=%v chain_valid=%v\n",
 		point.LostBlocks, point.DuplicateCommits, point.TipConverged,
 		point.StateConverged, point.ChainValid)
-	if convErr != nil {
-		fprintf(w, "WARNING: post-heal convergence: %v\n", convErr)
+	if point.ConvergenceErr != nil {
+		fprintf(w, "WARNING: post-heal convergence: %v\n", point.ConvergenceErr)
 	}
-	return point, nil
 }
 
-// FigChaos is the chaos soak: SLOs and safety invariants under a
+// figChaos is the chaos soak: SLOs and safety invariants under a
 // seeded, replayable fault schedule.
-func FigChaos() Experiment {
-	return Experiment{
-		ID:    "chaos",
-		Title: "Chaos soak: SLOs and Safety Under a Seeded Fault Schedule",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			opt = opt.withDefaults()
-			header(w, "Chaos soak — Faults vs. SLOs on a 3-region WAN")
-			fprintf(w, "(orderer=raft x %d file-backed, orgs=%d x %d replicas, gossip on, open loop %.0f tps, snapshot threshold=%d)\n",
-				chaosOrderers, chaosOrgs, chaosReplicas, chaosRate, chaosSnapshotThreshold)
-			point, err := runChaosSoak(ctx, opt, w)
-			if err != nil {
-				return err
-			}
-			if opt.JSONDir != "" {
-				path := filepath.Join(opt.JSONDir, "BENCH_chaos.json")
-				raw, err := json.MarshalIndent(point, "", "  ")
-				if err != nil {
-					return fmt.Errorf("bench: marshal chaos point: %w", err)
-				}
-				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-					return fmt.Errorf("bench: write %s: %w", path, err)
-				}
-				fprintf(w, "\n[machine-readable point written to %s]\n", path)
-			}
-			return nil
-		},
-	}
+var figChaos = Experiment{
+	ID:    "chaos",
+	Title: "Chaos soak — Faults vs. SLOs on a 3-region WAN",
+	note: fmt.Sprintf("(orderer=raft x %d file-backed, orgs=%d x %d replicas, gossip on, open loop %.0f tps, snapshot threshold=%d)\n",
+		chaosOrderers, chaosOrgs, chaosReplicas, chaosRate, chaosSnapshotThreshold),
+	sweeps:   []sweep{{"chaos", func(bool) []measurer { return []measurer{chaosSoakPoint{}} }}},
+	render:   writeChaosReport,
+	document: func(pts []Point) any { return pts[0].Chaos },
 }

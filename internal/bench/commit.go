@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"context"
-	"io"
-
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/policy"
-)
+import "fmt"
 
 // Commit-sweep configuration: the pipeline sweep's topology (4
 // endorsing peers, OR policy, one channel) with enough deeply-windowed
@@ -29,17 +23,7 @@ const (
 	commitHotKeys = 1
 )
 
-// commitSweepPoints is the (pool, depth) grid (trimmed in quick mode).
-// (1, 1) is the legacy serial committer and must reproduce today's
-// ~300 tps validate cap within noise.
-func commitSweepPoints(quick bool) [][2]int {
-	if quick {
-		return [][2]int{{1, 1}, {4, 2}}
-	}
-	return [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 2}, {8, 2}, {8, 4}}
-}
-
-// FigCommit measures committed throughput and the per-stage validate
+// figCommit measures committed throughput and the per-stage validate
 // breakdown as the committer grows from the serial walk (pool 1, depth
 // 1 — the paper's bottleneck) to a deep, wide pipeline. On the
 // low-conflict workload (fresh key per transaction) every transaction
@@ -48,50 +32,39 @@ func commitSweepPoints(quick bool) [][2]int {
 // and append; on the high-conflict workload (all writes on one hot
 // key) the whole block is one dependency chain and the extra workers
 // sit idle, degrading gracefully toward the serial numbers.
-func FigCommit() Experiment {
-	return Experiment{
-		ID:    "commit",
-		Title: "Commit sweep: Throughput vs. Committer Pool x Pipeline Depth",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Commit sweep — Throughput and Validate-Stage Breakdown vs. Pool x Depth")
-			fprintf(w, "(orderer=solo, peers=%d, clients=%d, channels=1, policy=OR, windowed pipeline, %d in flight per client)\n",
-				commitSweepPeers, commitSweepClients, commitSweepWindow)
-			for _, wl := range []struct {
-				label    string
-				keySpace int
-			}{
-				{"low-conflict (fresh key per tx)", 0},
-				{"high-conflict (single hot key)", commitHotKeys},
-			} {
-				fprintf(w, "\n-- workload: %s --\n", wl.label)
-				fprintf(w, "%-6s %-6s %12s %10s %10s %10s %8s %12s\n",
-					"pool", "depth", "throughput", "vscc(s)", "apply(s)", "append(s)", "groups", "validate(s)")
-				for _, pd := range commitSweepPoints(opt.Quick) {
-					p, err := RunPoint(ctx, PointConfig{
-						Orderer:     fabnet.Solo,
-						OSNs:        1,
-						Peers:       commitSweepPeers,
-						Clients:     commitSweepClients,
-						Policy:      policy.OrOverPeers(commitSweepPeers),
-						PolicyLabel: "OR",
-						Window:      commitSweepWindow,
-						Committers:  pd[0],
-						Depth:       pd[1],
-						KeySpace:    wl.keySpace,
-					}, opt)
-					if err != nil {
-						return err
-					}
-					fprintf(w, "%-6d %-6d %12.1f %10s %10s %10s %8.1f %12s\n",
-						pd[0], pd[1], p.Summary.ValidateTPS,
-						secs(p.Summary.VSCCStage.Avg),
-						secs(p.Summary.ApplyStage.Avg),
-						secs(p.Summary.AppendStage.Avg),
-						p.Summary.AvgConflictGroups,
-						secs(p.Summary.ValidateLatency.Avg))
-				}
+var figCommit = Experiment{
+	ID:    "commit",
+	Title: "Commit sweep — Throughput and Validate-Stage Breakdown vs. Pool x Depth",
+	note: fmt.Sprintf("(orderer=solo, peers=%d, clients=%d, channels=1, policy=OR, windowed pipeline, %d in flight per client)\n",
+		commitSweepPeers, commitSweepClients, commitSweepWindow),
+	sweeps: []sweep{{"commit", func(quick bool) (pcs []measurer) {
+		// The (pool, depth) grid (trimmed in quick mode). (1, 1) is
+		// the legacy serial committer and must reproduce today's
+		// ~300 tps validate cap within noise.
+		grid := ifElse(quick, [][2]int{{1, 1}, {4, 2}}, [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 2}, {8, 2}, {8, 4}})
+		for _, keySpace := range []int{0, commitHotKeys} {
+			for _, pd := range grid {
+				pc := soloOR(commitSweepPeers, commitSweepClients)
+				pc.Window, pc.KeySpace = commitSweepWindow, keySpace
+				pc.Committers, pc.Depth = pd[0], pd[1]
+				pcs = append(pcs, pc)
 			}
-			return nil
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{{
+		cols: []column[Point]{
+			pcol("pool", "%-6d", func(p Point) any { return p.Config.Committers }),
+			pcol("depth", "%-6d", func(p Point) any { return p.Config.Depth }),
+			colThroughput,
+			pcol("vscc(s)", "%10s", func(p Point) any { return secs(p.Summary.VSCCStage.Avg) }),
+			pcol("apply(s)", "%10s", func(p Point) any { return secs(p.Summary.ApplyStage.Avg) }),
+			pcol("append(s)", "%10s", func(p Point) any { return secs(p.Summary.AppendStage.Avg) }),
+			pcol("groups", "%8.1f", func(p Point) any { return p.Summary.AvgConflictGroups }),
+			pcol("validate(s)", "%12s", func(p Point) any { return secs(p.Summary.ValidateLatency.Avg) }),
 		},
-	}
+		group: func(p Point) string {
+			return "workload: " + ifElse(p.Config.KeySpace == 0, "low-conflict (fresh key per tx)", "high-conflict (single hot key)")
+		},
+	}},
 }

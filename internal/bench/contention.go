@@ -1,16 +1,8 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/metrics"
-	"fabricsim/internal/policy"
 	"fabricsim/internal/workload"
 )
 
@@ -45,39 +37,18 @@ const (
 	contentionAccounts = 16
 )
 
-// contentionZipfS is the Zipf-exponent sweep for the SmallBank section
-// (trimmed to the mid skew in quick mode).
-func contentionZipfS(quick bool) []float64 {
-	if quick {
-		return []float64{1.5}
-	}
-	return []float64{1.2, 1.5, 2.0}
+// smallbank tells the SmallBank rows from the hot-key rows.
+func smallbank(p Point) bool { return p.Config.Profile == workload.ProfileSmallBank }
+
+// contentionConfig are the swept switches, shown in both tables.
+var contentionConfig = []column[Point]{
+	{"workload", "%-10s", "workload", func(p Point) any { return ifElse(smallbank(p), "smallbank", "hot1") }},
+	{"reord", "%-6v", "reorder", func(p Point) any { return p.Config.Reorder }},
+	{"retry", "%-6v", "retry", func(p Point) any { return p.Config.Retry }},
+	{"zipf", "%-6.1f", "zipf_s", func(p Point) any { return p.Config.ZipfS }},
 }
 
-// ContentionPoint is one machine-readable contention-sweep measurement
-// (BENCH_contention.json rows).
-type ContentionPoint struct {
-	Workload              string  `json:"workload"`
-	ZipfS                 float64 `json:"zipf_s,omitempty"`
-	Reorder               bool    `json:"reorder"`
-	Retry                 bool    `json:"retry"`
-	ThroughputTPS         float64 `json:"throughput_tps"`
-	AbortRate             float64 `json:"abort_rate"`
-	MVCCAborts            int     `json:"mvcc_aborts"`
-	EarlyAborts           int     `json:"early_aborts"`
-	WastedValidateSeconds float64 `json:"wasted_validate_s"`
-	// ClientSuccessRate is the client-visible fraction of submissions
-	// that ultimately committed — the axis retry moves: it converts
-	// conflict failures into eventual commits at the cost of extra
-	// endorsement load.
-	ClientSuccessRate float64 `json:"client_success_rate"`
-	// PhaseLatency is the critical-path decomposition of the committed
-	// cohort (p50/p99 model seconds per lifecycle phase), so the JSON
-	// trail shows which stage contention inflates.
-	PhaseLatency map[string]PhaseStat `json:"phase_latency"`
-}
-
-// FigContention measures committed throughput, abort rate, and wasted
+// figContention measures committed throughput, abort rate, and wasted
 // validate CPU on contended workloads as conflict-aware ordering and
 // gateway retry toggle. The hot-key blind-write rows bracket the staged
 // committer's serial plateau: with reorder off the single conflict
@@ -86,119 +57,61 @@ type ContentionPoint struct {
 // reorder x retry and expose the early-abort saving: doomed
 // transactions leave the pipeline before validation instead of burning
 // MVCC-check CPU, and retry converts their aborts back into commits.
-func FigContention() Experiment {
-	return Experiment{
-		ID:    "contention",
-		Title: "Contention sweep: Throughput vs. Zipf Skew x Reorder x Retry",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Contention sweep — Throughput, Abort Rate, Wasted Validate CPU")
-			fprintf(w, "(orderer=solo, peers=%d, clients=%d, window=%d, committers=%d, depth=%d, policy=OR)\n",
-				contentionPeers, contentionClients, contentionWindow, contentionPool, contentionDepth)
-			var points []ContentionPoint
-			run := func(label string, reorder, retry bool, zipfS float64, profile, fn string, keySpace int) (ContentionPoint, error) {
-				p, err := RunPoint(ctx, PointConfig{
-					Orderer:     fabnet.Solo,
-					OSNs:        1,
-					Peers:       contentionPeers,
-					Clients:     contentionClients,
-					Policy:      policy.OrOverPeers(contentionPeers),
-					PolicyLabel: "OR",
-					Window:      contentionWindow,
-					Committers:  contentionPool,
-					Depth:       contentionDepth,
-					KeySpace:    keySpace,
-					Reorder:     reorder,
-					Retry:       retry,
-					Fn:          fn,
-					ZipfS:       zipfS,
-					Profile:     profile,
-				}, opt)
-				if err != nil {
-					return ContentionPoint{}, err
-				}
-				cp := ContentionPoint{
-					Workload:              label,
-					ZipfS:                 zipfS,
-					Reorder:               reorder,
-					Retry:                 retry,
-					ThroughputTPS:         p.Summary.ValidateTPS,
-					AbortRate:             p.Summary.AbortRate,
-					MVCCAborts:            p.Summary.MVCCAborts,
-					EarlyAborts:           p.Summary.EarlyAborts,
-					WastedValidateSeconds: p.Summary.WastedValidateCPU.Seconds(),
-					PhaseLatency:          phaseLatencyJSON(p.Summary),
-				}
-				if done := p.Stats.Succeeded + p.Stats.Failed; done > 0 {
-					cp.ClientSuccessRate = float64(p.Stats.Succeeded) / float64(done)
-				}
-				points = append(points, cp)
-				return cp, nil
-			}
-			onOff := func(b bool) string {
-				if b {
-					return "on"
-				}
-				return "off"
-			}
-			row := func(cp ContentionPoint) {
-				fprintf(w, "%-10s %-6s %-6s %-6.1f %12.1f %10.3f %8d %8d %10.2f %9.3f\n",
-					cp.Workload, onOff(cp.Reorder), onOff(cp.Retry), cp.ZipfS,
-					cp.ThroughputTPS, cp.AbortRate, cp.MVCCAborts, cp.EarlyAborts,
-					cp.WastedValidateSeconds, cp.ClientSuccessRate)
-			}
-			head := func() {
-				fprintf(w, "%-10s %-6s %-6s %-6s %12s %10s %8s %8s %10s %9s\n",
-					"workload", "reord", "retry", "zipf", "throughput", "abort", "mvcc", "early", "wasted(s)", "cli-ok")
-			}
-
-			fprintf(w, "\n-- hot-key blind writes (keyspace=%d): the serial plateau and its escape --\n", contentionHotKeys)
-			head()
-			for _, reorder := range []bool{false, true} {
-				cp, err := run("hot1", reorder, false, 0, "", "", contentionHotKeys)
-				if err != nil {
-					return err
-				}
-				row(cp)
-			}
-
-			fprintf(w, "\n-- SmallBank hot accounts (keyspace=%d, Zipf draw): reorder x retry --\n", contentionAccounts)
-			head()
-			for _, s := range contentionZipfS(opt.Quick) {
-				for _, reorder := range []bool{false, true} {
-					for _, retry := range []bool{false, true} {
-						cp, err := run("smallbank", reorder, retry, s,
-							workload.ProfileSmallBank, "", contentionAccounts)
-						if err != nil {
-							return err
-						}
-						row(cp)
-					}
+var figContention = Experiment{
+	ID:    "contention",
+	Title: "Contention sweep — Throughput, Abort Rate, Wasted Validate CPU",
+	note: fmt.Sprintf("(orderer=solo, peers=%d, clients=%d, window=%d, committers=%d, depth=%d, policy=OR)\n",
+		contentionPeers, contentionClients, contentionWindow, contentionPool, contentionDepth),
+	sweeps: []sweep{{"contention", func(quick bool) (pcs []measurer) {
+		base := soloOR(contentionPeers, contentionClients)
+		base.Window, base.Committers, base.Depth = contentionWindow, contentionPool, contentionDepth
+		hot := base
+		hot.KeySpace = contentionHotKeys
+		for _, hot.Reorder = range []bool{false, true} {
+			pcs = append(pcs, hot)
+		}
+		bank := base
+		bank.KeySpace, bank.Profile = contentionAccounts, workload.ProfileSmallBank
+		// The Zipf-exponent sweep (trimmed to the mid skew in quick mode).
+		for _, bank.ZipfS = range ifElse(quick, []float64{1.5}, []float64{1.2, 1.5, 2.0}) {
+			for _, bank.Reorder = range []bool{false, true} {
+				for _, bank.Retry = range []bool{false, true} {
+					pcs = append(pcs, bank)
 				}
 			}
-
-			fprintf(w, "\ncritical-path phase latency (model seconds):\n")
-			fprintf(w, "%-10s %-6s %-6s %-6s%s\n", "workload", "reord", "retry", "zipf", phaseColsHeader())
-			for _, cp := range points {
-				fprintf(w, "%-10s %-6s %-6s %-6.1f", cp.Workload, onOff(cp.Reorder), onOff(cp.Retry), cp.ZipfS)
-				for _, ph := range metrics.PhaseOrdering() {
-					st := cp.PhaseLatency[ph]
-					fprintf(w, " %15s", fmt.Sprintf("%.3f/%.3f", st.P50Seconds, st.P99Seconds))
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{
+		{
+			cols: append(contentionConfig[:len(contentionConfig):len(contentionConfig)],
+				keyed("throughput_tps", colThroughput),
+				column[Point]{"abort", "%10.3f", "abort_rate", func(p Point) any { return p.Summary.AbortRate }},
+				column[Point]{"mvcc", "%8d", "mvcc_aborts", func(p Point) any { return p.Summary.MVCCAborts }},
+				column[Point]{"early", "%8d", "early_aborts", func(p Point) any { return p.Summary.EarlyAborts }},
+				column[Point]{"wasted(s)", "%10.2f", "wasted_validate_s",
+					func(p Point) any { return p.Summary.WastedValidateCPU.Seconds() }},
+				// cli-ok is the client-visible fraction of submissions
+				// that ultimately committed — the axis retry moves: it
+				// converts conflict failures into eventual commits at
+				// the cost of extra endorsement load.
+				column[Point]{"cli-ok", "%9.3f", "client_success_rate", func(p Point) any {
+					done := p.Stats.Succeeded + p.Stats.Failed
+					return float64(p.Stats.Succeeded) / float64(max(done, 1))
+				}},
+				// phase_latency is the critical-path decomposition of
+				// the committed cohort (p50/p99 model seconds per
+				// lifecycle phase), so the JSON trail shows which
+				// stage contention inflates.
+				column[Point]{key: "phase_latency", val: func(p Point) any { return phaseLatencyJSON(p.Summary) }},
+			),
+			group: func(p Point) string {
+				if smallbank(p) {
+					return fmt.Sprintf("SmallBank hot accounts (keyspace=%d, Zipf draw): reorder x retry", contentionAccounts)
 				}
-				fprintf(w, "\n")
-			}
-
-			if opt.JSONDir != "" {
-				path := filepath.Join(opt.JSONDir, "BENCH_contention.json")
-				raw, err := json.MarshalIndent(points, "", "  ")
-				if err != nil {
-					return fmt.Errorf("bench: marshal contention points: %w", err)
-				}
-				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-					return fmt.Errorf("bench: write %s: %w", path, err)
-				}
-				fprintf(w, "\n[machine-readable points written to %s]\n", path)
-			}
-			return nil
+				return fmt.Sprintf("hot-key blind writes (keyspace=%d): the serial plateau and its escape", contentionHotKeys)
+			},
 		},
-	}
+		phaseTable(contentionConfig...),
+	},
 }

@@ -1,15 +1,8 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/policy"
 )
 
 // Dissemination-sweep configuration. After replicated endorsers (PR 4)
@@ -30,114 +23,68 @@ const (
 	dissDepth      = 2
 )
 
-// dissReplicaCounts is the replicas-per-org sweep: peers = orgs * reps.
-func dissReplicaCounts(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 4, 8}
-}
+// dissPeers is a point's peer count, dissMode its dissemination mode.
+func dissPeers(p Point) int   { return p.Peers * p.Config.EndorsersPerOrg }
+func dissMode(p Point) string { return ifElse(p.Config.Gossip, "gossip", "direct") }
 
-// DisseminationPoint is one machine-readable sweep measurement
-// (BENCH_dissemination.json rows).
-type DisseminationPoint struct {
-	Mode                string  `json:"mode"` // "direct" | "gossip"
-	Orgs                int     `json:"orgs"`
-	Peers               int     `json:"peers"`
-	ThroughputTPS       float64 `json:"throughput_tps"`
-	OrdererEgressBlocks uint64  `json:"orderer_egress_blocks"`
-	OrdererEgressMB     float64 `json:"orderer_egress_mb"`
-	MeanGossipHops      float64 `json:"mean_gossip_hops,omitempty"`
-	AntiEntropyBlocks   int     `json:"anti_entropy_blocks,omitempty"`
-	CommitLagP99Seconds float64 `json:"commit_lag_p99_s"`
-}
-
-// FigDissemination measures committed throughput, orderer egress
+// figDissemination measures committed throughput, orderer egress
 // (blocks and bytes), mean gossip hop count, and cluster-wide commit
 // lag p99 as the peer count grows 4 -> 32 under direct deliver versus
 // gossip. Committed throughput should match between the modes (the
 // committer, not dissemination, is the bottleneck at equal load) while
 // direct deliver's egress grows with the peer count and gossip's stays
 // pinned near the org count.
-func FigDissemination() Experiment {
-	return Experiment{
-		ID:    "dissemination",
-		Title: "Dissemination sweep: Orderer Egress vs. Peers, Direct vs. Gossip",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Dissemination sweep — Direct Deliver vs. Gossip")
-			fprintf(w, "(orderer=solo, orgs=%d, clients=%d, window=%d, committers=%d, depth=%d; peers = orgs x replicas)\n",
-				dissOrgs, dissClients, dissWindow, dissCommitters, dissDepth)
-			var points []DisseminationPoint
-			for _, mode := range []string{"direct", "gossip"} {
-				fprintf(w, "\n-- mode=%s --\n", mode)
-				fprintf(w, "%-8s %6s %12s %12s %12s %8s %10s %12s\n",
-					"mode", "peers", "throughput", "egr.blocks", "egr.MB", "hops", "ae.blocks", "lag p99(s)")
-				for _, reps := range dissReplicaCounts(opt.Quick) {
-					p, err := RunPoint(ctx, PointConfig{
-						Orderer:         fabnet.Solo,
-						OSNs:            1,
-						Peers:           dissOrgs,
-						Clients:         dissClients,
-						Policy:          policy.OrOverPeers(dissOrgs),
-						PolicyLabel:     "OR",
-						Window:          dissWindow,
-						Committers:      dissCommitters,
-						Depth:           dissDepth,
-						EndorsersPerOrg: reps,
-						Gossip:          mode == "gossip",
-					}, opt)
-					if err != nil {
-						return err
-					}
-					dp := DisseminationPoint{
-						Mode:                mode,
-						Orgs:                dissOrgs,
-						Peers:               dissOrgs * reps,
-						ThroughputTPS:       p.Summary.ValidateTPS,
-						OrdererEgressBlocks: p.OrdererEgressBlocks,
-						OrdererEgressMB:     float64(p.OrdererEgressBytes) / (1 << 20),
-						MeanGossipHops:      p.Summary.MeanGossipHops,
-						AntiEntropyBlocks:   p.Summary.AntiEntropyBlocks,
-						CommitLagP99Seconds: p.Summary.CommitLag.P99.Seconds(),
-					}
-					points = append(points, dp)
-					fprintf(w, "%-8s %6d %12.1f %12d %12.2f %8.2f %10d %12.2f\n",
-						dp.Mode, dp.Peers, dp.ThroughputTPS, dp.OrdererEgressBlocks,
-						dp.OrdererEgressMB, dp.MeanGossipHops, dp.AntiEntropyBlocks,
-						dp.CommitLagP99Seconds)
-				}
+var figDissemination = Experiment{
+	ID:    "dissemination",
+	Title: "Dissemination sweep — Direct Deliver vs. Gossip",
+	note: fmt.Sprintf("(orderer=solo, orgs=%d, clients=%d, window=%d, committers=%d, depth=%d; peers = orgs x replicas)\n",
+		dissOrgs, dissClients, dissWindow, dissCommitters, dissDepth),
+	sweeps: []sweep{{"dissemination", func(quick bool) (pcs []measurer) {
+		pc := soloOR(dissOrgs, dissClients)
+		pc.Window, pc.Committers, pc.Depth = dissWindow, dissCommitters, dissDepth
+		for _, pc.Gossip = range []bool{false, true} {
+			// Replicas per org: peers = orgs * reps.
+			for _, pc.EndorsersPerOrg = range ifElse(quick, []int{1, 4}, []int{1, 2, 4, 8}) {
+				pcs = append(pcs, pc)
 			}
-
-			// Egress ratio per peer count: the paper-style punchline row.
-			fprintf(w, "\n-- gossip egress as a fraction of direct (same peer count) --\n")
-			fprintf(w, "%6s %14s %14s %8s\n", "peers", "direct blocks", "gossip blocks", "ratio")
-			byMode := map[string]map[int]DisseminationPoint{"direct": {}, "gossip": {}}
-			for _, dp := range points {
-				byMode[dp.Mode][dp.Peers] = dp
-			}
-			for _, reps := range dissReplicaCounts(opt.Quick) {
-				peers := dissOrgs * reps
-				d, g := byMode["direct"][peers], byMode["gossip"][peers]
-				ratio := 0.0
-				if d.OrdererEgressBlocks > 0 {
-					ratio = float64(g.OrdererEgressBlocks) / float64(d.OrdererEgressBlocks)
-				}
-				fprintf(w, "%6d %14d %14d %8.2f\n",
-					peers, d.OrdererEgressBlocks, g.OrdererEgressBlocks, ratio)
-			}
-
-			if opt.JSONDir != "" {
-				path := filepath.Join(opt.JSONDir, "BENCH_dissemination.json")
-				raw, err := json.MarshalIndent(points, "", "  ")
-				if err != nil {
-					return fmt.Errorf("bench: marshal dissemination points: %w", err)
-				}
-				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-					return fmt.Errorf("bench: write %s: %w", path, err)
-				}
-				fprintf(w, "\n[machine-readable points written to %s]\n", path)
-			}
-			return nil
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{{
+		cols: []column[Point]{
+			{"mode", "%-8s", "mode", func(p Point) any { return dissMode(p) }},
+			{key: "orgs", val: func(p Point) any { return p.Peers }},
+			{"peers", "%6d", "peers", func(p Point) any { return dissPeers(p) }},
+			keyed("throughput_tps", colThroughput),
+			{"egr.blocks", "%12d", "orderer_egress_blocks", func(p Point) any { return p.OrdererEgressBlocks }},
+			{"egr.MB", "%12.2f", "orderer_egress_mb", func(p Point) any { return float64(p.OrdererEgressBytes) / (1 << 20) }},
+			{"hops", "%8.2f", "mean_gossip_hops", func(p Point) any { return p.Summary.MeanGossipHops }},
+			{"ae.blocks", "%10d", "anti_entropy_blocks", func(p Point) any { return p.Summary.AntiEntropyBlocks }},
+			{"lag p99(s)", "%12.2f", "commit_lag_p99_s", func(p Point) any { return p.Summary.CommitLag.P99.Seconds() }},
 		},
-	}
+		group: func(p Point) string { return "mode=" + dissMode(p) },
+	}},
+	// Egress ratio per peer count: the paper-style punchline rows. The
+	// sweep lists the direct points, then the gossip points of equal size.
+	render: func(w io.Writer, pts []Point) {
+		half := len(pts) / 2
+		rows := make([][2]Point, half) // {direct, gossip}
+		for i := range rows {
+			rows[i] = [2]Point{pts[i], pts[half+i]}
+		}
+		table[[2]Point]{
+			cols: []column[[2]Point]{
+				{head: "peers", verb: "%6d", val: func(r [2]Point) any { return dissPeers(r[0]) }},
+				{head: "direct blocks", verb: "%14d", val: func(r [2]Point) any { return r[0].OrdererEgressBlocks }},
+				{head: "gossip blocks", verb: "%14d", val: func(r [2]Point) any { return r[1].OrdererEgressBlocks }},
+				{head: "ratio", verb: "%8.2f", val: func(r [2]Point) any {
+					if r[0].OrdererEgressBlocks == 0 {
+						return 0.0
+					}
+					return float64(r[1].OrdererEgressBlocks) / float64(r[0].OrdererEgressBlocks)
+				}},
+			},
+			group: func([2]Point) string { return "gossip egress as a fraction of direct (same peer count)" },
+		}.write(w, rows)
+	},
 }

@@ -1,15 +1,9 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"time"
 
-	"fabricsim/internal/fabnet"
 	"fabricsim/internal/policy"
 )
 
@@ -49,40 +43,7 @@ const (
 	endorsePerturbWindow = 8
 )
 
-// endorseReplicaCounts is the replicas-per-org sweep (trimmed in quick
-// mode to the 1-replica baseline and the 4-replica scaling point).
-func endorseReplicaCounts(quick bool) []int {
-	if quick {
-		return []int{1, 4}
-	}
-	return []int{1, 2, 4, 8}
-}
-
-// endorseBalancers picks the strategies compared per policy: the full
-// OR sweep runs all four, AND2 just the default against
-// power-of-two-choices.
-func endorseBalancers(quick bool, policyLabel string) []string {
-	if quick || policyLabel == "AND2" {
-		return []string{"roundrobin", "p2c"}
-	}
-	return []string{"roundrobin", "random", "p2c", "ewma"}
-}
-
-// EndorsePoint is one machine-readable endorse-sweep measurement
-// (BENCH_endorse.json rows).
-type EndorsePoint struct {
-	Policy            string  `json:"policy"`
-	Balancer          string  `json:"balancer"`
-	ReplicasPerOrg    int     `json:"replicas_per_org"`
-	Perturbed         int     `json:"perturbed,omitempty"`
-	ThroughputTPS     float64 `json:"throughput_tps"`
-	ExecuteTPS        float64 `json:"execute_tps"`
-	EndorseP50Seconds float64 `json:"endorse_p50_s"`
-	EndorseP99Seconds float64 `json:"endorse_p99_s"`
-	EndorseSkew       float64 `json:"endorse_skew"`
-}
-
-// FigEndorse measures committed throughput, per-call endorsement
+// figEndorse measures committed throughput, per-call endorsement
 // latency (p50/p99), and balance skew as each org's endorser is
 // replicated 1 -> 8 times. One replica per org with the round-robin
 // balancer is wire-identical to the classic topology and must reproduce
@@ -91,108 +52,61 @@ type EndorsePoint struct {
 // pool binds. The perturbation section throttles one replica's CPU and
 // compares blind rotation against power-of-two-choices, whose in-flight
 // signal routes around the slow replica.
-func FigEndorse() Experiment {
-	return Experiment{
-		ID:    "endorse",
-		Title: "Endorse sweep: Throughput vs. Endorser Replicas x Balancer",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Endorse sweep — Throughput and Endorse Latency vs. Replicas x Balancer")
-			fprintf(w, "(orderer=solo, orgs=%d, clients=%d, window=%d, committers=%d, depth=%d, chaincode=%s of contract logic)\n",
-				endorseSweepOrgs, endorseSweepClients, endorseSweepWindow,
-				endorseCommitters, endorseCommitDepth, endorseChaincodeExec)
-			var points []EndorsePoint
-			run := func(label string, pol policy.Policy, balancer string, replicas, perturbed, window int) (EndorsePoint, error) {
-				p, err := RunPoint(ctx, PointConfig{
-					Orderer:         fabnet.Solo,
-					OSNs:            1,
-					Peers:           endorseSweepOrgs,
-					Clients:         endorseSweepClients,
-					Policy:          pol,
-					PolicyLabel:     label,
-					Window:          window,
-					Committers:      endorseCommitters,
-					Depth:           endorseCommitDepth,
-					EndorsersPerOrg: replicas,
-					Balancer:        balancer,
-					ChaincodeExec:   endorseChaincodeExec,
-					Perturbed:       perturbed,
-					PerturbedCores:  endorsePerturbCores,
-				}, opt)
-				if err != nil {
-					return EndorsePoint{}, err
-				}
-				ep := EndorsePoint{
-					Policy:            label,
-					Balancer:          balancer,
-					ReplicasPerOrg:    replicas,
-					Perturbed:         perturbed,
-					ThroughputTPS:     p.Summary.ValidateTPS,
-					ExecuteTPS:        p.Summary.ExecuteTPS,
-					EndorseP50Seconds: p.Summary.EndorseLatency.P50.Seconds(),
-					EndorseP99Seconds: p.Summary.EndorseLatency.P99.Seconds(),
-					EndorseSkew:       p.Summary.EndorseSkew,
-				}
-				points = append(points, ep)
-				return ep, nil
+var figEndorse = Experiment{
+	ID:    "endorse",
+	Title: "Endorse sweep — Throughput and Endorse Latency vs. Replicas x Balancer",
+	note: fmt.Sprintf("(orderer=solo, orgs=%d, clients=%d, window=%d, committers=%d, depth=%d, chaincode=%s of contract logic)\n",
+		endorseSweepOrgs, endorseSweepClients, endorseSweepWindow,
+		endorseCommitters, endorseCommitDepth, endorseChaincodeExec),
+	sweeps: []sweep{{"endorse", func(quick bool) (pcs []measurer) {
+		or := soloOR(endorseSweepOrgs, endorseSweepClients)
+		or.Window, or.Committers, or.Depth = endorseSweepWindow, endorseCommitters, endorseCommitDepth
+		or.ChaincodeExec, or.PerturbedCores = endorseChaincodeExec, endorsePerturbCores
+		and2 := or
+		and2.Policy, and2.PolicyLabel = policy.AndOverPeers(endorseSweepOrgs), "AND2"
+		// The full OR sweep compares all four balancers, AND2 (and
+		// quick mode, which skips AND2) just the default against
+		// power-of-two-choices; replicas per org go 1 -> 8, trimmed
+		// in quick mode to the 1-replica baseline and the 4-replica
+		// scaling point.
+		for _, pc := range ifElse(quick, []PointConfig{or}, []PointConfig{or, and2}) {
+			balancers := []string{"roundrobin", "random", "p2c", "ewma"}
+			if quick || pc.PolicyLabel == "AND2" {
+				balancers = []string{"roundrobin", "p2c"}
 			}
-			row := func(ep EndorsePoint) {
-				fprintf(w, "%-7s %-11s %9d %12.1f %12.1f %12.2f %12.2f %8.2f\n",
-					ep.Policy, ep.Balancer, ep.ReplicasPerOrg,
-					ep.ThroughputTPS, ep.ExecuteTPS,
-					ep.EndorseP50Seconds, ep.EndorseP99Seconds, ep.EndorseSkew)
-			}
-
-			policies := []struct {
-				label string
-				pol   policy.Policy
-			}{
-				{"OR", policy.OrOverPeers(endorseSweepOrgs)},
-				{"AND2", policy.AndOverPeers(endorseSweepOrgs)},
-			}
-			if opt.Quick {
-				policies = policies[:1]
-			}
-			for _, pc := range policies {
-				for _, balancer := range endorseBalancers(opt.Quick, pc.label) {
-					fprintf(w, "\n-- policy=%s balancer=%s --\n", pc.label, balancer)
-					fprintf(w, "%-7s %-11s %9s %12s %12s %12s %12s %8s\n",
-						"policy", "balancer", "reps/org", "throughput", "execute", "endorse p50", "endorse p99", "skew")
-					for _, replicas := range endorseReplicaCounts(opt.Quick) {
-						ep, err := run(pc.label, pc.pol, balancer, replicas, 0, endorseSweepWindow)
-						if err != nil {
-							return err
-						}
-						row(ep)
-					}
+			for _, pc.Balancer = range balancers {
+				for _, pc.EndorsersPerOrg = range ifElse(quick, []int{1, 4}, []int{1, 2, 4, 8}) {
+					pcs = append(pcs, pc)
 				}
 			}
-
-			if !opt.Quick {
-				fprintf(w, "\n-- perturbation: 4 replicas/org under OR, one replica at %d cores, window %d --\n",
-					endorsePerturbCores, endorsePerturbWindow)
-				fprintf(w, "%-7s %-11s %9s %12s %12s %12s %12s %8s\n",
-					"policy", "balancer", "reps/org", "throughput", "execute", "endorse p50", "endorse p99", "skew")
-				for _, balancer := range []string{"roundrobin", "p2c"} {
-					ep, err := run("OR", policy.OrOverPeers(endorseSweepOrgs), balancer, 4, 1, endorsePerturbWindow)
-					if err != nil {
-						return err
-					}
-					row(ep)
-				}
+		}
+		if !quick {
+			// Perturbation: 4 replicas/org under OR, one throttled.
+			or.EndorsersPerOrg, or.Perturbed, or.Window = 4, 1, endorsePerturbWindow
+			for _, or.Balancer = range []string{"roundrobin", "p2c"} {
+				pcs = append(pcs, or)
 			}
-
-			if opt.JSONDir != "" {
-				path := filepath.Join(opt.JSONDir, "BENCH_endorse.json")
-				raw, err := json.MarshalIndent(points, "", "  ")
-				if err != nil {
-					return fmt.Errorf("bench: marshal endorse points: %w", err)
-				}
-				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-					return fmt.Errorf("bench: write %s: %w", path, err)
-				}
-				fprintf(w, "\n[machine-readable points written to %s]\n", path)
-			}
-			return nil
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{{
+		cols: []column[Point]{
+			keyed("policy", colPolicy),
+			{"balancer", "%-11s", "balancer", func(p Point) any { return p.Config.Balancer }},
+			{"reps/org", "%9d", "replicas_per_org", func(p Point) any { return p.Config.EndorsersPerOrg }},
+			{key: "perturbed", val: func(p Point) any { return p.Config.Perturbed }},
+			keyed("throughput_tps", colThroughput),
+			{"execute", "%12.1f", "execute_tps", func(p Point) any { return p.Summary.ExecuteTPS }},
+			{"endorse p50", "%12.2f", "endorse_p50_s", func(p Point) any { return p.Summary.EndorseLatency.P50.Seconds() }},
+			{"endorse p99", "%12.2f", "endorse_p99_s", func(p Point) any { return p.Summary.EndorseLatency.P99.Seconds() }},
+			{"skew", "%8.2f", "endorse_skew", func(p Point) any { return p.Summary.EndorseSkew }},
 		},
-	}
+		group: func(p Point) string {
+			if p.Config.Perturbed > 0 {
+				return fmt.Sprintf("perturbation: %d replicas/org under %s, one replica at %d cores, window %d",
+					p.Config.EndorsersPerOrg, p.Policy, p.Config.PerturbedCores, p.Window)
+			}
+			return fmt.Sprintf("policy=%s balancer=%s", p.Policy, p.Config.Balancer)
+		},
+	}},
 }

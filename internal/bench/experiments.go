@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -18,370 +17,206 @@ const (
 	figANDLen = 5
 )
 
-func figPolicies() []struct {
-	label string
-	pol   policy.Policy
-} {
-	return []struct {
-		label string
-		pol   policy.Policy
-	}{
-		{"OR", policy.OrOverPeers(figPeers)},
-		{"AND", policy.AndOverPeers(figANDLen)},
-	}
-}
-
-// runFigSweep executes the rate sweep shared by Figs. 2-7 and hands
-// each point to emit.
-func runFigSweep(ctx context.Context, opt Options, w io.Writer,
-	policies []struct {
-		label string
-		pol   policy.Policy
-	},
-	emit func(w io.Writer, p Point)) error {
-	for _, pol := range policies {
-		for _, ot := range orderers() {
-			osns := figOSNs
-			if ot == fabnet.Solo {
-				osns = 1
-			}
-			fprintf(w, "\n-- orderer=%s policy=%s --\n", ot, pol.label)
-			for _, rate := range sweepRates(opt.Quick) {
-				p, err := RunPoint(ctx, PointConfig{
-					Orderer:     ot,
-					OSNs:        osns,
-					Peers:       figPeers,
-					Policy:      pol.pol,
-					PolicyLabel: pol.label,
-					Rate:        rate,
-				}, opt)
-				if err != nil {
-					return err
-				}
-				emit(w, p)
+// figSweep is the orderer x arrival-rate grid under one policy. Figs.
+// 2-7 are all columns of the OR grid, the AND5 grid, or both.
+func figSweep(label string, pol policy.Policy) sweep {
+	return sweep{"fig/" + label, func(quick bool) (pcs []measurer) {
+		pc := PointConfig{Peers: figPeers, Policy: pol, PolicyLabel: label}
+		for _, pc.Orderer = range []fabnet.OrdererType{fabnet.Solo, fabnet.Kafka, fabnet.Raft} {
+			pc.OSNs = ifElse(pc.Orderer == fabnet.Solo, 1, figOSNs)
+			// The paper's arrival-rate sweep.
+			for _, pc.Rate = range ifElse(quick, []float64{100, 250, 400},
+				[]float64{50, 100, 150, 200, 250, 300, 350, 400, 450}) {
+				pcs = append(pcs, pc)
 			}
 		}
-	}
-	return nil
+		return pcs
+	}}
 }
 
-// Fig2 reproduces "Overall Transaction Throughput": committed tps vs
+var (
+	figOR  = figSweep("OR", policy.OrOverPeers(figPeers))
+	figAND = figSweep("AND", policy.AndOverPeers(figANDLen))
+)
+
+// figExperiment lays a rate sweep out under the figures' shared
+// "-- orderer=... policy=... --" separators.
+func figExperiment(id, title string, sweeps []sweep, cols ...column[Point]) Experiment {
+	return Experiment{
+		ID:     id,
+		Title:  title,
+		sweeps: sweeps,
+		tables: []table[Point]{{
+			cols: cols,
+			group: func(p Point) string {
+				return fmt.Sprintf("orderer=%s policy=%s", p.Orderer, p.Policy)
+			},
+		}},
+	}
+}
+
+// fig2 reproduces "Overall Transaction Throughput": committed tps vs
 // arrival rate for Solo/Kafka/Raft under OR and AND.
-func Fig2() Experiment {
-	return Experiment{
-		ID:    "fig2",
-		Title: "Fig. 2: Overall Transaction Throughput",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Fig. 2 — Overall Transaction Throughput (tps)")
-			fprintf(w, "%-8s %-7s %8s %12s %10s\n", "orderer", "policy", "rate", "throughput", "rejected")
-			return runFigSweep(ctx, opt, w, figPolicies(), func(w io.Writer, p Point) {
-				fprintf(w, "%-8s %-7s %8.0f %12.1f %10d\n",
-					p.Orderer, p.Policy, p.Rate, p.Summary.ValidateTPS, p.Summary.RejectedCount)
-			})
-		},
-	}
-}
+var fig2 = figExperiment("fig2", "Fig. 2 — Overall Transaction Throughput (tps)",
+	[]sweep{figOR, figAND}, colOrderer, colPolicy, colRate, colThroughput, colRejected)
 
-// Fig3 reproduces "Overall Transaction Latency": average end-to-end
+// fig3 reproduces "Overall Transaction Latency": average end-to-end
 // latency vs arrival rate (rejected transactions count at the 3s cap).
-func Fig3() Experiment {
-	return Experiment{
-		ID:    "fig3",
-		Title: "Fig. 3: Overall Transaction Latency",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Fig. 3 — Overall Transaction Latency (s)")
-			fprintf(w, "%-8s %-7s %8s %10s %10s %10s\n", "orderer", "policy", "rate", "avg", "p50", "p95")
-			return runFigSweep(ctx, opt, w, figPolicies(), func(w io.Writer, p Point) {
-				l := p.Summary.TotalLatency
-				fprintf(w, "%-8s %-7s %8.0f %10s %10s %10s\n",
-					p.Orderer, p.Policy, p.Rate, secs(l.Avg), secs(l.P50), secs(l.P95))
-			})
-		},
-	}
+var fig3 = figExperiment("fig3", "Fig. 3 — Overall Transaction Latency (s)",
+	[]sweep{figOR, figAND}, colOrderer, colPolicy, colRate,
+	pcol("avg", "%10s", func(p Point) any { return secs(p.Summary.TotalLatency.Avg) }),
+	pcol("p50", "%10s", func(p Point) any { return secs(p.Summary.TotalLatency.P50) }),
+	pcol("p95", "%10s", func(p Point) any { return secs(p.Summary.TotalLatency.P95) }))
+
+// phaseThroughputFig is Fig. 4 / Fig. 5 (per-phase throughput).
+func phaseThroughputFig(id, title string, sw sweep) Experiment {
+	return figExperiment(id, title, []sweep{sw}, colOrderer, colRate,
+		pcol("execute", "%10.1f", func(p Point) any { return p.Summary.ExecuteTPS }),
+		pcol("order", "%10.1f", func(p Point) any { return p.Summary.OrderTPS }),
+		pcol("validate", "%10.1f", func(p Point) any { return p.Summary.ValidateTPS }))
 }
 
-// phaseThroughputFig runs Fig. 4 / Fig. 5 (per-phase throughput).
-func phaseThroughputFig(id, title, label string, pol policy.Policy) Experiment {
-	return Experiment{
-		ID:    id,
-		Title: title,
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, title)
-			fprintf(w, "%-8s %8s %10s %10s %10s\n", "orderer", "rate", "execute", "order", "validate")
-			pols := []struct {
-				label string
-				pol   policy.Policy
-			}{{label, pol}}
-			return runFigSweep(ctx, opt, w, pols, func(w io.Writer, p Point) {
-				fprintf(w, "%-8s %8.0f %10.1f %10.1f %10.1f\n",
-					p.Orderer, p.Rate, p.Summary.ExecuteTPS, p.Summary.OrderTPS, p.Summary.ValidateTPS)
-			})
-		},
-	}
-}
+// fig4 reproduces per-phase throughput under OR.
+var fig4 = phaseThroughputFig("fig4", "Fig. 4 — Per-Phase Throughput under OR (tps)", figOR)
 
-// Fig4 reproduces per-phase throughput under OR.
-func Fig4() Experiment {
-	return phaseThroughputFig("fig4",
-		"Fig. 4 — Per-Phase Throughput under OR (tps)", "OR", policy.OrOverPeers(figPeers))
-}
+// fig5 reproduces per-phase throughput under AND5.
+var fig5 = phaseThroughputFig("fig5", "Fig. 5 — Per-Phase Throughput under AND5 (tps)", figAND)
 
-// Fig5 reproduces per-phase throughput under AND5.
-func Fig5() Experiment {
-	return phaseThroughputFig("fig5",
-		"Fig. 5 — Per-Phase Throughput under AND5 (tps)", "AND", policy.AndOverPeers(figANDLen))
-}
-
-// phaseLatencyFig runs Fig. 6 / Fig. 7 (execute latency vs the combined
+// phaseLatencyFig is Fig. 6 / Fig. 7 (execute latency vs the combined
 // order & validate latency, the paper's two lines).
-func phaseLatencyFig(id, title, label string, pol policy.Policy) Experiment {
-	return Experiment{
-		ID:    id,
-		Title: title,
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, title)
-			fprintf(w, "%-8s %8s %12s %16s\n", "orderer", "rate", "execute(s)", "order&validate(s)")
-			pols := []struct {
-				label string
-				pol   policy.Policy
-			}{{label, pol}}
-			return runFigSweep(ctx, opt, w, pols, func(w io.Writer, p Point) {
-				fprintf(w, "%-8s %8.0f %12s %16s\n",
-					p.Orderer, p.Rate,
-					secs(p.Summary.ExecuteLatency.Avg),
-					secs(p.Summary.OrderValidateLatency.Avg))
-			})
-		},
-	}
+func phaseLatencyFig(id, title string, sw sweep) Experiment {
+	return figExperiment(id, title, []sweep{sw}, colOrderer, colRate, colExecuteLat,
+		pcol("order&validate(s)", "%16s", func(p Point) any { return secs(p.Summary.OrderValidateLatency.Avg) }))
 }
 
-// Fig6 reproduces per-phase latency under OR.
-func Fig6() Experiment {
-	return phaseLatencyFig("fig6",
-		"Fig. 6 — Per-Phase Latency under OR (s)", "OR", policy.OrOverPeers(figPeers))
-}
+// fig6 reproduces per-phase latency under OR.
+var fig6 = phaseLatencyFig("fig6", "Fig. 6 — Per-Phase Latency under OR (s)", figOR)
 
-// Fig7 reproduces per-phase latency under AND5.
-func Fig7() Experiment {
-	return phaseLatencyFig("fig7",
-		"Fig. 7 — Per-Phase Latency under AND5 (s)", "AND", policy.AndOverPeers(figANDLen))
-}
+// fig7 reproduces per-phase latency under AND5.
+var fig7 = phaseLatencyFig("fig7", "Fig. 7 — Per-Phase Latency under AND5 (s)", figAND)
 
-// tableConfigs enumerates Table II/III's grid. Cells the paper leaves
-// blank ("-") are skipped. For ANDx rows with fewer than x deployed
-// peers the effective policy is AND over the deployed peers, matching
-// the degenerate configurations the paper reports numbers for (an AND5
-// policy with 3 deployed peers can never be satisfied literally).
-func tableConfigs() []struct {
-	peers    int
-	polLabel string
+// tableCells is the column order of Tables II and III. Cells the
+// paper leaves blank ("-") are the peer counts above maxPeers. For ANDx
+// rows with fewer than x deployed peers the effective policy is AND
+// over the deployed peers, matching the degenerate configurations the
+// paper reports numbers for (an AND5 policy with 3 deployed peers can
+// never be satisfied literally).
+var tableCells = []struct {
+	label    string
 	pol      func(deployed int) policy.Policy
-	skip     map[int]bool
-} {
-	orN := func(n int) func(int) policy.Policy {
-		return func(int) policy.Policy { return policy.OrOverPeers(n) }
-	}
-	andX := func(x int) func(int) policy.Policy {
-		return func(deployed int) policy.Policy {
-			if deployed < x {
-				return policy.AndOverPeers(deployed)
-			}
-			return policy.AndOverPeers(x)
-		}
-	}
-	return []struct {
-		peers    int
-		polLabel string
-		pol      func(deployed int) policy.Policy
-		skip     map[int]bool
-	}{
-		{0, "OR10", orN(10), map[int]bool{}},
-		{0, "OR3", orN(3), map[int]bool{5: true, 7: true, 10: true}},
-		{0, "AND5", andX(5), map[int]bool{7: true, 10: true}},
-		{0, "AND3", andX(3), map[int]bool{5: true, 7: true, 10: true}},
-	}
+	maxPeers int
+}{
+	{"OR10", func(int) policy.Policy { return policy.OrOverPeers(10) }, 10},
+	{"OR3", func(int) policy.Policy { return policy.OrOverPeers(3) }, 3},
+	{"AND5", func(deployed int) policy.Policy { return policy.AndOverPeers(min(5, deployed)) }, 5},
+	{"AND3", func(deployed int) policy.Policy { return policy.AndOverPeers(min(3, deployed)) }, 3},
 }
 
-// tablePeerCounts is Table II's first column.
-func tablePeerCounts(quick bool) []int {
-	if quick {
-		return []int{1, 3, 5}
-	}
-	return []int{1, 3, 5, 7, 10}
-}
-
-// runTableGrid measures the peak-throughput grid shared by Tables II
-// and III: each cell runs at an offered rate comfortably above the
-// expected capacity so the achieved rate is the peak.
-func runTableGrid(ctx context.Context, opt Options, cell func(p Point, peers int, label string)) error {
-	for _, n := range tablePeerCounts(opt.Quick) {
-		for _, pc := range tableConfigs() {
-			if pc.skip[n] {
+// tableGrid is the peak-throughput grid shared by Tables II and III:
+// each cell runs at an offered rate comfortably above the expected
+// capacity so the achieved rate is the peak.
+var tableGrid = sweep{"tablegrid", func(quick bool) (pcs []measurer) {
+	// Table II's first column.
+	for _, n := range ifElse(quick, []int{1, 3, 5}, []int{1, 3, 5, 7, 10}) {
+		for _, c := range tableCells {
+			if n > c.maxPeers {
 				continue
 			}
+			pc := soloOR(n, 0)
+			pc.Policy, pc.PolicyLabel = c.pol(n), c.label
 			// Overdrive: ~55 tps per deployed client plus headroom,
 			// capped at the sweep maximum.
-			rate := 70.0*float64(n) + 60
-			if rate > 460 {
-				rate = 460
-			}
-			pol := pc.pol(n)
-			p, err := RunPoint(ctx, PointConfig{
-				Orderer:     fabnet.Solo,
-				OSNs:        1,
-				Peers:       n,
-				Policy:      pol,
-				PolicyLabel: pc.polLabel,
-				Rate:        rate,
-			}, opt)
-			if err != nil {
-				return err
-			}
-			cell(p, n, pc.polLabel)
+			pc.Rate = min(70.0*float64(n)+60, 460)
+			pcs = append(pcs, pc)
 		}
 	}
-	return nil
+	return pcs
+}}
+
+// gridRow is one #peers row of Tables II/III: its cells by policy label.
+type gridRow struct {
+	peers int
+	cell  map[string]Point
 }
 
-// Table2 reproduces "Throughput vs. Number of Endorsing Peers".
-func Table2() Experiment {
-	return Experiment{
-		ID:    "table2",
-		Title: "Table II: Throughput vs. Number of Endorsing Peers",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Table II — Peak Throughput (tps) vs. #Endorsing Peers")
-			cells := make(map[string]map[int]float64)
-			if err := runTableGrid(ctx, opt, func(p Point, peers int, label string) {
-				if cells[label] == nil {
-					cells[label] = make(map[int]float64)
-				}
-				cells[label][peers] = p.Summary.ValidateTPS
-			}); err != nil {
-				return err
-			}
-			fprintf(w, "%-8s %8s %8s %8s %8s\n", "#peers", "OR10", "OR3", "AND5", "AND3")
-			for _, n := range tablePeerCounts(opt.Quick) {
-				fprintf(w, "%-8d", n)
-				for _, label := range []string{"OR10", "OR3", "AND5", "AND3"} {
-					if v, ok := cells[label][n]; ok {
-						fprintf(w, " %8.0f", v)
-					} else {
-						fprintf(w, " %8s", "-")
-					}
-				}
-				fprintf(w, "\n")
-			}
-			return nil
-		},
+// writeGrid pivots the grid's points into one row per peer count and
+// one column per (cell value, policy label).
+func writeGrid(w io.Writer, pts []Point, caption, width string, cells ...func(Point) string) {
+	var rows []gridRow
+	for _, p := range pts {
+		if len(rows) == 0 || rows[len(rows)-1].peers != p.Peers {
+			rows = append(rows, gridRow{p.Peers, make(map[string]Point)})
+		}
+		rows[len(rows)-1].cell[p.Policy] = p
 	}
+	cols := []column[gridRow]{{head: "#peers", verb: "%-8d", val: func(r gridRow) any { return r.peers }}}
+	for _, cell := range cells {
+		for i, c := range tableCells {
+			verb := "%" + width + "s"
+			if i == 0 && len(cells) > 1 {
+				verb = "| " + verb
+			}
+			cols = append(cols, column[gridRow]{head: c.label, verb: verb, val: func(r gridRow) any {
+				if p, ok := r.cell[c.label]; ok {
+					return cell(p)
+				}
+				return "-"
+			}})
+		}
+	}
+	table[gridRow]{caption: caption, cols: cols}.write(w, rows)
 }
 
-// Table3 reproduces "Latency vs. Number of Endorsing Peers": execute
+// table2 reproduces "Throughput vs. Number of Endorsing Peers".
+var table2 = Experiment{
+	ID:     "table2",
+	Title:  "Table II — Peak Throughput (tps) vs. #Endorsing Peers",
+	sweeps: []sweep{tableGrid},
+	render: func(w io.Writer, pts []Point) {
+		writeGrid(w, pts, "", "8", func(p Point) string { return fmt.Sprintf("%.0f", p.Summary.ValidateTPS) })
+	},
+}
+
+// table3 reproduces "Latency vs. Number of Endorsing Peers": execute
 // latency and order & validate latency per cell.
-func Table3() Experiment {
-	return Experiment{
-		ID:    "table3",
-		Title: "Table III: Latency vs. Number of Endorsing Peers",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Table III — Latency (s) vs. #Endorsing Peers")
-			type lat struct{ exec, ov string }
-			cells := make(map[string]map[int]lat)
-			if err := runTableGrid(ctx, opt, func(p Point, peers int, label string) {
-				if cells[label] == nil {
-					cells[label] = make(map[int]lat)
-				}
-				cells[label][peers] = lat{
-					exec: secs(p.Summary.ExecuteLatency.Avg),
-					ov:   secs(p.Summary.OrderValidateLatency.Avg),
-				}
-			}); err != nil {
-				return err
-			}
-			labels := []string{"OR10", "OR3", "AND5", "AND3"}
-			fprintf(w, "%-8s | %32s | %32s\n", "", "Execute Latency (s)", "Order & Validate Latency (s)")
-			fprintf(w, "%-8s |", "#peers")
-			for _, l := range labels {
-				fprintf(w, " %7s", l)
-			}
-			fprintf(w, " |")
-			for _, l := range labels {
-				fprintf(w, " %7s", l)
-			}
-			fprintf(w, "\n")
-			for _, n := range tablePeerCounts(opt.Quick) {
-				fprintf(w, "%-8d |", n)
-				for _, l := range labels {
-					if c, ok := cells[l][n]; ok {
-						fprintf(w, " %7s", c.exec)
-					} else {
-						fprintf(w, " %7s", "-")
-					}
-				}
-				fprintf(w, " |")
-				for _, l := range labels {
-					if c, ok := cells[l][n]; ok {
-						fprintf(w, " %7s", c.ov)
-					} else {
-						fprintf(w, " %7s", "-")
-					}
-				}
-				fprintf(w, "\n")
-			}
-			return nil
-		},
-	}
+var table3 = Experiment{
+	ID:     "table3",
+	Title:  "Table III — Latency (s) vs. #Endorsing Peers",
+	sweeps: []sweep{tableGrid},
+	render: func(w io.Writer, pts []Point) {
+		writeGrid(w, pts,
+			fmt.Sprintf("%-8s | %32s | %32s", "", "Execute Latency (s)", "Order & Validate Latency (s)"), "7",
+			func(p Point) string { return secs(p.Summary.ExecuteLatency.Avg) },
+			func(p Point) string { return secs(p.Summary.OrderValidateLatency.Avg) })
+	},
 }
 
-// Fig8 reproduces "Throughput (and Latency) vs. Number of Ordering
+// fig8 reproduces "Throughput (and Latency) vs. Number of Ordering
 // Service Nodes" for Kafka and Raft with ZooKeeper = brokers in {3, 7}.
-func Fig8() Experiment {
-	return Experiment{
-		ID:    "fig8",
-		Title: "Fig. 8: Throughput/Latency vs. Number of OSNs",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Fig. 8 — Throughput and Latency vs. #OSNs (Kafka vs Raft)")
-			osnCounts := []int{4, 8, 12}
-			if opt.Quick {
-				osnCounts = []int{4, 12}
-			}
-			rate := 300.0 // near the OR peak, where orderer effects would show
-			for _, ensemble := range []int{3, 7} {
-				fprintf(w, "\n-- #ZooKeeper = #Broker = %d, rate = %.0f tps, policy OR --\n", ensemble, rate)
-				fprintf(w, "%-8s %6s %12s %12s %12s\n", "orderer", "#osn", "throughput", "latency(s)", "blocktime(s)")
-				for _, ot := range []fabnet.OrdererType{fabnet.Kafka, fabnet.Raft} {
-					for _, osns := range osnCounts {
-						p, err := RunPoint(ctx, PointConfig{
-							Orderer:     ot,
-							OSNs:        osns,
-							Brokers:     ensemble,
-							ZooKeepers:  ensemble,
-							Peers:       figPeers,
-							Policy:      policy.OrOverPeers(figPeers),
-							PolicyLabel: "OR",
-							Rate:        rate,
-						}, opt)
-						if err != nil {
-							return err
-						}
-						fprintf(w, "%-8s %6d %12.1f %12s %12s\n",
-							ot, osns, p.Summary.ValidateTPS,
-							secs(p.Summary.TotalLatency.Avg), secs(p.Summary.BlockTime))
-					}
+var fig8 = Experiment{
+	ID:    "fig8",
+	Title: "Fig. 8 — Throughput and Latency vs. #OSNs (Kafka vs Raft)",
+	sweeps: []sweep{{"fig8", func(quick bool) (pcs []measurer) {
+		pc := PointConfig{Peers: figPeers, Policy: policy.OrOverPeers(figPeers), PolicyLabel: "OR"}
+		pc.Rate = 300 // near the OR peak, where orderer effects would show
+		for _, pc.Brokers = range []int{3, 7} {
+			pc.ZooKeepers = pc.Brokers
+			for _, pc.Orderer = range []fabnet.OrdererType{fabnet.Kafka, fabnet.Raft} {
+				for _, pc.OSNs = range ifElse(quick, []int{4, 12}, []int{4, 8, 12}) {
+					pcs = append(pcs, pc)
 				}
 			}
-			return nil
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{{
+		cols: []column[Point]{
+			colOrderer,
+			pcol("#osn", "%6d", func(p Point) any { return p.OSNs }),
+			colThroughput, colLatency, colBlockTime,
 		},
-	}
-}
-
-// Describe returns a one-line summary of every experiment (CLI help).
-func Describe() string {
-	out := ""
-	for _, e := range All() {
-		out += fmt.Sprintf("  %-12s %s\n", e.ID, e.Title)
-	}
-	for _, e := range Ablations() {
-		out += fmt.Sprintf("  %-12s %s\n", e.ID, e.Title)
-	}
-	return out
+		group: func(p Point) string {
+			return fmt.Sprintf("#ZooKeeper = #Broker = %d, rate = %.0f tps, policy OR", p.Config.Brokers, p.Rate)
+		},
+	}},
 }

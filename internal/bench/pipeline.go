@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"context"
-	"io"
-
-	"fabricsim/internal/fabnet"
-	"fabricsim/internal/metrics"
-	"fabricsim/internal/policy"
-)
+import "fmt"
 
 // Pipeline-sweep configuration: the same fixed topology as the channel
 // sweep's single-channel point (4 endorsing peers, OR policy, one
@@ -19,18 +12,9 @@ const (
 	pipeSweepClients = 8
 )
 
-// pipeWindows is the 1 -> 64 in-flight window sweep (trimmed in quick
-// mode). Window 1 is the legacy closed loop — one blocking Invoke per
-// client at a time — and must match today's Invoke numbers within
-// noise.
-func pipeWindows(quick bool) []int {
-	if quick {
-		return []int{1, 8, 64}
-	}
-	return []int{1, 2, 4, 8, 16, 32, 64}
-}
+var colWindow = pcol("#inflight", "%-10d", func(p Point) any { return p.Window })
 
-// FigPipeline measures aggregate throughput and latency as each
+// figPipeline measures aggregate throughput and latency as each
 // client's in-flight window grows from 1 (the paper's blocking SDK,
 // where every client thread holds one transaction from proposal to
 // commit event) to 64 (deep pipelining through gateway.SubmitAsync).
@@ -39,44 +23,29 @@ func pipeWindows(quick bool) []int {
 // execute-phase client CPU or the committer's serial walk saturates,
 // which is exactly the decoupling the Fabric v2.4 Gateway API redesign
 // buys without adding hardware.
-func FigPipeline() Experiment {
-	return Experiment{
-		ID:    "pipeline",
-		Title: "Pipeline sweep: Throughput/Latency vs. In-Flight Window",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			header(w, "Pipeline sweep — Aggregate Throughput and Latency vs. In-Flight Window")
-			fprintf(w, "(orderer=solo, peers=%d, clients=%d, channels=1, policy=OR, windowed pipeline via SubmitAsync)\n\n",
-				pipeSweepPeers, pipeSweepClients)
-			fprintf(w, "%-10s %10s %12s %12s %12s %10s\n",
-				"#inflight", "submitted", "throughput", "execute(s)", "total(s)", "rejected")
-			sums := make(map[int]metrics.Summary)
-			windows := pipeWindows(opt.Quick)
-			for _, window := range windows {
-				p, err := RunPoint(ctx, PointConfig{
-					Orderer:     fabnet.Solo,
-					OSNs:        1,
-					Peers:       pipeSweepPeers,
-					Clients:     pipeSweepClients,
-					Policy:      policy.OrOverPeers(pipeSweepPeers),
-					PolicyLabel: "OR",
-					Window:      window,
-				}, opt)
-				if err != nil {
-					return err
-				}
-				fprintf(w, "%-10d %10d %12.1f %12s %12s %10d\n",
-					p.Window, p.Stats.Submitted, p.Summary.ValidateTPS,
-					secs(p.Summary.ExecuteLatency.Avg),
-					secs(p.Summary.TotalLatency.Avg),
-					p.Summary.RejectedCount)
-				sums[window] = p.Summary
-			}
-			fprintf(w, "\ncritical-path phase latency (model seconds):\n")
-			fprintf(w, "%-10s%s\n", "#inflight", phaseColsHeader())
-			for _, window := range windows {
-				fprintf(w, "%-10d%s\n", window, phaseCols(sums[window]))
-			}
-			return nil
-		},
-	}
+var figPipeline = Experiment{
+	ID:    "pipeline",
+	Title: "Pipeline sweep — Aggregate Throughput and Latency vs. In-Flight Window",
+	note: fmt.Sprintf("(orderer=solo, peers=%d, clients=%d, channels=1, policy=OR, windowed pipeline via SubmitAsync)\n\n",
+		pipeSweepPeers, pipeSweepClients),
+	sweeps: []sweep{{"pipeline", func(quick bool) (pcs []measurer) {
+		// The 1 -> 64 in-flight window sweep (trimmed in quick mode).
+		// Window 1 is the legacy closed loop — one blocking Invoke
+		// per client at a time — and must match today's Invoke
+		// numbers within noise.
+		for _, window := range ifElse(quick, []int{1, 8, 64}, []int{1, 2, 4, 8, 16, 32, 64}) {
+			pc := soloOR(pipeSweepPeers, pipeSweepClients)
+			pc.Window = window
+			pcs = append(pcs, pc)
+		}
+		return pcs
+	}}},
+	tables: []table[Point]{
+		{cols: []column[Point]{
+			colWindow,
+			pcol("submitted", "%10d", func(p Point) any { return p.Stats.Submitted }),
+			colThroughput, colExecuteLat, colTotalLat, colRejected,
+		}},
+		phaseTable(colWindow),
+	},
 }

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"fabricsim/internal/costmodel"
@@ -45,61 +42,41 @@ const (
 	recoveryScale = 0.05
 )
 
-// recoveryHeights is the committed-block sweep before the restart.
-func recoveryHeights(quick bool) []int {
-	if quick {
-		return []int{30, 60}
-	}
-	return []int{50, 100, 200}
-}
-
-// RecoveryPoint is one machine-readable recovery measurement
-// (BENCH_recovery.json rows).
+// RecoveryPoint is one recovery measurement: restart one replica after
+// Blocks committed blocks under Mode and time its way back to the tip.
+// With only Mode and Blocks set it is the sweep point that measures the
+// rest.
 type RecoveryPoint struct {
-	Mode               string  `json:"mode"` // "replay" | "checkpoint" | "snapshot"
-	Blocks             int     `json:"blocks"`
-	StartHeight        uint64  `json:"start_height"`
-	TipHeight          uint64  `json:"tip_height"`
-	RecoverySeconds    float64 `json:"recovery_s"`
-	Persistent         bool    `json:"persistent"`
-	SnapshotBootstraps int     `json:"snapshot_bootstraps"`
+	Mode               string // "replay" | "checkpoint" | "snapshot"
+	Blocks             int
+	StartHeight        uint64
+	TipHeight          uint64
+	RecoverySeconds    float64
+	Persistent         bool
+	SnapshotBootstraps int
 }
 
-// recoveryStorage returns the storage configuration for one mode; dir
-// is only used by the file-backed checkpoint mode.
-func recoveryStorage(mode, dir string) fabnet.StorageConfig {
-	switch mode {
-	case "checkpoint":
-		return fabnet.StorageConfig{
-			Backend:            "file",
-			Dir:                dir,
-			CheckpointInterval: recoveryInterval,
-			SnapshotThreshold:  -1, // isolate the reopen path
-		}
-	case "snapshot":
-		return fabnet.StorageConfig{
-			Backend:           "mem",
-			SnapshotThreshold: recoveryInterval,
-		}
-	default: // replay
-		return fabnet.StorageConfig{
-			Backend:           "mem",
-			SnapshotThreshold: -1, // anti-entropy block pulls only
-		}
-	}
+// recoveryStorage is the storage configuration of each mode; the
+// file-backed checkpoint mode also gets a temporary Dir.
+var recoveryStorage = map[string]fabnet.StorageConfig{
+	// -1 isolates the reopen path.
+	"checkpoint": {Backend: "file", CheckpointInterval: recoveryInterval, SnapshotThreshold: -1},
+	"snapshot":   {Backend: "mem", SnapshotThreshold: recoveryInterval},
+	// -1 leaves anti-entropy block pulls only.
+	"replay": {Backend: "mem", SnapshotThreshold: -1},
 }
 
-// runRecoveryPoint commits `blocks` blocks, restarts the last replica,
-// and times its convergence back to the cluster tip and state hash.
-func runRecoveryPoint(ctx context.Context, mode string, blocks int) (RecoveryPoint, error) {
-	var dir string
-	if mode == "checkpoint" {
-		d, err := os.MkdirTemp("", "bench-recovery-")
+// measure commits r.Blocks blocks, restarts the last replica, and times
+// its convergence back to the cluster tip and state hash.
+func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
+	storage := recoveryStorage[r.Mode]
+	if storage.Backend == "file" {
+		dir, err := os.MkdirTemp("", "bench-recovery-")
 		if err != nil {
-			return RecoveryPoint{}, fmt.Errorf("bench: %w", err)
+			return Point{}, fmt.Errorf("bench: %w", err)
 		}
-		defer os.RemoveAll(d)
-		dir = d
+		defer os.RemoveAll(dir)
+		storage.Dir = dir
 	}
 	model := costmodel.Default(recoveryScale)
 	col := metrics.NewCollector()
@@ -117,30 +94,30 @@ func runRecoveryPoint(ctx context.Context, mode string, blocks int) (RecoveryPoi
 			AntiEntropyInterval: 100 * time.Millisecond,
 			LeaderLease:         600 * time.Millisecond,
 		},
-		Storage: recoveryStorage(mode, dir),
+		Storage: storage,
 	}
 	net, err := fabnet.Build(cfg)
 	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 	defer net.Stop()
 	if err := net.Start(ctx); err != nil {
-		return RecoveryPoint{}, fmt.Errorf("bench: %w", err)
+		return Point{}, fmt.Errorf("bench: %w", err)
 	}
 
 	// Commit the target chain one block per invoke.
 	cl := net.Clients[0]
-	for i := 0; i < blocks; i++ {
+	for i := 0; i < r.Blocks; i++ {
 		key := []byte(fmt.Sprintf("rec%d", i))
 		if _, err := cl.Invoke(ctx, fabnet.ChaincodeBench, "write", [][]byte{key, []byte("v")}); err != nil {
-			return RecoveryPoint{}, fmt.Errorf("bench: invoke %d: %w", i, err)
+			return Point{}, fmt.Errorf("bench: invoke %d: %w", i, err)
 		}
 	}
 	if err := waitRecoveryConverged(net.Peers[0], net.Peers[1:], 30*time.Second); err != nil {
-		return RecoveryPoint{}, fmt.Errorf("bench: pre-restart convergence: %w", err)
+		return Point{}, fmt.Errorf("bench: pre-restart convergence: %w", err)
 	}
 	ref := net.Peers[0]
-	tip := ref.Ledger().Height()
+	r.TipHeight = ref.Ledger().Height()
 
 	// Restart the last replica (never a client event peer) and time the
 	// road back to the tip. The clock covers RestartPeer itself so the
@@ -151,24 +128,15 @@ func runRecoveryPoint(ctx context.Context, mode string, blocks int) (RecoveryPoi
 	start := time.Now()
 	res, err := net.RestartPeer(ctx, target.ID())
 	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("bench: restart: %w", err)
+		return Point{}, fmt.Errorf("bench: restart: %w", err)
 	}
-	startHeight := res.Peer.Ledger().Height()
+	r.StartHeight, r.Persistent = res.Peer.Ledger().Height(), res.Persistent
 	if err := waitRecoveryConverged(ref, []*peer.Peer{res.Peer}, 60*time.Second); err != nil {
-		return RecoveryPoint{}, fmt.Errorf("bench: mode=%s blocks=%d: %w", mode, blocks, err)
+		return Point{}, fmt.Errorf("bench: mode=%s blocks=%d: %w", r.Mode, r.Blocks, err)
 	}
-	elapsed := time.Since(start)
-
-	sum := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
-	return RecoveryPoint{
-		Mode:               mode,
-		Blocks:             blocks,
-		StartHeight:        startHeight,
-		TipHeight:          tip,
-		RecoverySeconds:    elapsed.Seconds(),
-		Persistent:         res.Persistent,
-		SnapshotBootstraps: sum.SnapshotBootstraps,
-	}, nil
+	r.RecoverySeconds = time.Since(start).Seconds()
+	r.SnapshotBootstraps = col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale}).SnapshotBootstraps
+	return Point{Recovery: r}, nil
 }
 
 // waitRecoveryConverged polls until every peer in rest matches ref's
@@ -204,49 +172,35 @@ func waitRecoveryConverged(ref *peer.Peer, rest []*peer.Peer, d time.Duration) e
 	return fmt.Errorf("peers did not converge to height %d within %s", rl.Height(), d)
 }
 
-// FigRecovery measures wall-clock peer recovery time versus chain
+// figRecovery measures wall-clock peer recovery time versus chain
 // length under the three recovery regimes. Genesis replay should grow
 // linearly with the chain; checkpoint reopen and snapshot transfer
 // should stay flat (bounded by one checkpoint interval of tail blocks
 // and the world-state size, not the chain length).
-func FigRecovery() Experiment {
-	return Experiment{
-		ID:    "recovery",
-		Title: "Recovery sweep: Restart-to-Tip Time vs. Chain Length",
-		Run: func(ctx context.Context, opt Options, w io.Writer) error {
-			opt = opt.withDefaults()
-			header(w, "Recovery sweep — Genesis Replay vs. Checkpoint vs. Snapshot Transfer")
-			fprintf(w, "(orderer=solo, orgs=%d x %d replicas, gossip on, batchsize=1, checkpoint/snapshot interval=%d)\n",
-				recoveryOrgs, recoveryReplicas, recoveryInterval)
-			var points []RecoveryPoint
-			for _, mode := range []string{"replay", "checkpoint", "snapshot"} {
-				fprintf(w, "\n-- mode=%s --\n", mode)
-				fprintf(w, "%-12s %8s %12s %10s %12s %10s %10s\n",
-					"mode", "blocks", "start.height", "tip", "recover(s)", "persist", "snapboots")
-				for _, blocks := range recoveryHeights(opt.Quick) {
-					rp, err := runRecoveryPoint(ctx, mode, blocks)
-					if err != nil {
-						return err
-					}
-					points = append(points, rp)
-					fprintf(w, "%-12s %8d %12d %10d %12.3f %10v %10d\n",
-						rp.Mode, rp.Blocks, rp.StartHeight, rp.TipHeight,
-						rp.RecoverySeconds, rp.Persistent, rp.SnapshotBootstraps)
-				}
+var figRecovery = Experiment{
+	ID:    "recovery",
+	Title: "Recovery sweep — Genesis Replay vs. Checkpoint vs. Snapshot Transfer",
+	note: fmt.Sprintf("(orderer=solo, orgs=%d x %d replicas, gossip on, batchsize=1, checkpoint/snapshot interval=%d)\n",
+		recoveryOrgs, recoveryReplicas, recoveryInterval),
+	sweeps: []sweep{{"recovery", func(quick bool) (ms []measurer) {
+		for _, mode := range []string{"replay", "checkpoint", "snapshot"} {
+			// The committed-block sweep before the restart.
+			for _, blocks := range ifElse(quick, []int{30, 60}, []int{50, 100, 200}) {
+				ms = append(ms, RecoveryPoint{Mode: mode, Blocks: blocks})
 			}
-
-			if opt.JSONDir != "" {
-				path := filepath.Join(opt.JSONDir, "BENCH_recovery.json")
-				raw, err := json.MarshalIndent(points, "", "  ")
-				if err != nil {
-					return fmt.Errorf("bench: marshal recovery points: %w", err)
-				}
-				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-					return fmt.Errorf("bench: write %s: %w", path, err)
-				}
-				fprintf(w, "\n[machine-readable points written to %s]\n", path)
-			}
-			return nil
+		}
+		return ms
+	}}},
+	tables: []table[Point]{{
+		cols: []column[Point]{
+			{"mode", "%-12s", "mode", func(p Point) any { return p.Recovery.Mode }},
+			{"blocks", "%8d", "blocks", func(p Point) any { return p.Recovery.Blocks }},
+			{"start.height", "%12d", "start_height", func(p Point) any { return p.Recovery.StartHeight }},
+			{"tip", "%10d", "tip_height", func(p Point) any { return p.Recovery.TipHeight }},
+			{"recover(s)", "%12.3f", "recovery_s", func(p Point) any { return p.Recovery.RecoverySeconds }},
+			{"persist", "%10v", "persistent", func(p Point) any { return p.Recovery.Persistent }},
+			{"snapboots", "%10d", "snapshot_bootstraps", func(p Point) any { return p.Recovery.SnapshotBootstraps }},
 		},
-	}
+		group: func(p Point) string { return "mode=" + p.Recovery.Mode },
+	}},
 }
