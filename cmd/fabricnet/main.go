@@ -153,7 +153,7 @@ func run() int {
 		return 1
 	}
 	fmt.Printf("network up over TCP: %d OSN(s) [%s], %d peer(s), %d client(s), %d channel(s)\n",
-		len(net.Orderers), cfg.Orderer, len(net.Peers), len(net.Clients), len(net.ChannelIDs()))
+		len(net.Orderers), cfg.Orderer, len(net.Peers), len(net.Gateways), len(net.ChannelIDs()))
 
 	wcfg := workload.Config{
 		Rate:        *rate,
@@ -178,7 +178,7 @@ func run() int {
 	if *channels > 1 {
 		wcfg.Channels = net.ChannelIDs()
 	}
-	stats, err := workload.Run(ctx, net.Clients, wcfg)
+	stats, err := workload.Run(ctx, net.Gateways, wcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fabricnet:", err)
 		return 1

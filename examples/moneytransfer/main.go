@@ -17,9 +17,9 @@ import (
 	"sync/atomic"
 
 	"fabricsim/internal/chaincode"
-	"fabricsim/internal/client"
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/fabnet"
+	"fabricsim/internal/gateway"
 	"fabricsim/internal/policy"
 )
 
@@ -58,7 +58,7 @@ func run() error {
 	// Open the accounts (sequentially, so no conflicts).
 	for i := 0; i < accounts; i++ {
 		acct := fmt.Sprintf("acct%d", i)
-		if _, err := net.Clients[0].Invoke(ctx, "bank", "open",
+		if _, err := net.Gateways[0].Invoke(ctx, "", "bank", "open",
 			[][]byte{[]byte(acct), []byte(strconv.Itoa(initialBalance))}); err != nil {
 			return fmt.Errorf("open %s: %w", acct, err)
 		}
@@ -74,15 +74,15 @@ func run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := net.Clients[i%len(net.Clients)]
+			gw := net.Gateways[i%len(net.Gateways)]
 			from := fmt.Sprintf("acct%d", i%accounts)
 			to := fmt.Sprintf("acct%d", (i+1)%accounts)
-			_, err := cl.Invoke(ctx, "bank", "transfer",
+			_, err := gw.Invoke(ctx, "", "bank", "transfer",
 				[][]byte{[]byte(from), []byte(to), []byte("10")})
 			switch {
 			case err == nil:
 				committed.Add(1)
-			case errors.Is(err, client.ErrInvalidated):
+			case errors.Is(err, gateway.ErrInvalidated):
 				conflicted.Add(1)
 			default:
 				other.Add(1)

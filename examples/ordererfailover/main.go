@@ -70,7 +70,7 @@ func run() error {
 	invoke := func(tag string, n int) (ok int) {
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("%s-%d", tag, i)
-			_, err := net.Clients[i%len(net.Clients)].Invoke(ctx, "bench", "write",
+			_, err := net.Gateways[i%len(net.Gateways)].Invoke(ctx, "", "bench", "write",
 				[][]byte{[]byte(key), []byte("v")})
 			if err == nil {
 				ok++

@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"os"
 
-	"fabricsim/internal/client"
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/fabnet"
+	"fabricsim/internal/gateway"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/types"
 )
@@ -51,7 +51,7 @@ func run() error {
 
 	// Normal path: the SDK collects the minimal satisfying set (2 of 3,
 	// round-robin) and the transaction validates.
-	res, err := net.Clients[0].Invoke(ctx, fabnet.ChaincodeBench, "write",
+	res, err := net.Gateways[0].Invoke(ctx, "", fabnet.ChaincodeBench, "write",
 		[][]byte{[]byte("k"), []byte("v")})
 	if err != nil {
 		return err
@@ -63,11 +63,11 @@ func run() error {
 	// VSCC on the committing peers applies the real channel policy and
 	// flags the transaction.
 	weak := policy.MustParse("OR('Org1.peer0')")
-	rogue := net.Clients[1]
+	rogue := net.Gateways[1]
 	res2, err := rogue.InvokeWithPolicy(ctx, weak, fabnet.ChaincodeBench, "write",
 		[][]byte{[]byte("k2"), []byte("v2")})
 	switch {
-	case errors.Is(err, client.ErrInvalidated):
+	case errors.Is(err, gateway.ErrInvalidated):
 		fmt.Printf("under-endorsed tx %s...: %s (recorded on chain, state untouched)\n",
 			res2.TxID[:12], res2.Code)
 	case err == nil:

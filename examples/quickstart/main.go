@@ -49,12 +49,12 @@ func run() error {
 	}
 	fmt.Println("network up: 3 endorsing peers, solo orderer, 3 clients")
 
-	client := net.Clients[0]
+	gw := net.Gateways[0]
 
 	// Invoke the counter chaincode a few times; each invocation runs
 	// the full transaction life cycle and blocks until commit.
 	for i := 0; i < 5; i++ {
-		res, err := client.Invoke(ctx, "counter", "inc", [][]byte{[]byte("hits")})
+		res, err := gw.Invoke(ctx, "", "counter", "inc", [][]byte{[]byte("hits")})
 		if err != nil {
 			return fmt.Errorf("invoke %d: %w", i, err)
 		}
@@ -63,7 +63,7 @@ func run() error {
 	}
 
 	// Query evaluates on one peer without ordering.
-	val, err := client.Query(ctx, "counter", "get", [][]byte{[]byte("hits")})
+	val, err := gw.Evaluate(ctx, "counter", "get", [][]byte{[]byte("hits")})
 	if err != nil {
 		return err
 	}

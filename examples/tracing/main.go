@@ -50,7 +50,7 @@ func run() error {
 	fmt.Println("network up: 2 endorsing peers (AND policy), solo orderer, tracing on")
 
 	// One blocking Invoke: propose, endorse on both orgs, order, commit.
-	res, err := net.Clients[0].Invoke(ctx, fabnet.ChaincodeBench, "write",
+	res, err := net.Gateways[0].Invoke(ctx, "", fabnet.ChaincodeBench, "write",
 		[][]byte{[]byte("k"), []byte("v")})
 	if err != nil {
 		return err

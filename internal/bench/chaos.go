@@ -224,7 +224,7 @@ func (chaosSoakPoint) measure(ctx context.Context, opt Options) (Point, error) {
 	runStart := time.Now()
 	chaosDone := make(chan error, 1)
 	go func() { chaosDone <- ctl.Run(ctx, sched) }()
-	_, err = workload.Run(ctx, net.Clients, workload.Config{
+	_, err = workload.Run(ctx, net.Gateways, workload.Config{
 		Rate:     chaosRate,
 		Duration: soak,
 		TxSize:   opt.TxSize,

@@ -258,7 +258,7 @@ func RunPoint(ctx context.Context, pc PointConfig, opt Options) (Point, error) {
 	if pc.Channels > 1 {
 		wcfg.Channels = net.ChannelIDs()
 	}
-	stats, err := workload.Run(ctx, net.Clients, wcfg)
+	stats, err := workload.Run(ctx, net.Gateways, wcfg)
 	if err != nil {
 		return Point{}, fmt.Errorf("bench: %w", err)
 	}

@@ -106,10 +106,10 @@ func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
 	}
 
 	// Commit the target chain one block per invoke.
-	cl := net.Clients[0]
+	gw := net.Gateways[0]
 	for i := 0; i < r.Blocks; i++ {
 		key := []byte(fmt.Sprintf("rec%d", i))
-		if _, err := cl.Invoke(ctx, fabnet.ChaincodeBench, "write", [][]byte{key, []byte("v")}); err != nil {
+		if _, err := gw.Invoke(ctx, "", fabnet.ChaincodeBench, "write", [][]byte{key, []byte("v")}); err != nil {
 			return Point{}, fmt.Errorf("bench: invoke %d: %w", i, err)
 		}
 	}

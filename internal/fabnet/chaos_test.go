@@ -28,7 +28,7 @@ func TestChaosLossyLinkSnapshotCatchup(t *testing.T) {
 	write := func(tag string, count int) {
 		t.Helper()
 		for i := 0; i < count; i++ {
-			if _, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write",
+			if _, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")}); err != nil {
 				t.Fatalf("invoke %s%d: %v", tag, i, err)
 			}

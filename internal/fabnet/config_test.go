@@ -66,9 +66,9 @@ func TestBuildTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	if len(n.Orderers) != 2 || len(n.Peers) != 5 || len(n.Clients) != 4 {
+	if len(n.Orderers) != 2 || len(n.Peers) != 5 || len(n.Gateways) != 4 {
 		t.Errorf("topology = %d osn / %d peers / %d clients",
-			len(n.Orderers), len(n.Peers), len(n.Clients))
+			len(n.Orderers), len(n.Peers), len(n.Gateways))
 	}
 	// One CA per org: 3 endorsing + 2 commit + orderer + client orgs.
 	if len(n.CAs) != 7 {

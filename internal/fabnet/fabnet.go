@@ -18,7 +18,6 @@ import (
 	"fabricsim/internal/ca"
 	"fabricsim/internal/chaincode"
 	"fabricsim/internal/chaos"
-	"fabricsim/internal/client"
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/fabcrypto"
 	"fabricsim/internal/gateway"
@@ -116,13 +115,15 @@ type Config struct {
 	Scheme string
 	// VerifyCrypto enables real signature verification on every path.
 	VerifyCrypto bool
-	// Collector receives metrics; may be nil.
+	// Collector receives metrics from every node; may be nil. Per-block
+	// events that every node sees (block cuts, commit stages) are
+	// recorded by OSN 1 and peer 1 only.
 	Collector *metrics.Collector
 	// Tracer records end-to-end transaction spans across every layer
-	// (gateway stages, endorser, orderer, raft, gossip origin, commit
-	// pipeline); nil (the default) disables tracing at zero cost. Commit
-	// and gossip-origin spans are recorded by the first peer only, since
-	// every peer validates every block.
+	// (gateway stages, endorser, orderer, raft, commit pipeline); nil (the
+	// default) disables tracing at zero cost. Commit spans and block
+	// origins are recorded by peer 1 only, since every peer validates
+	// every block.
 	Tracer *trace.Tracer
 	// ExtraChaincodes installs chaincodes beyond the benchmark KV store.
 	ExtraChaincodes []chaincode.Chaincode
@@ -393,7 +394,6 @@ type Network struct {
 	Transport *transport.Network
 	// TCPNet is the TCP registry (nil unless UseTCP is set).
 	TCPNet   *transport.TCPNetwork
-	Clients  []*client.Client
 	Gateways []*gateway.Gateway
 	Peers    []*peer.Peer
 	Orderers []*orderer.Orderer
@@ -437,49 +437,6 @@ type Network struct {
 
 	chaosOnce sync.Once
 	chaosCtl  *chaos.Controller
-}
-
-// gossipObserver adapts the metrics collector and the tracer to the
-// gossip.Observer surface; either half may be absent. With a tracer
-// attached it also implements gossip.BlockOriginObserver, recording
-// which block arrived from where (per-block, not just aggregates).
-type gossipObserver struct {
-	col    *metrics.Collector
-	tracer *trace.Tracer
-}
-
-func (g gossipObserver) BlockReceived(source string, hops int) {
-	if g.col != nil {
-		g.col.GossipBlock(source, hops)
-	}
-}
-
-func (g gossipObserver) DuplicateSuppressed() {
-	if g.col != nil {
-		g.col.GossipDuplicate()
-	}
-}
-
-func (g gossipObserver) AntiEntropyPull(n int) {
-	if g.col != nil {
-		g.col.AntiEntropyPull(n)
-	}
-}
-
-func (g gossipObserver) LeaderElected(string, uint64) {
-	if g.col != nil {
-		g.col.LeaderElection()
-	}
-}
-
-func (g gossipObserver) SnapshotBootstrap(string, uint64) {
-	if g.col != nil {
-		g.col.SnapshotBootstrap()
-	}
-}
-
-func (g gossipObserver) BlockOrigin(channel string, num uint64, source string, hops int) {
-	g.tracer.BlockOrigin(channel, num, source, hops) // nil-safe
 }
 
 // ChaincodeBench is the installed name of the benchmark KV chaincode.
@@ -599,13 +556,6 @@ func Build(cfg Config) (*Network, error) {
 		ordererIDs = append(ordererIDs, id)
 		ordererEPs = append(ordererEPs, ep)
 	}
-	var observer orderer.BlockObserver
-	if cfg.Collector != nil {
-		col := cfg.Collector
-		observer = func(b *types.Block, cutAt time.Time) {
-			col.Block(metrics.BlockEvent{Number: b.Header.Number, Channel: b.Metadata.ChannelID, CutAt: cutAt, Txs: len(b.Data)})
-		}
-	}
 	for i := range ordererIDs {
 		ocfg := orderer.Config{
 			ID:       ordererIDs[i],
@@ -615,17 +565,12 @@ func Build(cfg Config) (*Network, error) {
 				BatchTimeout: cfg.BatchTimeout,
 				Reorder:      cfg.Reorder,
 			},
-			Model:    model,
-			CPU:      newCPU(ordererIDs[i], model.OrdererCores),
-			Channels: channelIDs,
-			Tracer:   cfg.Tracer,
-		}
-		if i == 0 {
-			ocfg.Observer = observer // one OSN reports block events
-		}
-		if cfg.Collector != nil {
-			col := cfg.Collector
-			ocfg.OnEvict = func(string) { col.SubscriberEvicted() }
+			Model:     model,
+			CPU:       newCPU(ordererIDs[i], model.OrdererCores),
+			Channels:  channelIDs,
+			Collector: cfg.Collector,
+			Recorder:  i == 0,
+			Tracer:    cfg.Tracer,
 		}
 		n.ordererCfgs = append(n.ordererCfgs, ocfg)
 		n.Orderers = append(n.Orderers, orderer.New(ocfg))
@@ -756,8 +701,9 @@ func Build(cfg Config) (*Network, error) {
 			Certs:        certs,
 			Channels:     channelIDs,
 			Policies:     channelPols,
+			Collector:    cfg.Collector,
 			Tracer:       cfg.Tracer,
-			TraceCommits: idx == 0, // one peer records commit spans
+			Recorder:     idx == 0,
 		}
 		backend := cfg.Storage.Backend
 		if override := cfg.Storage.PerPeer[spec.nodeID]; override != "" {
@@ -783,44 +729,6 @@ func Build(cfg Config) (*Network, error) {
 				LeaderLease:         model.ScaledDelay(cfg.Gossip.LeaderLease),
 				Seed:                int64(idx + 1),
 				SnapshotThreshold:   cfg.Storage.SnapshotThreshold,
-			}
-			if cfg.Collector != nil || (idx == 0 && cfg.Tracer.Enabled()) {
-				obs := gossipObserver{col: cfg.Collector}
-				if idx == 0 {
-					// The commit-span peer also records per-block origins.
-					obs.tracer = cfg.Tracer
-				}
-				pcfg.Gossip.Observer = obs
-			}
-		}
-		if idx == 0 && cfg.Collector != nil {
-			// One peer reports commit-stage timings, mirroring the single
-			// block-event observer on OSN 1.
-			col := cfg.Collector
-			pcfg.StageObserver = func(st peer.StageTimings) {
-				col.CommitStage(metrics.CommitStageEvent{
-					Number:         st.Block,
-					Channel:        st.Channel,
-					Txs:            st.Txs,
-					Groups:         st.Groups,
-					VSCC:           st.VSCC,
-					Apply:          st.Apply,
-					Append:         st.Append,
-					CommittedAt:    st.CommittedAt,
-					MVCCAborts:     st.MVCCAborts,
-					EarlyAborts:    st.EarlyAborts,
-					WastedValidate: st.WastedValidate,
-				})
-			}
-		}
-		if cfg.Collector != nil {
-			// Every peer reports block commits so the commit-lag summary
-			// sees dissemination stragglers, not just the event peer.
-			col := cfg.Collector
-			pcfg.OnCommit = func(b *types.Block, at time.Time) {
-				if ot := b.Metadata.OrderedTime; ot > 0 {
-					col.PeerCommit(at.Sub(time.Unix(0, ot)), at)
-				}
 			}
 		}
 		p, err := peer.New(pcfg)
@@ -857,7 +765,7 @@ func Build(cfg Config) (*Network, error) {
 		eventPeer := n.Peers[(i-1)%len(n.Peers)].ID()
 		// Each client process is one gateway — the staged-API connection
 		// owning proposal signing, endorsement fan-out, broadcast, and
-		// commit futures — wrapped in the legacy closed-loop facade.
+		// commit futures.
 		gw, err := gateway.New(gateway.Config{
 			ID:               nodeID,
 			Endpoint:         ep,
@@ -883,7 +791,6 @@ func Build(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
 		n.Gateways = append(n.Gateways, gw)
-		n.Clients = append(n.Clients, client.Wrap(gw))
 	}
 	return n, nil
 }
@@ -960,7 +867,7 @@ func (n *Network) buildRaftStores(cfg Config, osnID string, channels []string) (
 	return stores, nil
 }
 
-// Start launches the ordering service, peers, and clients. For Raft it
+// Start launches the ordering service, peers, and gateways. For Raft it
 // waits for leader election before returning.
 func (n *Network) Start(ctx context.Context) error {
 	if n.started {
@@ -982,8 +889,8 @@ func (n *Network) Start(ctx context.Context) error {
 			return fmt.Errorf("fabnet: start peer %s: %w", p.ID(), err)
 		}
 	}
-	for _, c := range n.Clients {
-		if err := c.Connect(ctx); err != nil {
+	for _, gw := range n.Gateways {
+		if err := gw.Connect(ctx); err != nil {
 			return fmt.Errorf("fabnet: %w", err)
 		}
 	}
@@ -1197,8 +1104,8 @@ type RestartResult struct {
 
 // RestartPeer simulates a peer crash + restart: the named peer is
 // stopped, its node ID released, and a fresh peer built from the same
-// configuration (same identity, CPU, gossip membership, and
-// StageObserver wiring), then started. A mem-backed peer restarts
+// configuration (same identity, CPU, gossip membership, and recorder
+// designation), then started. A mem-backed peer restarts
 // empty and replays; a file-backed peer reopens its ledgers from the
 // latest checkpoint plus the block-store tail and resumes from there.
 // Either way the restarted peer converges back to the cluster tip

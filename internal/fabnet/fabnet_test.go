@@ -35,7 +35,7 @@ func runSmoke(t *testing.T, ordererType OrdererType, pol policy.Policy, peers in
 	if err := n.Start(ctx); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	stats, err := workload.Run(ctx, n.Clients, workload.Config{
+	stats, err := workload.Run(ctx, n.Gateways, workload.Config{
 		Rate:     60,
 		Duration: 3 * time.Second,
 		Model:    model,
@@ -111,7 +111,7 @@ func TestPipelinedCommitterCrossPeerAgreement(t *testing.T) {
 	if err := n.Start(ctx); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	stats, err := workload.Run(ctx, n.Clients, workload.Config{
+	stats, err := workload.Run(ctx, n.Gateways, workload.Config{
 		Rate:     120,
 		Duration: 3 * time.Second,
 		Model:    model,
@@ -198,7 +198,7 @@ func TestCertStoreScopedPerNetwork(t *testing.T) {
 		}
 	}
 	for name, n := range map[string]*Network{"first": a, "second": b} {
-		stats, err := workload.Run(ctx, n.Clients, workload.Config{
+		stats, err := workload.Run(ctx, n.Gateways, workload.Config{
 			Rate:     40,
 			Duration: 1500 * time.Millisecond,
 			Model:    n.Cfg.Model,
@@ -249,7 +249,7 @@ func TestReplicatedEndorsersCrossPeerAgreement(t *testing.T) {
 	if err := n.Start(ctx); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	stats, err := workload.Run(ctx, n.Clients, workload.Config{
+	stats, err := workload.Run(ctx, n.Gateways, workload.Config{
 		Rate:     80,
 		Duration: 2500 * time.Millisecond,
 		Model:    model,
@@ -327,7 +327,7 @@ func TestReplicatedEndorsersANDPolicy(t *testing.T) {
 	if err := n.Start(ctx); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	stats, err := workload.Run(ctx, n.Clients, workload.Config{
+	stats, err := workload.Run(ctx, n.Gateways, workload.Config{
 		Rate:     60,
 		Duration: 2 * time.Second,
 		Model:    model,

@@ -37,8 +37,8 @@ func invokeN(t *testing.T, n *Network, tag string, count int) {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < count; i++ {
-		cl := n.Clients[i%len(n.Clients)]
-		if _, err := cl.Invoke(ctx, ChaincodeBench, "write",
+		gw := n.Gateways[i%len(n.Gateways)]
+		if _, err := gw.Invoke(ctx, "", ChaincodeBench, "write",
 			[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")}); err != nil {
 			t.Fatalf("invoke %s%d: %v", tag, i, err)
 		}
@@ -129,13 +129,20 @@ func TestGossipDisseminationConverges(t *testing.T) {
 	if sum.MeanGossipHops <= 0 {
 		t.Error("gossip hop counts not recorded")
 	}
+	if sum.Blocks == 0 {
+		t.Error("no block cut recorded")
+	}
+	if sum.DeliverBlocks == 0 {
+		t.Error("no block arrived by orderer deliver")
+	}
 }
 
 // TestGossipKilledLeaderReelects kills an org's deliver leader mid-run:
 // a surviving replica must claim the lease, resubscribe, and the org
 // must keep committing with no lost blocks.
 func TestGossipKilledLeaderReelects(t *testing.T) {
-	n := buildAndStart(t, gossipTestConfig(1, 3, nil))
+	col := metrics.NewCollector()
+	n := buildAndStart(t, gossipTestConfig(1, 3, col))
 	invokeN(t, n, "pre", 4)
 
 	lead := orgLeader(t, n.Peers, 5*time.Second)
@@ -166,14 +173,14 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 	// The default client's event peer is peer1 == Peers[0]; if that is
 	// the dead leader the commit events die with it, so drive load from
 	// a client whose event peer survived.
-	cl := n.Clients[0]
+	gw := n.Gateways[0]
 	if lead == n.Peers[0] {
 		t.Log("killed the event peer; skipping post-kill invokes would hide the regression — use commit-status-free check")
 	}
 	if lead != n.Peers[0] {
 		ctx := context.Background()
 		for i := 0; i < 6; i++ {
-			if _, err := cl.Invoke(ctx, ChaincodeBench, "write",
+			if _, err := gw.Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("post%d", i)), []byte("v")}); err != nil {
 				t.Fatalf("post-kill invoke %d: %v", i, err)
 			}
@@ -184,7 +191,7 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 		ctx := context.Background()
 		before := n.Peers[1].Ledger().Height()
 		for i := 0; i < 6; i++ {
-			_, _ = cl.Invoke(ctx, ChaincodeBench, "write",
+			_, _ = gw.Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("post%d", i)), []byte("v")})
 		}
 		grown := false
@@ -214,6 +221,18 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 		if err := p.Ledger().VerifyChain(); err != nil {
 			t.Errorf("peer %s: %v", p.ID(), err)
 		}
+	}
+	// The dead leader's deliver pushes fail synchronously, so the orderer
+	// evicts it once the post-kill blocks are cut.
+	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
+	if sum.LeaderElections < 2 {
+		t.Errorf("leader elections = %d, want >= 2 (initial + replacement)", sum.LeaderElections)
+	}
+	if sum.SubscriberEvictions < 1 {
+		t.Error("dead leader was never evicted from the orderer's subscribers")
+	}
+	if sum.CommitLag.Count == 0 {
+		t.Error("no per-peer commit lag recorded")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"fabricsim/internal/chaincode"
-	"fabricsim/internal/client"
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/gateway"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/types"
 )
@@ -41,7 +41,7 @@ func TestVerifyCryptoEndToEnd(t *testing.T) {
 		VerifyCrypto:      true,
 	})
 	ctx := context.Background()
-	res, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write", [][]byte{[]byte("k"), []byte("v")})
+	res, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte("k"), []byte("v")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func TestMVCCConflictEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := n.Clients[i%len(n.Clients)]
-			_, err := cl.Invoke(ctx, ChaincodeBench, "readwrite", [][]byte{[]byte("hot"), []byte{byte(i)}})
+			gw := n.Gateways[i%len(n.Gateways)]
+			_, err := gw.Invoke(ctx, "", ChaincodeBench, "readwrite", [][]byte{[]byte("hot"), []byte{byte(i)}})
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
 				commits++
-			case errors.Is(err, client.ErrInvalidated):
+			case errors.Is(err, gateway.ErrInvalidated):
 				conflicts++
 			}
 		}()
@@ -117,8 +117,8 @@ func TestAllPeersConverge(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := n.Clients[i%len(n.Clients)]
-			_, _ = cl.Invoke(ctx, ChaincodeBench, "write", [][]byte{[]byte(fmt.Sprintf("k%d", i)), []byte("v")})
+			gw := n.Gateways[i%len(n.Gateways)]
+			_, _ = gw.Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte(fmt.Sprintf("k%d", i)), []byte("v")})
 		}()
 	}
 	wg.Wait()
@@ -156,7 +156,7 @@ func TestRaftOrdererFailover(t *testing.T) {
 	})
 	ctx := context.Background()
 	invoke := func(tag string, i int) error {
-		_, err := n.Clients[i%len(n.Clients)].Invoke(ctx, ChaincodeBench, "write",
+		_, err := n.Gateways[i%len(n.Gateways)].Invoke(ctx, "", ChaincodeBench, "write",
 			[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")})
 		return err
 	}
@@ -206,7 +206,7 @@ func TestKafkaBrokerFailover(t *testing.T) {
 		Model:             costmodel.Default(0.05),
 	})
 	ctx := context.Background()
-	if _, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write", [][]byte{[]byte("pre"), []byte("v")}); err != nil {
+	if _, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte("pre"), []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	leader, ok := n.KafkaCluster().Leader(0)
@@ -218,7 +218,7 @@ func TestKafkaBrokerFailover(t *testing.T) {
 	}
 	ok2 := 0
 	for i := 0; i < 5; i++ {
-		if _, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write",
+		if _, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write",
 			[][]byte{[]byte(fmt.Sprintf("post%d", i)), []byte("v")}); err == nil {
 			ok2++
 		}
@@ -238,10 +238,10 @@ func TestQueryPath(t *testing.T) {
 		ExtraChaincodes:   []chaincode.Chaincode{chaincode.NewCounter("ctr")},
 	})
 	ctx := context.Background()
-	if _, err := n.Clients[0].Invoke(ctx, "ctr", "inc", [][]byte{[]byte("c")}); err != nil {
+	if _, err := n.Gateways[0].Invoke(ctx, "", "ctr", "inc", [][]byte{[]byte("c")}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := n.Clients[0].Query(ctx, "ctr", "get", [][]byte{[]byte("c")})
+	out, err := n.Gateways[0].Evaluate(ctx, "ctr", "get", [][]byte{[]byte("c")})
 	if err != nil || string(out) != "1" {
 		t.Errorf("query = %q err=%v", out, err)
 	}
@@ -257,7 +257,7 @@ func TestTxSizeAffectsBlockBytes(t *testing.T) {
 	})
 	ctx := context.Background()
 	big := make([]byte, 4096)
-	res, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write", [][]byte{[]byte("big"), big})
+	res, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte("big"), big})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,12 +57,12 @@ func TestMultiChannelConcurrentCommit(t *testing.T) {
 	for _, ch := range n.ChannelIDs() {
 		for i := 0; i < perChannel; i++ {
 			ch, i := ch, i
-			cl := n.Clients[i%len(n.Clients)]
+			gw := n.Gateways[i%len(n.Gateways)]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				key := fmt.Sprintf("%s-k%d", ch, i)
-				res, err := cl.InvokeOnChannel(ctx, ch, ChaincodeBench, "write",
+				res, err := gw.Invoke(ctx, ch, ChaincodeBench, "write",
 					[][]byte{[]byte(key), []byte("v")})
 				if err != nil {
 					errs <- fmt.Errorf("channel %s tx %d: %w", ch, i, err)
@@ -106,11 +106,11 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	cl := n.Clients[0]
+	gw := n.Gateways[0]
 
 	// Seed the same key on both channels.
 	for _, ch := range []string{"alpha", "beta"} {
-		if _, err := cl.InvokeOnChannel(ctx, ch, ChaincodeBench, "write",
+		if _, err := gw.Invoke(ctx, ch, ChaincodeBench, "write",
 			[][]byte{[]byte("shared"), []byte("seed-" + ch)}); err != nil {
 			t.Fatalf("seed %s: %v", ch, err)
 		}
@@ -126,7 +126,7 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := cl.InvokeOnChannel(ctx, ch, ChaincodeBench, "readwrite",
+			res, err := gw.Invoke(ctx, ch, ChaincodeBench, "readwrite",
 				[][]byte{[]byte("shared"), []byte("update-" + ch)})
 			if err != nil {
 				t.Errorf("channel %s: %v", ch, err)
@@ -194,7 +194,7 @@ func TestMultiChannelBlockNumbering(t *testing.T) {
 
 	for ci, ch := range n.ChannelIDs() {
 		for i := 0; i < perChannel[ci]; i++ {
-			if _, err := n.Clients[0].InvokeOnChannel(ctx, ch, ChaincodeBench, "write",
+			if _, err := n.Gateways[0].Invoke(ctx, ch, ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("k%d", i)), []byte("v")}); err != nil {
 				t.Fatalf("channel %s tx %d: %v", ch, i, err)
 			}
@@ -256,7 +256,7 @@ func TestMultiChannelKafka(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := n.Clients[i%len(n.Clients)].InvokeOnChannel(ctx, ch, ChaincodeBench, "write",
+				_, err := n.Gateways[i%len(n.Gateways)].Invoke(ctx, ch, ChaincodeBench, "write",
 					[][]byte{[]byte(fmt.Sprintf("%s-%d", ch, i)), []byte("v")})
 				if err != nil {
 					errs <- fmt.Errorf("channel %s: %w", ch, err)
@@ -299,7 +299,7 @@ func TestMultiChannelRaft(t *testing.T) {
 		if _, ok := n.RaftLeaderFor(ch); !ok {
 			t.Fatalf("channel %s: no raft leader", ch)
 		}
-		res, err := n.Clients[0].InvokeOnChannel(ctx, ch, ChaincodeBench, "write",
+		res, err := n.Gateways[0].Invoke(ctx, ch, ChaincodeBench, "write",
 			[][]byte{[]byte("k-" + ch), []byte("v")})
 		if err != nil {
 			t.Fatalf("channel %s: %v", ch, err)

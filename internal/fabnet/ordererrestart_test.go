@@ -66,8 +66,8 @@ func invokeLenient(t *testing.T, n *Network, tag string, count int, d time.Durat
 	deadline := time.Now().Add(d)
 	for i := 0; i < count; i++ {
 		for {
-			cl := n.Clients[i%len(n.Clients)]
-			_, err := cl.Invoke(ctx, ChaincodeBench, "write",
+			gw := n.Gateways[i%len(n.Gateways)]
+			_, err := gw.Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")})
 			if err == nil {
 				break

@@ -37,7 +37,7 @@ func TestTracePropagationOrderers(t *testing.T) {
 				Tracer:            tr,
 			})
 			ctx := context.Background()
-			res, err := n.Clients[0].Invoke(ctx, ChaincodeBench, "write",
+			res, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte("traced"), []byte("v")})
 			if err != nil {
 				t.Fatalf("invoke: %v", err)
@@ -131,13 +131,15 @@ func TestTraceGossipDeliveredCommit(t *testing.T) {
 			continue
 		}
 		sources[source]++
-		if source != trace.SourceLabelDeliver && hops < 1 {
+		// Only a gossip push travels a hop; deliver and anti-entropy
+		// arrive with hops 0.
+		if source == metrics.SourceGossip && hops < 1 {
 			t.Errorf("block %d: source %s with hops=%d", num, source, hops)
 		}
 	}
 	t.Logf("leader=%s tracePeer=%s origins=%v", leader.ID(), tracePeer.ID(), sources)
 	if leader.ID() != tracePeer.ID() {
-		if sources[trace.SourceLabelGossip]+sources[trace.SourceLabelAntiEntropy] == 0 {
+		if sources[metrics.SourceGossip]+sources[metrics.SourceAntiEntropy] == 0 {
 			t.Errorf("trace peer is not the deliver leader yet saw no gossip-delivered blocks: %v", sources)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/types"
 )
@@ -151,8 +152,8 @@ func (n *Node) pullRange(peer, channel string, from, to uint64) {
 		height, err := ss.FetchSnapshot(ctx, peer, channel)
 		cancel()
 		if err == nil && height > from {
-			if o := n.cfg.Observer; o != nil {
-				o.SnapshotBootstrap(channel, height)
+			if c := n.cfg.Collector; c != nil {
+				c.SnapshotBootstrap()
 			}
 			from = height
 		}
@@ -173,8 +174,8 @@ func (n *Node) pullRange(peer, channel string, from, to uint64) {
 		if !ok || len(reply.Blocks) == 0 {
 			return // remote cannot serve (yet); the next round retries
 		}
-		if o := n.cfg.Observer; o != nil {
-			o.AntiEntropyPull(len(reply.Blocks))
+		if c := n.cfg.Collector; c != nil {
+			c.AntiEntropyPull(len(reply.Blocks))
 		}
 		for _, b := range reply.Blocks {
 			n.ingestPulled(b, peer)
@@ -207,7 +208,7 @@ func (n *Node) pullFromOrderer(channel string, from, to uint64) {
 		for _, b := range reply.Blocks {
 			// Orderer backfill counts (and spreads) as deliver: these
 			// blocks are new to the whole org, not a private repair.
-			n.acceptBlock(b, 0, "", SourceDeliver)
+			n.acceptBlock(b, 0, "", metrics.SourceDeliver)
 		}
 		from += uint64(len(reply.Blocks))
 	}
@@ -217,5 +218,5 @@ func (n *Node) pullFromOrderer(channel string, from, to uint64) {
 // path (dedup + sink) with a zero hop count; acceptBlock suppresses
 // re-forwarding for this source.
 func (n *Node) ingestPulled(block *types.Block, from string) {
-	n.acceptBlock(block, 0, from, SourceAntiEntropy)
+	n.acceptBlock(block, 0, from, metrics.SourceAntiEntropy)
 }

@@ -209,8 +209,8 @@ func (n *Node) becomeLeader(ctx context.Context, channel string) error {
 	beat := &Beat{Channel: channel, Org: n.cfg.Org, Leader: n.cfg.ID, Term: es.term}
 	n.mu.Unlock()
 
-	if o := n.cfg.Observer; o != nil {
-		o.LeaderElected(channel, beat.Term)
+	if c := n.cfg.Collector; c != nil {
+		c.LeaderElection()
 	}
 	n.broadcastBeat(beat)
 	if n.cfg.OrdererID == "" {

@@ -24,7 +24,9 @@ import (
 	"sync"
 	"time"
 
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
+	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
@@ -42,16 +44,6 @@ const (
 	KindBeat = "gossip.beat"
 	// KindPing probes liveness during leader election.
 	KindPing = "gossip.ping"
-)
-
-// Block sources reported to the Observer.
-const (
-	// SourceDeliver is a block pushed by the orderer (leaders only).
-	SourceDeliver = "deliver"
-	// SourceGossip is a block pushed by an org member.
-	SourceGossip = "gossip"
-	// SourceAntiEntropy is a block pulled while closing a height gap.
-	SourceAntiEntropy = "antientropy"
 )
 
 // BlockMsg is the KindBlock payload: a block plus the number of gossip
@@ -126,34 +118,6 @@ type SnapshotSink interface {
 	FetchSnapshot(ctx context.Context, from, channel string) (uint64, error)
 }
 
-// Observer receives gossip-layer events (metrics wiring). Methods must
-// be safe for concurrent use. A nil Observer disables reporting
-// entirely.
-type Observer interface {
-	// BlockReceived is one freshly accepted block: its source and the
-	// gossip hop count it arrived with (0 for deliver and anti-entropy).
-	BlockReceived(source string, hops int)
-	// DuplicateSuppressed is one block dropped by the dedup cache.
-	DuplicateSuppressed()
-	// AntiEntropyPull is one ranged pull that returned n blocks.
-	AntiEntropyPull(n int)
-	// LeaderElected reports this node taking leadership of a channel.
-	LeaderElected(channel string, term uint64)
-	// SnapshotBootstrap reports this node installing a peer snapshot,
-	// jumping the named channel's chain to the given height.
-	SnapshotBootstrap(channel string, height uint64)
-}
-
-// BlockOriginObserver is an optional extension of Observer: an observer
-// that also implements it additionally learns WHICH block arrived from
-// where, not just the aggregate source counts. Tracing uses it to tag a
-// committed block's spans with its dissemination origin.
-type BlockOriginObserver interface {
-	// BlockOrigin is one freshly accepted block: its channel and number,
-	// the source it arrived by, and the gossip hop count.
-	BlockOrigin(channel string, num uint64, source string, hops int)
-}
-
 // Config parameterizes a gossip node. All durations are wall-clock; the
 // caller scales model time beforehand (costmodel.ScaledDelay).
 type Config struct {
@@ -186,8 +150,13 @@ type Config struct {
 	// LeaderLease is how long a leader's heartbeat holds off
 	// re-election (default 1s); beats go out every LeaderLease/4.
 	LeaderLease time.Duration
-	// Observer, when non-nil, sees gossip-layer events.
-	Observer Observer
+	// Collector, when non-nil, counts this node's accepted blocks (by
+	// source and hop count), dedup drops, anti-entropy pulls, leader
+	// elections and snapshot bootstraps.
+	Collector *metrics.Collector
+	// Tracer, when non-nil, records which source each freshly accepted
+	// block arrived by, so commit spans can carry its origin.
+	Tracer *trace.Tracer
 	// SnapshotSink, when non-nil together with a positive
 	// SnapshotThreshold, enables snapshot-then-tail repair: a height gap
 	// of at least SnapshotThreshold blocks is closed by fetching the
@@ -348,7 +317,7 @@ func (n *Node) channelOf(block *types.Block) string {
 // OnDeliver ingests a block the orderer pushed to this (leader) node
 // and spreads it into the org.
 func (n *Node) OnDeliver(block *types.Block) {
-	n.acceptBlock(block, 0, "", SourceDeliver)
+	n.acceptBlock(block, 0, "", metrics.SourceDeliver)
 }
 
 // handleBlock ingests one pushed gossip message.
@@ -360,7 +329,7 @@ func (n *Node) handleBlock(_ context.Context, from string, payload any) (any, in
 	if n.isStopped() {
 		return nil, 0, nil
 	}
-	n.acceptBlock(msg.Block, msg.Hops, from, SourceGossip)
+	n.acceptBlock(msg.Block, msg.Hops, from, metrics.SourceGossip)
 	return nil, 0, nil
 }
 
@@ -378,8 +347,8 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 	}
 	if _, dup := seen[num]; dup {
 		n.mu.Unlock()
-		if o := n.cfg.Observer; o != nil {
-			o.DuplicateSuppressed()
+		if c := n.cfg.Collector; c != nil {
+			c.GossipDuplicate()
 		}
 		return
 	}
@@ -394,12 +363,10 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 		return
 	}
 	if res.Fresh {
-		if o := n.cfg.Observer; o != nil {
-			o.BlockReceived(source, hops)
-			if bo, ok := o.(BlockOriginObserver); ok {
-				bo.BlockOrigin(ch, num, source, hops)
-			}
+		if c := n.cfg.Collector; c != nil {
+			c.GossipBlock(source, hops)
 		}
+		n.cfg.Tracer.BlockOrigin(ch, num, source, hops)
 	}
 	if res.MissFrom < res.MissTo {
 		// The block ran ahead of the chain: close the gap without
@@ -409,7 +376,7 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 		// knows who does by the same recursion).
 		gapFrom, gapTo := res.MissFrom, res.MissTo
 		n.goRun(func() {
-			if source == SourceDeliver {
+			if source == metrics.SourceDeliver {
 				n.pullFromOrderer(ch, gapFrom, gapTo)
 			} else if from != "" {
 				n.pullRange(from, ch, gapFrom, gapTo)
@@ -421,9 +388,9 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 	// to learn those blocks, and re-pushing a whole pulled chain into
 	// the org would pay full block bandwidth just to be dropped by
 	// everyone's dedup cache. Orderer backfills (leader election
-	// catch-up) arrive as SourceDeliver and do fan out, so org mates
+	// catch-up) arrive as metrics.SourceDeliver and do fan out, so org mates
 	// converge without issuing their own pulls.
-	if res.Fresh && hops < n.cfg.MaxHops && source != SourceAntiEntropy {
+	if res.Fresh && hops < n.cfg.MaxHops && source != metrics.SourceAntiEntropy {
 		n.forward(block, hops+1, from)
 	}
 }

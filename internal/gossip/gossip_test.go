@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
+	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
@@ -113,51 +115,6 @@ func testBlock(channel string, num uint64) *types.Block {
 	return b
 }
 
-// countingObserver records gossip events.
-type countingObserver struct {
-	mu         sync.Mutex
-	received   map[string]int // source -> count
-	hops       []int
-	duplicates int
-	pulls      int
-	elected    int
-	snapshots  int
-}
-
-func (o *countingObserver) BlockReceived(source string, hops int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.received == nil {
-		o.received = make(map[string]int)
-	}
-	o.received[source]++
-	o.hops = append(o.hops, hops)
-}
-
-func (o *countingObserver) DuplicateSuppressed() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.duplicates++
-}
-
-func (o *countingObserver) AntiEntropyPull(n int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.pulls += n
-}
-
-func (o *countingObserver) LeaderElected(string, uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.elected++
-}
-
-func (o *countingObserver) SnapshotBootstrap(string, uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.snapshots++
-}
-
 // fakeOrderer is a deliver-service stub: it records subscriptions and
 // serves a static chain over KindGetBlocks.
 type fakeOrderer struct {
@@ -228,7 +185,10 @@ type cluster struct {
 	net   *transport.Network
 	nodes []*Node
 	sinks []*fakeSink
-	obs   []*countingObserver
+	// cols and tracers record each node's gossip events; a tracer's
+	// block origins give every accepted block's source and hop count.
+	cols    []*metrics.Collector
+	tracers []*trace.Tracer
 }
 
 func newCluster(t *testing.T, size int, ordererID string, tweak func(*Config)) *cluster {
@@ -248,7 +208,7 @@ func newCluster(t *testing.T, size int, ordererID string, tweak func(*Config)) *
 			t.Fatal(err)
 		}
 		sink := newFakeSink()
-		obs := &countingObserver{}
+		col, tr := metrics.NewCollector(), trace.New(0)
 		cfg := Config{
 			ID:                  members[i],
 			Org:                 "Org1",
@@ -261,17 +221,25 @@ func newCluster(t *testing.T, size int, ordererID string, tweak func(*Config)) *
 			MaxHops:             4,
 			AntiEntropyInterval: 40 * time.Millisecond,
 			LeaderLease:         120 * time.Millisecond,
-			Observer:            obs,
+			Collector:           col,
+			Tracer:              tr,
 			Seed:                int64(i + 1),
 		}
 		if tweak != nil {
 			tweak(&cfg)
 		}
 		c.sinks = append(c.sinks, sink)
-		c.obs = append(c.obs, obs)
+		c.cols = append(c.cols, col)
+		c.tracers = append(c.tracers, tr)
 		c.nodes = append(c.nodes, NewNode(cfg))
 	}
 	return c
+}
+
+// summary reduces node i's collector.
+func (c *cluster) summary(i int) metrics.Summary {
+	c.cols[i].Submitted("probe", time.Now()) // Summarize reduces nothing without a transaction record
+	return c.cols[i].Summarize(metrics.SummaryOptions{})
 }
 
 func (c *cluster) start() {
@@ -340,16 +308,14 @@ func TestPushGossipSpreadsBlocks(t *testing.T) {
 			}
 		}
 	}
-	// Each node accepted each block exactly once: 3 fresh accepts each.
-	for i, o := range c.obs {
-		o.mu.Lock()
-		total := 0
-		for _, n := range o.received {
-			total += n
+	for i, tr := range c.tracers {
+		for num := uint64(1); num <= 3; num++ {
+			if _, _, ok := tr.OriginOf(orderer.DefaultChannel, num); !ok {
+				t.Errorf("node %d reported no accept of block %d", i+1, num)
+			}
 		}
-		o.mu.Unlock()
-		if total != 3 {
-			t.Errorf("node %d accepted %d blocks, want 3", i+1, total)
+		if s := c.summary(i); s.GossipBlocks+s.DeliverBlocks > 3 {
+			t.Errorf("node %d accepted %d pushed blocks, want at most 3", i+1, s.GossipBlocks+s.DeliverBlocks)
 		}
 	}
 }
@@ -368,9 +334,9 @@ func TestHopCountsBounded(t *testing.T) {
 	}
 	c.waitConverged(5, 5*time.Second) // anti-entropy covers past MaxHops
 	sawForwarded := false
-	for _, o := range c.obs {
-		o.mu.Lock()
-		for _, h := range o.hops {
+	for _, tr := range c.tracers {
+		for num := uint64(1); num <= 5; num++ {
+			_, h, _ := tr.OriginOf(orderer.DefaultChannel, num)
 			if h > 3 {
 				t.Errorf("hop count %d exceeds MaxHops 3", h)
 			}
@@ -378,7 +344,6 @@ func TestHopCountsBounded(t *testing.T) {
 				sawForwarded = true
 			}
 		}
-		o.mu.Unlock()
 	}
 	if !sawForwarded {
 		t.Error("no block traveled a gossip hop")
@@ -397,16 +362,10 @@ func TestDuplicateSuppression(t *testing.T) {
 	lead.OnDeliver(b) // replay
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		var dup int
 		for i, n := range c.nodes {
-			if n == lead {
-				c.obs[i].mu.Lock()
-				dup = c.obs[i].duplicates
-				c.obs[i].mu.Unlock()
+			if n == lead && c.summary(i).GossipDuplicates >= 1 {
+				return
 			}
-		}
-		if dup >= 1 {
-			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -511,12 +470,10 @@ func TestAntiEntropyClosesGap(t *testing.T) {
 	c.start()
 	c.waitConverged(6, 5*time.Second)
 	found := false
-	for _, o := range c.obs {
-		o.mu.Lock()
-		if o.pulls > 0 {
+	for i := range c.nodes {
+		if c.summary(i).AntiEntropyBlocks > 0 {
 			found = true
 		}
-		o.mu.Unlock()
 	}
 	if !found {
 		t.Error("convergence happened without any anti-entropy pull")

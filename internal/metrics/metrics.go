@@ -88,8 +88,19 @@ type endorseSample struct {
 	rtt  time.Duration
 }
 
+// Block dissemination sources: how a peer's gossip layer received a
+// block.
+const (
+	// SourceDeliver is a block pushed by the orderer (leaders only).
+	SourceDeliver = "deliver"
+	// SourceGossip is a block pushed by an org member.
+	SourceGossip = "gossip"
+	// SourceAntiEntropy is a block pulled while closing a height gap.
+	SourceAntiEntropy = "antientropy"
+)
+
 // gossipSample is one block accepted by a peer's gossip layer: how it
-// arrived (deliver / gossip / antientropy) and the hop count it carried.
+// arrived (one of the Source labels) and the hop count it carried.
 type gossipSample struct {
 	source string
 	hops   int
@@ -710,10 +721,10 @@ func (c *Collector) Summarize(opts SummaryOptions) Summary {
 	hopTotal := 0
 	for _, g := range gossips {
 		switch g.source {
-		case "gossip":
+		case SourceGossip:
 			s.GossipBlocks++
 			hopTotal += g.hops
-		case "deliver":
+		case SourceDeliver:
 			s.DeliverBlocks++
 		}
 	}

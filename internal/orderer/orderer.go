@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/trace"
@@ -134,12 +135,6 @@ type Consenter interface {
 	Stop()
 }
 
-// BlockObserver is notified of every block this OSN cuts, with the wall
-// clock at which it was cut. The bench harness uses it for the paper's
-// block-time metric (Definition 4.3). The block's Metadata.ChannelID
-// identifies the chain it extends.
-type BlockObserver func(block *types.Block, cutAt time.Time)
-
 // Config parameterizes an OSN.
 type Config struct {
 	// ID is the OSN's transport identifier.
@@ -153,8 +148,6 @@ type Config struct {
 	Model costmodel.Model
 	// CPU is the OSN machine's simulated CPU.
 	CPU *simcpu.CPU
-	// Observer, when non-nil, sees every block cut by this node.
-	Observer BlockObserver
 	// Channels lists the channel IDs this OSN orders. Empty means a
 	// single channel named DefaultChannel. The first entry is the
 	// default channel for untagged payloads.
@@ -164,9 +157,14 @@ type Config struct {
 	// consuming orderer egress after a handful of blocks instead of
 	// being pushed to forever.
 	MaxSendFailures int
-	// OnEvict, when non-nil, is called once per evicted subscriber
-	// (metrics wiring).
-	OnEvict func(peer string)
+	// Collector, when non-nil, counts this node's subscriber evictions
+	// and, on the Recorder node, every block it cuts (the paper's
+	// block-time metric, Definition 4.3).
+	Collector *metrics.Collector
+	// Recorder marks the node that records the once-per-network,
+	// per-block events: every OSN cuts every block, so exactly one
+	// reports them.
+	Recorder bool
 	// Tracer records ordering spans for traced envelopes; nil disables.
 	// Ingress and residency spans are recorded by the OSN that served the
 	// Broadcast, so a clustered ordering service records each traced
@@ -684,8 +682,8 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	c.blocks = append(c.blocks, block)
 	c.mu.Unlock()
 
-	if o.cfg.Observer != nil {
-		o.cfg.Observer(block, now)
+	if o.cfg.Recorder && o.cfg.Collector != nil {
+		o.cfg.Collector.Block(metrics.BlockEvent{Number: num, Channel: c.id, CutAt: now, Txs: len(block.Data)})
 	}
 	if o.cfg.Tracer.Enabled() {
 		o.recordResidency(c.id, num, batch, now)
@@ -756,8 +754,8 @@ func (o *Orderer) noteSendFailure(peer string) {
 	o.mu.Unlock()
 	if evict {
 		o.evictions.Add(1)
-		if o.cfg.OnEvict != nil {
-			o.cfg.OnEvict(peer)
+		if o.cfg.Collector != nil {
+			o.cfg.Collector.SubscriberEvicted()
 		}
 	}
 }

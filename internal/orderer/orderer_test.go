@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
@@ -392,8 +393,7 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := costmodel.Default(1.0)
-	var evicted []string
-	var evictMu sync.Mutex
+	col := metrics.NewCollector()
 	o := New(Config{
 		ID:              "osn1",
 		Endpoint:        ep,
@@ -401,11 +401,7 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		Model:           model,
 		CPU:             simcpu.New(model.OrdererCores, 1.0),
 		MaxSendFailures: 3,
-		OnEvict: func(peer string) {
-			evictMu.Lock()
-			evicted = append(evicted, peer)
-			evictMu.Unlock()
-		},
+		Collector:       col,
 	})
 	NewSolo(o)
 	if err := o.Start(); err != nil {
@@ -434,11 +430,10 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		}
 	}
 	waitFor(t, 2*time.Second, func() bool { return o.Evictions() == 1 }, "dead subscriber never evicted")
-	evictMu.Lock()
-	if len(evicted) != 1 || evicted[0] != "client" {
-		t.Errorf("evicted = %v, want [client]", evicted)
+	col.Submitted("probe", time.Now()) // Summarize reduces nothing without a transaction record
+	if got := col.Summarize(metrics.SummaryOptions{}).SubscriberEvictions; got != 1 {
+		t.Errorf("collector counted %d evictions, want 1", got)
 	}
-	evictMu.Unlock()
 	if subs := o.Subscribers(); len(subs) != 0 {
 		t.Errorf("subscribers after eviction: %v", subs)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fabricsim/internal/ledger"
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/rwdep"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/types"
@@ -34,34 +35,6 @@ import (
 // as dependency-ordered (Metadata.Reordered) fan out by exact
 // read→write chains instead of coarse key-overlap groups, and their
 // trailing early-aborted transactions skip validate CPU entirely.
-
-// StageTimings reports one block's trip through a channel's commit
-// pipeline: wall-clock stage durations (simulated-CPU queueing
-// included) plus the conflict-group count the dependency analyzer
-// found. Observers receive it after the block is fully committed.
-type StageTimings struct {
-	Channel string
-	Block   uint64
-	Txs     int
-	// Groups is the number of conflict-free transaction groups (0 when
-	// no transaction passed VSCC).
-	Groups int
-	// MVCCAborts counts transactions this block invalidated with
-	// MVCC_READ_CONFLICT; EarlyAborts counts transactions the ordering
-	// service pre-aborted (EARLY_ABORT_CONFLICT), which never reach
-	// validate CPU.
-	MVCCAborts  int
-	EarlyAborts int
-	// WastedValidate is the modeled validate CPU spent on transactions
-	// that ended up MVCC-aborted anyway (the cost early abort avoids).
-	WastedValidate time.Duration
-	// VSCC, Apply, Append are the wall durations of the three stages.
-	VSCC   time.Duration
-	Apply  time.Duration
-	Append time.Duration
-	// CommittedAt is when the append stage finished.
-	CommittedAt time.Time
-}
 
 // pipelinedBlock carries one block through the commit stages.
 type pipelinedBlock struct {
@@ -362,7 +335,7 @@ func (p *Peer) walkGroup(cs *channelState, txs []*types.Transaction, flags []typ
 }
 
 // recordCommitSpans records the three commit-stage spans for every
-// traced transaction in one committed block. Only the TraceCommits peer
+// traced transaction in one committed block. Only the Recorder peer
 // calls this (every peer commits every block, so one recorder suffices).
 // The block-level gossip origin — how this peer first learned of the
 // block — is attached to the append span.
@@ -417,14 +390,17 @@ func (p *Peer) appendLoop(cs *channelState) {
 				return
 			}
 			now := time.Now()
-			if p.cfg.OnCommit != nil {
-				p.cfg.OnCommit(pb.committed, now)
+			col := p.cfg.Collector
+			// Every peer reports its commits, so the commit-lag summary
+			// sees dissemination stragglers, not just the recorder.
+			if ot := pb.committed.Metadata.OrderedTime; col != nil && ot > 0 {
+				col.PeerCommit(now.Sub(time.Unix(0, ot)), now)
 			}
 			p.emitCommitEvents(cs, pb.committed, pb.txs, now)
-			if p.cfg.TraceCommits && p.cfg.Tracer.Enabled() {
+			if p.cfg.Recorder && p.cfg.Tracer.Enabled() {
 				p.recordCommitSpans(cs, pb, start, now)
 			}
-			if p.cfg.StageObserver != nil {
+			if p.cfg.Recorder && col != nil {
 				mvccAborts, earlyAborts := 0, 0
 				for _, f := range pb.committed.Metadata.ValidationFlags {
 					switch f {
@@ -434,18 +410,18 @@ func (p *Peer) appendLoop(cs *channelState) {
 						earlyAborts++
 					}
 				}
-				p.cfg.StageObserver(StageTimings{
+				col.CommitStage(metrics.CommitStageEvent{
+					Number:         pb.committed.Header.Number,
 					Channel:        cs.id,
-					Block:          pb.committed.Header.Number,
 					Txs:            len(pb.txs),
 					Groups:         pb.groups,
-					MVCCAborts:     mvccAborts,
-					EarlyAborts:    earlyAborts,
-					WastedValidate: pb.wasted,
 					VSCC:           pb.vsccDur,
 					Apply:          pb.applyDur,
 					Append:         now.Sub(start),
 					CommittedAt:    now,
+					MVCCAborts:     mvccAborts,
+					EarlyAborts:    earlyAborts,
+					WastedValidate: pb.wasted,
 				})
 			}
 			<-cs.tokens

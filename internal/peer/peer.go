@@ -21,6 +21,7 @@ import (
 	"fabricsim/internal/fabcrypto"
 	"fabricsim/internal/gossip"
 	"fabricsim/internal/ledger"
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/msp"
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/policy"
@@ -111,11 +112,10 @@ type Config struct {
 	// peers of one network share one store (fabnet builds it); nil gets
 	// a private empty store, so VerifyCrypto rejects every endorsement.
 	Certs *CertStore
-	// OnCommit, when non-nil, observes every committed block.
-	OnCommit func(block *types.Block, committedAt time.Time)
-	// StageObserver, when non-nil, receives each committed block's
-	// pipeline stage breakdown (metrics wiring).
-	StageObserver func(StageTimings)
+	// Collector, when non-nil, receives every block this peer commits
+	// (commit lag) and, on the Recorder peer, each block's commit-stage
+	// breakdown. The gossip node reports its events to it too.
+	Collector *metrics.Collector
 	// Channels lists the channels this peer joins; the peer keeps an
 	// independent ledger, state DB, and commit pipeline per channel, so
 	// validation on one channel never serializes behind another. Empty
@@ -129,8 +129,9 @@ type Config struct {
 	// with gossip dissemination: only elected org leaders subscribe,
 	// everyone else receives blocks peer-to-peer and converges through
 	// anti-entropy. The peer fills in ID, Endpoint, Channels, OrdererID,
-	// Sink, and SnapshotSink; the caller provides membership and tuning
-	// (including SnapshotThreshold for snapshot-then-tail repair).
+	// Sink, SnapshotSink, Collector and Tracer; the caller provides
+	// membership and tuning (including SnapshotThreshold for
+	// snapshot-then-tail repair).
 	Gossip *gossip.Config
 	// StorageBackend selects the per-channel ledger storage engine
 	// ("mem" default, "file" persistent); see ledger.Options.
@@ -148,10 +149,11 @@ type Config struct {
 	// default) disables tracing at zero cost. Endorser spans are recorded
 	// by every endorsing peer that serves a traced proposal.
 	Tracer *trace.Tracer
-	// TraceCommits marks this peer as the network's commit-span recorder:
-	// every peer validates every block, so exactly one peer should record
-	// the commit-stage spans or each trace would hold one copy per peer.
-	TraceCommits bool
+	// Recorder marks this peer as the network's per-block recorder: every
+	// peer validates every block, so exactly one peer records commit-stage
+	// events, commit spans and block origins, or each would be counted
+	// once per peer.
+	Recorder bool
 }
 
 // channelState is one channel's ledger and commit pipeline on a peer.
@@ -291,6 +293,10 @@ func New(cfg Config) (*Peer, error) {
 		gcfg.OrdererID = cfg.OrdererID
 		gcfg.Sink = p
 		gcfg.SnapshotSink = p
+		gcfg.Collector = cfg.Collector
+		if cfg.Recorder {
+			gcfg.Tracer = cfg.Tracer
+		}
 		p.gossip = gossip.NewNode(gcfg)
 	}
 	return p, nil

@@ -2,8 +2,8 @@
 // transaction lifecycle: the gateway mints one TraceID per logical
 // submission, the ID rides the proposal/envelope wire format, and every
 // layer (gateway stages, endorser execute, orderer ingress and cutter
-// residency, Raft propose→commit, gossip origin, committer stages)
-// records named spans against it. A nil *Tracer is a valid no-op, so
+// residency, Raft propose→commit, committer stages tagged with the
+// block's gossip origin) records named spans against it. A nil *Tracer is a valid no-op, so
 // instrumented call sites pay one pointer comparison when tracing is
 // off — the default everywhere.
 //
@@ -56,15 +56,6 @@ const (
 	SpanCommitVSCC        = "commit.vscc"         // policy validation stage
 	SpanCommitApply       = "commit.apply"        // MVCC + state apply stage
 	SpanCommitAppend      = "commit.append"       // ledger append + events
-	SpanGossipOrigin      = "gossip.origin"       // block arrival at the trace peer
-)
-
-// Dissemination-origin labels, mirroring the gossip layer's source
-// strings (kept as plain strings so trace does not import gossip).
-const (
-	SourceLabelDeliver     = "deliver"
-	SourceLabelGossip      = "gossip"
-	SourceLabelAntiEntropy = "antientropy"
 )
 
 // maxTracesDefault bounds retained traces; the oldest trace is evicted
@@ -188,11 +179,6 @@ func (t *Tracer) Record(id TraceID, name, node string, start, end time.Time, att
 		e.spans = append(e.spans, sp)
 	}
 	t.mu.Unlock()
-}
-
-// Event records a point-in-time span (Start == End).
-func (t *Tracer) Event(id TraceID, name, node string, at time.Time, attrs ...string) {
-	t.Record(id, name, node, at, at, attrs...)
 }
 
 // ensureLocked returns the trace entry, creating (and evicting) as

@@ -18,7 +18,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatalf("nil tracer minted %q", id)
 	}
 	tr.Record("x", SpanGatewayPropose, "client1", time.Now(), time.Now())
-	tr.Event("x", SpanGossipOrigin, "peer1", time.Now())
 	tr.Bind("tx2", "x")
 	tr.BlockOrigin("ch1", 3, "gossip", 2)
 	if _, _, ok := tr.OriginOf("ch1", 3); ok {
@@ -99,7 +98,7 @@ func TestSpanCap(t *testing.T) {
 	id := tr.Mint("tx1")
 	at := time.Unix(0, 0)
 	for i := 0; i < maxSpansPerTrace+50; i++ {
-		tr.Record(id, SpanGossipOrigin, "p", at, at)
+		tr.Record(id, SpanCommitVSCC, "p", at, at)
 	}
 	if n := len(tr.Spans(id)); n != maxSpansPerTrace {
 		t.Fatalf("span cap not enforced: %d", n)
@@ -108,10 +107,10 @@ func TestSpanCap(t *testing.T) {
 
 func TestBlockOriginFirstWriteWins(t *testing.T) {
 	tr := New(0)
-	tr.BlockOrigin("ch1", 7, SourceLabelGossip, 2)
+	tr.BlockOrigin("ch1", 7, "gossip", 2)
 	tr.BlockOrigin("ch1", 7, "antientropy", 0)
 	src, hops, ok := tr.OriginOf("ch1", 7)
-	if !ok || src != SourceLabelGossip || hops != 2 {
+	if !ok || src != "gossip" || hops != 2 {
 		t.Fatalf("OriginOf = %q,%d,%v", src, hops, ok)
 	}
 	if _, _, ok := tr.OriginOf("ch2", 7); ok {
@@ -237,7 +236,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				id := tr.Mint(fmt.Sprintf("g%d-tx%d", g, i))
 				tr.Record(id, SpanGatewayPropose, "c", time.Now(), time.Now())
-				tr.BlockOrigin("ch1", uint64(i), SourceLabelGossip, g)
+				tr.BlockOrigin("ch1", uint64(i), "gossip", g)
 				tr.Spans(id)
 				tr.CriticalPath(id)
 				_, _, _ = tr.OriginOf("ch1", uint64(i))

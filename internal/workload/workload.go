@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fabricsim/internal/client"
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/gateway"
 )
@@ -193,12 +192,12 @@ func (st *runState) snapshot() Stats {
 	}
 }
 
-// Run drives the clients' gateways in the configured mode and blocks
+// Run drives the client gateways in the configured mode and blocks
 // until all in-flight transactions resolve (commit, rejection, or
 // timeout).
-func Run(ctx context.Context, clients []*client.Client, cfg Config) (Stats, error) {
-	if len(clients) == 0 {
-		return Stats{}, fmt.Errorf("workload: no clients")
+func Run(ctx context.Context, gateways []*gateway.Gateway, cfg Config) (Stats, error) {
+	if len(gateways) == 0 {
+		return Stats{}, fmt.Errorf("workload: no gateways")
 	}
 	if err := cfg.applyDefaults(); err != nil {
 		return Stats{}, err
@@ -210,8 +209,7 @@ func Run(ctx context.Context, clients []*client.Client, cfg Config) (Stats, erro
 	}
 
 	var wg sync.WaitGroup
-	for ci, cl := range clients {
-		ci, gw := ci, cl.Gateway()
+	for ci, gw := range gateways {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -219,7 +217,7 @@ func Run(ctx context.Context, clients []*client.Client, cfg Config) (Stats, erro
 			case Pipeline:
 				st.runPipelineClient(ctx, gw, ci)
 			default:
-				st.runOpenLoopClient(ctx, gw, ci, len(clients))
+				st.runOpenLoopClient(ctx, gw, ci, len(gateways))
 			}
 		}()
 	}

@@ -32,7 +32,7 @@ func testNet(t *testing.T, col *metrics.Collector) *fabnet.Network {
 
 func TestRunGeneratesAtRate(t *testing.T) {
 	n := testNet(t, nil)
-	stats, err := Run(context.Background(), n.Clients, Config{
+	stats, err := Run(context.Background(), n.Gateways, Config{
 		Rate:     40,
 		Duration: 3 * time.Second,
 		Model:    costmodel.Default(0.05),
@@ -55,7 +55,7 @@ func TestRunGeneratesAtRate(t *testing.T) {
 
 func TestRunPoissonArrivals(t *testing.T) {
 	n := testNet(t, nil)
-	stats, err := Run(context.Background(), n.Clients, Config{
+	stats, err := Run(context.Background(), n.Gateways, Config{
 		Rate:     40,
 		Duration: 3 * time.Second,
 		Arrival:  Poisson,
@@ -77,7 +77,7 @@ func TestRunPipelineWindowScalesThroughput(t *testing.T) {
 	committed := make(map[int]int64)
 	for _, window := range []int{1, 16} {
 		n := testNet(t, nil)
-		stats, err := Run(context.Background(), n.Clients, Config{
+		stats, err := Run(context.Background(), n.Gateways, Config{
 			Mode:     Pipeline,
 			Window:   window,
 			Duration: 3 * time.Second,
@@ -103,10 +103,10 @@ func TestRunPipelineWindowScalesThroughput(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	n := testNet(t, nil)
-	if _, err := Run(context.Background(), n.Clients, Config{Rate: 0, Duration: time.Second}); err == nil {
+	if _, err := Run(context.Background(), n.Gateways, Config{Rate: 0, Duration: time.Second}); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := Run(context.Background(), n.Clients, Config{Rate: 10, Duration: 0}); err == nil {
+	if _, err := Run(context.Background(), n.Gateways, Config{Rate: 10, Duration: 0}); err == nil {
 		t.Error("zero duration accepted")
 	}
 	if _, err := Run(context.Background(), nil, Config{Rate: 10, Duration: time.Second}); err == nil {
@@ -137,17 +137,17 @@ func TestZipfSkewsKeyPopularity(t *testing.T) {
 
 func TestZipfValidation(t *testing.T) {
 	n := testNet(t, nil)
-	if _, err := Run(context.Background(), n.Clients, Config{
+	if _, err := Run(context.Background(), n.Gateways, Config{
 		Rate: 10, Duration: time.Second, ZipfS: 0.9, KeySpace: 10,
 	}); err == nil {
 		t.Error("ZipfS <= 1 accepted")
 	}
-	if _, err := Run(context.Background(), n.Clients, Config{
+	if _, err := Run(context.Background(), n.Gateways, Config{
 		Rate: 10, Duration: time.Second, ZipfS: 1.5,
 	}); err == nil {
 		t.Error("ZipfS without a key space accepted")
 	}
-	if _, err := Run(context.Background(), n.Clients, Config{
+	if _, err := Run(context.Background(), n.Gateways, Config{
 		Rate: 10, Duration: time.Second, Profile: "nope",
 	}); err == nil {
 		t.Error("unknown profile accepted")
@@ -204,7 +204,7 @@ func TestRunKeySpaceContention(t *testing.T) {
 	col := metrics.NewCollector()
 	n := testNet(t, col)
 	model := costmodel.Default(0.05)
-	stats, err := Run(context.Background(), n.Clients, Config{
+	stats, err := Run(context.Background(), n.Gateways, Config{
 		Rate:     60,
 		Duration: 3 * time.Second,
 		Model:    model,
