@@ -22,7 +22,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
+	"sync"
 )
 
 // Scheme names.
@@ -76,11 +78,15 @@ func Verify(scheme string, pub, msg, sig []byte) error {
 
 // Digest returns the SHA-256 digest of the concatenation of its inputs.
 func Digest(parts ...[]byte) []byte {
+	if len(parts) == 1 {
+		sum := sha256.Sum256(parts[0])
+		return sum[:]
+	}
 	h := sha256.New()
 	for _, p := range parts {
 		h.Write(p)
 	}
-	return h.Sum(nil)
+	return h.Sum(make([]byte, 0, sha256.Size))
 }
 
 // --- ECDSA P-256 ---
@@ -153,6 +159,9 @@ func verifyECDSA(pub, msg, sig []byte) error {
 // HMAC secret itself. Suitable only for performance simulation.
 type HMACKeyPair struct {
 	key []byte
+	// macs holds HMAC states keyed with key, so a signature resets one
+	// instead of deriving the inner and outer pads again.
+	macs sync.Pool
 }
 
 var _ KeyPair = (*HMACKeyPair)(nil)
@@ -163,17 +172,22 @@ func GenerateHMAC() (*HMACKeyPair, error) {
 	if _, err := rand.Read(key); err != nil {
 		return nil, fmt.Errorf("generate hmac key: %w", err)
 	}
-	return &HMACKeyPair{key: key}, nil
+	k := &HMACKeyPair{key: key}
+	k.macs.New = func() any { return hmac.New(sha256.New, k.key) }
+	return k, nil
 }
 
 // Scheme returns "hmac".
 func (k *HMACKeyPair) Scheme() string { return SchemeHMAC }
 
-// Sign returns HMAC-SHA256(key, msg).
+// Sign returns HMAC-SHA256(key, msg). It is safe for concurrent use.
 func (k *HMACKeyPair) Sign(msg []byte) ([]byte, error) {
-	m := hmac.New(sha256.New, k.key)
+	m := k.macs.Get().(hash.Hash)
+	m.Reset()
 	m.Write(msg)
-	return m.Sum(nil), nil
+	sig := m.Sum(make([]byte, 0, sha256.Size))
+	k.macs.Put(m)
+	return sig, nil
 }
 
 // Public returns the HMAC key (see type comment).

@@ -1,0 +1,124 @@
+package fabcrypto
+
+import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// hmacReference is Sign as it was before HMAC states were pooled: a
+// fresh keyed HMAC per signature.
+func hmacReference(key, msg []byte) []byte {
+	m := hmac.New(sha256.New, key)
+	m.Write(msg)
+	return m.Sum(nil)
+}
+
+// randomMessages returns n messages of 0-299 seeded random bytes, so
+// some fit in one SHA-256 block and some span several.
+func randomMessages(n int) [][]byte {
+	r := rand.New(rand.NewSource(26))
+	msgs := make([][]byte, n)
+	for i := range msgs {
+		msgs[i] = make([]byte, r.Intn(300))
+		r.Read(msgs[i])
+	}
+	return msgs
+}
+
+// TestHMACSignMatchesHMACNew requires the pooled Sign to be byte-identical
+// to a fresh hmac.New on 1 000 random messages, from one goroutine and
+// then from eight sharing the key pair (run under -race, this is what
+// pins the pool's Reset discipline).
+func TestHMACSignMatchesHMACNew(t *testing.T) {
+	kp, err := GenerateHMAC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := randomMessages(1000)
+	check := func(msg []byte) {
+		sig, err := kp.Sign(msg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if want := hmacReference(kp.key, msg); !bytes.Equal(sig, want) {
+			t.Errorf("Sign(%x) = %x, want %x", msg, sig, want)
+		}
+	}
+	for _, msg := range msgs {
+		check(msg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(msgs); i += 8 {
+				check(msgs[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDigestMatchesStreamingHash holds Digest to one sha256 stream over
+// its parts, for zero to four parts, empty and nil ones included.
+func TestDigestMatchesStreamingHash(t *testing.T) {
+	msgs := randomMessages(400)
+	for i := 0; i+4 <= len(msgs); i += 4 {
+		parts := msgs[i : i+i%5]
+		if i%7 == 0 && len(parts) > 0 {
+			parts[0] = nil
+		}
+		h := sha256.New()
+		for _, p := range parts {
+			h.Write(p)
+		}
+		if got, want := Digest(parts...), h.Sum(nil); !bytes.Equal(got, want) {
+			t.Fatalf("Digest of %d parts = %x, want %x", len(parts), got, want)
+		}
+	}
+}
+
+// TestSignAndDigestAllocs pins the endorse path's per-signature cost:
+// the returned slice is the only allocation.
+func TestSignAndDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	kp, err := GenerateHMAC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, a, b := make([]byte, 64), make([]byte, 32), make([]byte, 32)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"HMACKeyPair.Sign", func() { _, _ = kp.Sign(msg) }},
+		{"Digest of one part", func() { _ = Digest(msg) }},
+		{"Digest of two parts", func() { _ = Digest(a, b) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs > 1 {
+			t.Errorf("%s: %.1f allocations, want <= 1", c.name, allocs)
+		}
+	}
+}
+
+func BenchmarkHMACSign(b *testing.B) {
+	kp, err := GenerateHMAC()
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := make([]byte, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := kp.Sign(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"fabricsim/internal/types"
@@ -37,6 +38,8 @@ type BlockStore interface {
 // the latest checkpoint plus the block-store tail on reopen.
 type TxIndex interface {
 	// Add indexes a transaction; re-adding an ID replaces its record.
+	// The index keeps its own copy of id, which is usually a view of a
+	// decoded block (see types.Block.Transactions).
 	Add(id types.TxID, info TxInfo)
 	// Get returns the indexed record for id.
 	Get(id types.TxID) (TxInfo, bool)
@@ -121,6 +124,9 @@ func newMemIndex(historyCap int) *memIndex {
 }
 
 func (x *memIndex) Add(id types.TxID, info TxInfo) {
+	// Copied even when id is indexed already: assigning a map entry also
+	// overwrites its string key.
+	id = types.TxID(strings.Clone(string(id)))
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if old, ok := x.txs[id]; ok {

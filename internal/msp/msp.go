@@ -91,9 +91,8 @@ func (m *MSP) Orgs() int {
 // ValidateIdentity parses serialized certificate bytes, checks them
 // against the issuing org's CA, and returns the certificate.
 func (m *MSP) ValidateIdentity(serialized []byte) (*ca.Certificate, error) {
-	key := string(serialized)
 	m.cacheMu.RLock()
-	cached, ok := m.cache[key]
+	cached, ok := m.cache[string(serialized)] // a lookup copies no key
 	m.cacheMu.RUnlock()
 	if ok {
 		return cached, nil
@@ -114,7 +113,7 @@ func (m *MSP) ValidateIdentity(serialized []byte) (*ca.Certificate, error) {
 	}
 
 	m.cacheMu.Lock()
-	m.cache[key] = cert
+	m.cache[string(serialized)] = cert
 	m.cacheMu.Unlock()
 	return cert, nil
 }

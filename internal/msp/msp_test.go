@@ -111,3 +111,17 @@ func TestSigningIdentityAccessors(t *testing.T) {
 		t.Errorf("accessors: %s / %s", id.ID(), id.Org())
 	}
 }
+
+// TestValidateIdentityCacheHitAllocs pins that a cached identity is found
+// without copying the certificate bytes into a key.
+func TestValidateIdentityCacheHitAllocs(t *testing.T) {
+	m, org1, _ := testMSP(t)
+	e, _ := org1.Enroll("peer0", ca.RolePeer)
+	raw := e.Cert.Marshal()
+	if _, err := m.ValidateIdentity(raw); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = m.ValidateIdentity(raw) }); allocs != 0 {
+		t.Errorf("cache hit: %.1f allocations, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -345,10 +346,12 @@ func (p *Peer) recordCommitSpans(cs *channelState, pb *pipelinedBlock, appendSta
 	groups := fmt.Sprint(pb.groups)
 	source, hops, haveOrigin := tr.OriginOf(cs.id, pb.committed.Header.Number)
 	for i, tx := range pb.txs {
-		id := trace.TraceID(tx.Proposal.TraceID)
-		if id == "" {
+		if tx.Proposal.TraceID == "" {
 			continue
 		}
+		// The tracer keeps its spans past this block's commit, and the
+		// decoded TraceID is a view of the block's envelope.
+		id := trace.TraceID(strings.Clone(tx.Proposal.TraceID))
 		code := pb.committed.Metadata.ValidationFlags[i]
 		if code == types.ValidationEarlyAbort {
 			// Early-aborted transactions skip validate CPU entirely: one

@@ -205,6 +205,13 @@ func (db *DB) GetRange(ns, startKey, endKey string, limit int) ([]KV, error) {
 // ApplyUpdates commits a batch at the given ledger height. Heights must
 // be monotonically increasing; replays are rejected so a crashed peer
 // cannot double-apply a block.
+//
+// The batch's keys and namespaces are usually views of a decoded block
+// (see types.Block.Transactions), so the database copies the new ones
+// it keeps, as it copies every value, and updates an existing key's
+// entry in place: assigning it would overwrite the key the map owns with
+// the batch's. Readers only ever copy an entry out under the lock, so
+// the in-place update is as invisible to them as a replacement.
 func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -218,10 +225,15 @@ func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 		target, ok := db.data[ns]
 		if !ok {
 			target = make(map[string]*VersionedValue, len(m))
-			db.data[ns] = target
+			db.data[strings.Clone(ns)] = target
 		}
 		for k, vv := range m {
-			target[k] = &VersionedValue{Value: append([]byte(nil), vv.Value...), Version: vv.Version}
+			update := VersionedValue{Value: append([]byte(nil), vv.Value...), Version: vv.Version}
+			if cur, ok := target[k]; ok {
+				*cur = update
+			} else {
+				target[strings.Clone(k)] = &update
+			}
 		}
 	}
 	for ns, dm := range batch.deletes {

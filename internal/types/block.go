@@ -107,14 +107,29 @@ func (b *Block) VerifyDataHash() error {
 // Transactions decodes every envelope in the block. A decoding failure
 // on any transaction aborts with an error; the committer treats that as
 // a BAD_PAYLOAD block.
+//
+// The transactions are read-only views of the block, decoded without
+// copying a field: their []byte fields alias Data, their strings share
+// one copy of each envelope, and their slices share a few arrays per
+// block. Nothing may write to them, and what outlives the block's commit
+// must be copied: the ledger's tx index copies each TxID it keeps and
+// the state DB each new key and namespace, so a committed block's bytes
+// can still be collected.
 func (b *Block) Transactions() ([]*Transaction, error) {
-	txs := make([]*Transaction, 0, len(b.Data))
-	for i, d := range b.Data {
-		tx, err := UnmarshalTransaction(d)
-		if err != nil {
+	later := 0
+	for _, env := range b.Data {
+		later += len(env)
+	}
+	slab := make([]Transaction, len(b.Data))
+	txs := make([]*Transaction, len(b.Data))
+	var d txDecoder
+	for i, env := range b.Data {
+		later -= len(env)
+		d.start(env, i, len(b.Data)-1-i, later)
+		if err := d.transaction(&slab[i]); err != nil {
 			return nil, fmt.Errorf("block %d tx %d: %w", b.Header.Number, i, err)
 		}
-		txs = append(txs, tx)
+		txs[i] = &slab[i]
 	}
 	return txs, nil
 }
@@ -166,11 +181,13 @@ func UnmarshalBlock(buf []byte) (*Block, error) {
 	b.Metadata.OrdererID = dec.String()
 	b.Metadata.ChannelID = dec.String()
 	b.Metadata.Reordered = dec.Bool()
-	ea := dec.Uvarint()
-	if ea > maxFieldLen {
-		return nil, ErrOversize
+	// Early-aborted transactions are the block's tail, so there cannot be
+	// more of them than transactions.
+	if ea := dec.Uvarint(); ea > uint64(len(b.Data)) {
+		dec.fail(fmt.Errorf("%w: %d early aborts in a block of %d transactions", ErrOversize, ea, len(b.Data)))
+	} else {
+		b.Metadata.EarlyAborted = int(ea)
 	}
-	b.Metadata.EarlyAborted = int(ea)
 	if err := dec.Finish(); err != nil {
 		return nil, fmt.Errorf("unmarshal block: %w", err)
 	}

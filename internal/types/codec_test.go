@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -115,7 +116,9 @@ func TestBytesStringRoundTripProperty(t *testing.T) {
 // wire a few bytes claiming 2^28-1 elements. The orderer runs these on
 // untrusted bytes at broadcast ingress: each must fail, and must fail
 // before allocating what the count asks for (the first case used to
-// allocate 6 GiB on its way to "short buffer").
+// allocate 6 GiB on its way to "short buffer"). A block read from disk
+// may also claim more early-aborted transactions than it carries. Every
+// decoder wraps its error, so callers can tell which decode failed.
 func TestDecodeHostileCounts(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0x7f} // uvarint 2^28-1, just under maxFieldLen
 	with := func(encode func(*Encoder)) []byte {
@@ -134,28 +137,40 @@ func TestDecodeHostileCounts(t *testing.T) {
 	peek := func(b []byte) error { _, err := PeekEnvelopeInfo(b); return err }
 	transaction := func(b []byte) error { _, err := UnmarshalTransaction(b); return err }
 	block := func(b []byte) error { _, err := UnmarshalBlock(b); return err }
+	// A block of one empty envelope and one flag whose metadata ends in
+	// an early-abort count.
+	earlyAborted := func(n uint64) []byte {
+		b := (&Block{Data: [][]byte{nil}, Metadata: BlockMetadata{ValidationFlags: []ValidationCode{0}}}).Marshal()
+		return binary.AppendUvarint(b[:len(b)-1], n)
+	}
 	cases := []struct {
 		name   string
 		input  []byte
 		decode func([]byte) error
+		want   error
 	}{
-		{"peek args", args, peek},
-		{"peek reads", with(emptyProposal), peek},
-		{"peek writes", with(func(enc *Encoder) { emptyProposal(enc); enc.Uvarint(0) }), peek},
-		{"proposal args", args, func(b []byte) error { _, err := UnmarshalProposal(b); return err }},
-		{"rwset reads", huge, func(b []byte) error { _, err := UnmarshalRWSet(b); return err }},
-		{"transaction args", args, transaction},
-		{"transaction endorsements", with(func(enc *Encoder) { emptyProposal(enc); (&RWSet{}).encode(enc) }), transaction},
-		{"block data", with(header), block},
-		{"block flags", with(func(enc *Encoder) { header(enc); enc.Uvarint(0) }), block},
+		{"peek args", args, peek, ErrShortBuffer},
+		{"peek reads", with(emptyProposal), peek, ErrShortBuffer},
+		{"peek writes", with(func(enc *Encoder) { emptyProposal(enc); enc.Uvarint(0) }), peek, ErrShortBuffer},
+		{"proposal args", args, func(b []byte) error { _, err := UnmarshalProposal(b); return err }, ErrShortBuffer},
+		{"rwset reads", huge, func(b []byte) error { _, err := UnmarshalRWSet(b); return err }, ErrShortBuffer},
+		{"transaction args", args, transaction, ErrShortBuffer},
+		{"transaction endorsements", with(func(enc *Encoder) { emptyProposal(enc); (&RWSet{}).encode(enc) }), transaction, ErrShortBuffer},
+		{"block data", with(header), block, ErrShortBuffer},
+		{"block flags", with(func(enc *Encoder) { header(enc); enc.Uvarint(0) }), block, ErrShortBuffer},
+		{"block early aborts past the field limit", earlyAborted(maxFieldLen + 1), block, ErrOversize},
+		{"block early aborts past its transactions", earlyAborted(2), block, ErrOversize},
+	}
+	if err := block(earlyAborted(1)); err != nil {
+		t.Fatalf("block whose one transaction was early-aborted: %v", err)
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := c.decode(c.input)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrShortBuffer) {
-			t.Errorf("%s: err = %v, want %v", c.name, err, ErrShortBuffer)
+		if !errors.Is(err, c.want) || err == c.want {
+			t.Errorf("%s: err = %v, want it to wrap %v", c.name, err, c.want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Errorf("%s: allocated %d bytes decoding %d", c.name, got, len(c.input))

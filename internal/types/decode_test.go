@@ -1,0 +1,188 @@
+package types
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// checkBlockDecode requires Block.Transactions and UnmarshalTransaction
+// to agree with the reference decode on b: equal transactions (nil and
+// empty slices told apart) where it accepts, the same error where it
+// rejects.
+func checkBlockDecode(t *testing.T, b *Block) {
+	t.Helper()
+	want, werr := refBlockTransactions(b)
+	got, gerr := b.Transactions()
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("Transactions error = %v, reference %v", gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Transactions differs from the reference:\n got %+v\nwant %+v", got, want)
+	}
+	for i, d := range b.Data {
+		want, werr := refUnmarshalTransaction(d)
+		got, gerr := UnmarshalTransaction(d)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("UnmarshalTransaction(envelope %d) = %+v, %v; reference %+v, %v", i, got, gerr, want, werr)
+		}
+	}
+}
+
+// TestBlockTransactionsMatchesReference holds the in-place decode to the
+// copying reference on 10 000 seeded envelopes, in blocks of 1-64 so
+// the per-block slabs are shared across transactions of every shape.
+func TestBlockTransactionsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for n, num := 0, uint64(1); n < 10000; num++ {
+		data := make([][]byte, 1+r.Intn(64))
+		for i := range data {
+			data[i] = genTransaction(r).Marshal()
+		}
+		n += len(data)
+		checkBlockDecode(t, NewBlock(num, nil, data))
+	}
+}
+
+// TestBlockTransactionsPrefixErrors cuts envelopes at every strict
+// prefix, behind a whole envelope so the cut one decodes into slabs the
+// first already drew from, and requires the reference's error for each.
+func TestBlockTransactionsPrefixErrors(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k < 150; k++ {
+		whole, env := genTransaction(r).Marshal(), genTransaction(r).Marshal()
+		for n := 0; n < len(env); n++ {
+			b := &Block{Header: BlockHeader{Number: uint64(n)}, Data: [][]byte{whole, env[:n]}}
+			if _, err := b.Transactions(); err == nil {
+				t.Fatalf("prefix %d of %d decoded", n, len(env))
+			}
+			checkBlockDecode(t, b)
+		}
+	}
+}
+
+// TestBlockTransactionsAliasing pins the read-only-view contract from
+// the other side: decoding never writes to Data, and appending to any
+// decoded slice — a []byte field, or a run carved from a block slab —
+// cannot reach the block's bytes or a neighbouring field, because every
+// view's capacity ends where its field does.
+func TestBlockTransactionsAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	data := make([][]byte, 64)
+	pristine := make([][]byte, len(data))
+	for i := range data {
+		data[i] = genTransaction(r).Marshal()
+		pristine[i] = bytes.Clone(data[i])
+	}
+	b := NewBlock(1, nil, data)
+	want, err := refBlockTransactions(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs, err := b.Transactions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b.Data, pristine) {
+		t.Fatal("decoding wrote to the block's Data")
+	}
+	for _, tx := range txs {
+		grow := func(f []byte) { _ = append(f, 0xEE, 0xEE, 0xEE) }
+		for _, a := range tx.Proposal.Args {
+			grow(a)
+		}
+		grow(tx.Proposal.Creator)
+		grow(tx.Proposal.Nonce)
+		for _, w := range tx.Results.Writes {
+			grow(w.Value)
+		}
+		for _, en := range tx.Endorsements {
+			grow(en.Signature)
+		}
+		grow(tx.ClientSig)
+		grow(tx.Padding)
+		_ = append(tx.Proposal.Args, []byte("x"))
+		_ = append(tx.Results.Reads, KVRead{Key: "x"})
+		_ = append(tx.Results.Writes, KVWrite{Key: "x"})
+		_ = append(tx.Endorsements, Endorsement{EndorserID: "x"})
+	}
+	if !reflect.DeepEqual(b.Data, pristine) {
+		t.Error("appending to a decoded field wrote to the block's Data")
+	}
+	if !reflect.DeepEqual(txs, want) {
+		t.Error("appending to a decoded field changed a neighbouring field")
+	}
+}
+
+// and5Block is a 100-transaction block shaped like the and5_raft
+// workload's: five endorsements, one read and one write per envelope.
+func and5Block() *Block {
+	r := rand.New(rand.NewSource(1))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		r.Read(b)
+		return b
+	}
+	data := make([][]byte, 100)
+	for i := range data {
+		nonce, creator := random(24), random(180)
+		key := fmt.Sprintf("key%06d", r.Intn(10000))
+		tx := &Transaction{
+			Proposal: Proposal{
+				TxID: ComputeTxID(nonce, creator), ChannelID: "perf", ChaincodeID: "bench", Fn: "write",
+				Args: [][]byte{[]byte(key), random(64)}, Creator: creator, Nonce: nonce, Timestamp: int64(i),
+			},
+			Results: RWSet{
+				Reads:  []KVRead{{Key: key, Version: Version{BlockNum: 3, TxNum: uint64(i)}, Exists: true}},
+				Writes: []KVWrite{{Key: key, Value: random(64)}},
+			},
+			ClientSig:  random(32),
+			SubmitTime: int64(i),
+		}
+		for o := 1; o <= 5; o++ {
+			tx.Endorsements = append(tx.Endorsements, Endorsement{
+				EndorserID: fmt.Sprintf("Org%d.peer0", o), EndorserOrg: fmt.Sprintf("Org%d", o), Signature: random(32),
+			})
+		}
+		data[i] = tx.Marshal()
+	}
+	return NewBlock(1, nil, data)
+}
+
+// TestBlockTransactionsAllocs is the decode's allocation budget: at most
+// two allocations per transaction plus a per-block constant.
+func TestBlockTransactionsAllocs(t *testing.T) {
+	b := and5Block()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.Transactions(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2*len(b.Data) + 10); allocs > limit {
+		t.Errorf("Transactions on a %d-tx block: %.0f allocations, want <= %.0f", len(b.Data), allocs, limit)
+	}
+}
+
+func BenchmarkBlockTransactions(b *testing.B) {
+	blk := and5Block()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := blk.Transactions(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzBlockTransactions holds the decode to the reference on a block of
+// two arbitrary envelopes. The seeds are generator-built envelopes.
+func FuzzBlockTransactions(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		f.Add(genTransaction(r).Marshal(), genTransaction(r).Marshal())
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		checkBlockDecode(t, &Block{Header: BlockHeader{Number: 2}, Data: [][]byte{a, b}})
+	})
+}

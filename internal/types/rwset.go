@@ -80,7 +80,9 @@ func (rw *RWSet) encode(enc *Encoder) {
 	}
 }
 
-// decode reads the set from dec.
+// decode reads the set from dec, copying every key and value: the
+// ordering path (PeekEnvelopeInfo) keeps what it reads while its caller
+// may reuse the buffer. A Transaction's set is decoded in place instead.
 func (rw *RWSet) decode(dec *Decoder) {
 	nr := dec.length()
 	rw.Reads = make([]KVRead, 0, nr)

@@ -111,25 +111,9 @@ func (p *Proposal) encode(enc *Encoder) {
 	enc.String(p.TraceID)
 }
 
-func (p *Proposal) decode(dec *Decoder) {
-	p.TxID = TxID(dec.String())
-	p.ChannelID = dec.String()
-	p.ChaincodeID = dec.String()
-	p.Fn = dec.String()
-	n := dec.length()
-	p.Args = make([][]byte, 0, n)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		p.Args = append(p.Args, dec.Bytes2())
-	}
-	p.Creator = dec.Bytes2()
-	p.Nonce = dec.Bytes2()
-	p.Timestamp = dec.Int64()
-	p.TraceID = dec.String()
-}
-
-// peek is decode for the ordering path: it keeps TxID, ChaincodeID and
-// TraceID and steps over every other field, with the same bounds checks
-// and no copy.
+// peek is the ordering path's proposal decode: it copies TxID,
+// ChaincodeID and TraceID and steps over every other field, with the
+// same bounds checks as the full decode.
 func (p *Proposal) peek(dec *Decoder) {
 	p.TxID = TxID(dec.String())
 	dec.field() // ChannelID
@@ -151,12 +135,14 @@ func (p *Proposal) Marshal() []byte {
 	return enc.Bytes()
 }
 
-// UnmarshalProposal decodes a proposal produced by Marshal.
+// UnmarshalProposal decodes a proposal produced by Marshal. Its fields
+// are read-only views of b, as a decoded Transaction's are.
 func UnmarshalProposal(b []byte) (*Proposal, error) {
-	dec := NewDecoder(b)
+	var d txDecoder
+	d.start(b, 0, 0, 0)
 	var p Proposal
-	p.decode(dec)
-	if err := dec.Finish(); err != nil {
+	d.proposal(&p)
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("unmarshal proposal: %w", err)
 	}
 	return &p, nil
@@ -181,12 +167,6 @@ func (en *Endorsement) encode(enc *Encoder) {
 	enc.String(en.EndorserID)
 	enc.String(en.EndorserOrg)
 	enc.Bytes2(en.Signature)
-}
-
-func (en *Endorsement) decode(dec *Decoder) {
-	en.EndorserID = dec.String()
-	en.EndorserOrg = dec.String()
-	en.Signature = dec.Bytes2()
 }
 
 // ProposalResponse is what an endorsing peer returns to the client:
@@ -221,21 +201,23 @@ func (pr *ProposalResponse) Marshal() []byte {
 	return enc.Bytes()
 }
 
-// UnmarshalProposalResponse decodes a response produced by Marshal.
+// UnmarshalProposalResponse decodes a response produced by Marshal. Its
+// fields are read-only views of b, as a decoded Transaction's are.
 func UnmarshalProposalResponse(b []byte) (*ProposalResponse, error) {
-	dec := NewDecoder(b)
+	var d txDecoder
+	d.start(b, 0, 0, 0)
 	var pr ProposalResponse
-	pr.TxID = TxID(dec.String())
-	pr.Status = int32(uint32(dec.Uvarint()))
-	pr.Message = dec.String()
-	pr.ResultsHash = dec.Bytes2()
-	if dec.Bool() {
+	pr.TxID = TxID(d.str())
+	pr.Status = int32(uint32(d.Uvarint()))
+	pr.Message = d.str()
+	pr.ResultsHash = d.bytes()
+	if d.Bool() {
 		pr.Results = &RWSet{}
-		pr.Results.decode(dec)
+		d.rwset(pr.Results)
 	}
-	pr.Payload = dec.Bytes2()
-	pr.Endorsement.decode(dec)
-	if err := dec.Finish(); err != nil {
+	pr.Payload = d.bytes()
+	d.endorsement(&pr.Endorsement)
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("unmarshal proposal response: %w", err)
 	}
 	return &pr, nil
@@ -265,19 +247,6 @@ func (t *Transaction) encode(enc *Encoder) {
 	enc.Bytes2(t.Padding)
 }
 
-func (t *Transaction) decode(dec *Decoder) {
-	t.Proposal.decode(dec)
-	t.Results.decode(dec)
-	n := dec.length()
-	t.Endorsements = make([]Endorsement, n)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		t.Endorsements[i].decode(dec)
-	}
-	t.ClientSig = dec.Bytes2()
-	t.SubmitTime = dec.Int64()
-	t.Padding = dec.Bytes2()
-}
-
 // Marshal returns the deterministic encoding of the transaction.
 func (t *Transaction) Marshal() []byte {
 	enc := NewEncoder(512 + len(t.Padding))
@@ -285,13 +254,14 @@ func (t *Transaction) Marshal() []byte {
 	return enc.Bytes()
 }
 
-// UnmarshalTransaction decodes a transaction produced by Marshal.
+// UnmarshalTransaction decodes a transaction produced by Marshal. The
+// result is a read-only view of b; see Block.Transactions.
 func UnmarshalTransaction(b []byte) (*Transaction, error) {
-	dec := NewDecoder(b)
+	var d txDecoder
+	d.start(b, 0, 0, 0)
 	var t Transaction
-	t.decode(dec)
-	if err := dec.Finish(); err != nil {
-		return nil, fmt.Errorf("unmarshal transaction: %w", err)
+	if err := d.transaction(&t); err != nil {
+		return nil, err
 	}
 	return &t, nil
 }
