@@ -1417,10 +1417,7 @@ func registerWireTypes() {
 			&peer.EndorseRequest{},
 			&types.ProposalResponse{},
 			[]peer.CommitEvent(nil),
-			&peer.CommitEvent{},
-			&peer.CommitStatusRequest{},
 			&orderer.BroadcastEnvelope{},
-			&orderer.GetBlockArgs{},
 			&orderer.GetBlocksArgs{}, &orderer.GetBlocksReply{},
 			&orderer.SubscribeArgs{}, &orderer.SubscribeReply{},
 			&orderer.SubmitArgs{},

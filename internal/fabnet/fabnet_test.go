@@ -12,9 +12,13 @@ import (
 	"fabricsim/internal/workload"
 )
 
-// runSmoke builds a small network, pushes a short load, and returns the
-// summary.
-func runSmoke(t *testing.T, ordererType OrdererType, pol policy.Policy, peers int) metrics.Summary {
+// runSmoke builds a small network, pushes a short load, and checks what
+// holds on any host: every client-observed success is a VALID
+// transaction on the ledger, and every peer converges to one verified
+// chain. Throughput is only logged here; TestPaperFidelity's Solo/OR and
+// Solo/AND5 rows (internal/bench) pin the calibrated validate caps and
+// re-measure a low reading, since a loaded host can only lower one.
+func runSmoke(t *testing.T, ordererType OrdererType, pol policy.Policy, peers int) {
 	t.Helper()
 	col := metrics.NewCollector()
 	model := costmodel.Default(0.1)
@@ -53,19 +57,47 @@ func runSmoke(t *testing.T, ordererType OrdererType, pol policy.Policy, peers in
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
 	t.Logf("exec=%.1f order=%.1f validate=%.1f tps, total latency avg=%s",
 		sum.ExecuteTPS, sum.OrderTPS, sum.ValidateTPS, sum.TotalLatency.Avg)
+	waitConverged(t, n)
+	if valid := int64(n.Peers[0].Ledger().Stats().ValidTxs); valid < stats.Succeeded {
+		t.Errorf("peer %s holds %d VALID transactions, fewer than the %d clients saw commit",
+			n.Peers[0].ID(), valid, stats.Succeeded)
+	}
+}
+
+// waitConverged waits for every peer to drain to the same height, then
+// checks each peer's hash chain verifies and ends at the same tip hash.
+func waitConverged(t *testing.T, n *Network) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	converged := false
+	for time.Now().Before(deadline) && !converged {
+		want := n.Peers[0].Ledger().Height()
+		converged = want > 1
+		for _, p := range n.Peers[1:] {
+			if p.Ledger().Height() != want {
+				converged = false
+			}
+		}
+		if !converged {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if !converged {
+		t.Fatal("peers never converged to one height")
+	}
+	refHash := n.Peers[0].Ledger().LastHash()
 	for _, p := range n.Peers {
 		if err := p.Ledger().VerifyChain(); err != nil {
 			t.Errorf("peer %s chain: %v", p.ID(), err)
 		}
+		if !bytes.Equal(p.Ledger().LastHash(), refHash) {
+			t.Errorf("peer %s tip hash diverges", p.ID())
+		}
 	}
-	return sum
 }
 
 func TestEndToEndSolo(t *testing.T) {
-	sum := runSmoke(t, Solo, policy.OrOverPeers(3), 3)
-	if sum.ValidateTPS < 30 {
-		t.Errorf("validate throughput %.1f tps, want >= 30", sum.ValidateTPS)
-	}
+	runSmoke(t, Solo, policy.OrOverPeers(3), 3)
 }
 
 func TestEndToEndKafka(t *testing.T) {
@@ -77,10 +109,7 @@ func TestEndToEndRaft(t *testing.T) {
 }
 
 func TestEndToEndANDPolicy(t *testing.T) {
-	sum := runSmoke(t, Solo, policy.AndOverPeers(3), 3)
-	if sum.ValidateTPS < 30 {
-		t.Errorf("validate throughput %.1f tps, want >= 30", sum.ValidateTPS)
-	}
+	runSmoke(t, Solo, policy.AndOverPeers(3), 3)
 }
 
 // TestPipelinedCommitterCrossPeerAgreement drives a network whose peers
@@ -123,37 +152,13 @@ func TestPipelinedCommitterCrossPeerAgreement(t *testing.T) {
 		t.Fatalf("no transactions committed (failed=%d)", stats.Failed)
 	}
 
-	// Commit-only peers lag the event peers slightly; wait for every
-	// peer to drain to the same height.
-	deadline := time.Now().Add(5 * time.Second)
-	converged := false
-	for time.Now().Before(deadline) && !converged {
-		want := n.Peers[0].Ledger().Height()
-		converged = want > 1
-		for _, p := range n.Peers[1:] {
-			if p.Ledger().Height() != want {
-				converged = false
-			}
-		}
-		if !converged {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if !converged {
-		t.Fatal("peers never converged to one height")
-	}
-	refHash := n.Peers[0].Ledger().LastHash()
+	// Commit-only peers lag the event peers slightly.
+	waitConverged(t, n)
 	refState := n.Peers[0].Ledger().State().DumpString()
 	if refState == "" {
 		t.Fatal("reference peer has empty state")
 	}
 	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s chain: %v", p.ID(), err)
-		}
-		if !bytes.Equal(p.Ledger().LastHash(), refHash) {
-			t.Errorf("peer %s tip hash diverges", p.ID())
-		}
 		if got := p.Ledger().State().DumpString(); got != refState {
 			t.Errorf("peer %s state diverges from peer %s", p.ID(), n.Peers[0].ID())
 		}

@@ -10,8 +10,10 @@
 // instead of the blocking one-thread-one-transaction SDK life cycle the
 // paper identifies as the execute-phase ceiling.
 //
-// The legacy closed-loop SDK surface (client.Invoke and friends) is a
-// thin facade over this package.
+// Invoke, the closed-loop SDK life cycle, is the same pipeline as
+// SubmitAsync without a window slot: one attempt loop runs every
+// transaction, and every Commit future resolves from the event peer's
+// commit-event stream.
 package gateway
 
 import (
@@ -87,13 +89,8 @@ type Config struct {
 	CPU *simcpu.CPU
 	// Orderers lists OSN IDs; broadcasts round-robin across them.
 	Orderers []string
-	// EventPeer is the peer whose commit events this gateway follows,
-	// and the peer its commit-status requests go to.
+	// EventPeer is the peer whose commit events this gateway follows.
 	EventPeer string
-	// NoEventStream disables the standing commit-event subscription:
-	// every Commit future then resolves through the peer's commit-status
-	// request path instead (one blocking request per transaction).
-	NoEventStream bool
 	// Policy is the channel endorsement policy.
 	Policy policy.Policy
 	// PeersByPrincipal maps policy principals (e.g. "Org1.peer0") to
@@ -169,28 +166,14 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrMVCCConflict) || errors.Is(err, ErrEarlyAbort)
 }
 
-// submissionTrace threads one logical submission's trace identity and
-// retry-attempt counter from the retry loops into the staged pipeline:
-// the first attempt's Propose mints the TraceID, later attempts bind
-// their fresh TxIDs to it, and every attempt's spans carry the attempt
-// number. It is mutated only by the retry loop's own goroutine.
+// submissionTrace carries one logical submission's trace identity and
+// retry-attempt counter from the attempt loop into propose: the first
+// attempt mints the TraceID, later attempts bind their fresh TxIDs to
+// it, and every attempt's spans carry the attempt number. It is mutated
+// only by the attempt loop's own goroutine.
 type submissionTrace struct {
 	id      trace.TraceID
 	attempt int
-}
-
-type submissionTraceKey struct{}
-
-// withSubmissionTrace attaches the submission's trace state to ctx.
-func withSubmissionTrace(ctx context.Context, st *submissionTrace) context.Context {
-	return context.WithValue(ctx, submissionTraceKey{}, st)
-}
-
-// submissionTraceFrom recovers the submission's trace state (nil for
-// single-shot paths that never entered a retry loop).
-func submissionTraceFrom(ctx context.Context) *submissionTrace {
-	st, _ := ctx.Value(submissionTraceKey{}).(*submissionTrace)
-	return st
 }
 
 // pendingTx is one registered commit-event waiter.
@@ -200,8 +183,7 @@ type pendingTx struct {
 
 // Gateway is one client process's connection to the network: it signs
 // proposals, fans endorsement requests out, broadcasts envelopes, and
-// resolves commit futures from the event stream (or per-transaction
-// commit-status requests).
+// resolves commit futures from the event stream.
 type Gateway struct {
 	cfg Config
 
@@ -213,9 +195,8 @@ type Gateway struct {
 	pending map[types.TxID]*pendingTx
 	window  chan struct{} // SubmitAsync in-flight slots
 
-	subOnce    sync.Once
-	subErr     error
-	subscribed atomic.Bool
+	subOnce sync.Once
+	subErr  error
 
 	// defOnce lazily builds the private balancer and load tracker used
 	// when the configuration shares neither (direct-construction tests
@@ -266,10 +247,13 @@ func (g *Gateway) Channels() []string {
 }
 
 // MaxInFlight returns the current SubmitAsync window bound.
-func (g *Gateway) MaxInFlight() int {
+func (g *Gateway) MaxInFlight() int { return cap(g.currentWindow()) }
+
+// currentWindow returns the in-flight window SetMaxInFlight last sized.
+func (g *Gateway) currentWindow() chan struct{} {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return cap(g.window)
+	return g.window
 }
 
 // SetMaxInFlight resizes the SubmitAsync in-flight window. Call it
@@ -287,15 +271,6 @@ func (g *Gateway) SetMaxInFlight(n int) {
 	}
 }
 
-// useStatusRequests reports whether commit futures resolve through the
-// per-transaction commit-status request path instead of the event
-// stream. The subscription state is settled by the Connect preceding
-// every submission, so the answer is stable for a transaction's
-// lifetime.
-func (g *Gateway) useStatusRequests() bool {
-	return !g.subscribed.Load() && g.cfg.EventPeer != ""
-}
-
 // policyFor returns the endorsement policy governing one channel.
 func (g *Gateway) policyFor(channel string) policy.Policy {
 	if pol, ok := g.cfg.PolicyByChannel[channel]; ok && pol != nil {
@@ -306,19 +281,17 @@ func (g *Gateway) policyFor(channel string) policy.Policy {
 
 // Connect establishes the commit-event subscription on the event peer;
 // it is called lazily by the first Propose but may be called eagerly at
-// startup. With NoEventStream set (or no event peer configured) it is a
-// no-op and commit futures resolve through status requests.
+// startup. Without an event peer it is a no-op, and every Commit
+// future resolves by the ordering timeout.
 func (g *Gateway) Connect(ctx context.Context) error {
 	g.subOnce.Do(func() {
-		if g.cfg.EventPeer == "" || g.cfg.NoEventStream {
+		if g.cfg.EventPeer == "" {
 			return
 		}
 		_, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindSubscribeEvents, g.cfg.ID, 16)
 		if err != nil {
 			g.subErr = fmt.Errorf("gateway %s: subscribe events: %w", g.cfg.ID, err)
-			return
 		}
-		g.subscribed.Store(true)
 	})
 	return g.subErr
 }

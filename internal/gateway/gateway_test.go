@@ -12,11 +12,13 @@ import (
 
 	"fabricsim/internal/ca"
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/msp"
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
@@ -197,7 +199,8 @@ func TestNewRequiresOrderers(t *testing.T) {
 // stubNet wires a gateway to a stub endorsing peer and a stub orderer
 // over the in-memory transport. The stubs implement just enough of the
 // peer/orderer surface to exercise the gateway stages; commit events
-// are injected by the test through the stub peer's endpoint.
+// are injected by the test through the stub peer's endpoint, or pushed
+// by the stub orderer itself when commitCode is set.
 type stubNet struct {
 	t      *testing.T
 	gw     *Gateway
@@ -206,9 +209,11 @@ type stubNet struct {
 	broadcasts atomic.Int64
 	// endorseDelay stalls the stub endorser (for window tests).
 	endorseDelay time.Duration
-	// statusReply, when non-nil, is the stub peer's commit-status
-	// answer (for the request-path tests).
-	statusReply func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error)
+	// commitCode, when non-nil, commits every broadcast at once: the
+	// stub orderer pushes the envelope's commit event through the stub
+	// peer with the code commitCode returns. attempt counts broadcasts
+	// from 1.
+	commitCode func(attempt int, id types.TxID) types.ValidationCode
 }
 
 func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *stubNet {
@@ -252,16 +257,17 @@ func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *
 			Endorsement: types.Endorsement{EndorserID: "Org1.peer0", EndorserOrg: "Org1"},
 		}, 64, nil
 	})
-	peerEP.Handle(peer.KindCommitStatus, func(_ context.Context, _ string, payload any) (any, int, error) {
-		req := payload.(*peer.CommitStatusRequest)
-		if s.statusReply == nil {
-			return nil, 0, peer.ErrTxNotFound
+	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, payload any) (any, int, error) {
+		n := s.broadcasts.Add(1)
+		if s.commitCode != nil {
+			info, err := types.PeekEnvelopeInfo(payload.(*orderer.BroadcastEnvelope).Env)
+			if err != nil {
+				return nil, 0, err
+			}
+			if err := s.pushCommit(info.TxID, s.commitCode(int(n), info.TxID)); err != nil {
+				return nil, 0, err
+			}
 		}
-		ev, err := s.statusReply(req)
-		return ev, 48, err
-	})
-	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, _ any) (any, int, error) {
-		s.broadcasts.Add(1)
 		return "ACK", 3, nil
 	})
 
@@ -299,16 +305,164 @@ func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *
 	return s
 }
 
-// commitTx pushes a commit-event batch for one TxID to the gateway.
-func (s *stubNet) commitTx(id types.TxID, code types.ValidationCode) {
-	s.t.Helper()
+// pushCommit sends a commit-event batch for one TxID to the gateway.
+func (s *stubNet) pushCommit(id types.TxID, code types.ValidationCode) error {
 	now := time.Now().UnixNano()
-	err := s.peerEP.Send("gw1", peer.KindCommitEvent, []peer.CommitEvent{{
+	return s.peerEP.Send("gw1", peer.KindCommitEvent, []peer.CommitEvent{{
 		TxID: id, Code: code, BlockNum: 1, OrderedTime: now, CommitTime: now,
 	}}, 48)
-	if err != nil {
+}
+
+// commitTx is pushCommit for the test goroutine.
+func (s *stubNet) commitTx(id types.TxID, code types.ValidationCode) {
+	s.t.Helper()
+	if err := s.pushCommit(id, code); err != nil {
 		s.t.Fatal(err)
 	}
+}
+
+var writeArgs = [][]byte{[]byte("k"), []byte("v")}
+
+// submitPath is one entry point that runs a whole transaction and
+// returns its outcome.
+type submitPath struct {
+	name string
+	run  func(ctx context.Context, g *Gateway) (*Status, error)
+}
+
+// await resolves an async submission's future.
+func await(c *Commit, err error) (*Status, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.Status(context.Background())
+}
+
+// retryPaths are the entry points that obey Config.Retry.
+var retryPaths = []submitPath{
+	{"Invoke", func(ctx context.Context, g *Gateway) (*Status, error) {
+		return g.Invoke(ctx, "", "bench", "write", writeArgs)
+	}},
+	{"SubmitAsync", func(ctx context.Context, g *Gateway) (*Status, error) {
+		return await(g.SubmitAsync(ctx, "", "bench", "write", writeArgs))
+	}},
+	{"TrySubmitAsync", func(ctx context.Context, g *Gateway) (*Status, error) {
+		return await(g.TrySubmitAsync(ctx, "", "bench", "write", writeArgs))
+	}},
+}
+
+// retryRun is one transaction driven through a stub network whose
+// orderer commits attempt n with code(n), plus what it left behind.
+type retryRun struct {
+	st    *Status
+	err   error
+	start time.Time
+	wall  time.Duration
+	txIDs []types.TxID // one per broadcast, in attempt order
+	col   *metrics.Collector
+	tr    *trace.Tracer
+}
+
+func runRetry(t *testing.T, path submitPath, rc RetryConfig, code func(attempt int) types.ValidationCode) *retryRun {
+	t.Helper()
+	r := &retryRun{col: metrics.NewCollector(), tr: trace.New(0)}
+	var mu sync.Mutex
+	s := newStubNet(t, func(cfg *Config) {
+		cfg.Collector = r.col
+		cfg.Tracer = r.tr
+		cfg.Retry = rc
+	}, func(s *stubNet) {
+		s.commitCode = func(attempt int, id types.TxID) types.ValidationCode {
+			mu.Lock()
+			r.txIDs = append(r.txIDs, id)
+			mu.Unlock()
+			return code(attempt)
+		}
+	})
+	r.start = time.Now()
+	r.st, r.err = path.run(context.Background(), s.gw)
+	r.wall = time.Since(r.start)
+	// Every attempt has broadcast by now; the lock orders the stub
+	// orderer's appends before the caller's reads.
+	mu.Lock()
+	defer mu.Unlock()
+	return r
+}
+
+// checkAttempts asserts the run made exactly n attempts: n broadcasts
+// with distinct TxIDs, one collector record per attempt number, a
+// retried-transaction count of one exactly when a retry committed, and
+// one trace holding n propose spans whose critical path shows the
+// backoff between attempts.
+func (r *retryRun) checkAttempts(t *testing.T, n int) {
+	t.Helper()
+	if len(r.txIDs) != n {
+		t.Fatalf("attempts = %d, want %d", len(r.txIDs), n)
+	}
+	distinct := make(map[types.TxID]bool, n)
+	for _, id := range r.txIDs {
+		distinct[id] = true
+	}
+	if len(distinct) != n {
+		t.Errorf("distinct TxIDs = %d, want a fresh proposal per attempt (%d)", len(distinct), n)
+	}
+	attempts := map[int]int{}
+	for _, rec := range r.col.Records() {
+		attempts[rec.Attempt]++
+	}
+	for a := 1; a <= n; a++ {
+		if attempts[a] != 1 || len(attempts) != n {
+			t.Fatalf("attempt histogram = %v, want one record each for 1..%d", attempts, n)
+		}
+	}
+	sum := r.col.Summarize(metrics.SummaryOptions{
+		TimeScale:   1,
+		WindowStart: r.start.Add(-time.Second),
+		WindowEnd:   time.Now().Add(time.Second),
+	})
+	wantRetried := 0
+	if r.err == nil && n > 1 {
+		wantRetried = 1
+	}
+	if sum.RetriedTxs != wantRetried {
+		t.Errorf("RetriedTxs = %d, want %d", sum.RetriedTxs, wantRetried)
+	}
+
+	if got := r.tr.Len(); got != 1 {
+		t.Fatalf("traces = %d, want 1 (retries must bind, not mint)", got)
+	}
+	tid, ok := r.tr.Lookup(string(r.txIDs[n-1]))
+	if !ok {
+		t.Fatalf("final TxID %s has no trace binding", r.txIDs[n-1])
+	}
+	proposes := 0
+	for _, sp := range r.tr.Spans(tid) {
+		if sp.Name == trace.SpanGatewayPropose {
+			proposes++
+		}
+	}
+	if proposes != n {
+		t.Errorf("propose spans = %d, want %d", proposes, n)
+	}
+	if n > 1 && r.backoff(t) <= 0 {
+		t.Errorf("critical path has no retry-backoff phase")
+	}
+}
+
+// backoff returns the retry-backoff phase of the run's critical path.
+func (r *retryRun) backoff(t *testing.T) time.Duration {
+	t.Helper()
+	tid, _ := r.tr.Lookup(string(r.txIDs[len(r.txIDs)-1]))
+	cp, ok := r.tr.CriticalPath(tid)
+	if !ok {
+		t.Fatal("no critical path for the submission's trace")
+	}
+	for _, p := range cp.Phases {
+		if p.Name == "retry-backoff" {
+			return p.Duration
+		}
+	}
+	return 0
 }
 
 func TestStagedLifecycle(t *testing.T) {
@@ -430,91 +584,80 @@ func TestInvokeRetriesConflicts(t *testing.T) {
 	// The first two attempts conflict, the third commits. With
 	// MaxAttempts=3 the caller sees success; each attempt must carry a
 	// fresh TxID (fresh proposal + endorsement).
-	var calls atomic.Int64
-	seen := make(map[types.TxID]bool)
-	var mu sync.Mutex
-	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
-		cfg.Retry = RetryConfig{
-			MaxAttempts:    3,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     2 * time.Millisecond,
-			Jitter:         0.2,
-			Seed:           42,
-		}
-	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
-		mu.Lock()
-		seen[req.TxID] = true
-		mu.Unlock()
-		code := types.ValidationMVCCConflict
-		if calls.Add(1) >= 3 {
-			code = types.ValidationValid
-		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: code, BlockNum: 9}, nil
+	rc := RetryConfig{
+		MaxAttempts:    3,
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     2 * time.Millisecond,
+		Jitter:         0.2,
+		Seed:           42,
 	}
-	st, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
-	if err != nil {
-		t.Fatalf("Invoke with retry = %v", err)
-	}
-	if !st.Committed {
-		t.Fatalf("status = %+v", st)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
-	}
-	mu.Lock()
-	distinct := len(seen)
-	mu.Unlock()
-	if distinct != 3 {
-		t.Errorf("distinct TxIDs = %d, want a fresh proposal per attempt", distinct)
+	for _, path := range retryPaths {
+		t.Run(path.name, func(t *testing.T) {
+			r := runRetry(t, path, rc, func(attempt int) types.ValidationCode {
+				if attempt >= 3 {
+					return types.ValidationValid
+				}
+				return types.ValidationMVCCConflict
+			})
+			if r.err != nil || !r.st.Committed {
+				t.Fatalf("status = %+v, %v", r.st, r.err)
+			}
+			if r.st.TxID != r.txIDs[len(r.txIDs)-1] {
+				t.Errorf("status TxID %s, want the last attempt's", r.st.TxID)
+			}
+			r.checkAttempts(t, 3)
+		})
 	}
 }
 
 func TestInvokeRetryExhaustionSurfacesConflict(t *testing.T) {
 	// Every attempt conflicts: after MaxAttempts the conflict error
-	// surfaces unchanged.
-	var calls atomic.Int64
-	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
-		cfg.Retry = RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond}
-	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
-		calls.Add(1)
-		return &peer.CommitEvent{TxID: req.TxID, Code: types.ValidationMVCCConflict}, nil
+	// surfaces unchanged. A code the loop does not chase surfaces after
+	// one attempt, on InvokeWithPolicy too.
+	invokeWithPolicy := submitPath{"InvokeWithPolicy", func(ctx context.Context, g *Gateway) (*Status, error) {
+		return g.InvokeWithPolicy(ctx, policy.OrOverPeers(1), "bench", "write", writeArgs)
+	}}
+	type row struct {
+		path     submitPath
+		code     types.ValidationCode
+		want     error
+		attempts int
 	}
-	_, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
-	if !errors.Is(err, ErrMVCCConflict) {
-		t.Fatalf("err = %v, want ErrMVCCConflict after exhaustion", err)
+	var rows []row
+	for _, path := range retryPaths {
+		rows = append(rows, row{path, types.ValidationMVCCConflict, ErrMVCCConflict, 2})
 	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("attempts = %d, want 2", n)
+	rows = append(rows, row{invokeWithPolicy, types.ValidationEndorsementPolicyFailure, ErrInvalidated, 1})
+	for _, tc := range rows {
+		t.Run(tc.path.name, func(t *testing.T) {
+			r := runRetry(t, tc.path, RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond},
+				func(int) types.ValidationCode { return tc.code })
+			if !errors.Is(r.err, tc.want) {
+				t.Fatalf("err = %v, want %v", r.err, tc.want)
+			}
+			if r.st == nil || r.st.Code != tc.code || r.st.Committed {
+				t.Fatalf("status = %+v, want the final attempt's %s", r.st, tc.code)
+			}
+			r.checkAttempts(t, tc.attempts)
+		})
 	}
 }
 
 func TestSubmitAsyncRetriesConflicts(t *testing.T) {
-	var calls atomic.Int64
-	s := newStubNet(t, func(cfg *Config) {
-		cfg.NoEventStream = true
-		cfg.Retry = RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond}
-	}, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
-		code := types.ValidationEarlyAbort
-		if calls.Add(1) >= 2 {
-			code = types.ValidationValid
-		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: code, BlockNum: 4}, nil
-	}
-	cmt, err := s.gw.SubmitAsync(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cmt.Status(context.Background())
-	if err != nil || !st.Committed {
-		t.Fatalf("status = %+v, %v", st, err)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("attempts = %d, want 2", n)
+	for _, path := range retryPaths {
+		t.Run(path.name, func(t *testing.T) {
+			r := runRetry(t, path, RetryConfig{MaxAttempts: 2, InitialBackoff: time.Millisecond},
+				func(attempt int) types.ValidationCode {
+					if attempt >= 2 {
+						return types.ValidationValid
+					}
+					return types.ValidationEarlyAbort
+				})
+			if r.err != nil || !r.st.Committed {
+				t.Fatalf("status = %+v, %v", r.st, r.err)
+			}
+			r.checkAttempts(t, 2)
+		})
 	}
 }
 
@@ -626,24 +769,23 @@ func TestBadCommitEventPayload(t *testing.T) {
 }
 
 func TestSubmitAsyncResolves(t *testing.T) {
-	s := newStubNet(t, nil, nil)
+	s := newStubNet(t, nil, func(s *stubNet) {
+		s.commitCode = func(int, types.TxID) types.ValidationCode { return types.ValidationValid }
+	})
 	ctx := context.Background()
-	cmt, err := s.gw.SubmitAsync(ctx, "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
+	cmt, err := s.gw.SubmitAsync(ctx, "", "bench", "write", writeArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the background pipeline has broadcast, then commit it.
-	deadline := time.Now().Add(5 * time.Second)
-	for cmt.TxID() == "" || s.broadcasts.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("async submission never broadcast")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.commitTx(cmt.TxID(), types.ValidationValid)
 	st, err := cmt.Status(ctx)
 	if err != nil || !st.Committed {
 		t.Fatalf("status = %+v, %v", st, err)
+	}
+	if cmt.TxID() != st.TxID || s.broadcasts.Load() != 1 {
+		t.Fatalf("TxID = %q for status %q after %d broadcasts", cmt.TxID(), st.TxID, s.broadcasts.Load())
+	}
+	if n := s.gw.pendingCount(); n != 0 {
+		t.Fatalf("pending entries leaked: %d", n)
 	}
 }
 
@@ -672,28 +814,6 @@ func TestSetMaxInFlightResizesWindow(t *testing.T) {
 	s.gw.SetMaxInFlight(7)
 	if got := s.gw.MaxInFlight(); got != 7 {
 		t.Fatalf("window = %d after SetMaxInFlight(7)", got)
-	}
-}
-
-func TestCommitStatusRequestPath(t *testing.T) {
-	// NoEventStream: the future resolves through the peer's
-	// commit-status request instead of a standing subscription.
-	s := newStubNet(t, func(cfg *Config) { cfg.NoEventStream = true }, nil)
-	s.statusReply = func(req *peer.CommitStatusRequest) (*peer.CommitEvent, error) {
-		if req.WaitNanos <= 0 {
-			t.Errorf("commit future sent a non-waiting status request")
-		}
-		return &peer.CommitEvent{TxID: req.TxID, Code: types.ValidationValid, BlockNum: 3}, nil
-	}
-	st, err := s.gw.Invoke(context.Background(), "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Committed || st.BlockNum != 3 {
-		t.Fatalf("status = %+v", st)
-	}
-	if n := s.gw.pendingCount(); n != 0 {
-		t.Fatalf("pending entries leaked: %d", n)
 	}
 }
 

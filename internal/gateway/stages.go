@@ -137,27 +137,22 @@ func (c *Commit) Status(ctx context.Context) (*Status, error) {
 // the proposal, and signs it. The channel's endorsement policy selects
 // the endorsement targets.
 func (g *Gateway) Propose(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Proposal, error) {
+	return g.propose(ctx, channel, nil, chaincodeID, fn, args, nil, false)
+}
+
+// propose is the shared Propose stage. An empty channel means the
+// default channel and a nil pol that channel's policy. sub carries the
+// submission's trace and attempt number across retries; nil (a
+// single-shot call) mints a fresh trace as attempt 1. query trims the
+// endorsement to a single target and keeps the transaction out of the
+// collector (an evaluate call never orders or commits).
+func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte, sub *submissionTrace, query bool) (*Proposal, error) {
 	if channel == "" {
 		channel = g.cfg.ChannelID
 	}
-	return g.propose(ctx, channel, g.policyFor(channel), chaincodeID, fn, args, false)
-}
-
-// ProposeWithPolicy is Propose with an explicit endorsement-target
-// policy. The committing peers still enforce the channel policy, so
-// selecting fewer targets than the channel requires yields a
-// transaction flagged ENDORSEMENT_POLICY_FAILURE (the VSCC test path).
-func (g *Gateway) ProposeWithPolicy(ctx context.Context, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte) (*Proposal, error) {
-	if channel == "" {
-		channel = g.cfg.ChannelID
+	if pol == nil {
+		pol = g.policyFor(channel)
 	}
-	return g.propose(ctx, channel, pol, chaincodeID, fn, args, false)
-}
-
-// propose is the shared Propose stage. query trims the endorsement to a
-// single target and keeps the transaction out of the collector (an
-// evaluate call never orders or commits).
-func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte, query bool) (*Proposal, error) {
 	if err := g.Connect(ctx); err != nil {
 		return nil, err
 	}
@@ -181,10 +176,9 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 	if err != nil {
 		return nil, err
 	}
-	st := submissionTraceFrom(ctx)
 	attempt := 1
-	if st != nil && st.attempt > 0 {
-		attempt = st.attempt
+	if sub != nil {
+		attempt = sub.attempt
 	}
 	if g.cfg.Collector != nil && !query {
 		g.cfg.Collector.Submitted(prop.TxID, submitted)
@@ -195,13 +189,13 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 		// The first attempt mints the trace; retries bind their fresh
 		// TxID to it so one trace tells the whole client-visible story.
 		var tid trace.TraceID
-		if st != nil && st.id != "" {
-			tid = st.id
+		if sub != nil && sub.id != "" {
+			tid = sub.id
 			tr.Bind(string(prop.TxID), tid)
 		} else {
 			tid = tr.Mint(string(prop.TxID))
-			if st != nil {
-				st.id = tid
+			if sub != nil {
+				sub.id = tid
 			}
 		}
 		prop.TraceID = string(tid)
@@ -289,19 +283,10 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 // installed before the broadcast so the event can never outrace it.
 func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 	g := t.gw
-	// A gateway resolving futures through commit-status requests never
-	// reads the event stream, so skip the pending registration (and its
-	// per-transaction contention on the shared mutex) entirely.
-	var pend *pendingTx
-	if !g.useStatusRequests() {
-		pend = g.registerPending(t.prop.TxID)
-	}
-
+	pend := g.registerPending(t.prop.TxID)
 	benv := &orderer.BroadcastEnvelope{Channel: t.channel, Env: t.env}
 	if err := g.broadcast(ctx, benv, len(t.env)+len(t.channel)+16); err != nil {
-		if pend != nil {
-			g.unregisterPending(t.prop.TxID)
-		}
+		g.unregisterPending(t.prop.TxID)
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(t.prop.TxID)
 		}
@@ -323,7 +308,7 @@ func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 			"attempt", fmt.Sprint(t.attempt),
 			"channel", t.channel)
 	}
-	go g.awaitCommit(c, t.channel, pend)
+	go g.awaitCommit(c, pend)
 	return c, nil
 }
 
@@ -386,20 +371,12 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	return fmt.Errorf("%w (last error: %v)", ErrOrdererUnavailable, lastErr)
 }
 
-// awaitCommit resolves one Commit future in the background: from the
-// event stream when subscribed, otherwise through the peer's
-// commit-status request path. Running it detached from Status callers
-// guarantees the pending map is cleaned up after the ordering timeout
-// even for fire-and-forget submissions nobody ever awaits.
-func (g *Gateway) awaitCommit(c *Commit, channel string, pend *pendingTx) {
-	wait := g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout)
-
-	if pend == nil {
-		g.awaitCommitStatus(c, channel, wait)
-		return
-	}
-
-	timeout := time.NewTimer(wait)
+// awaitCommit resolves one Commit future from the event stream in the
+// background. Running it detached from Status callers guarantees the
+// pending map is cleaned up after the ordering timeout even for
+// fire-and-forget submissions nobody ever awaits.
+func (g *Gateway) awaitCommit(c *Commit, pend *pendingTx) {
+	timeout := time.NewTimer(g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout))
 	defer timeout.Stop()
 	// The pending entry is removed before the future resolves, so a
 	// resolved future implies no leaked map entry.
@@ -409,48 +386,7 @@ func (g *Gateway) awaitCommit(c *Commit, channel string, pend *pendingTx) {
 		g.resolve(c, ev)
 	case <-timeout.C:
 		g.unregisterPending(c.txID)
-		g.resolveTimeout(c, nil)
-	}
-}
-
-// awaitCommitStatus resolves one future through the peer's blocking
-// commit-status request path, retrying transient failures (transport
-// errors, a restarting peer) until the ordering-timeout budget runs
-// out. The last request error is attached to the timeout so a
-// persistent misconfiguration (e.g. an event peer not joined to the
-// channel) stays diagnosable instead of masquerading as ordering lag.
-func (g *Gateway) awaitCommitStatus(c *Commit, channel string, wait time.Duration) {
-	deadline := time.Now().Add(wait)
-	retryGap := g.cfg.Model.ScaledDelay(50 * time.Millisecond)
-	var lastErr error
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			g.resolveTimeout(c, lastErr)
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), remaining)
-		req := &peer.CommitStatusRequest{TxID: c.txID, Channel: channel, WaitNanos: int64(remaining)}
-		raw, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindCommitStatus, req, 64)
-		cancel()
-		if err == nil {
-			if ev, ok := raw.(*peer.CommitEvent); ok {
-				g.resolve(c, *ev)
-				return
-			}
-			err = fmt.Errorf("gateway: bad commit-status reply %T", raw)
-		}
-		lastErr = err
-		gap := retryGap
-		if gap <= 0 {
-			gap = time.Millisecond
-		}
-		if r := time.Until(deadline); gap > r {
-			gap = r
-		}
-		if gap > 0 {
-			time.Sleep(gap)
-		}
+		g.resolveTimeout(c)
 	}
 }
 
@@ -564,9 +500,8 @@ func (g *Gateway) retrySleep(ctx context.Context, retry int) error {
 }
 
 // resolveTimeout completes a future as rejected by the ordering
-// timeout; cause, when non-nil, is the last commit-status failure and
-// is attached for diagnosis.
-func (g *Gateway) resolveTimeout(c *Commit, cause error) {
+// timeout.
+func (g *Gateway) resolveTimeout(c *Commit) {
 	if g.cfg.Collector != nil {
 		g.cfg.Collector.Rejected(c.txID)
 	}
@@ -575,66 +510,28 @@ func (g *Gateway) resolveTimeout(c *Commit, cause error) {
 			"attempt", fmt.Sprint(c.attempt),
 			"outcome", "ordering-timeout")
 	}
-	if cause != nil {
-		c.complete(nil, fmt.Errorf("%w (last commit-status error: %v)", ErrOrderingTimeout, cause))
-		return
-	}
 	c.complete(nil, ErrOrderingTimeout)
 }
 
 // Invoke runs the full staged pipeline closed-loop: Propose, Endorse,
 // Submit, then block on Status — the legacy SDK transaction life cycle.
-// With Config.Retry enabled, conflict aborts (ErrMVCCConflict,
+// It is SubmitAsync without a window slot, run by the same attempt
+// loop: with Config.Retry enabled, conflict aborts (ErrMVCCConflict,
 // ErrEarlyAbort) transparently re-run the whole pipeline — fresh TxID,
 // fresh endorsement — up to MaxAttempts times with exponential backoff.
+// A caller abandoning Invoke early does not orphan the transaction: the
+// background loop still resolves (and accounts) it.
 func (g *Gateway) Invoke(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Status, error) {
-	attempts := g.retryAttempts()
-	sub := &submissionTrace{}
-	ctx = withSubmissionTrace(ctx, sub)
-	var st *Status
-	var err error
-	for attempt := 1; ; attempt++ {
-		sub.attempt = attempt
-		st, err = g.invokeOnce(ctx, channel, chaincodeID, fn, args)
-		if err == nil || attempt >= attempts || !Retryable(err) {
-			return st, err
-		}
-		if serr := g.retrySleep(ctx, attempt); serr != nil {
-			return st, err
-		}
-	}
-}
-
-func (g *Gateway) invokeOnce(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Status, error) {
-	prop, err := g.Propose(ctx, channel, chaincodeID, fn, args)
-	if err != nil {
-		return nil, err
-	}
-	return g.finishInvoke(ctx, prop)
+	return g.start(ctx, nil, channel, nil, chaincodeID, fn, args).Status(ctx)
 }
 
 // InvokeWithPolicy is Invoke with an explicit endorsement-target policy
-// on the default channel.
+// on the default channel. The committing peers still enforce the
+// channel policy, so selecting fewer targets than the channel requires
+// yields a transaction flagged ENDORSEMENT_POLICY_FAILURE (the VSCC
+// test path).
 func (g *Gateway) InvokeWithPolicy(ctx context.Context, pol policy.Policy, chaincodeID, fn string, args [][]byte) (*Status, error) {
-	prop, err := g.ProposeWithPolicy(ctx, "", pol, chaincodeID, fn, args)
-	if err != nil {
-		return nil, err
-	}
-	return g.finishInvoke(ctx, prop)
-}
-
-func (g *Gateway) finishInvoke(ctx context.Context, prop *Proposal) (*Status, error) {
-	txn, err := prop.Endorse(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cmt, err := txn.Submit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// A caller abandoning Status early does not orphan the transaction:
-	// the background waiter still resolves (and accounts) the future.
-	return cmt.Status(ctx)
+	return g.start(ctx, nil, "", pol, chaincodeID, fn, args).Status(ctx)
 }
 
 // SubmitAsync runs the whole Propose/Endorse/Submit pipeline in the
@@ -643,80 +540,75 @@ func (g *Gateway) finishInvoke(ctx context.Context, prop *Proposal) (*Status, er
 // when the returned future resolves. This is the open-loop submission
 // path: arrivals are never coupled to completions beyond the window.
 func (g *Gateway) SubmitAsync(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Commit, error) {
-	return g.submitAsync(ctx, true, channel, chaincodeID, fn, args)
+	window := g.currentWindow()
+	select {
+	case window <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.start(ctx, window, channel, nil, chaincodeID, fn, args), nil
 }
 
 // TrySubmitAsync is SubmitAsync without blocking: when every in-flight
 // window slot is occupied it fails fast with ErrWindowFull, which
 // open-loop generators count as a dropped arrival.
 func (g *Gateway) TrySubmitAsync(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Commit, error) {
-	return g.submitAsync(ctx, false, channel, chaincodeID, fn, args)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	window := g.currentWindow()
+	select {
+	case window <- struct{}{}:
+	default:
+		return nil, ErrWindowFull
+	}
+	return g.start(ctx, window, channel, nil, chaincodeID, fn, args), nil
 }
 
-func (g *Gateway) submitAsync(ctx context.Context, block bool, channel, chaincodeID, fn string, args [][]byte) (*Commit, error) {
-	g.mu.Lock()
-	window := g.window
-	g.mu.Unlock()
-	if block {
-		select {
-		case window <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		select {
-		case window <- struct{}{}:
-		default:
-			return nil, ErrWindowFull
-		}
-	}
-
+// start runs one transaction in the background and returns its Commit
+// future. The attempt loop proposes, endorses, submits and waits for
+// the attempt's own future, re-running the whole pipeline after a
+// backoff while the error is Retryable and attempts remain. window,
+// when non-nil, holds the caller's in-flight slot, freed once the
+// future resolves. An empty channel and a nil pol mean the defaults,
+// as for propose.
+func (g *Gateway) start(ctx context.Context, window chan struct{}, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte) *Commit {
 	c := newCommit(g)
 	go func() {
-		defer func() { <-window }()
-		attempts := g.retryAttempts()
+		if window != nil {
+			defer func() { <-window }()
+		}
 		sub := &submissionTrace{}
-		actx := withSubmissionTrace(ctx, sub)
+		attempt := func() (*Status, error) {
+			prop, err := g.propose(ctx, channel, pol, chaincodeID, fn, args, sub, false)
+			if err != nil {
+				return nil, err
+			}
+			c.setTxID(prop.TxID())
+			txn, err := prop.Endorse(ctx)
+			if err != nil {
+				return nil, err
+			}
+			inner, err := txn.Submit(ctx)
+			if err != nil {
+				return nil, err
+			}
+			// The inner future resolves within the ordering timeout even
+			// if ctx is long gone; forward its resolution.
+			return inner.Status(context.Background())
+		}
 		var st *Status
 		var err error
-		for attempt := 1; ; attempt++ {
-			sub.attempt = attempt
-			st, err = g.attemptAsync(actx, c, channel, chaincodeID, fn, args)
-			if err == nil || attempt >= attempts || !Retryable(err) {
-				break
-			}
-			if serr := g.retrySleep(actx, attempt); serr != nil {
+		for sub.attempt = 1; ; sub.attempt++ {
+			st, err = attempt()
+			if err == nil || sub.attempt >= g.retryAttempts() || !Retryable(err) ||
+				g.retrySleep(ctx, sub.attempt) != nil {
 				break
 			}
 		}
 		c.complete(st, err)
 	}()
-	return c, nil
-}
-
-// attemptAsync runs one full pipeline attempt for a SubmitAsync
-// submission. The commit handle's TxID is updated per attempt, since a
-// retry issues a fresh proposal.
-func (g *Gateway) attemptAsync(ctx context.Context, c *Commit, channel, chaincodeID, fn string, args [][]byte) (*Status, error) {
-	prop, err := g.Propose(ctx, channel, chaincodeID, fn, args)
-	if err != nil {
-		return nil, err
-	}
-	c.setTxID(prop.TxID())
-	txn, err := prop.Endorse(ctx)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := txn.Submit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// The inner future resolves within the ordering timeout even if
-	// ctx is long gone; forward its resolution.
-	return inner.Status(context.Background())
+	return c
 }
 
 // Evaluate runs the execute phase only (no ordering) and returns the
@@ -725,7 +617,7 @@ func (g *Gateway) attemptAsync(ctx context.Context, c *Commit, channel, chaincod
 // endorsement, and the fixed SDK round-trip latency — so query latency
 // is comparable with invoke latency instead of unrealistically zero.
 func (g *Gateway) Evaluate(ctx context.Context, chaincodeID, fn string, args [][]byte) ([]byte, error) {
-	prop, err := g.propose(ctx, g.cfg.ChannelID, g.policyFor(g.cfg.ChannelID), chaincodeID, fn, args, true)
+	prop, err := g.propose(ctx, "", nil, chaincodeID, fn, args, nil, true)
 	if err != nil {
 		return nil, err
 	}

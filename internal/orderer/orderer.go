@@ -43,10 +43,8 @@ const (
 	// (nil payload) or for the named channels (*SubscribeArgs). A gossip
 	// leader that loses its lease hands the subscription off this way.
 	KindUnsubscribe = "orderer.unsubscribe"
-	// KindGetBlock fetches one block by number (deliver catch-up).
-	KindGetBlock = "orderer.getblock"
-	// KindGetBlocks fetches a block range in one round trip (batched
-	// catch-up); the single-block kind stays for compatibility.
+	// KindGetBlocks fetches a block range in one round trip (deliver
+	// catch-up).
 	KindGetBlocks = "orderer.getblocks"
 	// KindSubmit is the intra-cluster Raft forward from follower OSNs
 	// to the leader.
@@ -79,13 +77,6 @@ var (
 type BroadcastEnvelope struct {
 	Channel string
 	Env     []byte
-}
-
-// GetBlockArgs is the channel-tagged KindGetBlock payload. A bare
-// uint64 payload routes to the default channel.
-type GetBlockArgs struct {
-	Channel string
-	Number  uint64
 }
 
 // GetBlocksArgs is the KindGetBlocks payload: fetch channel blocks
@@ -269,7 +260,6 @@ func New(cfg Config) *Orderer {
 	cfg.Endpoint.Handle(KindBroadcast, o.handleBroadcast)
 	cfg.Endpoint.Handle(KindSubscribe, o.handleSubscribe)
 	cfg.Endpoint.Handle(KindUnsubscribe, o.handleUnsubscribe)
-	cfg.Endpoint.Handle(KindGetBlock, o.handleGetBlock)
 	cfg.Endpoint.Handle(KindGetBlocks, o.handleGetBlocks)
 	return o
 }
@@ -480,36 +470,6 @@ func (o *Orderer) handleUnsubscribe(_ context.Context, from string, payload any)
 	return "OK", 2, nil
 }
 
-// handleGetBlock serves catch-up fetches by channel and block number.
-// The payload is either a *GetBlockArgs or a bare uint64 number for the
-// default channel.
-func (o *Orderer) handleGetBlock(_ context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var num uint64
-	switch p := payload.(type) {
-	case uint64:
-		num = p
-	case *GetBlockArgs:
-		channel = p.Channel
-		num = p.Number
-	default:
-		return nil, 0, fmt.Errorf("orderer: bad getblock payload %T", payload)
-	}
-	c, err := o.chainFor(channel)
-	if err != nil {
-		return nil, 0, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if num >= uint64(len(c.blocks)) {
-		return nil, 0, fmt.Errorf("orderer %s: channel %s block %d not yet cut", o.cfg.ID, c.id, num)
-	}
-	b := c.blocks[num]
-	o.egressBlocks.Add(1)
-	o.egressBytes.Add(uint64(b.Size()))
-	return b, b.Size(), nil
-}
-
 // handleGetBlocks serves a ranged catch-up fetch: channel blocks
 // [From, To), truncated at the chain tip and at maxGetBlocksBatch. A
 // peer N blocks behind pays one round trip instead of N.
@@ -691,7 +651,7 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	size := block.Size()
 	for _, peer := range subs {
 		// Push delivery; a congested or crashed peer fills the gap
-		// later through KindGetBlock(s). The transport reports a down
+		// later through KindGetBlocks. The transport reports a down
 		// or unknown node synchronously, so consecutive failures here
 		// are the crash signal the pruning rule keys on.
 		if err := o.cfg.Endpoint.Send(peer, KindDeliverBlock, block, size); err != nil {

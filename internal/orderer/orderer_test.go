@@ -164,22 +164,35 @@ func TestGetBlockCatchUp(t *testing.T) {
 		}
 	}
 	// Allow the cut loop to emit all three single-tx blocks.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		raw, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(3), 8)
-		if err == nil {
-			b := raw.(*types.Block)
-			if b.Header.Number != 3 {
-				t.Errorf("block number = %d", b.Header.Number)
-			}
-			if _, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(99), 8); err == nil {
-				t.Error("future block served")
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	var b *types.Block
+	waitFor(t, 2*time.Second, func() bool {
+		b = h.fetchBlock(3)
+		return b != nil
+	}, "block 3 never became fetchable")
+	if b.Header.Number != 3 {
+		t.Errorf("block number = %d", b.Header.Number)
 	}
-	t.Fatal("block 3 never became fetchable")
+	if h.fetchBlock(99) != nil {
+		t.Error("future block served")
+	}
+	if blocks, bytes := o.EgressStats(); blocks == 0 || bytes == 0 {
+		t.Errorf("egress = %d blocks, %d bytes; the served block was not counted", blocks, bytes)
+	}
+}
+
+// fetchBlock fetches one block from osn1 by number through the ranged
+// catch-up kind; nil means the block is not yet cut.
+func (h *testHarness) fetchBlock(num uint64) *types.Block {
+	h.t.Helper()
+	raw, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
+		&GetBlocksArgs{From: num, To: num + 1}, 24)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if blocks := raw.(*GetBlocksReply).Blocks; len(blocks) == 1 {
+		return blocks[0]
+	}
+	return nil
 }
 
 func TestBatchEncodeDecode(t *testing.T) {
@@ -240,10 +253,8 @@ func TestGetBlocksRanged(t *testing.T) {
 	}
 	defer o.Stop()
 	h.broadcastN(o, 4)
-	waitFor(t, 2*time.Second, func() bool {
-		_, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(4), 8)
-		return err == nil
-	}, "block 4 never became fetchable")
+	waitFor(t, 2*time.Second, func() bool { return h.fetchBlock(4) != nil },
+		"block 4 never became fetchable")
 
 	raw, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
 		&GetBlocksArgs{From: 1, To: 99}, 24)
@@ -372,10 +383,8 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 		t.Fatalf("subscribers after unsubscribe: %v", subs)
 	}
 	h.broadcastN(o, 2)
-	waitFor(t, 2*time.Second, func() bool {
-		_, err := h.client.Call(context.Background(), "osn1", KindGetBlock, uint64(3), 8)
-		return err == nil
-	}, "block 3 never cut")
+	waitFor(t, 2*time.Second, func() bool { return h.fetchBlock(3) != nil },
+		"block 3 never cut")
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 1 {

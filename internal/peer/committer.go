@@ -399,7 +399,7 @@ func (p *Peer) appendLoop(cs *channelState) {
 			if ot := pb.committed.Metadata.OrderedTime; col != nil && ot > 0 {
 				col.PeerCommit(now.Sub(time.Unix(0, ot)), now)
 			}
-			p.emitCommitEvents(cs, pb.committed, pb.txs, now)
+			p.emitCommitEvents(pb.committed, pb.txs, now)
 			if p.cfg.Recorder && p.cfg.Tracer.Enabled() {
 				p.recordCommitSpans(cs, pb, start, now)
 			}

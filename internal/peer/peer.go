@@ -39,32 +39,13 @@ const (
 	KindSubscribeEvents = "peer.subscribe"
 	// KindCommitEvent is the peer -> client batched commit notification.
 	KindCommitEvent = "peer.commitevent"
-	// KindCommitStatus is the client -> peer commit-status request: the
-	// reply is the transaction's CommitEvent, resolved immediately from
-	// the ledger index or — when the request asks to wait — when the
-	// transaction commits. It lets a commit future resolve without a
-	// standing event subscription.
-	KindCommitStatus = "peer.commitstatus"
 )
 
 // Errors returned by the endorser.
 var (
 	ErrDuplicateTx = errors.New("peer: duplicate transaction ID")
 	ErrStopped     = errors.New("peer: stopped")
-	ErrTxNotFound  = errors.New("peer: transaction not committed")
 )
-
-// CommitStatusRequest asks one peer for a transaction's final outcome.
-type CommitStatusRequest struct {
-	// TxID identifies the transaction.
-	TxID types.TxID
-	// Channel is the transaction's channel ("" = the default channel).
-	Channel string
-	// WaitNanos is the maximum wall-clock time the peer may hold the
-	// request open waiting for the commit; 0 answers from the ledger
-	// index only.
-	WaitNanos int64
-}
 
 // EndorseRequest is the execute-phase request.
 type EndorseRequest struct {
@@ -188,10 +169,6 @@ type channelState struct {
 	appendCh chan *pipelinedBlock
 	tokens   chan struct{}
 
-	// waiters holds parked commit-status requests by TxID; each entry
-	// is satisfied (and removed) by the commit that indexes the TxID.
-	waiters map[types.TxID][]chan CommitEvent
-
 	// snapMu guards the serving-side snapshot chunk cache (snapshot.go):
 	// chunk-0 requests regenerate it, later chunks are served from it so
 	// one transfer sees a single consistent snapshot.
@@ -276,13 +253,11 @@ func New(cfg Config) (*Peer, error) {
 			applyCh:   make(chan *pipelinedBlock, depth),
 			appendCh:  make(chan *pipelinedBlock, depth),
 			tokens:    make(chan struct{}, depth),
-			waiters:   make(map[types.TxID][]chan CommitEvent),
 		}
 	}
 	p.container = newContainer(cfg.Model, cfg.CPU)
 	cfg.Endpoint.Handle(KindEndorse, p.handleEndorse)
 	cfg.Endpoint.Handle(KindSubscribeEvents, p.handleSubscribe)
-	cfg.Endpoint.Handle(KindCommitStatus, p.handleCommitStatus)
 	cfg.Endpoint.Handle(orderer.KindDeliverBlock, p.handleDeliverBlock)
 	cfg.Endpoint.Handle(KindGetSnapshot, p.handleGetSnapshot)
 	if cfg.Gossip != nil {
@@ -571,100 +546,6 @@ func (p *Peer) handleSubscribe(_ context.Context, from string, _ any) (any, int,
 	return "OK", 2, nil
 }
 
-// handleCommitStatus answers one transaction's commit-status request:
-// from the ledger index when the transaction already committed, or by
-// parking the request on the channel's waiter registry until the commit
-// (bounded by the request's wait budget). Handlers run in their own
-// goroutine, so blocking here never stalls dispatch.
-func (p *Peer) handleCommitStatus(ctx context.Context, _ string, payload any) (any, int, error) {
-	req, ok := payload.(*CommitStatusRequest)
-	if !ok {
-		return nil, 0, fmt.Errorf("peer: bad commit-status payload %T", payload)
-	}
-	cs, ok := p.channelFor(req.Channel)
-	if !ok {
-		return nil, 0, fmt.Errorf("peer %s: not joined to channel %q", p.cfg.ID, req.Channel)
-	}
-	if ev, ok := p.lookupCommit(cs, req.TxID); ok {
-		return ev, 48, nil
-	}
-	if req.WaitNanos <= 0 {
-		return nil, 0, fmt.Errorf("%w: %s", ErrTxNotFound, req.TxID)
-	}
-
-	ch := make(chan CommitEvent, 1)
-	cs.mu.Lock()
-	cs.waiters[req.TxID] = append(cs.waiters[req.TxID], ch)
-	cs.mu.Unlock()
-	defer p.dropWaiter(cs, req.TxID, ch)
-	// Close the race with a commit that landed between the lookup and
-	// the registration: the committer only notifies registered waiters.
-	if ev, ok := p.lookupCommit(cs, req.TxID); ok {
-		return ev, 48, nil
-	}
-
-	timeout := time.NewTimer(time.Duration(req.WaitNanos))
-	defer timeout.Stop()
-	select {
-	case ev := <-ch:
-		return &ev, 48, nil
-	case <-timeout.C:
-		return nil, 0, fmt.Errorf("%w: %s", ErrTxNotFound, req.TxID)
-	case <-p.stopCh:
-		return nil, 0, ErrStopped
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
-	}
-}
-
-// lookupCommit resolves a committed transaction into its CommitEvent.
-// Ordered/commit timestamps are unknown for historical lookups and left
-// zero.
-func (p *Peer) lookupCommit(cs *channelState, id types.TxID) (*CommitEvent, bool) {
-	info, err := cs.ledger.GetTx(id)
-	if err != nil {
-		return nil, false
-	}
-	return &CommitEvent{TxID: id, Code: info.Code, BlockNum: info.BlockNum}, true
-}
-
-// dropWaiter removes one parked commit-status request.
-func (p *Peer) dropWaiter(cs *channelState, id types.TxID, ch chan CommitEvent) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ws := cs.waiters[id]
-	for i, w := range ws {
-		if w == ch {
-			ws = append(ws[:i], ws[i+1:]...)
-			break
-		}
-	}
-	if len(ws) == 0 {
-		delete(cs.waiters, id)
-	} else {
-		cs.waiters[id] = ws
-	}
-}
-
-// notifyWaiters satisfies parked commit-status requests for one block's
-// transactions.
-func (p *Peer) notifyWaiters(cs *channelState, events []CommitEvent) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if len(cs.waiters) == 0 {
-		return
-	}
-	for _, ev := range events {
-		for _, ch := range cs.waiters[ev.TxID] {
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-		delete(cs.waiters, ev.TxID)
-	}
-}
-
 // handleDeliverBlock ingests a block pushed by the orderer. With gossip
 // enabled the block is handed to the gossip node (which ingests it,
 // spreads it into the org, and closes gaps via pulls); otherwise it is
@@ -790,9 +671,10 @@ func drainReadyLocked(cs *channelState, block *types.Block) []*types.Block {
 
 // catchUp fetches one channel's blocks [from, to) that the push path
 // skipped. The ranged fetch pays one round trip for the whole gap
-// (paged at the orderer's batch cap); an orderer that cannot serve it
-// falls back to the one-block-per-round-trip path. One fetch per
-// channel runs at a time.
+// (paged at the orderer's batch cap). A failed fetch just returns: the
+// deliver heartbeat re-subscribes within deliverResubscribeEvery and
+// backfills from the reported tips, and the next out-of-order push
+// re-triggers the fetch. One fetch per channel runs at a time.
 func (p *Peer) catchUp(ctx context.Context, ordererID, channel string, from, to uint64) {
 	cs, ok := p.channelFor(channel)
 	if !ok {
@@ -814,7 +696,6 @@ func (p *Peer) catchUp(ctx context.Context, ordererID, channel string, from, to 
 		args := &orderer.GetBlocksArgs{Channel: channel, From: from, To: to}
 		raw, err := p.cfg.Endpoint.Call(ctx, ordererID, orderer.KindGetBlocks, args, 24)
 		if err != nil {
-			p.catchUpSingle(ctx, ordererID, channel, from, to)
 			return
 		}
 		reply, ok := raw.(*orderer.GetBlocksReply)
@@ -827,25 +708,6 @@ func (p *Peer) catchUp(ctx context.Context, ordererID, channel string, from, to 
 			}
 		}
 		from += uint64(len(reply.Blocks))
-	}
-}
-
-// catchUpSingle is the legacy one-block-at-a-time gap fill, kept for
-// compatibility with deliver services that only speak KindGetBlock.
-func (p *Peer) catchUpSingle(ctx context.Context, ordererID, channel string, from, to uint64) {
-	for num := from; num < to; num++ {
-		args := &orderer.GetBlockArgs{Channel: channel, Number: num}
-		raw, err := p.cfg.Endpoint.Call(ctx, ordererID, orderer.KindGetBlock, args, 24)
-		if err != nil {
-			return
-		}
-		block, ok := raw.(*types.Block)
-		if !ok {
-			return
-		}
-		if _, err := p.IngestBlock(block); err != nil {
-			return
-		}
 	}
 }
 
@@ -918,9 +780,10 @@ func (p *Peer) mvccValid(cs *channelState, tx *types.Transaction, dirty map[stri
 	return true
 }
 
-// emitCommitEvents pushes one batched event message per subscriber and
-// satisfies parked commit-status requests.
-func (p *Peer) emitCommitEvents(cs *channelState, block *types.Block, txs []*types.Transaction, committedAt time.Time) {
+// emitCommitEvents pushes one block's commit events, batched into one
+// message per subscribed gateway: the only way a client learns a
+// transaction's outcome.
+func (p *Peer) emitCommitEvents(block *types.Block, txs []*types.Transaction, committedAt time.Time) {
 	events := make([]CommitEvent, 0, len(txs))
 	for i, tx := range txs {
 		events = append(events, CommitEvent{
@@ -931,7 +794,6 @@ func (p *Peer) emitCommitEvents(cs *channelState, block *types.Block, txs []*typ
 			CommitTime:  committedAt.UnixNano(),
 		})
 	}
-	p.notifyWaiters(cs, events)
 	p.mu.Lock()
 	subs := make([]string, 0, len(p.subscribers))
 	for s := range p.subscribers {

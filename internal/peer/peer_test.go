@@ -2,7 +2,6 @@ package peer
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -388,102 +387,6 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	}
 }
 
-// commitStatus issues one commit-status request from the test client.
-func (e *env) commitStatus(i int, id types.TxID, wait time.Duration) (*CommitEvent, error) {
-	e.t.Helper()
-	raw, err := e.sender.Call(context.Background(), peerID(i+1), KindCommitStatus,
-		&CommitStatusRequest{TxID: id, Channel: "perf", WaitNanos: int64(wait)}, 64)
-	if err != nil {
-		return nil, err
-	}
-	return raw.(*CommitEvent), nil
-}
-
-func TestCommitStatusFromLedgerIndex(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	prop := e.proposal("write", "cs1", "v")
-	e.deliver(0, e.buildTx(prop, 0))
-	ev, err := e.commitStatus(0, prop.TxID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.TxID != prop.TxID || ev.Code != types.ValidationValid || ev.BlockNum != 1 {
-		t.Errorf("event = %+v", ev)
-	}
-}
-
-func TestCommitStatusUnknownTxFailsFast(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	if _, err := e.commitStatus(0, "no-such-tx", 0); err == nil {
-		t.Error("unknown tx answered without waiting")
-	}
-}
-
-func TestCommitStatusWaitsForCommit(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	prop := e.proposal("write", "cs2", "v")
-	tx := e.buildTx(prop, 0)
-
-	type reply struct {
-		ev  *CommitEvent
-		err error
-	}
-	got := make(chan reply, 1)
-	go func() {
-		ev, err := e.commitStatus(0, prop.TxID, 5*time.Second)
-		got <- reply{ev, err}
-	}()
-	// Let the request park on the waiter registry, then commit.
-	time.Sleep(20 * time.Millisecond)
-	e.deliver(0, tx)
-	select {
-	case r := <-got:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		// The request usually resolves from the waiter registry (live
-		// CommitTime), but on a slow scheduler it may land after the
-		// commit and answer from the ledger index — both are correct, so
-		// only the outcome fields are asserted.
-		if r.ev.TxID != prop.TxID || !r.ev.Code.Valid() || r.ev.BlockNum != 1 {
-			t.Errorf("event = %+v", r.ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked commit-status request never resolved")
-	}
-	// The satisfied waiter must be removed from the registry.
-	cs, _ := e.peers[0].channelFor("perf")
-	cs.mu.Lock()
-	n := len(cs.waiters)
-	cs.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d waiters leaked", n)
-	}
-}
-
-func TestCommitStatusWaitTimesOutAndCleansUp(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	if _, err := e.commitStatus(0, "never-commits", 30*time.Millisecond); err == nil {
-		t.Error("uncommitted tx answered")
-	}
-	cs, _ := e.peers[0].channelFor("perf")
-	cs.mu.Lock()
-	n := len(cs.waiters)
-	cs.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d waiters leaked after timeout", n)
-	}
-}
-
-func TestCommitStatusUnknownChannel(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	_, err := e.sender.Call(context.Background(), peerID(1), KindCommitStatus,
-		&CommitStatusRequest{TxID: "x", Channel: "nope"}, 64)
-	if err == nil {
-		t.Error("unknown channel accepted")
-	}
-}
-
 // TestMalformedProposalChargesNoCPU is the cost-accounting regression
 // for the endorse path: a flood of malformed proposals must be rejected
 // before EndorseVerifyCPU is charged — real Fabric drops garbage while
@@ -592,14 +495,13 @@ func waitHeight(t *testing.T, p *Peer, h uint64) {
 
 // TestRangedCatchUpSingleRoundTrip is the regression for the
 // one-block-at-a-time gap fill: a peer that is N blocks behind closes
-// the gap with one KindGetBlocks round trip, never touching the
-// single-block path.
+// the gap with one KindGetBlocks round trip.
 func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 	e := newEnv(t, 1, policy.OrOverPeers(1), false)
 	chain := emptyChain(5)
 
 	var mu sync.Mutex
-	ranged, single := 0, 0
+	ranged := 0
 	osn, err := e.net.Register("osn9")
 	if err != nil {
 		t.Fatal(err)
@@ -618,12 +520,6 @@ func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 		}
 		return reply, 64, nil
 	})
-	osn.Handle(orderer.KindGetBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
-		mu.Lock()
-		single++
-		mu.Unlock()
-		return nil, 0, errors.New("single-block path must not be used")
-	})
 
 	// Push only block 5; the peer must fetch [1,5) in one ranged call.
 	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[4], chain[4].Size()); err != nil {
@@ -635,38 +531,9 @@ func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 	if ranged != 1 {
 		t.Errorf("ranged fetches = %d, want exactly 1", ranged)
 	}
-	if single != 0 {
-		t.Errorf("single-block fetches = %d, want 0", single)
-	}
 	if err := e.peers[0].Ledger().VerifyChain(); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestSingleBlockCatchUpFallback keeps the legacy path honest: when the
-// deliver service cannot serve ranged fetches, the peer falls back to
-// one-block round trips and still converges.
-func TestSingleBlockCatchUpFallback(t *testing.T) {
-	e := newEnv(t, 1, policy.OrOverPeers(1), false)
-	chain := emptyChain(4)
-	osn, err := e.net.Register("osn9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No KindGetBlocks handler: the ranged call errors, forcing the
-	// fallback.
-	osn.Handle(orderer.KindGetBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		args := payload.(*orderer.GetBlockArgs)
-		if args.Number == 0 || args.Number > uint64(len(chain)) {
-			return nil, 0, errors.New("no such block")
-		}
-		b := chain[args.Number-1]
-		return b, b.Size(), nil
-	})
-	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[3], chain[3].Size()); err != nil {
-		t.Fatal(err)
-	}
-	waitHeight(t, e.peers[0], 5)
 }
 
 // TestGossipAndDeliverDuplicateCommitsOnce is the duplicate-delivery
