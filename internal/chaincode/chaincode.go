@@ -8,6 +8,8 @@ package chaincode
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"fabricsim/internal/statedb"
 	"fabricsim/internal/types"
@@ -53,30 +55,34 @@ type Simulator struct {
 	ns    string
 	state statedb.Store
 
+	// rwset.Writes is kept sorted by key, one entry per key, and doubles
+	// as the read-your-writes buffer.
 	rwset   types.RWSet
-	writes  map[string]types.KVWrite // read-your-writes buffer
-	readKey map[string]struct{}      // dedup reads of the same key
+	readKey map[string]struct{} // dedup reads of the same key; made on first read
 }
 
 var _ Stub = (*Simulator)(nil)
 
 // NewSimulator creates a simulator for one invocation of chaincode ns.
 func NewSimulator(txID types.TxID, ns string, state statedb.Store) *Simulator {
-	return &Simulator{
-		txID:    txID,
-		ns:      ns,
-		state:   state,
-		writes:  make(map[string]types.KVWrite),
-		readKey: make(map[string]struct{}),
-	}
+	return &Simulator{txID: txID, ns: ns, state: state}
 }
 
 // TxID returns the simulated transaction's ID.
 func (s *Simulator) TxID() types.TxID { return s.txID }
 
+// findWrite returns the index of key in the sorted write set, or where
+// it would be inserted, and whether it is present.
+func (s *Simulator) findWrite(key string) (int, bool) {
+	ws := s.rwset.Writes
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].Key >= key })
+	return i, i < len(ws) && ws[i].Key == key
+}
+
 // GetState implements Stub.
 func (s *Simulator) GetState(key string) ([]byte, error) {
-	if w, ok := s.writes[key]; ok {
+	if i, ok := s.findWrite(key); ok {
+		w := s.rwset.Writes[i]
 		if w.IsDelete {
 			return nil, nil
 		}
@@ -88,8 +94,7 @@ func (s *Simulator) GetState(key string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaincode %s get %q: %w", s.ns, key, err)
 	}
-	if _, seen := s.readKey[key]; !seen {
-		s.readKey[key] = struct{}{}
+	if s.firstRead(key) {
 		read := types.KVRead{Key: key, Exists: exists}
 		if exists {
 			read.Version = vv.Version
@@ -104,17 +109,38 @@ func (s *Simulator) GetState(key string) ([]byte, error) {
 	return append([]byte(nil), vv.Value...), nil
 }
 
+// firstRead marks key read and reports whether it was not already.
+func (s *Simulator) firstRead(key string) bool {
+	if _, seen := s.readKey[key]; seen {
+		return false
+	}
+	if s.readKey == nil {
+		s.readKey = make(map[string]struct{})
+	}
+	s.readKey[key] = struct{}{}
+	return true
+}
+
 // PutState implements Stub.
 func (s *Simulator) PutState(key string, value []byte) error {
-	w := types.KVWrite{Key: key, Value: append([]byte(nil), value...)}
-	s.writes[key] = w
+	s.setWrite(types.KVWrite{Key: key, Value: append([]byte(nil), value...)})
 	return nil
 }
 
 // DelState implements Stub.
 func (s *Simulator) DelState(key string) error {
-	s.writes[key] = types.KVWrite{Key: key, IsDelete: true}
+	s.setWrite(types.KVWrite{Key: key, IsDelete: true})
 	return nil
+}
+
+// setWrite replaces key's buffered write or inserts it in key order.
+func (s *Simulator) setWrite(w types.KVWrite) {
+	i, ok := s.findWrite(w.Key)
+	if ok {
+		s.rwset.Writes[i] = w
+		return
+	}
+	s.rwset.Writes = slices.Insert(s.rwset.Writes, i, w)
 }
 
 // GetStateRange implements Stub. Range reads record each returned key in
@@ -126,33 +152,20 @@ func (s *Simulator) GetStateRange(startKey, endKey string) ([]statedb.KV, error)
 		return nil, fmt.Errorf("chaincode %s range [%q,%q): %w", s.ns, startKey, endKey, err)
 	}
 	for _, kv := range kvs {
-		if _, seen := s.readKey[kv.Key]; !seen {
-			s.readKey[kv.Key] = struct{}{}
+		if s.firstRead(kv.Key) {
 			s.rwset.Reads = append(s.rwset.Reads, types.KVRead{Key: kv.Key, Version: kv.Version, Exists: true})
 		}
 	}
 	return kvs, nil
 }
 
-// RWSet finalizes and returns the recorded read-write set. Writes are
-// emitted in deterministic (insertion-independent) key order via the
-// write map's sorted keys, so all endorsers of the same proposal produce
-// byte-identical sets.
-func (s *Simulator) RWSet() *types.RWSet {
-	keys := make([]string, 0, len(s.writes))
-	for k := range s.writes {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	s.rwset.Writes = s.rwset.Writes[:0]
-	for _, k := range keys {
-		s.rwset.Writes = append(s.rwset.Writes, s.writes[k])
-	}
-	return &s.rwset
-}
+// RWSet returns the read-write set recorded so far; it is the
+// simulator's own and reflects later calls. Writes are in key order
+// whatever order the chaincode issued them, so all endorsers of the
+// same proposal produce byte-identical sets.
+func (s *Simulator) RWSet() *types.RWSet { return &s.rwset }
 
-// sortStrings is an insertion sort; write sets are small (a handful of
-// keys) so this avoids pulling in sort for the hot path.
+// sortStrings is an insertion sort for the registry's short name lists.
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

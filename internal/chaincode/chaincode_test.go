@@ -9,8 +9,8 @@ import (
 	"fabricsim/internal/types"
 )
 
-func seededDB(t *testing.T, ns string, kv map[string]string) *statedb.DB {
-	t.Helper()
+func seededDB(tb testing.TB, ns string, kv map[string]string) *statedb.DB {
+	tb.Helper()
 	db := statedb.New()
 	batch := statedb.NewUpdateBatch()
 	i := uint64(0)
@@ -19,7 +19,7 @@ func seededDB(t *testing.T, ns string, kv map[string]string) *statedb.DB {
 		i++
 	}
 	if err := db.ApplyUpdates(batch, types.Version{BlockNum: 1, TxNum: i + 1}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db
 }
@@ -326,3 +326,36 @@ func TestMutatingChaincodeCannotCorruptCommittedState(t *testing.T) {
 		t.Errorf("read version = %+v", rw.Reads[0].Version)
 	}
 }
+
+// TestSimulateAllocs pins the endorser's write-only simulation: the
+// simulator, the value copy and the one-entry write set.
+func TestSimulateAllocs(t *testing.T) {
+	db := statedb.New()
+	value := []byte("value")
+	allocs := testing.AllocsPerRun(100, func() {
+		sim := NewSimulator("tx", "cc", db)
+		_ = sim.PutState("key", value)
+		sinkRWSet = sim.RWSet()
+	})
+	if allocs > 4 {
+		t.Errorf("NewSimulator+PutState+RWSet: %.1f allocations, want <= 4", allocs)
+	}
+}
+
+// BenchmarkSimulate runs one KVStore write the way an endorser does:
+// a fresh simulator, the invoke, then the read-write set.
+func BenchmarkSimulate(b *testing.B) {
+	db := seededDB(b, "bench", map[string]string{"k": "v0"})
+	cc := NewKVStore("bench")
+	args := [][]byte{[]byte("k"), []byte("v1")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim := NewSimulator("tx", "bench", db)
+		if _, err := cc.Invoke(sim, "write", args); err != nil {
+			b.Fatal(err)
+		}
+		sinkRWSet = sim.RWSet()
+	}
+}
+
+var sinkRWSet *types.RWSet

@@ -82,11 +82,15 @@ func Digest(parts ...[]byte) []byte {
 		sum := sha256.Sum256(parts[0])
 		return sum[:]
 	}
-	h := sha256.New()
+	// The endorser's ESCC input is two 32-byte digests, so the parts
+	// usually fit on the stack; append moves longer inputs to the heap.
+	var stack [128]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		h.Write(p)
+		buf = append(buf, p...)
 	}
-	return h.Sum(make([]byte, 0, sha256.Size))
+	sum := sha256.Sum256(buf)
+	return sum[:]
 }
 
 // --- ECDSA P-256 ---

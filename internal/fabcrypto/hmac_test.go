@@ -66,22 +66,46 @@ func TestHMACSignMatchesHMACNew(t *testing.T) {
 }
 
 // TestDigestMatchesStreamingHash holds Digest to one sha256 stream over
-// its parts, for zero to four parts, empty and nil ones included.
+// its parts on 10 000 inputs of zero to four parts, empty and nil ones
+// included and many over 128 bytes in total, from one goroutine and then
+// from eight at once.
 func TestDigestMatchesStreamingHash(t *testing.T) {
 	msgs := randomMessages(400)
-	for i := 0; i+4 <= len(msgs); i += 4 {
-		parts := msgs[i : i+i%5]
-		if i%7 == 0 && len(parts) > 0 {
-			parts[0] = nil
+	r := rand.New(rand.NewSource(28))
+	inputs := make([][][]byte, 10000)
+	for i := range inputs {
+		parts := make([][]byte, r.Intn(5))
+		for j := range parts {
+			parts[j] = msgs[r.Intn(len(msgs))]
 		}
+		if len(parts) > 0 && r.Intn(7) == 0 {
+			parts[r.Intn(len(parts))] = nil
+		}
+		inputs[i] = parts
+	}
+	check := func(parts [][]byte) {
 		h := sha256.New()
 		for _, p := range parts {
 			h.Write(p)
 		}
 		if got, want := Digest(parts...), h.Sum(nil); !bytes.Equal(got, want) {
-			t.Fatalf("Digest of %d parts = %x, want %x", len(parts), got, want)
+			t.Errorf("Digest of %d parts = %x, want %x", len(parts), got, want)
 		}
 	}
+	for _, parts := range inputs {
+		check(parts)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(inputs); i += 8 {
+				check(inputs[i])
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSignAndDigestAllocs pins the endorse path's per-signature cost:

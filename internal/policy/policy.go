@@ -17,11 +17,12 @@ var ErrEmpty = errors.New("policy: empty combinator")
 // Policy is a node of the endorsement-policy tree.
 type Policy interface {
 	// Satisfied reports whether the set of endorsing principals meets
-	// the policy. The set maps principal strings (e.g. "Org1.peer0")
+	// the policy. Principal strings (e.g. "Org1.peer0") match exactly
 	// and org wildcards are matched via the org prefix.
 	Satisfied(endorsers PrincipalSet) bool
 	// Principals returns the distinct principals the policy mentions,
-	// sorted. The client uses this to pick endorsement targets.
+	// sorted. The client uses this to pick endorsement targets. The
+	// slice is computed once and shared by every caller: read-only.
 	Principals() []string
 	// MinEndorsements returns the minimum number of endorsements that
 	// can possibly satisfy the policy.
@@ -30,25 +31,19 @@ type Policy interface {
 	String() string
 }
 
-// PrincipalSet is the set of principals that endorsed a transaction.
-type PrincipalSet map[string]struct{}
+// PrincipalSet is the list of principals that endorsed a transaction.
+// A transaction carries a handful of endorsements, so membership is a
+// linear scan; duplicates are harmless.
+type PrincipalSet []string
 
-// NewPrincipalSet builds a set from a list of principal strings.
-func NewPrincipalSet(ids ...string) PrincipalSet {
-	s := make(PrincipalSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
+// NewPrincipalSet returns ids as a set, sharing their backing array.
+func NewPrincipalSet(ids ...string) PrincipalSet { return PrincipalSet(ids) }
 
-// Has reports membership, treating "Org" entries in the set as exact and
-// matching "Org.*" wildcards in the query against the org prefix.
+// Has reports whether any endorser in the set satisfies principal under
+// Matches: exactly, or as a member of a wildcard ("Org.*" or bare
+// "Org") principal's org.
 func (s PrincipalSet) Has(principal string) bool {
-	if _, ok := s[principal]; ok {
-		return true
-	}
-	for id := range s {
+	for _, id := range s {
 		if Matches(principal, id) {
 			return true
 		}
@@ -76,16 +71,19 @@ func Matches(principal, id string) bool {
 
 // signedBy requires an endorsement from one principal.
 type signedBy struct {
-	principal string
+	principal  string
+	principals []string // {principal}, returned by Principals
 }
 
 // SignedBy returns a policy satisfied by an endorsement from the given
 // principal. A principal of the form "Org1.peer0" names one identity;
 // "Org1.*" (or bare "Org1") matches any member of the org.
-func SignedBy(principal string) Policy { return &signedBy{principal: principal} }
+func SignedBy(principal string) Policy {
+	return &signedBy{principal: principal, principals: []string{principal}}
+}
 
 func (p *signedBy) Satisfied(endorsers PrincipalSet) bool { return endorsers.Has(p.principal) }
-func (p *signedBy) Principals() []string                  { return []string{p.principal} }
+func (p *signedBy) Principals() []string                  { return p.principals }
 func (p *signedBy) MinEndorsements() int                  { return 1 }
 func (p *signedBy) String() string                        { return "'" + p.principal + "'" }
 
@@ -95,16 +93,27 @@ type outOf struct {
 	k    int
 	subs []Policy
 	op   string // "AND", "OR", or "OutOf" for String()
+
+	// Computed at construction: policy trees are immutable.
+	principals      []string
+	minEndorsements int
 }
 
 // And returns a policy satisfied only when every sub-policy is.
-func And(subs ...Policy) Policy { return &outOf{k: len(subs), subs: subs, op: "AND"} }
+func And(subs ...Policy) Policy { return newOutOf(len(subs), subs, "AND") }
 
 // Or returns a policy satisfied when at least one sub-policy is.
-func Or(subs ...Policy) Policy { return &outOf{k: 1, subs: subs, op: "OR"} }
+func Or(subs ...Policy) Policy { return newOutOf(1, subs, "OR") }
 
 // OutOf returns a policy satisfied when at least k sub-policies are.
-func OutOf(k int, subs ...Policy) Policy { return &outOf{k: k, subs: subs, op: "OutOf"} }
+func OutOf(k int, subs ...Policy) Policy { return newOutOf(k, subs, "OutOf") }
+
+func newOutOf(k int, subs []Policy, op string) *outOf {
+	p := &outOf{k: k, subs: subs, op: op}
+	p.principals = p.distinctPrincipals()
+	p.minEndorsements = p.cheapestK()
+	return p
+}
 
 func (p *outOf) Satisfied(endorsers PrincipalSet) bool {
 	if len(p.subs) == 0 {
@@ -122,7 +131,11 @@ func (p *outOf) Satisfied(endorsers PrincipalSet) bool {
 	return satisfied >= p.k
 }
 
-func (p *outOf) Principals() []string {
+func (p *outOf) Principals() []string { return p.principals }
+func (p *outOf) MinEndorsements() int { return p.minEndorsements }
+
+// distinctPrincipals merges the sub-policies' principals, sorted.
+func (p *outOf) distinctPrincipals() []string {
 	seen := make(map[string]struct{})
 	var out []string
 	for _, sub := range p.subs {
@@ -137,7 +150,8 @@ func (p *outOf) Principals() []string {
 	return out
 }
 
-func (p *outOf) MinEndorsements() int {
+// cheapestK sums the k smallest sub-policy minimums.
+func (p *outOf) cheapestK() int {
 	if len(p.subs) == 0 || p.k <= 0 {
 		return 0
 	}

@@ -110,12 +110,13 @@ func TestOutOfEquivalenceProperty(t *testing.T) {
 		for i := 0; i < k; i++ {
 			subs = append(subs, SignedBy(principals[i]))
 		}
-		set := PrincipalSet{}
+		var ids []string
 		for i, pr := range principals {
 			if mask&(1<<i) != 0 {
-				set[pr] = struct{}{}
+				ids = append(ids, pr)
 			}
 		}
+		set := NewPrincipalSet(ids...)
 		orEq := OutOf(1, subs...).Satisfied(set) == Or(subs...).Satisfied(set)
 		andEq := OutOf(len(subs), subs...).Satisfied(set) == And(subs...).Satisfied(set)
 		return orEq && andEq
@@ -132,17 +133,15 @@ func TestMonotonicityProperty(t *testing.T) {
 	principals := []string{"a.p", "b.p", "c.p", "d.p", "e.p", "f.p"}
 	for trial := 0; trial < 300; trial++ {
 		pol := randomPolicy(rng, principals, 3)
-		set := PrincipalSet{}
 		var order []string
 		for _, pr := range principals {
 			if rng.Intn(2) == 0 {
 				order = append(order, pr)
 			}
 		}
-		prev := pol.Satisfied(set)
-		for _, pr := range order {
-			set[pr] = struct{}{}
-			cur := pol.Satisfied(set)
+		prev := pol.Satisfied(NewPrincipalSet())
+		for i, pr := range order {
+			cur := pol.Satisfied(NewPrincipalSet(order[:i+1]...))
 			if prev && !cur {
 				t.Fatalf("policy %s became unsatisfied after adding %s", pol, pr)
 			}
@@ -162,12 +161,13 @@ func TestParseStringRoundTripProperty(t *testing.T) {
 			t.Fatalf("re-parse %q: %v", pol, err)
 		}
 		for mask := 0; mask < 1<<len(principals); mask++ {
-			set := PrincipalSet{}
+			var ids []string
 			for i, pr := range principals {
 				if mask&(1<<i) != 0 {
-					set[pr] = struct{}{}
+					ids = append(ids, pr)
 				}
 			}
+			set := NewPrincipalSet(ids...)
 			if pol.Satisfied(set) != parsed.Satisfied(set) {
 				t.Fatalf("policy %s differs from its re-parse on %v", pol, set)
 			}

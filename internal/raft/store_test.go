@@ -379,6 +379,9 @@ func TestCompactionAndRestartFromBase(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Compaction can still be running: read what the restart must
+	// recover only once the node has stopped.
+	n.Stop()
 	base, last := n.CompactionBase(), n.LastIndex()
 	if _, ok := n.EntryAt(base); ok {
 		t.Error("compacted entry still exposed")
@@ -386,7 +389,6 @@ func TestCompactionAndRestartFromBase(t *testing.T) {
 	if err := n.PersistErr(); err != nil {
 		t.Fatal(err)
 	}
-	n.Stop()
 	net.Deregister("n1")
 
 	r := newSolo()

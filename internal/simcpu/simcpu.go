@@ -133,11 +133,12 @@ func (c *CPU) Execute(ctx context.Context, d time.Duration) error {
 	}
 
 	if sleep := time.Until(end); sleep > 0 {
-		timer := time.NewTimer(sleep)
-		defer timer.Stop()
+		timer := getTimer(sleep)
 		select {
 		case <-timer.C:
+			timerPool.Put(timer)
 		case <-ctx.Done():
+			timer.Stop()
 			return ctx.Err()
 		}
 	}
@@ -145,6 +146,21 @@ func (c *CPU) Execute(ctx context.Context, d time.Duration) error {
 		return ErrStopped
 	}
 	return nil
+}
+
+// timerPool holds fired timers whose channel has been received from, so
+// Reset rearms them with nothing stale left to deliver under either
+// timer-channel semantics. A timer abandoned on cancellation may still
+// fire into its channel and is never put back.
+var timerPool sync.Pool
+
+// getTimer returns a timer armed to fire after d, reusing a pooled one.
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
 }
 
 // Stop makes subsequent Execute calls fail fast.

@@ -123,3 +123,70 @@ func TestUtilization(t *testing.T) {
 		t.Error("zero-elapsed utilization not 0")
 	}
 }
+
+// TestPooledTimersNeverFireEarly runs Execute from 64 goroutines that
+// share the timer pool, half of them cancelling mid-sleep. Every call
+// that returns nil must have slept at least its duration: a cancelled
+// timer put back with a pending fire, or one rearmed while still
+// running, would let a later call return early. Run it under
+// -race -count=10.
+func TestPooledTimersNeverFireEarly(t *testing.T) {
+	const goroutines, calls = 64, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := New(1, 1.0) // idle: nothing else queues on this CPU
+			cancels := g%2 == 1
+			for i := 0; i < calls; i++ {
+				d := time.Duration(200+(g*37+i*101)%1800) * time.Microsecond
+				ctx, cancel := context.WithCancel(context.Background())
+				if cancels {
+					// Cancel between halfway and the timer's own
+					// deadline, so some cancellations race its fire.
+					time.AfterFunc(d/2+d*time.Duration(i%8)/14, cancel)
+				}
+				start := time.Now()
+				err := c.Execute(ctx, d)
+				elapsed := time.Since(start)
+				cancel()
+				switch {
+				case err == nil && elapsed < d:
+					t.Errorf("goroutine %d call %d: Execute(%s) returned after %s", g, i, d, elapsed)
+				case err != nil && (!cancels || err != context.Canceled):
+					t.Errorf("goroutine %d call %d: Execute: %v", g, i, err)
+				}
+			}
+			if got := c.Stats().Executed; got != calls {
+				t.Errorf("goroutine %d: Executed = %d, want %d", g, got, calls)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestExecuteAllocs pins a sleeping Execute at no more than one
+// allocation once the timer pool is warm.
+func TestExecuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	c := New(1, 1.0)
+	ctx := context.Background()
+	_ = c.Execute(ctx, 50*time.Microsecond)
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Execute(ctx, 50*time.Microsecond) }); allocs > 1 {
+		t.Errorf("Execute: %.1f allocations, want <= 1", allocs)
+	}
+}
+
+func BenchmarkExecute(b *testing.B) {
+	c := New(1, 1.0)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.Execute(ctx, time.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

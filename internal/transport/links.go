@@ -54,8 +54,8 @@ type RegionMatrix map[string]map[string]LinkProps
 type LinkSet struct {
 	mu        sync.RWMutex
 	def       LinkProps
-	overrides map[string]LinkProps // "src->dst"
-	cut       map[string]struct{}  // hard-dropped directed pairs
+	overrides map[linkKey]LinkProps
+	cut       map[linkKey]struct{} // hard-dropped directed pairs
 	isolated  map[string]struct{}  // crashed/unplugged nodes
 	regions   map[string]string    // node -> region label
 	matrix    RegionMatrix
@@ -69,8 +69,8 @@ type LinkSet struct {
 func NewLinkSet(def LinkProps) *LinkSet {
 	return &LinkSet{
 		def:       def,
-		overrides: make(map[string]LinkProps),
-		cut:       make(map[string]struct{}),
+		overrides: make(map[linkKey]LinkProps),
+		cut:       make(map[linkKey]struct{}),
 		isolated:  make(map[string]struct{}),
 		regions:   make(map[string]string),
 		rng:       rand.New(rand.NewSource(1)),
@@ -99,21 +99,24 @@ func (ls *LinkSet) DefaultProps() LinkProps {
 	return ls.def
 }
 
-func key(src, dst string) string { return src + "->" + dst }
+// linkKey names one directed link. Unlike a "src->dst" string it cannot
+// make two links collide ("a->b" to "c" and "a" to "b->c"), and building
+// one allocates nothing.
+type linkKey struct{ src, dst string }
 
 // Set overrides one directed link's properties.
 func (ls *LinkSet) Set(src, dst string, p LinkProps) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.overrides[key(src, dst)] = p
+	ls.overrides[linkKey{src, dst}] = p
 }
 
 // SetBidi overrides both directions between two nodes.
 func (ls *LinkSet) SetBidi(a, b string, p LinkProps) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.overrides[key(a, b)] = p
-	ls.overrides[key(b, a)] = p
+	ls.overrides[linkKey{a, b}] = p
+	ls.overrides[linkKey{b, a}] = p
 }
 
 // Unset removes one directed link's override, reverting it to the
@@ -121,29 +124,29 @@ func (ls *LinkSet) SetBidi(a, b string, p LinkProps) {
 func (ls *LinkSet) Unset(src, dst string) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	delete(ls.overrides, key(src, dst))
+	delete(ls.overrides, linkKey{src, dst})
 }
 
 // UnsetBidi removes both directions' overrides between two nodes.
 func (ls *LinkSet) UnsetBidi(a, b string) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	delete(ls.overrides, key(a, b))
-	delete(ls.overrides, key(b, a))
+	delete(ls.overrides, linkKey{a, b})
+	delete(ls.overrides, linkKey{b, a})
 }
 
 // Cut hard-drops one directed link until Uncut.
 func (ls *LinkSet) Cut(src, dst string) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.cut[key(src, dst)] = struct{}{}
+	ls.cut[linkKey{src, dst}] = struct{}{}
 }
 
 // Uncut restores one directed link cut by Cut or Partition.
 func (ls *LinkSet) Uncut(src, dst string) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	delete(ls.cut, key(src, dst))
+	delete(ls.cut, linkKey{src, dst})
 }
 
 // Partition cuts every directed link between group a and group b (both
@@ -154,8 +157,8 @@ func (ls *LinkSet) Partition(a, b []string) {
 	defer ls.mu.Unlock()
 	for _, x := range a {
 		for _, y := range b {
-			ls.cut[key(x, y)] = struct{}{}
-			ls.cut[key(y, x)] = struct{}{}
+			ls.cut[linkKey{x, y}] = struct{}{}
+			ls.cut[linkKey{y, x}] = struct{}{}
 		}
 	}
 }
@@ -166,8 +169,8 @@ func (ls *LinkSet) Heal(a, b []string) {
 	defer ls.mu.Unlock()
 	for _, x := range a {
 		for _, y := range b {
-			delete(ls.cut, key(x, y))
-			delete(ls.cut, key(y, x))
+			delete(ls.cut, linkKey{x, y})
+			delete(ls.cut, linkKey{y, x})
 		}
 	}
 }
@@ -221,8 +224,8 @@ func (ls *LinkSet) SetRegionProps(m RegionMatrix) {
 func (ls *LinkSet) Reset() {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.overrides = make(map[string]LinkProps)
-	ls.cut = make(map[string]struct{})
+	ls.overrides = make(map[linkKey]LinkProps)
+	ls.cut = make(map[linkKey]struct{})
 	ls.isolated = make(map[string]struct{})
 }
 
@@ -241,7 +244,7 @@ func (ls *LinkSet) severedLocked(src, dst string) bool {
 	if _, ok := ls.isolated[dst]; ok {
 		return true
 	}
-	_, ok := ls.cut[key(src, dst)]
+	_, ok := ls.cut[linkKey{src, dst}]
 	return ok
 }
 
@@ -254,7 +257,7 @@ func (ls *LinkSet) PropsFor(src, dst string) LinkProps {
 }
 
 func (ls *LinkSet) propsLocked(src, dst string) LinkProps {
-	if p, ok := ls.overrides[key(src, dst)]; ok {
+	if p, ok := ls.overrides[linkKey{src, dst}]; ok {
 		return p
 	}
 	if ls.matrix != nil {

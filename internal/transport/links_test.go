@@ -131,6 +131,58 @@ func TestLinkFateForCalls(t *testing.T) {
 	}
 }
 
+// TestLinkKeysDoNotCollide sends over "a->b" to "c" and "a" to "b->c",
+// two directed links whose endpoints join to the same "a->b->c": cutting
+// or congesting one must leave the other delivering.
+func TestLinkKeysDoNotCollide(t *testing.T) {
+	n := NewNetwork(Config{})
+	t.Cleanup(n.Close)
+	eps := map[string]*MemEndpoint{}
+	for _, id := range []string{"a->b", "c", "a", "b->c"} {
+		ep, err := n.Register(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.Handle("echo", func(_ context.Context, _ string, payload any) (any, int, error) {
+			return payload, 8, nil
+		})
+		eps[id] = ep
+	}
+	callOther := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, err := eps["a"].Call(ctx, "b->c", "echo", 1, 8)
+		return err
+	}
+
+	n.Links().Cut("a->b", "c")
+	if _, err := eps["a->b"].Call(context.Background(), "c", "echo", 1, 8); !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("call over cut link: err = %v, want ErrLinkDown", err)
+	}
+	if err := callOther(); err != nil {
+		t.Fatalf("cutting a->b -> c severed a -> b->c: %v", err)
+	}
+	n.Links().Uncut("a->b", "c")
+
+	// Hold every message on a->b -> c at its link's pump until the
+	// link's queue overflows.
+	n.Links().Set("a->b", "c", LinkProps{Latency: 300 * time.Millisecond})
+	congested := false
+	for i := 0; i < 5000 && !congested; i++ {
+		congested = eps["a->b"].Send("c", "echo", i, 8) != nil
+	}
+	if !congested {
+		t.Fatal("a->b -> c never congested")
+	}
+	start := time.Now()
+	if err := callOther(); err != nil {
+		t.Fatalf("congestion on a->b -> c stalled a -> b->c: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("a -> b->c took %s behind a congested a->b -> c", elapsed)
+	}
+}
+
 // mutateLinkSet hammers every LinkSet mutator so the race detector can
 // observe conflicts with concurrent senders.
 func mutateLinkSet(ls *LinkSet, rounds int) {

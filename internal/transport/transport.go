@@ -82,7 +82,7 @@ type Network struct {
 	mu    sync.RWMutex
 	nodes map[string]*MemEndpoint
 	down  map[string]bool
-	links map[string]*link // "src->dst"
+	links map[linkKey]*link
 
 	// linkset holds the per-directed-link property matrix (latency,
 	// jitter, loss, partitions). It seeds from Config.Latency and is
@@ -106,7 +106,7 @@ func NewNetwork(cfg Config) *Network {
 		cfg:     cfg,
 		nodes:   make(map[string]*MemEndpoint),
 		down:    make(map[string]bool),
-		links:   make(map[string]*link),
+		links:   make(map[linkKey]*link),
 		linkset: NewLinkSet(LinkProps{Latency: cfg.Latency}),
 		done:    make(chan struct{}),
 	}
@@ -215,8 +215,8 @@ func (n *Network) deliver(msg message) error {
 		n.mu.RUnlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.to)
 	}
-	key := msg.from + "->" + msg.to
-	l, ok := n.links[key]
+	lk := linkKey{msg.from, msg.to}
+	l, ok := n.links[lk]
 	n.mu.RUnlock()
 
 	// Resolve this message's link fate now. Call frames (corr != 0)
@@ -243,10 +243,10 @@ func (n *Network) deliver(msg message) error {
 
 	if !ok {
 		n.mu.Lock()
-		l, ok = n.links[key]
+		l, ok = n.links[lk]
 		if !ok {
 			l = &link{ch: make(chan message, 4096)}
-			n.links[key] = l
+			n.links[lk] = l
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
@@ -260,7 +260,7 @@ func (n *Network) deliver(msg message) error {
 	case l.ch <- msg:
 		return nil
 	default:
-		return fmt.Errorf("transport: link %s congested", key)
+		return fmt.Errorf("transport: link %s -> %s congested", msg.from, msg.to)
 	}
 }
 

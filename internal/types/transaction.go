@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -151,9 +152,23 @@ func UnmarshalProposal(b []byte) (*Proposal, error) {
 // Hash returns the SHA-256 digest of the encoded proposal. Endorsers
 // sign over this digest together with the response payload.
 func (p *Proposal) Hash() []byte {
-	sum := sha256.Sum256(p.Marshal())
+	enc := hashEncoders.Get().(*Encoder)
+	enc.buf = enc.buf[:0]
+	p.encode(enc)
+	sum := sha256.Sum256(enc.buf)
+	if cap(enc.buf) <= maxPooledEncoder {
+		hashEncoders.Put(enc)
+	}
 	return sum[:]
 }
+
+// hashEncoders recycles Hash's encoding buffers: the encoding is hashed
+// and discarded, so no caller ever holds it.
+var hashEncoders = sync.Pool{New: func() any { return NewEncoder(256) }}
+
+// maxPooledEncoder caps the buffers hashEncoders keeps, so one huge
+// proposal does not pin its buffer for the process's lifetime.
+const maxPooledEncoder = 64 << 10
 
 // Endorsement is one endorsing peer's signed approval of a proposal
 // response (the ESCC output).

@@ -2,7 +2,10 @@ package types
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -259,3 +262,88 @@ func TestVersionCompare(t *testing.T) {
 		}
 	}
 }
+
+// randomProposal fills every proposal field from r; about one in 500
+// carries an argument large enough to push the encoding past 64 KiB.
+func randomProposal(r *rand.Rand) *Proposal {
+	bytesOf := func(n int) []byte {
+		if n == 0 && r.Intn(2) == 0 {
+			return nil
+		}
+		b := make([]byte, n)
+		r.Read(b)
+		return b
+	}
+	p := &Proposal{
+		TxID:        TxID(bytesOf(r.Intn(64))),
+		ChannelID:   string(bytesOf(r.Intn(16))),
+		ChaincodeID: string(bytesOf(r.Intn(16))),
+		Fn:          string(bytesOf(r.Intn(16))),
+		Creator:     bytesOf(r.Intn(200)),
+		Nonce:       bytesOf(r.Intn(32)),
+		Timestamp:   r.Int63() - r.Int63(),
+		TraceID:     string(bytesOf(r.Intn(24))),
+	}
+	for n := r.Intn(5); n > 0; n-- {
+		size := r.Intn(300)
+		if r.Intn(500) == 0 {
+			size = 64<<10 + r.Intn(4096)
+		}
+		p.Args = append(p.Args, bytesOf(size))
+	}
+	return p
+}
+
+// TestProposalHashMatchesMarshal holds Hash to the SHA-256 of Marshal on
+// 10 000 random proposals, some over 64 KiB encoded, from one goroutine
+// and then from eight at once (run under -race, this pins the encoder
+// pool's reset discipline).
+func TestProposalHashMatchesMarshal(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	props := make([]*Proposal, 10000)
+	for i := range props {
+		props[i] = randomProposal(r)
+	}
+	check := func(p *Proposal) {
+		want := sha256.Sum256(p.Marshal())
+		if got := p.Hash(); !bytes.Equal(got, want[:]) {
+			t.Errorf("Hash = %x, want %x", got, want)
+		}
+	}
+	for _, p := range props {
+		check(p)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(props); i += 8 {
+				check(props[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestProposalHashAllocs pins Hash at one allocation: the returned
+// digest.
+func TestProposalHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	p := sampleProposal()
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Hash() }); allocs > 1 {
+		t.Errorf("Proposal.Hash: %.1f allocations, want <= 1", allocs)
+	}
+}
+
+func BenchmarkProposalHash(b *testing.B) {
+	p := sampleProposal()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHash = p.Hash()
+	}
+}
+
+var sinkHash []byte
