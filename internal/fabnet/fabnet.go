@@ -52,16 +52,16 @@ const (
 type Config struct {
 	// Orderer selects the ordering service (default Solo).
 	Orderer OrdererType
-	// NumOrderers is the OSN count (Solo forces 1).
+	// NumOrderers is the OSN count (default 1; Solo forces 1).
 	NumOrderers int
 	// NumKafkaBrokers and NumZooKeepers size the Kafka substrate
-	// (defaults 3 and 3, the paper's baseline).
+	// (defaults 3 and 3, the paper's baseline). Each channel's partition
+	// is replicated on three brokers, or on every broker when there are
+	// fewer.
 	NumKafkaBrokers int
 	NumZooKeepers   int
-	// KafkaReplication is the partition replication factor (default 3).
-	KafkaReplication int
 	// NumEndorsingPeers is the number of endorsing organizations
-	// (Org1 ... OrgN), each contributing one org principal
+	// (Org1 ... OrgN, default 1), each contributing one org principal
 	// (Org<i>.peer0) to endorsement policies.
 	NumEndorsingPeers int
 	// EndorsersPerOrg deploys this many interchangeable endorsing
@@ -91,7 +91,8 @@ type Config struct {
 	// (0) provisions one client per endorsing peer, matching the
 	// paper's per-peer load split (Fig. 1).
 	NumClients int
-	// Policy is the channel endorsement policy.
+	// Policy is the channel endorsement policy (default: OR over every
+	// endorsing org).
 	Policy policy.Policy
 	// BatchSize and BatchTimeout are the block-cutting parameters in
 	// model time (defaults 100 and 1s, the paper's settings).
@@ -108,10 +109,11 @@ type Config struct {
 	// (MVCC conflicts and early aborts re-endorse and resubmit with
 	// exponential backoff). Zero value disables retry.
 	Retry gateway.RetryConfig
-	// Model is the calibrated cost model (use costmodel.Default).
+	// Model is the calibrated cost model (use costmodel.Default; the
+	// zero value means costmodel.Default(1)).
 	Model costmodel.Model
-	// Scheme is the signature scheme ("hmac" for sweeps, "ecdsa" for
-	// correctness runs).
+	// Scheme is the signature scheme ("hmac", the default, for sweeps;
+	// "ecdsa" for correctness runs).
 	Scheme string
 	// VerifyCrypto enables real signature verification on every path.
 	VerifyCrypto bool
@@ -128,7 +130,8 @@ type Config struct {
 	// ExtraChaincodes installs chaincodes beyond the benchmark KV store.
 	ExtraChaincodes []chaincode.Chaincode
 	// ChannelID names the channel of a single-channel deployment
-	// (default "perf"). Ignored when Channels is set.
+	// (default "perf"). When Channels is set, Build overwrites it with
+	// the first channel's ID, the default channel of every node.
 	ChannelID string
 	// Channels declares a multi-channel topology, the network's sharding
 	// axis: every channel gets its own ordering lane (Kafka partition or
@@ -136,10 +139,6 @@ type Config struct {
 	// own chain numbering, so channels order and commit concurrently.
 	// Empty means one channel named ChannelID with policy Policy.
 	Channels []ChannelConfig
-	// ClientMaxInFlight bounds each client gateway's SubmitAsync
-	// in-flight window (0 = gateway.DefaultMaxInFlight). Workload
-	// generators resize it per run.
-	ClientMaxInFlight int
 	// CommitterPool overrides Model.CommitterPool when positive: the
 	// parallel state-apply workers each peer's commit pipeline fans
 	// conflict-free transaction groups across.
@@ -259,9 +258,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.NumZooKeepers < 1 {
 		c.NumZooKeepers = 3
-	}
-	if c.KafkaReplication < 1 {
-		c.KafkaReplication = 3
 	}
 	if c.NumEndorsingPeers < 1 {
 		c.NumEndorsingPeers = 1
@@ -404,8 +400,10 @@ type Network struct {
 
 	kafkaCluster *kafka.Cluster
 	zk           *zookeeper.Ensemble
-	raftCons     []*orderer.RaftConsenter
-	cpus         []*simcpu.CPU
+	// raftCons holds each OSN's Raft consenter (indexed like Orderers;
+	// nil entries for non-Raft ordering).
+	raftCons []*orderer.RaftConsenter
+	cpus     []*simcpu.CPU
 	// nodeCPUs indexes each node's simulated CPU by node ID (read-only
 	// after Build; RestartPeer reuses the same CPU object, so a chaos
 	// throttle survives a peer restart like a real machine's core count
@@ -427,9 +425,7 @@ type Network struct {
 	// raftStores holds each OSN's per-channel hard-state stores (indexed
 	// like Orderers; nil for non-Raft ordering). Mem stores are retained
 	// here across restarts — the network plays the role of the disk.
-	raftStores    []map[string]raft.Store
-	raftElection  time.Duration
-	raftHeartbeat time.Duration
+	raftStores []map[string]raft.Store
 	// brokerIDs retains the Kafka broker membership so a restarted OSN
 	// can be handed a fresh Kafka client.
 	brokerIDs []string
@@ -532,85 +528,48 @@ func Build(cfg Config) (*Network, error) {
 		n.nodeCPUs[id] = c
 		return c
 	}
-	// assignRegion labels a node with the idx-th configured region
-	// (round-robin) on both the bookkeeping map and the link matrix.
-	assignRegion := func(id string, idx int) {
-		if len(cfg.Regions) == 0 {
-			return
-		}
-		region := cfg.Regions[idx%len(cfg.Regions)]
-		n.regions[id] = region
-		n.Links().SetRegion(id, region)
-	}
 
 	// --- Ordering service ---
-	ordererIDs := make([]string, 0, cfg.NumOrderers)
-	ordererEPs := make([]transport.Endpoint, 0, cfg.NumOrderers)
-	for i := 1; i <= cfg.NumOrderers; i++ {
-		id := fmt.Sprintf("osn%d", i)
+	for i := 0; i < cfg.NumOrderers; i++ {
+		id := fmt.Sprintf("osn%d", i+1)
 		ep, err := n.register(id)
 		if err != nil {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
-		assignRegion(id, i-1)
-		ordererIDs = append(ordererIDs, id)
-		ordererEPs = append(ordererEPs, ep)
-	}
-	for i := range ordererIDs {
+		n.assignRegion(id, i)
 		ocfg := orderer.Config{
-			ID:       ordererIDs[i],
-			Endpoint: ordererEPs[i],
+			ID:       id,
+			Endpoint: ep,
 			Cutter: blockcutter.Config{
 				BatchSize:    cfg.BatchSize,
 				BatchTimeout: cfg.BatchTimeout,
 				Reorder:      cfg.Reorder,
 			},
 			Model:     model,
-			CPU:       newCPU(ordererIDs[i], model.OrdererCores),
+			CPU:       newCPU(id, model.OrdererCores),
 			Channels:  channelIDs,
 			Collector: cfg.Collector,
 			Recorder:  i == 0,
 			Tracer:    cfg.Tracer,
 		}
+		n.ordererIDs = append(n.ordererIDs, id)
 		n.ordererCfgs = append(n.ordererCfgs, ocfg)
 		n.Orderers = append(n.Orderers, orderer.New(ocfg))
 	}
-	n.ordererIDs = ordererIDs
-	n.raftStores = make([]map[string]raft.Store, len(ordererIDs))
-
-	switch cfg.Orderer {
-	case Solo:
-		orderer.NewSolo(n.Orderers[0])
-	case Kafka:
-		if err := n.buildKafka(ordererIDs, ordererEPs); err != nil {
+	n.raftStores = make([]map[string]raft.Store, cfg.NumOrderers)
+	n.raftCons = make([]*orderer.RaftConsenter, cfg.NumOrderers)
+	if cfg.Orderer == Kafka {
+		if err := n.buildKafka(); err != nil {
 			return nil, err
 		}
-	case Raft:
-		// Fabric's etcdraft defaults are a 500ms tick with a 10-tick
-		// election timeout; the heartbeat here is shorter because the
-		// commit index is also pushed eagerly on advance.
-		n.raftElection = model.ScaledDelay(2 * time.Second)
-		n.raftHeartbeat = model.ScaledDelay(200 * time.Millisecond)
-		for i := range n.Orderers {
-			stores, err := n.buildRaftStores(cfg, ordererIDs[i], channelIDs)
-			if err != nil {
-				return nil, err
-			}
-			n.raftStores[i] = stores
-			rc, err := orderer.NewRaftConsenter(n.Orderers[i], orderer.RaftConfig{
-				Peers:             ordererIDs,
-				ElectionTimeout:   n.raftElection,
-				HeartbeatInterval: n.raftHeartbeat,
-				Stores:            stores,
-				CompactThreshold:  cfg.RaftCompactThreshold,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fabnet: %w", err)
-			}
-			n.raftCons = append(n.raftCons, rc)
+	}
+	for i, o := range n.Orderers {
+		if err := n.openRaftStores(i); err != nil {
+			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("fabnet: unknown orderer type %q", cfg.Orderer)
+		if err := n.attachConsenter(i, o, n.ordererCfgs[i].Endpoint); err != nil {
+			return nil, err
+		}
 	}
 
 	// --- Peers ---
@@ -685,7 +644,7 @@ func Build(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
-		assignRegion(spec.nodeID, spec.orgIdx)
+		n.assignRegion(spec.nodeID, spec.orgIdx)
 		pcfg := peer.Config{
 			ID:           spec.nodeID,
 			Endpoint:     ep,
@@ -696,7 +655,7 @@ func Build(cfg Config) (*Network, error) {
 			Model:        model,
 			CPU:          newCPU(spec.nodeID, spec.cores),
 			Endorsing:    spec.endorsing,
-			OrdererID:    ordererIDs[idx%len(ordererIDs)],
+			OrdererID:    n.ordererIDs[idx%len(n.ordererIDs)],
 			VerifyCrypto: cfg.VerifyCrypto,
 			Certs:        certs,
 			Channels:     channelIDs,
@@ -761,7 +720,7 @@ func Build(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
-		assignRegion(nodeID, i-1)
+		n.assignRegion(nodeID, i-1)
 		eventPeer := n.Peers[(i-1)%len(n.Peers)].ID()
 		// Each client process is one gateway — the staged-API connection
 		// owning proposal signing, endorsement fan-out, broadcast, and
@@ -772,7 +731,7 @@ func Build(cfg Config) (*Network, error) {
 			Identity:         msp.NewSigningIdentity(enrollment),
 			Model:            model,
 			CPU:              newCPU(nodeID, model.ClientCores),
-			Orderers:         ordererIDs,
+			Orderers:         n.ordererIDs,
 			EventPeer:        eventPeer,
 			Policy:           cfg.Policy,
 			PeersByPrincipal: peersByPrincipal,
@@ -783,7 +742,6 @@ func Build(cfg Config) (*Network, error) {
 			ChannelID:        cfg.ChannelID,
 			Channels:         channelIDs,
 			PolicyByChannel:  channelPols,
-			MaxInFlight:      cfg.ClientMaxInFlight,
 			Retry:            cfg.Retry,
 			Tracer:           cfg.Tracer,
 		})
@@ -795,13 +753,26 @@ func Build(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// buildKafka assembles the ZooKeeper ensemble, brokers, and per-OSN
-// Kafka clients, then attaches Kafka consenters.
-func (n *Network) buildKafka(ordererIDs []string, ordererEPs []transport.Endpoint) error {
+// assignRegion labels a node with the idx-th configured region
+// (round-robin) on both the bookkeeping map and the link matrix.
+func (n *Network) assignRegion(id string, idx int) {
+	if len(n.Cfg.Regions) == 0 {
+		return
+	}
+	region := n.Cfg.Regions[idx%len(n.Cfg.Regions)]
+	n.regions[id] = region
+	n.Links().SetRegion(id, region)
+}
+
+// kafkaReplication is the replica count of each channel's partition.
+const kafkaReplication = 3
+
+// buildKafka assembles the ZooKeeper ensemble and the brokers the Kafka
+// consenters produce to and consume from.
+func (n *Network) buildKafka() error {
 	model := n.Cfg.Model
 	n.zk = zookeeper.New(n.Cfg.NumZooKeepers, model.ScaledDelay(model.ZKOpLatency))
 
-	brokerIDs := make([]string, 0, n.Cfg.NumKafkaBrokers)
 	brokerEPs := make(map[string]transport.Endpoint, n.Cfg.NumKafkaBrokers)
 	for i := 1; i <= n.Cfg.NumKafkaBrokers; i++ {
 		id := fmt.Sprintf("broker%d", i)
@@ -809,18 +780,14 @@ func (n *Network) buildKafka(ordererIDs []string, ordererEPs []transport.Endpoin
 		if err != nil {
 			return fmt.Errorf("fabnet: %w", err)
 		}
-		if len(n.Cfg.Regions) > 0 {
-			region := n.Cfg.Regions[(i-1)%len(n.Cfg.Regions)]
-			n.regions[id] = region
-			n.Links().SetRegion(id, region)
-		}
-		brokerIDs = append(brokerIDs, id)
+		n.assignRegion(id, i-1)
+		n.brokerIDs = append(n.brokerIDs, id)
 		brokerEPs[id] = ep
 	}
 	cluster, err := kafka.NewCluster(kafka.Config{
-		Brokers:           brokerIDs,
+		Brokers:           n.brokerIDs,
 		Partitions:        len(n.Cfg.Channels), // one partition per channel (paper default)
-		ReplicationFactor: n.Cfg.KafkaReplication,
+		ReplicationFactor: kafkaReplication,
 		SessionTimeout:    model.ScaledDelay(2 * time.Second),
 		ReplicaWriteDelay: func() {
 			time.Sleep(model.ScaledDelay(model.KafkaReplicaWriteCPU))
@@ -831,40 +798,80 @@ func (n *Network) buildKafka(ordererIDs []string, ordererEPs []transport.Endpoin
 		return fmt.Errorf("fabnet: %w", err)
 	}
 	n.kafkaCluster = cluster
-	n.brokerIDs = brokerIDs
-	for i := range n.Orderers {
-		kc := kafka.NewClient(ordererEPs[i], brokerIDs, model.ScaledDelay(3*time.Second))
-		orderer.NewKafkaConsenter(n.Orderers[i], kc, nil) // channel i -> partition i
-	}
 	return nil
 }
 
-// buildRaftStores resolves one OSN's per-channel hard-state stores using
-// the same backend resolution peers use: Storage.Backend with a PerPeer
-// override keyed by the OSN ID. "file" lays a WAL under
-// Dir/<osnID>/raft/<channel>; anything else is an in-process MemStore
-// the Network retains across restarts.
-func (n *Network) buildRaftStores(cfg Config, osnID string, channels []string) (map[string]raft.Store, error) {
-	backend := cfg.Storage.Backend
-	if override := cfg.Storage.PerPeer[osnID]; override != "" {
+// openRaftStores opens OSN idx's per-channel hard-state stores; it
+// opens none unless the network orders with Raft. The backend resolves
+// as for peers: Storage.Backend with a PerPeer override keyed by the OSN
+// ID. A "file" store is a WAL under Dir/<osnID>/raft/<channel>, closed
+// and reopened from disk when a restart finds it open; a mem store is
+// created once and reused, the Network playing the role of the disk.
+func (n *Network) openRaftStores(idx int) error {
+	if n.Cfg.Orderer != Raft {
+		return nil
+	}
+	id := n.ordererIDs[idx]
+	backend := n.Cfg.Storage.Backend
+	if override := n.Cfg.Storage.PerPeer[id]; override != "" {
 		backend = override
 	}
-	stores := make(map[string]raft.Store, len(channels))
-	for _, ch := range channels {
-		if backend == "file" {
-			if cfg.Storage.Dir == "" {
-				return nil, fmt.Errorf("fabnet: orderer %s uses file storage but Storage.Dir is empty", osnID)
-			}
-			fs, err := raft.NewFileStore(filepath.Join(cfg.Storage.Dir, osnID, "raft", ch))
-			if err != nil {
-				return nil, fmt.Errorf("fabnet: orderer %s raft store: %w", osnID, err)
-			}
-			stores[ch] = fs
-		} else {
-			stores[ch] = raft.NewMemStore()
-		}
+	if backend == "file" && n.Cfg.Storage.Dir == "" {
+		return fmt.Errorf("fabnet: orderer %s uses file storage but Storage.Dir is empty", id)
 	}
-	return stores, nil
+	stores := make(map[string]raft.Store, len(n.Cfg.Channels))
+	for _, ch := range n.Cfg.channelIDs() {
+		st := n.raftStores[idx][ch]
+		if backend != "file" {
+			if st == nil {
+				st = raft.NewMemStore()
+			}
+			stores[ch] = st
+			continue
+		}
+		if st != nil {
+			st.Close()
+		}
+		fs, err := raft.NewFileStore(filepath.Join(n.Cfg.Storage.Dir, id, "raft", ch))
+		if err != nil {
+			return fmt.Errorf("fabnet: orderer %s raft store: %w", id, err)
+		}
+		stores[ch] = fs
+	}
+	n.raftStores[idx] = stores
+	return nil
+}
+
+// attachConsenter builds OSN idx's consenter on o, whose endpoint is ep:
+// the one place an OrdererType becomes a consenter, at Build and at
+// RestartOrderer alike. A Raft consenter runs over the stores
+// openRaftStores opened.
+func (n *Network) attachConsenter(idx int, o *orderer.Orderer, ep transport.Endpoint) error {
+	model := n.Cfg.Model
+	switch n.Cfg.Orderer {
+	case Solo:
+		orderer.NewSolo(o)
+	case Kafka:
+		orderer.NewKafkaConsenter(o, kafka.NewClient(ep, n.brokerIDs, model.ScaledDelay(3*time.Second)))
+	case Raft:
+		// Fabric's etcdraft defaults are a 500ms tick with a 10-tick
+		// election timeout; the heartbeat here is shorter because the
+		// commit index is also pushed eagerly on advance.
+		rc, err := orderer.NewRaftConsenter(o, orderer.RaftConfig{
+			Peers:             n.ordererIDs,
+			ElectionTimeout:   model.ScaledDelay(2 * time.Second),
+			HeartbeatInterval: model.ScaledDelay(200 * time.Millisecond),
+			Stores:            n.raftStores[idx],
+			CompactThreshold:  n.Cfg.RaftCompactThreshold,
+		})
+		if err != nil {
+			return fmt.Errorf("fabnet: orderer %s: %w", o.ID(), err)
+		}
+		n.raftCons[idx] = rc
+	default:
+		return fmt.Errorf("fabnet: unknown orderer type %q", n.Cfg.Orderer)
+	}
+	return nil
 }
 
 // Start launches the ordering service, peers, and gateways. For Raft it
@@ -905,7 +912,7 @@ func (n *Network) waitForRaftLeader(ctx context.Context) error {
 	for time.Now().Before(deadline) {
 		elected := 0
 		for _, ch := range channels {
-			if _, ok := n.raftLeaderFor(ch); ok {
+			if _, ok := n.RaftLeaderFor(ch); ok {
 				elected++
 			}
 		}
@@ -921,8 +928,19 @@ func (n *Network) waitForRaftLeader(ctx context.Context) error {
 	return errors.New("fabnet: raft leader election timed out")
 }
 
-func (n *Network) raftLeaderFor(channel string) (string, bool) {
+// RaftLeader returns the current Raft leader OSN of the default
+// channel's group, if any.
+func (n *Network) RaftLeader() (string, bool) {
+	return n.RaftLeaderFor(n.Cfg.ChannelID)
+}
+
+// RaftLeaderFor returns the current Raft leader OSN of one channel's
+// group, if any.
+func (n *Network) RaftLeaderFor(channel string) (string, bool) {
 	for _, rc := range n.raftCons {
+		if rc == nil {
+			continue // not ordering with Raft
+		}
 		if node, ok := rc.NodeFor(channel); ok {
 			if l, ok := node.Leader(); ok {
 				return l, true
@@ -930,18 +948,6 @@ func (n *Network) raftLeaderFor(channel string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// RaftLeader returns the current Raft leader OSN of the default
-// channel's group, if any.
-func (n *Network) RaftLeader() (string, bool) {
-	return n.raftLeaderFor(n.Cfg.ChannelID)
-}
-
-// RaftLeaderFor returns the current Raft leader OSN of one channel's
-// group, if any.
-func (n *Network) RaftLeaderFor(channel string) (string, bool) {
-	return n.raftLeaderFor(channel)
 }
 
 // ChannelIDs returns the network's channel names in configured order.
@@ -955,13 +961,7 @@ func (n *Network) ChannelIDs() []string {
 func (n *Network) Heights() map[string]map[string]uint64 {
 	out := make(map[string]map[string]uint64, len(n.Peers))
 	for _, p := range n.Peers {
-		hs := make(map[string]uint64)
-		for _, ch := range p.Channels() {
-			if led, ok := p.LedgerFor(ch); ok {
-				hs[ch] = led.Height()
-			}
-		}
-		out[p.ID()] = hs
+		out[p.ID()] = ledgerHeights(p)
 	}
 	return out
 }
@@ -1113,31 +1113,11 @@ type RestartResult struct {
 // anti-entropy (or snapshot-then-tail) under gossip. Works on both the
 // in-memory and the TCP transport.
 func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, error) {
-	idx := -1
-	for i, p := range n.Peers {
-		if p.ID() == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("fabnet: unknown peer %q", id)
-	}
-	old := n.Peers[idx]
-	old.Stop()
-	res := &RestartResult{OldHeights: ledgerHeights(old)}
-	var ep transport.Endpoint
-	var err error
-	if n.Transport != nil {
-		n.Transport.Deregister(id)
-		ep, err = n.Transport.Register(id)
-	} else {
-		n.TCPNet.Deregister(id)
-		ep, err = n.TCPNet.Register(id)
-	}
+	idx, ep, err := reregister(n, n.Peers, id)
 	if err != nil {
-		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
+		return nil, err
 	}
+	res := &RestartResult{OldHeights: ledgerHeights(n.Peers[idx])}
 	pcfg := n.peerCfgs[idx]
 	pcfg.Endpoint = ep
 	p, err := peer.New(pcfg)
@@ -1152,6 +1132,32 @@ func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, e
 	res.Peer = p
 	res.Persistent = p.Ledger().Persistent()
 	return res, nil
+}
+
+// reregister is the first step every restart shares: it stops node id,
+// releases its ID and registers a fresh endpoint under it, returning
+// the node's index in nodes.
+func reregister[T interface {
+	ID() string
+	Stop()
+}](n *Network, nodes []T, id string) (int, transport.Endpoint, error) {
+	for i, node := range nodes {
+		if node.ID() != id {
+			continue
+		}
+		node.Stop()
+		if n.Transport != nil {
+			n.Transport.Deregister(id)
+		} else {
+			n.TCPNet.Deregister(id)
+		}
+		ep, err := n.register(id)
+		if err != nil {
+			return 0, nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
+		}
+		return i, ep, nil
+	}
+	return 0, nil, fmt.Errorf("fabnet: unknown node %q", id)
 }
 
 // ledgerHeights reads a peer's committed chain height on every channel.
@@ -1197,104 +1203,50 @@ type OrdererRestartResult struct {
 // peers resubscribe through their existing deliver heartbeats, so no
 // blocks are lost across the restart.
 func (n *Network) RestartOrderer(ctx context.Context, id string) (*OrdererRestartResult, error) {
-	idx := -1
-	for i, o := range n.Orderers {
-		if o.ID() == id {
-			idx = i
-			break
-		}
+	idx, ep, err := reregister(n, n.Orderers, id)
+	if err != nil {
+		return nil, err
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("fabnet: unknown orderer %q", id)
-	}
-	channels := n.Cfg.channelIDs()
-	old := n.Orderers[idx]
 	res := &OrdererRestartResult{
-		OldHeights: make(map[string]uint64, len(channels)),
+		OldHeights: make(map[string]uint64),
 		RaftBases:  make(map[string]uint64),
 		Rehydrated: make(map[string]uint64),
-	}
-	for _, ch := range channels {
-		res.OldHeights[ch] = old.ChainHeight(ch)
-	}
-	old.Stop()
-
-	var ep transport.Endpoint
-	var err error
-	if n.Transport != nil {
-		n.Transport.Deregister(id)
-		ep, err = n.Transport.Register(id)
-	} else {
-		n.TCPNet.Deregister(id)
-		ep, err = n.TCPNet.Register(id)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
 	}
 	ocfg := n.ordererCfgs[idx]
 	ocfg.Endpoint = ep
 	o := orderer.New(ocfg)
-
-	switch n.Cfg.Orderer {
-	case Raft:
-		// File-backed stores must be reopened (the dead node's handle is
-		// stale); mem stores live in the Network and carry over as-is.
-		stores := n.raftStores[idx]
-		fresh := make(map[string]raft.Store, len(stores))
-		for ch, st := range stores {
-			if fs, ok := st.(*raft.FileStore); ok {
-				fs.Close()
-				nf, ferr := raft.NewFileStore(fs.Dir())
-				if ferr != nil {
-					return nil, fmt.Errorf("fabnet: restart %s: reopen raft store: %w", id, ferr)
-				}
-				fresh[ch] = nf
-			} else {
-				fresh[ch] = st
-			}
-		}
-		n.raftStores[idx] = fresh
-		// The chain must reach each store's compaction base before the
-		// consenter attaches: entries below the base are gone from the
-		// log, so the blocks they produced can only come from a peer.
-		for _, ch := range channels {
-			_, base, _, lerr := fresh[ch].Load()
-			if lerr != nil {
-				return nil, fmt.Errorf("fabnet: restart %s: load raft store: %w", id, lerr)
-			}
-			res.RaftBases[ch] = base.Index
-			if err := n.primeChain(o, idx, ch, base.Index, res); err != nil {
-				return nil, err
-			}
-		}
-		rc, rerr := orderer.NewRaftConsenter(o, orderer.RaftConfig{
-			Peers:             n.ordererIDs,
-			ElectionTimeout:   n.raftElection,
-			HeartbeatInterval: n.raftHeartbeat,
-			Stores:            fresh,
-			CompactThreshold:  n.Cfg.RaftCompactThreshold,
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("fabnet: restart %s: %w", id, rerr)
-		}
-		n.raftCons[idx] = rc
-	case Kafka:
-		for _, ch := range channels {
-			if err := n.primeChain(o, idx, ch, 0, res); err != nil {
-				return nil, err
-			}
-		}
-		kc := kafka.NewClient(ep, n.brokerIDs, n.Cfg.Model.ScaledDelay(3*time.Second))
-		orderer.NewKafkaConsenter(o, kc, nil)
-	default: // Solo
-		for _, ch := range channels {
-			if err := n.primeChain(o, idx, ch, 0, res); err != nil {
-				return nil, err
-			}
-		}
-		orderer.NewSolo(o)
+	if err := n.openRaftStores(idx); err != nil {
+		return nil, err
 	}
-
+	for _, ch := range n.Cfg.channelIDs() {
+		res.OldHeights[ch] = n.Orderers[idx].ChainHeight(ch)
+		// The chain must reach a Raft store's compaction base before the
+		// consenter attaches: entries below the base are gone from the
+		// log, so the blocks they produced can only come from elsewhere.
+		var floor uint64
+		if st := n.raftStores[idx][ch]; st != nil {
+			_, base, _, err := st.Load()
+			if err != nil {
+				return nil, fmt.Errorf("fabnet: restart %s: load raft store: %w", id, err)
+			}
+			floor = base.Index
+			res.RaftBases[ch] = floor
+		}
+		if res.OldHeights[ch] == 0 && floor == 0 {
+			continue // no block was ever cut here: nothing to prime
+		}
+		blocks, err := n.chainTail(idx, ch, floor)
+		if err == nil {
+			err = o.RestoreChain(ch, blocks)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fabnet: restart %s: channel %s: %w", id, ch, err)
+		}
+		res.Rehydrated[ch] = uint64(len(blocks))
+	}
+	if err := n.attachConsenter(idx, o, ep); err != nil {
+		return nil, err
+	}
 	if err := o.Start(); err != nil {
 		return nil, fmt.Errorf("fabnet: restart %s: %w", id, err)
 	}
@@ -1303,31 +1255,14 @@ func (n *Network) RestartOrderer(ctx context.Context, id string) (*OrdererRestar
 	return res, nil
 }
 
-// primeChain rehydrates one channel of a restarting OSN from the best
-// available source and records the count in res.
-func (n *Network) primeChain(o *orderer.Orderer, skipIdx int, ch string, floor uint64, res *OrdererRestartResult) error {
-	blocks, err := n.chainTail(skipIdx, ch, floor)
-	if err != nil {
-		return fmt.Errorf("fabnet: restart %s: channel %s: %w", o.ID(), ch, err)
-	}
-	if len(blocks) == 0 {
-		return nil
-	}
-	if err := o.RestoreChain(ch, blocks); err != nil {
-		return fmt.Errorf("fabnet: restart %s: channel %s: %w", o.ID(), ch, err)
-	}
-	res.Rehydrated[ch] = uint64(len(blocks))
-	return nil
-}
-
 // chainTail collects blocks [1..tip] of one channel from the best
 // available source: another OSN's in-memory chain (always the full
 // range) first, then any peer block store that still retains the chain
 // from genesis (snapshot-bootstrapped ledgers cannot serve the early
 // blocks). floor is the minimum tip required — a restarted Raft node
 // must reach its log's compaction base — and the poll retries until a
-// source reaches it. With floor zero and no source (fresh network, or
-// every ledger pruned) it returns nil: the chain restarts empty.
+// source reaches it. With floor zero and no source (every ledger
+// pruned) it returns nil at the deadline: the chain restarts empty.
 func (n *Network) chainTail(skipIdx int, ch string, floor uint64) ([]*types.Block, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -1,6 +1,7 @@
 package fabnet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -187,6 +188,106 @@ func TestRestartSoloOrdererPrimesFromPeerTail(t *testing.T) {
 	waitPeersConverged(t, n.Peers, 15*time.Second)
 	if got := res.Orderer.ChainHeight(ch); got < res.OldHeights[ch]+4 {
 		t.Errorf("post-restart chain height %d, want >= %d", got, res.OldHeights[ch]+4)
+	}
+}
+
+// TestRestartKafkaOrdererReplaysWithoutDuplicates covers the Kafka
+// recovery path: the restarted OSN is primed from a surviving OSN's
+// chain, then replays its partition from offset zero, and the chain's
+// replay guard must drop every recut block. New writes continue the
+// numbering, and every OSN and peer holds the same block at every
+// height.
+func TestRestartKafkaOrdererReplaysWithoutDuplicates(t *testing.T) {
+	n := buildAndStart(t, Config{
+		Orderer:           Kafka,
+		NumOrderers:       2,
+		NumEndorsingPeers: 2,
+		Policy:            policy.OrOverPeers(2),
+		Model:             costmodel.Default(0.05),
+		BatchSize:         1,
+	})
+	ch := n.Cfg.ChannelID
+	const blocks = 10
+	invokeN(t, n, "k", blocks)
+	waitPeersConverged(t, n.Peers, 15*time.Second)
+
+	res, err := n.RestartOrderer(context.Background(), n.Orderers[1].ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rehydrated[ch] < blocks {
+		t.Fatalf("rehydrated %d blocks, want >= %d", res.Rehydrated[ch], blocks)
+	}
+	invokeLenient(t, n, "k2", 4, 15*time.Second)
+	waitPeersConverged(t, n.Peers, 15*time.Second)
+
+	led := n.Peers[0].Ledger()
+	tip := led.Height() - 1 // Height counts genesis
+	if tip < res.OldHeights[ch]+4 {
+		t.Fatalf("peer tip %d, want >= %d", tip, res.OldHeights[ch]+4)
+	}
+	for _, o := range n.Orderers {
+		deadline := time.Now().Add(15 * time.Second)
+		for o.ChainHeight(ch) < tip && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		chain := o.ChainBlocks(ch, 1, tip+1)
+		if got := o.ChainHeight(ch); got != tip || uint64(len(chain)) != tip {
+			t.Fatalf("OSN %s chain height %d (%d blocks), want %d", o.ID(), got, len(chain), tip)
+		}
+		for _, b := range chain {
+			want, err := led.GetBlock(b.Header.Number)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.Header.Hash(), want.Header.Hash()) {
+				t.Errorf("OSN %s block %d differs from the committed block", o.ID(), b.Header.Number)
+			}
+		}
+	}
+}
+
+// TestRestartOrdererBeforeFirstBlock restarts an OSN that has cut no
+// block. There is nothing to prime the chain from, so the restart must
+// not wait for a source that will never appear, and new writes must
+// still commit.
+func TestRestartOrdererBeforeFirstBlock(t *testing.T) {
+	for _, tc := range []struct {
+		orderer OrdererType
+		osns    int
+	}{{Solo, 1}, {Kafka, 2}, {Raft, 3}} {
+		t.Run(string(tc.orderer), func(t *testing.T) {
+			n := buildAndStart(t, Config{
+				Orderer:           tc.orderer,
+				NumOrderers:       tc.osns,
+				NumEndorsingPeers: 2,
+				Policy:            policy.OrOverPeers(2),
+				Model:             costmodel.Default(0.05),
+				BatchSize:         1,
+			})
+			target := n.Orderers[len(n.Orderers)-1].ID()
+			if tc.orderer == Raft {
+				target, _ = nonLeaderOSN(t, n)
+			}
+			begun := time.Now()
+			res, err := n.RestartOrderer(context.Background(), target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(begun); took > 5*time.Second {
+				t.Errorf("restart took %s, want < 5s", took)
+			}
+			invokeLenient(t, n, "b", 2, 15*time.Second)
+			waitPeersConverged(t, n.Peers, 15*time.Second)
+			ch := n.Cfg.ChannelID
+			deadline := time.Now().Add(15 * time.Second)
+			for res.Orderer.ChainHeight(ch) < 2 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := res.Orderer.ChainHeight(ch); got < 2 {
+				t.Errorf("restarted OSN chain height %d, want >= 2", got)
+			}
+		})
 	}
 }
 

@@ -41,16 +41,10 @@ func encodeTTCRecord(target uint64) []byte {
 // a local block cutter. Channels order concurrently because their
 // partitions replicate and are consumed independently.
 type KafkaConsenter struct {
+	lanes
 	orderer *Orderer
 	client  *kafka.Client
 	chains  map[string]*kafkaChain
-
-	stopCh    chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	stopMu    sync.Mutex
-	stopped   bool
-	startOnce sync.Once
 }
 
 // kafkaChain is one channel's ordering lane over its Kafka partition.
@@ -69,28 +63,25 @@ type kafkaChain struct {
 var _ Consenter = (*KafkaConsenter)(nil)
 
 // NewKafkaConsenter attaches a Kafka consenter to the OSN. Each OSN gets
-// its own kafka.Client; all consume the same partitions. partitions maps
-// channel ID -> partition index; nil assigns partition i to the OSN's
-// i-th channel.
-func NewKafkaConsenter(o *Orderer, client *kafka.Client, partitions map[string]int) *KafkaConsenter {
+// its own kafka.Client; all consume the same partitions, partition i
+// carrying the OSN's i-th channel. Every channel runs two loops: one
+// consumes the partition, one posts TTC markers.
+func NewKafkaConsenter(o *Orderer, client *kafka.Client) *KafkaConsenter {
 	k := &KafkaConsenter{
+		lanes:   newLanes(),
 		orderer: o,
 		client:  client,
 		chains:  make(map[string]*kafkaChain),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for i, ch := range o.Channels() {
-		part, ok := partitions[ch]
-		if !ok {
-			part = i
-		}
-		k.chains[ch] = &kafkaChain{
+		kc := &kafkaChain{
 			channel:   ch,
-			partition: part,
+			partition: i,
 			cutter:    blockcutter.New(o.cfg.Cutter),
 			blockSeq:  1,
 		}
+		k.chains[ch] = kc
+		k.add(func() { k.consumeLoop(kc) }, func() { k.ttcLoop(kc) })
 	}
 	o.SetConsenter(k)
 	return k
@@ -108,44 +99,6 @@ func (k *KafkaConsenter) Submit(ctx context.Context, channel string, env []byte)
 		return fmt.Errorf("kafka consenter: %w", err)
 	}
 	return nil
-}
-
-// Start implements Consenter.
-func (k *KafkaConsenter) Start() error {
-	k.startOnce.Do(k.launch)
-	return nil
-}
-
-func (k *KafkaConsenter) launch() {
-	for _, kc := range k.chains {
-		k.wg.Add(2)
-		go func(kc *kafkaChain) {
-			defer k.wg.Done()
-			k.consumeLoop(kc)
-		}(kc)
-		go func(kc *kafkaChain) {
-			defer k.wg.Done()
-			k.ttcLoop(kc)
-		}(kc)
-	}
-	go func() {
-		k.wg.Wait()
-		close(k.done)
-	}()
-}
-
-// Stop implements Consenter.
-func (k *KafkaConsenter) Stop() {
-	k.stopMu.Lock()
-	if k.stopped {
-		k.stopMu.Unlock()
-		return
-	}
-	k.stopped = true
-	k.startOnce.Do(k.launch)
-	close(k.stopCh)
-	k.stopMu.Unlock()
-	<-k.done
 }
 
 // consumeLoop pulls one channel's ordered record stream and drives its

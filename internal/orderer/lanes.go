@@ -1,0 +1,114 @@
+package orderer
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"fabricsim/internal/orderer/blockcutter"
+)
+
+// lanes is the lifecycle every consenter shares: the per-channel loops
+// registered with add start once, on Start, and Stop closes stopCh once
+// and returns after every loop has. A Stop that precedes Start starts
+// nothing and leaves Start inert.
+type lanes struct {
+	stopCh    chan struct{}
+	loops     []func()
+	wg        sync.WaitGroup
+	startOnce sync.Once
+	stopOnce  sync.Once
+}
+
+func newLanes() lanes { return lanes{stopCh: make(chan struct{})} }
+
+// laneDepth is the buffer of each cut loop's input: a burst of
+// broadcasts queues there while the loop cuts, and past it enqueue
+// blocks the caller — backpressure — until the consenter stops or the
+// caller's context ends.
+const laneDepth = 8192
+
+// add registers loops to run from Start until stopCh closes.
+func (l *lanes) add(loops ...func()) { l.loops = append(l.loops, loops...) }
+
+// Start implements Consenter.
+func (l *lanes) Start() error {
+	l.startOnce.Do(func() {
+		for _, loop := range l.loops {
+			l.wg.Add(1)
+			go func() {
+				defer l.wg.Done()
+				loop()
+			}()
+		}
+	})
+	return nil
+}
+
+// Stop implements Consenter. It is safe without Start and from
+// concurrent goroutines; every call returns once the loops have exited.
+func (l *lanes) Stop() {
+	l.stopOnce.Do(func() {
+		l.startOnce.Do(func() {})
+		close(l.stopCh)
+		l.wg.Wait()
+	})
+}
+
+// enqueue hands env to a cut loop's input. It fails once the consenter
+// stops or ctx ends, so a full input never blocks a caller forever.
+func (l *lanes) enqueue(ctx context.Context, in chan<- []byte, env []byte) error {
+	select {
+	case in <- env:
+		return nil
+	case <-l.stopCh:
+		return ErrStopped
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// cutLoop is one channel's batch-timer loop, run by Solo and by Raft:
+// it interleaves envelope arrival with the batch timeout, the two cut
+// conditions of Section III, and hands every cut batch to sink — Solo
+// emits it as a block, Raft proposes it to the channel's group. Kafka
+// cuts on cluster-wide TTC markers instead of a local timer, so it runs
+// its own loop.
+func (o *Orderer) cutLoop(in <-chan []byte, stop <-chan struct{}, sink func(batch [][]byte)) {
+	cutter := blockcutter.New(o.cfg.Cutter)
+	timeout := o.scaledTimeout()
+	var timer *time.Timer
+	var timerC <-chan time.Time
+	stopTimer := func() {
+		if timer != nil {
+			timer.Stop()
+			timer = nil
+			timerC = nil
+		}
+	}
+	defer stopTimer()
+
+	for {
+		select {
+		case env := <-in:
+			batches, pending := cutter.Ordered(env, time.Now())
+			for _, b := range batches {
+				sink(b)
+			}
+			if pending && timer == nil {
+				timer = time.NewTimer(timeout)
+				timerC = timer.C
+			}
+			if !pending {
+				stopTimer()
+			}
+		case <-timerC:
+			stopTimer()
+			if batch := cutter.Cut(); batch != nil {
+				sink(batch)
+			}
+		case <-stop:
+			return
+		}
+	}
+}

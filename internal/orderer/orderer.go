@@ -34,14 +34,15 @@ import (
 const (
 	// KindBroadcast is the client -> OSN transaction submission.
 	KindBroadcast = "orderer.broadcast"
-	// KindSubscribe registers a peer for block delivery. A nil payload
-	// subscribes to every channel (the classic per-peer deliver); a
-	// *SubscribeArgs payload narrows the subscription to named channels
-	// (the gossip org-leader deliver).
+	// KindSubscribe registers a peer for block delivery. Its
+	// *SubscribeArgs payload names the channels: none subscribes to
+	// every channel (the classic per-peer deliver), named channels narrow
+	// the subscription (the gossip org-leader deliver).
 	KindSubscribe = "orderer.subscribe"
 	// KindUnsubscribe removes a peer's deliver subscription, entirely
-	// (nil payload) or for the named channels (*SubscribeArgs). A gossip
-	// leader that loses its lease hands the subscription off this way.
+	// (no channels named) or for the named channels (*SubscribeArgs). A
+	// gossip leader that loses its lease hands the subscription off this
+	// way.
 	KindUnsubscribe = "orderer.unsubscribe"
 	// KindGetBlocks fetches a block range in one round trip (deliver
 	// catch-up).
@@ -58,9 +59,10 @@ const (
 // message.
 const maxGetBlocksBatch = 256
 
-// defaultMaxSendFailures is how many consecutive failed deliver pushes
-// evict a subscriber (Config.MaxSendFailures overrides).
-const defaultMaxSendFailures = 3
+// maxSendFailures is how many consecutive failed deliver pushes evict a
+// subscriber. A crashed peer therefore stops consuming orderer egress
+// after a handful of blocks instead of being pushed to forever.
+const maxSendFailures = 3
 
 // DefaultChannel is the channel assumed when a node is configured
 // without an explicit channel list (single-channel deployments).
@@ -72,8 +74,8 @@ var (
 	ErrUnknownChannel = errors.New("orderer: unknown channel")
 )
 
-// BroadcastEnvelope is the channel-tagged KindBroadcast payload. A bare
-// []byte payload is also accepted and routes to the default channel.
+// BroadcastEnvelope is the KindBroadcast payload. An empty Channel means
+// the default channel.
 type BroadcastEnvelope struct {
 	Channel string
 	Env     []byte
@@ -143,11 +145,6 @@ type Config struct {
 	// single channel named DefaultChannel. The first entry is the
 	// default channel for untagged payloads.
 	Channels []string
-	// MaxSendFailures is how many consecutive failed deliver pushes
-	// evict a subscriber (default 3). A crashed peer therefore stops
-	// consuming orderer egress after a handful of blocks instead of
-	// being pushed to forever.
-	MaxSendFailures int
 	// Collector, when non-nil, counts this node's subscriber evictions
 	// and, on the Recorder node, every block it cuts (the paper's
 	// block-time metric, Definition 4.3).
@@ -245,9 +242,6 @@ func New(cfg Config) *Orderer {
 	if len(cfg.Channels) == 0 {
 		cfg.Channels = []string{DefaultChannel}
 	}
-	if cfg.MaxSendFailures < 1 {
-		cfg.MaxSendFailures = defaultMaxSendFailures
-	}
 	o := &Orderer{
 		cfg:         cfg,
 		chains:      make(map[string]*chain, len(cfg.Channels)),
@@ -316,26 +310,17 @@ func (o *Orderer) Stop() {
 	}
 }
 
-// handleBroadcast ingests one client envelope. The payload is either a
-// *BroadcastEnvelope naming a channel or a bare []byte for the default
-// channel.
+// handleBroadcast ingests one client envelope.
 func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var env []byte
-	switch p := payload.(type) {
-	case []byte:
-		env = p
-	case *BroadcastEnvelope:
-		channel = p.Channel
-		env = p.Env
-	default:
+	args, ok := payload.(*BroadcastEnvelope)
+	if !ok {
 		return nil, 0, fmt.Errorf("orderer: bad broadcast payload %T", payload)
 	}
-	c, err := o.chainFor(channel)
+	c, err := o.chainFor(args.Channel)
 	if err != nil {
 		return nil, 0, err
 	}
-	channel = c.id
+	channel, env := c.id, args.Env
 	o.mu.Lock()
 	stopped := o.stopped
 	consenter := o.consenter
@@ -378,21 +363,16 @@ func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (a
 }
 
 // parseSubscribeArgs extracts the channel scope of a subscribe or
-// unsubscribe payload. Legacy callers send nil or their node ID string;
-// both mean "every channel".
+// unsubscribe payload.
 func parseSubscribeArgs(payload any) (*SubscribeArgs, error) {
-	switch p := payload.(type) {
-	case nil, string, []byte:
-		return &SubscribeArgs{}, nil
-	case *SubscribeArgs:
-		return p, nil
-	default:
-		return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
+	if args, ok := payload.(*SubscribeArgs); ok {
+		return args, nil
 	}
+	return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
 }
 
 // handleSubscribe registers a peer for block pushes — on every channel
-// (nil payload) or on the channels named in a *SubscribeArgs. Repeat
+// when the *SubscribeArgs names none, else on the named channels. Repeat
 // subscriptions widen the channel set and reset the failure count. The
 // reply carries each subscribed channel's chain tip so the peer can
 // catch up without waiting for the next push.
@@ -697,7 +677,7 @@ func (o *Orderer) recordResidency(channel string, num uint64, batch [][]byte, cu
 }
 
 // noteSendFailure counts one failed deliver push and evicts the
-// subscriber after MaxSendFailures consecutive failures, so a crashed
+// subscriber after maxSendFailures consecutive failures, so a crashed
 // peer stops consuming egress until it resubscribes.
 func (o *Orderer) noteSendFailure(peer string) {
 	o.mu.Lock()
@@ -707,7 +687,7 @@ func (o *Orderer) noteSendFailure(peer string) {
 		return
 	}
 	sub.fails++
-	evict := sub.fails >= o.cfg.MaxSendFailures
+	evict := sub.fails >= maxSendFailures
 	if evict {
 		delete(o.subscribers, peer)
 	}

@@ -7,11 +7,13 @@ import (
 	"time"
 
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/kafka"
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
+	"fabricsim/internal/zookeeper"
 )
 
 // testHarness wires OSNs and a fake client endpoint that doubles as the
@@ -52,21 +54,79 @@ func (h *testHarness) newOrderer(id string, batchSize int, timeout time.Duration
 	})
 }
 
-func TestSoloSizeCut(t *testing.T) {
-	h := newHarness(t)
-	o := h.newOrderer("osn1", 3, time.Minute)
-	solo := NewSolo(o)
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer o.Stop()
-	_ = solo
+// consenterKind attaches one consensus implementation to a fresh OSN.
+type consenterKind struct {
+	name   string
+	attach func(h *testHarness, o *Orderer) Consenter
+}
 
-	// Subscribe as the client endpoint (sender identity is the key).
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
-		t.Fatal(err)
+var (
+	soloKind  = consenterKind{"solo", func(_ *testHarness, o *Orderer) Consenter { return NewSolo(o) }}
+	kafkaKind = consenterKind{"kafka", (*testHarness).attachKafka}
+	raftKind  = consenterKind{"raft", (*testHarness).attachRaft}
+)
+
+// attachKafka attaches a Kafka consenter over a one-broker cluster with
+// one partition per channel.
+func (h *testHarness) attachKafka(o *Orderer) Consenter {
+	h.t.Helper()
+	ep, err := h.net.Register("broker1")
+	if err != nil {
+		h.t.Fatal(err)
 	}
-	// Deliveries go to "client"; hook them.
+	brokers := []string{"broker1"}
+	cluster, err := kafka.NewCluster(kafka.Config{
+		Brokers:           brokers,
+		Partitions:        len(o.Channels()),
+		ReplicationFactor: 1,
+		SessionTimeout:    200 * time.Millisecond,
+		RequestTimeout:    2 * time.Second,
+	}, zookeeper.New(1, 0), map[string]transport.Endpoint{"broker1": ep})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(cluster.Stop)
+	return NewKafkaConsenter(o, kafka.NewClient(o.cfg.Endpoint, brokers, 2*time.Second))
+}
+
+// attachRaft attaches a single-node Raft consenter: the OSN elects
+// itself and commits each proposal on its own append.
+func (h *testHarness) attachRaft(o *Orderer) Consenter {
+	h.t.Helper()
+	rc, err := NewRaftConsenter(o, RaftConfig{
+		Peers:             []string{o.ID()},
+		ElectionTimeout:   50 * time.Millisecond,
+		HeartbeatInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return rc
+}
+
+// start attaches kind to o, starts the OSN and stops it at cleanup. A
+// Raft consenter returns once its node leads, so Submit has a leader.
+func (h *testHarness) start(kind consenterKind, o *Orderer) Consenter {
+	h.t.Helper()
+	c := kind.attach(h, o)
+	if err := o.Start(); err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(o.Stop)
+	if rc, ok := c.(*RaftConsenter); ok {
+		node, _ := rc.NodeFor(o.defaultChannel())
+		waitFor(h.t, 5*time.Second, func() bool {
+			_, ok := node.Leader()
+			return ok
+		}, "single-node raft never elected itself")
+	}
+	return c
+}
+
+// subscribe registers the client endpoint for every channel's pushes
+// and collects the pushed blocks.
+func (h *testHarness) subscribe(osn string) func() []*types.Block {
+	h.t.Helper()
 	var mu sync.Mutex
 	var got []*types.Block
 	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
@@ -75,78 +135,122 @@ func TestSoloSizeCut(t *testing.T) {
 		mu.Unlock()
 		return nil, 0, nil
 	})
-
-	for i := 0; i < 6; i++ {
-		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := h.client.Call(context.Background(), osn, KindSubscribe, &SubscribeArgs{}, 8); err != nil {
+		h.t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	return func() []*types.Block {
 		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("blocks = %d, want 2", len(got))
-	}
-	if got[0].Header.Number != 1 || got[1].Header.Number != 2 {
-		t.Errorf("numbers = %d, %d", got[0].Header.Number, got[1].Header.Number)
-	}
-	if len(got[0].Data) != 3 || len(got[1].Data) != 3 {
-		t.Errorf("batch sizes = %d, %d", len(got[0].Data), len(got[1].Data))
-	}
-	if string(got[0].Header.PrevHash) == string(got[1].Header.PrevHash) {
-		t.Error("blocks share prev hash")
+		defer mu.Unlock()
+		return append([]*types.Block(nil), got...)
 	}
 }
 
+// broadcast submits one envelope on the default channel.
+func (h *testHarness) broadcast(osn string, env []byte) error {
+	_, err := h.client.Call(context.Background(), osn, KindBroadcast,
+		&BroadcastEnvelope{Env: env}, len(env))
+	return err
+}
+
+// TestSoloSizeCut pins the BatchSize cut of the batch-timer cut loop on
+// both consenters that run it: Solo emits each batch, Raft proposes it.
+func TestSoloSizeCut(t *testing.T) {
+	for _, kind := range []consenterKind{soloKind, raftKind} {
+		t.Run(kind.name, func(t *testing.T) {
+			h := newHarness(t)
+			o := h.newOrderer("osn1", 3, time.Minute)
+			h.start(kind, o)
+			blocks := h.subscribe("osn1")
+			h.broadcastN(o, 6)
+			waitFor(t, 2*time.Second, func() bool { return len(blocks()) >= 2 }, "two size cuts never arrived")
+			got := blocks()
+			if len(got) != 2 {
+				t.Fatalf("blocks = %d, want 2", len(got))
+			}
+			if got[0].Header.Number != 1 || got[1].Header.Number != 2 {
+				t.Errorf("numbers = %d, %d", got[0].Header.Number, got[1].Header.Number)
+			}
+			if len(got[0].Data) != 3 || len(got[1].Data) != 3 {
+				t.Errorf("batch sizes = %d, %d", len(got[0].Data), len(got[1].Data))
+			}
+			if string(got[0].Header.PrevHash) == string(got[1].Header.PrevHash) {
+				t.Error("blocks share prev hash")
+			}
+		})
+	}
+}
+
+// TestSoloTimeoutCut pins the BatchTimeout cut of the same loop on Solo
+// and Raft.
 func TestSoloTimeoutCut(t *testing.T) {
-	h := newHarness(t)
-	o := h.newOrderer("osn1", 100, 50*time.Millisecond)
-	NewSolo(o)
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
+	for _, kind := range []consenterKind{soloKind, raftKind} {
+		t.Run(kind.name, func(t *testing.T) {
+			h := newHarness(t)
+			o := h.newOrderer("osn1", 100, 50*time.Millisecond)
+			h.start(kind, o)
+			blocks := h.subscribe("osn1")
+			start := time.Now()
+			if err := h.broadcast("osn1", []byte("timeout-tx")); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 2*time.Second, func() bool { return len(blocks()) >= 1 }, "timeout cut never arrived")
+			elapsed := time.Since(start)
+			if got := blocks(); len(got) != 1 || len(got[0].Data) != 1 {
+				t.Fatalf("blocks = %+v", got)
+			}
+			if elapsed < 40*time.Millisecond {
+				t.Errorf("timeout cut after %s, want ~50ms", elapsed)
+			}
+		})
 	}
-	defer o.Stop()
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []*types.Block
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		mu.Lock()
-		got = append(got, payload.(*types.Block))
-		mu.Unlock()
-		return nil, 0, nil
-	})
-	start := time.Now()
-	if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte("solo-tx"), 7); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n >= 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || len(got[0].Data) != 1 {
-		t.Fatalf("blocks = %+v", got)
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("timeout cut after %s, want ~50ms", elapsed)
+}
+
+// TestConsenterLifecycle pins the start/stop contract every consenter
+// shares: Stop before Start returns and leaves Start inert, Stop is
+// idempotent and safe from concurrent goroutines, and a stopped OSN
+// refuses broadcasts with ErrStopped.
+func TestConsenterLifecycle(t *testing.T) {
+	for _, kind := range []consenterKind{soloKind, kafkaKind, raftKind} {
+		t.Run(kind.name, func(t *testing.T) {
+			t.Run("StopBeforeStart", func(t *testing.T) {
+				h := newHarness(t)
+				c := kind.attach(h, h.newOrderer("osn1", 10, 50*time.Millisecond))
+				c.Stop()
+				if err := c.Start(); err != nil {
+					t.Fatal(err)
+				}
+				c.Stop()
+			})
+			t.Run("DoubleStop", func(t *testing.T) {
+				h := newHarness(t)
+				c := h.start(kind, h.newOrderer("osn1", 10, 50*time.Millisecond))
+				c.Stop()
+				c.Stop()
+			})
+			t.Run("ConcurrentStops", func(t *testing.T) {
+				h := newHarness(t)
+				c := h.start(kind, h.newOrderer("osn1", 10, 50*time.Millisecond))
+				var wg sync.WaitGroup
+				for i := 0; i < 8; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c.Stop()
+					}()
+				}
+				wg.Wait()
+			})
+			t.Run("BroadcastAfterStop", func(t *testing.T) {
+				h := newHarness(t)
+				o := h.newOrderer("osn1", 10, 50*time.Millisecond)
+				h.start(kind, o)
+				o.Stop()
+				// Errors cross the transport as text.
+				if err := h.broadcast("osn1", []byte("late")); err == nil || err.Error() != ErrStopped.Error() {
+					t.Fatalf("broadcast after stop: %v, want %v", err, ErrStopped)
+				}
+			})
+		})
 	}
 }
 
@@ -158,11 +262,7 @@ func TestGetBlockCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	for i := 0; i < 3; i++ {
-		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	h.broadcastN(o, 3)
 	// Allow the cut loop to emit all three single-tx blocks.
 	var b *types.Block
 	waitFor(t, 2*time.Second, func() bool {
@@ -236,7 +336,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 func (h *testHarness) broadcastN(o *Orderer, n int) {
 	h.t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := h.client.Call(context.Background(), o.ID(), KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if err := h.broadcast(o.ID(), []byte{byte(i)}); err != nil {
 			h.t.Fatal(err)
 		}
 	}
@@ -358,25 +458,11 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 	}
 	defer o.Stop()
 
-	var mu sync.Mutex
-	var got []*types.Block
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		mu.Lock()
-		got = append(got, payload.(*types.Block))
-		mu.Unlock()
-		return nil, 0, nil
-	})
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
-		t.Fatal(err)
-	}
+	blocks := h.subscribe("osn1")
 	h.broadcastN(o, 1)
-	waitFor(t, 2*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	}, "subscribed block never pushed")
+	waitFor(t, 2*time.Second, func() bool { return len(blocks()) == 1 }, "subscribed block never pushed")
 
-	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, nil, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, &SubscribeArgs{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	if subs := o.Subscribers(); len(subs) != 0 {
@@ -385,15 +471,13 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 	h.broadcastN(o, 2)
 	waitFor(t, 2*time.Second, func() bool { return h.fetchBlock(3) != nil },
 		"block 3 never cut")
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 {
-		t.Errorf("received %d pushes after unsubscribe, want 1 total", len(got))
+	if got := len(blocks()); got != 1 {
+		t.Errorf("received %d pushes after unsubscribe, want 1 total", got)
 	}
 }
 
 // TestDeadSubscriberPruned is the regression for the fire-and-forget
-// deliver leak: a crashed subscriber is evicted after MaxSendFailures
+// deliver leak: a crashed subscriber is evicted after maxSendFailures
 // consecutive failed pushes and stops consuming orderer egress.
 func TestDeadSubscriberPruned(t *testing.T) {
 	h := newHarness(t)
@@ -404,25 +488,19 @@ func TestDeadSubscriberPruned(t *testing.T) {
 	model := costmodel.Default(1.0)
 	col := metrics.NewCollector()
 	o := New(Config{
-		ID:              "osn1",
-		Endpoint:        ep,
-		Cutter:          blockcutter.Config{BatchSize: 1, BatchTimeout: time.Minute},
-		Model:           model,
-		CPU:             simcpu.New(model.OrdererCores, 1.0),
-		MaxSendFailures: 3,
-		Collector:       col,
+		ID:        "osn1",
+		Endpoint:  ep,
+		Cutter:    blockcutter.Config{BatchSize: 1, BatchTimeout: time.Minute},
+		Model:     model,
+		CPU:       simcpu.New(model.OrdererCores, 1.0),
+		Collector: col,
 	})
 	NewSolo(o)
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
-		t.Fatal(err)
-	}
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
-		return nil, 0, nil
-	})
+	h.subscribe("osn1")
 
 	// Crash the subscriber: pushes now fail synchronously.
 	h.net.SetNodeDown("client", true)
@@ -434,7 +512,8 @@ func TestDeadSubscriberPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := other.Call(context.Background(), "osn1", KindBroadcast, []byte{byte(i)}, 1); err != nil {
+		if _, err := other.Call(context.Background(), "osn1", KindBroadcast,
+			&BroadcastEnvelope{Env: []byte{byte(i)}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +525,7 @@ func TestDeadSubscriberPruned(t *testing.T) {
 	if subs := o.Subscribers(); len(subs) != 0 {
 		t.Errorf("subscribers after eviction: %v", subs)
 	}
-	// Exactly MaxSendFailures pushes were charged against the dead
+	// Exactly maxSendFailures pushes were charged against the dead
 	// subscriber; eviction stops the egress bleed.
 	blocks, _ := o.EgressStats()
 	if blocks != 0 {
@@ -464,12 +543,7 @@ func TestEgressStatsCountDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, _ any) (any, int, error) {
-		return nil, 0, nil
-	})
-	if _, err := h.client.Call(context.Background(), "osn1", KindSubscribe, nil, 8); err != nil {
-		t.Fatal(err)
-	}
+	h.subscribe("osn1")
 	h.broadcastN(o, 3)
 	waitFor(t, 2*time.Second, func() bool {
 		blocks, _ := o.EgressStats()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/raft"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/types"
@@ -23,16 +22,9 @@ import (
 // leader), mirroring Fabric's one-etcdraft-cluster-per-channel layout,
 // so channels order concurrently and may even be led by different OSNs.
 type RaftConsenter struct {
+	lanes
 	orderer *Orderer
-	peers   []string // all OSN ids
 	groups  map[string]*raftGroup
-
-	stopCh    chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	stopMu    sync.Mutex
-	stopped   bool
-	startOnce sync.Once
 }
 
 // raftGroup is one channel's consensus lane.
@@ -87,20 +79,17 @@ type RaftConfig struct {
 // Raft group per channel.
 func NewRaftConsenter(o *Orderer, rc RaftConfig) (*RaftConsenter, error) {
 	r := &RaftConsenter{
+		lanes:   newLanes(),
 		orderer: o,
-		peers:   rc.Peers,
 		groups:  make(map[string]*raftGroup),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	appendDelay := func() {
 		_ = o.cfg.CPU.Execute(context.Background(), o.cfg.Model.RaftAppendCPU)
 	}
-	channels := o.Channels()
-	for i, ch := range channels {
+	for i, ch := range o.Channels() {
 		g := &raftGroup{
 			channel: ch,
-			in:      make(chan []byte, 8192),
+			in:      make(chan []byte, laneDepth),
 		}
 		group := ""
 		if i > 0 {
@@ -137,6 +126,9 @@ func NewRaftConsenter(o *Orderer, rc RaftConfig) (*RaftConsenter, error) {
 		}
 		g.node = node
 		r.groups[ch] = g
+		r.add(func() {
+			o.cutLoop(g.in, r.stopCh, func(batch [][]byte) { r.propose(g, batch) })
+		})
 	}
 	o.cfg.Endpoint.Handle(KindSubmit, r.handleForward)
 	o.SetConsenter(r)
@@ -149,12 +141,6 @@ func (r *RaftConsenter) stopNodes() {
 			g.node.Stop()
 		}
 	}
-}
-
-// Node exposes the default channel's embedded Raft node (failover tests
-// inspect it).
-func (r *RaftConsenter) Node() *raft.Node {
-	return r.groups[r.orderer.defaultChannel()].node
 }
 
 // NodeFor exposes the Raft node of one channel's group.
@@ -179,14 +165,7 @@ func (r *RaftConsenter) Submit(ctx context.Context, channel string, env []byte) 
 		return errors.New("raft consenter: no leader elected")
 	}
 	if leader == r.orderer.cfg.ID {
-		select {
-		case g.in <- env:
-			return nil
-		case <-r.stopCh:
-			return ErrStopped
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		return r.enqueue(ctx, g.in, env)
 	}
 	args := &SubmitArgs{Channel: channel, Env: env}
 	_, err := r.orderer.cfg.Endpoint.Call(ctx, leader, KindSubmit, args, len(env)+len(channel)+16)
@@ -196,23 +175,13 @@ func (r *RaftConsenter) Submit(ctx context.Context, channel string, env []byte) 
 	return nil
 }
 
-// handleForward ingests envelopes forwarded from follower OSNs. The
-// payload is either a *SubmitArgs or a bare []byte for the default
-// channel.
+// handleForward ingests envelopes forwarded from follower OSNs.
 func (r *RaftConsenter) handleForward(ctx context.Context, _ string, payload any) (any, int, error) {
-	var channel string
-	var env []byte
-	switch p := payload.(type) {
-	case []byte:
-		channel = r.orderer.defaultChannel()
-		env = p
-	case *SubmitArgs:
-		channel = p.Channel
-		env = p.Env
-	default:
+	args, ok := payload.(*SubmitArgs)
+	if !ok {
 		return nil, 0, fmt.Errorf("raft consenter: bad forward payload %T", payload)
 	}
-	g, ok := r.groups[channel]
+	g, ok := r.groups[args.Channel]
 	if !ok {
 		return nil, 0, ErrUnknownChannel
 	}
@@ -220,118 +189,46 @@ func (r *RaftConsenter) handleForward(ctx context.Context, _ string, payload any
 		leader, _ := g.node.Leader()
 		return nil, 0, fmt.Errorf("raft consenter: not leader (leader is %q)", leader)
 	}
-	select {
-	case g.in <- env:
-		return "ACK", 4, nil
-	case <-r.stopCh:
-		return nil, 0, ErrStopped
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+	if err := r.enqueue(ctx, g.in, args.Env); err != nil {
+		return nil, 0, err
 	}
+	return "ACK", 4, nil
 }
 
-// Start implements Consenter.
-func (r *RaftConsenter) Start() error {
-	r.startOnce.Do(r.launch)
-	return nil
-}
-
-func (r *RaftConsenter) launch() {
-	for _, g := range r.groups {
-		r.wg.Add(1)
-		go func(g *raftGroup) {
-			defer r.wg.Done()
-			r.cutLoop(g)
-		}(g)
-	}
-	go func() {
-		r.wg.Wait()
-		close(r.done)
-	}()
-}
-
-// Stop implements Consenter.
+// Stop implements Consenter: the cut loops exit first, then the
+// channels' Raft nodes stop.
 func (r *RaftConsenter) Stop() {
-	r.stopMu.Lock()
-	if r.stopped {
-		r.stopMu.Unlock()
-		return
-	}
-	r.stopped = true
-	r.startOnce.Do(r.launch)
-	close(r.stopCh)
-	r.stopMu.Unlock()
-	<-r.done
+	r.lanes.Stop()
 	r.stopNodes()
 }
 
-// cutLoop runs per channel on every OSN but only acts while this node
-// leads that channel's group: it batches incoming envelopes and
-// proposes each cut batch to the group.
-func (r *RaftConsenter) cutLoop(g *raftGroup) {
-	cutter := blockcutter.New(r.orderer.cfg.Cutter)
-	timeout := r.orderer.scaledTimeout()
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
+// propose is the sink of a channel's cut loop. The loop runs on every
+// OSN, but only the group's leader receives envelopes, so only it
+// proposes each cut batch as one log entry.
+func (r *RaftConsenter) propose(g *raftGroup, batch [][]byte) {
+	data := encodeBatch(batch)
+	var mark proposeMark
+	tracing := r.orderer.cfg.Tracer.Enabled()
+	if tracing {
+		mark.at = time.Now()
+		if g.store != nil {
+			mark.persist = g.store.PersistTime()
 		}
 	}
-	defer stopTimer()
-
-	propose := func(batch [][]byte) {
-		if len(batch) == 0 {
-			return
-		}
-		data := encodeBatch(batch)
-		var mark proposeMark
-		tracing := r.orderer.cfg.Tracer.Enabled()
-		if tracing {
-			mark.at = time.Now()
-			if g.store != nil {
-				mark.persist = g.store.PersistTime()
-			}
-		}
-		idx, err := g.node.Propose(data)
-		if err != nil {
-			// Leadership lost mid-batch: the envelopes are dropped and
-			// their clients will hit the 3-second ordering timeout,
-			// which the paper counts as rejected transactions.
-			return
-		}
-		if tracing {
-			g.proposeMu.Lock()
-			if g.proposed == nil || len(g.proposed) > maxPendingProposals {
-				g.proposed = make(map[uint64]proposeMark)
-			}
-			g.proposed[idx] = mark
-			g.proposeMu.Unlock()
-		}
+	idx, err := g.node.Propose(data)
+	if err != nil {
+		// Leadership lost mid-batch: the envelopes are dropped and
+		// their clients will hit the 3-second ordering timeout,
+		// which the paper counts as rejected transactions.
+		return
 	}
-
-	for {
-		select {
-		case env := <-g.in:
-			batches, pending := cutter.Ordered(env, time.Now())
-			for _, b := range batches {
-				propose(b)
-			}
-			if pending && timer == nil {
-				timer = time.NewTimer(timeout)
-				timerC = timer.C
-			}
-			if !pending {
-				stopTimer()
-			}
-		case <-timerC:
-			stopTimer()
-			propose(cutter.Cut())
-		case <-r.stopCh:
-			return
+	if tracing {
+		g.proposeMu.Lock()
+		if g.proposed == nil || len(g.proposed) > maxPendingProposals {
+			g.proposed = make(map[uint64]proposeMark)
 		}
+		g.proposed[idx] = mark
+		g.proposeMu.Unlock()
 	}
 }
 

@@ -1,54 +1,29 @@
 package orderer
 
-import (
-	"context"
-	"errors"
-	"sync"
-	"time"
-
-	"fabricsim/internal/orderer/blockcutter"
-)
+import "context"
 
 // Solo is the single-node consenter: envelopes are ordered by arrival at
 // the one OSN, blocks are cut on BatchSize or BatchTimeout. As the paper
 // notes, Solo has a single point of failure and is meant for development
 // and testing; the experiments use it as the consensus-free baseline.
-// Each channel gets its own cutter and ordering goroutine, so channels
-// order concurrently.
+// Each channel gets its own cut loop, so channels order concurrently.
 type Solo struct {
-	orderer   *Orderer
-	chans     map[string]*soloChain
-	stopCh    chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	stopMu    sync.Mutex
-	stopped   bool
-	startOnce sync.Once
-}
-
-// soloChain is one channel's ordering lane.
-type soloChain struct {
-	channel string
-	cutter  *blockcutter.Cutter
-	in      chan []byte
+	lanes
+	// in holds each channel's cut-loop input.
+	in map[string]chan []byte
 }
 
 var _ Consenter = (*Solo)(nil)
 
 // NewSolo attaches a Solo consenter to the OSN.
 func NewSolo(o *Orderer) *Solo {
-	s := &Solo{
-		orderer: o,
-		chans:   make(map[string]*soloChain),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+	s := &Solo{lanes: newLanes(), in: make(map[string]chan []byte)}
 	for _, ch := range o.Channels() {
-		s.chans[ch] = &soloChain{
-			channel: ch,
-			cutter:  blockcutter.New(o.cfg.Cutter),
-			in:      make(chan []byte, 8192),
-		}
+		in := make(chan []byte, laneDepth)
+		s.in[ch] = in
+		s.add(func() {
+			o.cutLoop(in, s.stopCh, func(batch [][]byte) { o.emitBatch(ch, batch) })
+		})
 	}
 	o.SetConsenter(s)
 	return s
@@ -56,94 +31,9 @@ func NewSolo(o *Orderer) *Solo {
 
 // Submit implements Consenter.
 func (s *Solo) Submit(ctx context.Context, channel string, env []byte) error {
-	sc, ok := s.chans[channel]
+	in, ok := s.in[channel]
 	if !ok {
 		return ErrUnknownChannel
 	}
-	select {
-	case sc.in <- env:
-		return nil
-	case <-s.stopCh:
-		return ErrStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return s.enqueue(ctx, in, env)
 }
-
-// Start implements Consenter.
-func (s *Solo) Start() error {
-	s.startOnce.Do(s.launch)
-	return nil
-}
-
-func (s *Solo) launch() {
-	for _, sc := range s.chans {
-		s.wg.Add(1)
-		go func(sc *soloChain) {
-			defer s.wg.Done()
-			s.run(sc)
-		}(sc)
-	}
-	go func() {
-		s.wg.Wait()
-		close(s.done)
-	}()
-}
-
-// Stop implements Consenter. Safe to call without Start and from
-// concurrent goroutines.
-func (s *Solo) Stop() {
-	s.stopMu.Lock()
-	if s.stopped {
-		s.stopMu.Unlock()
-		return
-	}
-	s.stopped = true
-	s.startOnce.Do(s.launch)
-	close(s.stopCh)
-	s.stopMu.Unlock()
-	<-s.done
-}
-
-// run is one channel's ordering loop: it interleaves envelope arrival
-// with the batch timeout, exactly the two cut conditions of Section III.
-func (s *Solo) run(sc *soloChain) {
-	timeout := s.orderer.scaledTimeout()
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
-	defer stopTimer()
-
-	for {
-		select {
-		case env := <-sc.in:
-			batches, pending := sc.cutter.Ordered(env, time.Now())
-			for _, b := range batches {
-				s.orderer.emitBatch(sc.channel, b)
-			}
-			if pending && timer == nil {
-				timer = time.NewTimer(timeout)
-				timerC = timer.C
-			}
-			if !pending {
-				stopTimer()
-			}
-		case <-timerC:
-			stopTimer()
-			if batch := sc.cutter.Cut(); batch != nil {
-				s.orderer.emitBatch(sc.channel, batch)
-			}
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
-// ErrNotStarted is returned when Submit precedes Start.
-var ErrNotStarted = errors.New("orderer: consenter not started")

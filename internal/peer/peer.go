@@ -348,7 +348,7 @@ const deliverResubscribeEvery = 5 * time.Second
 // subscribeAndCatchUp registers for deliver pushes and closes any gap
 // between the local chains and the tips the orderer reports.
 func (p *Peer) subscribeAndCatchUp(ctx context.Context) error {
-	raw, err := p.cfg.Endpoint.Call(ctx, p.cfg.OrdererID, orderer.KindSubscribe, p.cfg.ID, 16)
+	raw, err := p.cfg.Endpoint.Call(ctx, p.cfg.OrdererID, orderer.KindSubscribe, &orderer.SubscribeArgs{}, 16)
 	if err != nil {
 		return err
 	}
