@@ -7,6 +7,7 @@ package msp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,11 +27,13 @@ var (
 type SigningIdentity struct {
 	Cert *ca.Certificate
 	Key  fabcrypto.KeyPair
+
+	serialized []byte // Cert.Marshal(), taken once
 }
 
 // NewSigningIdentity bundles an enrollment into a signing identity.
 func NewSigningIdentity(e *ca.Enrollment) *SigningIdentity {
-	return &SigningIdentity{Cert: e.Cert, Key: e.Key}
+	return &SigningIdentity{Cert: e.Cert, Key: e.Key, serialized: slices.Clip(e.Cert.Marshal())}
 }
 
 // ID returns the MSP-qualified identity string "Org.Name".
@@ -39,8 +42,10 @@ func (s *SigningIdentity) ID() string { return s.Cert.ID() }
 // Org returns the identity's organization.
 func (s *SigningIdentity) Org() string { return s.Cert.Org }
 
-// Serialized returns the certificate bytes used as a creator field.
-func (s *SigningIdentity) Serialized() []byte { return s.Cert.Marshal() }
+// Serialized returns the certificate bytes used as a creator field. They
+// are marshaled once and shared by every caller, so they are read-only;
+// their capacity ends with them, so an append copies.
+func (s *SigningIdentity) Serialized() []byte { return s.serialized }
 
 // Sign signs msg with the identity's private key.
 func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {

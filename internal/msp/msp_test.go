@@ -1,6 +1,7 @@
 package msp
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -109,6 +110,21 @@ func TestSigningIdentityAccessors(t *testing.T) {
 	id := NewSigningIdentity(e)
 	if id.ID() != "Org1.peer0" || id.Org() != "Org1" {
 		t.Errorf("accessors: %s / %s", id.ID(), id.Org())
+	}
+}
+
+// TestSerializedAllocs pins that a signing identity's creator bytes are
+// marshaled once: Serialized allocates nothing and returns the
+// certificate's encoding.
+func TestSerializedAllocs(t *testing.T) {
+	_, org1, _ := testMSP(t)
+	e, _ := org1.Enroll("client1", ca.RoleClient)
+	id := NewSigningIdentity(e)
+	if got, want := id.Serialized(), e.Cert.Marshal(); !bytes.Equal(got, want) {
+		t.Fatalf("Serialized = %x, want Cert.Marshal() %x", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = id.Serialized() }); allocs != 0 {
+		t.Errorf("Serialized: %.1f allocations, want 0", allocs)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,9 +337,11 @@ func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (a
 	var traced *ingressEntry
 	var tracedTx string
 	if o.cfg.Tracer.Enabled() {
+		// Both outlive the call, in spans and the ingress map, so they
+		// are copied out of the peeked envelope rather than pinning it.
 		if info, err := types.PeekEnvelopeInfo(env); err == nil && info.TraceID != "" {
-			traced = &ingressEntry{id: trace.TraceID(info.TraceID), at: time.Now()}
-			tracedTx = string(info.TxID)
+			traced = &ingressEntry{id: trace.TraceID(strings.Clone(info.TraceID)), at: time.Now()}
+			tracedTx = strings.Clone(string(info.TxID))
 		}
 	}
 	// Orderer ingest cost: envelope signature check + enqueue.
@@ -662,6 +665,8 @@ func (o *Orderer) recordResidency(channel string, num uint64, batch [][]byte, cu
 		if err != nil || info.TraceID == "" {
 			continue
 		}
+		// The peeked TxID is only looked up, and e.id is the copy taken
+		// at ingress, so nothing here keeps the envelope alive.
 		o.traceMu.Lock()
 		e, ok := o.ingress[string(info.TxID)]
 		if ok {

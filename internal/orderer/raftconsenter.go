@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -280,12 +281,15 @@ func (r *RaftConsenter) recordConsensus(g *raftGroup, index uint64, batch [][]by
 		if err != nil || info.TraceID == "" {
 			continue
 		}
+		// The tracer keeps the ID in its span and may key a trace on it:
+		// a copy, so it does not pin the peeked envelope.
+		id := trace.TraceID(strings.Clone(info.TraceID))
 		if persist != "" {
-			tr.Record(trace.TraceID(info.TraceID), trace.SpanRaftConsensus,
+			tr.Record(id, trace.SpanRaftConsensus,
 				r.orderer.cfg.ID, mark.at, now,
 				"channel", g.channel, "index", idxStr, "persist", persist)
 		} else {
-			tr.Record(trace.TraceID(info.TraceID), trace.SpanRaftConsensus,
+			tr.Record(id, trace.SpanRaftConsensus,
 				r.orderer.cfg.ID, mark.at, now,
 				"channel", g.channel, "index", idxStr)
 		}

@@ -35,37 +35,32 @@ import (
 	"fabricsim/internal/types"
 )
 
-// RW is one transaction's namespace-qualified key sets. Keys are
-// "namespace/key" strings so equal keys under distinct chaincodes never
-// alias (Fabric's namespacing rule).
+// RW is one transaction's key sets in its chaincode namespace NS. A key
+// is the pair (NS, Key), so equal keys under distinct chaincodes never
+// alias (Fabric's namespacing rule), whatever either name contains.
+//
+// RW is a view: Reads and Writes are the read-write set's own slices,
+// which the analysis only reads. Only their keys matter here.
 type RW struct {
-	Reads  []string
-	Writes []string
+	NS     string
+	Reads  []types.KVRead
+	Writes []types.KVWrite
 }
 
-// FromRWSet qualifies one endorsed read-write set with its chaincode
-// namespace.
+// key is one namespace-qualified key, the unit every analysis below
+// compares.
+type key struct{ ns, key string }
+
+// FromRWSet views one endorsed read-write set in its chaincode
+// namespace. It copies nothing.
 func FromRWSet(ns string, rw *types.RWSet) RW {
-	out := RW{}
 	if rw == nil {
-		return out
+		return RW{NS: ns}
 	}
-	if len(rw.Reads) > 0 {
-		out.Reads = make([]string, len(rw.Reads))
-		for i, r := range rw.Reads {
-			out.Reads[i] = ns + "/" + r.Key
-		}
-	}
-	if len(rw.Writes) > 0 {
-		out.Writes = make([]string, len(rw.Writes))
-		for i, w := range rw.Writes {
-			out.Writes[i] = ns + "/" + w.Key
-		}
-	}
-	return out
+	return RW{NS: ns, Reads: rw.Reads, Writes: rw.Writes}
 }
 
-// FromTransactions extracts every transaction's qualified key sets.
+// FromTransactions views every transaction's key sets.
 func FromTransactions(txs []*types.Transaction) []RW {
 	out := make([]RW, len(txs))
 	for i, tx := range txs {
@@ -142,13 +137,14 @@ func ConflictGroups(rws []RW, participates []bool) [][]int {
 	// Per key: the representative of every writer (and the readers
 	// already glued to one), or the reader list while no writer has
 	// appeared yet. Readers union only through a writer of their key.
-	writerRep := make(map[string]int)
-	pendingReaders := make(map[string][]int)
+	writerRep := make(map[key]int)
+	pendingReaders := make(map[key][]int)
 	for i, rw := range rws {
 		if participates != nil && !participates[i] {
 			continue
 		}
-		for _, k := range rw.Writes {
+		for _, kw := range rw.Writes {
+			k := key{rw.NS, kw.Key}
 			if w, ok := writerRep[k]; ok {
 				uf.union(w, i)
 				continue
@@ -159,7 +155,8 @@ func ConflictGroups(rws []RW, participates []bool) [][]int {
 			}
 			delete(pendingReaders, k)
 		}
-		for _, k := range rw.Reads {
+		for _, r := range rw.Reads {
+			k := key{rw.NS, r.Key}
 			if w, ok := writerRep[k]; ok {
 				uf.union(w, i)
 			} else {
@@ -183,15 +180,16 @@ func Chains(rws []RW, participates []bool) [][]int {
 	// Per key: earlier writers collapse into one representative the
 	// first time a later reader touches them (the reader connects them
 	// all transitively); writers after that reader accumulate anew.
-	collapsed := make(map[string]int)
-	newWriters := make(map[string][]int)
+	collapsed := make(map[key]int)
+	newWriters := make(map[key][]int)
 	for j, rw := range rws {
 		if participates != nil && !participates[j] {
 			continue
 		}
 		// Reads first: a transaction's own write must not make it its
 		// own predecessor.
-		for _, k := range rw.Reads {
+		for _, r := range rw.Reads {
+			k := key{rw.NS, r.Key}
 			rep, hasRep := collapsed[k]
 			fresh := newWriters[k]
 			if !hasRep && len(fresh) == 0 {
@@ -206,7 +204,8 @@ func Chains(rws []RW, participates []bool) [][]int {
 			collapsed[k] = uf.find(j)
 			delete(newWriters, k)
 		}
-		for _, k := range rw.Writes {
+		for _, w := range rw.Writes {
+			k := key{rw.NS, w.Key}
 			newWriters[k] = append(newWriters[k], j)
 		}
 	}
@@ -279,12 +278,13 @@ func BuildGraph(rws []RW, participates []bool) *Graph {
 	// walk from there; depth is the length of that walk.
 	type write struct{ tx, prev, depth int }
 	writes := make([]write, 0, nw)
-	lastWrite := make(map[string]int, nw)
+	lastWrite := make(map[key]int, nw)
 	for i, rw := range rws {
 		if !in(i) {
 			continue
 		}
-		for _, k := range rw.Writes {
+		for _, kw := range rw.Writes {
+			k := key{rw.NS, kw.Key}
 			w := write{tx: i, prev: -1, depth: 1}
 			if prev, ok := lastWrite[k]; ok {
 				w.prev, w.depth = prev, writes[prev].depth+1
@@ -301,8 +301,8 @@ func BuildGraph(rws []RW, participates []bool) *Graph {
 		if !in(i) {
 			continue
 		}
-		for _, k := range rw.Reads {
-			at, ok := lastWrite[k]
+		for _, r := range rw.Reads {
+			at, ok := lastWrite[key{rw.NS, r.Key}]
 			if !ok {
 				at = -1
 			} else {

@@ -28,6 +28,42 @@ func depTx(id string, reads, writes []string) *types.Transaction {
 	return tx
 }
 
+// rwOf builds the key sets of one transaction in namespace ns.
+func rwOf(ns string, reads, writes []string) RW {
+	rw := RW{NS: ns}
+	for _, k := range reads {
+		rw.Reads = append(rw.Reads, types.KVRead{Key: k})
+	}
+	for _, k := range writes {
+		rw.Writes = append(rw.Writes, types.KVWrite{Key: k})
+	}
+	return rw
+}
+
+// refFromRWSet is the FromRWSet the view replaced, kept as the oracle
+// for the key change: it copies every key into a "namespace/key"
+// string. Its result sits in the empty namespace, where keys compare
+// exactly as those strings did, collisions included.
+func refFromRWSet(ns string, rw *types.RWSet) RW {
+	out := RW{}
+	if rw == nil {
+		return out
+	}
+	if len(rw.Reads) > 0 {
+		out.Reads = make([]types.KVRead, len(rw.Reads))
+		for i, r := range rw.Reads {
+			out.Reads[i] = types.KVRead{Key: ns + "/" + r.Key}
+		}
+	}
+	if len(rw.Writes) > 0 {
+		out.Writes = make([]types.KVWrite, len(rw.Writes))
+		for i, w := range rw.Writes {
+			out.Writes[i] = types.KVWrite{Key: ns + "/" + w.Key}
+		}
+	}
+	return out
+}
+
 func allParticipate(n int) []bool {
 	p := make([]bool, n)
 	for i := range p {
@@ -380,28 +416,51 @@ func TestScheduleSurvivorsConflictFree(t *testing.T) {
 	}
 	rws := FromTransactions(txs)
 	order, _ := Schedule(rws, allParticipate(len(txs)))
-	dirty := map[string]bool{}
+	dirty := map[key]bool{}
 	for _, i := range order {
-		for _, k := range rws[i].Reads {
-			if dirty[k] {
-				t.Fatalf("survivor %d reads %s already written earlier in the schedule %v", i, k, order)
+		for _, r := range rws[i].Reads {
+			if dirty[key{rws[i].NS, r.Key}] {
+				t.Fatalf("survivor %d reads %s already written earlier in the schedule %v", i, r.Key, order)
 			}
 		}
-		for _, k := range rws[i].Writes {
-			dirty[k] = true
+		for _, w := range rws[i].Writes {
+			dirty[key{rws[i].NS, w.Key}] = true
 		}
 	}
 }
 
-// randomBatch draws n transactions over nkeys keys, uniformly or (zipf
-// > 1) Zipf-skewed: read-modify-writes, blind writes, read-only and
-// mixed transactions of up to three keys a side, about one in twenty
-// masked out as a non-participant.
-func randomBatch(rng *rand.Rand, n, nkeys int, zipf float64) ([]RW, []bool) {
-	pick := func() string { return fmt.Sprintf("cc/k%d", rng.Intn(nkeys)) }
+// TestQualifiedKeysDoNotCollide pins that a key is the (namespace, key)
+// pair. Key "c" under chaincode "a/b" and key "b/c" under "a" both read
+// "a/b/c" once joined with a slash, which glued the two into one group
+// and one chain and made a cycle the schedule had to abort; they share
+// no key.
+func TestQualifiedKeysDoNotCollide(t *testing.T) {
+	tx0 := depTx("tx0", []string{"c"}, []string{"c"})
+	tx0.Proposal.ChaincodeID = "a/b"
+	tx1 := depTx("tx1", []string{"b/c"}, []string{"b/c"})
+	tx1.Proposal.ChaincodeID = "a"
+	rws := FromTransactions([]*types.Transaction{tx0, tx1})
+	if groups := ConflictGroups(rws, nil); len(groups) != 2 {
+		t.Errorf("ConflictGroups = %v, want two singletons", groups)
+	}
+	if chains := Chains(rws, nil); len(chains) != 2 {
+		t.Errorf("Chains = %v, want two singletons", chains)
+	}
+	if order, aborted := Schedule(rws, nil); len(aborted) != 0 || !reflect.DeepEqual(order, []int{0, 1}) {
+		t.Errorf("Schedule = %v, aborted %v; want [0 1] and none", order, aborted)
+	}
+}
+
+// randomBatch draws n transactions over nkeys keys in each of nns
+// namespaces, uniformly or (zipf > 1) Zipf-skewed: read-modify-writes,
+// blind writes, read-only and mixed transactions of up to three keys a
+// side, about one in twenty masked out as a non-participant. No name
+// holds a slash, so the concatenated keys of refFromRWSet cannot collide.
+func randomBatch(rng *rand.Rand, n, nkeys, nns int, zipf float64) ([]RW, []bool) {
+	pick := func() string { return fmt.Sprintf("k%d", rng.Intn(nkeys)) }
 	if zipf > 1 {
 		z := rand.NewZipf(rng, zipf, 1, uint64(nkeys-1))
-		pick = func() string { return fmt.Sprintf("cc/k%d", z.Uint64()) }
+		pick = func() string { return fmt.Sprintf("k%d", z.Uint64()) }
 	}
 	keys := func(m int) []string {
 		out := make([]string, m)
@@ -414,19 +473,88 @@ func randomBatch(rng *rand.Rand, n, nkeys int, zipf float64) ([]RW, []bool) {
 	participates := make([]bool, n)
 	for i := range rws {
 		participates[i] = rng.Intn(20) != 0
+		ns := fmt.Sprintf("cc%d", rng.Intn(nns))
 		switch rng.Intn(5) {
 		case 0: // read-modify-write
 			ks := keys(1 + rng.Intn(2))
-			rws[i] = RW{Reads: ks, Writes: ks}
+			rws[i] = rwOf(ns, ks, ks)
 		case 1: // blind write
-			rws[i] = RW{Writes: keys(1 + rng.Intn(3))}
+			rws[i] = rwOf(ns, nil, keys(1+rng.Intn(3)))
 		case 2: // read-only
-			rws[i] = RW{Reads: keys(1 + rng.Intn(3))}
+			rws[i] = rwOf(ns, keys(1+rng.Intn(3)), nil)
 		default:
-			rws[i] = RW{Reads: keys(rng.Intn(4)), Writes: keys(rng.Intn(4))}
+			rws[i] = rwOf(ns, keys(rng.Intn(4)), keys(rng.Intn(4)))
 		}
 	}
 	return rws, participates
+}
+
+// referenceBatch draws the batch shapes the differential tests share:
+// three in four small, every other one Zipf-skewed, one in sixteen with
+// participates nil (all participate), over one to three namespaces.
+func referenceBatch(rng *rand.Rand, b int) ([]RW, []bool) {
+	// The schedule reference costs victims × batch, so three batches in
+	// four are small; those also reach the odd shapes (one component, a
+	// chain of them, none) far more often per millisecond.
+	n := 1 + rng.Intn(40)
+	if b%4 == 0 {
+		n = 1 + rng.Intn(150)
+	}
+	nkeys := 2 + rng.Intn(2*n)
+	nns := 1 + rng.Intn(3)
+	zipf := 0.0
+	if b%2 == 1 {
+		zipf = 1.05 + rng.Float64()
+	}
+	rws, participates := randomBatch(rng, n, nkeys, nns, zipf)
+	if b%16 == 0 {
+		participates = nil
+	}
+	return rws, participates
+}
+
+// TestViewsMatchConcatenatedKeys diffs the (namespace, key) views
+// against the concatenated "namespace/key" strings they replaced, on
+// 10 000 seeded batches: groups, chains, schedule and graph must all be
+// equal, so every peer and OSN keeps the fan-out and blocks it had.
+func TestViewsMatchConcatenatedKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for b := 0; b < 10000; b++ {
+		drawn, participates := referenceBatch(rng, b)
+		rws, ref := make([]RW, len(drawn)), make([]RW, len(drawn))
+		for i, rw := range drawn {
+			set := &types.RWSet{Reads: rw.Reads, Writes: rw.Writes}
+			rws[i], ref[i] = FromRWSet(rw.NS, set), refFromRWSet(rw.NS, set)
+		}
+		if got, want := ConflictGroups(rws, participates), ConflictGroups(ref, participates); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: ConflictGroups = %v, concatenated keys give %v", b, got, want)
+		}
+		if got, want := Chains(rws, participates), Chains(ref, participates); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: Chains = %v, concatenated keys give %v", b, got, want)
+		}
+		order, aborted := Schedule(rws, participates)
+		if wantOrder, wantAborted := Schedule(ref, participates); !reflect.DeepEqual(order, wantOrder) || !reflect.DeepEqual(aborted, wantAborted) {
+			t.Fatalf("batch %d: Schedule = %v, %v; concatenated keys give %v, %v", b, order, aborted, wantOrder, wantAborted)
+		}
+		g, want := BuildGraph(rws, participates), BuildGraph(ref, participates)
+		for u := range rws {
+			if !slices.Equal(g.Succ(u), want.Succ(u)) {
+				t.Fatalf("batch %d: Succ(%d) = %v, concatenated keys give %v", b, u, g.Succ(u), want.Succ(u))
+			}
+		}
+	}
+}
+
+// TestFromTransactionsAllocs pins the views: FromRWSet copies nothing,
+// and FromTransactions allocates only the block's []RW.
+func TestFromTransactionsAllocs(t *testing.T) {
+	txs := zipfTxs()
+	if allocs := testing.AllocsPerRun(100, func() { rwSink = FromRWSet("bank", &txs[0].Results) }); allocs != 0 {
+		t.Errorf("FromRWSet: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rwsSink = FromTransactions(txs) }); allocs != 1 {
+		t.Errorf("FromTransactions on a %d-tx block: %.0f allocations, want 1", len(txs), allocs)
+	}
 }
 
 // TestScheduleMatchesReference diffs the incremental Schedule against
@@ -438,33 +566,18 @@ func TestScheduleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	victims := 0
 	for b := 0; b < batches; b++ {
-		// The reference costs victims × batch, so three batches in four
-		// are small; those also reach the odd shapes (one component, a
-		// chain of them, none) far more often per millisecond.
-		n := 1 + rng.Intn(40)
-		if b%4 == 0 {
-			n = 1 + rng.Intn(150)
-		}
-		nkeys := 2 + rng.Intn(2*n)
-		zipf := 0.0
-		if b%2 == 1 {
-			zipf = 1.05 + rng.Float64()
-		}
-		rws, participates := randomBatch(rng, n, nkeys, zipf)
-		if b%16 == 0 {
-			participates = nil // nil means all participate
-		}
+		rws, participates := referenceBatch(rng, b)
 		wantOrder, wantAborted := scheduleReference(rws, participates)
 		order, aborted := Schedule(rws, participates)
 		if !reflect.DeepEqual(order, wantOrder) || !reflect.DeepEqual(aborted, wantAborted) {
-			t.Fatalf("batch %d (%d tx, %d keys, zipf %.2f):\n order   %v\n want    %v\n aborted %v\n want    %v",
-				b, n, nkeys, zipf, order, wantOrder, aborted, wantAborted)
+			t.Fatalf("batch %d (%d tx):\n order   %v\n want    %v\n aborted %v\n want    %v",
+				b, len(rws), order, wantOrder, aborted, wantAborted)
 		}
 		victims += len(aborted)
 		// The exported graph keeps its contract too: ascending,
 		// de-duplicated successors.
 		g, ref := BuildGraph(rws, participates), buildRefGraph(rws, participates)
-		for u := 0; u < n; u++ {
+		for u := range rws {
 			if got, want := g.Succ(u), ref.succ[u]; !slices.Equal(got, want) {
 				t.Fatalf("batch %d: Succ(%d) = %v, want %v", b, u, got, want)
 			}
@@ -484,10 +597,10 @@ func TestScheduleMatchesReference(t *testing.T) {
 // degree counted inside a vertex's own component only would abort 3.
 func TestScheduleDegreeCountsOtherComponents(t *testing.T) {
 	rws := []RW{
-		{Reads: []string{"x", "q"}, Writes: []string{"y"}},
-		{Reads: []string{"y"}, Writes: []string{"x"}},
-		{Reads: []string{"p"}, Writes: []string{"q"}},
-		{Reads: []string{"q"}, Writes: []string{"p"}},
+		rwOf("cc", []string{"x", "q"}, []string{"y"}),
+		rwOf("cc", []string{"y"}, []string{"x"}),
+		rwOf("cc", []string{"p"}, []string{"q"}),
+		rwOf("cc", []string{"q"}, []string{"p"}),
 	}
 	order, aborted := Schedule(rws, nil)
 	if !reflect.DeepEqual(aborted, []int{1, 2}) || !reflect.DeepEqual(order, []int{0, 3}) {
@@ -508,14 +621,28 @@ func zipfBatch(v float64) []RW {
 	z := rand.NewZipf(rng, 1.2, v, 9999)
 	rws := make([]RW, 100)
 	for i := range rws {
-		a, b := fmt.Sprintf("bank/acc%d", z.Uint64()), fmt.Sprintf("bank/acc%d", z.Uint64())
+		a, b := fmt.Sprintf("acc%d", z.Uint64()), fmt.Sprintf("acc%d", z.Uint64())
 		if i%4 == 3 {
-			rws[i] = RW{Reads: []string{a}}
+			rws[i] = rwOf("bank", []string{a}, nil)
 		} else {
-			rws[i] = RW{Reads: []string{a, b}, Writes: []string{a, b}}
+			rws[i] = rwOf("bank", []string{a, b}, []string{a, b})
 		}
 	}
 	return rws
+}
+
+// zipfTxs is zipfBatch(1) as the block of transactions a committer
+// decodes.
+func zipfTxs() []*types.Transaction {
+	rws := zipfBatch(1)
+	txs := make([]*types.Transaction, len(rws))
+	for i, rw := range rws {
+		txs[i] = &types.Transaction{
+			Proposal: types.Proposal{TxID: types.TxID(fmt.Sprintf("tx%d", i)), ChaincodeID: rw.NS},
+			Results:  types.RWSet{Reads: rw.Reads, Writes: rw.Writes},
+		}
+	}
+	return txs
 }
 
 // TestScheduleAllocationBudget holds Schedule to a handful of
@@ -563,7 +690,11 @@ func TestScheduleConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-var benchSink int
+var (
+	benchSink int
+	rwSink    RW
+	rwsSink   []RW
+)
 
 func BenchmarkSchedule(b *testing.B) {
 	rws := zipfBatch(1)
@@ -572,6 +703,17 @@ func BenchmarkSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		order, aborted := Schedule(rws, nil)
 		benchSink += len(order) + len(aborted)
+	}
+}
+
+// BenchmarkFromTransactions times the key analysis a committer runs on
+// every reordered block before it fans out: the views, then Chains.
+func BenchmarkFromTransactions(b *testing.B) {
+	txs := zipfTxs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(Chains(FromTransactions(txs), nil))
 	}
 }
 
@@ -587,16 +729,18 @@ type refGraph struct {
 
 func buildRefGraph(rws []RW, participates []bool) *refGraph {
 	n := len(rws)
-	readers := make(map[string][]int) // key -> txs reading it
-	writers := make(map[string][]int) // key -> txs writing it
+	readers := make(map[key][]int) // key -> txs reading it
+	writers := make(map[key][]int) // key -> txs writing it
 	for i, rw := range rws {
 		if participates != nil && !participates[i] {
 			continue
 		}
-		for _, k := range rw.Reads {
+		for _, r := range rw.Reads {
+			k := key{rw.NS, r.Key}
 			readers[k] = append(readers[k], i)
 		}
-		for _, k := range rw.Writes {
+		for _, w := range rw.Writes {
+			k := key{rw.NS, w.Key}
 			writers[k] = append(writers[k], i)
 		}
 	}

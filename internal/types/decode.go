@@ -3,8 +3,9 @@ package types
 import "fmt"
 
 // txDecoder is the one decode of Transaction envelopes, shared by
-// Block.Transactions and UnmarshalTransaction (and, for their parts, by
-// UnmarshalProposal and UnmarshalProposalResponse). It copies no field
+// Block.Transactions, UnmarshalTransaction and PeekEnvelopeInfo (and, for
+// their parts, by UnmarshalProposal, UnmarshalProposalResponse and
+// UnmarshalRWSet). It copies no field
 // out of the envelope: every []byte field is a capacity-capped view of
 // the input, every string a substring of one string copy of it, and the
 // slices a block's transactions hold are carved from per-block slabs.
@@ -70,6 +71,24 @@ func (d *txDecoder) proposal(p *Proposal) {
 	p.Nonce = d.bytes()
 	p.Timestamp = d.Int64()
 	p.TraceID = d.str()
+}
+
+// envelopeInfo is the ordering path's peek: the proposal fields conflict
+// analysis and tracing read, stepping over the others with the same
+// bounds checks, then the read-write set.
+func (d *txDecoder) envelopeInfo(info *EnvelopeInfo) {
+	info.TxID = TxID(d.str())
+	d.field() // ChannelID
+	info.ChaincodeID = d.str()
+	d.field() // Fn
+	for n := d.length(); n > 0 && d.err == nil; n-- {
+		d.field() // Args
+	}
+	d.field() // Creator
+	d.field() // Nonce
+	d.Int64() // Timestamp
+	info.TraceID = d.str()
+	d.rwset(&info.Results)
 }
 
 func (d *txDecoder) rwset(rw *RWSet) {

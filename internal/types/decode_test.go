@@ -186,3 +186,90 @@ func FuzzBlockTransactions(f *testing.F) {
 		checkBlockDecode(t, &Block{Header: BlockHeader{Number: 2}, Data: [][]byte{a, b}})
 	})
 }
+
+// checkPeek requires PeekEnvelopeInfo to agree with the copying
+// reference peek on b: equal results (nil and empty slices told apart)
+// where it accepts, the same error where it rejects.
+func checkPeek(t *testing.T, b []byte) {
+	t.Helper()
+	want, werr := refPeekEnvelopeInfo(b)
+	got, gerr := PeekEnvelopeInfo(b)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("PeekEnvelopeInfo = %+v, %v; reference %+v, %v", got, gerr, want, werr)
+	}
+}
+
+// TestPeekEnvelopeInfoMatchesReference holds the in-place peek to the
+// copying reference on 10 000 seeded envelopes and on every strict
+// prefix of 150 of them. A prefix that keeps the proposal and read-write
+// set whole still peeks; one that cuts into them fails.
+func TestPeekEnvelopeInfoMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	for i := 0; i < 10000; i++ {
+		env := genTransaction(r).Marshal()
+		checkPeek(t, env)
+		for n := 0; i < 150 && n < len(env); n++ {
+			checkPeek(t, env[:n])
+		}
+	}
+}
+
+// TestPeekEnvelopeInfoAllocs is the peek's allocation budget: the
+// envelope's one string copy, the EnvelopeInfo, and one array each for
+// its reads and its writes.
+func TestPeekEnvelopeInfoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	env := and5Block().Data[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PeekEnvelopeInfo(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("PeekEnvelopeInfo: %.0f allocations, want <= 4", allocs)
+	}
+}
+
+var peekSink *EnvelopeInfo
+
+func BenchmarkPeekEnvelopeInfo(b *testing.B) {
+	envs := and5Block().Data
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, err := PeekEnvelopeInfo(envs[i%len(envs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		peekSink = info
+	}
+}
+
+// FuzzPeekEnvelopeInfo holds the peek to the copying reference on any
+// input, and to the full decode wherever that accepts: an envelope
+// UnmarshalTransaction takes must peek, to its TxID, ChaincodeID,
+// TraceID and Results. The seeds are generator-built envelopes.
+func FuzzPeekEnvelopeInfo(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 4; i++ {
+		f.Add(genTransaction(r).Marshal())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkPeek(t, b)
+		tx, err := UnmarshalTransaction(b)
+		if err != nil {
+			return
+		}
+		want := &EnvelopeInfo{
+			TxID:        tx.Proposal.TxID,
+			ChaincodeID: tx.Proposal.ChaincodeID,
+			TraceID:     tx.Proposal.TraceID,
+			Results:     tx.Results,
+		}
+		if got, err := PeekEnvelopeInfo(b); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("full decode accepts, peek = %+v, %v; want %+v", got, err, want)
+		}
+	})
+}

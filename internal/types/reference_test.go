@@ -5,11 +5,12 @@ import (
 	"math/rand"
 )
 
-// This file keeps the copying envelope decode that Block.Transactions
-// and UnmarshalTransaction used before they read fields in place. It is
-// the oracle the differential and fuzz tests hold the production decode
-// to: the same values (nil and empty slices included) on every input it
-// accepts, and the same error on every input it rejects.
+// This file keeps the copying envelope decode that Block.Transactions,
+// UnmarshalTransaction and PeekEnvelopeInfo used before they read fields
+// in place. It is the oracle the differential and fuzz tests hold the
+// production decode to: the same values (nil and empty slices included)
+// on every input it accepts, and the same error on every input it
+// rejects.
 
 func refDecodeProposal(p *Proposal, dec *Decoder) {
 	p.TxID = TxID(dec.String())
@@ -76,6 +77,36 @@ func refUnmarshalTransaction(b []byte) (*Transaction, error) {
 		return nil, fmt.Errorf("unmarshal transaction: %w", err)
 	}
 	return &t, nil
+}
+
+// refPeekProposal and refPeekEnvelopeInfo are the copying peek the
+// ordering path used before it ran on the in-place decode: TxID,
+// ChaincodeID and TraceID are copied, every other proposal field is
+// stepped over, and the read-write set is copied key by key.
+func refPeekProposal(p *Proposal, dec *Decoder) {
+	p.TxID = TxID(dec.String())
+	dec.field() // ChannelID
+	p.ChaincodeID = dec.String()
+	dec.field() // Fn
+	for n := dec.length(); n > 0 && dec.Err() == nil; n-- {
+		dec.field() // Args
+	}
+	dec.field() // Creator
+	dec.field() // Nonce
+	dec.Int64() // Timestamp
+	p.TraceID = dec.String()
+}
+
+func refPeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
+	dec := NewDecoder(b)
+	var p Proposal
+	refPeekProposal(&p, dec)
+	var rw RWSet
+	refDecodeRWSet(&rw, dec)
+	if err := dec.Err(); err != nil {
+		return nil, fmt.Errorf("peek envelope: %w", err)
+	}
+	return &EnvelopeInfo{TxID: p.TxID, ChaincodeID: p.ChaincodeID, TraceID: p.TraceID, Results: rw}, nil
 }
 
 // refBlockTransactions is Block.Transactions over the reference decode.

@@ -80,31 +80,6 @@ func (rw *RWSet) encode(enc *Encoder) {
 	}
 }
 
-// decode reads the set from dec, copying every key and value: the
-// ordering path (PeekEnvelopeInfo) keeps what it reads while its caller
-// may reuse the buffer. A Transaction's set is decoded in place instead.
-func (rw *RWSet) decode(dec *Decoder) {
-	nr := dec.length()
-	rw.Reads = make([]KVRead, 0, nr)
-	for i := 0; i < nr && dec.Err() == nil; i++ {
-		var r KVRead
-		r.Key = dec.String()
-		r.Version.BlockNum = dec.Uvarint()
-		r.Version.TxNum = dec.Uvarint()
-		r.Exists = dec.Bool()
-		rw.Reads = append(rw.Reads, r)
-	}
-	nw := dec.length()
-	rw.Writes = make([]KVWrite, 0, nw)
-	for i := 0; i < nw && dec.Err() == nil; i++ {
-		var w KVWrite
-		w.Key = dec.String()
-		w.Value = dec.Bytes2()
-		w.IsDelete = dec.Bool()
-		rw.Writes = append(rw.Writes, w)
-	}
-}
-
 // Marshal returns the deterministic binary encoding of the set.
 func (rw *RWSet) Marshal() []byte {
 	enc := NewEncoder(64 + 32*len(rw.Reads) + 64*len(rw.Writes))
@@ -112,12 +87,14 @@ func (rw *RWSet) Marshal() []byte {
 	return enc.Bytes()
 }
 
-// UnmarshalRWSet decodes a set previously produced by Marshal.
+// UnmarshalRWSet decodes a set previously produced by Marshal. Its keys
+// and values are read-only views of b, as a decoded Transaction's are.
 func UnmarshalRWSet(b []byte) (*RWSet, error) {
-	dec := NewDecoder(b)
+	var d txDecoder
+	d.start(b, 0, 0, 0)
 	var rw RWSet
-	rw.decode(dec)
-	if err := dec.Finish(); err != nil {
+	d.rwset(&rw)
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("unmarshal rwset: %w", err)
 	}
 	return &rw, nil

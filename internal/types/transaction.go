@@ -112,23 +112,6 @@ func (p *Proposal) encode(enc *Encoder) {
 	enc.String(p.TraceID)
 }
 
-// peek is the ordering path's proposal decode: it copies TxID,
-// ChaincodeID and TraceID and steps over every other field, with the
-// same bounds checks as the full decode.
-func (p *Proposal) peek(dec *Decoder) {
-	p.TxID = TxID(dec.String())
-	dec.field() // ChannelID
-	p.ChaincodeID = dec.String()
-	dec.field() // Fn
-	for n := dec.length(); n > 0 && dec.Err() == nil; n-- {
-		dec.field() // Args
-	}
-	dec.field() // Creator
-	dec.field() // Nonce
-	dec.Int64() // Timestamp
-	p.TraceID = dec.String()
-}
-
 // Marshal returns the deterministic encoding of the proposal.
 func (p *Proposal) Marshal() []byte {
 	enc := NewEncoder(256)
@@ -286,6 +269,12 @@ func UnmarshalTransaction(b []byte) (*Transaction, error) {
 // the chaincode namespace, and the endorsed read-write set. Peeking
 // this prefix costs one partial decode instead of a full envelope
 // unmarshal (endorsements, signatures, and padding are skipped).
+//
+// Like Block.Transactions, a peeked EnvelopeInfo is a read-only view of
+// its envelope: the strings share one copy of it, write values alias
+// it, and Results' slices are carved for the one call. Nothing may
+// write to them, and a string kept past the batch must be copied, or it
+// keeps that copy of the whole envelope alive.
 type EnvelopeInfo struct {
 	TxID        TxID
 	ChaincodeID string
@@ -298,15 +287,14 @@ type EnvelopeInfo struct {
 // precisely so the ordering service can see endorsed rwsets without
 // paying for (or trusting) the rest of the envelope.
 func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
-	dec := NewDecoder(b)
-	var p Proposal
-	p.peek(dec)
-	var rw RWSet
-	rw.decode(dec)
-	if err := dec.Err(); err != nil {
+	var d txDecoder
+	d.start(b, 0, 0, 0)
+	info := &EnvelopeInfo{}
+	d.envelopeInfo(info)
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("peek envelope: %w", err)
 	}
-	return &EnvelopeInfo{TxID: p.TxID, ChaincodeID: p.ChaincodeID, TraceID: p.TraceID, Results: rw}, nil
+	return info, nil
 }
 
 // ID returns the transaction's ID.
