@@ -438,18 +438,7 @@ func (g *Gateway) selectTargets(pol policy.Policy) ([]endorseTarget, error) {
 // baseLatency sleeps the fixed SDK/gRPC overhead of one endorsement
 // round trip (pure delay, not capacity-consuming).
 func (g *Gateway) baseLatency(ctx context.Context) error {
-	base := g.cfg.Model.ScaledDelay(g.cfg.Model.ClientBaseLatency)
-	if base <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(base)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return simcpu.Sleep(ctx, g.cfg.Model.ScaledDelay(g.cfg.Model.ClientBaseLatency))
 }
 
 // endorseOutcome is one target's endorsement result.
@@ -460,7 +449,8 @@ type endorseOutcome struct {
 
 // collectEndorsements fans the proposal out — one call per selected
 // target, each maintaining the shared load accounting — and gathers all
-// responses.
+// responses. The last target's call runs on the calling goroutine, so a
+// single-target proposal starts no goroutine.
 func (g *Gateway) collectEndorsements(ctx context.Context, targets []endorseTarget, prop *types.Proposal, sig []byte) ([]*types.ProposalResponse, error) {
 	req := &peer.EndorseRequest{Proposal: prop, Sig: sig}
 	size := len(prop.Marshal()) + len(sig) + 32
@@ -468,7 +458,10 @@ func (g *Gateway) collectEndorsements(ctx context.Context, targets []endorseTarg
 	results := make([]endorseOutcome, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
-		i, t := i, t
+		if i == len(targets)-1 {
+			results[i] = g.endorseOne(ctx, t, req, size)
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

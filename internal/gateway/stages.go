@@ -12,6 +12,7 @@ import (
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simcpu"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/types"
 )
@@ -345,14 +346,9 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 			if g.cfg.Collector != nil {
 				g.cfg.Collector.BroadcastFailover()
 			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-timer.C:
-			case <-bctx.Done():
-				timer.Stop()
-				return fmt.Errorf("%w (budget expired after: %v)", bctx.Err(), lastErr)
+			if err := simcpu.Sleep(bctx, backoff); err != nil {
+				return fmt.Errorf("%w (budget expired after: %v)", err, lastErr)
 			}
-			timer.Stop()
 		}
 		lt.Begin(osn)
 		begun := time.Now()
@@ -489,14 +485,7 @@ func (g *Gateway) retrySleep(ctx context.Context, retry int) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return simcpu.Sleep(ctx, d)
 }
 
 // resolveTimeout completes a future as rejected by the ordering

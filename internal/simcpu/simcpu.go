@@ -132,20 +132,31 @@ func (c *CPU) Execute(ctx context.Context, d time.Duration) error {
 		}
 	}
 
-	if sleep := time.Until(end); sleep > 0 {
-		timer := getTimer(sleep)
-		select {
-		case <-timer.C:
-			timerPool.Put(timer)
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		}
+	if err := Sleep(ctx, time.Until(end)); err != nil {
+		return err
 	}
 	if c.stopped.Load() {
 		return ErrStopped
 	}
 	return nil
+}
+
+// Sleep pauses for d, or until ctx is done, in which case it returns
+// ctx.Err(). A non-positive d returns nil at once. It sleeps on a pooled
+// timer, so a completed Sleep allocates nothing once the pool is warm.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	timer := getTimer(d)
+	select {
+	case <-timer.C:
+		timerPool.Put(timer)
+		return nil
+	case <-ctx.Done():
+		timer.Stop()
+		return ctx.Err()
+	}
 }
 
 // timerPool holds fired timers whose channel has been received from, so

@@ -166,6 +166,29 @@ func TestPooledTimersNeverFireEarly(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSleepPoolsOnlyFiredTimers checks the pool's entry rule from Sleep:
+// a cancelled Sleep returns ctx.Err() and keeps its timer out of the
+// pool, where its stale fire could end a later Sleep early, and a
+// completed Sleep puts its timer back.
+func TestSleepPoolsOnlyFiredTimers(t *testing.T) {
+	for timerPool.Get() != nil { // empty the pool
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Sleep(ctx, time.Hour); err != context.Canceled {
+		t.Fatalf("cancelled Sleep: %v", err)
+	}
+	if timerPool.Get() != nil {
+		t.Error("cancelled Sleep pooled its timer")
+	}
+	if err := Sleep(context.Background(), 50*time.Microsecond); err != nil {
+		t.Fatalf("Sleep: %v", err)
+	}
+	if !raceEnabled && timerPool.Get() == nil {
+		t.Error("completed Sleep did not pool its timer")
+	}
+}
+
 // TestExecuteAllocs pins a sleeping Execute at no more than one
 // allocation once the timer pool is warm.
 func TestExecuteAllocs(t *testing.T) {

@@ -138,7 +138,9 @@ type TCPEndpoint struct {
 	corr      atomic.Uint64
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
+	// done is closed by Close, failing every pending Call with ErrClosed.
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -166,6 +168,7 @@ func ListenTCP(id, addr string, reg *TCPNetwork) (*TCPEndpoint, error) {
 		conns:    make(map[string]*tcpConn),
 		sockets:  make(map[net.Conn]struct{}),
 		pending:  make(map[uint64]chan wireMessage),
+		done:     make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go func() {
@@ -221,14 +224,18 @@ func (e *TCPEndpoint) Call(ctx context.Context, to, kind string, payload any, _ 
 		return reply.Payload, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-e.done:
+		return nil, ErrClosed
 	}
 }
 
-// Close shuts the listener and all connections down.
+// Close shuts the listener and all connections down, and fails pending
+// calls with ErrClosed.
 func (e *TCPEndpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	close(e.done)
 	_ = e.ln.Close()
 	e.connsMu.Lock()
 	for s := range e.sockets {

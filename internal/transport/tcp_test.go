@@ -164,3 +164,35 @@ func TestTCPCloseUnblocks(t *testing.T) {
 		t.Errorf("call after close: %v", err)
 	}
 }
+
+// TestTCPCallReturnsOnClose closes an endpoint while one of its calls,
+// made without a deadline, waits on a handler that never replies. The
+// call must return ErrClosed, as a MemEndpoint call does, instead of
+// waiting forever.
+func TestTCPCallReturnsOnClose(t *testing.T) {
+	a, b := tcpPair(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs before the registry closes
+	b.Handle("hang", func(context.Context, string, any) (any, int, error) {
+		close(started)
+		<-release
+		return &tcpTestPayload{}, 0, nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Call(context.Background(), "b", "hang", &tcpTestPayload{}, 0)
+		done <- err
+	}()
+	<-started
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("pending call after Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending call still blocked 5s after Close")
+	}
+}

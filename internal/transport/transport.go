@@ -339,18 +339,20 @@ func (n *Network) failCall(msg message) {
 	n.mu.RLock()
 	ep := n.nodes[waiter]
 	n.mu.RUnlock()
-	if ep == nil {
-		return
+	if ep != nil {
+		ep.complete(message{corr: msg.corr, isReply: true, errText: ErrLinkDown.Error()})
 	}
-	ep.pendingMu.Lock()
-	ch, ok := ep.pending[msg.corr]
-	ep.pendingMu.Unlock()
-	if ok {
-		select {
-		case ch <- message{corr: msg.corr, isReply: true, errText: ErrLinkDown.Error()}:
-		default:
-		}
-	}
+}
+
+// maxIdleWorkers caps the handler workers an endpoint keeps parked
+// between requests. It bounds only the cache, never concurrency: a
+// request that finds no parked worker starts a new one.
+const maxIdleWorkers = 64
+
+// job is one inbound request handed to a handler worker.
+type job struct {
+	h   Handler
+	msg message
 }
 
 // MemEndpoint is the in-memory Endpoint implementation.
@@ -365,15 +367,23 @@ type MemEndpoint struct {
 	handlersMu sync.RWMutex
 	handlers   map[string]Handler
 
+	// pendingMu guards pending and the free list of reply channels, and
+	// every send into a pending channel happens under it after the
+	// lookup. Once Call deletes its entry no sender can reach the
+	// channel, so a recycled channel is always empty.
 	pendingMu sync.Mutex
 	pending   map[uint64]chan message
+	free      []chan message
 	corr      atomic.Uint64
 
 	closed atomic.Bool
-	// closeMu orders the closed transition against handler-goroutine
+	// closeMu orders the closed transition against handler-worker
 	// accounting: dispatchLoop's hwg.Add and Close's hwg.Wait must not
 	// race once the counter may be zero (sync.WaitGroup's reuse rule).
+	// It also guards idle, the LIFO cache of parked workers' job
+	// channels; hwg counts worker goroutines, parked ones included.
 	closeMu sync.Mutex
+	idle    []chan job
 	hwg     sync.WaitGroup
 }
 
@@ -403,13 +413,24 @@ func (e *MemEndpoint) Call(ctx context.Context, to, kind string, payload any, si
 		return nil, ErrClosed
 	}
 	corr := e.corr.Add(1)
-	ch := make(chan message, 1)
 	e.pendingMu.Lock()
+	var ch chan message
+	if n := len(e.free); n > 0 {
+		ch = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ch = make(chan message, 1)
+	}
 	e.pending[corr] = ch
 	e.pendingMu.Unlock()
 	defer func() {
 		e.pendingMu.Lock()
 		delete(e.pending, corr)
+		select { // a reply that raced a timeout or close
+		case <-ch:
+		default:
+		}
+		e.free = append(e.free, ch)
 		e.pendingMu.Unlock()
 	}()
 
@@ -430,23 +451,47 @@ func (e *MemEndpoint) Call(ctx context.Context, to, kind string, payload any, si
 	}
 }
 
-// Close detaches the endpoint and waits for in-flight handlers.
+// Close detaches the endpoint and waits for its handler workers, parked
+// and running.
 func (e *MemEndpoint) Close() error {
 	// Flip closed under closeMu so dispatchLoop either observes the
-	// close before spawning a handler, or its hwg.Add happens strictly
-	// before this Wait.
+	// close before starting a worker, or its hwg.Add happens strictly
+	// before this Wait. No worker parks once closed is set, so the idle
+	// list taken here is the last one.
 	e.closeMu.Lock()
 	swapped := e.closed.CompareAndSwap(false, true)
+	idle := e.idle
+	e.idle = nil
 	e.closeMu.Unlock()
 	if !swapped {
 		return nil
 	}
 	e.cancel()
+	for _, jobs := range idle {
+		close(jobs)
+	}
 	e.hwg.Wait()
 	return nil
 }
 
-// dispatchLoop routes inbox messages to handlers or pending calls.
+// complete hands a reply frame to the pending Call it answers, if that
+// call still waits. The send happens under pendingMu after the lookup,
+// and never blocks: a second frame for the same call is dropped.
+func (e *MemEndpoint) complete(reply message) {
+	e.pendingMu.Lock()
+	if ch, ok := e.pending[reply.corr]; ok {
+		select {
+		case ch <- reply:
+		default:
+		}
+	}
+	e.pendingMu.Unlock()
+}
+
+// dispatchLoop routes inbox messages to handler workers or pending
+// calls. A request goes to the most recently parked worker, or to a new
+// one if none is idle, so handler concurrency is unbounded and handler
+// start order is not the inbox order.
 func (e *MemEndpoint) dispatchLoop() {
 	for {
 		select {
@@ -455,15 +500,7 @@ func (e *MemEndpoint) dispatchLoop() {
 			return
 		case msg := <-e.inbox:
 			if msg.isReply {
-				e.pendingMu.Lock()
-				ch, ok := e.pending[msg.corr]
-				e.pendingMu.Unlock()
-				if ok {
-					select {
-					case ch <- msg:
-					default:
-					}
-				}
+				e.complete(msg)
 				continue
 			}
 			e.handlersMu.RLock()
@@ -482,17 +519,49 @@ func (e *MemEndpoint) dispatchLoop() {
 				e.drainInbox()
 				return
 			}
+			if n := len(e.idle); n > 0 {
+				jobs := e.idle[n-1]
+				e.idle = e.idle[:n-1]
+				e.closeMu.Unlock()
+				jobs <- job{h: h, msg: msg} // a parked worker's channel is empty
+				continue
+			}
 			e.hwg.Add(1)
 			e.closeMu.Unlock()
-			go func(msg message) {
-				defer e.hwg.Done()
-				resp, respSize, err := h(e.ctx, msg.from, msg.payload)
-				if msg.corr != 0 {
-					e.reply(msg, resp, respSize, err)
-				}
-			}(msg)
+			jobs := make(chan job, 1)
+			jobs <- job{h: h, msg: msg}
+			go e.work(jobs)
 		}
 	}
+}
+
+// work runs one handler worker: it serves its job, then parks on its
+// channel for the next one, until the idle cache is full or the endpoint
+// closes.
+func (e *MemEndpoint) work(jobs chan job) {
+	defer e.hwg.Done()
+	for j := range jobs {
+		resp, respSize, err := j.h(e.ctx, j.msg.from, j.msg.payload)
+		if j.msg.corr != 0 {
+			e.reply(j.msg, resp, respSize, err)
+		}
+		if !e.park(jobs) {
+			return
+		}
+	}
+}
+
+// park pushes an idle worker's job channel onto the cache. It reports
+// false, and the worker exits, if the cache is full or the endpoint has
+// closed.
+func (e *MemEndpoint) park(jobs chan job) bool {
+	e.closeMu.Lock()
+	defer e.closeMu.Unlock()
+	if e.closed.Load() || len(e.idle) >= maxIdleWorkers {
+		return false
+	}
+	e.idle = append(e.idle, jobs)
+	return true
 }
 
 // drainInbox fails the callers of any call frames still queued when the

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -314,4 +316,342 @@ func TestDeregisterAndReRegister(t *testing.T) {
 		t.Error("old endpoint received post-restart traffic")
 	default:
 	}
+}
+
+// callPayload is a pointer payload, so a reply can be matched to its own
+// request by identity.
+type callPayload struct{ sender, seq int }
+
+func echo(_ context.Context, _ string, payload any) (any, int, error) {
+	return payload, 16, nil
+}
+
+// callEcho makes one echo call and checks the reply is its own request.
+func callEcho(ctx context.Context, e *MemEndpoint, to string, req *callPayload) error {
+	resp, err := e.Call(ctx, to, "echo", req, 16)
+	if err != nil {
+		return fmt.Errorf("call %+v: %w", *req, err)
+	}
+	if got, ok := resp.(*callPayload); !ok || got != req {
+		return fmt.Errorf("call %+v: got reply %v", *req, resp)
+	}
+	return nil
+}
+
+// TestCallStress runs 8 senders × 1 000 calls against one echo handler.
+// Every reply must be its own request. Under -race, a reply channel or a
+// handler worker handed to two calls at once shows up here as a
+// mismatch or a data race.
+func TestCallStress(t *testing.T) {
+	_, a, b := pair(t, Config{})
+	b.Handle("echo", echo)
+	const senders, calls = 8, 1000
+	var wg sync.WaitGroup
+	errs := make(chan error, senders)
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if err := callEcho(context.Background(), a, "b", &callPayload{sender: s, seq: i}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// hold is a "hold" request: its handler closes started, then replies
+// with the hold itself once release is closed.
+type hold struct{ started, release chan struct{} }
+
+func newHold() *hold { return &hold{started: make(chan struct{}), release: make(chan struct{})} }
+
+func handleHold(_ context.Context, _ string, payload any) (any, int, error) {
+	h := payload.(*hold)
+	close(h.started)
+	<-h.release
+	return h, 16, nil
+}
+
+// TestLateReplyNotSeenByLaterCall delivers a frame for a call after its
+// caller has stopped waiting, then checks that 100 later calls on the
+// same endpoint each get their own reply: a stale frame must never land
+// in a reply channel a later call waits on. In the first case the caller
+// gives up before the real reply is sent. In the second, a link-drop
+// failure (failCall) races the real reply, so whichever loses arrives
+// late, possibly while the later calls run.
+func TestLateReplyNotSeenByLaterCall(t *testing.T) {
+	laterCalls := func(t *testing.T, a *MemEndpoint) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if err := callEcho(context.Background(), a, "b", &callPayload{seq: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setup := func(t *testing.T) (*Network, *MemEndpoint) {
+		n, a, b := pair(t, Config{})
+		b.Handle("echo", echo)
+		b.Handle("hold", handleHold)
+		return n, a
+	}
+
+	t.Run("caller gave up", func(t *testing.T) {
+		_, a := setup(t)
+		for round := 0; round < 20; round++ {
+			h := newHold()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := a.Call(ctx, "b", "hold", h, 16)
+				done <- err
+			}()
+			<-h.started
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: abandoned call returned %v", round, err)
+			}
+			close(h.release) // the reply now arrives with no caller waiting
+			laterCalls(t, a)
+		}
+	})
+
+	t.Run("link drop races the reply", func(t *testing.T) {
+		n, a := setup(t)
+		for round := 0; round < 20; round++ {
+			h := newHold()
+			done := make(chan error, 1)
+			go func() {
+				resp, err := a.Call(context.Background(), "b", "hold", h, 16)
+				switch {
+				case err != nil && err.Error() != ErrLinkDown.Error():
+				case err == nil && resp != any(h):
+					err = fmt.Errorf("hold call got reply %v", resp)
+				default:
+					err = nil
+				}
+				done <- err
+			}()
+			<-h.started
+			corr := a.corr.Load() // the hold call is a's only call in flight
+			var drop sync.WaitGroup
+			drop.Add(1)
+			go func() {
+				defer drop.Done()
+				n.failCall(message{from: "a", to: "b", corr: corr})
+			}()
+			close(h.release)
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			laterCalls(t, a)
+			drop.Wait()
+		}
+	})
+}
+
+// TestCloseLeavesNoGoroutines drives calls and sends both ways, parks
+// handlers on the endpoint's context, closes the network, and checks the
+// goroutine count returns to where it was: no link pump, dispatcher or
+// handler goroutine outlives Close.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n := NewNetwork(Config{})
+	a, err := n.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Register("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Handle("echo", echo)
+	b.Handle("echo", echo)
+	var waiting atomic.Int32
+	b.Handle("wait", func(ctx context.Context, _ string, _ any) (any, int, error) {
+		waiting.Add(1)
+		<-ctx.Done()
+		return nil, 0, ctx.Err()
+	})
+	var wg sync.WaitGroup
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := callEcho(context.Background(), a, "b", &callPayload{sender: s, seq: i}); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = b.Send("a", "echo", &callPayload{sender: s, seq: i}, 16)
+			}
+		}(s)
+	}
+	wg.Wait()
+	const waiters = 10
+	for i := 0; i < waiters; i++ {
+		if err := a.Send("b", "wait", nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for waiting.Load() < waiters && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	n.Close()
+
+	deadline = time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before the network:\n%s", got, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestBlockedHandlerDoesNotStallOthers parks one handler until the test
+// ends; 100 other calls to the same endpoint must still complete.
+func TestBlockedHandlerDoesNotStallOthers(t *testing.T) {
+	_, a, b := pair(t, Config{})
+	h := newHold()
+	t.Cleanup(func() { close(h.release) }) // runs before pair's Close
+	b.Handle("hold", handleHold)
+	b.Handle("echo", echo)
+	if err := a.Send("b", "hold", h, 16); err != nil {
+		t.Fatal(err)
+	}
+	<-h.started
+	// The deadline turns a stall into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 100; i++ {
+		if err := callEcho(ctx, a, "b", &callPayload{seq: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHandlerConcurrencyUnbounded starts 200 calls whose handlers all
+// wait on one barrier that opens only once every handler has started,
+// so the calls complete only if the endpoint runs all 200 handlers at
+// once. 200 is more than the idle-worker cache holds: a bounded handler
+// pool deadlocks here.
+func TestHandlerConcurrencyUnbounded(t *testing.T) {
+	const calls = 200
+	if calls <= maxIdleWorkers {
+		t.Fatalf("%d calls do not exceed the %d-worker idle cache", calls, maxIdleWorkers)
+	}
+	_, a, b := pair(t, Config{})
+	var started atomic.Int32
+	barrier := make(chan struct{})
+	b.Handle("barrier", func(ctx context.Context, _ string, payload any) (any, int, error) {
+		if started.Add(1) == calls {
+			close(barrier)
+		}
+		select {
+		case <-barrier:
+			return payload, 16, nil
+		case <-ctx.Done(): // the endpoint closed on a failed test
+			return nil, 0, ctx.Err()
+		}
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := &callPayload{seq: i}
+			resp, err := a.Call(context.Background(), "b", "barrier", req, 16)
+			if err != nil {
+				errs <- err
+			} else if resp != any(req) {
+				errs <- fmt.Errorf("call %d: got reply %v", i, resp)
+			}
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("only %d of %d handlers started", started.Load(), calls)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestMemCallAllocs pins a steady-state round trip at zero allocations:
+// the reply channel comes from the endpoint's free list and the handler
+// runs on a parked worker.
+func TestMemCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, a, b := pair(t, Config{})
+	b.Handle("echo", echo)
+	req := &callPayload{}
+	call := func() {
+		if err := callEcho(context.Background(), a, "b", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // start the link pumps and park a handler worker
+	if allocs := testing.AllocsPerRun(1000, call); allocs > 0 {
+		t.Errorf("Call: %.1f allocations per round trip, want 0", allocs)
+	}
+}
+
+func BenchmarkMemCall(b *testing.B) {
+	n := NewNetwork(Config{})
+	defer n.Close()
+	caller, _ := n.Register("a")
+	callee, _ := n.Register("b")
+	callee.Handle("echo", echo)
+	req := &callPayload{}
+	if err := callEcho(context.Background(), caller, "b", req); err != nil { // start the link pumps
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := callEcho(context.Background(), caller, "b", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMemCallParallel(b *testing.B) {
+	n := NewNetwork(Config{})
+	defer n.Close()
+	caller, _ := n.Register("a")
+	callee, _ := n.Register("b")
+	callee.Handle("echo", echo)
+	if err := callEcho(context.Background(), caller, "b", &callPayload{}); err != nil { // start the link pumps
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		req := &callPayload{}
+		for pb.Next() {
+			if err := callEcho(context.Background(), caller, "b", req); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
