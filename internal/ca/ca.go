@@ -44,10 +44,8 @@ func (r Role) String() string {
 
 // Errors returned by certificate validation.
 var (
-	ErrRevoked     = errors.New("ca: certificate revoked")
-	ErrExpired     = errors.New("ca: certificate outside validity window")
-	ErrBadCASig    = errors.New("ca: certificate not signed by this CA")
-	ErrUnknownName = errors.New("ca: unknown enrollment")
+	ErrExpired  = errors.New("ca: certificate outside validity window")
+	ErrBadCASig = errors.New("ca: certificate not signed by this CA")
 )
 
 // Certificate binds an identity (name, org, role) to a public key, with
@@ -124,8 +122,7 @@ type Enrollment struct {
 }
 
 // CA is the certificate authority for one organization (Fabric deploys
-// one CA per org). It issues enrollment certificates and maintains a
-// revocation list.
+// one CA per org). It issues enrollment certificates.
 type CA struct {
 	org    string
 	scheme string
@@ -133,8 +130,6 @@ type CA struct {
 
 	mu       sync.Mutex
 	serial   uint64
-	issued   map[string]*Certificate // by ID()
-	revoked  map[uint64]struct{}
 	validity time.Duration
 }
 
@@ -148,8 +143,6 @@ func New(org, scheme string) (*CA, error) {
 		org:      org,
 		scheme:   scheme,
 		key:      key,
-		issued:   make(map[string]*Certificate),
-		revoked:  make(map[uint64]struct{}),
 		validity: 365 * 24 * time.Hour,
 	}, nil
 }
@@ -160,9 +153,6 @@ func (ca *CA) Org() string { return ca.org }
 // PublicKey returns the CA's serialized verification key. MSPs embed it
 // as the org's root of trust.
 func (ca *CA) PublicKey() []byte { return ca.key.Public() }
-
-// Scheme returns the CA's signature scheme.
-func (ca *CA) Scheme() string { return ca.scheme }
 
 // Enroll issues a certificate and fresh key pair for (name, role).
 func (ca *CA) Enroll(name string, role Role) (*Enrollment, error) {
@@ -190,32 +180,11 @@ func (ca *CA) Enroll(name string, role Role) (*Enrollment, error) {
 		return nil, fmt.Errorf("ca %s sign cert: %w", ca.org, err)
 	}
 	cert.CASig = sig
-	ca.issued[cert.ID()] = cert
 	return &Enrollment{Cert: cert, Key: key}, nil
 }
 
-// Revoke adds the named identity's certificate to the revocation list.
-func (ca *CA) Revoke(id string) error {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	cert, ok := ca.issued[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownName, id)
-	}
-	ca.revoked[cert.Serial] = struct{}{}
-	return nil
-}
-
-// IsRevoked reports whether the serial appears on the revocation list.
-func (ca *CA) IsRevoked(serial uint64) bool {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	_, ok := ca.revoked[serial]
-	return ok
-}
-
-// Validate checks that cert was issued by this CA, is inside its
-// validity window at time now, and has not been revoked.
+// Validate checks that cert was issued by this CA and is inside its
+// validity window at time now.
 func (ca *CA) Validate(cert *Certificate, now time.Time) error {
 	if cert.Org != ca.org {
 		return fmt.Errorf("ca %s: certificate for foreign org %s", ca.org, cert.Org)
@@ -226,9 +195,6 @@ func (ca *CA) Validate(cert *Certificate, now time.Time) error {
 	n := now.UnixNano()
 	if n < cert.NotBefore || n > cert.NotAfter {
 		return ErrExpired
-	}
-	if ca.IsRevoked(cert.Serial) {
-		return ErrRevoked
 	}
 	return nil
 }

@@ -81,23 +81,6 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
-func TestRevocation(t *testing.T) {
-	authority := newTestCA(t)
-	e, _ := authority.Enroll("peer0", RolePeer)
-	if err := authority.Revoke("Org1.peer0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := authority.Validate(e.Cert, time.Now()); !errors.Is(err, ErrRevoked) {
-		t.Errorf("revoked cert accepted: %v", err)
-	}
-	if !authority.IsRevoked(e.Cert.Serial) {
-		t.Error("IsRevoked false after Revoke")
-	}
-	if err := authority.Revoke("Org1.ghost"); !errors.Is(err, ErrUnknownName) {
-		t.Errorf("revoking unknown identity: %v", err)
-	}
-}
-
 func TestSerialsUnique(t *testing.T) {
 	authority := newTestCA(t)
 	seen := make(map[uint64]bool)

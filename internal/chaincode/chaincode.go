@@ -165,15 +165,6 @@ func (s *Simulator) GetStateRange(startKey, endKey string) ([]statedb.KV, error)
 // same proposal produce byte-identical sets.
 func (s *Simulator) RWSet() *types.RWSet { return &s.rwset }
 
-// sortStrings is an insertion sort for the registry's short name lists.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Registry holds the chaincodes installed on a peer.
 type Registry struct {
 	codes map[string]Chaincode
@@ -198,14 +189,4 @@ func (r *Registry) Get(name string) (Chaincode, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownChaincode, name)
 	}
 	return c, nil
-}
-
-// Names returns the installed chaincode names.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.codes))
-	for n := range r.codes {
-		out = append(out, n)
-	}
-	sortStrings(out)
-	return out
 }

@@ -267,9 +267,8 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("unknown chaincode: %v", err)
 	}
 	r.Install(NewMoneyTransfer("c"))
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Errorf("Names = %v", names)
+	if cc, err := r.Get("c"); err != nil || cc.Name() != "c" {
+		t.Errorf("installed chaincode: %v, %v", cc, err)
 	}
 }
 

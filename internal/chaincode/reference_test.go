@@ -171,3 +171,12 @@ func TestSimulatorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// sortStrings is an insertion sort for short key lists.
+func sortStrings(s []string) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}

@@ -32,8 +32,6 @@ type Cluster interface {
 	OrgOf(node string) string
 	// OrgPeers lists the peers of one org, sorted.
 	OrgPeers(org string) []string
-	// Region returns a node's region label ("" when unlabeled).
-	Region(node string) string
 	// Links is the runtime link-property matrix shared with the
 	// transport (partitions, degradation, loss).
 	Links() *transport.LinkSet
@@ -94,26 +92,6 @@ func (f CrashPeer) Inject(_ context.Context, c Cluster) error {
 func (f CrashPeer) Heal(ctx context.Context, c Cluster) error {
 	c.SetNodeDown(f.Node, false)
 	return c.RestartPeer(ctx, f.Node)
-}
-
-// CrashNode freezes any node (orderer, broker) without rebuilding it on
-// Heal — the process survives, as in a machine pause or network-level
-// crash. Raft leaders lose their lease and the cluster re-elects.
-type CrashNode struct {
-	Node string
-}
-
-func (f CrashNode) Kind() string { return KindCrash }
-func (f CrashNode) Name() string { return fmt.Sprintf("freeze(%s)", f.Node) }
-
-func (f CrashNode) Inject(_ context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, true)
-	return nil
-}
-
-func (f CrashNode) Heal(_ context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, false)
-	return nil
 }
 
 // CrashOrderer blacks out an ordering node and, on Heal, rebuilds it
@@ -179,20 +157,6 @@ func PartitionOrg(c Cluster, org string) Partition {
 	}
 	outside = append(outside, c.Orderers()...)
 	return Partition{Label: org, A: inside, B: outside}
-}
-
-// PartitionRegion splits one region's peers and orderers from the rest
-// of the cluster's peers and orderers.
-func PartitionRegion(c Cluster, region string) Partition {
-	var inside, outside []string
-	for _, id := range append(append([]string{}, c.Peers()...), c.Orderers()...) {
-		if c.Region(id) == region {
-			inside = append(inside, id)
-		} else {
-			outside = append(outside, id)
-		}
-	}
-	return Partition{Label: region, A: inside, B: outside}
 }
 
 // Degrade overrides the properties of a set of directed links (slow,
@@ -310,10 +274,6 @@ type Controller struct {
 
 // New creates a controller for a cluster.
 func New(c Cluster) *Controller { return &Controller{cluster: c} }
-
-// Cluster returns the controlled cluster (schedule builders and tests
-// introspect membership through it).
-func (ctl *Controller) Cluster() Cluster { return ctl.cluster }
 
 func (ctl *Controller) record(action string, f Fault, err error) {
 	ctl.mu.Lock()

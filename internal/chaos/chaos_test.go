@@ -51,7 +51,6 @@ func (f *fakeCluster) OrgPeers(org string) []string {
 	}
 	return []string{"p3", "p4"}
 }
-func (f *fakeCluster) Region(string) string      { return "" }
 func (f *fakeCluster) Links() *transport.LinkSet { return f.links }
 func (f *fakeCluster) SetNodeDown(id string, d bool) {
 	f.mu.Lock()

@@ -158,31 +158,16 @@ func (m *Model) ClientTxCost(endorsements int) time.Duration {
 
 // ChaincodeCost returns the peer CPU for one chaincode execution in the
 // container: the base invocation cost plus the cost proportional to the
-// written value size. It is the container's share of EndorseCost, named
-// explicitly so callers never reconstruct it by subtraction (the old
-// EndorseCost-minus-EndorseVerifyCPU form would silently go negative if
-// the verify constant were ever recalibrated past the sum).
+// written value size. An endorsement charges it on top of
+// EndorseVerifyCPU, the proposal checks.
 func (m *Model) ChaincodeCost(valueBytes int) time.Duration {
 	return m.ChaincodeExecCPU + time.Duration(valueBytes)*m.ChaincodePerByteCPU
-}
-
-// EndorseCost returns the peer CPU for endorsing one proposal whose
-// chaincode writes valueBytes of state: the proposal checks plus the
-// chaincode execution.
-func (m *Model) EndorseCost(valueBytes int) time.Duration {
-	return m.EndorseVerifyCPU + m.ChaincodeCost(valueBytes)
 }
 
 // VSCCCost returns the validate-phase policy-check CPU for one
 // transaction carrying the given number of endorsement signatures.
 func (m *Model) VSCCCost(signatures int) time.Duration {
 	return m.VSCCPerTxCPU + time.Duration(signatures)*m.VSCCPerSigCPU
-}
-
-// SerialCommitCost returns the non-parallelizable per-transaction cost
-// (MVCC check plus state write).
-func (m *Model) SerialCommitCost() time.Duration {
-	return m.MVCCPerTxCPU + m.CommitPerTxCPU
 }
 
 // ScaledDelay converts a modeled duration into wall-clock sleep time.

@@ -33,9 +33,10 @@ func TestCalibrationTargets(t *testing.T) {
 		t.Errorf("client capacity = %.1f tps, want ~55 (Table II slope)", clientTPS)
 	}
 
-	// Validate-phase capacity per tx = serial + parallel/pool.
+	// Validate-phase capacity per tx = serial (MVCC check plus state
+	// write) + parallel/pool.
 	perTx := func(sigs int) time.Duration {
-		return m.SerialCommitCost() +
+		return m.MVCCPerTxCPU + m.CommitPerTxCPU +
 			m.BlockCommitCPU/100 + // amortized over a full block
 			m.VSCCCost(sigs)/time.Duration(m.ValidatorPool)
 	}
@@ -81,21 +82,17 @@ func TestCostHelpers(t *testing.T) {
 	if m.VSCCCost(5) <= m.VSCCCost(1) {
 		t.Error("VSCC cost does not grow with signatures")
 	}
-	if m.EndorseCost(1<<20) <= m.EndorseCost(1) {
-		t.Error("endorse cost does not grow with value size")
+	if m.ChaincodeCost(1<<20) <= m.ChaincodeCost(1) {
+		t.Error("chaincode cost does not grow with value size")
 	}
 }
 
-// TestChaincodeCostComposition pins the EndorseCost = verify-checks +
-// chaincode-execution split: the container charges ChaincodeCost
-// directly, so no caller ever reconstructs it by subtraction (which
-// could silently go negative after a recalibration).
+// TestChaincodeCostComposition pins the container's charge apart from
+// the proposal checks: ChaincodeCost is positive and does not depend on
+// EndorseVerifyCPU, so no recalibration can push it negative.
 func TestChaincodeCostComposition(t *testing.T) {
 	m := Default(1.0)
 	for _, bytes := range []int{0, 1, 1 << 20} {
-		if got, want := m.EndorseCost(bytes), m.EndorseVerifyCPU+m.ChaincodeCost(bytes); got != want {
-			t.Errorf("EndorseCost(%d) = %s, want verify+chaincode = %s", bytes, got, want)
-		}
 		if m.ChaincodeCost(bytes) <= 0 {
 			t.Errorf("ChaincodeCost(%d) = %s, not positive", bytes, m.ChaincodeCost(bytes))
 		}

@@ -89,7 +89,7 @@ func TestChaosWANRegions(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for _, p := range n.Peers {
-		r := n.Region(p.ID())
+		r := n.regions[p.ID()]
 		if r == "" {
 			t.Fatalf("peer %s has no region", p.ID())
 		}
@@ -103,7 +103,7 @@ func TestChaosWANRegions(t *testing.T) {
 	// through the LinkSet (wan2 us-east->eu-west one-way is 40ms).
 	var east, west string
 	for _, p := range n.Peers {
-		switch n.Region(p.ID()) {
+		switch n.regions[p.ID()] {
 		case "us-east":
 			east = p.ID()
 		case "eu-west":
@@ -137,7 +137,8 @@ func TestChaosControllerBookkeeping(t *testing.T) {
 	ctx := context.Background()
 	ctl := n.Chaos()
 
-	f := chaos.PartitionOrg(ctl.Cluster(), ctl.Cluster().Orgs()[0])
+	cluster := chaosCluster{n}
+	f := chaos.PartitionOrg(cluster, cluster.Orgs()[0])
 	if err := ctl.Inject(ctx, f); err != nil {
 		t.Fatal(err)
 	}

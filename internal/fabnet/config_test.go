@@ -74,7 +74,7 @@ func TestBuildTopology(t *testing.T) {
 	if len(n.CAs) != 7 {
 		t.Errorf("CAs = %d, want 7", len(n.CAs))
 	}
-	if n.KafkaCluster() == nil {
+	if n.kafkaCluster == nil {
 		t.Error("kafka substrate missing")
 	}
 	if n.MSP.Orgs() != 7 {

@@ -218,9 +218,6 @@ type StorageConfig struct {
 	// to the checkpoint interval when gossip is enabled; negative
 	// disables the path.
 	SnapshotThreshold int
-	// HistoryCap bounds per-key write history retained by the ledger
-	// index (0 = ledger.DefaultHistoryCap, negative = keep everything).
-	HistoryCap int
 	// PerPeer overrides the storage backend for individual node IDs —
 	// mixed-backend topologies (one durable peer among mem peers). OSN
 	// IDs ("osn1", ...) may appear here too, selecting that orderer's
@@ -670,7 +667,6 @@ func Build(cfg Config) (*Network, error) {
 		}
 		pcfg.StorageBackend = backend
 		pcfg.CheckpointInterval = cfg.Storage.CheckpointInterval
-		pcfg.HistoryCap = cfg.Storage.HistoryCap
 		if backend == "file" {
 			if cfg.Storage.Dir == "" {
 				return nil, fmt.Errorf("fabnet: peer %s uses file storage but Storage.Dir is empty", spec.nodeID)
@@ -966,9 +962,6 @@ func (n *Network) Heights() map[string]map[string]uint64 {
 	return out
 }
 
-// KafkaCluster exposes the Kafka substrate (failover tests).
-func (n *Network) KafkaCluster() *kafka.Cluster { return n.kafkaCluster }
-
 // Links returns the runtime link-property matrix of whichever transport
 // the network runs on (model time in-memory, wall time on TCP).
 func (n *Network) Links() *transport.LinkSet {
@@ -977,9 +970,6 @@ func (n *Network) Links() *transport.LinkSet {
 	}
 	return n.TCPNet.Links()
 }
-
-// Region returns a node's region label ("" when Regions is unset).
-func (n *Network) Region(id string) string { return n.regions[id] }
 
 // SetNodeDown freezes or unfreezes a node. On the in-memory transport
 // this marks the process crashed (sends to and from it error, so
@@ -1050,8 +1040,6 @@ func (c chaosCluster) OrgPeers(org string) []string {
 	sort.Strings(ids)
 	return ids
 }
-
-func (c chaosCluster) Region(node string) string { return c.n.Region(node) }
 
 func (c chaosCluster) Links() *transport.LinkSet { return c.n.Links() }
 

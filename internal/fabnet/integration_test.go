@@ -209,11 +209,11 @@ func TestKafkaBrokerFailover(t *testing.T) {
 	if _, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte("pre"), []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	leader, ok := n.KafkaCluster().Leader(0)
+	leader, ok := n.kafkaCluster.Leader(0)
 	if !ok {
 		t.Fatal("no partition leader")
 	}
-	if err := n.KafkaCluster().KillBroker(leader); err != nil {
+	if err := n.kafkaCluster.KillBroker(leader); err != nil {
 		t.Fatal(err)
 	}
 	ok2 := 0

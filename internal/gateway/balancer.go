@@ -132,17 +132,6 @@ func (lt *LoadTracker) Healthy(node string) bool {
 	return d == 0 || time.Now().UnixNano() >= d
 }
 
-// Counts snapshots the per-target endorsement counters.
-func (lt *LoadTracker) Counts() map[string]uint64 {
-	lt.mu.RLock()
-	defer lt.mu.RUnlock()
-	out := make(map[string]uint64, len(lt.targets))
-	for node, tl := range lt.targets {
-		out[node] = tl.count.Load()
-	}
-	return out
-}
-
 // Balancer picks which replica of a principal's replica set serves one
 // endorsement. Implementations must be safe for concurrent use: one
 // balancer instance is shared by all gateways of a network.

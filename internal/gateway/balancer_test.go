@@ -176,8 +176,10 @@ func TestSharedLoadTrackerTwoGatewaysRace(t *testing.T) {
 		}
 		wg.Wait()
 		total := uint64(0)
-		for _, n := range lt.Counts() {
-			total += n
+		for _, replicas := range peers {
+			for _, node := range replicas {
+				total += lt.Count(node)
+			}
 		}
 		if total == 0 {
 			t.Errorf("%s: no endorsements accounted", balName)

@@ -241,14 +241,6 @@ func New(cfg Config) (*Gateway, error) {
 // ID returns the gateway's node identifier.
 func (g *Gateway) ID() string { return g.cfg.ID }
 
-// Channels returns every channel this gateway may submit on.
-func (g *Gateway) Channels() []string {
-	return append([]string(nil), g.cfg.Channels...)
-}
-
-// MaxInFlight returns the current SubmitAsync window bound.
-func (g *Gateway) MaxInFlight() int { return cap(g.currentWindow()) }
-
 // currentWindow returns the in-flight window SetMaxInFlight last sized.
 func (g *Gateway) currentWindow() chan struct{} {
 	g.mu.Lock()

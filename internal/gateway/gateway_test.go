@@ -428,7 +428,7 @@ func (r *retryRun) checkAttempts(t *testing.T, n int) {
 		t.Errorf("RetriedTxs = %d, want %d", sum.RetriedTxs, wantRetried)
 	}
 
-	if got := r.tr.Len(); got != 1 {
+	if got := len(r.tr.TraceIDs()); got != 1 {
 		t.Fatalf("traces = %d, want 1 (retries must bind, not mint)", got)
 	}
 	tid, ok := r.tr.Lookup(string(r.txIDs[n-1]))
@@ -808,11 +808,11 @@ func TestTrySubmitAsyncWindowFull(t *testing.T) {
 
 func TestSetMaxInFlightResizesWindow(t *testing.T) {
 	s := newStubNet(t, nil, nil)
-	if got := s.gw.MaxInFlight(); got != DefaultMaxInFlight {
+	if got := cap(s.gw.currentWindow()); got != DefaultMaxInFlight {
 		t.Fatalf("default window = %d", got)
 	}
 	s.gw.SetMaxInFlight(7)
-	if got := s.gw.MaxInFlight(); got != 7 {
+	if got := cap(s.gw.currentWindow()); got != 7 {
 		t.Fatalf("window = %d after SetMaxInFlight(7)", got)
 	}
 }

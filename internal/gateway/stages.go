@@ -65,9 +65,6 @@ type Transaction struct {
 	boundary  time.Time // end of the endorse phase
 }
 
-// TxID returns the transaction's ID.
-func (t *Transaction) TxID() types.TxID { return t.prop.TxID }
-
 // Payload returns the chaincode response payload from endorsement.
 func (t *Transaction) Payload() []byte { return t.payload }
 
@@ -109,9 +106,6 @@ func (c *Commit) setTxID(id types.TxID) {
 	c.txID = id
 	c.mu.Unlock()
 }
-
-// Done returns a channel closed when the future has resolved.
-func (c *Commit) Done() <-chan struct{} { return c.done }
 
 // complete resolves the future exactly once.
 func (c *Commit) complete(st *Status, err error) {

@@ -80,17 +80,6 @@ func (n *Node) IsLeader(channel string) bool {
 	return ok && es.leader == n.cfg.ID
 }
 
-// Leader returns the channel's current leader as seen by this node.
-func (n *Node) Leader(channel string) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	es, ok := n.elections[channel]
-	if !ok || es.leader == "" {
-		return "", false
-	}
-	return es.leader, true
-}
-
 // electionLoop renews this node's leases and watches the others'.
 func (n *Node) electionLoop() {
 	defer n.wg.Done()

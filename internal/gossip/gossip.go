@@ -262,9 +262,6 @@ func NewNode(cfg Config) *Node {
 	return n
 }
 
-// ID returns the node's transport identifier.
-func (n *Node) ID() string { return n.cfg.ID }
-
 // Start claims initial leaderships and launches the election and
 // anti-entropy loops.
 func (n *Node) Start(ctx context.Context) error {

@@ -386,8 +386,8 @@ func TestInitialLeaderSubscribesAndCatchesUp(t *testing.T) {
 		t.Errorf("orderer subscribers = %v, want exactly 1 (the org leader)", subs)
 	}
 	lead := c.leaderOf()
-	if len(subs) == 1 && subs[0] != lead.ID() {
-		t.Errorf("subscriber %s is not the leader %s", subs[0], lead.ID())
+	if len(subs) == 1 && subs[0] != lead.cfg.ID {
+		t.Errorf("subscriber %s is not the leader %s", subs[0], lead.cfg.ID)
 	}
 }
 
@@ -399,7 +399,7 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	fo := newFakeOrderer(t, c.net, "osn1", 0)
 	c.start()
 	old := c.leaderOf()
-	c.net.SetNodeDown(old.ID(), true)
+	c.net.SetNodeDown(old.cfg.ID, true)
 
 	deadline := time.Now().Add(5 * time.Second)
 	var newLead *Node
@@ -431,14 +431,14 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 		}
 		t.Fatalf("%s never subscribed", id)
 	}
-	waitSubscribed(newLead.ID())
+	waitSubscribed(newLead.cfg.ID)
 
 	// Recovery: the whole org converges on exactly one self-claiming
 	// leader. Which node wins is not asserted — the recovered old
 	// leader resigns on the higher-term beat, but as the channel's
 	// preferred (rank-0) member it may legitimately re-claim the lease
 	// afterwards (preferred-leader failback).
-	c.net.SetNodeDown(old.ID(), false)
+	c.net.SetNodeDown(old.cfg.ID, false)
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		views := make(map[string]bool)

@@ -2,8 +2,8 @@
 // Apache Kafka the Kafka-based ordering service uses: brokers holding
 // replicated partition logs, a leader/follower model with in-sync
 // replicas (ISR) and acks=all commitment, long-poll fetches, and a
-// controller elected through ZooKeeper that reassigns partition
-// leadership when a broker's session expires.
+// controller that reassigns partition leadership when a broker's
+// ZooKeeper session expires.
 //
 // The paper's defaults are one partition per channel and a replication
 // factor of 3 (Section III); both are configurable here. One deliberate
@@ -27,11 +27,9 @@ import (
 
 // Errors returned by cluster operations.
 var (
-	ErrNotLeader    = errors.New("kafka: broker is not the partition leader")
-	ErrNoPartition  = errors.New("kafka: unknown partition")
-	ErrStopped      = errors.New("kafka: broker stopped")
-	ErrNoISRQuorum  = errors.New("kafka: in-sync replica set unavailable")
-	ErrFetchTimeout = errors.New("kafka: fetch long-poll timed out")
+	ErrNotLeader   = errors.New("kafka: broker is not the partition leader")
+	ErrNoPartition = errors.New("kafka: unknown partition")
+	ErrStopped     = errors.New("kafka: broker stopped")
 )
 
 // Record is one log entry of a partition.
@@ -207,25 +205,17 @@ func (c *Cluster) assignPartition(p int, leader string, replicas []string, epoch
 	path := fmt.Sprintf("/partitions/p%d", p)
 	state := fmt.Sprintf("leader=%s epoch=%d replicas=%s", leader, epoch, strings.Join(replicas, ","))
 	if ok, _ := s.Exists("/partitions"); !ok {
-		if _, err := s.Create("/partitions", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
+		if err := s.Create("/partitions", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
 			return err
 		}
 	}
 	if ok, _ := s.Exists(path); !ok {
-		if _, err := s.Create(path, []byte(state), 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
+		if err := s.Create(path, []byte(state), 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
 			return err
 		}
 		return nil
 	}
 	return s.Set(path, []byte(state))
-}
-
-// Broker returns the named broker.
-func (c *Cluster) Broker(id string) (*Broker, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.brokers[id]
-	return b, ok
 }
 
 // Leader returns the current leader broker ID of a partition, as
@@ -340,11 +330,11 @@ func newBroker(c *Cluster, id string, ep transport.Endpoint) (*Broker, error) {
 	}
 	b.session = c.zk.Connect(c.cfg.SessionTimeout)
 	if ok, _ := b.session.Exists("/brokers"); !ok {
-		if _, err := b.session.Create("/brokers", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
+		if err := b.session.Create("/brokers", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
 			return nil, err
 		}
 	}
-	if _, err := b.session.Create("/brokers/"+id, nil, zookeeper.FlagEphemeral); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
+	if err := b.session.Create("/brokers/"+id, nil, zookeeper.FlagEphemeral); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
 		return nil, err
 	}
 	ep.Handle(kindProduce, b.handleProduce)
@@ -353,9 +343,6 @@ func newBroker(c *Cluster, id string, ep transport.Endpoint) (*Broker, error) {
 	ep.Handle(kindMetadata, b.handleMetadata)
 	return b, nil
 }
-
-// ID returns the broker's node identifier.
-func (b *Broker) ID() string { return b.id }
 
 func (b *Broker) start() {
 	b.wg.Add(1)

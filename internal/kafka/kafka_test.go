@@ -126,7 +126,7 @@ func TestReplication(t *testing.T) {
 	}
 	// acks=all: every broker replica must hold all records.
 	for _, id := range []string{"broker1", "broker2", "broker3"} {
-		b, ok := cluster.Broker(id)
+		b, ok := cluster.brokers[id]
 		if !ok {
 			t.Fatalf("missing broker %s", id)
 		}

@@ -1,15 +1,16 @@
 // Package ledger implements a peer's ledger: the append-only block
 // store with its hash chain, the transaction index used for duplicate
-// detection and status queries, a per-key history database, and the
-// bridge that applies a validated block's writes to the world state.
+// detection and status queries, and the bridge that applies a validated
+// block's writes to the world state.
 //
-// Storage is pluggable: the block store, transaction index, and world
-// state sit behind the BlockStore, TxIndex, and statedb.Store
-// interfaces. The "mem" backend keeps everything resident (the original
-// behavior); the "file" backend persists blocks in append-only segments
-// and state behind a write-ahead log, writes a checkpoint every
-// CheckpointInterval blocks, and reopens from the latest checkpoint
-// plus the block-store tail instead of replaying from genesis.
+// Storage is pluggable: the block store and world state sit behind the
+// BlockStore and statedb.Store interfaces, and both backends share one
+// memory-resident transaction index. The "mem" backend keeps everything
+// resident (the original behavior); the "file" backend persists blocks
+// in append-only segments and state behind a write-ahead log, writes a
+// checkpoint every CheckpointInterval blocks, and reopens from the
+// latest checkpoint plus the block-store tail instead of replaying from
+// genesis.
 package ledger
 
 import (
@@ -57,9 +58,6 @@ type Options struct {
 	// CheckpointInterval is how many blocks between checkpoints (file
 	// backend); 0 selects DefaultCheckpointInterval.
 	CheckpointInterval uint64
-	// HistoryCap bounds per-key write history: 0 selects
-	// DefaultHistoryCap, negative retains everything.
-	HistoryCap int
 }
 
 // Backends returns the block-storage backend names a ledger accepts.
@@ -71,12 +69,11 @@ func Backends() []string { return []string{"file", "mem"} }
 // pipeline can overlap them across consecutive blocks: ApplyState
 // verifies the hash chain, indexes the transactions, and applies valid
 // writes to the world state; Append later moves the staged block into
-// the block store (the real counterpart of the modeled fsync). Commit
-// composes both for callers that do not pipeline.
+// the block store (the real counterpart of the modeled fsync).
 type Ledger struct {
 	mu     sync.RWMutex
 	store  BlockStore
-	index  TxIndex
+	index  *txIndex
 	state  statedb.Store
 	staged []*types.Block    // state-applied blocks awaiting Append
 	tip    types.BlockHeader // newest state-applied header (staged tip)
@@ -86,16 +83,6 @@ type Ledger struct {
 	ckptEvery uint64
 	lastCkpt  uint64 // store height at the last checkpoint
 	closed    bool
-}
-
-// New creates an in-memory ledger seeded with the genesis block and an
-// empty world state — Open(Options{}) for callers that cannot fail.
-func New() *Ledger {
-	l, err := Open(Options{})
-	if err != nil {
-		panic(err) // the mem backend cannot fail to open
-	}
-	return l
 }
 
 // Open creates or reopens a ledger with the selected storage backend.
@@ -112,7 +99,7 @@ func Open(opts Options) (*Ledger, error) {
 		ckptEvery = DefaultCheckpointInterval
 	}
 	l := &Ledger{
-		index:     newMemIndex(opts.HistoryCap),
+		index:     newTxIndex(),
 		dir:       opts.Dir,
 		ckptEvery: ckptEvery,
 	}
@@ -146,10 +133,10 @@ func Open(opts Options) (*Ledger, error) {
 	return l, nil
 }
 
-// recover brings the in-memory view (tip, index, history, state) up to
-// the block store's height: from the latest checkpoint when one covers
-// the store, else from genesis. Only the tail past the recovery point
-// is re-read — no network, no re-validation, no modeled crypto.
+// recover brings the in-memory view (tip, index, state) up to the block
+// store's height: from the latest checkpoint when one covers the store,
+// else from genesis. Only the tail past the recovery point is re-read —
+// no network, no re-validation, no modeled crypto.
 func (l *Ledger) recover() error {
 	replayFrom := uint64(0)
 	haveTip := false
@@ -203,8 +190,8 @@ func (l *Ledger) recover() error {
 }
 
 // replayBlock re-applies one already-committed block from the store
-// during recovery: chain check, index, history, and — only when the
-// state WAL had not yet seen it — state writes.
+// during recovery: chain check, index, and — only when the state WAL
+// had not yet seen it — state writes.
 func (l *Ledger) replayBlock(block *types.Block) error {
 	if !bytes.Equal(block.Header.PrevHash, l.tip.Hash()) {
 		return fmt.Errorf("%w at block %d", ErrBadPrevHash, block.Header.Number)
@@ -230,7 +217,7 @@ func (l *Ledger) Persistent() bool { return l.persist }
 
 // Height returns the number of blocks in the block store (genesis
 // included). Blocks that are state-applied but not yet appended do not
-// count; see StagedHeight.
+// count.
 func (l *Ledger) Height() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -243,15 +230,6 @@ func (l *Ledger) Base() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.store.Base()
-}
-
-// StagedHeight returns the number of blocks whose state has been
-// applied (genesis included): Height plus the blocks still staged in
-// the commit pipeline between ApplyState and Append.
-func (l *Ledger) StagedHeight() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.store.Height() + uint64(len(l.staged))
 }
 
 // LastHash returns the hash of the chain tip's header — the newest
@@ -284,22 +262,15 @@ func (l *Ledger) GetTx(id types.TxID) (TxInfo, error) {
 // Endorsers use this to reject replayed proposals.
 func (l *Ledger) HasTx(id types.TxID) bool { return l.index.Has(id) }
 
-// History returns the retained committed write versions of ns/key,
-// oldest first. Old versions beyond the configured HistoryCap are
-// compacted away.
-func (l *Ledger) History(ns, key string) []types.Version {
-	return l.index.History(ns, key)
-}
-
 // ApplyState runs the first commit stage: it verifies the hash chain
 // (in chain order, against the newest staged or appended header),
 // indexes every transaction with its validation flag, applies the
-// writes of valid transactions to the world state, records history, and
-// stages the block for a later Append. The block must carry validation
-// flags for each transaction (set by the committer's VSCC/MVCC pipeline
-// before ApplyState is called). The state height advances here even for
-// blocks with no valid transactions, matching Fabric where an
-// all-invalid block still moves the ledger height.
+// writes of valid transactions to the world state, and stages the block
+// for a later Append. The block must carry validation flags for each
+// transaction (set by the committer's VSCC/MVCC pipeline before
+// ApplyState is called). The state height advances here even for blocks
+// with no valid transactions, matching Fabric where an all-invalid
+// block still moves the ledger height.
 //
 // A block below the applied height returns ErrStale (wrapped): it was
 // already committed in a previous life of this ledger, or a snapshot
@@ -335,8 +306,8 @@ func (l *Ledger) ApplyState(block *types.Block, txs []*types.Transaction) error 
 	return nil
 }
 
-// indexAndApply indexes a block's transactions and history and applies
-// valid writes to the state, skipping the state when its WAL already
+// indexAndApply indexes a block's transactions and applies valid
+// writes to the state, skipping the state when its WAL already
 // reflects this block (crash recovery). Callers hold l.mu.
 func (l *Ledger) indexAndApply(block *types.Block, txs []*types.Transaction) error {
 	endVersion := types.Version{BlockNum: block.Header.Number, TxNum: uint64(len(txs))}
@@ -356,7 +327,6 @@ func (l *Ledger) indexAndApply(block *types.Block, txs []*types.Transaction) err
 			} else {
 				batch.Put(ns, w.Key, w.Value, v)
 			}
-			l.index.AddHistory(ns, w.Key, v)
 		}
 	}
 	if applyToState {
@@ -418,15 +388,6 @@ func (l *Ledger) checkpointLocked(appendedTip types.BlockHeader) error {
 	}
 	l.lastCkpt = snap.Height
 	return nil
-}
-
-// Commit applies and appends a validated block in one call — the
-// non-pipelined path used by tests and callers that do not stage.
-func (l *Ledger) Commit(block *types.Block, txs []*types.Transaction) error {
-	if err := l.ApplyState(block, txs); err != nil {
-		return err
-	}
-	return l.Append(block)
 }
 
 // Snapshot captures the ledger for transfer to a lagging peer: the
@@ -525,7 +486,6 @@ func (l *Ledger) Close() error {
 	}
 	l.closed = true
 	err := l.store.Close()
-	l.index.Close()
 	l.state.Close()
 	return err
 }

@@ -30,6 +30,17 @@ func withBackends(t *testing.T, fn func(t *testing.T, open func(t *testing.T) *L
 	}
 }
 
+// openMem opens an in-memory ledger that the test closes.
+func openMem(t *testing.T) *Ledger {
+	t.Helper()
+	l, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 // mkTx builds a write-only transaction for the test chaincode namespace.
 func mkTx(id string, writes ...string) *types.Transaction {
 	tx := &types.Transaction{
@@ -148,70 +159,6 @@ func TestVerifyChain(t *testing.T) {
 			t.Errorf("VerifyChain: %v", err)
 		}
 	})
-}
-
-func TestHistory(t *testing.T) {
-	withBackends(t, func(t *testing.T, open func(t *testing.T) *Ledger) {
-		l := open(t)
-		for i := 0; i < 3; i++ {
-			txs := []*types.Transaction{mkTx(fmt.Sprintf("t%d", i), "hot")}
-			b := mkBlock(l, txs, []types.ValidationCode{types.ValidationValid})
-			if err := l.Commit(b, txs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h := l.History("cc", "hot")
-		if len(h) != 3 {
-			t.Fatalf("history length %d", len(h))
-		}
-		for i := 1; i < len(h); i++ {
-			if h[i].Compare(h[i-1]) <= 0 {
-				t.Error("history not ascending")
-			}
-		}
-	})
-}
-
-// TestHistoryCap is the regression test for unbounded history growth:
-// the index retains only the newest HistoryCap versions per key.
-func TestHistoryCap(t *testing.T) {
-	l, err := Open(Options{HistoryCap: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 9; i++ {
-		txs := []*types.Transaction{mkTx(fmt.Sprintf("t%d", i), "hot")}
-		b := mkBlock(l, txs, []types.ValidationCode{types.ValidationValid})
-		if err := l.Commit(b, txs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := l.History("cc", "hot")
-	if len(h) != 5 {
-		t.Fatalf("history length %d, want cap 5", len(h))
-	}
-	// The newest versions survive: blocks 5..9.
-	if h[0].BlockNum != 5 || h[4].BlockNum != 9 {
-		t.Errorf("history window = %v", h)
-	}
-
-	// A negative cap disables compaction.
-	unl, err := Open(Options{HistoryCap: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unl.Close()
-	for i := 0; i < int(DefaultHistoryCap)+10; i++ {
-		txs := []*types.Transaction{mkTx(fmt.Sprintf("u%d", i), "hot")}
-		b := mkBlock(unl, txs, []types.ValidationCode{types.ValidationValid})
-		if err := unl.Commit(b, txs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(unl.History("cc", "hot")); got != DefaultHistoryCap+10 {
-		t.Errorf("uncapped history length %d", got)
-	}
 }
 
 func TestGetBlockBounds(t *testing.T) {
@@ -359,8 +306,8 @@ func commitN(t *testing.T, l *Ledger, start, n int) {
 
 // TestFileReopenFromCheckpointAndTail is the core persistence test: a
 // file-backed ledger closed and reopened recovers to the identical tip,
-// state, index, and history from its checkpoint plus the block tail,
-// and keeps committing.
+// state, and index from its checkpoint plus the block tail, and keeps
+// committing.
 func TestFileReopenFromCheckpointAndTail(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "file", Dir: dir, CheckpointInterval: 4}
@@ -375,7 +322,6 @@ func TestFileReopenFromCheckpointAndTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHistory := l.History("cc", "k3")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +352,6 @@ func TestFileReopenFromCheckpointAndTail(t *testing.T) {
 	}
 	if !r.HasTx("tx0010") || r.HasTx("tx0011") {
 		t.Error("reopened tx index wrong")
-	}
-	gotHistory := r.History("cc", "k3")
-	if len(gotHistory) != len(wantHistory) {
-		t.Errorf("reopened history %v, want %v", gotHistory, wantHistory)
 	}
 	if err := r.VerifyChain(); err != nil {
 		t.Errorf("VerifyChain after reopen: %v", err)
@@ -509,8 +451,7 @@ func TestFileSegmentRoll(t *testing.T) {
 // chain keeps extending past the snapshot.
 func TestSnapshotRoundtrip(t *testing.T) {
 	withBackends(t, func(t *testing.T, open func(t *testing.T) *Ledger) {
-		src := New()
-		defer src.Close()
+		src := openMem(t)
 		commitN(t, src, 0, 8)
 		snap, err := src.Snapshot()
 		if err != nil {
@@ -567,15 +508,13 @@ func TestSnapshotRoundtrip(t *testing.T) {
 // TestRestoreSnapshotRefusesStale: a snapshot at or below the current
 // height must not rewind the chain.
 func TestRestoreSnapshotRefusesStale(t *testing.T) {
-	src := New()
-	defer src.Close()
+	src := openMem(t)
 	commitN(t, src, 0, 3)
 	snap, err := src.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := New()
-	defer dst.Close()
+	dst := openMem(t)
 	commitN(t, dst, 0, 5)
 	if err := dst.RestoreSnapshot(snap); !errors.Is(err, ErrStale) {
 		t.Errorf("RestoreSnapshot stale = %v, want ErrStale", err)
@@ -586,8 +525,7 @@ func TestRestoreSnapshotRefusesStale(t *testing.T) {
 // bootstrapped from a snapshot (pruned prefix) reopens from the
 // checkpoint the restore wrote.
 func TestFileReopenAfterSnapshotBootstrap(t *testing.T) {
-	src := New()
-	defer src.Close()
+	src := openMem(t)
 	commitN(t, src, 0, 8)
 	snap, err := src.Snapshot()
 	if err != nil {
@@ -678,8 +616,8 @@ func TestFileCrashBeforeAppendRedelivery(t *testing.T) {
 
 // TestBackendEquivalence commits one identical block sequence to a
 // ledger per backend and requires every queryable surface to agree
-// exactly: chain height, tip hash, state hash, per-key world state,
-// transaction index, and write history. The file ledger must still
+// exactly: chain height, tip hash, state hash, per-key world state, and
+// transaction index. The file ledger must still
 // agree after a close/reopen cycle (checkpoint + tail replay), which
 // pins down that persistence is an implementation detail of the store,
 // not an observable semantic difference.
@@ -691,7 +629,6 @@ func TestBackendEquivalence(t *testing.T) {
 			Backend:            backend,
 			Dir:                filepath.Join(dir, backend),
 			CheckpointInterval: 4,
-			HistoryCap:         8,
 		})
 		if err != nil {
 			t.Fatalf("open %s: %v", backend, err)
@@ -705,8 +642,8 @@ func TestBackendEquivalence(t *testing.T) {
 	}()
 	oracle := ledgers["mem"]
 
-	// 12 blocks x 3 txs, keys cycling over a small space so history
-	// accumulates, with one invalid tx every other block so index-only
+	// 12 blocks x 3 txs, keys cycling over a small space so keys are
+	// rewritten, with one invalid tx every other block so index-only
 	// recording is exercised too.
 	var allTxs []*types.Transaction
 	keys := map[string]bool{}
@@ -758,10 +695,6 @@ func TestBackendEquivalence(t *testing.T) {
 			if wok != gok || !bytes.Equal(wv.Value, gv.Value) || wv.Version != gv.Version {
 				t.Errorf("%s: key %s = (%+v,%v), oracle (%+v,%v)", label, k, gv, gok, wv, wok)
 			}
-			wh, gh := oracle.History("cc", k), l.History("cc", k)
-			if fmt.Sprint(wh) != fmt.Sprint(gh) {
-				t.Errorf("%s: history(%s) = %v, oracle %v", label, k, gh, wh)
-			}
 		}
 		for _, tx := range allTxs {
 			wi, werr := oracle.GetTx(tx.Proposal.TxID)
@@ -787,7 +720,6 @@ func TestBackendEquivalence(t *testing.T) {
 		Backend:            "file",
 		Dir:                filepath.Join(dir, "file"),
 		CheckpointInterval: 4,
-		HistoryCap:         8,
 	})
 	if err != nil {
 		t.Fatal(err)

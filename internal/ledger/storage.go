@@ -32,40 +32,6 @@ type BlockStore interface {
 	Close() error
 }
 
-// TxIndex is the transaction index plus per-key write history behind a
-// ledger: duplicate detection, status queries, and History scans. Both
-// backends keep it memory-resident; persistent ledgers rebuild it from
-// the latest checkpoint plus the block-store tail on reopen.
-type TxIndex interface {
-	// Add indexes a transaction; re-adding an ID replaces its record.
-	// The index keeps its own copy of id, which is usually a view of a
-	// decoded block (see types.Block.Transactions).
-	Add(id types.TxID, info TxInfo)
-	// Get returns the indexed record for id.
-	Get(id types.TxID) (TxInfo, bool)
-	// Has reports whether id is indexed.
-	Has(id types.TxID) bool
-	// AddHistory records a committed write version for ns/key.
-	AddHistory(ns, key string, v types.Version)
-	// History returns the retained write versions of ns/key, oldest
-	// first. The result is a private copy.
-	History(ns, key string) []types.Version
-	// Counts returns (total, valid, invalid) indexed transactions.
-	Counts() (total, valid, invalid int)
-	// Snapshot exports the full index for checkpoints and snapshots.
-	Snapshot() *IndexSnapshot
-	// Restore replaces the index contents from a snapshot.
-	Restore(snap *IndexSnapshot)
-	// Close releases the index.
-	Close()
-}
-
-// DefaultHistoryCap bounds the per-key write history retained by the
-// index: the newest N versions. History is a debugging/query aid, not
-// consensus state, so compacting old entries is safe; 0 in Options
-// selects this default and a negative cap retains everything.
-const DefaultHistoryCap = 256
-
 // --- in-memory block store ---
 
 type memStore struct {
@@ -101,29 +67,27 @@ func (s *memStore) Reset(base uint64) error {
 
 func (s *memStore) Close() error { return nil }
 
-// --- in-memory tx index + history ---
+// --- transaction index ---
 
-type memIndex struct {
-	mu         sync.RWMutex
-	txs        map[types.TxID]TxInfo
-	history    map[string][]types.Version
-	valid      int
-	invalid    int
-	historyCap int
+// txIndex is the transaction index behind a ledger: duplicate detection
+// and status queries. Both backends keep it memory-resident; persistent
+// ledgers rebuild it from the latest checkpoint plus the block-store
+// tail on reopen.
+type txIndex struct {
+	mu      sync.RWMutex
+	txs     map[types.TxID]TxInfo
+	valid   int
+	invalid int
 }
 
-func newMemIndex(historyCap int) *memIndex {
-	if historyCap == 0 {
-		historyCap = DefaultHistoryCap
-	}
-	return &memIndex{
-		txs:        make(map[types.TxID]TxInfo),
-		history:    make(map[string][]types.Version),
-		historyCap: historyCap,
-	}
+func newTxIndex() *txIndex {
+	return &txIndex{txs: make(map[types.TxID]TxInfo)}
 }
 
-func (x *memIndex) Add(id types.TxID, info TxInfo) {
+// Add indexes a transaction; re-adding an ID replaces its record. The
+// index keeps its own copy of id, which is usually a view of a decoded
+// block (see types.Block.Transactions).
+func (x *txIndex) Add(id types.TxID, info TxInfo) {
 	// Copied even when id is indexed already: assigning a map entry also
 	// overwrites its string key.
 	id = types.TxID(strings.Clone(string(id)))
@@ -144,74 +108,41 @@ func (x *memIndex) Add(id types.TxID, info TxInfo) {
 	}
 }
 
-func (x *memIndex) Get(id types.TxID) (TxInfo, bool) {
+func (x *txIndex) Get(id types.TxID) (TxInfo, bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	info, ok := x.txs[id]
 	return info, ok
 }
 
-func (x *memIndex) Has(id types.TxID) bool {
+func (x *txIndex) Has(id types.TxID) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	_, ok := x.txs[id]
 	return ok
 }
 
-func (x *memIndex) AddHistory(ns, key string, v types.Version) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	hk := ns + "/" + key
-	if cur := x.history[hk]; len(cur) > 0 && v.Compare(cur[len(cur)-1]) <= 0 {
-		return // recovery replay of a version the index already holds
-	}
-	h := append(x.history[hk], v)
-	if x.historyCap > 0 && len(h) > x.historyCap {
-		// Compact: retain the newest historyCap versions, in a fresh
-		// backing array so the dropped prefix can be collected.
-		compacted := make([]types.Version, x.historyCap)
-		copy(compacted, h[len(h)-x.historyCap:])
-		h = compacted
-	}
-	x.history[hk] = h
-}
-
-func (x *memIndex) History(ns, key string) []types.Version {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	h := x.history[ns+"/"+key]
-	out := make([]types.Version, len(h))
-	copy(out, h)
-	return out
-}
-
-func (x *memIndex) Counts() (total, valid, invalid int) {
+// Counts returns (total, valid, invalid) indexed transactions.
+func (x *txIndex) Counts() (total, valid, invalid int) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return len(x.txs), x.valid, x.invalid
 }
 
-func (x *memIndex) Snapshot() *IndexSnapshot {
+// Snapshot exports the full index for checkpoints and snapshots.
+func (x *txIndex) Snapshot() *IndexSnapshot {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	snap := &IndexSnapshot{
-		Txs:     make([]TxRecord, 0, len(x.txs)),
-		History: make([]HistoryRecord, 0, len(x.history)),
-	}
+	snap := &IndexSnapshot{Txs: make([]TxRecord, 0, len(x.txs))}
 	for id, info := range x.txs {
 		snap.Txs = append(snap.Txs, TxRecord{ID: id, Info: info})
 	}
 	sort.Slice(snap.Txs, func(i, j int) bool { return snap.Txs[i].ID < snap.Txs[j].ID })
-	for hk, versions := range x.history {
-		vs := make([]types.Version, len(versions))
-		copy(vs, versions)
-		snap.History = append(snap.History, HistoryRecord{Key: hk, Versions: vs})
-	}
-	sort.Slice(snap.History, func(i, j int) bool { return snap.History[i].Key < snap.History[j].Key })
 	return snap
 }
 
-func (x *memIndex) Restore(snap *IndexSnapshot) {
+// Restore replaces the index contents from a snapshot.
+func (x *txIndex) Restore(snap *IndexSnapshot) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.txs = make(map[types.TxID]TxInfo, len(snap.Txs))
@@ -224,15 +155,7 @@ func (x *memIndex) Restore(snap *IndexSnapshot) {
 			x.invalid++
 		}
 	}
-	x.history = make(map[string][]types.Version, len(snap.History))
-	for _, r := range snap.History {
-		vs := make([]types.Version, len(r.Versions))
-		copy(vs, r.Versions)
-		x.history[r.Key] = vs
-	}
 }
-
-func (x *memIndex) Close() {}
 
 // --- index snapshot codec ---
 
@@ -242,38 +165,22 @@ type TxRecord struct {
 	Info TxInfo
 }
 
-// HistoryRecord holds the retained write versions of one "ns/key".
-type HistoryRecord struct {
-	Key      string
-	Versions []types.Version
-}
-
-// IndexSnapshot is the serializable form of a TxIndex, embedded in
-// checkpoints and peer-to-peer snapshots. Both slices are sorted so the
-// encoding is deterministic.
+// IndexSnapshot is the serializable form of the transaction index,
+// embedded in checkpoints and peer-to-peer snapshots. Txs is sorted so
+// the encoding is deterministic.
 type IndexSnapshot struct {
-	Txs     []TxRecord
-	History []HistoryRecord
+	Txs []TxRecord
 }
 
 // Marshal encodes the snapshot deterministically.
 func (s *IndexSnapshot) Marshal() []byte {
-	enc := types.NewEncoder(64 * (len(s.Txs) + len(s.History)))
+	enc := types.NewEncoder(64 * len(s.Txs))
 	enc.Uvarint(uint64(len(s.Txs)))
 	for _, r := range s.Txs {
 		enc.String(string(r.ID))
 		enc.Uvarint(r.Info.BlockNum)
 		enc.Uvarint(r.Info.TxNum)
 		enc.Byte(byte(r.Info.Code))
-	}
-	enc.Uvarint(uint64(len(s.History)))
-	for _, r := range s.History {
-		enc.String(r.Key)
-		enc.Uvarint(uint64(len(r.Versions)))
-		for _, v := range r.Versions {
-			enc.Uvarint(v.BlockNum)
-			enc.Uvarint(v.TxNum)
-		}
 	}
 	return enc.Bytes()
 }
@@ -290,19 +197,6 @@ func UnmarshalIndexSnapshot(dec *types.Decoder) (*IndexSnapshot, error) {
 		r.Info.TxNum = dec.Uvarint()
 		r.Info.Code = types.ValidationCode(dec.Byte())
 		snap.Txs = append(snap.Txs, r)
-	}
-	nh := dec.Uvarint()
-	for i := uint64(0); i < nh && dec.Err() == nil; i++ {
-		var r HistoryRecord
-		r.Key = dec.String()
-		nv := dec.Uvarint()
-		for j := uint64(0); j < nv && dec.Err() == nil; j++ {
-			var v types.Version
-			v.BlockNum = dec.Uvarint()
-			v.TxNum = dec.Uvarint()
-			r.Versions = append(r.Versions, v)
-		}
-		snap.History = append(snap.History, r)
 	}
 	if dec.Err() != nil {
 		return nil, dec.Err()

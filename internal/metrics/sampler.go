@@ -145,15 +145,6 @@ func (c *Collector) StartSampler(interval time.Duration) (stop func()) {
 	}
 }
 
-// Samples returns a copy of the retained time series, oldest first.
-func (c *Collector) Samples() []SamplePoint {
-	c.samplerMu.Lock()
-	defer c.samplerMu.Unlock()
-	out := make([]SamplePoint, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
-
 // LatestSample returns the most recent sample, if any.
 func (c *Collector) LatestSample() (SamplePoint, bool) {
 	c.samplerMu.Lock()

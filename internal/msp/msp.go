@@ -60,8 +60,7 @@ func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {
 // trusts. It caches deserialized certificates because the same creator
 // bytes arrive with every proposal from a client.
 type MSP struct {
-	mu  sync.RWMutex
-	cas map[string]*ca.CA // org -> CA
+	cas map[string]*ca.CA // org -> CA, fixed at New
 
 	cacheMu sync.RWMutex
 	cache   map[string]*ca.Certificate // cert bytes -> parsed+validated
@@ -79,19 +78,8 @@ func New(cas ...*ca.CA) *MSP {
 	return m
 }
 
-// AddOrg registers an additional organization's CA.
-func (m *MSP) AddOrg(c *ca.CA) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cas[c.Org()] = c
-}
-
 // Orgs returns the number of organizations the MSP trusts.
-func (m *MSP) Orgs() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.cas)
-}
+func (m *MSP) Orgs() int { return len(m.cas) }
 
 // ValidateIdentity parses serialized certificate bytes, checks them
 // against the issuing org's CA, and returns the certificate.
@@ -107,9 +95,7 @@ func (m *MSP) ValidateIdentity(serialized []byte) (*ca.Certificate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msp: %w", err)
 	}
-	m.mu.RLock()
 	issuer, ok := m.cas[cert.Org]
-	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownOrg, cert.Org)
 	}

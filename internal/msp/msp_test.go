@@ -49,19 +49,6 @@ func TestUnknownOrgRejected(t *testing.T) {
 	}
 }
 
-func TestAddOrg(t *testing.T) {
-	m, _, _ := testMSP(t)
-	org3, _ := ca.New("Org3", fabcrypto.SchemeECDSA)
-	m.AddOrg(org3)
-	e, _ := org3.Enroll("peer0", ca.RolePeer)
-	if _, err := m.ValidateIdentity(e.Cert.Marshal()); err != nil {
-		t.Errorf("org added but identity rejected: %v", err)
-	}
-	if m.Orgs() != 3 {
-		t.Errorf("Orgs = %d", m.Orgs())
-	}
-}
-
 func TestVerifySignature(t *testing.T) {
 	m, org1, _ := testMSP(t)
 	e, _ := org1.Enroll("client1", ca.RoleClient)
@@ -90,17 +77,6 @@ func TestVerifyByID(t *testing.T) {
 	}
 	if err := m.VerifyByID("Org1.other", e.Cert, msg, sig); err == nil {
 		t.Error("identity mismatch accepted")
-	}
-}
-
-func TestRevokedIdentityRejected(t *testing.T) {
-	m, org1, _ := testMSP(t)
-	e, _ := org1.Enroll("peer0", ca.RolePeer)
-	if err := org1.Revoke("Org1.peer0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ValidateIdentity(e.Cert.Marshal()); err == nil {
-		t.Error("revoked identity accepted")
 	}
 }
 

@@ -67,9 +67,6 @@ func New(cfg Config) *Cutter {
 	return &Cutter{cfg: cfg}
 }
 
-// Config returns the cutter's configuration.
-func (c *Cutter) Config() Config { return c.cfg }
-
 // Ordered appends one transaction and returns the batches that became
 // ready because of it (at most one with size-based cutting, since each
 // call adds a single tx). The boolean reports whether a timeout timer
@@ -97,18 +94,6 @@ func (c *Cutter) Cut() [][]byte {
 		return nil
 	}
 	return c.takePending()
-}
-
-// Pending returns the number of transactions awaiting a cut.
-func (c *Cutter) Pending() int { return len(c.pending) }
-
-// Deadline returns the time at which the pending batch must be cut, and
-// whether a batch is pending at all.
-func (c *Cutter) Deadline() (time.Time, bool) {
-	if len(c.pending) == 0 || !c.hasTime {
-		return time.Time{}, false
-	}
-	return c.started.Add(c.cfg.BatchTimeout), true
 }
 
 func (c *Cutter) takePending() [][]byte {

@@ -70,8 +70,8 @@ func TestMaxBytesCut(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
-	if c.Config().BatchSize != 100 || c.Config().BatchTimeout != time.Second {
-		t.Errorf("defaults = %+v", c.Config())
+	if c.cfg.BatchSize != 100 || c.cfg.BatchTimeout != time.Second {
+		t.Errorf("defaults = %+v", c.cfg)
 	}
 	d := DefaultConfig()
 	if d.BatchSize != 100 || d.BatchTimeout != time.Second {

@@ -216,7 +216,6 @@ type Orderer struct {
 	// these to show gossip holding orderer egress at O(orgs).
 	egressBlocks atomic.Uint64
 	egressBytes  atomic.Uint64
-	evictions    atomic.Uint64
 
 	// traceMu guards ingress: the broadcast-time ingest record of traced
 	// envelopes awaiting their block (consumed by emitBatch, which turns
@@ -698,7 +697,6 @@ func (o *Orderer) noteSendFailure(peer string) {
 	}
 	o.mu.Unlock()
 	if evict {
-		o.evictions.Add(1)
 		if o.cfg.Collector != nil {
 			o.cfg.Collector.SubscriberEvicted()
 		}
@@ -719,10 +717,6 @@ func (o *Orderer) noteSendSuccess(peer string) {
 func (o *Orderer) EgressStats() (blocks, bytes uint64) {
 	return o.egressBlocks.Load(), o.egressBytes.Load()
 }
-
-// Evictions reports how many subscribers this OSN has pruned for
-// consecutive failed pushes.
-func (o *Orderer) Evictions() uint64 { return o.evictions.Load() }
 
 // Subscribers returns the IDs of currently subscribed peers (tests and
 // diagnostics).

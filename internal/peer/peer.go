@@ -123,9 +123,6 @@ type Config struct {
 	// CheckpointInterval is the ledger checkpoint cadence in blocks
 	// (file backend; 0 = ledger.DefaultCheckpointInterval).
 	CheckpointInterval uint64
-	// HistoryCap bounds per-key write history (0 = default, <0 = keep
-	// all); see ledger.Options.
-	HistoryCap int
 	// Tracer records lifecycle spans for traced transactions; nil (the
 	// default) disables tracing at zero cost. Endorser spans are recorded
 	// by every endorsing peer that serves a traced proposal.
@@ -231,7 +228,6 @@ func New(cfg Config) (*Peer, error) {
 		lopts := ledger.Options{
 			Backend:            cfg.StorageBackend,
 			CheckpointInterval: cfg.CheckpointInterval,
-			HistoryCap:         cfg.HistoryCap,
 		}
 		if cfg.StorageDir != "" {
 			lopts.Dir = filepath.Join(cfg.StorageDir, ch)

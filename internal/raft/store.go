@@ -169,9 +169,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// Dir returns the directory holding the WAL.
-func (s *FileStore) Dir() string { return s.dir }
-
 // replay scans the WAL, applying records to the in-memory mirror and
 // truncating the file at the first torn or undecodable record.
 func (s *FileStore) replay(path string) error {

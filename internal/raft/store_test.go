@@ -253,7 +253,7 @@ func TestRestartNoDoubleVoteNoTermRegress(t *testing.T) {
 			}
 			cfg.Endpoint = ep
 			if backend == "file" {
-				fs, err := NewFileStore(store.(*FileStore).Dir())
+				fs, err := NewFileStore(store.(*FileStore).dir)
 				if err != nil {
 					t.Fatal(err)
 				}

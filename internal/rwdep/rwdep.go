@@ -352,18 +352,10 @@ func BuildGraph(rws []RW, participates []bool) *Graph {
 	return g
 }
 
-// Len returns the number of vertices (transactions) in the graph.
-func (g *Graph) Len() int { return g.n }
-
 // Succ returns the successors of u: transactions that must come after u.
 func (g *Graph) Succ(u int) []int { return g.succ[g.succOff[u]:g.succOff[u+1]] }
 
 func (g *Graph) predOf(v int) []int { return g.pred[g.predOff[v]:g.predOff[v+1]] }
-
-// Cyclic reports whether the graph contains a directed cycle — a set of
-// transactions no block order can serialize (e.g. two read-modify-writes
-// of the same key).
-func (g *Graph) Cyclic() bool { return components(g).ncomp > 0 }
 
 // tarjan is the package's one strongly-connected-components routine: an
 // iterative Tarjan whose scratch outlives a single pass, so breakCycles

@@ -72,18 +72,6 @@ func (b *UpdateBatch) Delete(ns, key string, v types.Version) {
 	}
 }
 
-// Len returns the number of operations in the batch.
-func (b *UpdateBatch) Len() int {
-	n := 0
-	for _, m := range b.updates {
-		n += len(m)
-	}
-	for _, m := range b.deletes {
-		n += len(m)
-	}
-	return n
-}
-
 // DB is an in-memory versioned key-value store, safe for concurrent use.
 // Endorsement simulation reads run concurrently with block commits; a
 // read-write mutex gives readers a consistent view of committed state.

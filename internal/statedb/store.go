@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fabricsim/internal/types"
 )
@@ -67,26 +66,13 @@ type NSKV struct {
 // Opener builds a Store rooted at dir (ignored by memory backends).
 type Opener func(dir string) (Store, error)
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]Opener{
-		"mem":  func(string) (Store, error) { return New(), nil },
-		"file": func(dir string) (Store, error) { return OpenFile(dir) },
-	}
-)
-
-// RegisterBackend adds a named state backend to the registry (tests and
-// alternate engines). Re-registering a name replaces it.
-func RegisterBackend(name string, open Opener) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	backends[name] = open
+var backends = map[string]Opener{
+	"mem":  func(string) (Store, error) { return New(), nil },
+	"file": func(dir string) (Store, error) { return OpenFile(dir) },
 }
 
-// Backends returns the registered backend names, sorted.
+// Backends returns the backend names, sorted.
 func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
 	out := make([]string, 0, len(backends))
 	for name := range backends {
 		out = append(out, name)
@@ -100,9 +86,7 @@ func Open(backend, dir string) (Store, error) {
 	if backend == "" {
 		backend = "mem"
 	}
-	backendMu.RLock()
 	open, ok := backends[backend]
-	backendMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("statedb: unknown backend %q (have %v)", backend, Backends())
 	}
@@ -185,7 +169,9 @@ func UnmarshalEntries(dec *types.Decoder) ([]NSKV, error) {
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	entries := make([]NSKV, 0, min(int(n), 1<<20))
+	// An entry occupies at least five bytes, so a count the input cannot
+	// hold sizes no allocation.
+	entries := make([]NSKV, 0, min(n, uint64(dec.Remaining()/5)))
 	for i := uint64(0); i < n && dec.Err() == nil; i++ {
 		var e NSKV
 		e.NS = dec.String()
@@ -199,11 +185,4 @@ func UnmarshalEntries(dec *types.Decoder) ([]NSKV, error) {
 		return nil, dec.Err()
 	}
 	return entries, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -234,16 +234,6 @@ func (t *Tracer) TraceIDs() []TraceID {
 	return out
 }
 
-// Len reports how many traces are retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.order)
-}
-
 // BlockOrigin notes how a block reached the trace peer (gossip push,
 // anti-entropy, or direct deliver) so commit spans can carry the
 // dissemination origin as attributes. First write wins: the trace

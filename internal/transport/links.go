@@ -48,7 +48,7 @@ type RegionMatrix map[string]map[string]LinkProps
 //
 // Resolution order for a directed link src->dst:
 //  1. severed (either node isolated, or the pair cut by a partition) — drop
-//  2. per-link override (Set / SetBidi)
+//  2. per-link override (Set)
 //  3. region-pair properties (SetRegionProps + SetRegion labels)
 //  4. the network default
 type LinkSet struct {
@@ -92,13 +92,6 @@ func (ls *LinkSet) SetDefault(p LinkProps) {
 	ls.def = p
 }
 
-// DefaultProps returns the network-wide default link properties.
-func (ls *LinkSet) DefaultProps() LinkProps {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return ls.def
-}
-
 // linkKey names one directed link. Unlike a "src->dst" string it cannot
 // make two links collide ("a->b" to "c" and "a" to "b->c"), and building
 // one allocates nothing.
@@ -111,42 +104,12 @@ func (ls *LinkSet) Set(src, dst string, p LinkProps) {
 	ls.overrides[linkKey{src, dst}] = p
 }
 
-// SetBidi overrides both directions between two nodes.
-func (ls *LinkSet) SetBidi(a, b string, p LinkProps) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.overrides[linkKey{a, b}] = p
-	ls.overrides[linkKey{b, a}] = p
-}
-
 // Unset removes one directed link's override, reverting it to the
 // region matrix or default.
 func (ls *LinkSet) Unset(src, dst string) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	delete(ls.overrides, linkKey{src, dst})
-}
-
-// UnsetBidi removes both directions' overrides between two nodes.
-func (ls *LinkSet) UnsetBidi(a, b string) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	delete(ls.overrides, linkKey{a, b})
-	delete(ls.overrides, linkKey{b, a})
-}
-
-// Cut hard-drops one directed link until Uncut.
-func (ls *LinkSet) Cut(src, dst string) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.cut[linkKey{src, dst}] = struct{}{}
-}
-
-// Uncut restores one directed link cut by Cut or Partition.
-func (ls *LinkSet) Uncut(src, dst string) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	delete(ls.cut, linkKey{src, dst})
 }
 
 // Partition cuts every directed link between group a and group b (both
@@ -187,14 +150,6 @@ func (ls *LinkSet) Isolate(id string, isolated bool) {
 	}
 }
 
-// Isolated reports whether a node is currently isolated.
-func (ls *LinkSet) Isolated(id string) bool {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	_, ok := ls.isolated[id]
-	return ok
-}
-
 // SetRegion labels a node with a region; region-pair properties from
 // SetRegionProps then apply to its links.
 func (ls *LinkSet) SetRegion(node, region string) {
@@ -203,30 +158,12 @@ func (ls *LinkSet) SetRegion(node, region string) {
 	ls.regions[node] = region
 }
 
-// Region returns a node's region label ("" when unlabeled).
-func (ls *LinkSet) Region(node string) string {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return ls.regions[node]
-}
-
 // SetRegionProps installs a region-pair property matrix. Links between
 // labeled nodes without a per-link override resolve through it.
 func (ls *LinkSet) SetRegionProps(m RegionMatrix) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.matrix = m
-}
-
-// Reset drops all per-link overrides, cuts, and isolation — a
-// heal-everything escape hatch. Region labels, the region matrix, and
-// the default survive.
-func (ls *LinkSet) Reset() {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.overrides = make(map[linkKey]LinkProps)
-	ls.cut = make(map[linkKey]struct{})
-	ls.isolated = make(map[string]struct{})
 }
 
 // Severed reports whether a directed link is hard-cut (partition or

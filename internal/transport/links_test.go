@@ -38,14 +38,14 @@ func TestLinkSetResolutionOrder(t *testing.T) {
 	}
 
 	// A cut beats everything; Sample reports the drop.
-	ls.Cut("a", "b")
+	ls.Partition([]string{"a"}, []string{"b"})
 	if !ls.Severed("a", "b") {
 		t.Fatal("cut link not severed")
 	}
 	if _, drop := ls.Sample("a", "b"); !drop {
 		t.Fatal("Sample did not drop on severed link")
 	}
-	ls.Uncut("a", "b")
+	ls.Heal([]string{"a"}, []string{"b"})
 
 	// Isolation severs both directions.
 	ls.Isolate("b", true)
@@ -54,13 +54,13 @@ func TestLinkSetResolutionOrder(t *testing.T) {
 	}
 	ls.Isolate("b", false)
 
-	// Reset clears overrides and cuts but keeps regions and matrix.
-	ls.Reset()
+	// Dropping the override falls back to the matrix; the cut stays healed.
+	ls.Unset("a", "b")
 	if p := ls.PropsFor("a", "b"); p.Latency != 40*time.Millisecond {
-		t.Fatalf("post-reset latency = %v (want matrix value)", p.Latency)
+		t.Fatalf("post-unset latency = %v (want matrix value)", p.Latency)
 	}
 	if ls.Severed("a", "b") {
-		t.Fatal("reset did not heal cuts")
+		t.Fatal("heal did not restore the link")
 	}
 }
 
@@ -97,11 +97,11 @@ func TestLinkFateForCalls(t *testing.T) {
 		return payload, 8, nil
 	})
 
-	n.Links().Cut("a", "b")
+	n.Links().Partition([]string{"a"}, []string{"b"})
 	if _, err := a.Call(context.Background(), "b", "echo", 1, 8); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("call over cut link: err = %v, want ErrLinkDown", err)
 	}
-	n.Links().Uncut("a", "b")
+	n.Links().Heal([]string{"a"}, []string{"b"})
 
 	n.Links().Set("a", "b", LinkProps{Loss: 1.0})
 	done := make(chan error, 1)
@@ -155,14 +155,14 @@ func TestLinkKeysDoNotCollide(t *testing.T) {
 		return err
 	}
 
-	n.Links().Cut("a->b", "c")
+	n.Links().Partition([]string{"a->b"}, []string{"c"})
 	if _, err := eps["a->b"].Call(context.Background(), "c", "echo", 1, 8); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("call over cut link: err = %v, want ErrLinkDown", err)
 	}
 	if err := callOther(); err != nil {
 		t.Fatalf("cutting a->b -> c severed a -> b->c: %v", err)
 	}
-	n.Links().Uncut("a->b", "c")
+	n.Links().Heal([]string{"a->b"}, []string{"c"})
 
 	// Hold every message on a->b -> c at its link's pump until the
 	// link's queue overflows.
@@ -188,24 +188,17 @@ func TestLinkKeysDoNotCollide(t *testing.T) {
 func mutateLinkSet(ls *LinkSet, rounds int) {
 	for i := 0; i < rounds; i++ {
 		ls.Set("a", "b", LinkProps{Latency: time.Duration(i) * time.Microsecond, Loss: 0.05})
-		ls.SetBidi("a", "c", LinkProps{Jitter: time.Microsecond})
 		ls.SetRegion("a", "east")
 		ls.SetRegionProps(RegionMatrix{"east": {"east": {Latency: time.Microsecond}}})
-		ls.Cut("b", "c")
 		ls.Partition([]string{"a"}, []string{"c"})
 		_ = ls.Severed("a", "c")
 		_, _ = ls.Sample("a", "b")
 		ls.Heal([]string{"a"}, []string{"c"})
-		ls.Uncut("b", "c")
 		ls.Isolate("b", true)
 		ls.Isolate("b", false)
 		ls.Unset("a", "b")
-		ls.UnsetBidi("a", "c")
 		ls.SetDefault(LinkProps{Latency: time.Duration(i%3) * time.Microsecond})
 		ls.Seed(int64(i))
-		if i%16 == 0 {
-			ls.Reset()
-		}
 	}
 }
 

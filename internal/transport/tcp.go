@@ -27,10 +27,9 @@ type wireMessage struct {
 	Payload any
 }
 
-// TCPNetwork is a registry of TCP endpoints, usable both within one
-// process (tests, demos) and across processes (with AddPeer carrying
-// static addresses). It implements the same Register-based wiring as
-// the in-memory Network so fabnet can build on either.
+// TCPNetwork is a registry of TCP endpoints within one process. It
+// implements the same Register-based wiring as the in-memory Network so
+// fabnet can build on either.
 type TCPNetwork struct {
 	mu    sync.Mutex
 	addrs map[string]string
@@ -91,13 +90,6 @@ func (n *TCPNetwork) Deregister(id string) {
 	if victim != nil {
 		_ = victim.Close()
 	}
-}
-
-// AddPeer records a remote endpoint's address (cross-process wiring).
-func (n *TCPNetwork) AddPeer(id, addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.addrs[id] = addr
 }
 
 // lookup resolves a node ID to an address.

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Codec errors.
@@ -78,11 +77,6 @@ func (e *Encoder) Bytes2(b []byte) {
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// Float64 appends a fixed-width IEEE-754 float.
-func (e *Encoder) Float64(f float64) {
-	e.Uint64(math.Float64bits(f))
 }
 
 // Decoder consumes a deterministic binary encoding produced by Encoder.
@@ -211,9 +205,4 @@ func (d *Decoder) Bytes2() []byte {
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
 	return string(d.field())
-}
-
-// Float64 reads a fixed-width IEEE-754 float.
-func (d *Decoder) Float64() float64 {
-	return math.Float64frombits(d.Uint64())
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -20,7 +19,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	enc.Byte(0xAB)
 	enc.Bytes2([]byte("hello"))
 	enc.String("world")
-	enc.Float64(math.Pi)
 
 	dec := NewDecoder(enc.Bytes())
 	if got := dec.Uvarint(); got != 42 {
@@ -43,9 +41,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	}
 	if got := dec.String(); got != "world" {
 		t.Errorf("String = %q", got)
-	}
-	if got := dec.Float64(); got != math.Pi {
-		t.Errorf("Float64 = %v", got)
 	}
 	if err := dec.Finish(); err != nil {
 		t.Errorf("Finish: %v", err)

@@ -58,11 +58,6 @@ type RWSet struct {
 	Writes []KVWrite
 }
 
-// Empty reports whether the set contains no reads and no writes.
-func (rw *RWSet) Empty() bool {
-	return len(rw.Reads) == 0 && len(rw.Writes) == 0
-}
-
 // encode appends the set to enc.
 func (rw *RWSet) encode(enc *Encoder) {
 	enc.Uvarint(uint64(len(rw.Reads)))

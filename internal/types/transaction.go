@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // TxID uniquely identifies a transaction. Fabric derives it from the
@@ -299,6 +298,3 @@ func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 
 // ID returns the transaction's ID.
 func (t *Transaction) ID() TxID { return t.Proposal.TxID }
-
-// SubmittedAt returns SubmitTime as a time.Time.
-func (t *Transaction) SubmittedAt() time.Time { return time.Unix(0, t.SubmitTime) }

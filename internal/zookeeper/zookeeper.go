@@ -1,7 +1,7 @@
 // Package zookeeper is a from-scratch substrate reproducing the subset
 // of Apache ZooKeeper the Kafka ordering service depends on: sessions
-// with expiry, a hierarchical znode store with ephemeral and sequential
-// nodes, watches, and a leader-election recipe. The ensemble size is a
+// with expiry and a hierarchical znode store with ephemeral nodes. The
+// ensemble size is a
 // model parameter: every write pays a quorum-commit latency that grows
 // with the ensemble (the paper scales ZooKeeper from 3 to 7 nodes and
 // observes no throughput effect, which this model reproduces because
@@ -11,7 +11,6 @@ package zookeeper
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -22,43 +21,17 @@ var (
 	ErrNodeExists     = errors.New("zookeeper: node exists")
 	ErrNoNode         = errors.New("zookeeper: no node")
 	ErrSessionExpired = errors.New("zookeeper: session expired")
-	ErrNotEmpty       = errors.New("zookeeper: node has children")
 )
-
-// EventType identifies what changed under a watch.
-type EventType uint8
-
-// Watch event types.
-const (
-	EventCreated EventType = iota + 1
-	EventDeleted
-	EventDataChanged
-	EventChildrenChanged
-)
-
-// Event is delivered to watchers when a znode changes.
-type Event struct {
-	Type EventType
-	Path string
-}
 
 // CreateFlag modifies znode creation.
 type CreateFlag uint8
 
-// Creation flags, combinable with bitwise OR.
-const (
-	// FlagEphemeral ties the node's lifetime to the creating session.
-	FlagEphemeral CreateFlag = 1 << iota
-	// FlagSequential appends a monotonically increasing counter to the
-	// node name.
-	FlagSequential
-)
+// FlagEphemeral ties the node's lifetime to the creating session.
+const FlagEphemeral CreateFlag = 1
 
 type znode struct {
-	data     []byte
-	owner    int64 // session id for ephemerals, 0 otherwise
-	children map[string]struct{}
-	version  int64
+	data  []byte
+	owner int64 // session id for ephemerals, 0 otherwise
 }
 
 // Ensemble is the emulated ZooKeeper service.
@@ -67,9 +40,6 @@ type Ensemble struct {
 	nodes       map[string]*znode
 	sessions    map[int64]*Session
 	nextSession int64
-	nextSeq     int64
-	watches     map[string][]chan Event // node watches
-	childWatch  map[string][]chan Event // children watches
 
 	ensembleSize int
 	opLatency    time.Duration // scaled quorum-write latency
@@ -85,17 +55,12 @@ func New(ensembleSize int, opLatency time.Duration) *Ensemble {
 	e := &Ensemble{
 		nodes:        make(map[string]*znode),
 		sessions:     make(map[int64]*Session),
-		watches:      make(map[string][]chan Event),
-		childWatch:   make(map[string][]chan Event),
 		ensembleSize: ensembleSize,
 		opLatency:    opLatency,
 	}
-	e.nodes["/"] = &znode{children: make(map[string]struct{})}
+	e.nodes["/"] = &znode{}
 	return e
 }
-
-// Size returns the modeled ensemble size.
-func (e *Ensemble) Size() int { return e.ensembleSize }
 
 // writeDelay models one ZAB quorum commit: latency grows mildly with
 // ensemble size (more followers to ack), matching the paper's finding
@@ -123,7 +88,7 @@ type Session struct {
 
 // Connect opens a session with the given expiry timeout (wall-clock).
 // Sessions must be kept alive with Ping; an expired session releases its
-// ephemeral nodes, firing watches.
+// ephemeral nodes.
 func (e *Ensemble) Connect(timeout time.Duration) *Session {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -176,50 +141,33 @@ func (e *Ensemble) expireLocked(s *Session) {
 	}
 	s.expired = true
 	delete(e.sessions, s.ID)
-	// Remove ephemerals owned by the session (children-first order).
-	var owned []string
 	for path, n := range e.nodes {
 		if n.owner == s.ID {
-			owned = append(owned, path)
+			delete(e.nodes, path)
 		}
-	}
-	sort.Slice(owned, func(i, j int) bool { return len(owned[i]) > len(owned[j]) })
-	for _, path := range owned {
-		e.deleteLocked(path)
 	}
 }
 
-// Create makes a znode. For sequential nodes the returned path carries
-// the appended counter.
-func (s *Session) Create(path string, data []byte, flags CreateFlag) (string, error) {
+// Create makes a znode.
+func (s *Session) Create(path string, data []byte, flags CreateFlag) error {
 	s.ens.mu.Lock()
 	defer s.ens.mu.Unlock()
 	if s.expired {
-		return "", ErrSessionExpired
+		return ErrSessionExpired
 	}
-	parent := parentPath(path)
-	pnode, ok := s.ens.nodes[parent]
-	if !ok {
-		return "", fmt.Errorf("%w: parent %s", ErrNoNode, parent)
+	if parent := parentPath(path); s.ens.nodes[parent] == nil {
+		return fmt.Errorf("%w: parent %s", ErrNoNode, parent)
 	}
-	final := path
-	if flags&FlagSequential != 0 {
-		s.ens.nextSeq++
-		final = fmt.Sprintf("%s%010d", path, s.ens.nextSeq)
+	if _, exists := s.ens.nodes[path]; exists {
+		return fmt.Errorf("%w: %s", ErrNodeExists, path)
 	}
-	if _, exists := s.ens.nodes[final]; exists {
-		return "", fmt.Errorf("%w: %s", ErrNodeExists, final)
-	}
-	n := &znode{data: append([]byte(nil), data...), children: make(map[string]struct{})}
+	n := &znode{data: append([]byte(nil), data...)}
 	if flags&FlagEphemeral != 0 {
 		n.owner = s.ID
 	}
-	s.ens.nodes[final] = n
-	pnode.children[final] = struct{}{}
+	s.ens.nodes[path] = n
 	s.ens.writeDelay()
-	s.ens.fireLocked(final, EventCreated)
-	s.ens.fireChildrenLocked(parent)
-	return final, nil
+	return nil
 }
 
 // Set replaces a znode's data.
@@ -234,24 +182,8 @@ func (s *Session) Set(path string, data []byte) error {
 		return fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
 	n.data = append([]byte(nil), data...)
-	n.version++
 	s.ens.writeDelay()
-	s.ens.fireLocked(path, EventDataChanged)
 	return nil
-}
-
-// Get reads a znode's data and version.
-func (s *Session) Get(path string) ([]byte, int64, error) {
-	s.ens.mu.Lock()
-	defer s.ens.mu.Unlock()
-	if s.expired {
-		return nil, 0, ErrSessionExpired
-	}
-	n, ok := s.ens.nodes[path]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	return append([]byte(nil), n.data...), n.version, nil
 }
 
 // Exists reports whether a znode is present.
@@ -265,122 +197,10 @@ func (s *Session) Exists(path string) (bool, error) {
 	return ok, nil
 }
 
-// Delete removes a childless znode.
-func (s *Session) Delete(path string) error {
-	s.ens.mu.Lock()
-	defer s.ens.mu.Unlock()
-	if s.expired {
-		return ErrSessionExpired
-	}
-	n, ok := s.ens.nodes[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	if len(n.children) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
-	}
-	s.ens.writeDelay()
-	s.ens.deleteLocked(path)
-	return nil
-}
-
-// Children lists a znode's children, sorted.
-func (s *Session) Children(path string) ([]string, error) {
-	s.ens.mu.Lock()
-	defer s.ens.mu.Unlock()
-	if s.expired {
-		return nil, ErrSessionExpired
-	}
-	n, ok := s.ens.nodes[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	out := make([]string, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Watch registers for events on one znode. The returned channel is
-// buffered; slow consumers lose events, as with real ZK's one-shot
-// watches (consumers re-read state after each event).
-func (s *Session) Watch(path string) <-chan Event {
-	s.ens.mu.Lock()
-	defer s.ens.mu.Unlock()
-	ch := make(chan Event, 16)
-	s.ens.watches[path] = append(s.ens.watches[path], ch)
-	return ch
-}
-
-// WatchChildren registers for child-set changes under a znode.
-func (s *Session) WatchChildren(path string) <-chan Event {
-	s.ens.mu.Lock()
-	defer s.ens.mu.Unlock()
-	ch := make(chan Event, 16)
-	s.ens.childWatch[path] = append(s.ens.childWatch[path], ch)
-	return ch
-}
-
-func (e *Ensemble) deleteLocked(path string) {
-	if _, ok := e.nodes[path]; !ok {
-		return
-	}
-	delete(e.nodes, path)
-	parent := parentPath(path)
-	if pn, ok := e.nodes[parent]; ok {
-		delete(pn.children, path)
-		e.fireChildrenLocked(parent)
-	}
-	e.fireLocked(path, EventDeleted)
-}
-
-func (e *Ensemble) fireLocked(path string, t EventType) {
-	for _, ch := range e.watches[path] {
-		select {
-		case ch <- Event{Type: t, Path: path}:
-		default:
-		}
-	}
-}
-
-func (e *Ensemble) fireChildrenLocked(path string) {
-	for _, ch := range e.childWatch[path] {
-		select {
-		case ch <- Event{Type: EventChildrenChanged, Path: path}:
-		default:
-		}
-	}
-}
-
 func parentPath(path string) string {
 	idx := strings.LastIndexByte(path, '/')
 	if idx <= 0 {
 		return "/"
 	}
 	return path[:idx]
-}
-
-// ElectLeader runs the standard ZooKeeper election recipe: create an
-// ephemeral-sequential node under electionPath and return true if this
-// session's node has the smallest sequence number. The returned path is
-// the session's own candidate node.
-func (s *Session) ElectLeader(electionPath, candidateID string) (ownPath string, isLeader bool, err error) {
-	if ok, err := s.Exists(electionPath); err != nil {
-		return "", false, err
-	} else if !ok {
-		if _, err := s.Create(electionPath, nil, 0); err != nil && !errors.Is(err, ErrNodeExists) {
-			return "", false, err
-		}
-	}
-	ownPath, err = s.Create(electionPath+"/cand-", []byte(candidateID), FlagEphemeral|FlagSequential)
-	if err != nil {
-		return "", false, err
-	}
-	children, err := s.Children(electionPath)
-	if err != nil {
-		return "", false, err
-	}
-	return ownPath, len(children) > 0 && children[0] == ownPath, nil
 }
