@@ -10,6 +10,7 @@ import (
 
 	"fabricsim/internal/statedb"
 	"fabricsim/internal/types"
+	"fabricsim/internal/wal"
 )
 
 // Snapshot is a self-contained capture of a ledger at some height: the
@@ -123,13 +124,8 @@ func writeCheckpoint(dir string, snap *Snapshot) error {
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		return fmt.Errorf("ledger: create checkpoint dir: %w", err)
 	}
-	path := checkpointPath(dir, snap.Height)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, snap.Marshal(), 0o644); err != nil {
+	if err := wal.WriteFile(checkpointPath(dir, snap.Height), snap.Marshal()); err != nil {
 		return fmt.Errorf("ledger: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ledger: install checkpoint: %w", err)
 	}
 	names, err := filepath.Glob(filepath.Join(ckptDir, ckptPrefix+"*"))
 	if err != nil {

@@ -1,261 +1,111 @@
 package ledger
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"fabricsim/internal/types"
+	"fabricsim/internal/wal"
 )
 
-// File layout of the "file" block store, rooted at its directory:
-//
-//	BASE             — uvarint first retained block number (absent: 0)
-//	seg-%012d.log    — append-only segment; the number is the first
-//	                   block it holds; records are uvarint-length-
-//	                   prefixed block encodings
-//
-// Segments roll every segBlocks blocks so the open-time scan that
-// rebuilds the offset index never re-reads more than one partial
-// segment's worth of torn tail. A torn trailing record (crash
-// mid-append) is truncated away on open.
-const (
-	segBlocks    = 256
-	baseFileName = "BASE"
-	segPrefix    = "seg-"
-	segSuffix    = ".log"
-)
-
-type fileSeg struct {
-	first   uint64
-	path    string
-	offsets []int64 // byte offset of each record's length prefix
-	size    int64
-}
+// The "file" block store keeps one record log (internal/wal),
+// blocks.log under its directory. Record 0 is the uvarint number of
+// the first retained block (the base); every later record is one block
+// encoding, in number order. Open rebuilds the offset of every block by
+// replaying the log, truncating a torn trailing record (crash
+// mid-append). Reset atomically rewrites the log as a new head record
+// alone.
+const blockLogName = "blocks.log"
 
 type fileStore struct {
-	dir     string
+	log     *wal.Log
 	base    uint64
-	nextNum uint64
-	segs    []*fileSeg
-	active  *os.File // append handle for the last segment, nil until first write
+	offsets []int64 // offset of block base+i's record
 }
 
 var _ BlockStore = (*fileStore)(nil)
 
-func segPath(dir string, first uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%012d%s", segPrefix, first, segSuffix))
+// headRecord encodes the log's record 0.
+func headRecord(base uint64) []byte {
+	enc := types.NewEncoder(10)
+	enc.Uvarint(base)
+	return enc.Bytes()
 }
 
-// openFileStore opens (or creates) a segmented block store rooted at dir
-// and rebuilds the per-segment offset index by scanning length prefixes.
+// openFileStore opens (or creates) the block log under dir and
+// rebuilds the offset index.
 func openFileStore(dir string) (*fileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: create block dir: %w", err)
 	}
-	s := &fileStore{dir: dir}
-	if buf, err := os.ReadFile(filepath.Join(dir, baseFileName)); err == nil {
-		base, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("ledger: corrupt BASE file in %s", dir)
+	s := &fileStore{}
+	head := false
+	log, err := wal.Open(filepath.Join(dir, blockLogName), func(off int64, rec []byte) error {
+		if off > 0 {
+			s.offsets = append(s.offsets, off)
+			return nil
 		}
-		s.base = base
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("ledger: read BASE: %w", err)
-	}
-	s.nextNum = s.base
-
-	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+		dec := types.NewDecoder(rec)
+		s.base = dec.Uvarint()
+		if dec.Finish() != nil {
+			return wal.ErrCorrupt
+		}
+		head = true
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ledger: open block log: %w", err)
 	}
-	sort.Strings(names)
-	for _, path := range names {
-		var first uint64
-		stem := filepath.Base(path)
-		if _, err := fmt.Sscanf(stem, segPrefix+"%d", &first); err != nil {
-			continue
-		}
-		if first < s.base {
-			os.Remove(path) // leftover from before a Reset
-			continue
-		}
-		seg, torn, err := scanSegment(path, first)
-		if err != nil {
+	s.log = log
+	if !head {
+		if err := s.Reset(0); err != nil {
+			log.Close()
 			return nil, err
-		}
-		if first != s.nextNum {
-			// A gap or overlap means segments after a crash mid-reset;
-			// drop this and everything later.
-			os.Remove(path)
-			continue
-		}
-		s.segs = append(s.segs, seg)
-		s.nextNum = seg.first + uint64(len(seg.offsets))
-		if torn {
-			break
 		}
 	}
 	return s, nil
 }
 
-// scanSegment walks a segment's length prefixes, truncating a torn tail.
-func scanSegment(path string, first uint64) (*fileSeg, bool, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("ledger: read segment: %w", err)
-	}
-	seg := &fileSeg{first: first, path: path}
-	off := 0
-	for off < len(buf) {
-		n, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < n {
-			break // torn tail
-		}
-		seg.offsets = append(seg.offsets, int64(off))
-		off += sz + int(n)
-	}
-	seg.size = int64(off)
-	if off < len(buf) {
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return nil, false, fmt.Errorf("ledger: truncate torn segment: %w", err)
-		}
-		return seg, true, nil
-	}
-	return seg, false, nil
-}
-
 func (s *fileStore) Append(b *types.Block) error {
-	if b.Header.Number != s.nextNum {
-		return fmt.Errorf("%w: got %d want %d", ErrBadNumber, b.Header.Number, s.nextNum)
+	if want := s.Height(); b.Header.Number != want {
+		return fmt.Errorf("%w: got %d want %d", ErrBadNumber, b.Header.Number, want)
 	}
-	seg := s.activeSeg()
-	if seg == nil || len(seg.offsets) >= segBlocks {
-		if err := s.roll(); err != nil {
-			return err
-		}
-		seg = s.activeSeg()
-	}
-	if s.active == nil {
-		f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("ledger: open segment: %w", err)
-		}
-		s.active = f
-	}
-	payload := b.Marshal()
-	enc := types.NewEncoder(len(payload) + 10)
-	enc.Bytes2(payload)
-	if _, err := s.active.Write(enc.Bytes()); err != nil {
+	off, err := s.log.Append(b.Marshal())
+	if err != nil {
 		return fmt.Errorf("ledger: append block: %w", err)
 	}
-	seg.offsets = append(seg.offsets, seg.size)
-	seg.size += int64(len(enc.Bytes()))
-	s.nextNum++
-	return nil
-}
-
-func (s *fileStore) activeSeg() *fileSeg {
-	if len(s.segs) == 0 {
-		return nil
-	}
-	return s.segs[len(s.segs)-1]
-}
-
-// roll closes the active segment and starts a new one at nextNum.
-func (s *fileStore) roll() error {
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
-	}
-	s.segs = append(s.segs, &fileSeg{first: s.nextNum, path: segPath(s.dir, s.nextNum)})
+	s.offsets = append(s.offsets, off)
 	return nil
 }
 
 func (s *fileStore) Get(num uint64) (*types.Block, error) {
-	if num < s.base || num >= s.nextNum {
-		return nil, fmt.Errorf("%w: block %d (have [%d,%d))", ErrNotFound, num, s.base, s.nextNum)
+	if num < s.base || num >= s.Height() {
+		return nil, fmt.Errorf("%w: block %d (have [%d,%d))", ErrNotFound, num, s.base, s.Height())
 	}
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].first > num }) - 1
-	if i < 0 {
-		return nil, fmt.Errorf("%w: block %d has no segment", ErrNotFound, num)
-	}
-	seg := s.segs[i]
-	idx := num - seg.first
-	if idx >= uint64(len(seg.offsets)) {
-		return nil, fmt.Errorf("%w: block %d past segment end", ErrNotFound, num)
-	}
-	payload, err := readRecord(seg.path, seg.offsets[idx])
+	rec, err := s.log.ReadAt(s.offsets[num-s.base])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ledger: read block %d: %w", num, err)
 	}
-	b, err := types.UnmarshalBlock(payload)
+	b, err := types.UnmarshalBlock(rec)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: decode block %d: %w", num, err)
 	}
 	return b, nil
 }
 
-// readRecord reads one length-prefixed record at the given offset.
-func readRecord(path string, off int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open segment: %w", err)
-	}
-	defer f.Close()
-	var lenBuf [binary.MaxVarintLen64]byte
-	n, err := f.ReadAt(lenBuf[:], off)
-	if n == 0 && err != nil {
-		return nil, fmt.Errorf("ledger: read record length: %w", err)
-	}
-	recLen, sz := binary.Uvarint(lenBuf[:n])
-	if sz <= 0 {
-		return nil, errors.New("ledger: corrupt record length")
-	}
-	payload := make([]byte, recLen)
-	if _, err := f.ReadAt(payload, off+int64(sz)); err != nil {
-		return nil, fmt.Errorf("ledger: read record: %w", err)
-	}
-	return payload, nil
-}
-
-func (s *fileStore) Height() uint64 { return s.nextNum }
+func (s *fileStore) Height() uint64 { return s.base + uint64(len(s.offsets)) }
 func (s *fileStore) Base() uint64   { return s.base }
 
-// Reset drops every segment and restarts the store at base. The new
-// base is made durable before old segments are removed, so a crash
-// mid-reset leaves a store that simply looks freshly reset.
+// Reset atomically rewrites the log as a head record at base alone: a
+// crash mid-reset leaves either the old store or the reset one.
 func (s *fileStore) Reset(base uint64) error {
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
+	if err := s.log.Rewrite(headRecord(base)); err != nil {
+		return fmt.Errorf("ledger: reset block log: %w", err)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], base)
-	tmp := filepath.Join(s.dir, baseFileName+".tmp")
-	if err := os.WriteFile(tmp, buf[:n], 0o644); err != nil {
-		return fmt.Errorf("ledger: write BASE: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, baseFileName)); err != nil {
-		return fmt.Errorf("ledger: install BASE: %w", err)
-	}
-	for _, seg := range s.segs {
-		os.Remove(seg.path)
-	}
-	s.segs = nil
 	s.base = base
-	s.nextNum = base
+	s.offsets = nil
 	return nil
 }
 
-func (s *fileStore) Close() error {
-	if s.active != nil {
-		err := s.active.Close()
-		s.active = nil
-		return err
-	}
-	return nil
-}
+func (s *fileStore) Close() error { return s.log.Close() }

@@ -7,10 +7,10 @@
 // BlockStore and statedb.Store interfaces, and both backends share one
 // memory-resident transaction index. The "mem" backend keeps everything
 // resident (the original behavior); the "file" backend persists blocks
-// in append-only segments and state behind a write-ahead log, writes a
-// checkpoint every CheckpointInterval blocks, and reopens from the
-// latest checkpoint plus the block-store tail instead of replaying from
-// genesis.
+// and state in one internal/wal record log each (blocks/blocks.log,
+// state/state.log), writes a checkpoint every CheckpointInterval blocks
+// (checkpoints/), and reopens from the latest checkpoint plus the
+// block-log tail instead of replaying from genesis.
 package ledger
 
 import (
@@ -476,7 +476,7 @@ func (l *Ledger) StateHash() ([]byte, error) {
 
 // Close releases the storage backends. A file-backed ledger can be
 // reopened from its directory afterwards; every acknowledged commit is
-// already on disk (block segments + state WAL), so nothing is flushed
+// already on disk (block log + state log), so nothing is flushed
 // here — matching a crash, which Open must handle anyway.
 func (l *Ledger) Close() error {
 	l.mu.Lock()

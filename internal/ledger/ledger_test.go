@@ -307,65 +307,95 @@ func commitN(t *testing.T, l *Ledger, start, n int) {
 // TestFileReopenFromCheckpointAndTail is the core persistence test: a
 // file-backed ledger closed and reopened recovers to the identical tip,
 // state, and index from its checkpoint plus the block tail, and keeps
-// committing.
+// committing. The long input puts more than 256 blocks in the log and
+// reads blocks from across it before and after the reopen.
 func TestFileReopenFromCheckpointAndTail(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Backend: "file", Dir: dir, CheckpointInterval: 4}
-	l, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitN(t, l, 0, 11) // checkpoints at 5 and 9; tail = blocks 9,10
-	wantHeight := l.Height()
-	wantHash := l.LastHash()
-	wantState, err := l.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name         string
+		blocks, ckpt int
+	}{
+		{"short", 11, 4}, // checkpoints at 5 and 9; tail = blocks 9,10
+		{"long", 276, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Backend: "file", Dir: dir, CheckpointInterval: uint64(tc.ckpt)}
+			l, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.blocks
+			commitN(t, l, 0, n)
+			wantHeight := l.Height()
+			if wantHeight != uint64(n)+1 {
+				t.Fatalf("height = %d", wantHeight)
+			}
+			wantHash := l.LastHash()
+			wantState, err := l.StateHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := []uint64{1, uint64(n)}
+			if n > 256 {
+				reads = append(reads, 255, 256)
+			}
+			checkReads := func(l *Ledger) {
+				t.Helper()
+				for _, num := range reads {
+					b, err := l.GetBlock(num)
+					if err != nil || b.Header.Number != num {
+						t.Fatalf("GetBlock(%d): %+v %v", num, b, err)
+					}
+				}
+			}
+			checkReads(l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// The checkpoint directory must exist — recovery must not be a
-	// silent genesis replay.
-	if ents, err := os.ReadDir(filepath.Join(dir, checkpointDirName)); err != nil || len(ents) == 0 {
-		t.Fatalf("no checkpoints written: %v", err)
-	}
+			// The checkpoint directory must exist — recovery must not be a
+			// silent genesis replay.
+			if ents, err := os.ReadDir(filepath.Join(dir, checkpointDirName)); err != nil || len(ents) == 0 {
+				t.Fatalf("no checkpoints written: %v", err)
+			}
 
-	r, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Height() != wantHeight {
-		t.Fatalf("reopened height %d, want %d", r.Height(), wantHeight)
-	}
-	if !bytes.Equal(r.LastHash(), wantHash) {
-		t.Error("reopened tip hash differs")
-	}
-	gotState, err := r.StateHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotState, wantState) {
-		t.Error("reopened state hash differs")
-	}
-	if !r.HasTx("tx0010") || r.HasTx("tx0011") {
-		t.Error("reopened tx index wrong")
-	}
-	if err := r.VerifyChain(); err != nil {
-		t.Errorf("VerifyChain after reopen: %v", err)
-	}
-	// The reopened ledger keeps committing on the same chain.
-	commitN(t, r, 11, 2)
-	if r.Height() != wantHeight+2 {
-		t.Errorf("height after recommit = %d", r.Height())
+			r, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Height() != wantHeight {
+				t.Fatalf("reopened height %d, want %d", r.Height(), wantHeight)
+			}
+			if !bytes.Equal(r.LastHash(), wantHash) {
+				t.Error("reopened tip hash differs")
+			}
+			gotState, err := r.StateHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Error("reopened state hash differs")
+			}
+			if !r.HasTx(types.TxID(fmt.Sprintf("tx%04d", n-1))) || r.HasTx(types.TxID(fmt.Sprintf("tx%04d", n))) {
+				t.Error("reopened tx index wrong")
+			}
+			checkReads(r)
+			if err := r.VerifyChain(); err != nil {
+				t.Errorf("VerifyChain after reopen: %v", err)
+			}
+			// The reopened ledger keeps committing on the same chain.
+			commitN(t, r, n, 2)
+			if r.Height() != wantHeight+2 {
+				t.Errorf("height after recommit = %d", r.Height())
+			}
+		})
 	}
 }
 
 // TestFileReopenTornTail simulates a crash mid-append: garbage half
-// records at the end of the newest segment and the state WAL are
-// truncated away and recovery proceeds.
+// records at the end of the block log and the state log are truncated
+// away and recovery proceeds.
 func TestFileReopenTornTail(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "file", Dir: dir, CheckpointInterval: 100} // no checkpoint: pure replay
@@ -380,8 +410,7 @@ func TestFileReopenTornTail(t *testing.T) {
 	}
 
 	// Tear both files: a partial length prefix and record.
-	seg := segPath(filepath.Join(dir, "blocks"), 0)
-	for _, path := range []string{seg, filepath.Join(dir, "state", "wal.log")} {
+	for _, path := range []string{filepath.Join(dir, "blocks", blockLogName), filepath.Join(dir, "state", "state.log")} {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
@@ -405,45 +434,6 @@ func TestFileReopenTornTail(t *testing.T) {
 		t.Error("state hash differs after torn-tail reopen")
 	}
 	commitN(t, r, 6, 1)
-}
-
-// TestFileSegmentRoll commits past one segment's capacity so reads and
-// reopen span multiple segment files.
-func TestFileSegmentRoll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("segment roll needs >segBlocks commits")
-	}
-	dir := t.TempDir()
-	opts := Options{Backend: "file", Dir: dir, CheckpointInterval: 200}
-	l, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := segBlocks + 20
-	commitN(t, l, 0, n)
-	if got := l.Height(); got != uint64(n)+1 {
-		t.Fatalf("height = %d", got)
-	}
-	// Reads from both segments.
-	for _, num := range []uint64{1, segBlocks - 1, segBlocks, uint64(n)} {
-		b, err := l.GetBlock(num)
-		if err != nil || b.Header.Number != num {
-			t.Fatalf("GetBlock(%d): %+v %v", num, b, err)
-		}
-	}
-	want := l.LastHash()
-	l.Close()
-	r, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !bytes.Equal(r.LastHash(), want) {
-		t.Error("tip differs after multi-segment reopen")
-	}
-	if err := r.VerifyChain(); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestSnapshotRoundtrip transfers a ledger snapshot into a fresh ledger
@@ -569,6 +559,58 @@ func TestFileReopenAfterSnapshotBootstrap(t *testing.T) {
 	rh, _ := r.StateHash()
 	if !bytes.Equal(sh, rh) {
 		t.Error("state differs after bootstrap reopen")
+	}
+}
+
+// TestFileResetAfterCrashMidRewrite: a crash between writing a reset
+// block log's temp file and renaming it leaves blocks.log intact beside
+// a stale blocks.log.tmp. The ledger reopens to its pre-reset chain, and
+// the next Reset (a snapshot install) succeeds and survives a reopen.
+func TestFileResetAfterCrashMidRewrite(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Backend: "file", Dir: dir, CheckpointInterval: 100}
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, l, 0, 3)
+	want := l.LastHash()
+	l.Close()
+	tmp := filepath.Join(dir, "blocks", blockLogName+".tmp")
+	if err := os.WriteFile(tmp, []byte{1, 9}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Base() != 0 || r.Height() != 4 || !bytes.Equal(r.LastHash(), want) {
+		t.Fatalf("reopened base=%d height=%d; want the pre-reset chain", r.Base(), r.Height())
+	}
+	if err := r.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	src := openMem(t)
+	commitN(t, src, 0, 8)
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale temp file survived Reset: %v", err)
+	}
+	r.Close()
+	r, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Base() != 9 || r.Height() != 9 || !bytes.Equal(r.LastHash(), src.LastHash()) {
+		t.Errorf("after reset and reopen base=%d height=%d", r.Base(), r.Height())
 	}
 }
 

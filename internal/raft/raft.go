@@ -7,8 +7,8 @@
 // in Section III.
 //
 // Hard state — currentTerm, votedFor, and the log — is persisted
-// through a pluggable Store (in-memory or file-backed WAL; see
-// store.go) before any message that depends on it is sent, exactly the
+// through a pluggable Store (in-memory, or a file-backed WAL in the
+// internal/wal record format; see store.go) before any message that depends on it is sent, exactly the
 // durability contract of Figure 2 in the Raft paper. A restarted node
 // reloads the store in NewNode and rejoins with its term, vote, and
 // log intact, so crash-restart faults cannot produce a double vote or

@@ -1,10 +1,8 @@
 package raft
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"fabricsim/internal/types"
+	"fabricsim/internal/wal"
 )
 
 // HardState is the Raft state that must survive a crash (Figure 2 of
@@ -118,10 +117,9 @@ func (s *MemStore) lastIndexLocked() uint64 {
 	return s.entries[len(s.entries)-1].Index
 }
 
-// FileStore persists hard state and log entries in a single WAL file,
-// following the internal/ledger on-disk idiom: uvarint length-prefixed
-// records, a torn tail truncated on open, and compaction by rewriting
-// to a temp file and renaming over the WAL.
+// FileStore persists hard state and log entries in one record log
+// (internal/wal), raft.wal under its directory: a torn tail is
+// truncated on open, and compaction rewrites the log atomically.
 //
 // Record payloads are one type byte followed by codec fields:
 //
@@ -134,8 +132,7 @@ func (s *MemStore) lastIndexLocked() uint64 {
 // superseded in place of rewriting the file on every conflict.
 type FileStore struct {
 	mu     sync.Mutex
-	dir    string
-	f      *os.File
+	log    *wal.Log
 	closed bool
 
 	mem MemStore
@@ -150,59 +147,51 @@ const (
 	recEntry = 3
 )
 
+func baseRecord(base Entry) []byte {
+	enc := types.NewEncoder(24)
+	enc.Byte(recBase)
+	enc.Uvarint(base.Index)
+	enc.Uvarint(base.Term)
+	return enc.Bytes()
+}
+
+func hardRecord(hs HardState) []byte {
+	enc := types.NewEncoder(len(hs.VotedFor) + 16)
+	enc.Byte(recHard)
+	enc.Uvarint(hs.Term)
+	enc.String(hs.VotedFor)
+	return enc.Bytes()
+}
+
+func entryRecord(e *Entry) []byte {
+	enc := types.NewEncoder(len(e.Data) + 24)
+	enc.Byte(recEntry)
+	enc.Uvarint(e.Term)
+	enc.Uvarint(e.Index)
+	enc.Bytes2(e.Data)
+	return enc.Bytes()
+}
+
 // NewFileStore opens (or creates) the WAL under dir, replaying it into
 // memory and truncating any torn tail left by a crash mid-append.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("raft: create store dir: %w", err)
 	}
-	s := &FileStore{dir: dir}
-	path := filepath.Join(dir, walName)
-	if err := s.replay(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s := &FileStore{}
+	log, err := wal.Open(filepath.Join(dir, walName), s.applyRecord)
 	if err != nil {
 		return nil, fmt.Errorf("raft: open wal: %w", err)
 	}
-	s.f = f
+	s.log = log
 	return s, nil
 }
 
-// replay scans the WAL, applying records to the in-memory mirror and
-// truncating the file at the first torn or undecodable record.
-func (s *FileStore) replay(path string) error {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("raft: read wal: %w", err)
-	}
-	off := 0
-	for off < len(raw) {
-		length, k := binary.Uvarint(raw[off:])
-		if k <= 0 || off+k+int(length) > len(raw) {
-			break // torn tail
-		}
-		if !s.applyRecord(raw[off+k : off+k+int(length)]) {
-			break
-		}
-		off += k + int(length)
-	}
-	if off < len(raw) {
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return fmt.Errorf("raft: truncate torn wal tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// applyRecord replays one decoded record payload; false means the
-// record is corrupt and the scan should stop (treating it as torn).
-func (s *FileStore) applyRecord(payload []byte) bool {
+// applyRecord replays one record payload into the mirror; a corrupt
+// record returns wal.ErrCorrupt, so replay treats it as a torn tail.
+func (s *FileStore) applyRecord(_ int64, payload []byte) error {
 	if len(payload) == 0 {
-		return false
+		return wal.ErrCorrupt
 	}
 	dec := types.NewDecoder(payload[1:])
 	switch payload[0] {
@@ -210,7 +199,7 @@ func (s *FileStore) applyRecord(payload []byte) bool {
 		index := dec.Uvarint()
 		term := dec.Uvarint()
 		if dec.Finish() != nil {
-			return false
+			return wal.ErrCorrupt
 		}
 		s.mem.base = Entry{Term: term, Index: index}
 		s.mem.entries = s.mem.entries[:0]
@@ -218,7 +207,7 @@ func (s *FileStore) applyRecord(payload []byte) bool {
 		term := dec.Uvarint()
 		voted := dec.String()
 		if dec.Finish() != nil {
-			return false
+			return wal.ErrCorrupt
 		}
 		s.mem.hs = HardState{Term: term, VotedFor: voted}
 	case recEntry:
@@ -226,21 +215,21 @@ func (s *FileStore) applyRecord(payload []byte) bool {
 		index := dec.Uvarint()
 		data := dec.Bytes2()
 		if dec.Finish() != nil {
-			return false
+			return wal.ErrCorrupt
 		}
 		if index <= s.mem.base.Index {
-			return false
+			return wal.ErrCorrupt
 		}
 		if last := s.mem.lastIndexLocked(); index <= last {
 			s.mem.entries = s.mem.entries[:index-s.mem.base.Index-1]
 		} else if index != last+1 {
-			return false
+			return wal.ErrCorrupt
 		}
 		s.mem.entries = append(s.mem.entries, Entry{Term: term, Index: index, Data: data})
 	default:
-		return false
+		return wal.ErrCorrupt
 	}
-	return true
+	return nil
 }
 
 // Load implements Store.
@@ -260,12 +249,8 @@ func (s *FileStore) SaveHardState(hs HardState) error {
 	if s.closed {
 		return errors.New("raft: store closed")
 	}
-	enc := types.NewEncoder(len(hs.VotedFor) + 16)
-	enc.Byte(recHard)
-	enc.Uvarint(hs.Term)
-	enc.String(hs.VotedFor)
-	if err := s.writeRecordLocked(enc.Bytes()); err != nil {
-		return err
+	if _, err := s.log.Append(hardRecord(hs)); err != nil {
+		return fmt.Errorf("raft: append wal: %w", err)
 	}
 	return s.mem.SaveHardState(hs)
 }
@@ -283,31 +268,18 @@ func (s *FileStore) AppendEntries(entries []Entry) error {
 	if err := s.mem.AppendEntries(entries); err != nil {
 		return err
 	}
-	size := 0
+	recs := make([][]byte, len(entries))
 	for i := range entries {
-		size += len(entries[i].Data) + 24
+		recs[i] = entryRecord(&entries[i])
 	}
-	buf := make([]byte, 0, size)
-	for i := range entries {
-		e := &entries[i]
-		enc := types.NewEncoder(len(e.Data) + 24)
-		enc.Byte(recEntry)
-		enc.Uvarint(e.Term)
-		enc.Uvarint(e.Index)
-		enc.Bytes2(e.Data)
-		frame := types.NewEncoder(len(enc.Bytes()) + 10)
-		frame.Bytes2(enc.Bytes())
-		buf = append(buf, frame.Bytes()...)
-	}
-	if _, err := s.f.Write(buf); err != nil {
+	if _, err := s.log.Append(recs...); err != nil {
 		return fmt.Errorf("raft: append wal: %w", err)
 	}
 	return nil
 }
 
-// Compact implements Store. The WAL is rewritten to a temp file
-// (base record, current hard state, retained entries) and renamed over
-// the old one, so a crash mid-compaction leaves either file intact.
+// Compact implements Store. The WAL is rewritten atomically as the base
+// record, the current hard state and the retained entries.
 func (s *FileStore) Compact(index, term uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,65 +289,13 @@ func (s *FileStore) Compact(index, term uint64) error {
 	if err := s.mem.Compact(index, term); err != nil {
 		return err
 	}
-
-	tmp := filepath.Join(s.dir, walName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("raft: open compaction tmp: %w", err)
-	}
-	if err := s.writeSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("raft: close compaction tmp: %w", err)
-	}
-	path := filepath.Join(s.dir, walName)
-	s.f.Close()
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("raft: swap compacted wal: %w", err)
-	}
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("raft: reopen compacted wal: %w", err)
-	}
-	s.f = nf
-	return nil
-}
-
-// writeSnapshot streams the mirror state as a fresh WAL.
-func (s *FileStore) writeSnapshot(w io.Writer) error {
-	enc := types.NewEncoder(64)
-	enc.Byte(recBase)
-	enc.Uvarint(s.mem.base.Index)
-	enc.Uvarint(s.mem.base.Term)
-	frame := types.NewEncoder(len(enc.Bytes()) + 10)
-	frame.Bytes2(enc.Bytes())
-	buf := frame.Bytes()
-
-	enc = types.NewEncoder(len(s.mem.hs.VotedFor) + 16)
-	enc.Byte(recHard)
-	enc.Uvarint(s.mem.hs.Term)
-	enc.String(s.mem.hs.VotedFor)
-	frame = types.NewEncoder(len(enc.Bytes()) + 10)
-	frame.Bytes2(enc.Bytes())
-	buf = append(buf, frame.Bytes()...)
-
+	recs := make([][]byte, 0, 2+len(s.mem.entries))
+	recs = append(recs, baseRecord(s.mem.base), hardRecord(s.mem.hs))
 	for i := range s.mem.entries {
-		e := &s.mem.entries[i]
-		enc = types.NewEncoder(len(e.Data) + 24)
-		enc.Byte(recEntry)
-		enc.Uvarint(e.Term)
-		enc.Uvarint(e.Index)
-		enc.Bytes2(e.Data)
-		frame = types.NewEncoder(len(enc.Bytes()) + 10)
-		frame.Bytes2(enc.Bytes())
-		buf = append(buf, frame.Bytes()...)
+		recs = append(recs, entryRecord(&s.mem.entries[i]))
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("raft: write compacted wal: %w", err)
+	if err := s.log.Rewrite(recs...); err != nil {
+		return fmt.Errorf("raft: compact wal: %w", err)
 	}
 	return nil
 }
@@ -388,20 +308,7 @@ func (s *FileStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.f != nil {
-		return s.f.Close()
-	}
-	return nil
-}
-
-// writeRecordLocked frames one payload and appends it to the WAL.
-func (s *FileStore) writeRecordLocked(payload []byte) error {
-	frame := types.NewEncoder(len(payload) + 10)
-	frame.Bytes2(payload)
-	if _, err := s.f.Write(frame.Bytes()); err != nil {
-		return fmt.Errorf("raft: append wal: %w", err)
-	}
-	return nil
+	return s.log.Close()
 }
 
 // TimedStore decorates a Store with cumulative wall-clock accounting of

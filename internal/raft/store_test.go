@@ -3,8 +3,14 @@ package raft
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -195,6 +201,149 @@ func TestFileStoreCompactReopen(t *testing.T) {
 		entry(2, 9, "x"), entry(2, 10, "x"), entry(3, 11, "y"))
 }
 
+// TestFileStoreHugeLengthPrefix: a frame whose length prefix is 2^64-1
+// is a torn tail like any other. The store opens empty, the file is
+// truncated to nothing, and it reopens cleanly.
+func TestFileStoreHugeLengthPrefix(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, walName)
+	raw := append(binary.AppendUvarint(nil, math.MaxUint64), 1, 2, 3)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s, err := NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkState(t, s, HardState{}, Entry{})
+		s.Close()
+		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+			t.Fatalf("open %d left %v, %v; want an empty file", i, fi.Size(), err)
+		}
+	}
+}
+
+// TestFileStoreCompactAfterCrashMidRewrite: a crash between writing
+// the compacted temp file and renaming it leaves raft.wal intact beside
+// a stale raft.wal.tmp. The store reopens to the pre-compaction log and
+// the next Compact succeeds.
+func TestFileStoreCompactAfterCrashMidRewrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveHardState(HardState{Term: 2, VotedFor: "n1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEntries([]Entry{entry(2, 1, "a"), entry(2, 2, "b"), entry(2, 3, "c")}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, walName)
+	half := hardRecord(HardState{Term: 9})
+	if err := os.WriteFile(path+".tmp", half[:2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkState(t, r, HardState{Term: 2, VotedFor: "n1"}, Entry{},
+		entry(2, 1, "a"), entry(2, 2, "b"), entry(2, 3, "c"))
+	if err := r.Compact(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale temp file survived Compact: %v", err)
+	}
+	r.Close()
+	r, err = NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkState(t, r, HardState{Term: 2, VotedFor: "n1"}, Entry{Term: 2, Index: 2}, entry(2, 3, "c"))
+}
+
+// FuzzFileStoreOpen opens arbitrary bytes as raft.wal. The store may
+// open or refuse, but must not panic or allocate 1 MiB for the input.
+// The seeds in testdata/fuzz are logs a store really wrote.
+func FuzzFileStoreOpen(f *testing.F) {
+	f.Add(append(binary.AppendUvarint(nil, math.MaxUint64), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := NewFileStore(dir)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			s.Close()
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("opening %d bytes allocated %d bytes", len(b), n)
+		}
+	})
+}
+
+// TestFileStoreGolden pins the bytes of raft.wal: a fixed sequence of
+// writes must leave a file with the same SHA-256 after every step, so
+// the on-disk format (and the bytes a Raft consenter pays per entry)
+// cannot drift unnoticed.
+func TestFileStoreGolden(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	steps := []struct {
+		name   string
+		do     func() error
+		digest string
+	}{
+		{"hard state", func() error { return s.SaveHardState(HardState{Term: 1, VotedFor: "n1"}) },
+			"bb06da08da9ad5e98256a036b988e21fd64e00cbe1a0074b4d87b8d66f337b2c"},
+		{"append", func() error {
+			return s.AppendEntries([]Entry{entry(1, 1, "a"), entry(1, 2, "b"), entry(1, 3, "c"), entry(1, 4, "d")})
+		}, "9ef5d314ced86df7e34c156912a14b72400c459dc79f3d96cf73fb2fb1fb2ea6"},
+		{"overwrite", func() error { return s.AppendEntries([]Entry{entry(2, 3, "C"), entry(2, 4, "D")}) },
+			"23dbe2be5d2a446a18e55648faf8db4e156f5f03f25888be8cf005bdbf9af31b"},
+		{"second hard state", func() error { return s.SaveHardState(HardState{Term: 2, VotedFor: "n2"}) },
+			"5b0c17650548356f91eaf617d82ec5f29a463d1230ea87ba23f8afe379670e07"},
+		{"compact", func() error { return s.Compact(3, 2) },
+			"bee1f83aed000d3daeeb0126d64462fd637d2d90b797c2e7e5ccf0636025245e"},
+		{"append after compact", func() error { return s.AppendEntries([]Entry{entry(2, 5, "e"), entry(3, 6, "f")}) },
+			"ef8329c0b094863e7a141191cce5424525663a8f7304909df71318fecbc6da04"},
+	}
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != step.digest {
+			t.Errorf("%s: raft.wal sha256 = %s, want %s", step.name, got, step.digest)
+		}
+	}
+	s.Close()
+	r, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkState(t, r, HardState{Term: 2, VotedFor: "n2"}, Entry{Term: 2, Index: 3},
+		entry(2, 4, "D"), entry(2, 5, "e"), entry(3, 6, "f"))
+}
+
 // A restarted node must not grant a second vote in a term it already
 // voted in, and must not regress its term — the classic split-vote /
 // double-commit safety cases that volatile hard state would reopen.
@@ -204,8 +353,9 @@ func TestRestartNoDoubleVoteNoTermRegress(t *testing.T) {
 			net := transport.NewNetwork(transport.Config{TimeScale: 1.0, Latency: 100 * time.Microsecond})
 			defer net.Close()
 			var store Store
+			dir := t.TempDir()
 			if backend == "file" {
-				fs, err := NewFileStore(t.TempDir())
+				fs, err := NewFileStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -253,7 +403,7 @@ func TestRestartNoDoubleVoteNoTermRegress(t *testing.T) {
 			}
 			cfg.Endpoint = ep
 			if backend == "file" {
-				fs, err := NewFileStore(store.(*FileStore).dir)
+				fs, err := NewFileStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,6 @@
 package statedb
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,38 +9,33 @@ import (
 	"sync"
 
 	"fabricsim/internal/types"
+	"fabricsim/internal/wal"
 )
 
-// File layout of the "file" state backend, rooted at its directory:
-//
-//	state.snap  — sorted-run snapshot: full contents at some height
-//	wal.log     — write-ahead log of every ApplyUpdates batch since
-//
-// ApplyUpdates appends the batch to the WAL before touching the resident
-// map, so a crash never loses an acknowledged commit; reopening loads the
-// snapshot and replays the WAL tail. Flush folds the WAL into a fresh
-// snapshot (called by the ledger checkpointer and after flushEvery
-// batches). A torn trailing WAL record — a crash mid-append — is detected
-// by its length prefix and truncated away on open.
+// The "file" state backend keeps one record log (internal/wal),
+// state.log under its directory. Record 0 is a snapshot: the height and
+// the sorted entries (MarshalEntries) at that height. Every later record
+// is one ApplyUpdates batch, appended before the resident map is
+// touched, so a crash never loses an acknowledged commit; reopening
+// restores the snapshot and replays the batches after it. A torn
+// trailing record (crash mid-append) is truncated away on open. Flush
+// atomically rewrites the log as one fresh snapshot record (called by
+// the ledger checkpointer and after flushEvery batches).
 const (
-	walFileName  = "wal.log"
-	snapFileName = "state.snap"
-	// flushEvery bounds WAL growth between ledger checkpoints.
+	logName = "state.log"
+	// flushEvery bounds log growth between ledger checkpoints.
 	flushEvery = 512
 )
-
-var snapMagic = []byte("SDBSNAP1")
 
 // FileDB is the write-ahead-logged, file-backed state backend. Reads are
 // served from a resident in-memory DB (preserving the mem backend's MVCC
 // and zero-copy GetVersioned semantics exactly); writes are logged to
 // disk first.
 type FileDB struct {
-	mu         sync.Mutex // serializes writers: WAL append + apply + flush
-	mem        *DB
-	dir        string
-	wal        *os.File
-	walRecords int
+	mu      sync.Mutex // serializes writers: log append + apply + flush
+	mem     *DB
+	log     *wal.Log
+	batches int // batch records after the snapshot
 }
 
 var _ Store = (*FileDB)(nil)
@@ -56,85 +49,48 @@ func OpenFile(dir string) (*FileDB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("statedb: create dir: %w", err)
 	}
-	f := &FileDB{mem: New(), dir: dir}
-	if err := f.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := f.replayWAL(); err != nil {
-		return nil, err
-	}
-	wal, err := os.OpenFile(f.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f := &FileDB{mem: New()}
+	snapshot := false
+	log, err := wal.Open(filepath.Join(dir, logName), func(off int64, rec []byte) error {
+		if off == 0 {
+			err := f.restoreRecord(rec)
+			snapshot = err == nil
+			return err
+		}
+		batch, height, err := unmarshalWALRecord(rec)
+		if err != nil {
+			return wal.ErrCorrupt
+		}
+		f.batches++
+		if err := f.mem.ApplyUpdates(batch, height); err != nil {
+			return fmt.Errorf("statedb: replay log: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("statedb: open wal: %w", err)
+		return nil, fmt.Errorf("statedb: open log: %w", err)
 	}
-	f.wal = wal
+	f.log = log
+	if !snapshot {
+		if err := f.flushLocked(); err != nil {
+			log.Close()
+			return nil, err
+		}
+	}
 	return f, nil
 }
 
-func (f *FileDB) walPath() string  { return filepath.Join(f.dir, walFileName) }
-func (f *FileDB) snapPath() string { return filepath.Join(f.dir, snapFileName) }
-
-func (f *FileDB) loadSnapshot() error {
-	buf, err := os.ReadFile(f.snapPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("statedb: read snapshot: %w", err)
-	}
-	if !bytes.HasPrefix(buf, snapMagic) {
-		return fmt.Errorf("statedb: %s: bad magic", f.snapPath())
-	}
-	dec := types.NewDecoder(buf[len(snapMagic):])
+// restoreRecord installs a snapshot record: height, then entries.
+func (f *FileDB) restoreRecord(rec []byte) error {
+	dec := types.NewDecoder(rec)
 	var height types.Version
 	height.BlockNum = dec.Uvarint()
 	height.TxNum = dec.Uvarint()
 	entries, err := UnmarshalEntries(dec)
-	if err != nil {
-		return fmt.Errorf("statedb: decode snapshot: %w", err)
-	}
-	if err := dec.Finish(); err != nil {
-		return fmt.Errorf("statedb: decode snapshot: %w", err)
+	if err != nil || dec.Finish() != nil {
+		return wal.ErrCorrupt
 	}
 	return f.mem.Restore(entries, height)
-}
-
-// replayWAL applies every complete record past the snapshot height and
-// truncates a torn tail left by a crash mid-append.
-func (f *FileDB) replayWAL() error {
-	buf, err := os.ReadFile(f.walPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("statedb: read wal: %w", err)
-	}
-	off := 0
-	for off < len(buf) {
-		n, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < n {
-			break // torn tail: crash mid-append
-		}
-		batch, height, derr := unmarshalWALRecord(buf[off+sz : off+sz+int(n)])
-		if derr != nil {
-			break // corrupt tail record, same treatment
-		}
-		// Records at or below the snapshot height are leftovers from a
-		// crash between snapshot write and WAL truncate; skip them.
-		if cur := f.mem.Height(); height.Compare(cur) > 0 || cur == (types.Version{}) {
-			if err := f.mem.ApplyUpdates(batch, height); err != nil {
-				return fmt.Errorf("statedb: replay wal: %w", err)
-			}
-		}
-		off += sz + int(n)
-		f.walRecords++
-	}
-	if off < len(buf) {
-		if err := os.Truncate(f.walPath(), int64(off)); err != nil {
-			return fmt.Errorf("statedb: truncate torn wal: %w", err)
-		}
-	}
-	return nil
 }
 
 // Get returns a private copy of the versioned value for (ns, key).
@@ -157,28 +113,25 @@ func (f *FileDB) GetRange(ns, startKey, endKey string, limit int) ([]KV, error) 
 	return f.mem.GetRange(ns, startKey, endKey, limit)
 }
 
-// ApplyUpdates logs the batch to the WAL, then applies it to the
-// resident map. The write is acknowledged only after it is on disk.
+// ApplyUpdates logs the batch, then applies it to the resident map.
+// The write is acknowledged only after it is on disk.
 func (f *FileDB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if cur := f.mem.Height(); height.Compare(cur) <= 0 && cur != (types.Version{}) {
 		return fmt.Errorf("statedb: non-monotonic commit height %v after %v", height, cur)
 	}
-	if f.wal == nil {
+	if f.log == nil {
 		return ErrClosed
 	}
-	payload := marshalWALRecord(batch, height)
-	enc := types.NewEncoder(len(payload) + 10)
-	enc.Bytes2(payload)
-	if _, err := f.wal.Write(enc.Bytes()); err != nil {
-		return fmt.Errorf("statedb: wal append: %w", err)
+	if _, err := f.log.Append(marshalWALRecord(batch, height)); err != nil {
+		return fmt.Errorf("statedb: log append: %w", err)
 	}
 	if err := f.mem.ApplyUpdates(batch, height); err != nil {
 		return err
 	}
-	f.walRecords++
-	if f.walRecords >= flushEvery {
+	f.batches++
+	if f.batches >= flushEvery {
 		return f.flushLocked()
 	}
 	return nil
@@ -189,7 +142,7 @@ func (f *FileDB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 func (f *FileDB) Restore(entries []NSKV, height types.Version) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.wal == nil {
+	if f.log == nil {
 		return ErrClosed
 	}
 	if err := f.mem.Restore(entries, height); err != nil {
@@ -198,11 +151,11 @@ func (f *FileDB) Restore(entries []NSKV, height types.Version) error {
 	return f.flushLocked()
 }
 
-// Flush folds the WAL into a fresh sorted-run snapshot file.
+// Flush rewrites the log as one snapshot record of the current state.
 func (f *FileDB) Flush() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.wal == nil {
+	if f.log == nil {
 		return ErrClosed
 	}
 	return f.flushLocked()
@@ -213,32 +166,14 @@ func (f *FileDB) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].NS != entries[j].NS {
-			return entries[i].NS < entries[j].NS
-		}
-		return entries[i].Key < entries[j].Key
-	})
 	height := f.mem.Height()
-	enc := types.NewEncoder(len(snapMagic) + 20)
+	enc := types.NewEncoder(20)
 	enc.Uvarint(height.BlockNum)
 	enc.Uvarint(height.TxNum)
-	body := append(append(append([]byte(nil), snapMagic...), enc.Bytes()...), MarshalEntries(entries)...)
-	tmp := f.snapPath() + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return fmt.Errorf("statedb: write snapshot: %w", err)
+	if err := f.log.Rewrite(append(enc.Bytes(), MarshalEntries(entries)...)); err != nil {
+		return fmt.Errorf("statedb: flush: %w", err)
 	}
-	if err := os.Rename(tmp, f.snapPath()); err != nil {
-		return fmt.Errorf("statedb: install snapshot: %w", err)
-	}
-	// The snapshot now covers everything in the WAL; start it over.
-	if err := f.wal.Truncate(0); err != nil {
-		return fmt.Errorf("statedb: truncate wal: %w", err)
-	}
-	if _, err := f.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("statedb: rewind wal: %w", err)
-	}
-	f.walRecords = 0
+	f.batches = 0
 	return nil
 }
 
@@ -251,15 +186,15 @@ func (f *FileDB) KeyCount(ns string) int { return f.mem.KeyCount(ns) }
 // Namespaces returns the sorted namespaces present.
 func (f *FileDB) Namespaces() []string { return f.mem.Namespaces() }
 
-// Close releases file handles; subsequent operations fail. The WAL
+// Close releases file handles; subsequent operations fail. The log
 // already holds every acknowledged write, so nothing needs flushing.
 func (f *FileDB) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.mem.Close()
-	if f.wal != nil {
-		f.wal.Close()
-		f.wal = nil
+	if f.log != nil {
+		f.log.Close()
+		f.log = nil
 	}
 }
 

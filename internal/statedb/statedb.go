@@ -3,6 +3,10 @@
 // Every key carries the Version (block, tx) of the transaction that
 // last wrote it; MVCC validation in the validate phase compares a
 // transaction's read-set versions against these committed versions.
+//
+// Two backends implement Store: the in-memory DB, and FileDB, which
+// keeps the same resident map and logs every batch first to one
+// internal/wal record log whose record 0 is a snapshot.
 package statedb
 
 import (

@@ -2,13 +2,16 @@ package statedb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"fabricsim/internal/types"
+	"fabricsim/internal/wal"
 )
 
 func v(b, t uint64) types.Version { return types.Version{BlockNum: b, TxNum: t} }
@@ -408,8 +411,23 @@ func TestFileReopenReplaysWAL(t *testing.T) {
 	}
 }
 
-// TestFileFlushFoldsWAL: Flush writes the sorted-run snapshot, empties
-// the WAL, and later batches land in the fresh WAL.
+// logRecords counts the records of the state log in dir.
+func logRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	l, err := wal.Open(filepath.Join(dir, logName), func(int64, []byte) error {
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return n
+}
+
+// TestFileFlushFoldsWAL: Flush rewrites the log as its one snapshot
+// record, and later batches land after it.
 func TestFileFlushFoldsWAL(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenFile(dir)
@@ -419,14 +437,14 @@ func TestFileFlushFoldsWAL(t *testing.T) {
 	b := NewUpdateBatch()
 	b.Put("cc", "k", []byte("x"), v(1, 0))
 	_ = db.ApplyUpdates(b, v(1, 1))
+	if n := logRecords(t, dir); n != 2 {
+		t.Errorf("log holds %d records before flush, want snapshot + batch", n)
+	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() != 0 {
-		t.Errorf("WAL not emptied by flush: %v size=%d", err, fi.Size())
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName)); err != nil {
-		t.Errorf("snapshot missing after flush: %v", err)
+	if n := logRecords(t, dir); n != 1 {
+		t.Errorf("log holds %d records after flush, want the snapshot alone", n)
 	}
 	b2 := NewUpdateBatch()
 	b2.Put("cc", "k2", []byte("y"), v(2, 0))
@@ -458,7 +476,7 @@ func TestFileTornWALTruncated(t *testing.T) {
 	_ = db.ApplyUpdates(b, v(1, 1))
 	db.Close()
 
-	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,4 +506,100 @@ func TestFileTornWALTruncated(t *testing.T) {
 	if _, ok, _ := r2.Get("cc", "k2"); !ok {
 		t.Error("post-truncation append lost")
 	}
+}
+
+// TestFileCorruptSnapshotStartsOver: a log whose snapshot record does
+// not decode opens empty and starts again from a fresh snapshot, so the
+// next batch is not taken for record 0 on a later open.
+func TestFileCorruptSnapshotStartsOver(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte{2, 0xff, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Height() != (types.Version{}) || len(db.Namespaces()) != 0 {
+		t.Fatalf("corrupt snapshot opened at %v with %v", db.Height(), db.Namespaces())
+	}
+	b := NewUpdateBatch()
+	b.Put("cc", "k", []byte("x"), v(1, 0))
+	if err := db.ApplyUpdates(b, v(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	r, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if vv, ok, _ := r.Get("cc", "k"); !ok || string(vv.Value) != "x" {
+		t.Errorf("batch after a corrupt snapshot lost on reopen: %+v ok=%v", vv, ok)
+	}
+}
+
+// TestFileFlushAfterCrashMidRewrite: a crash between writing the
+// flushed temp file and renaming it leaves state.log intact beside a
+// stale state.log.tmp. The store reopens to the pre-flush state and the
+// next Flush succeeds.
+func TestFileFlushAfterCrashMidRewrite(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		b := NewUpdateBatch()
+		b.Put("cc", fmt.Sprintf("k%d", i), []byte{byte(i)}, v(i, 0))
+		if err := db.ApplyUpdates(b, v(i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := Hash(db)
+	db.Close()
+	if err := os.WriteFile(filepath.Join(dir, logName+".tmp"), []byte{9, 1, 2}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, _ := Hash(r); !bytes.Equal(got, want) {
+		t.Fatalf("reopened state differs:\n%s", r.DumpString())
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := logRecords(t, dir); n != 1 {
+		t.Errorf("log holds %d records after flush, want 1", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName+".tmp")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale temp file survived Flush: %v", err)
+	}
+}
+
+// FuzzOpenFile opens arbitrary bytes as state.log. The store may open
+// or refuse, but must not panic or allocate 1 MiB for the input. The
+// seeds in testdata/fuzz are logs a store really wrote.
+func FuzzOpenFile(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := OpenFile(dir)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			db.Close()
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("opening %d bytes allocated %d bytes", len(b), n)
+		}
+	})
 }

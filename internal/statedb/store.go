@@ -50,8 +50,8 @@ type Store interface {
 }
 
 // Flusher is implemented by backends that stage durability in a
-// write-ahead log: Flush folds the log into a compact sorted-run
-// snapshot file (the ledger checkpointer calls it).
+// write-ahead log: Flush folds the log into one sorted snapshot record
+// (the ledger checkpointer calls it).
 type Flusher interface {
 	Flush() error
 }
