@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -227,11 +228,8 @@ func TestEndorseFallbackWhenReplicaDown(t *testing.T) {
 	}}
 	req := &peer.EndorseRequest{Proposal: &types.Proposal{TxID: "tx1", ChaincodeID: "bench"}}
 	out := g.endorseOne(context.Background(), endorseTarget{principal: "Org1.peer0", node: "peer1"}, req, 64)
-	if out.err != nil {
-		t.Fatalf("fallback failed: %v", out.err)
-	}
-	if !out.resp.OK() {
-		t.Fatalf("fallback response not OK: %+v", out.resp)
+	if !out.OK() {
+		t.Fatalf("fallback failed: %+v", out)
 	}
 	if lt.Healthy("peer1") {
 		t.Error("failing replica not marked down")
@@ -257,7 +255,7 @@ func TestEndorseFallbackWhenReplicaDown(t *testing.T) {
 		PeersByPrincipal: map[string][]string{"Org9.peer0": {"peer9"}},
 	}}
 	out = g2.endorseOne(context.Background(), endorseTarget{principal: "Org9.peer0", node: "peer9"}, req, 64)
-	if out.err == nil {
-		t.Error("all-replicas-down endorsement succeeded")
+	if out.OK() || !strings.Contains(out.Message, "also down") {
+		t.Errorf("all-replicas-down endorsement = %+v, want the call's error", out)
 	}
 }

@@ -13,7 +13,10 @@
 // Invoke, the closed-loop SDK life cycle, is the same pipeline as
 // SubmitAsync without a window slot: one attempt loop runs every
 // transaction, and every Commit future resolves from the event peer's
-// commit-event stream.
+// commit-event stream. A future has no goroutine, timer or channel
+// waiting for its event: the event handler resolves it directly, and
+// ordering timeouts come from one deadline queue and one timer per
+// gateway.
 package gateway
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,11 +180,6 @@ type submissionTrace struct {
 	attempt int
 }
 
-// pendingTx is one registered commit-event waiter.
-type pendingTx struct {
-	ch chan peer.CommitEvent
-}
-
 // Gateway is one client process's connection to the network: it signs
 // proposals, fans endorsement requests out, broadcasts envelopes, and
 // resolves commit futures from the event stream.
@@ -192,11 +191,17 @@ type Gateway struct {
 	rrOrd atomic.Uint64 // round-robin cursor for orderers
 
 	mu      sync.Mutex
-	pending map[types.TxID]*pendingTx
+	pending map[types.TxID]*Commit
 	window  chan struct{} // SubmitAsync in-flight slots
+	// expiries holds every acked commit in ordering-deadline order, and
+	// expiryTimer fires at its head.
+	expiries    commitQueue
+	expiryTimer *time.Timer
 
-	subOnce sync.Once
-	subErr  error
+	// subMu serializes subscription attempts until one succeeds and sets
+	// connected.
+	subMu     sync.Mutex
+	connected atomic.Bool
 
 	// defOnce lazily builds the private balancer and load tracker used
 	// when the configuration shares neither (direct-construction tests
@@ -231,7 +236,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
-		pending: make(map[types.TxID]*pendingTx),
+		pending: make(map[types.TxID]*Commit),
 		window:  make(chan struct{}, cfg.MaxInFlight),
 	}
 	cfg.Endpoint.Handle(peer.KindCommitEvent, g.handleCommitEvents)
@@ -272,27 +277,36 @@ func (g *Gateway) policyFor(channel string) policy.Policy {
 }
 
 // Connect establishes the commit-event subscription on the event peer;
-// it is called lazily by the first Propose but may be called eagerly at
-// startup. Without an event peer it is a no-op, and every Commit
-// future resolves by the ordering timeout.
+// every Propose calls it until one subscription succeeds, so a failed
+// attempt is retried by the next call. It may also be called eagerly at
+// startup. Without an event peer it is a no-op, and every Commit future
+// resolves by the ordering timeout.
 func (g *Gateway) Connect(ctx context.Context) error {
-	g.subOnce.Do(func() {
-		if g.cfg.EventPeer == "" {
-			return
+	if g.connected.Load() {
+		return nil
+	}
+	g.subMu.Lock()
+	defer g.subMu.Unlock()
+	if g.connected.Load() {
+		return nil
+	}
+	if g.cfg.EventPeer != "" {
+		if _, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindSubscribeEvents, g.cfg.ID, 16); err != nil {
+			return fmt.Errorf("gateway %s: subscribe events: %w", g.cfg.ID, err)
 		}
-		_, err := g.cfg.Endpoint.Call(ctx, g.cfg.EventPeer, peer.KindSubscribeEvents, g.cfg.ID, 16)
-		if err != nil {
-			g.subErr = fmt.Errorf("gateway %s: subscribe events: %w", g.cfg.ID, err)
-		}
-	})
-	return g.subErr
+	}
+	g.connected.Store(true)
+	return nil
 }
 
 // buildProposal creates and signs one proposal. The caller has already
 // charged the client CPU cost.
 func (g *Gateway) buildProposal(channel, chaincodeID, fn string, args [][]byte) (*types.Proposal, []byte, error) {
-	n := g.nonce.Add(1)
-	nonce := []byte(fmt.Sprintf("%s-%d", g.cfg.ID, n))
+	// The nonce is "<gateway ID>-<counter>", built in one exact-size slice.
+	var digits [20]byte
+	n := strconv.AppendUint(digits[:0], g.nonce.Add(1), 10)
+	nonce := make([]byte, 0, len(g.cfg.ID)+1+len(n))
+	nonce = append(append(append(nonce, g.cfg.ID...), '-'), n...)
 	creator := g.cfg.Identity.Serialized()
 	prop := &types.Proposal{
 		TxID:        types.ComputeTxID(nonce, creator),
@@ -384,13 +398,15 @@ func (g *Gateway) replicasFor(principal string) []string {
 // exactly one replica per required principal — an AND over orgs with
 // replicated endorsers selects one peer per org, never "all available".
 func (g *Gateway) selectTargets(pol policy.Policy) ([]endorseTarget, error) {
-	principals := pol.Principals()
 	type replicaSet struct {
 		principal string
 		replicas  []string
 	}
-	avail := make([]replicaSet, 0, len(principals))
-	for _, pr := range principals {
+	// The candidates stay on the stack for policies over up to eight
+	// principals; only the returned targets are allocated.
+	var buf [8]replicaSet
+	avail := buf[:0]
+	for _, pr := range pol.Principals() {
 		if reps := g.replicasFor(pr); len(reps) > 0 {
 			avail = append(avail, replicaSet{principal: pr, replicas: reps})
 		}
@@ -405,19 +421,16 @@ func (g *Gateway) selectTargets(pol policy.Policy) ([]endorseTarget, error) {
 	if need > len(avail) {
 		need = len(avail) // degraded deployment: best effort, VSCC decides
 	}
-	chosen := avail
+	start := 0
 	if need < len(avail) {
 		// Round-robin the principal choice (OR/OutOf). The modulo runs
 		// in uint64 so the cursor never reaches int as a negative value,
 		// even after the counter wraps on 32-bit platforms.
-		start := int(g.rr.Add(1) % uint64(len(avail)))
-		chosen = make([]replicaSet, 0, need)
-		for i := 0; i < need; i++ {
-			chosen = append(chosen, avail[(start+i)%len(avail)])
-		}
+		start = int(g.rr.Add(1) % uint64(len(avail)))
 	}
-	targets := make([]endorseTarget, 0, len(chosen))
-	for _, rs := range chosen {
+	targets := make([]endorseTarget, 0, need)
+	for i := 0; i < need; i++ {
+		rs := avail[(start+i)%len(avail)]
 		node := rs.replicas[0]
 		if len(rs.replicas) > 1 {
 			node = g.balancer().Pick(rs.principal, rs.replicas, g.loads())
@@ -433,46 +446,52 @@ func (g *Gateway) baseLatency(ctx context.Context) error {
 	return simcpu.Sleep(ctx, g.cfg.Model.ScaledDelay(g.cfg.Model.ClientBaseLatency))
 }
 
-// endorseOutcome is one target's endorsement result.
-type endorseOutcome struct {
-	resp *types.ProposalResponse
-	err  error
-}
-
 // collectEndorsements fans the proposal out — one call per selected
 // target, each maintaining the shared load accounting — and gathers all
-// responses. The last target's call runs on the calling goroutine, so a
+// responses, failing on the first one in target order that is not OK.
+// The last target's call runs on the calling goroutine, so a
 // single-target proposal starts no goroutine.
 func (g *Gateway) collectEndorsements(ctx context.Context, targets []endorseTarget, prop *types.Proposal, sig []byte) ([]*types.ProposalResponse, error) {
 	req := &peer.EndorseRequest{Proposal: prop, Sig: sig}
-	size := len(prop.Marshal()) + len(sig) + 32
-
-	results := make([]endorseOutcome, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		if i == len(targets)-1 {
-			results[i] = g.endorseOne(ctx, t, req, size)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = g.endorseOne(ctx, t, req, size)
-		}()
+	size := prop.Size() + len(sig) + 32
+	out := make([]*types.ProposalResponse, len(targets))
+	last := len(targets) - 1
+	var wg *sync.WaitGroup
+	if last > 0 {
+		wg = g.fanOut(ctx, targets[:last], req, size, out)
 	}
-	wg.Wait()
-
-	out := make([]*types.ProposalResponse, 0, len(targets))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEndorsementFailed, r.err)
+	out[last] = g.endorseOne(ctx, targets[last], req, size)
+	if wg != nil {
+		wg.Wait()
+	}
+	for _, r := range out {
+		if !r.OK() {
+			return nil, fmt.Errorf("%w: %s", ErrEndorsementFailed, r.Message)
 		}
-		if !r.resp.OK() {
-			return nil, fmt.Errorf("%w: %s", ErrEndorsementFailed, r.resp.Message)
-		}
-		out = append(out, r.resp)
 	}
 	return out, nil
+}
+
+// fanOut starts one endorseOne goroutine per target, each writing its
+// response to the same index of out, and returns the group to wait on.
+// It is its own function so that a single-target collectEndorsements,
+// which never calls it, allocates no WaitGroup.
+func (g *Gateway) fanOut(ctx context.Context, targets []endorseTarget, req *peer.EndorseRequest, size int, out []*types.ProposalResponse) *sync.WaitGroup {
+	wg := new(sync.WaitGroup)
+	wg.Add(len(targets))
+	for i, t := range targets {
+		go func() {
+			defer wg.Done()
+			out[i] = g.endorseOne(ctx, t, req, size)
+		}()
+	}
+	return wg
+}
+
+// callFailed is the refusal endorseOne reports when no replica answered:
+// a non-OK response whose message is the call's error.
+func callFailed(err error) *types.ProposalResponse {
+	return &types.ProposalResponse{Message: err.Error()}
 }
 
 // endorseOne calls one selected replica, recording in-flight counts and
@@ -484,7 +503,8 @@ func (g *Gateway) collectEndorsements(ctx context.Context, targets []endorseTarg
 // down-mark a peer in the tracker every gateway shares.
 // Application-level refusals (status != 200) are never retried: every
 // replica of a principal would refuse the same proposal the same way.
-func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.EndorseRequest, size int) endorseOutcome {
+// A call that fails on every replica returns callFailed's response.
+func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.EndorseRequest, size int) *types.ProposalResponse {
 	lt := g.loads()
 	node := t.node
 	var tried map[string]bool
@@ -498,15 +518,15 @@ func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.End
 			lt.Done(node, rtt, true)
 			resp, ok := raw.(*types.ProposalResponse)
 			if !ok {
-				return endorseOutcome{err: fmt.Errorf("gateway: bad endorse reply %T", raw)}
+				return callFailed(fmt.Errorf("gateway: bad endorse reply %T", raw))
 			}
 			if g.cfg.Collector != nil && resp.OK() {
 				g.cfg.Collector.Endorse(node, rtt)
 			}
-			return endorseOutcome{resp: resp}
+			return resp
 		case ctx.Err() != nil:
 			lt.Abort(node)
-			return endorseOutcome{err: err}
+			return callFailed(err)
 		default:
 			lt.Done(node, rtt, false)
 		}
@@ -525,7 +545,7 @@ func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.End
 			}
 		}
 		if len(rest) == 0 {
-			return endorseOutcome{err: err}
+			return callFailed(err)
 		}
 		node = g.balancer().Pick(t.principal, rest, lt)
 	}
@@ -548,46 +568,38 @@ func checkResponses(responses []*types.ProposalResponse) (*types.RWSet, []types.
 	return first.Results, endorsements, first.Payload, nil
 }
 
-// registerPending installs a commit-event waiter for a TxID.
-func (g *Gateway) registerPending(id types.TxID) *pendingTx {
-	pend := &pendingTx{ch: make(chan peer.CommitEvent, 1)}
-	g.mu.Lock()
-	g.pending[id] = pend
-	g.mu.Unlock()
-	return pend
-}
-
-// unregisterPending removes a commit-event waiter.
-func (g *Gateway) unregisterPending(id types.TxID) {
-	g.mu.Lock()
-	delete(g.pending, id)
-	g.mu.Unlock()
-}
-
-// pendingCount reports the number of unresolved commit waiters.
+// pendingCount reports the number of commits waiting for their event.
 func (g *Gateway) pendingCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.pending)
 }
 
-// handleCommitEvents matches batched commit events to pending futures.
-// Events for unknown (never submitted or already resolved) TxIDs are
-// dropped; a duplicate event for a TxID whose buffered slot is already
-// full is likewise dropped rather than blocking the event stream.
+// handleCommitEvents resolves the pending futures of a batch of commit
+// events. An event whose broadcast ack is not recorded yet is kept on its
+// commit, which Submit resolves once the ack is recorded. Events for
+// unknown (never submitted or already resolved) TxIDs, duplicates
+// included, are dropped.
 func (g *Gateway) handleCommitEvents(_ context.Context, _ string, payload any) (any, int, error) {
 	events, ok := payload.([]peer.CommitEvent)
 	if !ok {
 		return nil, 0, fmt.Errorf("gateway: bad commit event payload %T", payload)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, ev := range events {
-		if p, ok := g.pending[ev.TxID]; ok {
-			select {
-			case p.ch <- ev:
-			default:
+	for i := range events {
+		ev := &events[i]
+		g.mu.Lock()
+		c, ok := g.pending[ev.TxID]
+		resolveNow := ok && c.acked
+		if ok {
+			g.claimLocked(c)
+			if !c.acked {
+				early := *ev
+				c.early = &early
 			}
+		}
+		g.mu.Unlock()
+		if resolveNow {
+			g.resolve(c, *ev)
 		}
 	}
 	return nil, 0, nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,7 +204,7 @@ func TestNewRequiresOrderers(t *testing.T) {
 // are injected by the test through the stub peer's endpoint, or pushed
 // by the stub orderer itself when commitCode is set.
 type stubNet struct {
-	t      *testing.T
+	t      testing.TB
 	gw     *Gateway
 	peerEP transport.Endpoint
 	// broadcasts counts envelopes the stub orderer accepted.
@@ -214,9 +216,18 @@ type stubNet struct {
 	// peer with the code commitCode returns. attempt counts broadcasts
 	// from 1.
 	commitCode func(attempt int, id types.TxID) types.ValidationCode
+	// onBroadcast, when non-nil, runs in the stub orderer for every
+	// broadcast before it acks; n counts broadcasts from 1, and a
+	// returned error fails the broadcast.
+	onBroadcast func(n int, id types.TxID) error
+	// subscribeFailures is how many event subscriptions the stub peer
+	// refuses before it accepts one; subscribed is set once it accepted
+	// one, and commitCode pushes events only after that.
+	subscribeFailures atomic.Int32
+	subscribed        atomic.Bool
 }
 
-func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *stubNet {
+func newStubNet(t testing.TB, mutate func(cfg *Config), opts func(s *stubNet)) *stubNet {
 	t.Helper()
 	s := &stubNet{t: t}
 	if opts != nil {
@@ -241,6 +252,10 @@ func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *
 	s.peerEP = peerEP
 
 	peerEP.Handle(peer.KindSubscribeEvents, func(_ context.Context, _ string, _ any) (any, int, error) {
+		if s.subscribeFailures.Add(-1) >= 0 {
+			return nil, 0, errors.New("stub peer: subscribe refused")
+		}
+		s.subscribed.Store(true)
 		return "OK", 2, nil
 	})
 	peerEP.Handle(peer.KindEndorse, func(_ context.Context, _ string, payload any) (any, int, error) {
@@ -259,13 +274,21 @@ func newStubNet(t *testing.T, mutate func(cfg *Config), opts func(s *stubNet)) *
 	})
 	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, payload any) (any, int, error) {
 		n := s.broadcasts.Add(1)
-		if s.commitCode != nil {
+		if s.commitCode != nil || s.onBroadcast != nil {
 			info, err := types.PeekEnvelopeInfo(payload.(*orderer.BroadcastEnvelope).Env)
 			if err != nil {
 				return nil, 0, err
 			}
-			if err := s.pushCommit(info.TxID, s.commitCode(int(n), info.TxID)); err != nil {
-				return nil, 0, err
+			id := types.TxID(strings.Clone(string(info.TxID)))
+			if s.onBroadcast != nil {
+				if err := s.onBroadcast(int(n), id); err != nil {
+					return nil, 0, err
+				}
+			}
+			if s.commitCode != nil && s.subscribed.Load() {
+				if err := s.pushCommit(id, s.commitCode(int(n), id)); err != nil {
+					return nil, 0, err
+				}
 			}
 		}
 		return "ACK", 3, nil
@@ -709,8 +732,8 @@ func TestStatusTimeoutCleansPending(t *testing.T) {
 	if !errors.Is(err, ErrOrderingTimeout) {
 		t.Fatalf("err = %v, status = %+v", err, st)
 	}
-	// unregisterPending runs before the future resolves, so by the time
-	// Invoke returned the map must be empty.
+	// The expiry takes the commit out of the pending map before it
+	// resolves it, so by the time Invoke returned the map must be empty.
 	if n := s.gw.pendingCount(); n != 0 {
 		t.Fatalf("pending entries leaked after timeout: %d", n)
 	}
@@ -731,16 +754,27 @@ func TestCommitEventForUnknownTxID(t *testing.T) {
 
 func TestDuplicateCommitEvents(t *testing.T) {
 	s := newStubNet(t, nil, nil)
-	pend := s.gw.registerPending("tx-dup")
-	defer s.gw.unregisterPending("tx-dup")
-	events := []peer.CommitEvent{{TxID: "tx-dup", Code: types.ValidationValid, BlockNum: 2}}
+	ctx := context.Background()
+	prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := prop.Endorse(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmt, err := txn.Submit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two deliveries (e.g. a redundant event peer): the second must be
 	// dropped rather than blocking the event-stream handler.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2; i++ {
-			if _, _, err := s.gw.handleCommitEvents(context.Background(), "peer1", events); err != nil {
+			events := []peer.CommitEvent{{TxID: prop.TxID(), Code: types.ValidationValid, BlockNum: uint64(2 + i)}}
+			if _, _, err := s.gw.handleCommitEvents(ctx, "peer1", events); err != nil {
 				t.Error(err)
 			}
 		}
@@ -750,14 +784,272 @@ func TestDuplicateCommitEvents(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("duplicate event delivery blocked")
 	}
-	ev := <-pend.ch
-	if ev.BlockNum != 2 {
-		t.Fatalf("event = %+v", ev)
+	st, err := cmt.Status(ctx)
+	if err != nil || st.BlockNum != 2 {
+		t.Fatalf("status = %+v, %v; want the first delivery's block 2", st, err)
 	}
-	select {
-	case ev := <-pend.ch:
-		t.Fatalf("duplicate event delivered: %+v", ev)
-	default:
+	if n := s.gw.pendingCount(); n != 0 {
+		t.Fatalf("pending entries leaked: %d", n)
+	}
+}
+
+// TestCommitEventBeforeAck delivers the commit event inside the
+// orderer's broadcast handler, before the ack: the future still resolves
+// with the event's outcome, and only after the ack.
+func TestCommitEventBeforeAck(t *testing.T) {
+	col := metrics.NewCollector()
+	var s *stubNet
+	s = newStubNet(t, func(cfg *Config) { cfg.Collector = col }, func(sn *stubNet) {
+		sn.onBroadcast = func(_ int, id types.TxID) error {
+			_, _, err := s.gw.handleCommitEvents(context.Background(), "peer1",
+				[]peer.CommitEvent{{TxID: id, Code: types.ValidationMVCCConflict, BlockNum: 7}})
+			for _, r := range col.Records() {
+				if !r.Committed.IsZero() {
+					t.Errorf("%s resolved before its broadcast was acked", r.ID)
+				}
+			}
+			return err
+		}
+	})
+	st, err := s.gw.Invoke(context.Background(), "", "bench", "write", writeArgs)
+	if !errors.Is(err, ErrMVCCConflict) || st == nil || st.BlockNum != 7 {
+		t.Fatalf("status = %+v, %v; want the early event's MVCC conflict in block 7", st, err)
+	}
+	recs := col.Records()
+	if len(recs) != 1 || recs[0].Broadcast.IsZero() || recs[0].Committed.IsZero() || recs[0].Rejected {
+		t.Fatalf("records = %+v, want one acked and committed record", recs)
+	}
+	if n := s.gw.pendingCount(); n != 0 {
+		t.Fatalf("pending entries leaked: %d", n)
+	}
+}
+
+// TestCommitExactlyOnceStress submits 8 x 500 transactions through the
+// staged API while the stub orderer delivers each commit event one of
+// five ways: before the ack, twice before the ack, near the ordering
+// timeout, twice after the ack, or never. Every future must resolve
+// once, with its event's outcome or ErrOrderingTimeout, and the
+// collector must hold exactly one of Committed or Rejected per TxID.
+func TestCommitExactlyOnceStress(t *testing.T) {
+	const goroutines, perGoroutine = 8, 500
+	const (
+		beforeAck = iota
+		twiceBeforeAck
+		nearTimeout
+		twiceAfterAck
+		never
+		deliveries
+	)
+	col := metrics.NewCollector()
+	var (
+		mu     sync.Mutex
+		plan   = make(map[types.TxID]int)
+		codes  = make(map[types.TxID]types.ValidationCode)
+		pushes sync.WaitGroup
+		s      *stubNet
+	)
+	s = newStubNet(t, func(cfg *Config) { cfg.Collector = col }, func(sn *stubNet) {
+		sn.onBroadcast = func(n int, id types.TxID) error {
+			kind := n % deliveries
+			code := types.ValidationValid
+			if n%3 == 0 {
+				code = types.ValidationMVCCConflict
+			}
+			mu.Lock()
+			plan[id], codes[id] = kind, code
+			mu.Unlock()
+			push := func() { _ = sn.pushCommit(id, code) }
+			later := func(d time.Duration, times int) {
+				pushes.Add(1)
+				time.AfterFunc(d, func() {
+					defer pushes.Done()
+					for i := 0; i < times; i++ {
+						push()
+					}
+				})
+			}
+			timeout := s.gw.cfg.Model.ScaledDelay(s.gw.cfg.Model.OrderTimeout)
+			switch kind {
+			case beforeAck:
+				_, _, err := s.gw.handleCommitEvents(context.Background(), "peer1",
+					[]peer.CommitEvent{{TxID: id, Code: code, BlockNum: 1}})
+				return err
+			case twiceBeforeAck:
+				push()
+				push()
+			case nearTimeout:
+				later(timeout*4/5+time.Duration(n%9)*timeout/20, 1)
+			case twiceAfterAck:
+				later(time.Millisecond, 2)
+			}
+			return nil
+		}
+	})
+
+	ctx := context.Background()
+	commits := make([][]*Commit, goroutines)
+	var wg sync.WaitGroup
+	for g := range commits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				txn, err := prop.Endorse(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cmt, err := txn.Submit(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				commits[g] = append(commits[g], cmt)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	outcome := make(map[types.TxID]error)
+	for _, cs := range commits {
+		for _, cmt := range cs {
+			sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			st, err := cmt.Status(sctx)
+			cancel()
+			id := cmt.TxID()
+			mu.Lock()
+			kind, code := plan[id], codes[id]
+			mu.Unlock()
+			switch {
+			case errors.Is(err, ErrOrderingTimeout):
+				if kind == beforeAck {
+					t.Errorf("%s: delivered before the ack, but timed out", id)
+				}
+			case err == nil || errors.Is(err, ErrInvalidated):
+				if kind == never || st == nil || st.Code != code || (err == nil) != code.Valid() {
+					t.Errorf("%s (delivery %d, code %s): status %+v, %v", id, kind, code, st, err)
+				}
+			default:
+				t.Errorf("%s: unexpected error %v", id, err)
+			}
+			outcome[id] = err
+		}
+	}
+	pushes.Wait()
+	if n := s.gw.pendingCount(); n != 0 {
+		t.Errorf("pending entries leaked: %d", n)
+	}
+	recs := col.Records()
+	if len(recs) != goroutines*perGoroutine {
+		t.Fatalf("records = %d, want %d", len(recs), goroutines*perGoroutine)
+	}
+	for _, r := range recs {
+		committed := !r.Committed.IsZero()
+		if committed == r.Rejected {
+			t.Errorf("%s: committed %v, rejected %v; want exactly one", r.ID, committed, r.Rejected)
+		}
+		if r.Rejected != errors.Is(outcome[r.ID], ErrOrderingTimeout) {
+			t.Errorf("%s: collector rejected %v, future error %v", r.ID, r.Rejected, outcome[r.ID])
+		}
+	}
+}
+
+// TestFailedBroadcastLeavesNoPending fails every broadcast, after the
+// commit event was already sent: Submit must leave no pending entry, and
+// no ordering timeout may resolve the dead submission later.
+func TestFailedBroadcastLeavesNoPending(t *testing.T) {
+	tr := trace.New(0)
+	var s *stubNet
+	s = newStubNet(t, func(cfg *Config) { cfg.Tracer = tr }, func(sn *stubNet) {
+		sn.onBroadcast = func(_ int, id types.TxID) error {
+			if err := sn.pushCommit(id, types.ValidationValid); err != nil {
+				return err
+			}
+			return errors.New("stub orderer: broadcast refused")
+		}
+	})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn, err := prop.Endorse(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Submit(ctx); !errors.Is(err, ErrOrdererUnavailable) {
+			t.Fatalf("Submit err = %v, want ErrOrdererUnavailable", err)
+		}
+		if n := s.gw.pendingCount(); n != 0 {
+			t.Fatalf("failed broadcast left %d pending entries", n)
+		}
+	}
+	time.Sleep(3 * s.gw.cfg.Model.ScaledDelay(s.gw.cfg.Model.OrderTimeout))
+	for _, tid := range tr.TraceIDs() {
+		for _, sp := range tr.Spans(tid) {
+			if sp.Name == trace.SpanGatewayCommitWait {
+				t.Fatalf("trace %s resolved after a failed broadcast: %+v", tid, sp)
+			}
+		}
+	}
+}
+
+// TestSubmitStartsNoGoroutine submits 1 000 staged transactions that
+// nobody awaits, under an ordering timeout none of them reaches: a
+// pending commit must cost no goroutine.
+func TestSubmitStartsNoGoroutine(t *testing.T) {
+	s := newStubNet(t, func(cfg *Config) { cfg.Model.OrderTimeout = time.Hour }, nil)
+	ctx := context.Background()
+	submit := func() {
+		prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn, err := prop.Endorse(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Submit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit() // subscribes and starts the stubs' handler workers
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		submit()
+	}
+	if grown := runtime.NumGoroutine() - before; grown > 50 {
+		t.Fatalf("1 000 pending commits grew the goroutine count by %d", grown)
+	}
+	if n := s.gw.pendingCount(); n != 1001 {
+		t.Fatalf("pending = %d, want 1001", n)
+	}
+}
+
+// TestConnectRetriesAfterSubscribeFailure refuses the first event
+// subscription: the Invoke that hit it fails, and the next one
+// subscribes again and commits.
+func TestConnectRetriesAfterSubscribeFailure(t *testing.T) {
+	s := newStubNet(t, nil, func(sn *stubNet) {
+		sn.subscribeFailures.Store(1)
+		sn.commitCode = func(int, types.TxID) types.ValidationCode { return types.ValidationValid }
+	})
+	ctx := context.Background()
+	if _, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs); err == nil {
+		t.Fatal("Invoke succeeded although the event subscription was refused")
+	}
+	st, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs)
+	if err != nil || !st.Committed {
+		t.Fatalf("second Invoke: status = %+v, %v", st, err)
 	}
 }
 
@@ -833,5 +1125,69 @@ func TestEvaluateChargesCostModel(t *testing.T) {
 	floor := model.ScaledDelay(model.ClientBaseLatency)
 	if elapsed := time.Since(start); elapsed < floor {
 		t.Fatalf("query returned in %v, below the %v cost-model floor", elapsed, floor)
+	}
+}
+
+// TestNonceMatchesSprintf holds the appended nonce to the formatted one
+// it replaced, "<gateway ID>-<counter>", at counters 0, 1 and the
+// largest, and checks it is allocated at its exact size.
+func TestNonceMatchesSprintf(t *testing.T) {
+	s := newStubNet(t, nil, nil)
+	for _, n := range []uint64{0, 1, math.MaxUint64} {
+		s.gw.nonce.Store(n - 1)
+		prop, _, err := s.gw.buildProposal("perf", "bench", "write", writeArgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%s-%d", s.gw.cfg.ID, n); string(prop.Nonce) != want {
+			t.Errorf("nonce = %q, want %q", prop.Nonce, want)
+		}
+		if cap(prop.Nonce) != len(prop.Nonce) {
+			t.Errorf("nonce %q: capacity %d, want its length", prop.Nonce, cap(prop.Nonce))
+		}
+		if want := types.ComputeTxID(prop.Nonce, prop.Creator); prop.TxID != want {
+			t.Errorf("TxID = %s, want %s", prop.TxID, want)
+		}
+	}
+}
+
+// newCommittingStub is a stub network whose orderer commits every
+// broadcast as valid.
+func newCommittingStub(tb testing.TB) *stubNet {
+	return newStubNet(tb, nil, func(s *stubNet) {
+		s.commitCode = func(int, types.TxID) types.ValidationCode { return types.ValidationValid }
+	})
+}
+
+// TestInvokeAllocs pins the allocations of one closed-loop Invoke on the
+// stub network, the stubs' own included. It read 51 while each commit
+// had a waiter goroutine, channel and timer and each proposal a
+// formatted nonce and scratch slices, and 35 without them (go1.24); the
+// bound leaves 3 for the toolchain's own timer and context allocations.
+func TestInvokeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	s := newCommittingStub(t)
+	ctx := context.Background()
+	invoke := func() {
+		if _, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke()
+	if allocs := testing.AllocsPerRun(200, invoke); allocs > 38 {
+		t.Errorf("Invoke: %.1f allocations, want <= 38", allocs)
+	}
+}
+
+func BenchmarkInvoke(b *testing.B) {
+	s := newCommittingStub(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -84,6 +84,15 @@ type Commit struct {
 	ackedAt time.Time
 	attempt int
 
+	// Guarded by the gateway's mu. claimed is set by whichever of the
+	// commit event, the ordering timeout and a failed broadcast takes
+	// the commit out of the pending map first; only that one resolves
+	// it. acked is set once Submit has recorded the broadcast ack, and
+	// early keeps an event that was claimed before that.
+	claimed bool
+	acked   bool
+	early   *peer.CommitEvent
+
 	done   chan struct{}
 	status *Status
 	err    error
@@ -274,37 +283,151 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 
 // Submit runs the Submit stage: it broadcasts the envelope to the
 // ordering service and returns a Commit future that resolves on the
-// commit event or the ordering timeout. The pending registration is
-// installed before the broadcast so the event can never outrace it.
+// commit event or the ordering timeout. The future enters the pending
+// map before the broadcast so the event can never outrace it; it
+// resolves only after the ack is recorded, so an event that arrives
+// first is kept on it until then.
 func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 	g := t.gw
-	pend := g.registerPending(t.prop.TxID)
+	c := newCommit(g)
+	c.txID = t.prop.TxID
+	c.payload = t.payload
+	c.attempt = t.attempt
+	tr := g.cfg.Tracer
+	if tr.Enabled() && t.prop.TraceID != "" {
+		c.traceID = trace.TraceID(t.prop.TraceID)
+	}
+	g.mu.Lock()
+	g.pending[c.txID] = c
+	g.mu.Unlock()
+
 	benv := &orderer.BroadcastEnvelope{Channel: t.channel, Env: t.env}
 	if err := g.broadcast(ctx, benv, len(t.env)+len(t.channel)+16); err != nil {
-		g.unregisterPending(t.prop.TxID)
+		g.mu.Lock()
+		g.claimLocked(c)
+		g.mu.Unlock()
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(t.prop.TxID)
 		}
 		return nil, fmt.Errorf("gateway %s: broadcast: %w", g.cfg.ID, err)
 	}
-	acked := time.Now()
+	acked := g.queueExpiry(c)
 	if g.cfg.Collector != nil {
 		g.cfg.Collector.BroadcastAcked(t.prop.TxID, acked)
 	}
-
-	c := newCommit(g)
-	c.txID = t.prop.TxID
-	c.payload = t.payload
-	c.attempt = t.attempt
-	if tr := g.cfg.Tracer; tr.Enabled() && t.prop.TraceID != "" {
-		c.traceID = trace.TraceID(t.prop.TraceID)
-		c.ackedAt = acked
+	if c.traceID != "" {
 		tr.Record(c.traceID, trace.SpanGatewaySubmit, g.cfg.ID, t.boundary, acked,
 			"attempt", fmt.Sprint(t.attempt),
 			"channel", t.channel)
 	}
-	go g.awaitCommit(c, pend)
+	g.mu.Lock()
+	c.acked = true
+	early := c.early
+	g.mu.Unlock()
+	if early != nil {
+		g.resolve(c, *early)
+	}
 	return c, nil
+}
+
+// expiry is one acked commit's ordering deadline.
+type expiry struct {
+	deadline time.Time
+	c        *Commit
+}
+
+// commitQueue is a FIFO of expiries. Popped slots are cleared, and the
+// live entries move to the front of the array once at least half of it
+// is popped, so a steady flow of commits allocates nothing.
+type commitQueue struct {
+	entries []expiry
+	head    int
+}
+
+func (q *commitQueue) empty() bool { return q.head == len(q.entries) }
+
+func (q *commitQueue) push(e expiry) { q.entries = append(q.entries, e) }
+
+func (q *commitQueue) front() expiry { return q.entries[q.head] }
+
+func (q *commitQueue) pop() {
+	q.entries[q.head] = expiry{}
+	q.head++
+	if q.head*2 >= len(q.entries) {
+		n := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[n:])
+		q.entries, q.head = q.entries[:n], 0
+	}
+}
+
+// queueExpiry stamps the commit's broadcast ack and, unless its event
+// already claimed it, queues its ordering deadline. Every commit waits
+// the same timeout from an ack stamped under the gateway's lock, so the
+// queue is in deadline order by construction. It returns the ack time.
+func (g *Gateway) queueExpiry(c *Commit) time.Time {
+	timeout := g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c.ackedAt = time.Now()
+	if c.claimed {
+		return c.ackedAt
+	}
+	wasEmpty := g.expiries.empty()
+	g.expiries.push(expiry{deadline: c.ackedAt.Add(timeout), c: c})
+	switch {
+	case g.expiryTimer == nil:
+		g.expiryTimer = time.AfterFunc(timeout, g.expire)
+	case wasEmpty:
+		g.expiryTimer.Reset(timeout)
+	}
+	return c.ackedAt
+}
+
+// expire runs on the expiry timer: it resolves every queued commit whose
+// deadline has passed and that nothing else claimed, skips the claimed
+// ones, and re-arms the timer for the first deadline still ahead.
+func (g *Gateway) expire() {
+	for {
+		g.mu.Lock()
+		c := g.nextExpiredLocked(time.Now())
+		g.mu.Unlock()
+		if c == nil {
+			return
+		}
+		g.resolveTimeout(c)
+	}
+}
+
+// nextExpiredLocked pops and claims the first queued commit that is
+// unclaimed and past its deadline. It returns nil, with the timer
+// re-armed, once the queue is empty or its head is still ahead of now.
+func (g *Gateway) nextExpiredLocked(now time.Time) *Commit {
+	for !g.expiries.empty() {
+		e := g.expiries.front()
+		if !e.c.claimed && now.Before(e.deadline) {
+			g.expiryTimer.Reset(e.deadline.Sub(now))
+			return nil
+		}
+		g.expiries.pop()
+		if g.claimLocked(e.c) {
+			return e.c
+		}
+	}
+	return nil
+}
+
+// claimLocked takes the commit out of the pending map; it reports false
+// when something else already did, and then the caller must not resolve
+// the commit. The caller holds g.mu.
+func (g *Gateway) claimLocked(c *Commit) bool {
+	if c.claimed {
+		return false
+	}
+	c.claimed = true
+	if g.pending[c.txID] == c {
+		delete(g.pending, c.txID)
+	}
+	return true
 }
 
 // broadcastBackoff is the model-time pause between successive OSN
@@ -325,7 +448,8 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	lt := g.loads()
 	nOrd := uint64(len(g.cfg.Orderers))
 	start := g.rrOrd.Add(1)
-	rotation := make([]string, 0, nOrd)
+	var buf [8]string
+	rotation := buf[:0]
 	for i := uint64(0); i < nOrd; i++ {
 		rotation = append(rotation, g.cfg.Orderers[(start+i)%nOrd])
 	}
@@ -359,25 +483,6 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 		lastErr = err
 	}
 	return fmt.Errorf("%w (last error: %v)", ErrOrdererUnavailable, lastErr)
-}
-
-// awaitCommit resolves one Commit future from the event stream in the
-// background. Running it detached from Status callers guarantees the
-// pending map is cleaned up after the ordering timeout even for
-// fire-and-forget submissions nobody ever awaits.
-func (g *Gateway) awaitCommit(c *Commit, pend *pendingTx) {
-	timeout := time.NewTimer(g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout))
-	defer timeout.Stop()
-	// The pending entry is removed before the future resolves, so a
-	// resolved future implies no leaked map entry.
-	select {
-	case ev := <-pend.ch:
-		g.unregisterPending(c.txID)
-		g.resolve(c, ev)
-	case <-timeout.C:
-		g.unregisterPending(c.txID)
-		g.resolveTimeout(c)
-	}
 }
 
 // resolve completes a future from a commit event.

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Codec errors.
@@ -78,6 +79,12 @@ func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
+
+// uvarintSize is the length of v's Uvarint encoding.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// fieldSize is the encoded length of an n-byte Bytes2 or String field.
+func fieldSize(n int) int { return uvarintSize(uint64(n)) + n }
 
 // Decoder consumes a deterministic binary encoding produced by Encoder.
 type Decoder struct {

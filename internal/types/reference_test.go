@@ -1,6 +1,8 @@
 package types
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 )
@@ -107,6 +109,15 @@ func refPeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 		return nil, fmt.Errorf("peek envelope: %w", err)
 	}
 	return &EnvelopeInfo{TxID: p.TxID, ChaincodeID: p.ChaincodeID, TraceID: p.TraceID, Results: rw}, nil
+}
+
+// refComputeTxID is ComputeTxID as it was before it hashed in a stack
+// buffer: the ID strings must stay byte-identical.
+func refComputeTxID(nonce, creator []byte) TxID {
+	h := sha256.New()
+	h.Write(nonce)
+	h.Write(creator)
+	return TxID(hex.EncodeToString(h.Sum(nil)))
 }
 
 // refBlockTransactions is Block.Transactions over the reference decode.

@@ -86,13 +86,28 @@ type Proposal struct {
 }
 
 // ComputeTxID derives the transaction ID the way Fabric does: a hash of
-// the client nonce concatenated with the creator identity.
+// the client nonce concatenated with the creator identity. The ID string
+// is its one allocation while nonce and creator fit txIDScratch bytes.
 func ComputeTxID(nonce, creator []byte) TxID {
-	h := sha256.New()
-	h.Write(nonce)
-	h.Write(creator)
-	return TxID(hex.EncodeToString(h.Sum(nil)))
+	var sum [sha256.Size]byte
+	if n := len(nonce) + len(creator); n <= txIDScratch {
+		var buf [txIDScratch]byte
+		copy(buf[copy(buf[:], nonce):], creator)
+		sum = sha256.Sum256(buf[:n])
+	} else {
+		h := sha256.New()
+		h.Write(nonce)
+		h.Write(creator)
+		copy(sum[:], h.Sum(nil))
+	}
+	var id [2 * sha256.Size]byte
+	hex.Encode(id[:], sum[:])
+	return TxID(id[:])
 }
+
+// txIDScratch is the stack buffer ComputeTxID hashes nonce || creator
+// in; a serialized client identity is a few hundred bytes.
+const txIDScratch = 1024
 
 func (p *Proposal) encode(enc *Encoder) {
 	enc.String(string(p.TxID))
@@ -111,15 +126,21 @@ func (p *Proposal) encode(enc *Encoder) {
 	enc.String(p.TraceID)
 }
 
-// Marshal returns the deterministic encoding of the proposal.
-func (p *Proposal) Marshal() []byte {
-	enc := NewEncoder(256)
-	p.encode(enc)
-	return enc.Bytes()
+// Size returns the length of the proposal's encoding, the prefix of its
+// Transaction envelope, without encoding it.
+func (p *Proposal) Size() int {
+	n := fieldSize(len(p.TxID)) + fieldSize(len(p.ChannelID)) +
+		fieldSize(len(p.ChaincodeID)) + fieldSize(len(p.Fn)) +
+		uvarintSize(uint64(len(p.Args)))
+	for _, a := range p.Args {
+		n += fieldSize(len(a))
+	}
+	return n + fieldSize(len(p.Creator)) + fieldSize(len(p.Nonce)) + 8 +
+		fieldSize(len(p.TraceID))
 }
 
-// UnmarshalProposal decodes a proposal produced by Marshal. Its fields
-// are read-only views of b, as a decoded Transaction's are.
+// UnmarshalProposal decodes one encoded proposal. Its fields are
+// read-only views of b, as a decoded Transaction's are.
 func UnmarshalProposal(b []byte) (*Proposal, error) {
 	var d txDecoder
 	d.start(b, 0, 0, 0)

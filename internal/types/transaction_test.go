@@ -347,3 +347,75 @@ func BenchmarkProposalHash(b *testing.B) {
 }
 
 var sinkHash []byte
+
+// TestComputeTxIDMatchesReference holds ComputeTxID to the streaming
+// hash it replaced on 10 000 seeded (nonce, creator) pairs: nil and empty
+// inputs, pairs that exactly fill the stack buffer, and creators larger
+// than it.
+func TestComputeTxIDMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	bytesOf := func(n int) []byte {
+		if n == 0 && r.Intn(2) == 0 {
+			return nil
+		}
+		b := make([]byte, n)
+		r.Read(b)
+		return b
+	}
+	for i := 0; i < 10000; i++ {
+		nonce := bytesOf(r.Intn(40))
+		var creator []byte
+		switch i % 4 {
+		case 0:
+			creator = bytesOf(r.Intn(400))
+		case 1:
+			creator = bytesOf(txIDScratch - len(nonce) + r.Intn(3) - 1)
+		case 2:
+			creator = bytesOf(txIDScratch + r.Intn(4096))
+		default:
+			creator = bytesOf(r.Intn(txIDScratch))
+		}
+		if got, want := ComputeTxID(nonce, creator), refComputeTxID(nonce, creator); got != want {
+			t.Fatalf("ComputeTxID(%d-byte nonce, %d-byte creator) = %s, want %s", len(nonce), len(creator), got, want)
+		}
+	}
+}
+
+// TestComputeTxIDAllocs pins ComputeTxID at one allocation, the ID
+// string, for inputs that fit its stack buffer.
+func TestComputeTxIDAllocs(t *testing.T) {
+	nonce, creator := []byte("gw1-12345"), make([]byte, 300)
+	if allocs := testing.AllocsPerRun(100, func() { _ = ComputeTxID(nonce, creator) }); allocs != 1 {
+		t.Errorf("ComputeTxID: %.1f allocations, want 1", allocs)
+	}
+}
+
+// TestProposalSizeMatchesMarshal holds Size to len(Marshal()) on 10 000
+// random proposals, with empty fields and fields past 127 bytes (a
+// two-byte length prefix), and on a proposal with 200 arguments (a
+// two-byte count).
+func TestProposalSizeMatchesMarshal(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	check := func(p *Proposal) {
+		t.Helper()
+		if got, want := p.Size(), len(p.Marshal()); got != want {
+			t.Fatalf("Size = %d, want len(Marshal()) = %d for %+v", got, want, p)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		check(randomProposal(r))
+	}
+	check(&Proposal{})
+	many := sampleProposal()
+	many.Args = make([][]byte, 200)
+	many.TraceID = string(make([]byte, 130))
+	check(many)
+}
+
+// TestProposalSizeAllocs pins Size at zero allocations.
+func TestProposalSizeAllocs(t *testing.T) {
+	p := sampleProposal()
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Size() }); allocs != 0 {
+		t.Errorf("Proposal.Size: %.1f allocations, want 0", allocs)
+	}
+}
