@@ -78,6 +78,8 @@ func run() int {
 		NumEndorsingPeers: *peers,
 		EndorsersPerOrg:   *endorsers,
 		Balancer:          *balancer,
+		VerifyCrypto:      *verify,
+		Channels:          *channels,
 		Model:             model,
 		Collector:         col,
 		Tracer:            tracer,
@@ -110,10 +112,6 @@ func run() int {
 		cfg.Storage.Dir = dir
 		fmt.Printf("file-backed ledgers under %s (temp; use -datadir to keep)\n", dir)
 	}
-	if *verify {
-		cfg.Scheme = "ecdsa"
-		cfg.VerifyCrypto = true
-	}
 	if *policyStr != "" {
 		pol, err := policy.Parse(*policyStr)
 		if err != nil {
@@ -122,7 +120,6 @@ func run() int {
 		}
 		cfg.Policy = pol
 	}
-	cfg.Channels = fabnet.NumberedChannels(*channels)
 
 	net, err := fabnet.Build(cfg)
 	if err != nil {

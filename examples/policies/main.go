@@ -37,7 +37,6 @@ func run() error {
 		NumEndorsingPeers: 3,
 		Policy:            pol,
 		Model:             costmodel.Default(0.2),
-		Scheme:            "ecdsa",
 		VerifyCrypto:      true,
 	})
 	if err != nil {

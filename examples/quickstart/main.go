@@ -34,7 +34,6 @@ func run() error {
 		NumEndorsingPeers: 3,
 		Policy:            policy.MustParse("OR('Org1.peer0','Org2.peer0','Org3.peer0')"),
 		Model:             model,
-		Scheme:            "ecdsa",
 		VerifyCrypto:      true,
 		ExtraChaincodes:   []chaincode.Chaincode{chaincode.NewCounter("counter")},
 	})

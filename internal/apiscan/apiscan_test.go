@@ -5,6 +5,7 @@
 package apiscan
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -16,6 +17,7 @@ import (
 	"path"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,14 +61,55 @@ type importerFunc func(importPath string) (*types.Package, error)
 
 func (f importerFunc) Import(importPath string) (*types.Package, error) { return f(importPath) }
 
-func TestExportedIdentifiersHaveUses(t *testing.T) {
+// module is the type-checked module: every package from its non-test
+// files, the files themselves, and what each identifier resolves to.
+type module struct {
+	fset    *token.FileSet
+	modPath string
+	paths   []string // import paths of the module's packages, in walk order
+	pkgs    map[string]*types.Package
+	files   map[string][]*ast.File
+	info    *types.Info // shared by all packages
+}
+
+// short names a package the way the scans report it.
+func (m *module) short(p string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(p, m.modPath+"/"), "internal/")
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *module
+	loadFailed error
+)
+
+// loadModule type-checks the module once per test binary; both scans
+// read the result.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadFailed = typeCheckModule() })
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
+
+// typeCheckModule type-checks the module rooted two directories up,
+// through itself for module imports so all packages share one set of
+// objects.
+func typeCheckModule() (*module, error) {
 	const root = "../.."
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	modPath := strings.Fields(string(mod))[1]
-	var paths []string // import paths of the module's packages, in walk order
+	m := &module{
+		fset:    token.NewFileSet(),
+		modPath: strings.Fields(string(mod))[1],
+		pkgs:    map[string]*types.Package{},
+		files:   map[string][]*ast.File{},
+		info:    &types.Info{Uses: map[*ast.Ident]types.Object{}},
+	}
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -75,58 +118,60 @@ func TestExportedIdentifiersHaveUses(t *testing.T) {
 			return filepath.SkipDir
 		}
 		if bp, err := build.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
-			paths = append(paths, path.Join(modPath, filepath.ToSlash(strings.TrimPrefix(dir, root))))
+			m.paths = append(m.paths, path.Join(m.modPath, filepath.ToSlash(strings.TrimPrefix(dir, root))))
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-
-	// load type-checks a module package from its non-test files, through
-	// itself for module imports so all packages share one set of objects,
-	// and counts every use of an object.
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	pkgs := map[string]*types.Package{}
-	uses := map[types.Object]int{}
+	std := importer.ForCompiler(m.fset, "source", nil)
 	var load importerFunc
 	load = func(p string) (*types.Package, error) {
-		if !strings.HasPrefix(p+"/", modPath+"/") {
+		if !strings.HasPrefix(p+"/", m.modPath+"/") {
 			return std.Import(p)
-		} else if pkg, ok := pkgs[p]; ok {
+		} else if pkg, ok := m.pkgs[p]; ok {
 			return pkg, nil
 		}
-		dir := filepath.Join(root, strings.TrimPrefix(p, modPath))
+		dir := filepath.Join(root, strings.TrimPrefix(p, m.modPath))
 		bp, err := build.ImportDir(dir, 0)
 		if err != nil {
 			return nil, err
 		}
 		files := make([]*ast.File, len(bp.GoFiles))
 		for i, name := range bp.GoFiles {
-			if files[i], err = parser.ParseFile(fset, filepath.Join(dir, name), nil, 0); err != nil {
+			if files[i], err = parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0); err != nil {
 				return nil, err
 			}
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: load}
-		if pkgs[p], err = conf.Check(p, fset, files, info); err != nil {
+		if m.pkgs[p], err = conf.Check(p, m.fset, files, m.info); err != nil {
 			return nil, err
 		}
-		for _, obj := range info.Uses {
-			if f, ok := obj.(*types.Func); ok {
-				obj = f.Origin()
-			}
-			uses[obj]++
+		m.files[p] = files
+		return m.pkgs[p], nil
+	}
+	for _, p := range m.paths {
+		if _, err := load(p); err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", p, err)
 		}
-		return pkgs[p], nil
+	}
+	return m, nil
+}
+
+func TestExportedIdentifiersHaveUses(t *testing.T) {
+	m := loadModule(t)
+	fset, pkgs := m.fset, m.pkgs
+	uses := map[types.Object]int{}
+	for _, obj := range m.info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		uses[obj]++
 	}
 	var ifaces []*types.Interface
-	for _, p := range paths {
-		pkg, err := load(p)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", p, err)
-		}
+	for _, p := range m.paths {
+		pkg := pkgs[p]
 		for _, name := range pkg.Scope().Names() {
 			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
 				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
@@ -158,11 +203,11 @@ func TestExportedIdentifiersHaveUses(t *testing.T) {
 			t.Errorf("%s is exported but unused outside tests (%s)", label, fset.Position(obj.Pos()))
 		}
 	}
-	for _, p := range paths {
+	for _, p := range m.paths {
 		if pkgs[p].Name() == "main" {
 			continue
 		}
-		short := strings.TrimPrefix(strings.TrimPrefix(p, modPath+"/"), "internal/")
+		short := m.short(p)
 		for _, name := range pkgs[p].Scope().Names() {
 			obj := pkgs[p].Scope().Lookup(name)
 			if !obj.Exported() {
@@ -184,6 +229,134 @@ func TestExportedIdentifiersHaveUses(t *testing.T) {
 	for label := range allowed {
 		if !seen[label] {
 			t.Errorf("allowlist entry %s names no exported identifier", label)
+		}
+	}
+}
+
+// writes walks a file and hands record every expression a statement or
+// composite literal writes to, with the if statements enclosing it.
+type writes struct {
+	record func(e ast.Expr, ifs []*ast.IfStmt)
+	ifs    []*ast.IfStmt
+}
+
+func (w writes) Visit(n ast.Node) ast.Visitor {
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		w.ifs = append(w.ifs[:len(w.ifs):len(w.ifs)], n)
+	case *ast.KeyValueExpr:
+		if id, ok := n.Key.(*ast.Ident); ok { // a struct field key, not a map key
+			w.record(id, w.ifs)
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			w.record(lhs, w.ifs)
+		}
+	case *ast.IncDecStmt:
+		w.record(n.X, w.ifs)
+	case *ast.RangeStmt:
+		if n.Tok == token.ASSIGN {
+			w.record(n.Key, w.ifs)
+			w.record(n.Value, w.ifs)
+		}
+	}
+	return w
+}
+
+// allowedUnset maps a Config or Options field that may stay with no
+// non-test write, named as the scan reports it, to its reason.
+var allowedUnset = map[string]string{}
+
+// TestConfigFieldsAreSet fails on an exported field of an exported
+// *Config or *Options struct of a library package that no non-test file
+// sets: a setting nobody sets has one value, and belongs in a constant.
+// A composite-literal key, an assignment, an increment or a range
+// assignment sets a field; an assignment under an if whose condition
+// reads the same field fills in its default, and does not.
+func TestConfigFieldsAreSet(t *testing.T) {
+	m := loadModule(t)
+	field := func(e ast.Expr) *types.Var {
+		var id *ast.Ident
+		switch e := e.(type) {
+		case *ast.Ident:
+			id = e
+		case *ast.SelectorExpr:
+			id = e.Sel
+		default:
+			return nil
+		}
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	reads := func(cond ast.Expr, v *types.Var) bool {
+		found := false
+		ast.Inspect(cond, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] == v {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	set := map[*types.Var]bool{}
+	w := writes{record: func(e ast.Expr, ifs []*ast.IfStmt) {
+		v := field(e)
+		if v == nil {
+			return
+		}
+		for _, s := range ifs {
+			if reads(s.Cond, v) {
+				return
+			}
+		}
+		set[v] = true
+	}}
+	for _, p := range m.paths {
+		for _, f := range m.files[p] {
+			ast.Walk(w, f)
+		}
+	}
+
+	seen := map[string]bool{}
+	fields, structs := 0, 0
+	for _, p := range m.paths {
+		pkg := m.pkgs[p]
+		if pkg.Name() == "main" {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			structs++
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() {
+					continue
+				}
+				fields++
+				label := m.short(p) + "." + name + "." + v.Name()
+				_, listed := allowedUnset[label]
+				seen[label] = true
+				if set[v] && listed {
+					t.Errorf("%s is set now; drop its allowlist entry", label)
+				} else if !set[v] && !listed {
+					t.Errorf("%s is never set outside tests and default fills (%s)", label, m.fset.Position(v.Pos()))
+				}
+			}
+		}
+	}
+	t.Logf("%d exported fields in %d Config and Options types", fields, structs)
+	for label := range allowedUnset {
+		if !seen[label] {
+			t.Errorf("allowlist entry %s names no Config or Options field", label)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"fabricsim/internal/fabnet"
 	"fabricsim/internal/policy"
 )
 
@@ -29,10 +30,6 @@ const (
 	// The staged committer keeps the validate phase out of the way.
 	endorseCommitters  = 4
 	endorseCommitDepth = 2
-	// endorsePerturbCores throttles one replica in the perturbation
-	// section (a quarter of Model.PeerCores' 8): the scenario where
-	// load-aware balancers must beat blind rotation.
-	endorsePerturbCores = 2
 	// endorsePerturbWindow shrinks the per-client window for the
 	// perturbation rows. Blind rotation keeps assigning 1/(2*replicas)
 	// of all arrivals to the throttled replica, so its queue strands
@@ -61,7 +58,7 @@ var figEndorse = Experiment{
 	sweeps: []sweep{{"endorse", func(quick bool) (pcs []measurer) {
 		or := soloOR(endorseSweepOrgs, endorseSweepClients)
 		or.Window, or.Committers, or.Depth = endorseSweepWindow, endorseCommitters, endorseCommitDepth
-		or.ChaincodeExec, or.PerturbedCores = endorseChaincodeExec, endorsePerturbCores
+		or.ChaincodeExec = endorseChaincodeExec
 		and2 := or
 		and2.Policy, and2.PolicyLabel = policy.AndOverPeers(endorseSweepOrgs), "AND2"
 		// The full OR sweep compares all four balancers, AND2 (and
@@ -104,7 +101,7 @@ var figEndorse = Experiment{
 		group: func(p Point) string {
 			if p.Config.Perturbed > 0 {
 				return fmt.Sprintf("perturbation: %d replicas/org under %s, one replica at %d cores, window %d",
-					p.Config.EndorsersPerOrg, p.Policy, p.Config.PerturbedCores, p.Window)
+					p.Config.EndorsersPerOrg, p.Policy, fabnet.PerturbedEndorserCores, p.Window)
 			}
 			return fmt.Sprintf("policy=%s balancer=%s", p.Policy, p.Config.Balancer)
 		},

@@ -151,14 +151,11 @@ type PointConfig struct {
 	// the compute-heavy-contract workloads of the endorse sweep.
 	ChaincodeExec time.Duration
 	// Perturbed slows the last N endorsing replicas down to
-	// PerturbedCores cores (0 = homogeneous hardware).
-	Perturbed      int
-	PerturbedCores int
+	// fabnet.PerturbedEndorserCores cores (0 = homogeneous hardware).
+	Perturbed int
 	// Gossip switches block dissemination from per-peer direct deliver
 	// to org-leader deliver + push gossip + anti-entropy.
 	Gossip bool
-	// GossipFanout overrides the push fanout when positive.
-	GossipFanout int
 	// Reorder enables Fabric++-style conflict-aware ordering: OSNs
 	// reorder each cut batch, early-abort read-write cycles, and
 	// committers fan state application across true dependency chains.
@@ -166,9 +163,6 @@ type PointConfig struct {
 	// Retry turns on the gateways' bounded conflict-retry loop (3
 	// attempts, exponential backoff seeded from Options.Seed).
 	Retry bool
-	// Fn overrides the invoked chaincode function ("" keeps the blind
-	// "write" default; "readwrite" produces RMW conflicts).
-	Fn string
 	// ZipfS skews key popularity with a Zipf(s) draw when > 1
 	// (0 keeps the uniform draw).
 	ZipfS float64
@@ -195,29 +189,26 @@ func RunPoint(ctx context.Context, pc PointConfig, opt Options) (Point, error) {
 		opt.OnCollector(col)
 	}
 	cfg := fabnet.Config{
-		Orderer:                pc.Orderer,
-		Tracer:                 opt.Tracer,
-		NumOrderers:            pc.OSNs,
-		NumKafkaBrokers:        pc.Brokers,
-		NumZooKeepers:          pc.ZooKeepers,
-		NumEndorsingPeers:      pc.Peers,
-		EndorsersPerOrg:        pc.EndorsersPerOrg,
-		Balancer:               pc.Balancer,
-		PerturbedEndorsers:     pc.Perturbed,
-		PerturbedEndorserCores: pc.PerturbedCores,
-		NumClients:             pc.Clients,
-		Policy:                 pc.Policy,
-		Model:                  model,
-		Collector:              col,
-		CommitterPool:          pc.Committers,
-		CommitDepth:            pc.Depth,
-		BatchSize:              pc.BatchSize,
-		BatchTimeout:           pc.BatchTimeout,
-		Gossip: fabnet.GossipConfig{
-			Enabled: pc.Gossip,
-			Fanout:  pc.GossipFanout,
-		},
-		Reorder: pc.Reorder,
+		Orderer:            pc.Orderer,
+		Tracer:             opt.Tracer,
+		NumOrderers:        pc.OSNs,
+		NumKafkaBrokers:    pc.Brokers,
+		NumZooKeepers:      pc.ZooKeepers,
+		NumEndorsingPeers:  pc.Peers,
+		EndorsersPerOrg:    pc.EndorsersPerOrg,
+		Balancer:           pc.Balancer,
+		PerturbedEndorsers: pc.Perturbed,
+		NumClients:         pc.Clients,
+		Policy:             pc.Policy,
+		Model:              model,
+		Collector:          col,
+		CommitterPool:      pc.Committers,
+		CommitDepth:        pc.Depth,
+		BatchSize:          pc.BatchSize,
+		BatchTimeout:       pc.BatchTimeout,
+		Gossip:             fabnet.GossipConfig{Enabled: pc.Gossip},
+		Reorder:            pc.Reorder,
+		Channels:           pc.Channels,
 	}
 	if pc.Retry {
 		cfg.Retry = gateway.RetryConfig{
@@ -227,7 +218,6 @@ func RunPoint(ctx context.Context, pc PointConfig, opt Options) (Point, error) {
 			Seed:           opt.SubSeed("retry"),
 		}
 	}
-	cfg.Channels = fabnet.NumberedChannels(pc.Channels)
 	net, err := fabnet.Build(cfg)
 	if err != nil {
 		return Point{}, fmt.Errorf("bench: %w", err)
@@ -246,7 +236,6 @@ func RunPoint(ctx context.Context, pc PointConfig, opt Options) (Point, error) {
 		Model:    model,
 		Seed:     opt.Seed,
 		KeySpace: pc.KeySpace,
-		Fn:       pc.Fn,
 		ZipfS:    pc.ZipfS,
 		Profile:  pc.Profile,
 	}

@@ -70,12 +70,17 @@ type ScheduleConfig struct {
 	// event peers whose standing subscription would not survive a
 	// restart). Partitions and degradations may still include them.
 	Protected []string
-	// DegradeProps is the link property set degrade faults apply
-	// (default: 30ms extra latency, 5ms jitter, 5% loss).
-	DegradeProps transport.LinkProps
-	// ThrottleCores is the core count throttle faults pin (default 1).
-	ThrottleCores int
 }
+
+// Scheduled degrade faults add 30ms latency, 5ms jitter and 5% loss to
+// a peer's links; scheduled throttle faults pin a peer to one core.
+var degradeProps = transport.LinkProps{
+	Latency: 30 * time.Millisecond,
+	Jitter:  5 * time.Millisecond,
+	Loss:    0.05,
+}
+
+const throttleCores = 1
 
 func (cfg ScheduleConfig) withDefaults() ScheduleConfig {
 	if cfg.Duration <= 0 {
@@ -86,16 +91,6 @@ func (cfg ScheduleConfig) withDefaults() ScheduleConfig {
 	}
 	if len(cfg.Kinds) == 0 {
 		cfg.Kinds = []string{KindCrash, KindPartition, KindDegrade, KindThrottle}
-	}
-	if cfg.DegradeProps == (transport.LinkProps{}) {
-		cfg.DegradeProps = transport.LinkProps{
-			Latency: 30 * time.Millisecond,
-			Jitter:  5 * time.Millisecond,
-			Loss:    0.05,
-		}
-	}
-	if cfg.ThrottleCores <= 0 {
-		cfg.ThrottleCores = 1
 	}
 	return cfg
 }
@@ -165,9 +160,9 @@ func (ctl *Controller) BuildSchedule(seed int64, cfg ScheduleConfig) (Schedule, 
 		case KindPartition:
 			f = PartitionOrg(c, pick(orgs))
 		case KindThrottle:
-			f = NewThrottle(pick(targets), cfg.ThrottleCores)
+			f = NewThrottle(pick(targets), throttleCores)
 		default: // KindDegrade
-			f = DegradeNode(c, pick(peers), cfg.DegradeProps)
+			f = DegradeNode(c, pick(peers), degradeProps)
 		}
 
 		// Inject in the first fifth of the slot, heal before it ends,

@@ -84,7 +84,7 @@ func TestChaosWANRegions(t *testing.T) {
 	}
 	defer n.Stop()
 
-	if got := n.Cfg.Regions; len(got) != 2 {
+	if got := n.regionNames; len(got) != 2 {
 		t.Fatalf("adopted regions = %v", got)
 	}
 	seen := map[string]int{}

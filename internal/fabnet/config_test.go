@@ -55,29 +55,30 @@ func TestBuildRejectsUnknownOrderer(t *testing.T) {
 
 func TestBuildTopology(t *testing.T) {
 	n, err := Build(Config{
-		Orderer:            Kafka,
-		NumOrderers:        2,
-		NumEndorsingPeers:  3,
-		NumCommitOnlyPeers: 2,
-		NumClients:         4,
-		Model:              costmodel.Default(0.05),
+		Orderer:           Kafka,
+		NumOrderers:       2,
+		NumEndorsingPeers: 3,
+		EndorsersPerOrg:   2,
+		NumClients:        4,
+		Model:             costmodel.Default(0.05),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	if len(n.Orderers) != 2 || len(n.Peers) != 5 || len(n.Gateways) != 4 {
+	if len(n.Orderers) != 2 || len(n.Peers) != 6 || len(n.Gateways) != 4 {
 		t.Errorf("topology = %d osn / %d peers / %d clients",
 			len(n.Orderers), len(n.Peers), len(n.Gateways))
 	}
-	// One CA per org: 3 endorsing + 2 commit + orderer + client orgs.
-	if len(n.CAs) != 7 {
-		t.Errorf("CAs = %d, want 7", len(n.CAs))
+	// One CA per org: 3 peer orgs + orderer + client orgs; replicas
+	// share their org's CA.
+	if len(n.CAs) != 5 {
+		t.Errorf("CAs = %d, want 5", len(n.CAs))
 	}
 	if n.kafkaCluster == nil {
 		t.Error("kafka substrate missing")
 	}
-	if n.MSP.Orgs() != 7 {
+	if n.MSP.Orgs() != 5 {
 		t.Errorf("MSP orgs = %d", n.MSP.Orgs())
 	}
 }

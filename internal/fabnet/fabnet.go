@@ -1,9 +1,10 @@
 // Package fabnet assembles complete emulated Fabric networks from a
-// topology configuration: organizations with CAs, endorsing and
-// committing peers, an ordering service (Solo, Kafka with ZooKeeper, or
-// Raft), and SDK clients — the role the paper's 20-machine cluster and
-// its deployment scripts play. Every node gets its own simulated CPU
-// and attaches to a latency/bandwidth-modeled network.
+// topology configuration: organizations with CAs, endorsing peers that
+// also validate and commit, an ordering service (Solo, Kafka with
+// ZooKeeper, or Raft), and SDK clients — the role the paper's
+// 20-machine cluster and its deployment scripts play. Every node gets
+// its own simulated CPU and attaches to a latency/bandwidth-modeled
+// network.
 package fabnet
 
 import (
@@ -81,12 +82,6 @@ type Config struct {
 	// Model.PeerCores — the heterogeneous-hardware scenario the
 	// load-aware balancers exist for. Bench/chaos knob.
 	PerturbedEndorsers int
-	// PerturbedEndorserCores is the core count of perturbed replicas
-	// (default 2).
-	PerturbedEndorserCores int
-	// NumCommitOnlyPeers adds peers that validate and commit but never
-	// endorse.
-	NumCommitOnlyPeers int
 	// NumClients is the workload-generator process count; the default
 	// (0) provisions one client per endorsing peer, matching the
 	// paper's per-peer load split (Fig. 1).
@@ -112,10 +107,9 @@ type Config struct {
 	// Model is the calibrated cost model (use costmodel.Default; the
 	// zero value means costmodel.Default(1)).
 	Model costmodel.Model
-	// Scheme is the signature scheme ("hmac", the default, for sweeps;
-	// "ecdsa" for correctness runs).
-	Scheme string
-	// VerifyCrypto enables real signature verification on every path.
+	// VerifyCrypto enables real signature verification on every path,
+	// over ECDSA identities; without it identities sign with the cheaper
+	// HMAC scheme, and only the cost model charges for verification.
 	VerifyCrypto bool
 	// Collector receives metrics from every node; may be nil. Per-block
 	// events that every node sees (block cuts, commit stages) are
@@ -129,16 +123,16 @@ type Config struct {
 	Tracer *trace.Tracer
 	// ExtraChaincodes installs chaincodes beyond the benchmark KV store.
 	ExtraChaincodes []chaincode.Chaincode
-	// ChannelID names the channel of a single-channel deployment
-	// (default "perf"). When Channels is set, Build overwrites it with
-	// the first channel's ID, the default channel of every node.
+	// ChannelID is set by Build to the first channel's ID, the default
+	// channel of every node.
 	ChannelID string
-	// Channels declares a multi-channel topology, the network's sharding
-	// axis: every channel gets its own ordering lane (Kafka partition or
-	// Raft group), its own per-peer ledger and commit pipeline, and its
-	// own chain numbering, so channels order and commit concurrently.
-	// Empty means one channel named ChannelID with policy Policy.
-	Channels []ChannelConfig
+	// Channels is the channel count, the network's sharding axis: Build
+	// deploys channels "ch1".."chN", each with its own ordering lane
+	// (Kafka partition or Raft group), its own per-peer ledger and
+	// commit pipeline, and its own chain numbering, so channels order
+	// and commit concurrently. All share Policy. 0 or 1 deploys the
+	// single channel "perf".
+	Channels int
 	// CommitterPool overrides Model.CommitterPool when positive: the
 	// parallel state-apply workers each peer's commit pipeline fans
 	// conflict-free transaction groups across.
@@ -163,15 +157,12 @@ type Config struct {
 	// instead of the in-memory emulated network. Latency/bandwidth then
 	// come from the real kernel path; used by cmd/fabricnet.
 	UseTCP bool
-	// Regions labels nodes with region names, round-robin by org index
-	// (orderers, clients, and brokers rotate through the same list).
-	// Labels feed the transport LinkSet, where a region matrix or chaos
-	// faults can act on them. Empty means one unlabeled region.
-	Regions []string
 	// WANMatrix applies a canned multi-region link matrix by name
-	// ("wan2", "wan3" — see transport.NamedMatrix) and, when Regions is
-	// empty, adopts the matrix's region list. Cross-region links then
+	// ("wan2", "wan3" — see transport.NamedMatrix) and labels nodes with
+	// the matrix's regions, round-robin by org index (orderers, clients,
+	// and brokers rotate through the same list). Cross-region links then
 	// carry WAN latencies (model time in-memory, wall time on TCP).
+	// Empty means one unlabeled region.
 	WANMatrix string
 }
 
@@ -184,8 +175,6 @@ type GossipConfig struct {
 	// Fanout is how many org members each fresh block is pushed to
 	// (default 3).
 	Fanout int
-	// MaxHops bounds a gossip message's path length (default 4).
-	MaxHops int
 	// AntiEntropyInterval is the digest-exchange period (default 500ms
 	// model time).
 	AntiEntropyInterval time.Duration
@@ -225,20 +214,10 @@ type StorageConfig struct {
 	PerPeer map[string]string
 }
 
-// ChannelConfig describes one channel of a multi-channel network.
-type ChannelConfig struct {
-	// ID is the channel name (must be unique and non-empty).
-	ID string
-	// Policy is the channel's endorsement policy; nil inherits the
-	// network-wide Config.Policy.
-	Policy policy.Policy
-	// Chaincode optionally installs a dedicated KV-store chaincode under
-	// this name for the channel's workload; empty reuses ChaincodeBench.
-	// (All chaincodes are installed on every peer, as in a Fabric
-	// deployment where peers join all channels; state is still isolated
-	// per channel because each channel has its own state DB.)
-	Chaincode string
-}
+// PerturbedEndorserCores is the core count of the replicas
+// Config.PerturbedEndorsers slows down: a quarter of the default
+// Model.PeerCores.
+const PerturbedEndorserCores = 2
 
 func (c *Config) applyDefaults() {
 	if c.Orderer == "" {
@@ -262,9 +241,6 @@ func (c *Config) applyDefaults() {
 	if c.EndorsersPerOrg < 1 {
 		c.EndorsersPerOrg = 1
 	}
-	if c.PerturbedEndorsers > 0 && c.PerturbedEndorserCores < 1 {
-		c.PerturbedEndorserCores = 2
-	}
 	if c.NumClients < 1 {
 		c.NumClients = c.NumEndorsingPeers
 	}
@@ -274,30 +250,13 @@ func (c *Config) applyDefaults() {
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = time.Second
 	}
-	if c.Scheme == "" {
-		c.Scheme = fabcrypto.SchemeHMAC
-	}
 	if c.Policy == nil {
 		c.Policy = policy.OrOverPeers(c.NumEndorsingPeers)
 	}
-	if c.ChannelID == "" {
-		c.ChannelID = "perf"
-	}
-	if len(c.Channels) == 0 {
-		c.Channels = []ChannelConfig{{ID: c.ChannelID, Policy: c.Policy}}
-	}
-	c.ChannelID = c.Channels[0].ID
-	for i := range c.Channels {
-		if c.Channels[i].Policy == nil {
-			c.Channels[i].Policy = c.Policy
-		}
-	}
+	c.ChannelID = c.channelIDs()[0]
 	if c.Gossip.Enabled {
 		if c.Gossip.Fanout < 1 {
 			c.Gossip.Fanout = 3
-		}
-		if c.Gossip.MaxHops < 1 {
-			c.Gossip.MaxHops = 4
 		}
 		if c.Gossip.AntiEntropyInterval <= 0 {
 			c.Gossip.AntiEntropyInterval = 500 * time.Millisecond
@@ -330,53 +289,17 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// validateChannels enforces the ChannelConfig invariants: IDs must be
-// unique and non-empty, or per-channel consensus lanes would silently
-// collapse onto one chain.
-func (c *Config) validateChannels() error {
-	seen := make(map[string]bool, len(c.Channels))
-	for _, ch := range c.Channels {
-		if ch.ID == "" {
-			return errors.New("fabnet: channel with empty ID")
-		}
-		if seen[ch.ID] {
-			return fmt.Errorf("fabnet: duplicate channel ID %q", ch.ID)
-		}
-		seen[ch.ID] = true
-	}
-	return nil
-}
-
-// NumberedChannels returns n channels named "ch1".."chN" inheriting the
-// network-wide policy — the synthetic topology the channel-scaling
-// sweeps use. n < 2 returns nil (single default channel).
-func NumberedChannels(n int) []ChannelConfig {
-	if n < 2 {
-		return nil
-	}
-	chans := make([]ChannelConfig, n)
-	for i := range chans {
-		chans[i] = ChannelConfig{ID: fmt.Sprintf("ch%d", i+1)}
-	}
-	return chans
-}
-
-// channelIDs returns the configured channel names in order.
+// channelIDs returns the names of the channels Build deploys, in order:
+// "ch1".."chN" for more than one channel, else the single "perf".
 func (c *Config) channelIDs() []string {
-	ids := make([]string, len(c.Channels))
-	for i, ch := range c.Channels {
-		ids[i] = ch.ID
+	if c.Channels < 2 {
+		return []string{"perf"}
+	}
+	ids := make([]string, c.Channels)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ch%d", i+1)
 	}
 	return ids
-}
-
-// channelPolicies returns the per-channel endorsement policies.
-func (c *Config) channelPolicies() map[string]policy.Policy {
-	pols := make(map[string]policy.Policy, len(c.Channels))
-	for _, ch := range c.Channels {
-		pols[ch.ID] = ch.Policy
-	}
-	return pols
 }
 
 // Network is a built, startable Fabric network.
@@ -407,10 +330,12 @@ type Network struct {
 	// would).
 	nodeCPUs map[string]*simcpu.CPU
 	// orgMembers / orgOf record peer-org membership; regions records
-	// node region labels. All read-only after Build.
-	orgMembers map[string][]string
-	orgOf      map[string]string
-	regions    map[string]string
+	// node region labels, assigned round-robin from regionNames (the
+	// WAN matrix's regions). All read-only after Build.
+	orgMembers  map[string][]string
+	orgOf       map[string]string
+	regions     map[string]string
+	regionNames []string
 	// peerCfgs retains each peer's build configuration (indexed like
 	// Peers) so RestartPeer can rebuild a crashed peer from scratch.
 	peerCfgs []peer.Config
@@ -442,9 +367,6 @@ const ChaincodeSmallBank = "smallbank"
 // Build constructs all nodes of the network without starting them.
 func Build(cfg Config) (*Network, error) {
 	cfg.applyDefaults()
-	if err := cfg.validateChannels(); err != nil {
-		return nil, err
-	}
 	model := cfg.Model
 
 	n := &Network{
@@ -476,10 +398,7 @@ func Build(cfg Config) (*Network, error) {
 		if !ok {
 			return nil, fmt.Errorf("fabnet: unknown WAN matrix %q", cfg.WANMatrix)
 		}
-		if len(cfg.Regions) == 0 {
-			cfg.Regions = regions
-			n.Cfg.Regions = regions
-		}
+		n.regionNames = regions
 		n.Links().SetRegionProps(matrix)
 	}
 
@@ -488,11 +407,12 @@ func Build(cfg Config) (*Network, error) {
 	for i := 1; i <= cfg.NumEndorsingPeers; i++ {
 		orgs = append(orgs, fmt.Sprintf("Org%d", i))
 	}
-	for j := 1; j <= cfg.NumCommitOnlyPeers; j++ {
-		orgs = append(orgs, fmt.Sprintf("CommitOrg%d", j))
+	scheme := fabcrypto.SchemeHMAC
+	if cfg.VerifyCrypto {
+		scheme = fabcrypto.SchemeECDSA
 	}
 	for _, org := range orgs {
-		authority, err := ca.New(org, cfg.Scheme)
+		authority, err := ca.New(org, scheme)
 		if err != nil {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
@@ -511,13 +431,7 @@ func Build(cfg Config) (*Network, error) {
 	for _, cc := range cfg.ExtraChaincodes {
 		registry.Install(cc)
 	}
-	for _, ch := range cfg.Channels {
-		if ch.Chaincode != "" && ch.Chaincode != ChaincodeBench {
-			registry.Install(chaincode.NewKVStore(ch.Chaincode))
-		}
-	}
 	channelIDs := cfg.channelIDs()
-	channelPols := cfg.channelPolicies()
 
 	newCPU := func(id string, cores int) *simcpu.CPU {
 		c := simcpu.New(cores, model.TimeScale)
@@ -578,11 +492,10 @@ func Build(cfg Config) (*Network, error) {
 	certs := peer.NewCertStore()
 	peersByPrincipal := make(map[string][]string)
 	type peerSpec struct {
-		org       string
-		orgIdx    int // region round-robin index (all org replicas co-locate)
-		nodeID    string
-		endorsing bool
-		cores     int
+		org    string
+		orgIdx int // region round-robin index (all org replicas co-locate)
+		nodeID string
+		cores  int
 	}
 	var specs []peerSpec
 	for i := 1; i <= cfg.NumEndorsingPeers; i++ {
@@ -594,28 +507,19 @@ func Build(cfg Config) (*Network, error) {
 				nodeID = fmt.Sprintf("peer%dr%d", i, r)
 			}
 			specs = append(specs, peerSpec{
-				org:       fmt.Sprintf("Org%d", i),
-				orgIdx:    i - 1,
-				nodeID:    nodeID,
-				endorsing: true,
-				cores:     model.PeerCores,
+				org:    fmt.Sprintf("Org%d", i),
+				orgIdx: i - 1,
+				nodeID: nodeID,
+				cores:  model.PeerCores,
 			})
 		}
-	}
-	for j := 1; j <= cfg.NumCommitOnlyPeers; j++ {
-		specs = append(specs, peerSpec{
-			org:    fmt.Sprintf("CommitOrg%d", j),
-			orgIdx: cfg.NumEndorsingPeers + j - 1,
-			nodeID: fmt.Sprintf("vpeer%d", j),
-			cores:  model.PeerCores,
-		})
 	}
 	if cfg.PerturbedEndorsers > 0 {
 		// Slow down the LAST endorsing replicas so "peer1" (the classic
 		// observer/event peer) keeps its full capacity.
 		slowed := 0
-		for k := cfg.NumEndorsingPeers*cfg.EndorsersPerOrg - 1; k >= 0 && slowed < cfg.PerturbedEndorsers; k-- {
-			specs[k].cores = cfg.PerturbedEndorserCores
+		for k := len(specs) - 1; k >= 0 && slowed < cfg.PerturbedEndorsers; k-- {
+			specs[k].cores = PerturbedEndorserCores
 			slowed++
 		}
 	}
@@ -651,12 +555,10 @@ func Build(cfg Config) (*Network, error) {
 			Policy:       cfg.Policy,
 			Model:        model,
 			CPU:          newCPU(spec.nodeID, spec.cores),
-			Endorsing:    spec.endorsing,
 			OrdererID:    n.ordererIDs[idx%len(n.ordererIDs)],
 			VerifyCrypto: cfg.VerifyCrypto,
 			Certs:        certs,
 			Channels:     channelIDs,
-			Policies:     channelPols,
 			Collector:    cfg.Collector,
 			Tracer:       cfg.Tracer,
 			Recorder:     idx == 0,
@@ -679,7 +581,6 @@ func Build(cfg Config) (*Network, error) {
 				OrgMembers:          orgMembers[spec.org],
 				ChannelPeers:        allPeerIDs,
 				Fanout:              cfg.Gossip.Fanout,
-				MaxHops:             cfg.Gossip.MaxHops,
 				AntiEntropyInterval: model.ScaledDelay(cfg.Gossip.AntiEntropyInterval),
 				LeaderLease:         model.ScaledDelay(cfg.Gossip.LeaderLease),
 				Seed:                int64(idx + 1),
@@ -692,9 +593,7 @@ func Build(cfg Config) (*Network, error) {
 		}
 		n.Peers = append(n.Peers, p)
 		n.peerCfgs = append(n.peerCfgs, pcfg)
-		if spec.endorsing {
-			peersByPrincipal[identity.ID()] = append(peersByPrincipal[identity.ID()], spec.nodeID)
-		}
+		peersByPrincipal[identity.ID()] = append(peersByPrincipal[identity.ID()], spec.nodeID)
 	}
 
 	// --- Clients ---
@@ -737,7 +636,6 @@ func Build(cfg Config) (*Network, error) {
 			SignProposals:    cfg.VerifyCrypto,
 			ChannelID:        cfg.ChannelID,
 			Channels:         channelIDs,
-			PolicyByChannel:  channelPols,
 			Retry:            cfg.Retry,
 			Tracer:           cfg.Tracer,
 		})
@@ -749,13 +647,13 @@ func Build(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// assignRegion labels a node with the idx-th configured region
+// assignRegion labels a node with the idx-th WAN-matrix region
 // (round-robin) on both the bookkeeping map and the link matrix.
 func (n *Network) assignRegion(id string, idx int) {
-	if len(n.Cfg.Regions) == 0 {
+	if len(n.regionNames) == 0 {
 		return
 	}
-	region := n.Cfg.Regions[idx%len(n.Cfg.Regions)]
+	region := n.regionNames[idx%len(n.regionNames)]
 	n.regions[id] = region
 	n.Links().SetRegion(id, region)
 }
@@ -782,7 +680,7 @@ func (n *Network) buildKafka() error {
 	}
 	cluster, err := kafka.NewCluster(kafka.Config{
 		Brokers:           n.brokerIDs,
-		Partitions:        len(n.Cfg.Channels), // one partition per channel (paper default)
+		Partitions:        len(n.Cfg.channelIDs()), // one partition per channel (paper default)
 		ReplicationFactor: kafkaReplication,
 		SessionTimeout:    model.ScaledDelay(2 * time.Second),
 		ReplicaWriteDelay: func() {
@@ -815,7 +713,7 @@ func (n *Network) openRaftStores(idx int) error {
 	if backend == "file" && n.Cfg.Storage.Dir == "" {
 		return fmt.Errorf("fabnet: orderer %s uses file storage but Storage.Dir is empty", id)
 	}
-	stores := make(map[string]raft.Store, len(n.Cfg.Channels))
+	stores := make(map[string]raft.Store)
 	for _, ch := range n.Cfg.channelIDs() {
 		st := n.raftStores[idx][ch]
 		if backend != "file" {
@@ -1290,7 +1188,7 @@ func (n *Network) chainTail(skipIdx int, ch string, floor uint64) ([]*types.Bloc
 				return blocks, nil
 			}
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			if floor == 0 {
 				return nil, nil
 			}

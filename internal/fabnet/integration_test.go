@@ -37,7 +37,6 @@ func TestVerifyCryptoEndToEnd(t *testing.T) {
 		NumEndorsingPeers: 2,
 		Policy:            policy.MustParse("AND('Org1.peer0','Org2.peer0')"),
 		Model:             costmodel.Default(0.05),
-		Scheme:            "ecdsa",
 		VerifyCrypto:      true,
 	})
 	ctx := context.Background()
@@ -100,15 +99,16 @@ func TestMVCCConflictEndToEnd(t *testing.T) {
 }
 
 // TestAllPeersConverge checks that every peer ends with the identical
-// chain and state after a concurrent workload.
+// chain and state after a concurrent workload, the second replica of
+// each org included: no client follows its commit events.
 func TestAllPeersConverge(t *testing.T) {
 	n := buildAndStart(t, Config{
-		Orderer:            Kafka,
-		NumOrderers:        3,
-		NumEndorsingPeers:  3,
-		NumCommitOnlyPeers: 2,
-		Policy:             policy.OrOverPeers(3),
-		Model:              costmodel.Default(0.05),
+		Orderer:           Kafka,
+		NumOrderers:       3,
+		NumEndorsingPeers: 3,
+		EndorsersPerOrg:   2,
+		Policy:            policy.OrOverPeers(3),
+		Model:             costmodel.Default(0.05),
 	})
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -122,7 +122,7 @@ func TestAllPeersConverge(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	time.Sleep(300 * time.Millisecond) // let commit-only peers catch up
+	waitPeersConverged(t, n.Peers, 5*time.Second)
 
 	ref := n.Peers[0].Ledger()
 	for _, p := range n.Peers[1:] {

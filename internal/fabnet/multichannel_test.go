@@ -13,10 +13,6 @@ import (
 	"fabricsim/internal/types"
 )
 
-// fourChannels is the sweep topology of the acceptance criteria: four
-// channels sharing one OR policy.
-func fourChannels() []ChannelConfig { return NumberedChannels(4) }
-
 // waitValidTxs polls until one peer's channel ledger holds the expected
 // number of valid transactions. Invoke resolves on the client's event
 // peer's commit, so the other peers may still be a block behind at that
@@ -47,7 +43,7 @@ func TestMultiChannelConcurrentCommit(t *testing.T) {
 		NumEndorsingPeers: 2,
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),
-		Channels:          fourChannels(),
+		Channels:          4,
 	})
 	ctx := context.Background()
 	const perChannel = 6
@@ -100,16 +96,13 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 		NumEndorsingPeers: 2,
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),
-		Channels: []ChannelConfig{
-			{ID: "alpha"},
-			{ID: "beta"},
-		},
+		Channels:          2,
 	})
 	ctx := context.Background()
 	gw := n.Gateways[0]
 
 	// Seed the same key on both channels.
-	for _, ch := range []string{"alpha", "beta"} {
+	for _, ch := range []string{"ch1", "ch2"} {
 		if _, err := gw.Invoke(ctx, ch, ChaincodeBench, "write",
 			[][]byte{[]byte("shared"), []byte("seed-" + ch)}); err != nil {
 			t.Fatalf("seed %s: %v", ch, err)
@@ -121,7 +114,7 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make(map[string]*types.ValidationCode)
 	var mu sync.Mutex
-	for _, ch := range []string{"alpha", "beta"} {
+	for _, ch := range []string{"ch1", "ch2"} {
 		ch := ch
 		wg.Add(1)
 		go func() {
@@ -139,7 +132,7 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 	}
 	wg.Wait()
 
-	for _, ch := range []string{"alpha", "beta"} {
+	for _, ch := range []string{"ch1", "ch2"} {
 		code, ok := results[ch]
 		if !ok {
 			continue // invoke error already reported
@@ -153,7 +146,7 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 	// the client's event peer's commit; poll briefly so the other peers
 	// catch up.
 	for _, p := range n.Peers {
-		for _, ch := range []string{"alpha", "beta"} {
+		for _, ch := range []string{"ch1", "ch2"} {
 			l, _ := p.LedgerFor(ch)
 			want := "update-" + ch
 			var got string
@@ -187,7 +180,7 @@ func TestMultiChannelBlockNumbering(t *testing.T) {
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),
 		BatchSize:         1, // one block per tx: numbering advances per invoke
-		Channels:          fourChannels(),
+		Channels:          4,
 	})
 	ctx := context.Background()
 	perChannel := []int{1, 2, 3, 4} // distinct heights per channel
@@ -244,7 +237,7 @@ func TestMultiChannelKafka(t *testing.T) {
 		NumEndorsingPeers: 2,
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),
-		Channels:          fourChannels(),
+		Channels:          4,
 	})
 	ctx := context.Background()
 
@@ -289,10 +282,7 @@ func TestMultiChannelRaft(t *testing.T) {
 		NumEndorsingPeers: 2,
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),
-		Channels: []ChannelConfig{
-			{ID: "alpha"},
-			{ID: "beta"},
-		},
+		Channels:          2,
 	})
 	ctx := context.Background()
 	for _, ch := range n.ChannelIDs() {
@@ -315,18 +305,17 @@ func TestMultiChannelRaft(t *testing.T) {
 	}
 }
 
-// TestChannelConfigValidation rejects duplicate and empty channel IDs,
-// which would otherwise silently collapse consensus lanes.
-func TestChannelConfigValidation(t *testing.T) {
-	base := Config{Model: costmodel.Default(0.05)}
-	dup := base
-	dup.Channels = []ChannelConfig{{ID: "a"}, {ID: "a"}}
-	if _, err := Build(dup); err == nil {
-		t.Error("duplicate channel ID accepted")
-	}
-	empty := base
-	empty.Channels = []ChannelConfig{{ID: "a"}, {ID: ""}}
-	if _, err := Build(empty); err == nil {
-		t.Error("empty channel ID accepted")
+// TestChannelIDs pins the channel names Build deploys for a count: the
+// single "perf" channel below two, else "ch1".."chN".
+func TestChannelIDs(t *testing.T) {
+	for _, tc := range []struct {
+		channels int
+		want     string
+	}{{0, "[perf]"}, {1, "[perf]"}, {2, "[ch1 ch2]"}, {4, "[ch1 ch2 ch3 ch4]"}} {
+		cfg := Config{Channels: tc.channels}
+		cfg.applyDefaults()
+		if got := fmt.Sprint(cfg.channelIDs()); got != tc.want || cfg.ChannelID != cfg.channelIDs()[0] {
+			t.Errorf("Channels %d: channels %s, default %q; want %s", tc.channels, got, cfg.ChannelID, tc.want)
+		}
 	}
 }

@@ -75,8 +75,8 @@ var (
 	ErrOrdererUnavailable = errors.New("gateway: no orderer available")
 )
 
-// DefaultMaxInFlight bounds SubmitAsync's in-flight window when the
-// configuration does not set one.
+// DefaultMaxInFlight sizes SubmitAsync's in-flight window until
+// SetMaxInFlight resizes it.
 const DefaultMaxInFlight = 4096
 
 // Config parameterizes a gateway (one per SDK client process).
@@ -126,12 +126,6 @@ type Config struct {
 	// Channels lists every channel this gateway may submit on; empty
 	// means just ChannelID.
 	Channels []string
-	// PolicyByChannel optionally overrides the endorsement policy per
-	// channel; channels without an entry use Policy.
-	PolicyByChannel map[string]policy.Policy
-	// MaxInFlight bounds the SubmitAsync in-flight window
-	// (default DefaultMaxInFlight).
-	MaxInFlight int
 	// Retry controls transparent client-side retry of conflict-aborted
 	// transactions (MVCC conflicts and conflict-aware early aborts). The
 	// zero value disables retry: every conflict surfaces to the caller,
@@ -148,13 +142,9 @@ type RetryConfig struct {
 	// Values <= 1 disable retry.
 	MaxAttempts int
 	// InitialBackoff is the model-time delay before the first retry
-	// (default 50ms), doubled — or multiplied by Multiplier — after each
-	// subsequent conflict, capped at MaxBackoff.
+	// (default 50ms), doubled after each subsequent conflict, capped at
+	// maxRetryBackoff.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the backoff (default 2s).
-	MaxBackoff time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
 	// Jitter randomizes each backoff by ±Jitter fraction (e.g. 0.2 →
 	// ±20%), decorrelating retries from clients aborted by the same hot
 	// key. Zero disables jitter.
@@ -231,13 +221,10 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Channels) == 0 {
 		cfg.Channels = []string{cfg.ChannelID}
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
-	}
 	g := &Gateway{
 		cfg:     cfg,
 		pending: make(map[types.TxID]*Commit),
-		window:  make(chan struct{}, cfg.MaxInFlight),
+		window:  make(chan struct{}, DefaultMaxInFlight),
 	}
 	cfg.Endpoint.Handle(peer.KindCommitEvent, g.handleCommitEvents)
 	return g, nil
@@ -266,14 +253,6 @@ func (g *Gateway) SetMaxInFlight(n int) {
 	if cap(g.window) != n {
 		g.window = make(chan struct{}, n)
 	}
-}
-
-// policyFor returns the endorsement policy governing one channel.
-func (g *Gateway) policyFor(channel string) policy.Policy {
-	if pol, ok := g.cfg.PolicyByChannel[channel]; ok && pol != nil {
-		return pol
-	}
-	return g.cfg.Policy
 }
 
 // Connect establishes the commit-event subscription on the event peer;

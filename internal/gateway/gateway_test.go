@@ -610,7 +610,6 @@ func TestInvokeRetriesConflicts(t *testing.T) {
 	rc := RetryConfig{
 		MaxAttempts:    3,
 		InitialBackoff: time.Millisecond,
-		MaxBackoff:     2 * time.Millisecond,
 		Jitter:         0.2,
 		Seed:           42,
 	}
@@ -687,23 +686,24 @@ func TestSubmitAsyncRetriesConflicts(t *testing.T) {
 func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 	g := &Gateway{cfg: Config{Retry: RetryConfig{
 		MaxAttempts:    5,
-		InitialBackoff: 10 * time.Millisecond,
-		MaxBackoff:     40 * time.Millisecond,
+		InitialBackoff: 500 * time.Millisecond,
 	}}}
-	if d := g.retryBackoff(1); d != 10*time.Millisecond {
+	if d := g.retryBackoff(1); d != 500*time.Millisecond {
 		t.Errorf("backoff(1) = %v", d)
 	}
-	if d := g.retryBackoff(2); d != 20*time.Millisecond {
+	if d := g.retryBackoff(2); d != time.Second {
 		t.Errorf("backoff(2) = %v", d)
 	}
-	if d := g.retryBackoff(4); d != 40*time.Millisecond {
+	if d := g.retryBackoff(3); d != maxRetryBackoff {
+		t.Errorf("backoff(3) = %v, want the cap", d)
+	}
+	if d := g.retryBackoff(4); d != maxRetryBackoff {
 		t.Errorf("backoff(4) = %v, want the cap", d)
 	}
 	// Jitter stays within ±20% and is reproducible for a fixed seed.
 	mk := func() *Gateway {
 		return &Gateway{cfg: Config{Retry: RetryConfig{
-			MaxAttempts: 5, InitialBackoff: 10 * time.Millisecond,
-			MaxBackoff: 40 * time.Millisecond, Jitter: 0.2, Seed: 7,
+			MaxAttempts: 5, InitialBackoff: time.Second, Jitter: 0.2, Seed: 7,
 		}}}
 	}
 	a, b := mk(), mk()
@@ -712,9 +712,9 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 		if da != db {
 			t.Errorf("retry %d: jittered backoff not reproducible: %v vs %v", i, da, db)
 		}
-		base := 10 * time.Millisecond << (i - 1)
-		if base > 40*time.Millisecond {
-			base = 40 * time.Millisecond
+		base := time.Second << (i - 1)
+		if base > maxRetryBackoff {
+			base = maxRetryBackoff
 		}
 		lo := time.Duration(float64(base) * 0.8)
 		hi := time.Duration(float64(base) * 1.2)
@@ -1005,9 +1005,15 @@ func TestFailedBroadcastLeavesNoPending(t *testing.T) {
 
 // TestSubmitStartsNoGoroutine submits 1 000 staged transactions that
 // nobody awaits, under an ordering timeout none of them reaches: a
-// pending commit must cost no goroutine.
+// pending commit must cost no goroutine. The modeled client costs are
+// zeroed: the test counts goroutines, not client CPU time.
 func TestSubmitStartsNoGoroutine(t *testing.T) {
-	s := newStubNet(t, func(cfg *Config) { cfg.Model.OrderTimeout = time.Hour }, nil)
+	s := newStubNet(t, func(cfg *Config) {
+		cfg.Model.OrderTimeout = time.Hour
+		cfg.Model.ClientBaseLatency = 0
+		cfg.Model.ClientPerTxCPU = 0
+		cfg.Model.ClientPerEndorsementCPU = 0
+	}, nil)
 	ctx := context.Background()
 	submit := func() {
 		prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
@@ -1082,8 +1088,8 @@ func TestSubmitAsyncResolves(t *testing.T) {
 }
 
 func TestTrySubmitAsyncWindowFull(t *testing.T) {
-	s := newStubNet(t, func(cfg *Config) { cfg.MaxInFlight = 1 },
-		func(s *stubNet) { s.endorseDelay = 50 * time.Millisecond })
+	s := newStubNet(t, nil, func(s *stubNet) { s.endorseDelay = 50 * time.Millisecond })
+	s.gw.SetMaxInFlight(1)
 	ctx := context.Background()
 	first, err := s.gw.TrySubmitAsync(ctx, "", "bench", "write", [][]byte{[]byte("k"), []byte("v")})
 	if err != nil {

@@ -138,14 +138,14 @@ func (c *Commit) Status(ctx context.Context) (*Status, error) {
 
 // Propose runs the Propose stage on one channel ("" = the default
 // channel): it charges the client CPU cost for the transaction, builds
-// the proposal, and signs it. The channel's endorsement policy selects
+// the proposal, and signs it. The gateway's endorsement policy selects
 // the endorsement targets.
 func (g *Gateway) Propose(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Proposal, error) {
 	return g.propose(ctx, channel, nil, chaincodeID, fn, args, nil, false)
 }
 
 // propose is the shared Propose stage. An empty channel means the
-// default channel and a nil pol that channel's policy. sub carries the
+// default channel and a nil pol the gateway's policy. sub carries the
 // submission's trace and attempt number across retries; nil (a
 // single-shot call) mints a fresh trace as attempt 1. query trims the
 // endorsement to a single target and keeps the transaction out of the
@@ -155,7 +155,7 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 		channel = g.cfg.ChannelID
 	}
 	if pol == nil {
-		pol = g.policyFor(channel)
+		pol = g.cfg.Policy
 	}
 	if err := g.Connect(ctx); err != nil {
 		return nil, err
@@ -535,29 +535,24 @@ func (g *Gateway) retryAttempts() int {
 	return 1
 }
 
+// maxRetryBackoff caps the conflict-retry backoff in model time.
+const maxRetryBackoff = 2 * time.Second
+
 // retryBackoff computes the model-time backoff before retry number
 // `retry` (1 = first retry): exponential growth from InitialBackoff,
-// capped at MaxBackoff, with ±Jitter randomization.
+// doubling each time up to maxRetryBackoff, with ±Jitter randomization.
 func (g *Gateway) retryBackoff(retry int) time.Duration {
 	rc := g.cfg.Retry
 	base := rc.InitialBackoff
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxB := rc.MaxBackoff
-	if maxB <= 0 {
-		maxB = 2 * time.Second
-	}
-	mult := rc.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(base)
-	for i := 1; i < retry && d < float64(maxB); i++ {
-		d *= mult
+	for i := 1; i < retry && d < float64(maxRetryBackoff); i++ {
+		d *= 2
 	}
-	if d > float64(maxB) {
-		d = float64(maxB)
+	if d > float64(maxRetryBackoff) {
+		d = float64(maxRetryBackoff)
 	}
 	if rc.Jitter > 0 {
 		g.retryMu.Lock()

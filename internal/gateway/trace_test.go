@@ -15,14 +15,13 @@ import (
 // retry backoff), and the tracer must stitch all attempts under one
 // TraceID whose critical path surfaces the backoff gap.
 func TestInvokeRetryRecordsAttempts(t *testing.T) {
-	// retrySleep scales by the stub model's TimeScale (0.01), so each of
-	// the two backoffs sleeps ~4ms of wall time.
+	// retrySleep scales by the stub model's TimeScale (0.01), so the two
+	// backoffs sleep ~4ms and ~8ms of wall time.
 	backoff := 400 * time.Millisecond
 	scaledBackoff := 4 * time.Millisecond
 	rc := RetryConfig{
 		MaxAttempts:    3,
 		InitialBackoff: backoff,
-		MaxBackoff:     backoff,
 	}
 	for _, path := range retryPaths {
 		t.Run(path.name, func(t *testing.T) {

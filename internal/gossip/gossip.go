@@ -143,8 +143,6 @@ type Config struct {
 	// Fanout is how many org members each fresh block is pushed to
 	// (default 3, clamped to the org size).
 	Fanout int
-	// MaxHops bounds a block message's gossip path length (default 4).
-	MaxHops int
 	// AntiEntropyInterval is the digest-exchange period (default 250ms).
 	AntiEntropyInterval time.Duration
 	// LeaderLease is how long a leader's heartbeat holds off
@@ -172,12 +170,13 @@ type Config struct {
 	Seed int64
 }
 
+// maxHops bounds a block message's gossip path length; anti-entropy
+// reaches the peers a push path does not.
+const maxHops = 4
+
 func (c *Config) applyDefaults() {
 	if c.Fanout < 1 {
 		c.Fanout = 3
-	}
-	if c.MaxHops < 1 {
-		c.MaxHops = 4
 	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 250 * time.Millisecond
@@ -387,7 +386,7 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 	// everyone's dedup cache. Orderer backfills (leader election
 	// catch-up) arrive as metrics.SourceDeliver and do fan out, so org mates
 	// converge without issuing their own pulls.
-	if res.Fresh && hops < n.cfg.MaxHops && source != metrics.SourceAntiEntropy {
+	if res.Fresh && hops < maxHops && source != metrics.SourceAntiEntropy {
 		n.forward(block, hops+1, from)
 	}
 }

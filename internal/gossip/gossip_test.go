@@ -218,7 +218,6 @@ func newCluster(t *testing.T, size int, ordererID string, tweak func(*Config)) *
 			OrdererID:           ordererID,
 			Sink:                sink,
 			Fanout:              2,
-			MaxHops:             4,
 			AntiEntropyInterval: 40 * time.Millisecond,
 			LeaderLease:         120 * time.Millisecond,
 			Collector:           col,
@@ -321,24 +320,24 @@ func TestPushGossipSpreadsBlocks(t *testing.T) {
 }
 
 // TestHopCountsBounded checks that forwarded messages carry increasing
-// hop counts and never exceed MaxHops.
+// hop counts and never exceed maxHops, on an org with more members than
+// a push path may visit.
 func TestHopCountsBounded(t *testing.T) {
-	c := newCluster(t, 6, "", func(cfg *Config) {
+	c := newCluster(t, maxHops+4, "", func(cfg *Config) {
 		cfg.Fanout = 1 // force long gossip paths
-		cfg.MaxHops = 3
 	})
 	c.start()
 	lead := c.leaderOf()
 	for num := uint64(1); num <= 5; num++ {
 		lead.OnDeliver(testBlock(orderer.DefaultChannel, num))
 	}
-	c.waitConverged(5, 5*time.Second) // anti-entropy covers past MaxHops
+	c.waitConverged(5, 5*time.Second) // anti-entropy covers past maxHops
 	sawForwarded := false
 	for _, tr := range c.tracers {
 		for num := uint64(1); num <= 5; num++ {
 			_, h, _ := tr.OriginOf(orderer.DefaultChannel, num)
-			if h > 3 {
-				t.Errorf("hop count %d exceeds MaxHops 3", h)
+			if h > maxHops {
+				t.Errorf("hop count %d exceeds maxHops %d", h, maxHops)
 			}
 			if h > 0 {
 				sawForwarded = true

@@ -585,7 +585,7 @@ func (b *Broker) handleFetch(ctx context.Context, _ string, payload any) (any, i
 			}
 			return &FetchReply{Records: recs, HighWatermark: hw}, size, nil
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			ps.mu.Unlock()
 			return &FetchReply{HighWatermark: hw}, 16, nil
 		}

@@ -496,13 +496,14 @@ type Summary struct {
 	CommitLag LatencyStats
 }
 
+// trimFraction is the share of the submission interval Summarize drops
+// at each end (warmup and drain) when computing throughput.
+const trimFraction = 0.15
+
 // SummaryOptions controls the reduction.
 type SummaryOptions struct {
 	// TimeScale is the cost model's scale; durations are divided by it.
 	TimeScale float64
-	// TrimFraction drops this fraction of the run at each end (warmup
-	// and drain) when computing throughput. Default 0.15.
-	TrimFraction float64
 	// RejectLatency is the model-time latency charged to rejected
 	// transactions (the paper's 3s ordering timeout); zero excludes
 	// rejected transactions from latency statistics.
@@ -518,9 +519,6 @@ type SummaryOptions struct {
 func (c *Collector) Summarize(opts SummaryOptions) Summary {
 	if opts.TimeScale <= 0 {
 		opts.TimeScale = 1
-	}
-	if opts.TrimFraction <= 0 {
-		opts.TrimFraction = 0.15
 	}
 	recs := c.Records()
 	blocks := c.Blocks()
@@ -545,8 +543,8 @@ func (c *Collector) Summarize(opts SummaryOptions) Summary {
 		}
 	}
 	span := last.Sub(first)
-	wStart := first.Add(time.Duration(float64(span) * opts.TrimFraction))
-	wEnd := last.Add(-time.Duration(float64(span) * opts.TrimFraction))
+	wStart := first.Add(time.Duration(float64(span) * trimFraction))
+	wEnd := last.Add(-time.Duration(float64(span) * trimFraction))
 	window := wEnd.Sub(wStart)
 	if window <= 0 {
 		window = span

@@ -1,8 +1,8 @@
 // Package blockcutter implements the ordering service's batching rule:
-// a block is cut when pending transactions reach BatchSize, when their
-// cumulative size reaches MaxBytes, or when BatchTimeout elapses after
-// the first pending transaction arrived (the paper's two "core
-// conditions", Section III; defaults BatchSize=100, BatchTimeout=1s).
+// a block is cut when pending transactions reach BatchSize or when
+// BatchTimeout elapses after the first pending transaction arrived (the
+// paper's two "core conditions", Section III; defaults BatchSize=100,
+// BatchTimeout=1s).
 //
 // With Config.Reorder set, cut batches additionally pass through a
 // Fabric++-style conflict-aware pass (Sharma et al., SIGMOD'19): the
@@ -28,9 +28,6 @@ type Config struct {
 	// BatchTimeout is the maximum time to wait before cutting a
 	// non-empty batch.
 	BatchTimeout time.Duration
-	// MaxBytes optionally caps the cumulative payload size of a batch;
-	// zero disables the check.
-	MaxBytes int
 	// Reorder enables the conflict-aware pass (see the package comment):
 	// cut batches are reordered to minimize intra-block MVCC conflicts
 	// and doomed transactions are aborted before validation. Off by
@@ -50,7 +47,6 @@ func DefaultConfig() Config {
 type Cutter struct {
 	cfg     Config
 	pending [][]byte
-	bytes   int
 	started time.Time // arrival of the first pending tx
 	hasTime bool
 }
@@ -77,11 +73,7 @@ func (c *Cutter) Ordered(env []byte, now time.Time) (batches [][][]byte, pending
 		c.hasTime = true
 	}
 	c.pending = append(c.pending, env)
-	c.bytes += len(env)
-
-	overSize := len(c.pending) >= c.cfg.BatchSize
-	overBytes := c.cfg.MaxBytes > 0 && c.bytes >= c.cfg.MaxBytes
-	if overSize || overBytes {
+	if len(c.pending) >= c.cfg.BatchSize {
 		batches = append(batches, c.takePending())
 	}
 	return batches, len(c.pending) > 0
@@ -99,7 +91,6 @@ func (c *Cutter) Cut() [][]byte {
 func (c *Cutter) takePending() [][]byte {
 	batch := c.pending
 	c.pending = nil
-	c.bytes = 0
 	c.hasTime = false
 	return batch
 }

@@ -56,18 +56,6 @@ func TestTimeoutCut(t *testing.T) {
 	}
 }
 
-func TestMaxBytesCut(t *testing.T) {
-	c := New(Config{BatchSize: 100, BatchTimeout: time.Second, MaxBytes: 10})
-	now := time.Now()
-	if batches, _ := c.Ordered(make([]byte, 6), now); len(batches) != 0 {
-		t.Fatal("cut before byte limit")
-	}
-	batches, _ := c.Ordered(make([]byte, 6), now)
-	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("byte-limit cut wrong: %d batches", len(batches))
-	}
-}
-
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
 	if c.cfg.BatchSize != 100 || c.cfg.BatchTimeout != time.Second {

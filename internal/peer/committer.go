@@ -165,7 +165,7 @@ func (p *Peer) runVSCCStage(cs *channelState, pb *pipelinedBlock) {
 		go func() {
 			defer cwg.Done()
 			defer func() { <-sem }()
-			pb.flags[i] = p.runVSCC(cs, tx)
+			pb.flags[i] = p.runVSCC(tx)
 		}()
 	}
 	cwg.Wait()

@@ -81,8 +81,6 @@ type Config struct {
 	Model costmodel.Model
 	// CPU is this peer machine's simulated CPU.
 	CPU *simcpu.CPU
-	// Endorsing marks the peer as an endorsing peer.
-	Endorsing bool
 	// OrdererID is the OSN this peer pulls blocks from.
 	OrdererID string
 	// VerifyCrypto enables real signature verification in addition to
@@ -103,9 +101,6 @@ type Config struct {
 	// means the single orderer.DefaultChannel. The first entry is the
 	// default channel for untagged blocks and proposals.
 	Channels []string
-	// Policies optionally overrides the endorsement policy per channel;
-	// channels without an entry use Policy.
-	Policies map[string]policy.Policy
 	// Gossip, when non-nil, replaces the per-peer orderer subscription
 	// with gossip dissemination: only elected org leaders subscribe,
 	// everyone else receives blocks peer-to-peer and converges through
@@ -138,7 +133,6 @@ type Config struct {
 type channelState struct {
 	id     string
 	ledger *ledger.Ledger
-	policy policy.Policy
 
 	// ingestMu serializes whole IngestBlock calls: with gossip, deliver
 	// pushes, gossip forwards, and anti-entropy pulls ingest
@@ -221,10 +215,6 @@ func New(cfg Config) (*Peer, error) {
 		depth = 1
 	}
 	for _, ch := range cfg.Channels {
-		pol := cfg.Policy
-		if override, ok := cfg.Policies[ch]; ok && override != nil {
-			pol = override
-		}
 		lopts := ledger.Options{
 			Backend:            cfg.StorageBackend,
 			CheckpointInterval: cfg.CheckpointInterval,
@@ -242,7 +232,6 @@ func New(cfg Config) (*Peer, error) {
 		p.channels[ch] = &channelState{
 			id:        ch,
 			ledger:    led,
-			policy:    pol,
 			nextBlock: led.Height(), // 1 on a fresh chain, the tail on reopen
 			pending:   make(map[uint64]*types.Block),
 			commitCh:  make(chan *types.Block, 1024),
@@ -314,10 +303,8 @@ func (p *Peer) LedgerFor(channel string) (*ledger.Ledger, bool) {
 // rejoining a running network does not wait for the next push.
 func (p *Peer) Start(ctx context.Context) error {
 	p.startOnce.Do(p.launchCommitLoops)
-	if p.cfg.Endorsing {
-		if err := p.container.launch(ctx); err != nil {
-			return fmt.Errorf("peer %s: launch container: %w", p.cfg.ID, err)
-		}
+	if err := p.container.launch(ctx); err != nil {
+		return fmt.Errorf("peer %s: launch container: %w", p.cfg.ID, err)
 	}
 	if p.gossip != nil {
 		if err := p.gossip.Start(ctx); err != nil {
@@ -444,9 +431,6 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 	req, ok := payload.(*EndorseRequest)
 	if !ok {
 		return nil, 0, fmt.Errorf("peer: bad endorse payload %T", payload)
-	}
-	if !p.cfg.Endorsing {
-		return nil, 0, fmt.Errorf("peer %s: not an endorsing peer", p.cfg.ID)
 	}
 	entry := time.Now()
 	prop := req.Proposal
@@ -711,7 +695,7 @@ func (p *Peer) catchUp(ctx context.Context, ordererID, channel string, from, to 
 // policy and returns a rejection code, or ValidationPending to let the
 // serial walk continue. The modeled CPU cost is charged block-wide by
 // the caller; this function performs the real checks.
-func (p *Peer) runVSCC(cs *channelState, tx *types.Transaction) types.ValidationCode {
+func (p *Peer) runVSCC(tx *types.Transaction) types.ValidationCode {
 	if len(tx.Endorsements) == 0 {
 		return types.ValidationEndorsementPolicyFailure
 	}
@@ -729,7 +713,7 @@ func (p *Peer) runVSCC(cs *channelState, tx *types.Transaction) types.Validation
 	for _, en := range tx.Endorsements {
 		ids = append(ids, en.EndorserID)
 	}
-	if !cs.policy.Satisfied(policy.NewPrincipalSet(ids...)) {
+	if !p.cfg.Policy.Satisfied(policy.NewPrincipalSet(ids...)) {
 		return types.ValidationEndorsementPolicyFailure
 	}
 	return types.ValidationPending

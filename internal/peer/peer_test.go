@@ -103,7 +103,6 @@ func newEnvFull(t *testing.T, numPeers int, pol policy.Policy, verify bool, twea
 			Policy:       pol,
 			Model:        model,
 			CPU:          cpu,
-			Endorsing:    true,
 			VerifyCrypto: verify,
 			Certs:        certs,
 			Channels:     channels,
@@ -340,17 +339,6 @@ func TestEndorseUnknownChaincode(t *testing.T) {
 	resp := e.endorse(0, prop)
 	if resp.OK() {
 		t.Error("unknown chaincode endorsed")
-	}
-}
-
-func TestNonEndorsingPeerRefuses(t *testing.T) {
-	e := newEnv(t, 1, policy.MustParse("OR('Org1.peer0')"), false)
-	e.peers[0].cfg.Endorsing = false
-	prop := e.proposal("write", "k", "v")
-	sig, _ := e.client.Sign(prop.Hash())
-	if _, err := e.sender.Call(context.Background(), peerID(1), KindEndorse,
-		&EndorseRequest{Proposal: prop, Sig: sig}, 256); err == nil {
-		t.Error("non-endorsing peer endorsed")
 	}
 }
 

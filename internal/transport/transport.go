@@ -71,9 +71,10 @@ type Config struct {
 	// TimeScale compresses modeled delays into wall time (see
 	// costmodel.Model.TimeScale).
 	TimeScale float64
-	// InboxSize is each endpoint's receive buffer (default 4096).
-	InboxSize int
 }
+
+// inboxSize is each endpoint's receive buffer.
+const inboxSize = 1024
 
 // Network is the in-memory emulated cluster network.
 type Network struct {
@@ -96,9 +97,6 @@ type Network struct {
 
 // NewNetwork creates an emulated network.
 func NewNetwork(cfg Config) *Network {
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 1024
-	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
@@ -135,7 +133,7 @@ func (n *Network) Register(id string) (*MemEndpoint, error) {
 	ep := &MemEndpoint{
 		id:       id,
 		net:      n,
-		inbox:    make(chan message, n.cfg.InboxSize),
+		inbox:    make(chan message, inboxSize),
 		handlers: make(map[string]Handler),
 		pending:  make(map[uint64]chan message),
 		ctx:      context.Background(),

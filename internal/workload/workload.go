@@ -28,17 +28,6 @@ import (
 	"fabricsim/internal/gateway"
 )
 
-// Arrival selects the inter-arrival process of the open loop.
-type Arrival uint8
-
-// Arrival processes.
-const (
-	// Uniform spaces arrivals evenly at 1/rate.
-	Uniform Arrival = iota + 1
-	// Poisson draws exponential inter-arrival times.
-	Poisson
-)
-
 // Mode selects how load is generated.
 type Mode uint8
 
@@ -63,16 +52,14 @@ type Config struct {
 	Window int
 	// Duration is the run length in model time.
 	Duration time.Duration
-	// Arrival is the inter-arrival process (OpenLoop, default Uniform).
-	Arrival Arrival
 	// TxSize is the value size written per transaction (the paper's
 	// transaction-size parameter, default 1 byte).
 	TxSize int
 	// Model supplies the time scale.
 	Model costmodel.Model
-	// Chaincode and Fn name the invocation (defaults: "bench"/"write").
-	Chaincode string
-	Fn        string
+	// Fn names the bench chaincode function each transaction invokes
+	// (default "write").
+	Fn string
 	// KeySpace is the number of distinct keys written (default: one
 	// fresh key per tx, i.e. no write contention, matching the paper's
 	// system-level workload).
@@ -84,12 +71,12 @@ type Config struct {
 	// of the conflict-aware ordering experiments.
 	ZipfS float64
 	// Profile selects a canned multi-op workload instead of the single
-	// Chaincode/Fn invocation. Supported: ProfileSmallBank, which drives
-	// the SmallBank chaincode's read-modify-write mix over KeySpace
-	// accounts (default 1000), with per-account popularity skewed by
-	// ZipfS.
+	// bench chaincode Fn invocation. Supported: ProfileSmallBank, which
+	// drives the SmallBank chaincode's read-modify-write mix over
+	// KeySpace accounts (default 1000), with per-account popularity
+	// skewed by ZipfS.
 	Profile string
-	// Seed makes Poisson arrivals and key choice reproducible.
+	// Seed makes key choice reproducible.
 	Seed int64
 	// MaxInFlight caps outstanding transactions per client in OpenLoop
 	// mode to bound memory at extreme overload
@@ -123,17 +110,11 @@ func (c *Config) applyDefaults() error {
 	switch c.Profile {
 	case "":
 	case ProfileSmallBank:
-		if c.Chaincode == "" {
-			c.Chaincode = "smallbank"
-		}
 		if c.KeySpace <= 0 {
 			c.KeySpace = 1000
 		}
 	default:
 		return fmt.Errorf("workload: unknown profile %q", c.Profile)
-	}
-	if c.Chaincode == "" {
-		c.Chaincode = "bench"
 	}
 	if c.Fn == "" {
 		c.Fn = "write"
@@ -149,13 +130,18 @@ func (c *Config) applyDefaults() error {
 	if c.TxSize < 1 {
 		c.TxSize = 1
 	}
-	if c.Arrival == 0 {
-		c.Arrival = Uniform
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = gateway.DefaultMaxInFlight
 	}
 	return nil
+}
+
+// chaincode names the chaincode the profile invokes.
+func (c *Config) chaincode() string {
+	if c.Profile == ProfileSmallBank {
+		return "smallbank"
+	}
+	return "bench"
 }
 
 // Stats summarizes a finished run.
@@ -333,16 +319,12 @@ func (st *runState) runOpenLoopClient(ctx context.Context, gw *gateway.Gateway, 
 		}
 		// Open loop: sleep to the next arrival, then fire without
 		// waiting for the previous response.
-		gap := wallGap
-		if cfg.Arrival == Poisson {
-			gap = time.Duration(gen.rng.ExpFloat64() * float64(wallGap))
-		}
-		next = next.Add(gap)
+		next = next.Add(wallGap)
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
 		channel, fn, args := st.nextCall(gen)
-		cmt, err := gw.TrySubmitAsync(ctx, channel, cfg.Chaincode, fn, args)
+		cmt, err := gw.TrySubmitAsync(ctx, channel, cfg.chaincode(), fn, args)
 		if err != nil {
 			if errors.Is(err, gateway.ErrWindowFull) {
 				st.skipped.Add(1)
@@ -370,7 +352,7 @@ func (st *runState) runPipelineClient(ctx context.Context, gw *gateway.Gateway, 
 			break
 		}
 		channel, fn, args := st.nextCall(gen)
-		cmt, err := gw.SubmitAsync(ctx, channel, cfg.Chaincode, fn, args)
+		cmt, err := gw.SubmitAsync(ctx, channel, cfg.chaincode(), fn, args)
 		if err != nil {
 			break // context canceled
 		}

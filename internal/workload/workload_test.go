@@ -53,23 +53,6 @@ func TestRunGeneratesAtRate(t *testing.T) {
 	}
 }
 
-func TestRunPoissonArrivals(t *testing.T) {
-	n := testNet(t, nil)
-	stats, err := Run(context.Background(), n.Gateways, Config{
-		Rate:     40,
-		Duration: 3 * time.Second,
-		Arrival:  Poisson,
-		Model:    costmodel.Default(0.05),
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Submitted < 60 || stats.Submitted > 200 {
-		t.Errorf("poisson submitted = %d, want near 120", stats.Submitted)
-	}
-}
-
 func TestRunPipelineWindowScalesThroughput(t *testing.T) {
 	// The same network must commit strictly more transactions when each
 	// client pipelines 16 in flight than when it runs the legacy
@@ -159,8 +142,8 @@ func TestSmallBankProfileOpMix(t *testing.T) {
 	if err := cfg.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Chaincode != "smallbank" || cfg.KeySpace != 1000 {
-		t.Fatalf("profile defaults = chaincode %q keyspace %d", cfg.Chaincode, cfg.KeySpace)
+	if cfg.chaincode() != "smallbank" || cfg.KeySpace != 1000 {
+		t.Fatalf("profile defaults = chaincode %q keyspace %d", cfg.chaincode(), cfg.KeySpace)
 	}
 	st := &runState{cfg: cfg, value: []byte("v")}
 	gen := st.newGen(0)
