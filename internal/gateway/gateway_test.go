@@ -206,6 +206,7 @@ func TestNewRequiresOrderers(t *testing.T) {
 type stubNet struct {
 	t      testing.TB
 	gw     *Gateway
+	net    *transport.Network
 	peerEP transport.Endpoint
 	// broadcasts counts envelopes the stub orderer accepted.
 	broadcasts atomic.Int64
@@ -236,6 +237,7 @@ func newStubNet(t testing.TB, mutate func(cfg *Config), opts func(s *stubNet)) *
 	model := costmodel.Default(0.01) // 3s order timeout -> 30ms wall
 	net := transport.NewNetwork(transport.Config{TimeScale: model.TimeScale})
 	t.Cleanup(func() { net.Close() })
+	s.net = net
 
 	gwEP, err := net.Register("gw1")
 	if err != nil {
@@ -1000,6 +1002,117 @@ func TestFailedBroadcastLeavesNoPending(t *testing.T) {
 				t.Fatalf("trace %s resolved after a failed broadcast: %+v", tid, sp)
 			}
 		}
+	}
+}
+
+// TestBroadcastBudget holds a broadcast to its one ordering budget.
+// The n-th broadcast call, whichever OSN the rotation sends it to,
+// refuses at once, refuses just before the budget runs out, or hangs
+// past it. Whatever the mix, Submit fails with an error wrapping
+// context.DeadlineExceeded between the budget and the budget plus one
+// backoff (and scheduling slack); each failover is counted; a refusing
+// OSN is marked down, and the OSN that hung is aborted: neither in
+// flight nor down. When the budget runs out during a backoff, no further
+// OSN is called. The gateway's time scale is raised so the budget (300
+// ms) and the backoff (100 ms) leave the wall clock wide margins.
+func TestBroadcastBudget(t *testing.T) {
+	const (
+		scale        = 4.0
+		orderTimeout = 75 * time.Millisecond // model time
+		slack        = 50 * time.Millisecond
+	)
+	budget := time.Duration(scale * float64(orderTimeout))
+	backoff := time.Duration(scale * float64(broadcastBackoff))
+	cases := []struct {
+		name string
+		// calls says what the n-th broadcast call does.
+		calls         []string
+		wantCalls     int
+		wantFailovers int
+	}{
+		{"every OSN hangs", []string{"hang", "hang", "hang"}, 1, 0},
+		{"refusals then a hang", []string{"refuse", "refuse", "hang"}, 3, 2},
+		{"budget runs out in a backoff", []string{"late refuse", "hang", "hang"}, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			col := metrics.NewCollector()
+			release := make(chan struct{})
+			var mu sync.Mutex
+			var called []string // OSN of each broadcast call, in order
+			act := func(osn string) error {
+				mu.Lock()
+				called = append(called, osn)
+				what := tc.calls[len(called)-1]
+				mu.Unlock()
+				switch what {
+				case "refuse":
+					return errors.New("stub orderer: refused")
+				case "late refuse":
+					time.Sleep(budget - 40*time.Millisecond) // leaves less than one backoff
+					return errors.New("stub orderer: refused late")
+				}
+				<-release
+				return errors.New("stub orderer: released")
+			}
+			s := newStubNet(t, func(cfg *Config) {
+				cfg.Orderers = []string{"osn1", "osn2", "osn3"}
+				cfg.Collector = col
+				cfg.Model.TimeScale = scale
+				cfg.Model.OrderTimeout = orderTimeout
+				cfg.Model.ClientBaseLatency = 0
+			}, func(sn *stubNet) {
+				sn.onBroadcast = func(int, types.TxID) error { return act("osn1") }
+			})
+			t.Cleanup(func() { close(release) }) // before the network closes
+			for _, osn := range []string{"osn2", "osn3"} {
+				ep, err := s.net.Register(osn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				osn := osn
+				ep.Handle(orderer.KindBroadcast, func(context.Context, string, any) (any, int, error) {
+					return nil, 0, act(osn)
+				})
+			}
+
+			ctx := context.Background()
+			prop, err := s.gw.Propose(ctx, "", "bench", "write", writeArgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txn, err := prop.Endorse(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = txn.Submit(ctx)
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Submit err = %v, want one wrapping context.DeadlineExceeded", err)
+			}
+			if elapsed < budget || elapsed > budget+backoff+slack {
+				t.Errorf("Submit failed after %v, want within [%v, %v]", elapsed, budget, budget+backoff+slack)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(called) != tc.wantCalls {
+				t.Errorf("broadcast called %d OSNs (%v), want %d", len(called), called, tc.wantCalls)
+			}
+			sum := col.Summarize(metrics.SummaryOptions{TimeScale: scale})
+			if sum.BroadcastFailovers != tc.wantFailovers {
+				t.Errorf("failovers = %d, want %d", sum.BroadcastFailovers, tc.wantFailovers)
+			}
+			lt := s.gw.loads()
+			for i, osn := range called {
+				switch hung := tc.calls[i] == "hang"; {
+				case hung && (!lt.Healthy(osn) || lt.InFlight(osn) != 0):
+					t.Errorf("hung %s: healthy %v, in flight %d; want aborted, not marked down", osn, lt.Healthy(osn), lt.InFlight(osn))
+				case !hung && lt.Healthy(osn):
+					t.Errorf("refusing %s was not marked down", osn)
+				}
+			}
+		})
 	}
 }
 

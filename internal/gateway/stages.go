@@ -444,6 +444,10 @@ const broadcastBackoff = 25 * time.Millisecond
 // the caller's context) aborts without down-marking, since it says
 // nothing about the OSN's health. ErrOrdererUnavailable surfaces only
 // when every candidate OSN was tried and none accepted.
+//
+// The budget is one deadline: each call is bounded by the time left
+// to it, and each backoff is capped at that time, so the whole attempt
+// sequence ends within the ordering timeout plus scheduling slack.
 func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope, size int) error {
 	lt := g.loads()
 	nOrd := uint64(len(g.cfg.Orderers))
@@ -455,8 +459,7 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	}
 	candidates := healthyReplicas(rotation, lt)
 
-	bctx, cancel := context.WithTimeout(ctx, g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout))
-	defer cancel()
+	deadline := time.Now().Add(g.cfg.Model.ScaledDelay(g.cfg.Model.OrderTimeout))
 	backoff := g.cfg.Model.ScaledDelay(broadcastBackoff)
 	var lastErr error
 	for i, osn := range candidates {
@@ -464,18 +467,24 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 			if g.cfg.Collector != nil {
 				g.cfg.Collector.BroadcastFailover()
 			}
-			if err := simcpu.Sleep(bctx, backoff); err != nil {
+			if err := simcpu.Sleep(ctx, min(backoff, time.Until(deadline))); err != nil {
 				return fmt.Errorf("%w (budget expired after: %v)", err, lastErr)
 			}
 		}
+		// left <= 0 is !time.Now().Before(deadline): the deadline
+		// instant itself has expired, and a call is never left unbounded.
+		left := time.Until(deadline)
+		if left <= 0 {
+			return fmt.Errorf("%w (budget expired after: %v)", context.DeadlineExceeded, lastErr)
+		}
 		lt.Begin(osn)
 		begun := time.Now()
-		_, err := g.cfg.Endpoint.Call(bctx, osn, orderer.KindBroadcast, benv, size)
+		_, err := g.cfg.Endpoint.CallWithin(ctx, left, osn, orderer.KindBroadcast, benv, size)
 		if err == nil {
 			lt.Done(osn, time.Since(begun), true)
 			return nil
 		}
-		if bctx.Err() != nil {
+		if ctx.Err() != nil || !time.Now().Before(deadline) {
 			lt.Abort(osn)
 			return err
 		}
@@ -484,6 +493,13 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	}
 	return fmt.Errorf("%w (last error: %v)", ErrOrdererUnavailable, lastErr)
 }
+
+// The conflict outcomes resolve returns, built once: each matches both
+// ErrInvalidated and its conflict sentinel under errors.Is.
+var (
+	errMVCCInvalidated       = fmt.Errorf("%w: %w", ErrInvalidated, ErrMVCCConflict)
+	errEarlyAbortInvalidated = fmt.Errorf("%w: %w", ErrInvalidated, ErrEarlyAbort)
+)
 
 // resolve completes a future from a commit event.
 func (g *Gateway) resolve(c *Commit, ev peer.CommitEvent) {
@@ -516,9 +532,9 @@ func (g *Gateway) resolve(c *Commit, ev peer.CommitEvent) {
 		// with errors.Is without parsing the message.
 		switch ev.Code {
 		case types.ValidationMVCCConflict:
-			c.complete(st, fmt.Errorf("%w: %w", ErrInvalidated, ErrMVCCConflict))
+			c.complete(st, errMVCCInvalidated)
 		case types.ValidationEarlyAbort:
-			c.complete(st, fmt.Errorf("%w: %w", ErrInvalidated, ErrEarlyAbort))
+			c.complete(st, errEarlyAbortInvalidated)
 		default:
 			c.complete(st, fmt.Errorf("%w: %s", ErrInvalidated, ev.Code))
 		}

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/zookeeper"
 )
@@ -103,14 +104,16 @@ type partitionState struct {
 	replicas      []string
 	isr           map[string]bool
 	ackOffset     map[string]int64 // leader-tracked follower progress
-	waiters       []chan struct{}  // long-poll wakeups
+	// wake is closed to wake every long poll parked on the partition.
+	// The first poll to park makes it; wakeLocked closes and clears it.
+	wake chan struct{}
 }
 
 func (p *partitionState) wakeLocked() {
-	for _, w := range p.waiters {
-		close(w)
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
 	}
-	p.waiters = nil
 }
 
 // Config parameterizes a cluster.
@@ -471,9 +474,7 @@ func (b *Broker) handleProduce(ctx context.Context, _ string, payload any) (any,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, b.cluster.cfg.RequestTimeout)
-			defer cancel()
-			raw, err := b.ep.Call(cctx, f, kindReplicate, &ReplicateArgs{
+			raw, err := b.ep.CallWithin(ctx, b.cluster.cfg.RequestTimeout, f, kindReplicate, &ReplicateArgs{
 				Partition:   args.Partition,
 				FromOffset:  fromOffset,
 				Records:     []Record{rec},
@@ -589,14 +590,24 @@ func (b *Broker) handleFetch(ctx context.Context, _ string, payload any) (any, i
 			ps.mu.Unlock()
 			return &FetchReply{HighWatermark: hw}, 16, nil
 		}
-		w := make(chan struct{})
-		ps.waiters = append(ps.waiters, w)
+		if ps.wake == nil {
+			ps.wake = make(chan struct{})
+		}
+		wake := ps.wake
 		ps.mu.Unlock()
+		timer := simcpu.GetTimer(time.Until(deadline))
 		select {
-		case <-w:
+		case <-wake:
+			if timer.Stop() {
+				simcpu.PutTimer(timer)
+			}
 		case <-ctx.Done():
+			if timer.Stop() {
+				simcpu.PutTimer(timer)
+			}
 			return nil, 0, ctx.Err()
-		case <-time.After(time.Until(deadline)):
+		case <-timer.C:
+			simcpu.PutTimer(timer)
 		}
 	}
 }
@@ -651,9 +662,7 @@ func (c *Client) Produce(ctx context.Context, partition int, data []byte) (int64
 			lastErr = err
 			continue
 		}
-		cctx, cancel := context.WithTimeout(ctx, c.timeout)
-		raw, err := c.ep.Call(cctx, target, kindProduce, &ProduceArgs{Partition: partition, Data: data}, len(data)+32)
-		cancel()
+		raw, err := c.ep.CallWithin(ctx, c.timeout, target, kindProduce, &ProduceArgs{Partition: partition, Data: data}, len(data)+32)
 		if err != nil {
 			c.invalidateLeader(partition)
 			lastErr = err
@@ -674,9 +683,7 @@ func (c *Client) Fetch(ctx context.Context, partition int, offset int64, maxWait
 	if err != nil {
 		return nil, err
 	}
-	cctx, cancel := context.WithTimeout(ctx, maxWait+c.timeout)
-	defer cancel()
-	raw, err := c.ep.Call(cctx, target, kindFetch, &FetchArgs{Partition: partition, Offset: offset, MaxWait: maxWait}, 32)
+	raw, err := c.ep.CallWithin(ctx, maxWait+c.timeout, target, kindFetch, &FetchArgs{Partition: partition, Offset: offset, MaxWait: maxWait}, 32)
 	if err != nil {
 		c.invalidateLeader(partition)
 		return nil, err
@@ -704,9 +711,7 @@ func (c *Client) findLeader(ctx context.Context, partition int) (string, error) 
 
 	var lastErr error
 	for _, b := range c.brokers {
-		cctx, cancel := context.WithTimeout(ctx, c.timeout)
-		raw, err := c.ep.Call(cctx, b, kindMetadata, partition, 8)
-		cancel()
+		raw, err := c.ep.CallWithin(ctx, c.timeout, b, kindMetadata, partition, 8)
 		if err != nil {
 			lastErr = err
 			continue

@@ -3,6 +3,8 @@ package kafka
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,6 +100,61 @@ func TestFetchLongPoll(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("long poll never woke")
+	}
+}
+
+// parkedFetches counts goroutines blocked in a long poll: in a select
+// with handleFetch on their stack.
+func parkedFetches() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[select") && strings.Contains(g, "(*Broker).handleFetch") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneProduceWakesEveryLongPoll parks 16 long polls on one partition,
+// then produces one record: the partition's one wake channel must wake
+// them all, and each must return the record long before its MaxWait.
+func TestOneProduceWakesEveryLongPoll(t *testing.T) {
+	_, client, _ := testCluster(t, 3, 3)
+	ctx := context.Background()
+	const polls, maxWait = 16, 10 * time.Second
+	type result struct {
+		recs []Record
+		err  error
+		at   time.Time
+	}
+	results := make(chan result, polls)
+	for i := 0; i < polls; i++ {
+		go func() {
+			recs, err := client.Fetch(ctx, 0, 0, maxWait)
+			results <- result{recs, err, time.Now()}
+		}()
+	}
+	began := time.Now()
+	for parkedFetches() < polls {
+		if time.Since(began) > maxWait/2 {
+			t.Fatalf("only %d of %d long polls parked", parkedFetches(), polls)
+		}
+		runtime.Gosched()
+	}
+	produced := time.Now()
+	if _, err := client.Produce(ctx, 0, []byte("wake")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < polls; i++ {
+		r := <-results
+		if r.err != nil || len(r.recs) != 1 || string(r.recs[0].Data) != "wake" {
+			t.Fatalf("long poll %d returned %+v, %v; want the one record", i, r.recs, r.err)
+		}
+		if waited := r.at.Sub(produced); waited > maxWait/10 {
+			t.Errorf("long poll %d returned %v after the produce, want well before its %v MaxWait", i, waited, maxWait)
+		}
 	}
 }
 

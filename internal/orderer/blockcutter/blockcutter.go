@@ -108,17 +108,15 @@ func Reorder(batch [][]byte) ([][]byte, int) {
 	if len(batch) < 2 {
 		return batch, 0
 	}
-	rws := make([]rwdep.RW, len(batch))
 	participates := make([]bool, len(batch))
+	infos := types.PeekEnvelopeInfos(batch, participates)
+	rws := make([]rwdep.RW, len(batch))
 	peeked := false
-	for i, env := range batch {
-		info, err := types.PeekEnvelopeInfo(env)
-		if err != nil {
-			continue
+	for i := range infos {
+		if participates[i] {
+			rws[i] = rwdep.FromRWSet(infos[i].ChaincodeID, &infos[i].Results)
+			peeked = true
 		}
-		rws[i] = rwdep.FromRWSet(info.ChaincodeID, &info.Results)
-		participates[i] = true
-		peeked = true
 	}
 	if !peeked {
 		return batch, 0

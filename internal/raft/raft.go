@@ -448,9 +448,7 @@ func (n *Node) startElection() {
 		}
 		peer := peer
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ElectionTimeout)
-			defer cancel()
-			raw, err := n.cfg.Endpoint.Call(ctx, peer, n.voteKind(), args, 64)
+			raw, err := n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.ElectionTimeout, peer, n.voteKind(), args, 64)
 			if err != nil {
 				return
 			}
@@ -574,9 +572,7 @@ func (n *Node) replicateTo(peer string, term uint64) {
 	for i := range entries {
 		size += len(entries[i].Data) + 16
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ElectionTimeout)
-	defer cancel()
-	raw, err := n.cfg.Endpoint.Call(ctx, peer, n.appendKind(), args, size)
+	raw, err := n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.ElectionTimeout, peer, n.appendKind(), args, size)
 	if err != nil {
 		return
 	}

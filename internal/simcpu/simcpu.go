@@ -148,10 +148,10 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	timer := getTimer(d)
+	timer := GetTimer(d)
 	select {
 	case <-timer.C:
-		timerPool.Put(timer)
+		PutTimer(timer)
 		return nil
 	case <-ctx.Done():
 		timer.Stop()
@@ -159,20 +159,27 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// timerPool holds fired timers whose channel has been received from, so
-// Reset rearms them with nothing stale left to deliver under either
-// timer-channel semantics. A timer abandoned on cancellation may still
-// fire into its channel and is never put back.
+// timerPool holds timers with nothing left to deliver, so Reset rearms
+// them cleanly under either timer-channel semantics.
 var timerPool sync.Pool
 
-// getTimer returns a timer armed to fire after d, reusing a pooled one.
-func getTimer(d time.Duration) *time.Timer {
+// GetTimer returns a timer armed to fire after d, reusing a pooled one.
+// Every bounded wait on a hot path takes its timer here instead of from
+// time.After or a context deadline.
+func GetTimer(d time.Duration) *time.Timer {
 	if t, ok := timerPool.Get().(*time.Timer); ok {
 		t.Reset(d)
 		return t
 	}
 	return time.NewTimer(d)
 }
+
+// PutTimer returns a timer to the pool. Only a timer that can deliver
+// nothing more may go back: one that fired and whose channel was
+// received from, or one whose Stop returned true. A timer that fired
+// unreceived, or whose Stop returned false, may still hold a tick that
+// would end a later wait early, and must be dropped instead.
+func PutTimer(t *time.Timer) { timerPool.Put(t) }
 
 // Stop makes subsequent Execute calls fail fast.
 func (c *CPU) Stop() { c.stopped.Store(true) }

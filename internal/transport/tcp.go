@@ -190,7 +190,18 @@ func (e *TCPEndpoint) Send(to, kind string, payload any, _ int) error {
 }
 
 // Call performs a request/response exchange.
-func (e *TCPEndpoint) Call(ctx context.Context, to, kind string, payload any, _ int) (any, error) {
+func (e *TCPEndpoint) Call(ctx context.Context, to, kind string, payload any, size int) (any, error) {
+	return e.CallWithin(ctx, 0, to, kind, payload, size)
+}
+
+// CallWithin is Call bounded by timeout as well. TCP calls are off the
+// hot path, so the bound is a context deadline.
+func (e *TCPEndpoint) CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, _ int) (any, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}

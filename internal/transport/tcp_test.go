@@ -196,3 +196,39 @@ func TestTCPCallReturnsOnClose(t *testing.T) {
 		t.Fatal("pending call still blocked 5s after Close")
 	}
 }
+
+// TestTCPCallWithinTimesOut is TestCallWithinTimesOut over sockets: a
+// call to a handler that never replies returns context.DeadlineExceeded
+// within 50 ms past its timeout, and the next call on the endpoint
+// still completes.
+func TestTCPCallWithinTimesOut(t *testing.T) {
+	a, b := tcpPair(t)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs before the endpoints close
+	b.Handle("never", func(_ context.Context, _ string, _ any) (any, int, error) {
+		<-release
+		return nil, 0, nil
+	})
+	b.Handle("echo", func(_ context.Context, _ string, payload any) (any, int, error) {
+		return payload, 0, nil
+	})
+	const timeout = 30 * time.Millisecond
+	for round := 0; round < 3; round++ {
+		start := time.Now()
+		_, err := a.CallWithin(context.Background(), timeout, "b", "never", &tcpTestPayload{N: round}, 0)
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: err = %v, want context.DeadlineExceeded", round, err)
+		}
+		if elapsed < timeout || elapsed > timeout+50*time.Millisecond {
+			t.Errorf("round %d: timed out after %v, want within [%v, %v]", round, elapsed, timeout, timeout+50*time.Millisecond)
+		}
+		raw, err := a.CallWithin(context.Background(), time.Second, "b", "echo", &tcpTestPayload{N: round}, 0)
+		if err != nil {
+			t.Fatalf("round %d: call after a timeout: %v", round, err)
+		}
+		if got := raw.(*tcpTestPayload); got.N != round {
+			t.Errorf("round %d: echo returned %+v", round, got)
+		}
+	}
+}

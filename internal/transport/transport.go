@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fabricsim/internal/simcpu"
 )
 
 // Errors returned by transport operations.
@@ -42,6 +44,11 @@ type Endpoint interface {
 	Send(to, kind string, payload any, size int) error
 	// Call performs a request/response exchange.
 	Call(ctx context.Context, to, kind string, payload any, size int) (any, error)
+	// CallWithin is Call bounded by timeout as well as by ctx: once the
+	// timeout passes it returns context.DeadlineExceeded, the error a
+	// context deadline would give. A non-positive timeout adds no bound,
+	// so Call is CallWithin with timeout 0.
+	CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, size int) (any, error)
 	// Close detaches the endpoint; pending calls fail.
 	Close() error
 }
@@ -407,6 +414,14 @@ func (e *MemEndpoint) Send(to, kind string, payload any, size int) error {
 
 // Call sends a request and waits for the matching reply or ctx expiry.
 func (e *MemEndpoint) Call(ctx context.Context, to, kind string, payload any, size int) (any, error) {
+	return e.CallWithin(ctx, 0, to, kind, payload, size)
+}
+
+// CallWithin sends a request and waits for the matching reply, ctx
+// expiry, or the timeout, whichever comes first. The timeout runs on a
+// pooled timer, so a bounded call costs no context and no timer
+// allocation once the pool is warm.
+func (e *MemEndpoint) CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, size int) (any, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -436,16 +451,37 @@ func (e *MemEndpoint) Call(ctx context.Context, to, kind string, payload any, si
 	if err != nil {
 		return nil, err
 	}
+	var timer *time.Timer
+	var expired <-chan time.Time // nil, and never ready, without a timeout
+	if timeout > 0 {
+		timer = simcpu.GetTimer(timeout)
+		expired = timer.C
+	}
 	select {
 	case reply := <-ch:
+		stopTimer(timer)
 		if reply.errText != "" {
 			return nil, errors.New(reply.errText)
 		}
 		return reply.payload, nil
+	case <-expired:
+		simcpu.PutTimer(timer) // fired and received: nothing left to deliver
+		return nil, context.DeadlineExceeded
 	case <-ctx.Done():
+		stopTimer(timer)
 		return nil, ctx.Err()
 	case <-e.ctx.Done():
+		stopTimer(timer)
 		return nil, ErrClosed
+	}
+}
+
+// stopTimer stops a call's timer, if it has one, and pools it only when
+// Stop proves it will deliver nothing: a timer that fired unreceived is
+// dropped, or its tick would end a later call's wait early.
+func stopTimer(t *time.Timer) {
+	if t != nil && t.Stop() {
+		simcpu.PutTimer(t)
 	}
 }
 

@@ -328,7 +328,12 @@ func echo(_ context.Context, _ string, payload any) (any, int, error) {
 
 // callEcho makes one echo call and checks the reply is its own request.
 func callEcho(ctx context.Context, e *MemEndpoint, to string, req *callPayload) error {
-	resp, err := e.Call(ctx, to, "echo", req, 16)
+	return callEchoWithin(ctx, 0, e, to, req)
+}
+
+// callEchoWithin is callEcho bounded by timeout.
+func callEchoWithin(ctx context.Context, timeout time.Duration, e *MemEndpoint, to string, req *callPayload) error {
+	resp, err := e.CallWithin(ctx, timeout, to, "echo", req, 16)
 	if err != nil {
 		return fmt.Errorf("call %+v: %w", *req, err)
 	}
@@ -595,24 +600,103 @@ func TestHandlerConcurrencyUnbounded(t *testing.T) {
 }
 
 // TestMemCallAllocs pins a steady-state round trip at zero allocations:
-// the reply channel comes from the endpoint's free list and the handler
-// runs on a parked worker.
+// the reply channel comes from the endpoint's free list, the handler
+// runs on a parked worker, and a timed call's timer comes from the pool
+// and goes back to it when the reply stops it.
 func TestMemCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		name := "Call"
+		if timeout > 0 {
+			name = "CallWithin"
+		}
+		t.Run(name, func(t *testing.T) {
+			_, a, b := pair(t, Config{})
+			b.Handle("echo", echo)
+			req := &callPayload{}
+			call := func() {
+				if err := callEchoWithin(context.Background(), timeout, a, "b", req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			call() // start the link pumps, park a handler worker, pool a timer
+			if allocs := testing.AllocsPerRun(1000, call); allocs > 0 {
+				t.Errorf("%s: %.1f allocations per round trip, want 0", name, allocs)
+			}
+		})
+	}
+}
+
+// handleNever is a handler that never replies: it returns only when its
+// endpoint closes.
+func handleNever(ctx context.Context, _ string, _ any) (any, int, error) {
+	<-ctx.Done()
+	return nil, 0, ctx.Err()
+}
+
+// TestCallWithinTimesOut calls a handler that never replies: CallWithin
+// must return context.DeadlineExceeded no sooner than its timeout and
+// within 50 ms of it. The calls after it on the same endpoint reuse the
+// pooled timer, and neither a round trip nor the next timed-out call may
+// end early on a tick left over from the first.
+func TestCallWithinTimesOut(t *testing.T) {
 	_, a, b := pair(t, Config{})
 	b.Handle("echo", echo)
-	req := &callPayload{}
-	call := func() {
-		if err := callEcho(context.Background(), a, "b", req); err != nil {
-			t.Fatal(err)
+	b.Handle("never", handleNever)
+	const timeout = 30 * time.Millisecond
+	for round := 0; round < 3; round++ {
+		start := time.Now()
+		_, err := a.CallWithin(context.Background(), timeout, "b", "never", nil, 0)
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: err = %v, want context.DeadlineExceeded", round, err)
+		}
+		if elapsed < timeout || elapsed > timeout+50*time.Millisecond {
+			t.Errorf("round %d: timed out after %v, want within [%v, %v]", round, elapsed, timeout, timeout+50*time.Millisecond)
+		}
+		if err := callEchoWithin(context.Background(), time.Second, a, "b", &callPayload{seq: round}); err != nil {
+			t.Fatalf("round %d: call after a timeout: %v", round, err)
 		}
 	}
-	call() // start the link pumps and park a handler worker
-	if allocs := testing.AllocsPerRun(1000, call); allocs > 0 {
-		t.Errorf("Call: %.1f allocations per round trip, want 0", allocs)
+}
+
+// TestCallWithinNeverEndsEarly races replies against timeouts: 32
+// goroutines make timed calls to a handler whose reply delay straddles
+// the timeout, so replies and timer fires coincide often. A call that
+// returns context.DeadlineExceeded before its timeout has elapsed woke
+// on a tick a pooled timer kept from an earlier call, which is what
+// pooling a timer that fired unreceived would do. Run it under
+// -race -count=10.
+func TestCallWithinNeverEndsEarly(t *testing.T) {
+	_, a, b := pair(t, Config{})
+	b.Handle("sleep", func(_ context.Context, _ string, payload any) (any, int, error) {
+		time.Sleep(payload.(time.Duration))
+		return nil, 0, nil
+	})
+	const goroutines, calls = 32, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				timeout := time.Duration(200+(g*37+i*101)%800) * time.Microsecond
+				delay := timeout * time.Duration(6+(g+i)%9) / 10 // 0.6-1.4 × the timeout
+				start := time.Now()
+				_, err := a.CallWithin(context.Background(), timeout, "b", "sleep", delay, 0)
+				elapsed := time.Since(start)
+				switch {
+				case errors.Is(err, context.DeadlineExceeded) && elapsed < timeout:
+					t.Errorf("goroutine %d call %d: timed out after %v, before its %v timeout", g, i, elapsed, timeout)
+				case err != nil && !errors.Is(err, context.DeadlineExceeded):
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 }
 
 func BenchmarkMemCall(b *testing.B) {
@@ -629,6 +713,27 @@ func BenchmarkMemCall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := callEcho(context.Background(), caller, "b", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMemCallWithin is BenchmarkMemCall with a timeout the reply
+// always beats: the call arms, stops and pools one timer.
+func BenchmarkMemCallWithin(b *testing.B) {
+	n := NewNetwork(Config{})
+	defer n.Close()
+	caller, _ := n.Register("a")
+	callee, _ := n.Register("b")
+	callee.Handle("echo", echo)
+	req := &callPayload{}
+	if err := callEchoWithin(context.Background(), time.Minute, caller, "b", req); err != nil { // start the link pumps
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := callEchoWithin(context.Background(), time.Minute, caller, "b", req); err != nil {
 			b.Fatal(err)
 		}
 	}

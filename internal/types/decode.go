@@ -3,12 +3,13 @@ package types
 import "fmt"
 
 // txDecoder is the one decode of Transaction envelopes, shared by
-// Block.Transactions, UnmarshalTransaction and PeekEnvelopeInfo (and, for
-// their parts, by UnmarshalProposal, UnmarshalProposalResponse and
-// UnmarshalRWSet). It copies no field
-// out of the envelope: every []byte field is a capacity-capped view of
-// the input, every string a substring of one string copy of it, and the
-// slices a block's transactions hold are carved from per-block slabs.
+// Block.Transactions, UnmarshalTransaction, PeekEnvelopeInfo and
+// PeekEnvelopeInfos (and, for their parts, by UnmarshalProposal,
+// UnmarshalProposalResponse and UnmarshalRWSet). It copies no field out
+// of the envelope: every []byte field is a capacity-capped view of the
+// input, every string a substring of one string copy of it, and the
+// slices a block's or batch's envelopes hold are carved from shared
+// slabs.
 // Empty fields decode to nil and "", so no empty view pins an envelope.
 type txDecoder struct {
 	Decoder

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -247,10 +248,100 @@ func BenchmarkPeekEnvelopeInfo(b *testing.B) {
 	}
 }
 
+// checkPeekBatch requires PeekEnvelopeInfos to agree with
+// PeekEnvelopeInfo envelope by envelope: the same ok, equal infos (nil
+// and empty slices told apart) where the envelope peeks, and a zero
+// info where it does not.
+func checkPeekBatch(t *testing.T, batch [][]byte) {
+	t.Helper()
+	ok := make([]bool, len(batch))
+	infos := PeekEnvelopeInfos(batch, ok)
+	if len(infos) != len(batch) {
+		t.Fatalf("PeekEnvelopeInfos returned %d infos for %d envelopes", len(infos), len(batch))
+	}
+	for i, env := range batch {
+		want, err := PeekEnvelopeInfo(env)
+		switch {
+		case ok[i] != (err == nil):
+			t.Fatalf("envelope %d: batch peek ok = %v, PeekEnvelopeInfo error %v", i, ok[i], err)
+		case err != nil && !reflect.DeepEqual(infos[i], EnvelopeInfo{}):
+			t.Fatalf("envelope %d did not peek, but its info is %+v", i, infos[i])
+		case err == nil && !reflect.DeepEqual(&infos[i], want):
+			t.Fatalf("envelope %d: batch peek %+v, PeekEnvelopeInfo %+v", i, infos[i], *want)
+		}
+	}
+}
+
+// TestPeekEnvelopeInfosMatchesPeek holds the batch peek to the
+// per-envelope peek on 10 000 seeded envelopes, in batches of 1-64 so
+// the slabs are shared across envelopes of every shape. One envelope in
+// eight is cut short and one in sixteen replaced by random bytes, so
+// envelopes that fail to peek sit between ones that draw from the same
+// slabs.
+func TestPeekEnvelopeInfosMatchesPeek(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for n := 0; n < 10000; {
+		batch := make([][]byte, 1+r.Intn(64))
+		for i := range batch {
+			env := genTransaction(r).Marshal()
+			switch r.Intn(16) {
+			case 0, 1:
+				env = env[:r.Intn(len(env))]
+			case 2:
+				env = make([]byte, r.Intn(32))
+				r.Read(env)
+			}
+			batch[i] = env
+		}
+		n += len(batch)
+		checkPeekBatch(t, batch)
+	}
+}
+
+// TestPeekEnvelopeInfosAllocs is the batch peek's allocation budget:
+// each envelope's one string copy, and a per-batch constant for the
+// infos and the slabs.
+func TestPeekEnvelopeInfosAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	batch := and5Block().Data
+	ok := make([]bool, len(batch))
+	allocs := testing.AllocsPerRun(20, func() { PeekEnvelopeInfos(batch, ok) })
+	if limit := float64(len(batch) + 10); allocs > limit {
+		t.Errorf("PeekEnvelopeInfos on %d envelopes: %.0f allocations, want <= %.0f", len(batch), allocs, limit)
+	}
+}
+
+var peekInfosSink []EnvelopeInfo
+
+func BenchmarkPeekEnvelopeInfos(b *testing.B) {
+	batch := and5Block().Data
+	ok := make([]bool, len(batch))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peekInfosSink = PeekEnvelopeInfos(batch, ok)
+	}
+}
+
+// splitBatch is b followed by b cut into 1-4 pieces, so a batch holds
+// the fuzzed envelope whole and in parts.
+func splitBatch(b []byte) [][]byte {
+	n := 1 + len(b)%4
+	batch := [][]byte{b}
+	for k := 0; k < n; k++ {
+		batch = append(batch, b[len(b)*k/n:len(b)*(k+1)/n])
+	}
+	return batch
+}
+
 // FuzzPeekEnvelopeInfo holds the peek to the copying reference on any
 // input, and to the full decode wherever that accepts: an envelope
 // UnmarshalTransaction takes must peek, to its TxID, ChaincodeID,
-// TraceID and Results. The seeds are generator-built envelopes.
+// TraceID and Results. It also peeks the input split into a batch,
+// which must agree with the per-envelope peek, never panic, and
+// allocate under 1 MiB. The seeds are generator-built envelopes.
 func FuzzPeekEnvelopeInfo(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 4; i++ {
@@ -258,6 +349,16 @@ func FuzzPeekEnvelopeInfo(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkPeek(t, b)
+		batch := splitBatch(b)
+		ok := make([]bool, len(batch))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		PeekEnvelopeInfos(batch, ok)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("peeking a batch of %d bytes allocated %d bytes", len(b), n)
+		}
+		checkPeekBatch(t, batch)
 		tx, err := UnmarshalTransaction(b)
 		if err != nil {
 			return

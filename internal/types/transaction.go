@@ -317,5 +317,29 @@ func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 	return info, nil
 }
 
+// PeekEnvelopeInfos is PeekEnvelopeInfo over a whole batch with one
+// decoder, the way Block.Transactions decodes a block: the infos share
+// one array, and their reads and writes are carved from shared slabs.
+// ok must hold an entry per envelope; ok[i] reports whether envelope i
+// peeked, and the info of one that did not is left zero. Each info is a
+// view of its envelope, as PeekEnvelopeInfo's is.
+func PeekEnvelopeInfos(batch [][]byte, ok []bool) []EnvelopeInfo {
+	later := 0
+	for _, env := range batch {
+		later += len(env)
+	}
+	infos := make([]EnvelopeInfo, len(batch))
+	var d txDecoder
+	for i, env := range batch {
+		later -= len(env)
+		d.start(env, i, len(batch)-1-i, later)
+		d.envelopeInfo(&infos[i])
+		if ok[i] = d.Err() == nil; !ok[i] {
+			infos[i] = EnvelopeInfo{}
+		}
+	}
+	return infos
+}
+
 // ID returns the transaction's ID.
 func (t *Transaction) ID() TxID { return t.Proposal.TxID }
