@@ -263,19 +263,12 @@ func (w writes) Visit(n ast.Node) ast.Visitor {
 	return w
 }
 
-// allowedUnset maps a Config or Options field that may stay with no
-// non-test write, named as the scan reports it, to its reason.
-var allowedUnset = map[string]string{}
-
-// TestConfigFieldsAreSet fails on an exported field of an exported
-// *Config or *Options struct of a library package that no non-test file
-// sets: a setting nobody sets has one value, and belongs in a constant.
-// A composite-literal key, an assignment, an increment or a range
-// assignment sets a field; an assignment under an if whose condition
-// reads the same field fills in its default, and does not.
-func TestConfigFieldsAreSet(t *testing.T) {
-	m := loadModule(t)
-	field := func(e ast.Expr) *types.Var {
+// fieldWrites walks the module's non-test files and calls f with each
+// field that a statement or composite literal writes, the identifier
+// naming it there, and the enclosing if statements whose conditions
+// read the same field: the ifs that make the write a default fill.
+func (m *module) fieldWrites(f func(id *ast.Ident, v *types.Var, fills []*ast.IfStmt)) {
+	w := writes{record: func(e ast.Expr, ifs []*ast.IfStmt) {
 		var id *ast.Ident
 		switch e := e.(type) {
 		case *ast.Ident:
@@ -283,42 +276,45 @@ func TestConfigFieldsAreSet(t *testing.T) {
 		case *ast.SelectorExpr:
 			id = e.Sel
 		default:
-			return nil
-		}
-		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-			return v
-		}
-		return nil
-	}
-	reads := func(cond ast.Expr, v *types.Var) bool {
-		found := false
-		ast.Inspect(cond, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] == v {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	set := map[*types.Var]bool{}
-	w := writes{record: func(e ast.Expr, ifs []*ast.IfStmt) {
-		v := field(e)
-		if v == nil {
 			return
 		}
+		v, ok := m.info.Uses[id].(*types.Var)
+		if !ok || !v.IsField() {
+			return
+		}
+		var fills []*ast.IfStmt
 		for _, s := range ifs {
-			if reads(s.Cond, v) {
-				return
+			if m.mentions(s.Cond, v) {
+				fills = append(fills, s)
 			}
 		}
-		set[v] = true
+		f(id, v, fills)
 	}}
 	for _, p := range m.paths {
-		for _, f := range m.files[p] {
-			ast.Walk(w, f)
+		for _, file := range m.files[p] {
+			ast.Walk(w, file)
 		}
 	}
+}
 
+// mentions reports whether n names v.
+func (m *module) mentions(n ast.Node, v *types.Var) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] == v {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// checkConfigFields fails each exported field of an exported *Config or
+// *Options struct of a library package that is missing from has and not
+// listed in allow, each listed field that has holds, and each entry of
+// allow that names no such field. verb names what has records.
+func checkConfigFields(t *testing.T, m *module, has map[*types.Var]bool, allow map[string]string, verb string) {
+	t.Helper()
 	seen := map[string]bool{}
 	fields, structs := 0, 0
 	for _, p := range m.paths {
@@ -343,20 +339,76 @@ func TestConfigFieldsAreSet(t *testing.T) {
 				}
 				fields++
 				label := m.short(p) + "." + name + "." + v.Name()
-				_, listed := allowedUnset[label]
+				_, listed := allow[label]
 				seen[label] = true
-				if set[v] && listed {
-					t.Errorf("%s is set now; drop its allowlist entry", label)
-				} else if !set[v] && !listed {
-					t.Errorf("%s is never set outside tests and default fills (%s)", label, m.fset.Position(v.Pos()))
+				if has[v] && listed {
+					t.Errorf("%s is %s now; drop its allowlist entry", label, verb)
+				} else if !has[v] && !listed {
+					t.Errorf("%s is never %s outside tests and default fills (%s)", label, verb, m.fset.Position(v.Pos()))
 				}
 			}
 		}
 	}
 	t.Logf("%d exported fields in %d Config and Options types", fields, structs)
-	for label := range allowedUnset {
+	for label := range allow {
 		if !seen[label] {
 			t.Errorf("allowlist entry %s names no Config or Options field", label)
 		}
 	}
+}
+
+// allowedUnset maps a Config or Options field that may stay with no
+// non-test write, named as the scan reports it, to its reason.
+var allowedUnset = map[string]string{}
+
+// TestConfigFieldsAreSet fails on an exported field of an exported
+// *Config or *Options struct of a library package that no non-test file
+// sets: a setting nobody sets has one value, and belongs in a constant.
+// A composite-literal key, an assignment, an increment or a range
+// assignment sets a field; an assignment under an if whose condition
+// reads the same field fills in its default, and does not.
+func TestConfigFieldsAreSet(t *testing.T) {
+	m := loadModule(t)
+	set := map[*types.Var]bool{}
+	m.fieldWrites(func(_ *ast.Ident, v *types.Var, fills []*ast.IfStmt) {
+		if len(fills) == 0 {
+			set[v] = true
+		}
+	})
+	checkConfigFields(t, m, set, allowedUnset, "set")
+}
+
+// allowedUnread maps a Config or Options field that may stay with no
+// non-test read, named as the scan reports it, to its reason.
+var allowedUnread = map[string]string{
+	"fabnet.Config.NumZooKeepers": "set only by the frozen benchmark; ROADMAP item 5 deletes it",
+}
+
+// TestConfigFieldsAreRead fails on an exported field of an exported
+// *Config or *Options struct of a library package that no non-test file
+// reads: a setting nothing reads is a knob that does nothing. Every
+// mention of a field counts as a read except the writes
+// TestConfigFieldsAreSet counts, and the mentions in the condition of a
+// default fill, an if whose body writes the field it tests.
+func TestConfigFieldsAreRead(t *testing.T) {
+	m := loadModule(t)
+	notRead := map[*ast.Ident]bool{}
+	m.fieldWrites(func(id *ast.Ident, v *types.Var, fills []*ast.IfStmt) {
+		notRead[id] = true
+		for _, s := range fills {
+			ast.Inspect(s.Cond, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] == v {
+					notRead[id] = true
+				}
+				return true
+			})
+		}
+	})
+	read := map[*types.Var]bool{}
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !notRead[id] {
+			read[v] = true
+		}
+	}
+	checkConfigFields(t, m, read, allowedUnread, "read")
 }

@@ -114,7 +114,6 @@ type PointConfig struct {
 	Orderer     fabnet.OrdererType
 	OSNs        int
 	Brokers     int
-	ZooKeepers  int
 	Peers       int
 	Policy      policy.Policy
 	PolicyLabel string
@@ -193,7 +192,6 @@ func RunPoint(ctx context.Context, pc PointConfig, opt Options) (Point, error) {
 		Tracer:             opt.Tracer,
 		NumOrderers:        pc.OSNs,
 		NumKafkaBrokers:    pc.Brokers,
-		NumZooKeepers:      pc.ZooKeepers,
 		NumEndorsingPeers:  pc.Peers,
 		EndorsersPerOrg:    pc.EndorsersPerOrg,
 		Balancer:           pc.Balancer,

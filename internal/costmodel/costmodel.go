@@ -67,8 +67,6 @@ type Model struct {
 	KafkaReplicaWriteCPU time.Duration
 	// RaftAppendCPU is a Raft node's cost to append one entry batch.
 	RaftAppendCPU time.Duration
-	// ZKOpLatency is the modeled latency of one ZooKeeper quorum write.
-	ZKOpLatency time.Duration
 
 	// --- Committing peer, validate phase ---
 
@@ -134,7 +132,6 @@ func Default(timeScale float64) Model {
 		OrdererCores:         8,
 		KafkaReplicaWriteCPU: 100 * time.Microsecond,
 		RaftAppendCPU:        100 * time.Microsecond,
-		ZKOpLatency:          2 * time.Millisecond,
 
 		VSCCPerSigCPU:  1650 * time.Microsecond,
 		VSCCPerTxCPU:   600 * time.Microsecond,

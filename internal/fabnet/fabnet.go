@@ -1,10 +1,9 @@
 // Package fabnet assembles complete emulated Fabric networks from a
 // topology configuration: organizations with CAs, endorsing peers that
-// also validate and commit, an ordering service (Solo, Kafka with
-// ZooKeeper, or Raft), and SDK clients — the role the paper's
-// 20-machine cluster and its deployment scripts play. Every node gets
-// its own simulated CPU and attaches to a latency/bandwidth-modeled
-// network.
+// also validate and commit, an ordering service (Solo, Kafka, or Raft),
+// and SDK clients — the role the paper's 20-machine cluster and its
+// deployment scripts play. Every node gets its own simulated CPU and
+// attaches to a latency/bandwidth-modeled network.
 package fabnet
 
 import (
@@ -36,7 +35,6 @@ import (
 	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
-	"fabricsim/internal/zookeeper"
 )
 
 // OrdererType selects the ordering service implementation.
@@ -55,12 +53,15 @@ type Config struct {
 	Orderer OrdererType
 	// NumOrderers is the OSN count (default 1; Solo forces 1).
 	NumOrderers int
-	// NumKafkaBrokers and NumZooKeepers size the Kafka substrate
-	// (defaults 3 and 3, the paper's baseline). Each channel's partition
-	// is replicated on three brokers, or on every broker when there are
-	// fewer.
+	// NumKafkaBrokers sizes the Kafka substrate (default 3, the paper's
+	// baseline). Each channel's partition is replicated on three
+	// brokers, or on every broker when there are fewer.
 	NumKafkaBrokers int
-	NumZooKeepers   int
+	// NumZooKeepers is read by nothing: ZooKeeper is off Fabric's
+	// transaction path and not modeled. It stays only because the
+	// benchmark sets it, and goes with the benchmark's next instrument
+	// change.
+	NumZooKeepers int
 	// NumEndorsingPeers is the number of endorsing organizations
 	// (Org1 ... OrgN, default 1), each contributing one org principal
 	// (Org<i>.peer0) to endorsement policies.
@@ -232,9 +233,6 @@ func (c *Config) applyDefaults() {
 	if c.NumKafkaBrokers < 1 {
 		c.NumKafkaBrokers = 3
 	}
-	if c.NumZooKeepers < 1 {
-		c.NumZooKeepers = 3
-	}
 	if c.NumEndorsingPeers < 1 {
 		c.NumEndorsingPeers = 1
 	}
@@ -319,7 +317,6 @@ type Network struct {
 	register func(id string) (transport.Endpoint, error)
 
 	kafkaCluster *kafka.Cluster
-	zk           *zookeeper.Ensemble
 	// raftCons holds each OSN's Raft consenter (indexed like Orderers;
 	// nil entries for non-Raft ordering).
 	raftCons []*orderer.RaftConsenter
@@ -661,12 +658,10 @@ func (n *Network) assignRegion(id string, idx int) {
 // kafkaReplication is the replica count of each channel's partition.
 const kafkaReplication = 3
 
-// buildKafka assembles the ZooKeeper ensemble and the brokers the Kafka
-// consenters produce to and consume from.
+// buildKafka assembles the brokers the Kafka consenters produce to and
+// consume from.
 func (n *Network) buildKafka() error {
 	model := n.Cfg.Model
-	n.zk = zookeeper.New(n.Cfg.NumZooKeepers, model.ScaledDelay(model.ZKOpLatency))
-
 	brokerEPs := make(map[string]transport.Endpoint, n.Cfg.NumKafkaBrokers)
 	for i := 1; i <= n.Cfg.NumKafkaBrokers; i++ {
 		id := fmt.Sprintf("broker%d", i)
@@ -682,12 +677,11 @@ func (n *Network) buildKafka() error {
 		Brokers:           n.brokerIDs,
 		Partitions:        len(n.Cfg.channelIDs()), // one partition per channel (paper default)
 		ReplicationFactor: kafkaReplication,
-		SessionTimeout:    model.ScaledDelay(2 * time.Second),
 		ReplicaWriteDelay: func() {
 			time.Sleep(model.ScaledDelay(model.KafkaReplicaWriteCPU))
 		},
 		RequestTimeout: model.ScaledDelay(3 * time.Second),
-	}, n.zk, brokerEPs)
+	}, brokerEPs)
 	if err != nil {
 		return fmt.Errorf("fabnet: %w", err)
 	}

@@ -233,7 +233,6 @@ func TestMultiChannelKafka(t *testing.T) {
 		Orderer:           Kafka,
 		NumOrderers:       2,
 		NumKafkaBrokers:   3,
-		NumZooKeepers:     3,
 		NumEndorsingPeers: 2,
 		Policy:            policy.OrOverPeers(2),
 		Model:             costmodel.Default(0.05),

@@ -2,8 +2,8 @@
 // Apache Kafka the Kafka-based ordering service uses: brokers holding
 // replicated partition logs, a leader/follower model with in-sync
 // replicas (ISR) and acks=all commitment, long-poll fetches, and a
-// controller that reassigns partition leadership when a broker's
-// ZooKeeper session expires.
+// controller that reassigns partition leadership when a broker is
+// killed.
 //
 // The paper's defaults are one partition per channel and a replication
 // factor of 3 (Section III); both are configurable here. One deliberate
@@ -17,13 +17,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
-	"fabricsim/internal/zookeeper"
 )
 
 // Errors returned by cluster operations.
@@ -89,7 +87,6 @@ type FetchReply struct {
 // MetadataReply names the current leader of a partition.
 type MetadataReply struct {
 	Leader string
-	ISR    []string
 }
 
 // partitionState is one broker's replica of a partition.
@@ -124,9 +121,6 @@ type Config struct {
 	Partitions int
 	// ReplicationFactor is the replica count per partition.
 	ReplicationFactor int
-	// SessionTimeout is the ZK session expiry for broker liveness
-	// (wall-clock, already scaled).
-	SessionTimeout time.Duration
 	// ReplicaWriteDelay optionally injects the cost model's per-record
 	// append cost (already scaled); nil means none.
 	ReplicaWriteDelay func()
@@ -134,17 +128,16 @@ type Config struct {
 	RequestTimeout time.Duration
 }
 
-// Cluster wires brokers, the ZooKeeper ensemble, and the controller.
+// Cluster wires brokers and the controller.
 type Cluster struct {
 	cfg     Config
-	zk      *zookeeper.Ensemble
 	brokers map[string]*Broker
 	mu      sync.Mutex
 }
 
 // NewCluster creates the brokers and elects a controller. Each broker
 // ID in cfg.Brokers must already be registered on net.
-func NewCluster(cfg Config, zk *zookeeper.Ensemble, endpoints map[string]transport.Endpoint) (*Cluster, error) {
+func NewCluster(cfg Config, endpoints map[string]transport.Endpoint) (*Cluster, error) {
 	if cfg.Partitions < 1 {
 		cfg.Partitions = 1
 	}
@@ -154,47 +147,34 @@ func NewCluster(cfg Config, zk *zookeeper.Ensemble, endpoints map[string]transpo
 	if cfg.ReplicationFactor > len(cfg.Brokers) {
 		cfg.ReplicationFactor = len(cfg.Brokers)
 	}
-	if cfg.SessionTimeout <= 0 {
-		cfg.SessionTimeout = 2 * time.Second
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	c := &Cluster{cfg: cfg, zk: zk, brokers: make(map[string]*Broker)}
+	c := &Cluster{cfg: cfg, brokers: make(map[string]*Broker)}
 
 	for _, id := range cfg.Brokers {
 		ep, ok := endpoints[id]
 		if !ok {
 			return nil, fmt.Errorf("kafka: no endpoint for broker %q", id)
 		}
-		b, err := newBroker(c, id, ep)
-		if err != nil {
-			return nil, err
-		}
-		c.brokers[id] = b
+		c.brokers[id] = newBroker(c, id, ep)
 	}
 
 	// Initial partition assignment: round-robin leaders with the next
-	// RF-1 brokers as followers, recorded in ZooKeeper.
+	// RF-1 brokers as followers.
 	for p := 0; p < cfg.Partitions; p++ {
 		replicas := make([]string, 0, cfg.ReplicationFactor)
 		for i := 0; i < cfg.ReplicationFactor; i++ {
 			replicas = append(replicas, cfg.Brokers[(p+i)%len(cfg.Brokers)])
 		}
-		if err := c.assignPartition(p, replicas[0], replicas, 1); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range c.brokers {
-		b.start()
+		c.assignPartition(p, replicas[0], replicas, 1)
 	}
 	return c, nil
 }
 
-// assignPartition installs leadership state on every live broker and in ZK.
-func (c *Cluster) assignPartition(p int, leader string, replicas []string, epoch int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// assignPartition installs leadership state on every replica. The
+// caller holds c.mu, or has not yet shared c.
+func (c *Cluster) assignPartition(p int, leader string, replicas []string, epoch int64) {
 	for _, id := range replicas {
 		b, ok := c.brokers[id]
 		if !ok {
@@ -202,23 +182,6 @@ func (c *Cluster) assignPartition(p int, leader string, replicas []string, epoch
 		}
 		b.installPartition(p, leader, replicas, epoch)
 	}
-	// Record in ZK for observability and controller recovery.
-	s := c.zk.Connect(c.cfg.SessionTimeout)
-	defer s.Close()
-	path := fmt.Sprintf("/partitions/p%d", p)
-	state := fmt.Sprintf("leader=%s epoch=%d replicas=%s", leader, epoch, strings.Join(replicas, ","))
-	if ok, _ := s.Exists("/partitions"); !ok {
-		if err := s.Create("/partitions", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
-			return err
-		}
-	}
-	if ok, _ := s.Exists(path); !ok {
-		if err := s.Create(path, []byte(state), 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
-			return err
-		}
-		return nil
-	}
-	return s.Set(path, []byte(state))
 }
 
 // Leader returns the current leader broker ID of a partition, as
@@ -239,9 +202,8 @@ func (c *Cluster) Leader(p int) (string, bool) {
 	return "", false
 }
 
-// KillBroker simulates a broker crash: it stops heartbeating (expiring
-// its ZK session) and stops serving. The controller then fails
-// leadership over to a surviving ISR member.
+// KillBroker simulates a broker crash: it stops serving, and the
+// controller fails leadership over to a surviving ISR member.
 func (c *Cluster) KillBroker(id string) error {
 	c.mu.Lock()
 	b, ok := c.brokers[id]
@@ -250,37 +212,38 @@ func (c *Cluster) KillBroker(id string) error {
 		return fmt.Errorf("kafka: unknown broker %q", id)
 	}
 	b.stop()
-	c.zk.ExpireStale()
 	c.failover(id)
 	return nil
 }
 
-// failover moves leadership of partitions led by dead to a live ISR
-// member (controller logic).
+// failover moves leadership of partitions led by dead to the first
+// replica, in assignment order, that is live and in the ISR (controller
+// logic). It reads the partition state of the first live broker in
+// cfg.Brokers order, so no map walk decides the new leader.
 func (c *Cluster) failover(dead string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	live := func(id string) bool {
+		b := c.brokers[id]
+		return id != dead && b != nil && !b.isStopped()
+	}
 	for p := 0; p < c.cfg.Partitions; p++ {
-		c.mu.Lock()
 		var cur *partitionState
-		for _, b := range c.brokers {
-			if b.isStopped() {
-				continue
-			}
-			if ps := b.partition(p); ps != nil {
-				cur = ps
-				break
+		for _, id := range c.cfg.Brokers {
+			if live(id) {
+				if cur = c.brokers[id].partition(p); cur != nil {
+					break
+				}
 			}
 		}
-		c.mu.Unlock()
 		if cur == nil {
 			continue
 		}
 		cur.mu.Lock()
-		leader := cur.leader
-		epoch := cur.epoch
-		replicas := append([]string(nil), cur.replicas...)
-		isr := make([]string, 0, len(cur.isr))
-		for id, in := range cur.isr {
-			if in && id != dead {
+		leader, epoch, replicas := cur.leader, cur.epoch, cur.replicas
+		isr := make([]string, 0, len(replicas))
+		for _, id := range replicas {
+			if cur.isr[id] {
 				isr = append(isr, id)
 			}
 		}
@@ -288,11 +251,14 @@ func (c *Cluster) failover(dead string) {
 		if leader != dead {
 			continue
 		}
-		if len(isr) == 0 {
-			continue // unclean leader election disabled, partition offline
+		// With no live ISR member the partition stays offline: unclean
+		// leader election is disabled.
+		for _, id := range isr {
+			if live(id) {
+				c.assignPartition(p, id, replicas, epoch+1)
+				break
+			}
 		}
-		newLeader := isr[0]
-		_ = c.assignPartition(p, newLeader, replicas, epoch+1)
 	}
 }
 
@@ -314,77 +280,39 @@ type Broker struct {
 	id      string
 	cluster *Cluster
 	ep      transport.Endpoint
-	session *zookeeper.Session
 
 	mu         sync.Mutex
 	partitions map[int]*partitionState
 	stopped    bool
-	stopCh     chan struct{}
-	wg         sync.WaitGroup
 }
 
-func newBroker(c *Cluster, id string, ep transport.Endpoint) (*Broker, error) {
+func newBroker(c *Cluster, id string, ep transport.Endpoint) *Broker {
 	b := &Broker{
 		id:         id,
 		cluster:    c,
 		ep:         ep,
 		partitions: make(map[int]*partitionState),
-		stopCh:     make(chan struct{}),
-	}
-	b.session = c.zk.Connect(c.cfg.SessionTimeout)
-	if ok, _ := b.session.Exists("/brokers"); !ok {
-		if err := b.session.Create("/brokers", nil, 0); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
-			return nil, err
-		}
-	}
-	if err := b.session.Create("/brokers/"+id, nil, zookeeper.FlagEphemeral); err != nil && !errors.Is(err, zookeeper.ErrNodeExists) {
-		return nil, err
 	}
 	ep.Handle(kindProduce, b.handleProduce)
 	ep.Handle(kindReplicate, b.handleReplicate)
 	ep.Handle(kindFetch, b.handleFetch)
 	ep.Handle(kindMetadata, b.handleMetadata)
-	return b, nil
-}
-
-func (b *Broker) start() {
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		ticker := time.NewTicker(b.cluster.cfg.SessionTimeout / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-b.stopCh:
-				return
-			case <-ticker.C:
-				if err := b.session.Ping(); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	return b
 }
 
 func (b *Broker) stop() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.stopped {
-		b.mu.Unlock()
 		return
 	}
 	b.stopped = true
-	close(b.stopCh)
-	b.mu.Unlock()
-	b.session.Close()
-	b.wg.Wait()
 	// Wake any long-polling fetchers so they drain out.
-	b.mu.Lock()
 	for _, ps := range b.partitions {
 		ps.mu.Lock()
 		ps.wakeLocked()
 		ps.mu.Unlock()
 	}
-	b.mu.Unlock()
 }
 
 func (b *Broker) isStopped() bool {
@@ -624,13 +552,7 @@ func (b *Broker) handleMetadata(_ context.Context, _ string, payload any) (any, 
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	isr := make([]string, 0, len(ps.isr))
-	for id, in := range ps.isr {
-		if in {
-			isr = append(isr, id)
-		}
-	}
-	return &MetadataReply{Leader: ps.leader, ISR: isr}, 64, nil
+	return &MetadataReply{Leader: ps.leader}, 64, nil
 }
 
 // Client is a producer/consumer attachment to the cluster, used by the

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fabricsim/internal/transport"
-	"fabricsim/internal/zookeeper"
 )
 
 // testCluster builds a broker cluster plus one client endpoint.
@@ -18,7 +17,6 @@ func testCluster(t *testing.T, brokers, rf int) (*Cluster, *Client, *transport.N
 	t.Helper()
 	net := transport.NewNetwork(transport.Config{TimeScale: 0.01, Latency: time.Millisecond})
 	t.Cleanup(net.Close)
-	zk := zookeeper.New(3, 0)
 
 	ids := make([]string, 0, brokers)
 	eps := make(map[string]transport.Endpoint, brokers)
@@ -35,9 +33,8 @@ func testCluster(t *testing.T, brokers, rf int) (*Cluster, *Client, *transport.N
 		Brokers:           ids,
 		Partitions:        1,
 		ReplicationFactor: rf,
-		SessionTimeout:    200 * time.Millisecond,
 		RequestTimeout:    2 * time.Second,
-	}, zk, eps)
+	}, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +221,50 @@ func TestLeaderFailover(t *testing.T) {
 	}
 	if len(recs) != 2 || string(recs[0].Data) != "before" || string(recs[1].Data) != "after" {
 		t.Errorf("post-failover log = %v", recs)
+	}
+}
+
+// TestFailoverPicksFirstLiveReplica kills the leader of fresh RF-3
+// clusters: the new leader must be the next replica in assignment
+// order every time, not whichever ISR member a map walk meets first.
+func TestFailoverPicksFirstLiveReplica(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		cluster, _, _ := testCluster(t, 3, 3)
+		if err := cluster.KillBroker("broker1"); err != nil {
+			t.Fatal(err)
+		}
+		if leader, ok := cluster.Leader(0); !ok || leader != "broker2" {
+			t.Fatalf("cluster %d: leader after killing broker1 = %q, want broker2", i, leader)
+		}
+	}
+}
+
+// TestClusterOwnsNoGoroutine builds and stops a cluster on in-memory
+// endpoints: brokers only answer requests, so neither step may change
+// the goroutine count.
+func TestClusterOwnsNoGoroutine(t *testing.T) {
+	net := transport.NewNetwork(transport.Config{TimeScale: 0.01, Latency: time.Millisecond})
+	defer net.Close()
+	ids := []string{"broker1", "broker2", "broker3"}
+	eps := make(map[string]transport.Endpoint, len(ids))
+	for _, id := range ids {
+		ep, err := net.Register(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[id] = ep
+	}
+	before := runtime.NumGoroutine()
+	cluster, err := NewCluster(Config{Brokers: ids, Partitions: 4, ReplicationFactor: 3}, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after NewCluster, %d before", n, before)
+	}
+	cluster.Stop()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Stop, %d before NewCluster", n, before)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
-	"fabricsim/internal/zookeeper"
 )
 
 // testHarness wires OSNs and a fake client endpoint that doubles as the
@@ -79,9 +78,8 @@ func (h *testHarness) attachKafka(o *Orderer) Consenter {
 		Brokers:           brokers,
 		Partitions:        len(o.Channels()),
 		ReplicationFactor: 1,
-		SessionTimeout:    200 * time.Millisecond,
 		RequestTimeout:    2 * time.Second,
-	}, zookeeper.New(1, 0), map[string]transport.Endpoint{"broker1": ep})
+	}, map[string]transport.Endpoint{"broker1": ep})
 	if err != nil {
 		h.t.Fatal(err)
 	}
