@@ -1079,9 +1079,9 @@ type OrdererRestartResult struct {
 // leader's appends. Under Solo and Kafka the chain is rehydrated from a
 // surviving OSN's chain or a peer's block store tail; Kafka then
 // replays its partition from offset zero and the chain's replay guard
-// drops the duplicates. Gossip org leaders and directly-subscribed
-// peers resubscribe through their existing deliver heartbeats, so no
-// blocks are lost across the restart.
+// drops the duplicates. Org leaders (every direct-deliver peer is one)
+// refresh their subscriptions every few leases, so no blocks are lost
+// across the restart.
 func (n *Network) RestartOrderer(ctx context.Context, id string) (*OrdererRestartResult, error) {
 	idx, ep, err := reregister(n, n.Orderers, id)
 	if err != nil {
@@ -1237,7 +1237,6 @@ func registerWireTypes() {
 			&orderer.SubscribeArgs{}, &orderer.SubscribeReply{},
 			&orderer.SubmitArgs{},
 			&gossip.BlockMsg{}, &gossip.DigestMsg{},
-			&gossip.PullArgs{}, &gossip.PullReply{},
 			&gossip.Beat{},
 			&peer.SnapshotRequest{}, &peer.SnapshotChunk{},
 			&kafka.ProduceArgs{}, &kafka.ProduceReply{},

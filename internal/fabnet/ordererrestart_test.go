@@ -59,8 +59,8 @@ func nonLeaderOSN(t *testing.T, n *Network) (string, int) {
 
 // invokeLenient drives count committed writes, tolerating transient
 // rejections (ordering timeouts, orderer unavailable) while the network
-// heals around a disrupted OSN — the deliver heartbeat takes up to 5s
-// model time to resubscribe, longer than one ordering budget.
+// heals around a disrupted OSN — a leader's subscription refresh takes
+// up to 5s model time to resubscribe, longer than one ordering budget.
 func invokeLenient(t *testing.T, n *Network, tag string, count int, d time.Duration) {
 	t.Helper()
 	ctx := context.Background()

@@ -17,31 +17,26 @@ import (
 	"fabricsim/internal/workload"
 )
 
-// kafkaRun is one virtual-time life of a three-peer Kafka network under
-// OR at scale 1.0: the model time Build and Start took, the model time
-// from Build to the end of Stop, and the summary of 10 model-seconds of
-// load at 400 tps.
-type kafkaRun struct {
+// vtRun is one virtual-time life of a network at scale 1.0: the model
+// time Build and Start took, the model time from Build to the end of
+// Stop, and the summary of 10 model-seconds of load at 400 tps.
+type vtRun struct {
 	setup time.Duration
 	life  time.Duration
 	sum   metrics.Summary
 	err   error
 }
 
-// runKafkaNetwork builds, starts, loads and stops the network; it must
-// run inside a synctest bubble, and reports failures in the result.
-func runKafkaNetwork() (r kafkaRun) {
+// runNetwork builds cfg with the scale-1.0 cost model and a fresh
+// collector, then starts, loads and stops it; it must run inside a
+// synctest bubble, and reports failures in the result.
+func runNetwork(cfg Config) (r vtRun) {
 	model := costmodel.Default(1.0)
 	col := metrics.NewCollector()
+	cfg.Model = model
+	cfg.Collector = col
 	began := time.Now()
-	n, err := Build(Config{
-		Orderer:           Kafka,
-		NumOrderers:       3,
-		NumEndorsingPeers: 3,
-		Policy:            policy.OrOverPeers(3),
-		Model:             model,
-		Collector:         col,
-	})
+	n, err := Build(cfg)
 	if err != nil {
 		r.err = err
 		return r
@@ -65,18 +60,17 @@ func runKafkaNetwork() (r kafkaRun) {
 	return r
 }
 
-// TestKafkaNetworkInVirtualTime runs a Kafka network twice with one
-// seed, each time inside a synctest bubble. The bubble returning proves
-// no goroutine outlives Stop, since one left blocked would deadlock it;
-// both runs must commit, and agree on their committed count and mean
-// latency within 0.1 %. Run with GOEXPERIMENT=synctest.
-func TestKafkaNetworkInVirtualTime(t *testing.T) {
-	var runs [2]kafkaRun
+// runTwice runs cfg twice with one seed, each time inside its own
+// synctest bubble. The bubble returning proves no goroutine outlives
+// Stop, since one left blocked would deadlock it; both runs must commit.
+func runTwice(t *testing.T, cfg Config) [2]vtRun {
+	t.Helper()
+	var runs [2]vtRun
 	for i := range runs {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			synctest.Run(func() { runs[i] = runKafkaNetwork() })
+			synctest.Run(func() { runs[i] = runNetwork(cfg) })
 		}()
 		select {
 		case <-done:
@@ -90,9 +84,16 @@ func TestKafkaNetworkInVirtualTime(t *testing.T) {
 		if r.sum.Committed == 0 {
 			t.Fatalf("run %d committed nothing", i)
 		}
-		t.Logf("run %d: setup %.3f model-s, Build to Stop %.3f model-s, committed %d, mean latency %v",
-			i, r.setup.Seconds(), r.life.Seconds(), r.sum.Committed, r.sum.TotalLatency.Avg)
+		t.Logf("run %d: setup %.3f model-s, Build to Stop %.3f model-s, committed %d, mean latency %v, validate %.1f tps",
+			i, r.setup.Seconds(), r.life.Seconds(), r.sum.Committed, r.sum.TotalLatency.Avg, r.sum.ValidateTPS)
 	}
+	return runs
+}
+
+// checkWithin fails t unless both runs agree on committed count and
+// mean latency within 0.1 %.
+func checkWithin(t *testing.T, runs [2]vtRun) {
+	t.Helper()
 	within := func(a, b float64) bool { return math.Abs(a-b) <= 0.001*math.Max(a, b) }
 	a, b := runs[0].sum, runs[1].sum
 	if !within(float64(a.Committed), float64(b.Committed)) {
@@ -101,4 +102,48 @@ func TestKafkaNetworkInVirtualTime(t *testing.T) {
 	if !within(float64(a.TotalLatency.Avg), float64(b.TotalLatency.Avg)) {
 		t.Errorf("mean latency %v then %v, want within 0.1%%", a.TotalLatency.Avg, b.TotalLatency.Avg)
 	}
+}
+
+// TestKafkaNetworkInVirtualTime runs a three-peer Kafka network under
+// OR twice; the runs must agree within 0.1 %. Run with
+// GOEXPERIMENT=synctest.
+func TestKafkaNetworkInVirtualTime(t *testing.T) {
+	checkWithin(t, runTwice(t, Config{
+		Orderer:           Kafka,
+		NumOrderers:       3,
+		NumEndorsingPeers: 3,
+		Policy:            policy.OrOverPeers(3),
+	}))
+}
+
+// TestSoloDirectNetworkInVirtualTime runs a three-peer Solo network
+// under OR with direct deliver, where every peer is an org of one and
+// runs its own election loop, twice. Solo has no source of spread, so
+// the runs must be exactly equal in committed count, mean latency and
+// validate throughput. Run with GOEXPERIMENT=synctest.
+func TestSoloDirectNetworkInVirtualTime(t *testing.T) {
+	runs := runTwice(t, Config{
+		Orderer:           Solo,
+		NumEndorsingPeers: 3,
+		Policy:            policy.OrOverPeers(3),
+	})
+	a, b := runs[0].sum, runs[1].sum
+	if a.Committed != b.Committed || a.TotalLatency.Avg != b.TotalLatency.Avg || a.ValidateTPS != b.ValidateTPS {
+		t.Errorf("runs differ: committed %d/%d, mean latency %v/%v, validate %v/%v tps",
+			a.Committed, b.Committed, a.TotalLatency.Avg, b.TotalLatency.Avg, a.ValidateTPS, b.ValidateTPS)
+	}
+}
+
+// TestRaftGossipNetworkInVirtualTime runs a Raft network with gossip
+// dissemination, two orgs of two replicas each, under OR twice; the
+// runs must agree within 0.1 %. Run with GOEXPERIMENT=synctest.
+func TestRaftGossipNetworkInVirtualTime(t *testing.T) {
+	checkWithin(t, runTwice(t, Config{
+		Orderer:           Raft,
+		NumOrderers:       3,
+		NumEndorsingPeers: 2,
+		EndorsersPerOrg:   2,
+		Policy:            policy.OrOverPeers(2),
+		Gossip:            GossipConfig{Enabled: true},
+	}))
 }

@@ -7,7 +7,6 @@ import (
 
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
-	"fabricsim/internal/types"
 )
 
 // This file is the anti-entropy (pull) side of the protocol: push
@@ -57,9 +56,8 @@ func (n *Node) digest() *DigestMsg {
 // reconcileWith exchanges digests with one peer and pulls every range
 // the peer is ahead on.
 func (n *Node) reconcileWith(partner string) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.AntiEntropyInterval)
-	raw, err := n.cfg.Endpoint.Call(ctx, partner, KindDigest, n.digest(), 8*(len(n.cfg.Channels)+1))
-	cancel()
+	raw, err := n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.AntiEntropyInterval,
+		partner, KindDigest, n.digest(), 8*(len(n.cfg.Channels)+1))
 	if err != nil {
 		return
 	}
@@ -70,7 +68,7 @@ func (n *Node) reconcileWith(partner string) {
 	for _, ch := range n.cfg.Channels {
 		theirs := remote.Heights[ch]
 		if mine := n.cfg.Sink.NextBlock(ch); theirs > mine {
-			n.pullRange(partner, ch, mine, theirs)
+			n.pull(partner, ch, mine, theirs, metrics.SourceAntiEntropy)
 		}
 	}
 }
@@ -90,26 +88,24 @@ func (n *Node) handleDigest(_ context.Context, from string, payload any) (any, i
 		theirs := msg.Heights[ch]
 		if mine := n.cfg.Sink.NextBlock(ch); theirs > mine {
 			channel, gapFrom, gapTo := ch, mine, theirs
-			n.goRun(func() { n.pullRange(from, channel, gapFrom, gapTo) })
+			n.goRun(func() { n.pull(from, channel, gapFrom, gapTo, metrics.SourceAntiEntropy) })
 		}
 	}
 	mine := n.digest()
 	return mine, 8 * (len(mine.Heights) + 1), nil
 }
 
-// handlePull serves committed blocks [From, To) from the local ledger,
-// truncated at the committed height and at maxPullBatch.
-func (n *Node) handlePull(_ context.Context, _ string, payload any) (any, int, error) {
-	args, ok := payload.(*PullArgs)
+// handleGetBlocks serves committed blocks [From, To) from the local
+// ledger, truncated at the committed height and at maxPullBatch: the
+// peer side of the one ranged-fetch message OSNs also answer.
+func (n *Node) handleGetBlocks(_ context.Context, _ string, payload any) (any, int, error) {
+	args, ok := payload.(*orderer.GetBlocksArgs)
 	if !ok {
-		return nil, 0, fmt.Errorf("gossip: bad pull payload %T", payload)
+		return nil, 0, fmt.Errorf("gossip: bad getblocks payload %T", payload)
 	}
-	reply := &PullReply{}
+	reply := &orderer.GetBlocksReply{}
 	size := 8
-	to := args.To
-	if to > args.From+maxPullBatch {
-		to = args.From + maxPullBatch
-	}
+	to := min(args.To, args.From+maxPullBatch)
 	for num := args.From; num < to; num++ {
 		b, ok := n.cfg.Sink.BlockAt(args.Channel, num)
 		if !ok {
@@ -121,15 +117,16 @@ func (n *Node) handlePull(_ context.Context, _ string, payload any) (any, int, e
 	return reply, size, nil
 }
 
-// pullRange pages channel blocks [from, to) out of a peer's ledger and
-// ingests them in order. One puller per channel at a time: overlapping
-// gap triggers (several gossip blocks running ahead at once) collapse
-// into the first pull instead of duplicating traffic.
-func (n *Node) pullRange(peer, channel string, from, to uint64) {
+// pull pages channel blocks [from, to) out of src — an OSN's chain when
+// source is metrics.SourceDeliver, else a peer's ledger — and ingests
+// them in order as source. One pull per channel runs at a time:
+// overlapping gap triggers (several blocks running ahead at once, a
+// re-subscribe backfill) collapse into the first pull instead of
+// duplicating traffic; a later trigger re-fills any remainder. A failed
+// page just returns: the next push, anti-entropy round or re-subscribe
+// retries.
+func (n *Node) pull(src, channel string, from, to uint64, source string) {
 	n.mu.Lock()
-	if n.pulling == nil {
-		n.pulling = make(map[string]bool)
-	}
 	if n.pulling[channel] {
 		n.mu.Unlock()
 		return
@@ -142,14 +139,19 @@ func (n *Node) pullRange(peer, channel string, from, to uint64) {
 		n.mu.Unlock()
 	}()
 
-	// A gap at least SnapshotThreshold wide is closed snapshot-first:
+	fromOrderer := source == metrics.SourceDeliver
+	timeout := n.cfg.AntiEntropyInterval
+	if fromOrderer {
+		timeout = 2 * n.cfg.LeaderLease
+	}
+	// A peer gap at least SnapshotThreshold wide is closed snapshot-first:
 	// install the remote ledger's snapshot (state + index + tip) and pull
 	// only the tail beyond it. A fetch/install failure falls through to
 	// the ranged block pulls — slower, never less correct.
-	if ss := n.cfg.SnapshotSink; ss != nil && n.cfg.SnapshotThreshold > 0 &&
+	if ss := n.cfg.SnapshotSink; !fromOrderer && ss != nil && n.cfg.SnapshotThreshold > 0 &&
 		to-from >= uint64(n.cfg.SnapshotThreshold) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.AntiEntropyInterval)
-		height, err := ss.FetchSnapshot(ctx, peer, channel)
+		height, err := ss.FetchSnapshot(ctx, src, channel)
 		cancel()
 		if err == nil && height > from {
 			if c := n.cfg.Collector; c != nil {
@@ -163,60 +165,23 @@ func (n *Node) pullRange(peer, channel string, from, to uint64) {
 		if n.isStopped() {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.AntiEntropyInterval)
-		raw, err := n.cfg.Endpoint.Call(ctx, peer, KindPull,
-			&PullArgs{Channel: channel, From: from, To: to}, 24)
-		cancel()
-		if err != nil {
-			return
-		}
-		reply, ok := raw.(*PullReply)
-		if !ok || len(reply.Blocks) == 0 {
-			return // remote cannot serve (yet); the next round retries
-		}
-		if c := n.cfg.Collector; c != nil {
-			c.AntiEntropyPull(len(reply.Blocks))
-		}
-		for _, b := range reply.Blocks {
-			n.ingestPulled(b, peer)
-		}
-		from += uint64(len(reply.Blocks))
-	}
-}
-
-// pullFromOrderer pages a missed range out of the ordering service
-// (leader catch-up after an election or a push gap).
-func (n *Node) pullFromOrderer(channel string, from, to uint64) {
-	if n.cfg.OrdererID == "" {
-		return
-	}
-	for from < to {
-		if n.isStopped() {
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.LeaderLease)
-		raw, err := n.cfg.Endpoint.Call(ctx, n.cfg.OrdererID, orderer.KindGetBlocks,
+		raw, err := n.cfg.Endpoint.CallWithin(context.Background(), timeout, src, orderer.KindGetBlocks,
 			&orderer.GetBlocksArgs{Channel: channel, From: from, To: to}, 24)
-		cancel()
 		if err != nil {
 			return
 		}
 		reply, ok := raw.(*orderer.GetBlocksReply)
 		if !ok || len(reply.Blocks) == 0 {
-			return
+			return // src cannot serve (yet); the next trigger retries
+		}
+		if c := n.cfg.Collector; c != nil && !fromOrderer {
+			c.AntiEntropyPull(len(reply.Blocks))
 		}
 		for _, b := range reply.Blocks {
-			// Orderer backfill counts (and spreads) as deliver: these
+			// Orderer backfill counts (and spreads) as deliver: those
 			// blocks are new to the whole org, not a private repair.
-			n.acceptBlock(b, 0, "", metrics.SourceDeliver)
+			n.acceptBlock(b, 0, src, source)
 		}
 		from += uint64(len(reply.Blocks))
 	}
-}
-
-// ingestPulled routes one peer-pulled block through the normal accept
-// path (dedup + sink) with a zero hop count; acceptBlock suppresses
-// re-forwarding for this source.
-func (n *Node) ingestPulled(block *types.Block, from string) {
-	n.acceptBlock(block, 0, from, metrics.SourceAntiEntropy)
 }

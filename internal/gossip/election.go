@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
 )
 
@@ -160,10 +161,7 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 		if m == n.cfg.ID || n.rankOf(channel, m) > myRank {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		_, err := n.cfg.Endpoint.Call(ctx, m, KindPing, nil, 4)
-		cancel()
-		if err == nil {
+		if _, err := n.cfg.Endpoint.CallWithin(context.Background(), probeTimeout, m, KindPing, nil, 4); err == nil {
 			// A better-ranked member is alive; give it one more lease
 			// to claim before we re-probe.
 			n.mu.Lock()
@@ -180,6 +178,9 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 		return
 	}
 	n.mu.Unlock()
+	if c := n.cfg.Collector; c != nil {
+		c.LeaderElection()
+	}
 	_ = n.becomeLeader(context.Background(), channel)
 }
 
@@ -187,7 +188,8 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 // beating, subscribe to the orderer's deliver for the channel, and pull
 // whatever the chain tip says we missed. A failed subscribe does not
 // void the claim — the election loop retries it every tick until it
-// lands.
+// lands. Only tryTakeover's claims count as elections: the rank-0 claim
+// at Start is no re-election.
 func (n *Node) becomeLeader(ctx context.Context, channel string) error {
 	n.mu.Lock()
 	es := n.elections[channel]
@@ -198,9 +200,6 @@ func (n *Node) becomeLeader(ctx context.Context, channel string) error {
 	beat := &Beat{Channel: channel, Org: n.cfg.Org, Leader: n.cfg.ID, Term: es.term}
 	n.mu.Unlock()
 
-	if c := n.cfg.Collector; c != nil {
-		c.LeaderElection()
-	}
 	n.broadcastBeat(beat)
 	if n.cfg.OrdererID == "" {
 		return nil
@@ -223,19 +222,18 @@ func (n *Node) ensureSubscribed(channel string) {
 	if !stillLeader {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.LeaderLease)
-	defer cancel()
-	_ = n.subscribeLeader(ctx, channel)
+	_ = n.subscribeLeader(context.Background(), channel)
 }
 
-// subscribeLeader performs the channel-scoped subscribe call, marks the
-// subscription held, and backfills whatever the reported chain tip says
-// the org missed. If leadership was lost while the call was in flight
-// (a higher-term beat resigned us), the stray subscription is undone —
-// otherwise a deposed leader would stay subscribed forever and the
-// O(orgs) egress invariant would silently break.
+// subscribeLeader performs the channel-scoped subscribe call (bounded by
+// two leases as well as ctx), marks the subscription held, and backfills
+// whatever the reported chain tip says the org missed. If leadership was
+// lost while the call was in flight (a higher-term beat resigned us), the
+// stray subscription is undone — otherwise a deposed leader would stay
+// subscribed forever and the O(orgs) egress invariant would silently
+// break.
 func (n *Node) subscribeLeader(ctx context.Context, channel string) error {
-	raw, err := n.cfg.Endpoint.Call(ctx, n.cfg.OrdererID, orderer.KindSubscribe,
+	raw, err := n.cfg.Endpoint.CallWithin(ctx, 2*n.cfg.LeaderLease, n.cfg.OrdererID, orderer.KindSubscribe,
 		&orderer.SubscribeArgs{Channels: []string{channel}}, 16)
 	if err != nil {
 		return fmt.Errorf("subscribe: %w", err)
@@ -257,9 +255,10 @@ func (n *Node) subscribeLeader(ctx context.Context, channel string) error {
 	if reply, ok := raw.(*orderer.SubscribeReply); ok {
 		tip := reply.Tips[channel]
 		if next := n.cfg.Sink.NextBlock(channel); tip >= next {
-			// The org missed blocks while leaderless; fetch the gap from
-			// the orderer once, then let gossip spread it.
-			n.goRun(func() { n.pullFromOrderer(channel, next, tip+1) })
+			// The org missed blocks while leaderless (or this node was
+			// down or evicted); fetch the gap from the orderer once, then
+			// let gossip spread it.
+			n.goRun(func() { n.pull(n.cfg.OrdererID, channel, next, tip+1, metrics.SourceDeliver) })
 		}
 	}
 	return nil
@@ -271,9 +270,7 @@ func (n *Node) resignLeader(channel string) {
 	if n.cfg.OrdererID == "" {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LeaderLease)
-	defer cancel()
-	_, _ = n.cfg.Endpoint.Call(ctx, n.cfg.OrdererID, orderer.KindUnsubscribe,
+	_, _ = n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.LeaderLease, n.cfg.OrdererID, orderer.KindUnsubscribe,
 		&orderer.SubscribeArgs{Channels: []string{channel}}, 16)
 }
 

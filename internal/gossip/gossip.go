@@ -9,6 +9,12 @@
 // random peer followed by ranged block pulls, so crashed or lagging
 // peers converge without orderer involvement.
 //
+// A node is the only orderer-deliver client there is: a peer deployed
+// without gossip is a node whose org is itself, so it always leads,
+// never pushes, and never runs anti-entropy. Every ranged fetch, from
+// an OSN's chain or a peer's ledger, is one orderer.KindGetBlocks
+// message.
+//
 // The package is deliberately ignorant of validation and commit: it
 // moves blocks between nodes and hands them to a Sink (the peer's
 // commit pipeline). The orderer remains the only source of truth for
@@ -38,8 +44,6 @@ const (
 	// KindDigest is the anti-entropy height exchange (request/response,
 	// both directions carry a DigestMsg).
 	KindDigest = "gossip.digest"
-	// KindPull is the anti-entropy ranged block fetch.
-	KindPull = "gossip.pull"
 	// KindBeat is the org-leader lease heartbeat.
 	KindBeat = "gossip.beat"
 	// KindPing probes liveness during leader election.
@@ -60,19 +64,6 @@ type DigestMsg struct {
 	Heights map[string]uint64
 }
 
-// PullArgs requests channel blocks [From, To) from a peer's ledger.
-type PullArgs struct {
-	Channel string
-	From    uint64
-	To      uint64
-}
-
-// PullReply carries the pulled blocks, ascending from From, truncated
-// at the serving peer's committed height and at maxPullBatch.
-type PullReply struct {
-	Blocks []*types.Block
-}
-
 // Beat is the org leader's lease heartbeat for one channel.
 type Beat struct {
 	Channel string
@@ -81,7 +72,8 @@ type Beat struct {
 	Term    uint64
 }
 
-// maxPullBatch caps one KindPull reply; a far-behind peer pages.
+// maxPullBatch caps one orderer.KindGetBlocks reply served from a
+// peer's ledger; a far-behind peer pages.
 const maxPullBatch = 64
 
 // IngestResult reports what a Sink did with a handed-over block.
@@ -240,6 +232,7 @@ func NewNode(cfg Config) *Node {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		seen:      make(map[string]map[uint64]struct{}, len(cfg.Channels)),
 		elections: make(map[string]*electionState, len(cfg.Channels)),
+		pulling:   make(map[string]bool, len(cfg.Channels)),
 		stopCh:    make(chan struct{}),
 	}
 	n.members = append([]string(nil), cfg.OrgMembers...)
@@ -255,7 +248,7 @@ func NewNode(cfg Config) *Node {
 	}
 	cfg.Endpoint.Handle(KindBlock, n.handleBlock)
 	cfg.Endpoint.Handle(KindDigest, n.handleDigest)
-	cfg.Endpoint.Handle(KindPull, n.handlePull)
+	cfg.Endpoint.Handle(orderer.KindGetBlocks, n.handleGetBlocks)
 	cfg.Endpoint.Handle(KindBeat, n.handleBeat)
 	cfg.Endpoint.Handle(KindPing, n.handlePing)
 	return n
@@ -310,10 +303,11 @@ func (n *Node) channelOf(block *types.Block) string {
 	return n.cfg.Channels[0]
 }
 
-// OnDeliver ingests a block the orderer pushed to this (leader) node
-// and spreads it into the org.
-func (n *Node) OnDeliver(block *types.Block) {
-	n.acceptBlock(block, 0, "", metrics.SourceDeliver)
+// OnDeliver ingests a block the OSN osn pushed to this (leader) node
+// and spreads it into the org; a gap the block runs ahead of is pulled
+// from that OSN.
+func (n *Node) OnDeliver(osn string, block *types.Block) {
+	n.acceptBlock(block, 0, osn, metrics.SourceDeliver)
 }
 
 // handleBlock ingests one pushed gossip message.
@@ -364,20 +358,18 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 		}
 		n.cfg.Tracer.BlockOrigin(ch, num, source, hops)
 	}
-	if res.MissFrom < res.MissTo {
+	if res.MissFrom < res.MissTo && from != "" {
 		// The block ran ahead of the chain: close the gap without
-		// waiting for the next anti-entropy round. A leader that heard
-		// it from the orderer pulls the range there; a follower pulls
-		// from whichever peer pushed the block (it owns the range or
-		// knows who does by the same recursion).
+		// waiting for the next anti-entropy round, from whoever sent it.
+		// A leader that heard it from an OSN pulls the range there; a
+		// follower pulls from the peer that pushed the block (it owns
+		// the range or knows who does by the same recursion).
 		gapFrom, gapTo := res.MissFrom, res.MissTo
-		n.goRun(func() {
-			if source == metrics.SourceDeliver {
-				n.pullFromOrderer(ch, gapFrom, gapTo)
-			} else if from != "" {
-				n.pullRange(from, ch, gapFrom, gapTo)
-			}
-		})
+		pullSource := metrics.SourceAntiEntropy
+		if source == metrics.SourceDeliver {
+			pullSource = metrics.SourceDeliver
+		}
+		n.goRun(func() { n.pull(from, ch, gapFrom, gapTo, pullSource) })
 	}
 	// Fresh blocks keep spreading — except anti-entropy pulls: a peer
 	// repairing itself from another peer's ledger is usually the LAST

@@ -297,7 +297,7 @@ func TestPushGossipSpreadsBlocks(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	for num := uint64(1); num <= 3; num++ {
-		lead.OnDeliver(testBlock(orderer.DefaultChannel, num))
+		lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, num))
 	}
 	c.waitConverged(3, 3*time.Second)
 	for i, s := range c.sinks {
@@ -329,7 +329,7 @@ func TestHopCountsBounded(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	for num := uint64(1); num <= 5; num++ {
-		lead.OnDeliver(testBlock(orderer.DefaultChannel, num))
+		lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, num))
 	}
 	c.waitConverged(5, 5*time.Second) // anti-entropy covers past maxHops
 	sawForwarded := false
@@ -356,9 +356,9 @@ func TestDuplicateSuppression(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	b := testBlock(orderer.DefaultChannel, 1)
-	lead.OnDeliver(b)
+	lead.OnDeliver("osn1", b)
 	c.waitConverged(1, 2*time.Second)
-	lead.OnDeliver(b) // replay
+	lead.OnDeliver("osn1", b) // replay
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
 		for i, n := range c.nodes {
@@ -490,7 +490,7 @@ func TestGossipGapTriggersImmediatePull(t *testing.T) {
 	c.start()
 	lead := c.nodes[0]
 	// Push only block 5: node 2 sees the gap [1,5) and pulls it.
-	lead.OnDeliver(testBlock(orderer.DefaultChannel, 5))
+	lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, 5))
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		if c.sinks[1].NextBlock("") == 6 {

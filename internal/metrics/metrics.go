@@ -276,7 +276,7 @@ func (c *Collector) AntiEntropyPull(n int) {
 	c.aePulled += n
 }
 
-// LeaderElection counts one gossip org-leader (re-)election.
+// LeaderElection counts one gossip org-leader takeover.
 func (c *Collector) LeaderElection() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -471,7 +471,8 @@ type Summary struct {
 	// DeliverBlocks via a direct orderer push, AntiEntropyBlocks via
 	// ranged pulls. MeanGossipHops averages the hop counts of
 	// gossip-accepted blocks; GossipDuplicates counts dedup-cache drops;
-	// LeaderElections counts org-leader (re-)elections; and
+	// LeaderElections counts org-leader takeovers after a lapsed lease
+	// (the claims every org makes at start are not counted); and
 	// SubscriberEvictions counts deliver subscribers the orderers pruned.
 	GossipBlocks        int
 	DeliverBlocks       int

@@ -35,18 +35,17 @@ import (
 const (
 	// KindBroadcast is the client -> OSN transaction submission.
 	KindBroadcast = "orderer.broadcast"
-	// KindSubscribe registers a peer for block delivery. Its
-	// *SubscribeArgs payload names the channels: none subscribes to
-	// every channel (the classic per-peer deliver), named channels narrow
-	// the subscription (the gossip org-leader deliver).
+	// KindSubscribe registers a peer for block delivery on the channels
+	// its *SubscribeArgs payload names (a gossip org leader, one channel
+	// per call).
 	KindSubscribe = "orderer.subscribe"
-	// KindUnsubscribe removes a peer's deliver subscription, entirely
-	// (no channels named) or for the named channels (*SubscribeArgs). A
-	// gossip leader that loses its lease hands the subscription off this
-	// way.
+	// KindUnsubscribe removes a peer's deliver subscription for the
+	// channels its *SubscribeArgs names. A gossip leader that loses its
+	// lease hands the subscription off this way.
 	KindUnsubscribe = "orderer.unsubscribe"
 	// KindGetBlocks fetches a block range in one round trip (deliver
-	// catch-up).
+	// catch-up). Peers answer it too, from their ledgers, so it is the
+	// one ranged-fetch message.
 	KindGetBlocks = "orderer.getblocks"
 	// KindSubmit is the intra-cluster Raft forward from follower OSNs
 	// to the leader.
@@ -98,7 +97,7 @@ type GetBlocksReply struct {
 }
 
 // SubscribeArgs scopes a KindSubscribe or KindUnsubscribe to named
-// channels. Nil or empty Channels means every channel.
+// channels; it must name at least one.
 type SubscribeArgs struct {
 	Channels []string
 }
@@ -163,18 +162,10 @@ type Config struct {
 
 // subscription is one peer's deliver registration.
 type subscription struct {
-	// channels is the subscribed channel set; nil means every channel.
+	// channels is the subscribed channel set.
 	channels map[string]struct{}
 	// fails counts consecutive failed pushes (reset on success).
 	fails int
-}
-
-func (s *subscription) wants(channel string) bool {
-	if s.channels == nil {
-		return true
-	}
-	_, ok := s.channels[channel]
-	return ok
 }
 
 // chain is one channel's hash chain on this OSN.
@@ -185,6 +176,21 @@ type chain struct {
 	lastNum  uint64
 	prevHash []byte
 	blocks   []*types.Block // emitted blocks, for catch-up fetches
+}
+
+// rangeOf copies blocks [from, to), clamped to the tip, out from under
+// c.mu; nil when the range is empty. Callers walk the copy (sizes,
+// replies) outside the lock: blocks are immutable once cut, and
+// emitBatch needs the same mutex to append the next block, so catch-up
+// load must not throttle ordering.
+func (c *chain) rangeOf(from, to uint64) []*types.Block {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	to = min(to, uint64(len(c.blocks)))
+	if from >= to {
+		return nil
+	}
+	return append([]*types.Block(nil), c.blocks[from:to]...)
 }
 
 func newChain(id string) *chain {
@@ -365,58 +371,47 @@ func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (a
 }
 
 // parseSubscribeArgs extracts the channel scope of a subscribe or
-// unsubscribe payload.
+// unsubscribe payload, which must name at least one channel.
 func parseSubscribeArgs(payload any) (*SubscribeArgs, error) {
-	if args, ok := payload.(*SubscribeArgs); ok {
-		return args, nil
+	args, ok := payload.(*SubscribeArgs)
+	if !ok {
+		return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
 	}
-	return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
+	if len(args.Channels) == 0 {
+		return nil, errors.New("orderer: subscription names no channel")
+	}
+	return args, nil
 }
 
-// handleSubscribe registers a peer for block pushes — on every channel
-// when the *SubscribeArgs names none, else on the named channels. Repeat
-// subscriptions widen the channel set and reset the failure count. The
-// reply carries each subscribed channel's chain tip so the peer can
-// catch up without waiting for the next push.
+// handleSubscribe registers a peer for block pushes on the named
+// channels. Repeat subscriptions widen the channel set and reset the
+// failure count. The reply carries each named channel's chain tip so
+// the peer can catch up without waiting for the next push.
 func (o *Orderer) handleSubscribe(_ context.Context, from string, payload any) (any, int, error) {
 	args, err := parseSubscribeArgs(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, ch := range args.Channels {
-		if _, err := o.chainFor(ch); err != nil {
+	chains := make([]*chain, len(args.Channels))
+	for i, ch := range args.Channels {
+		if chains[i], err = o.chainFor(ch); err != nil {
 			return nil, 0, err
 		}
 	}
 	o.mu.Lock()
 	sub, ok := o.subscribers[from]
 	if !ok {
-		sub = &subscription{}
+		sub = &subscription{channels: make(map[string]struct{}, len(chains))}
 		o.subscribers[from] = sub
 	}
 	sub.fails = 0
-	if len(args.Channels) == 0 {
-		sub.channels = nil // all channels
-	} else if !ok || sub.channels != nil {
-		if sub.channels == nil {
-			sub.channels = make(map[string]struct{}, len(args.Channels))
-		}
-		for _, ch := range args.Channels {
-			sub.channels[ch] = struct{}{}
-		}
+	for _, c := range chains {
+		sub.channels[c.id] = struct{}{}
 	}
 	o.mu.Unlock()
 
-	scope := args.Channels
-	if len(scope) == 0 {
-		scope = o.channelList
-	}
-	tips := make(map[string]uint64, len(scope))
-	for _, ch := range scope {
-		c, err := o.chainFor(ch)
-		if err != nil {
-			continue
-		}
+	tips := make(map[string]uint64, len(chains))
+	for _, c := range chains {
 		c.mu.Lock()
 		tips[c.id] = uint64(len(c.blocks) - 1)
 		c.mu.Unlock()
@@ -424,8 +419,8 @@ func (o *Orderer) handleSubscribe(_ context.Context, from string, payload any) (
 	return &SubscribeReply{Tips: tips}, 8 * (len(tips) + 1), nil
 }
 
-// handleUnsubscribe removes a peer's deliver registration, entirely or
-// for the named channels.
+// handleUnsubscribe removes a peer's deliver registration for the named
+// channels.
 func (o *Orderer) handleUnsubscribe(_ context.Context, from string, payload any) (any, int, error) {
 	args, err := parseSubscribeArgs(payload)
 	if err != nil {
@@ -435,12 +430,6 @@ func (o *Orderer) handleUnsubscribe(_ context.Context, from string, payload any)
 	defer o.mu.Unlock()
 	sub, ok := o.subscribers[from]
 	if !ok {
-		return "OK", 2, nil
-	}
-	if len(args.Channels) == 0 || sub.channels == nil {
-		// Full removal: either the caller asked for everything, or the
-		// subscription was unscoped and has no per-channel remainder.
-		delete(o.subscribers, from)
 		return "OK", 2, nil
 	}
 	for _, ch := range args.Channels {
@@ -464,26 +453,10 @@ func (o *Orderer) handleGetBlocks(_ context.Context, _ string, payload any) (any
 	if err != nil {
 		return nil, 0, err
 	}
-	// Snapshot the range under the lock, then assemble the reply (and
-	// walk block sizes) outside it: blocks are immutable once cut, and
-	// emitBatch needs the same mutex to append the next block, so
-	// catch-up load must not throttle ordering.
-	from, to := args.From, args.To
-	c.mu.Lock()
-	if height := uint64(len(c.blocks)); to > height {
-		to = height
-	}
-	if from >= to {
-		c.mu.Unlock()
+	blocks := c.rangeOf(args.From, min(args.To, args.From+maxGetBlocksBatch))
+	if len(blocks) == 0 {
 		return &GetBlocksReply{}, 8, nil
 	}
-	if to-from > maxGetBlocksBatch {
-		to = from + maxGetBlocksBatch
-	}
-	blocks := make([]*types.Block, to-from)
-	copy(blocks, c.blocks[from:to])
-	c.mu.Unlock()
-
 	size := 0
 	for _, b := range blocks {
 		size += b.Size()
@@ -514,17 +487,7 @@ func (o *Orderer) ChainBlocks(channel string, from, to uint64) []*types.Block {
 	if err != nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if height := uint64(len(c.blocks)); to > height {
-		to = height
-	}
-	if from >= to {
-		return nil
-	}
-	blocks := make([]*types.Block, to-from)
-	copy(blocks, c.blocks[from:to])
-	return blocks
+	return c.rangeOf(from, to)
 }
 
 // RestoreChain primes a channel's chain with blocks recovered from
@@ -592,7 +555,7 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	}
 	subs := make([]string, 0, len(o.subscribers))
 	for s, sub := range o.subscribers {
-		if sub.wants(c.id) {
+		if _, ok := sub.channels[c.id]; ok {
 			subs = append(subs, s)
 		}
 	}

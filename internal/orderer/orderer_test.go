@@ -133,7 +133,7 @@ func (h *testHarness) subscribe(osn string) func() []*types.Block {
 		mu.Unlock()
 		return nil, 0, nil
 	})
-	if _, err := h.client.Call(context.Background(), osn, KindSubscribe, &SubscribeArgs{}, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), osn, KindSubscribe, &SubscribeArgs{Channels: []string{DefaultChannel}}, 8); err != nil {
 		h.t.Fatal(err)
 	}
 	return func() []*types.Block {
@@ -460,7 +460,7 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 	h.broadcastN(o, 1)
 	waitFor(t, 2*time.Second, func() bool { return len(blocks()) == 1 }, "subscribed block never pushed")
 
-	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, &SubscribeArgs{}, 8); err != nil {
+	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, &SubscribeArgs{Channels: []string{DefaultChannel}}, 8); err != nil {
 		t.Fatal(err)
 	}
 	if subs := o.Subscribers(); len(subs) != 0 {

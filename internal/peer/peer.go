@@ -101,13 +101,16 @@ type Config struct {
 	// means the single orderer.DefaultChannel. The first entry is the
 	// default channel for untagged blocks and proposals.
 	Channels []string
-	// Gossip, when non-nil, replaces the per-peer orderer subscription
-	// with gossip dissemination: only elected org leaders subscribe,
-	// everyone else receives blocks peer-to-peer and converges through
-	// anti-entropy. The peer fills in ID, Endpoint, Channels, OrdererID,
-	// Sink, SnapshotSink, Collector and Tracer; the caller provides
-	// membership and tuning (including SnapshotThreshold for
-	// snapshot-then-tail repair).
+	// Gossip configures the peer's gossip node, its only way to receive
+	// blocks. Non-nil enables org dissemination: only elected org
+	// leaders subscribe to the orderer, everyone else receives blocks
+	// peer-to-peer and converges through anti-entropy. The peer fills in
+	// ID, Endpoint, Channels, OrdererID, Sink, SnapshotSink, Collector and
+	// Tracer; the caller provides membership and tuning (including
+	// SnapshotThreshold for snapshot-then-tail repair). Nil is direct
+	// deliver: an org of one, so the peer leads every channel, subscribes
+	// to OrdererID itself and re-subscribes every
+	// deliverResubscribeEvery.
 	Gossip *gossip.Config
 	// StorageBackend selects the per-channel ledger storage engine
 	// ("mem" default, "file" persistent); see ledger.Options.
@@ -134,8 +137,8 @@ type channelState struct {
 	id     string
 	ledger *ledger.Ledger
 
-	// ingestMu serializes whole IngestBlock calls: with gossip, deliver
-	// pushes, gossip forwards, and anti-entropy pulls ingest
+	// ingestMu serializes whole IngestBlock calls: deliver pushes,
+	// gossip forwards, and ranged pulls ingest
 	// concurrently, and the drained blocks must enter commitCh in the
 	// order drainReadyLocked produced them — releasing cs.mu between
 	// the drain and the sends would let two ingesters interleave their
@@ -147,11 +150,6 @@ type channelState struct {
 	nextBlock uint64
 	pending   map[uint64]*types.Block // out-of-order delivery buffer
 	commitCh  chan *types.Block
-	// catchingUp marks a ranged orderer fetch in flight: overlapping
-	// gap triggers (several out-of-order pushes plus the resubscribe
-	// heartbeat) collapse into one fetch instead of duplicating orderer
-	// egress; later pushes or the next heartbeat re-fill any remainder.
-	catchingUp bool
 
 	// Commit-pipeline plumbing (see committer.go): applyCh and appendCh
 	// carry in-flight blocks between the stage loops in delivery order;
@@ -173,7 +171,8 @@ type Peer struct {
 	cfg Config
 
 	container *container
-	// gossip is the block-dissemination agent (nil = direct deliver).
+	// gossip is the block-dissemination agent and the peer's only
+	// orderer-deliver client.
 	gossip *gossip.Node
 
 	// channels is immutable after New.
@@ -245,20 +244,24 @@ func New(cfg Config) (*Peer, error) {
 	cfg.Endpoint.Handle(KindSubscribeEvents, p.handleSubscribe)
 	cfg.Endpoint.Handle(orderer.KindDeliverBlock, p.handleDeliverBlock)
 	cfg.Endpoint.Handle(KindGetSnapshot, p.handleGetSnapshot)
-	if cfg.Gossip != nil {
-		gcfg := *cfg.Gossip
-		gcfg.ID = cfg.ID
-		gcfg.Endpoint = cfg.Endpoint
-		gcfg.Channels = cfg.Channels
-		gcfg.OrdererID = cfg.OrdererID
-		gcfg.Sink = p
-		gcfg.SnapshotSink = p
-		gcfg.Collector = cfg.Collector
-		if cfg.Recorder {
-			gcfg.Tracer = cfg.Tracer
-		}
-		p.gossip = gossip.NewNode(gcfg)
+	gcfg := gossip.Config{
+		OrgMembers:  []string{cfg.ID},
+		LeaderLease: cfg.Model.ScaledDelay(deliverResubscribeEvery / 4),
 	}
+	if cfg.Gossip != nil {
+		gcfg = *cfg.Gossip
+	}
+	gcfg.ID = cfg.ID
+	gcfg.Endpoint = cfg.Endpoint
+	gcfg.Channels = cfg.Channels
+	gcfg.OrdererID = cfg.OrdererID
+	gcfg.Sink = p
+	gcfg.SnapshotSink = p
+	gcfg.Collector = cfg.Collector
+	if cfg.Recorder {
+		gcfg.Tracer = cfg.Tracer
+	}
+	p.gossip = gossip.NewNode(gcfg)
 	return p, nil
 }
 
@@ -295,90 +298,27 @@ func (p *Peer) LedgerFor(channel string) (*ledger.Ledger, bool) {
 }
 
 // Start launches the per-channel commit pipelines, instantiates the
-// chaincode container, and joins block dissemination: with gossip
-// enabled the gossip node takes over (org leaders subscribe to the
-// orderer, everyone else listens peer-to-peer); otherwise the peer
-// subscribes to the orderer directly (one subscription covers every
-// channel) and catches up to the reported tips, so a peer joining or
-// rejoining a running network does not wait for the next push.
+// chaincode container, and joins block dissemination through the gossip
+// node: org leaders subscribe to the orderer and catch up to the tips
+// it reports, so a peer joining or rejoining a running network does not
+// wait for the next push; everyone else listens peer-to-peer.
 func (p *Peer) Start(ctx context.Context) error {
 	p.startOnce.Do(p.launchCommitLoops)
 	if err := p.container.launch(ctx); err != nil {
 		return fmt.Errorf("peer %s: launch container: %w", p.cfg.ID, err)
 	}
-	if p.gossip != nil {
-		if err := p.gossip.Start(ctx); err != nil {
-			return fmt.Errorf("peer %s: start gossip: %w", p.cfg.ID, err)
-		}
-		return nil
-	}
-	if p.cfg.OrdererID != "" {
-		if err := p.subscribeAndCatchUp(ctx); err != nil {
-			return fmt.Errorf("peer %s: subscribe to %s: %w", p.cfg.ID, p.cfg.OrdererID, err)
-		}
-		p.launchDeliverHeartbeat()
+	if err := p.gossip.Start(ctx); err != nil {
+		return fmt.Errorf("peer %s: start gossip: %w", p.cfg.ID, err)
 	}
 	return nil
 }
 
-// deliverResubscribeEvery is the deliver heartbeat period (model time):
-// a direct-deliver peer re-subscribes this often, so one the orderer
-// evicted during a transient outage re-registers (subscribe resets the
-// failure count) and backfills from the reported tips instead of
-// silently receiving nothing for the rest of the run.
+// deliverResubscribeEvery is the direct-deliver re-subscribe period
+// (model time): a leader refreshes its subscription every four leases,
+// so a peer the orderer evicted during a transient outage re-registers
+// (subscribe resets the failure count) and backfills from the reported
+// tips instead of silently receiving nothing for the rest of the run.
 const deliverResubscribeEvery = 5 * time.Second
-
-// subscribeAndCatchUp registers for deliver pushes and closes any gap
-// between the local chains and the tips the orderer reports.
-func (p *Peer) subscribeAndCatchUp(ctx context.Context) error {
-	raw, err := p.cfg.Endpoint.Call(ctx, p.cfg.OrdererID, orderer.KindSubscribe, &orderer.SubscribeArgs{}, 16)
-	if err != nil {
-		return err
-	}
-	if reply, ok := raw.(*orderer.SubscribeReply); ok {
-		for ch, tip := range reply.Tips {
-			cs, ok := p.channelFor(ch)
-			if !ok {
-				continue
-			}
-			cs.mu.Lock()
-			next := cs.nextBlock
-			cs.mu.Unlock()
-			if tip >= next {
-				// Detached from the subscribe call's context: the
-				// heartbeat cancels that as soon as the call returns,
-				// and the backfill must outlive it.
-				go p.catchUp(context.Background(), p.cfg.OrdererID, ch, next, tip+1)
-			}
-		}
-	}
-	return nil
-}
-
-// launchDeliverHeartbeat runs the periodic re-subscribe loop until the
-// peer stops.
-func (p *Peer) launchDeliverHeartbeat() {
-	interval := p.cfg.Model.ScaledDelay(deliverResubscribeEvery)
-	if interval <= 0 {
-		interval = time.Second
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-p.stopCh:
-				return
-			case <-ticker.C:
-				hbCtx, cancel := context.WithTimeout(context.Background(), interval)
-				_ = p.subscribeAndCatchUp(hbCtx)
-				cancel()
-			}
-		}
-	}()
-}
 
 func (p *Peer) launchCommitLoops() {
 	for _, cs := range p.channels {
@@ -405,9 +345,7 @@ func (p *Peer) Stop() {
 	}
 	p.stopped = true
 	p.mu.Unlock()
-	if p.gossip != nil {
-		p.gossip.Stop()
-	}
+	p.gossip.Stop()
 	// Ensure the commit loops exist so <-p.done terminates.
 	p.startOnce.Do(p.launchCommitLoops)
 	close(p.stopCh)
@@ -419,8 +357,9 @@ func (p *Peer) Stop() {
 	}
 }
 
-// GossipNode exposes the peer's gossip agent (nil when direct deliver
-// is in use). Tests and diagnostics inspect leadership through it.
+// GossipNode exposes the peer's gossip agent; a direct-deliver peer's
+// node is an org of one that leads every channel. Tests and diagnostics
+// inspect leadership through it.
 func (p *Peer) GossipNode() *gossip.Node { return p.gossip }
 
 // --- Execute phase: endorsement ---
@@ -526,42 +465,22 @@ func (p *Peer) handleSubscribe(_ context.Context, from string, _ any) (any, int,
 	return "OK", 2, nil
 }
 
-// handleDeliverBlock ingests a block pushed by the orderer. With gossip
-// enabled the block is handed to the gossip node (which ingests it,
-// spreads it into the org, and closes gaps via pulls); otherwise it is
-// ingested directly and gaps are filled with a ranged catch-up fetch
-// against the pushing orderer.
-func (p *Peer) handleDeliverBlock(ctx context.Context, from string, payload any) (any, int, error) {
+// handleDeliverBlock hands a block the orderer pushed to the gossip
+// node, which ingests it, spreads it into the org, and pulls any gap it
+// runs ahead of from the pushing OSN.
+func (p *Peer) handleDeliverBlock(_ context.Context, from string, payload any) (any, int, error) {
 	block, ok := payload.(*types.Block)
 	if !ok {
 		return nil, 0, fmt.Errorf("peer: bad deliver payload %T", payload)
 	}
-	if p.gossip != nil {
-		p.gossip.OnDeliver(block)
-		return nil, 0, nil
-	}
-	res, err := p.IngestBlock(block)
-	if err != nil {
-		return nil, 0, err
-	}
-	if res.MissFrom < res.MissTo {
-		go p.catchUp(ctx, from, p.blockChannel(block), res.MissFrom, res.MissTo)
-	}
+	p.gossip.OnDeliver(from, block)
 	return nil, 0, nil
-}
-
-// blockChannel resolves a block's channel tag to the joined channel ID.
-func (p *Peer) blockChannel(block *types.Block) string {
-	if ch := block.Metadata.ChannelID; ch != "" {
-		return ch
-	}
-	return p.channelList[0]
 }
 
 // IngestBlock routes one block to its channel's commit pipeline,
 // restoring per-channel order: in-order blocks (plus any buffered
 // successors) enter the pipeline, out-of-order blocks are buffered and
-// the missing range is reported for the caller's catch-up strategy.
+// the missing range is reported for the gossip node to pull.
 // Blocks the peer already owns are dropped, so the same block arriving
 // via gossip and deliver commits exactly once. This is the peer's
 // gossip.Sink surface.
@@ -647,48 +566,6 @@ func drainReadyLocked(cs *channelState, block *types.Block) []*types.Block {
 		cs.nextBlock = nxt.Header.Number + 1
 	}
 	return ready
-}
-
-// catchUp fetches one channel's blocks [from, to) that the push path
-// skipped. The ranged fetch pays one round trip for the whole gap
-// (paged at the orderer's batch cap). A failed fetch just returns: the
-// deliver heartbeat re-subscribes within deliverResubscribeEvery and
-// backfills from the reported tips, and the next out-of-order push
-// re-triggers the fetch. One fetch per channel runs at a time.
-func (p *Peer) catchUp(ctx context.Context, ordererID, channel string, from, to uint64) {
-	cs, ok := p.channelFor(channel)
-	if !ok {
-		return
-	}
-	cs.mu.Lock()
-	if cs.catchingUp {
-		cs.mu.Unlock()
-		return
-	}
-	cs.catchingUp = true
-	cs.mu.Unlock()
-	defer func() {
-		cs.mu.Lock()
-		cs.catchingUp = false
-		cs.mu.Unlock()
-	}()
-	for from < to {
-		args := &orderer.GetBlocksArgs{Channel: channel, From: from, To: to}
-		raw, err := p.cfg.Endpoint.Call(ctx, ordererID, orderer.KindGetBlocks, args, 24)
-		if err != nil {
-			return
-		}
-		reply, ok := raw.(*orderer.GetBlocksReply)
-		if !ok || len(reply.Blocks) == 0 {
-			return
-		}
-		for _, b := range reply.Blocks {
-			if _, err := p.IngestBlock(b); err != nil {
-				return
-			}
-		}
-		from += uint64(len(reply.Blocks))
-	}
 }
 
 // runVSCC validates one transaction's endorsements against the channel
