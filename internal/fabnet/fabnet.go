@@ -762,8 +762,12 @@ func (n *Network) attachConsenter(idx int, o *orderer.Orderer, ep transport.Endp
 	return nil
 }
 
-// Start launches the ordering service, peers, and gateways. For Raft it
-// waits for leader election before returning.
+// Start launches the ordering service, then every peer at once, then
+// the gateways. Peers are separate processes in Fabric, so each starts
+// in its own goroutine and their container launches overlap; for Raft,
+// the wait for every channel's leader overlaps them too. Gateways
+// connect only after every peer has started. The error joins every
+// failure, each peer's named by its "start peer <id>" prefix.
 func (n *Network) Start(ctx context.Context) error {
 	if n.started {
 		return errors.New("fabnet: already started")
@@ -774,15 +778,23 @@ func (n *Network) Start(ctx context.Context) error {
 			return fmt.Errorf("fabnet: start orderer %s: %w", o.ID(), err)
 		}
 	}
-	if n.Cfg.Orderer == Raft {
-		if err := n.waitForRaftLeader(ctx); err != nil {
-			return err
-		}
+	errs := make([]error, len(n.Peers)+1)
+	var wg sync.WaitGroup
+	for i, p := range n.Peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Start(ctx); err != nil {
+				errs[i] = fmt.Errorf("fabnet: start peer %s: %w", p.ID(), err)
+			}
+		}()
 	}
-	for _, p := range n.Peers {
-		if err := p.Start(ctx); err != nil {
-			return fmt.Errorf("fabnet: start peer %s: %w", p.ID(), err)
-		}
+	if n.Cfg.Orderer == Raft {
+		errs[len(n.Peers)] = n.waitForRaftLeader(ctx)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	for _, gw := range n.Gateways {
 		if err := gw.Connect(ctx); err != nil {
@@ -809,7 +821,7 @@ func (n *Network) waitForRaftLeader(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return fmt.Errorf("fabnet: wait for raft leader: %w", ctx.Err())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}

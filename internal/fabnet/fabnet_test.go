@@ -3,6 +3,8 @@ package fabnet
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,6 +108,40 @@ func TestEndToEndKafka(t *testing.T) {
 
 func TestEndToEndRaft(t *testing.T) {
 	runSmoke(t, Raft, policy.OrOverPeers(3), 3)
+}
+
+// TestStartCancelledNamesPeerAndLeaksNothing starts a Raft network
+// under a context that is already cancelled: every peer's container
+// launch fails, so Start must fail with an error naming a peer, and a
+// Stop after the failed start must still end every goroutine Build and
+// Start began.
+func TestStartCancelledNamesPeerAndLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n, err := Build(Config{
+		Orderer:           Raft,
+		NumOrderers:       3,
+		NumEndorsingPeers: 3,
+		Policy:            policy.OrOverPeers(3),
+		Model:             costmodel.Default(0.1),
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = n.Start(ctx)
+	n.Stop()
+	if err == nil || !strings.Contains(err.Error(), "start peer ") {
+		t.Errorf("Start under a cancelled context: err = %v, want one naming a peer", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after Stop, %d before Build:\n%s", after, before, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 func TestEndToEndANDPolicy(t *testing.T) {

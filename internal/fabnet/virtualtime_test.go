@@ -60,9 +60,16 @@ func runNetwork(cfg Config) (r vtRun) {
 	return r
 }
 
+// maxSetup bounds Build and Start in model time: peers launch their
+// containers at once, and a fresh Raft group elects its campaigner
+// meanwhile, so bring-up costs one container launch and a little
+// messaging.
+var maxSetup = costmodel.Default(1.0).ContainerLaunch + 10*time.Millisecond
+
 // runTwice runs cfg twice with one seed, each time inside its own
 // synctest bubble. The bubble returning proves no goroutine outlives
-// Stop, since one left blocked would deadlock it; both runs must commit.
+// Stop, since one left blocked would deadlock it; both runs must commit,
+// and bring each network up within maxSetup.
 func runTwice(t *testing.T, cfg Config) [2]vtRun {
 	t.Helper()
 	var runs [2]vtRun
@@ -83,6 +90,9 @@ func runTwice(t *testing.T, cfg Config) [2]vtRun {
 		}
 		if r.sum.Committed == 0 {
 			t.Fatalf("run %d committed nothing", i)
+		}
+		if r.setup > maxSetup {
+			t.Errorf("run %d: setup took %.3f model-s, want at most %.3f", i, r.setup.Seconds(), maxSetup.Seconds())
 		}
 		t.Logf("run %d: setup %.3f model-s, Build to Stop %.3f model-s, committed %d, mean latency %v, validate %.1f tps",
 			i, r.setup.Seconds(), r.life.Seconds(), r.sum.Committed, r.sum.TotalLatency.Avg, r.sum.ValidateTPS)
@@ -105,32 +115,40 @@ func checkWithin(t *testing.T, runs [2]vtRun) {
 }
 
 // TestKafkaNetworkInVirtualTime runs a three-peer Kafka network under
-// OR twice; the runs must agree within 0.1 %. Run with
-// GOEXPERIMENT=synctest.
+// OR twice; the runs must agree within 0.1 %, and take exactly as long
+// from Build to Stop: Stop ends a consumer's fetch long poll instead of
+// waiting it out. Run with GOEXPERIMENT=synctest.
 func TestKafkaNetworkInVirtualTime(t *testing.T) {
-	checkWithin(t, runTwice(t, Config{
+	runs := runTwice(t, Config{
 		Orderer:           Kafka,
 		NumOrderers:       3,
 		NumEndorsingPeers: 3,
 		Policy:            policy.OrOverPeers(3),
-	}))
+	})
+	checkWithin(t, runs)
+	if runs[0].life != runs[1].life {
+		t.Errorf("Build to Stop took %v then %v, want equal", runs[0].life, runs[1].life)
+	}
 }
 
 // TestSoloDirectNetworkInVirtualTime runs a three-peer Solo network
 // under OR with direct deliver, where every peer is an org of one and
 // runs its own election loop, twice. Solo has no source of spread, so
-// the runs must be exactly equal in committed count, mean latency and
-// validate throughput. Run with GOEXPERIMENT=synctest.
+// both runs must read exactly 1 200 committed, a 7.887097739 s mean
+// latency and 171.5 validate tps; how the network comes up must not
+// move the load's model time. Run with GOEXPERIMENT=synctest.
 func TestSoloDirectNetworkInVirtualTime(t *testing.T) {
 	runs := runTwice(t, Config{
 		Orderer:           Solo,
 		NumEndorsingPeers: 3,
 		Policy:            policy.OrOverPeers(3),
 	})
-	a, b := runs[0].sum, runs[1].sum
-	if a.Committed != b.Committed || a.TotalLatency.Avg != b.TotalLatency.Avg || a.ValidateTPS != b.ValidateTPS {
-		t.Errorf("runs differ: committed %d/%d, mean latency %v/%v, validate %v/%v tps",
-			a.Committed, b.Committed, a.TotalLatency.Avg, b.TotalLatency.Avg, a.ValidateTPS, b.ValidateTPS)
+	for i, r := range runs {
+		s := r.sum
+		if s.Committed != 1200 || s.TotalLatency.Avg != 7887097739*time.Nanosecond || math.Round(s.ValidateTPS*10) != 1715 {
+			t.Errorf("run %d: committed %d, mean latency %v, validate %v tps; want 1200, 7.887097739s, 171.5",
+				i, s.Committed, s.TotalLatency.Avg, s.ValidateTPS)
+		}
 	}
 }
 

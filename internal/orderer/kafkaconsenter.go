@@ -104,7 +104,6 @@ func (k *KafkaConsenter) Submit(ctx context.Context, channel string, env []byte)
 // consumeLoop pulls one channel's ordered record stream and drives its
 // cutter.
 func (k *KafkaConsenter) consumeLoop(kc *kafkaChain) {
-	ctx := context.Background()
 	offset := int64(0)
 	pollWait := k.orderer.scaledTimeout() / 2
 	if pollWait < 5*time.Millisecond {
@@ -112,14 +111,14 @@ func (k *KafkaConsenter) consumeLoop(kc *kafkaChain) {
 	}
 	for {
 		select {
-		case <-k.stopCh:
+		case <-k.ctx.Done():
 			return
 		default:
 		}
-		records, err := k.client.Fetch(ctx, kc.partition, offset, pollWait)
+		records, err := k.client.Fetch(k.ctx, kc.partition, offset, pollWait)
 		if err != nil {
 			select {
-			case <-k.stopCh:
+			case <-k.ctx.Done():
 				return
 			case <-time.After(pollWait):
 			}
@@ -197,10 +196,9 @@ func (k *KafkaConsenter) ttcLoop(kc *kafkaChain) {
 	}
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
-	ctx := context.Background()
 	for {
 		select {
-		case <-k.stopCh:
+		case <-k.ctx.Done():
 			return
 		case <-ticker.C:
 			kc.mu.Lock()
@@ -213,7 +211,7 @@ func (k *KafkaConsenter) ttcLoop(kc *kafkaChain) {
 			if !due {
 				continue
 			}
-			cctx, cancel := context.WithTimeout(ctx, timeout)
+			cctx, cancel := context.WithTimeout(k.ctx, timeout)
 			_, err := k.client.Produce(cctx, kc.partition, encodeTTCRecord(target))
 			cancel()
 			if err != nil {

@@ -9,18 +9,24 @@ import (
 )
 
 // lanes is the lifecycle every consenter shares: the per-channel loops
-// registered with add start once, on Start, and Stop closes stopCh once
-// and returns after every loop has. A Stop that precedes Start starts
-// nothing and leaves Start inert.
+// registered with add start once, on Start, and Stop cancels ctx once
+// and returns after every loop has. Loops stop when ctx is done and make
+// their calls under it, so Stop also ends a call in flight rather than
+// waiting it out. A Stop that precedes Start starts nothing and leaves
+// Start inert.
 type lanes struct {
-	stopCh    chan struct{}
+	ctx       context.Context
+	cancel    context.CancelFunc
 	loops     []func()
 	wg        sync.WaitGroup
 	startOnce sync.Once
 	stopOnce  sync.Once
 }
 
-func newLanes() lanes { return lanes{stopCh: make(chan struct{})} }
+func newLanes() lanes {
+	ctx, cancel := context.WithCancel(context.Background())
+	return lanes{ctx: ctx, cancel: cancel}
+}
 
 // laneDepth is the buffer of each cut loop's input: a burst of
 // broadcasts queues there while the loop cuts, and past it enqueue
@@ -28,7 +34,7 @@ func newLanes() lanes { return lanes{stopCh: make(chan struct{})} }
 // caller's context ends.
 const laneDepth = 8192
 
-// add registers loops to run from Start until stopCh closes.
+// add registers loops to run from Start until Stop.
 func (l *lanes) add(loops ...func()) { l.loops = append(l.loops, loops...) }
 
 // Start implements Consenter.
@@ -50,7 +56,7 @@ func (l *lanes) Start() error {
 func (l *lanes) Stop() {
 	l.stopOnce.Do(func() {
 		l.startOnce.Do(func() {})
-		close(l.stopCh)
+		l.cancel()
 		l.wg.Wait()
 	})
 }
@@ -61,7 +67,7 @@ func (l *lanes) enqueue(ctx context.Context, in chan<- []byte, env []byte) error
 	select {
 	case in <- env:
 		return nil
-	case <-l.stopCh:
+	case <-l.ctx.Done():
 		return ErrStopped
 	case <-ctx.Done():
 		return ctx.Err()

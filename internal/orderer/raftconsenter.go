@@ -128,7 +128,7 @@ func NewRaftConsenter(o *Orderer, rc RaftConfig) (*RaftConsenter, error) {
 		g.node = node
 		r.groups[ch] = g
 		r.add(func() {
-			o.cutLoop(g.in, r.stopCh, func(batch [][]byte) { r.propose(g, batch) })
+			o.cutLoop(g.in, r.ctx.Done(), func(batch [][]byte) { r.propose(g, batch) })
 		})
 	}
 	o.cfg.Endpoint.Handle(KindSubmit, r.handleForward)

@@ -22,7 +22,7 @@ func NewSolo(o *Orderer) *Solo {
 		in := make(chan []byte, laneDepth)
 		s.in[ch] = in
 		s.add(func() {
-			o.cutLoop(in, s.stopCh, func(batch [][]byte) { o.emitBatch(ch, batch) })
+			o.cutLoop(in, s.ctx.Done(), func(batch [][]byte) { o.emitBatch(ch, batch) })
 		})
 	}
 	o.SetConsenter(s)

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/simcpu"
@@ -29,8 +30,8 @@ type container struct {
 	cpu   *simcpu.CPU
 	slots chan struct{}
 
-	launchOnce sync.Once
-	launchErr  error
+	launchMu sync.Mutex
+	launched atomic.Bool
 }
 
 func newContainer(model costmodel.Model, cpu *simcpu.CPU) *container {
@@ -42,12 +43,23 @@ func newContainer(model costmodel.Model, cpu *simcpu.CPU) *container {
 }
 
 // launch charges the one-time container start; peers call it at startup
-// (chaincode instantiation time), before any workload arrives.
+// (chaincode instantiation time), before any workload arrives. Only a
+// launch that completed is remembered: one cut short by its context is
+// tried again by the next caller.
 func (c *container) launch(ctx context.Context) error {
-	c.launchOnce.Do(func() {
-		c.launchErr = c.cpu.Execute(ctx, c.model.ContainerLaunch)
-	})
-	return c.launchErr
+	if c.launched.Load() {
+		return nil
+	}
+	c.launchMu.Lock()
+	defer c.launchMu.Unlock()
+	if c.launched.Load() {
+		return nil
+	}
+	if err := c.cpu.Execute(ctx, c.model.ContainerLaunch); err != nil {
+		return err
+	}
+	c.launched.Store(true)
+	return nil
 }
 
 // invoke charges one chaincode execution, launching the container first

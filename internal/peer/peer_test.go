@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -451,6 +452,34 @@ func TestContainerBoundsConcurrentInvocations(t *testing.T) {
 	// invocation. The bound is generous for CI-scheduler jitter.
 	if probe > 150*time.Millisecond {
 		t.Errorf("probe waited %s behind the endorse backlog, want bounded by the executor pool", probe)
+	}
+}
+
+// TestContainerLaunchRetriesAfterCancel: a launch cut short by its
+// context is not remembered, so a peer whose start was cancelled can
+// still launch its container, and then endorse, on a later call.
+func TestContainerLaunchRetriesAfterCancel(t *testing.T) {
+	model := costmodel.Default(1.0)
+	model.ContainerLaunch = 10 * time.Millisecond
+	model.ChaincodeExecCPU = time.Millisecond
+	cpu := simcpu.New(1, 1.0)
+	t.Cleanup(cpu.Stop)
+	c := newContainer(model, cpu)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.launch(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("launch under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	ctx := context.Background()
+	start := time.Now()
+	if err := c.launch(ctx); err != nil {
+		t.Fatalf("launch after a cancelled one: %v", err)
+	}
+	if took := time.Since(start); took < model.ContainerLaunch {
+		t.Errorf("relaunch took %v, want the full %v launch charge", took, model.ContainerLaunch)
+	}
+	if err := c.invoke(ctx, 0); err != nil {
+		t.Fatalf("invoke after the relaunch: %v", err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -183,7 +184,8 @@ type Node struct {
 // pre-crash term and vote (so it cannot vote twice in a term) and with
 // commitIndex/lastApplied at the compaction base — entries above the
 // base are re-applied in order once re-committed, and the application
-// layer deduplicates by entry index.
+// layer deduplicates by entry index. A fresh node (nothing loaded)
+// that is its group's campaigner starts an election at its first tick.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.ID == "" || len(cfg.Peers) == 0 {
 		return nil, errors.New("raft: config requires ID and Peers")
@@ -226,6 +228,13 @@ func NewNode(cfg Config) (*Node, error) {
 		n.kindSuffix = "." + cfg.Group
 	}
 	n.timeoutSpan = n.randomTimeout()
+	fresh := hs.Term == 0 && len(entries) == 0 && base.Index == 0
+	if fresh && campaigner(cfg.Group, cfg.Peers) == cfg.ID {
+		// etcdraft's start on a fresh channel: one member, the same on
+		// all, campaigns at its first tick instead of waiting out a
+		// full election timeout. A reloaded node waits as usual.
+		n.lastContact = time.Time{}
+	}
 
 	cfg.Endpoint.Handle(n.voteKind(), n.handleVote)
 	cfg.Endpoint.Handle(n.appendKind(), n.handleAppend)
@@ -240,6 +249,16 @@ func NewNode(cfg Config) (*Node, error) {
 		n.applyLoop()
 	}()
 	return n, nil
+}
+
+// campaigner is the member of a fresh group that campaigns at once:
+// the sorted peer list indexed by the group name's hash, so every
+// member names the same node and different channels spread their
+// first leaders over the cluster.
+func campaigner(group string, peers []string) string {
+	sorted := slices.Clone(peers)
+	slices.Sort(sorted)
+	return sorted[hashString(group)%uint64(len(sorted))]
 }
 
 func hashString(s string) uint64 {

@@ -12,11 +12,12 @@ import (
 
 // cluster is a test harness around n Raft nodes on one network.
 type cluster struct {
-	t      *testing.T
-	net    *transport.Network
-	nodes  map[string]*Node
-	peers  []string
-	stores map[string]Store
+	t        *testing.T
+	net      *transport.Network
+	nodes    map[string]*Node
+	peers    []string
+	stores   map[string]Store
+	election time.Duration
 
 	mu      sync.Mutex
 	applied map[string][]Entry
@@ -30,13 +31,20 @@ func newCluster(t *testing.T, n int) *cluster {
 // mkStore-provided stores, enabling crash-restart tests; nil mkStore
 // means volatile (node-private) stores.
 func newClusterWithStores(t *testing.T, n int, mkStore func(id string) Store) *cluster {
+	return newClusterElecting(t, n, mkStore, 100*time.Millisecond)
+}
+
+// newClusterElecting is newClusterWithStores with the nodes' election
+// timeout; heartbeats stay every 20ms.
+func newClusterElecting(t *testing.T, n int, mkStore func(id string) Store, election time.Duration) *cluster {
 	t.Helper()
 	c := &cluster{
-		t:       t,
-		net:     transport.NewNetwork(transport.Config{TimeScale: 1.0, Latency: 200 * time.Microsecond}),
-		nodes:   make(map[string]*Node),
-		stores:  make(map[string]Store),
-		applied: make(map[string][]Entry),
+		t:        t,
+		net:      transport.NewNetwork(transport.Config{TimeScale: 1.0, Latency: 200 * time.Microsecond}),
+		nodes:    make(map[string]*Node),
+		stores:   make(map[string]Store),
+		election: election,
+		applied:  make(map[string][]Entry),
 	}
 	t.Cleanup(c.net.Close)
 	for i := 1; i <= n; i++ {
@@ -64,7 +72,7 @@ func (c *cluster) startNode(id string) *Node {
 		ID:                id,
 		Peers:             c.peers,
 		Endpoint:          ep,
-		ElectionTimeout:   100 * time.Millisecond,
+		ElectionTimeout:   c.election,
 		HeartbeatInterval: 20 * time.Millisecond,
 		Store:             c.stores[id],
 		Apply: func(e Entry) {
