@@ -48,7 +48,6 @@ var allowed = map[string]string{
 	"kafka.Cluster.KillBroker":         neededBy("fabnet.TestKafkaBrokerFailover"),
 	"kafka.Cluster.Leader":             neededBy("fabnet.TestKafkaBrokerFailover"),
 	"msp.MSP.Orgs":                     neededBy("fabnet.TestBuildTopology"),
-	"orderer.Orderer.Subscribers":      neededBy("fabnet.TestGossipDisseminationConverges"),
 	"raft.Node.CompactionBase":         neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
 	"raft.Node.LastIndex":              neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
 	"raft.Node.PersistErr":             neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),

@@ -84,11 +84,10 @@ type ChaosPoint struct {
 
 	Windows []ChaosWindow `json:"windows"`
 
-	OverallTPS          float64 `json:"overall_committed_tps"`
-	CommitLagP99S       float64 `json:"commit_lag_p99_s"`
-	Reelections         int     `json:"reelections"`
-	SnapshotBootstraps  int     `json:"snapshot_bootstraps"`
-	SubscriberEvictions int     `json:"subscriber_evictions"`
+	OverallTPS         float64 `json:"overall_committed_tps"`
+	CommitLagP99S      float64 `json:"commit_lag_p99_s"`
+	Reelections        int     `json:"reelections"`
+	SnapshotBootstraps int     `json:"snapshot_bootstraps"`
 	// OrdererCrashes counts the schedule's orderer crash-restart
 	// windows; BroadcastFailovers counts the extra broadcast attempts
 	// gateways made while an OSN was down.
@@ -331,7 +330,6 @@ func (chaosSoakPoint) measure(ctx context.Context, opt Options) (Point, error) {
 	point.CommitLagP99S = overall.CommitLag.P99.Seconds()
 	point.Reelections = overall.LeaderElections
 	point.SnapshotBootstraps = overall.SnapshotBootstraps
-	point.SubscriberEvictions = overall.SubscriberEvictions
 	point.BroadcastFailovers = overall.BroadcastFailovers
 
 	return Point{Chaos: point}, nil
@@ -362,9 +360,9 @@ func writeChaosReport(w io.Writer, pts []Point) {
 	fprintf(w, "\n")
 	table[ChaosWindow]{cols: cols}.write(w, point.Windows)
 
-	fprintf(w, "\noverall: committed tps=%.1f commit-lag p99=%.3fs re-elections=%d snapshot-bootstraps=%d evictions=%d orderer-crashes=%d broadcast-failovers=%d\n",
+	fprintf(w, "\noverall: committed tps=%.1f commit-lag p99=%.3fs re-elections=%d snapshot-bootstraps=%d orderer-crashes=%d broadcast-failovers=%d\n",
 		point.OverallTPS, point.CommitLagP99S, point.Reelections,
-		point.SnapshotBootstraps, point.SubscriberEvictions,
+		point.SnapshotBootstraps,
 		point.OrdererCrashes, point.BroadcastFailovers)
 	fprintf(w, "invariants: lost_blocks=%d duplicate_commits=%d tip_converged=%v state_converged=%v chain_valid=%v\n",
 		point.LostBlocks, point.DuplicateCommits, point.TipConverged,

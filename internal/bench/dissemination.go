@@ -8,13 +8,13 @@ import (
 // Dissemination-sweep configuration. After replicated endorsers (PR 4)
 // the execute and validate phases both scale out, which leaves the
 // ordering service's deliver fan-out as the last per-peer serial cost:
-// direct deliver pushes every block to every peer, so orderer egress
-// grows O(peers) and caps how far EndorsersPerOrg can be pushed. The
-// sweep grows one topology 4 -> 32 peers (a fixed set of orgs, each
-// org's endorser replicated) and compares direct deliver against the
-// gossip layer, whose org-leader subscription holds orderer egress at
-// O(orgs) while push gossip + anti-entropy carry blocks the rest of
-// the way.
+// under direct deliver every peer fetches every block from an OSN, so
+// orderer egress grows O(peers) and caps how far EndorsersPerOrg can be
+// pushed. The sweep grows one topology 4 -> 32 peers (a fixed set of
+// orgs, each org's endorser replicated) and compares direct deliver
+// against the gossip layer, whose org-leader deliver polls hold orderer
+// egress at O(orgs) while push gossip + anti-entropy carry blocks the
+// rest of the way.
 const (
 	dissOrgs       = 4
 	dissClients    = 8

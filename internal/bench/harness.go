@@ -96,7 +96,7 @@ type Point struct {
 	Summary  metrics.Summary
 	Stats    workload.Stats
 	// OrdererEgressBlocks/Bytes total the ordering service's deliver
-	// pushes and catch-up fetches over the whole run — the dissemination
+	// polls and catch-up fetches over the whole run — the dissemination
 	// sweep's cost axis (O(peers) direct vs O(orgs) gossip).
 	OrdererEgressBlocks uint64
 	OrdererEgressBytes  uint64

@@ -130,7 +130,7 @@ var renderCases = []struct {
 	}, 0, 2, 0, 2,
 		[]string{"seed", "schedule_seed", "orgs", "replicas", "wan_matrix", "faults", "fault_kinds", "timeline",
 			"windows", "overall_committed_tps", "commit_lag_p99_s", "reelections", "snapshot_bootstraps",
-			"subscriber_evictions", "orderer_crashes", "broadcast_failovers", "lost_blocks", "duplicate_commits",
+			"orderer_crashes", "broadcast_failovers", "lost_blocks", "duplicate_commits",
 			"tip_converged", "state_converged", "chain_valid"}},
 	{"contention", []string{
 		"workload reord retry zipf throughput abort mvcc early wasted(s) cli-ok",

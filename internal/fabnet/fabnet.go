@@ -142,7 +142,7 @@ type Config struct {
 	// each peer channel's commit pipeline holds in flight.
 	CommitDepth int
 	// Gossip configures peer-to-peer block dissemination. When enabled,
-	// only one elected leader peer per org subscribes to the orderer's
+	// only one elected leader peer per org pulls from the orderer's
 	// deliver service; org members spread blocks by push gossip and
 	// converge through anti-entropy, holding orderer egress at O(orgs)
 	// instead of O(peers).
@@ -964,7 +964,7 @@ func (c chaosCluster) ThrottleCPU(id string, cores int) (int, error) {
 }
 
 // OrdererEgress sums the deliver/catch-up egress of every OSN: how many
-// blocks (and bytes) the ordering service pushed or served to peers.
+// blocks (and bytes) the ordering service served to peers.
 func (n *Network) OrdererEgress() (blocks, bytes uint64) {
 	for _, o := range n.Orderers {
 		b, by := o.EgressStats()
@@ -1001,8 +1001,8 @@ type RestartResult struct {
 // empty and replays; a file-backed peer reopens its ledgers from the
 // latest checkpoint plus the block-store tail and resumes from there.
 // Either way the restarted peer converges back to the cluster tip
-// through the catch-up path — subscribe tips under direct deliver,
-// anti-entropy (or snapshot-then-tail) under gossip. Works on both the
+// through the catch-up path — its deliver poll from its own height under
+// direct deliver, anti-entropy (or snapshot-then-tail) under gossip. Works on both the
 // in-memory and the TCP transport.
 func (n *Network) RestartPeer(ctx context.Context, id string) (*RestartResult, error) {
 	idx, ep, err := reregister(n, n.Peers, id)
@@ -1092,8 +1092,8 @@ type OrdererRestartResult struct {
 // surviving OSN's chain or a peer's block store tail; Kafka then
 // replays its partition from offset zero and the chain's replay guard
 // drops the duplicates. Org leaders (every direct-deliver peer is one)
-// refresh their subscriptions every few leases, so no blocks are lost
-// across the restart.
+// retry a failed deliver poll after a quarter lease, from their own
+// height, so no blocks are lost across the restart.
 func (n *Network) RestartOrderer(ctx context.Context, id string) (*OrdererRestartResult, error) {
 	idx, ep, err := reregister(n, n.Orderers, id)
 	if err != nil {
@@ -1246,7 +1246,6 @@ func registerWireTypes() {
 			[]peer.CommitEvent(nil),
 			&orderer.BroadcastEnvelope{},
 			&orderer.GetBlocksArgs{}, &orderer.GetBlocksReply{},
-			&orderer.SubscribeArgs{}, &orderer.SubscribeReply{},
 			&orderer.SubmitArgs{},
 			&gossip.BlockMsg{}, &gossip.DigestMsg{},
 			&gossip.Beat{},

@@ -44,10 +44,10 @@ func nonLeaderOSN(t *testing.T, n *Network) (string, int) {
 	if !ok {
 		t.Fatal("no raft leader")
 	}
-	// Prefer the highest-numbered OSN: peers pin their deliver
-	// subscription to ordererIDs[peerIdx % len], so with fewer peers
-	// than OSNs the tail OSNs serve no deliver stream and disrupting
-	// one never stalls commit events.
+	// Prefer the highest-numbered OSN: peers pin their deliver polls
+	// to ordererIDs[peerIdx % len], so with fewer peers than OSNs the
+	// tail OSNs serve no deliver poll and disrupting one never stalls
+	// commit events.
 	for i := len(n.Orderers) - 1; i >= 0; i-- {
 		if n.Orderers[i].ID() != leader {
 			return n.Orderers[i].ID(), i
@@ -59,8 +59,8 @@ func nonLeaderOSN(t *testing.T, n *Network) (string, int) {
 
 // invokeLenient drives count committed writes, tolerating transient
 // rejections (ordering timeouts, orderer unavailable) while the network
-// heals around a disrupted OSN — a leader's subscription refresh takes
-// up to 5s model time to resubscribe, longer than one ordering budget.
+// heals around a disrupted OSN — a leader whose deliver poll failed
+// waits a quarter lease before the next one.
 func invokeLenient(t *testing.T, n *Network, tag string, count int, d time.Duration) {
 	t.Helper()
 	ctx := context.Background()

@@ -6,6 +6,7 @@ package fabnet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/synctest"
@@ -19,12 +20,60 @@ import (
 
 // vtRun is one virtual-time life of a network at scale 1.0: the model
 // time Build and Start took, the model time from Build to the end of
-// Stop, and the summary of 10 model-seconds of load at 400 tps.
+// Stop, the summary of 10 model-seconds of load at 400 tps, and the
+// fingerprint of the blocks peer 0 committed.
 type vtRun struct {
-	setup time.Duration
-	life  time.Duration
-	sum   metrics.Summary
-	err   error
+	setup  time.Duration
+	life   time.Duration
+	sum    metrics.Summary
+	blocks []blockPrint
+	err    error
+}
+
+// blockPrint is what a run's fingerprint keeps of one committed block:
+// its number, its cut time in model time since Build, the OSN that cut
+// it and its transaction count. Transactions are left out: their IDs
+// depend on the order in which same-instant submissions reach a
+// gateway's nonce counter, which even Solo does not repeat.
+type blockPrint struct {
+	num   uint64
+	cutAt time.Duration
+	osn   string
+	txs   int
+}
+
+// fingerprint reads peer 0's committed blocks past genesis.
+func fingerprint(n *Network, began time.Time) ([]blockPrint, error) {
+	led := n.Peers[0].Ledger()
+	prints := make([]blockPrint, 0, led.Height())
+	for num := uint64(1); num < led.Height(); num++ {
+		b, err := led.GetBlock(num)
+		if err != nil {
+			return nil, err
+		}
+		prints = append(prints, blockPrint{
+			num:   num,
+			cutAt: time.Duration(b.Metadata.OrderedTime - began.UnixNano()),
+			osn:   b.Metadata.OrdererID,
+			txs:   len(b.Data),
+		})
+	}
+	return prints, nil
+}
+
+// firstDivergence describes the first block on which two fingerprints
+// differ, with both runs' values; "" means they match.
+func firstDivergence(a, b []blockPrint) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("block %d: run 0 cut at %v by %s with %d txs, run 1 cut at %v by %s with %d txs",
+				a[i].num, a[i].cutAt, a[i].osn, a[i].txs, b[i].cutAt, b[i].osn, b[i].txs)
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("block %d: run 0 committed %d blocks, run 1 %d", min(len(a), len(b))+1, len(a), len(b))
+	}
+	return ""
 }
 
 // runNetwork builds cfg with the scale-1.0 cost model and a fresh
@@ -57,6 +106,7 @@ func runNetwork(cfg Config) (r vtRun) {
 		return r
 	}
 	r.sum = col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale, RejectLatency: model.OrderTimeout})
+	r.blocks, r.err = fingerprint(n, began)
 	return r
 }
 
@@ -69,7 +119,8 @@ var maxSetup = costmodel.Default(1.0).ContainerLaunch + 10*time.Millisecond
 // runTwice runs cfg twice with one seed, each time inside its own
 // synctest bubble. The bubble returning proves no goroutine outlives
 // Stop, since one left blocked would deadlock it; both runs must commit,
-// and bring each network up within maxSetup.
+// and bring each network up within maxSetup. It logs the first block on
+// which the two runs' fingerprints differ.
 func runTwice(t *testing.T, cfg Config) [2]vtRun {
 	t.Helper()
 	var runs [2]vtRun
@@ -96,6 +147,11 @@ func runTwice(t *testing.T, cfg Config) [2]vtRun {
 		}
 		t.Logf("run %d: setup %.3f model-s, Build to Stop %.3f model-s, committed %d, mean latency %v, validate %.1f tps",
 			i, r.setup.Seconds(), r.life.Seconds(), r.sum.Committed, r.sum.TotalLatency.Avg, r.sum.ValidateTPS)
+	}
+	if d := firstDivergence(runs[0].blocks, runs[1].blocks); d != "" {
+		t.Logf("first divergence at %s", d)
+	} else {
+		t.Logf("both runs committed the same %d blocks", len(runs[0].blocks))
 	}
 	return runs
 }
@@ -135,7 +191,8 @@ func TestKafkaNetworkInVirtualTime(t *testing.T) {
 // under OR with direct deliver, where every peer is an org of one and
 // runs its own election loop, twice. Solo has no source of spread, so
 // both runs must read exactly 1 200 committed, a 7.887097739 s mean
-// latency and 171.5 validate tps; how the network comes up must not
+// latency and 171.5 validate tps, commit the same blocks and take
+// exactly as long from Build to Stop; how the network comes up must not
 // move the load's model time. Run with GOEXPERIMENT=synctest.
 func TestSoloDirectNetworkInVirtualTime(t *testing.T) {
 	runs := runTwice(t, Config{
@@ -149,6 +206,12 @@ func TestSoloDirectNetworkInVirtualTime(t *testing.T) {
 			t.Errorf("run %d: committed %d, mean latency %v, validate %v tps; want 1200, 7.887097739s, 171.5",
 				i, s.Committed, s.TotalLatency.Avg, s.ValidateTPS)
 		}
+	}
+	if d := firstDivergence(runs[0].blocks, runs[1].blocks); d != "" {
+		t.Errorf("runs diverged at %s", d)
+	}
+	if runs[0].life != runs[1].life {
+		t.Errorf("Build to Stop took %v then %v, want equal", runs[0].life, runs[1].life)
 	}
 }
 

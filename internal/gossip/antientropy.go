@@ -33,7 +33,7 @@ func (n *Node) antiEntropyLoop() {
 		n.mu.Unlock()
 		wait := n.cfg.AntiEntropyInterval*3/4 + jitter
 		select {
-		case <-n.stopCh:
+		case <-n.ctx.Done():
 			return
 		case <-time.After(wait):
 		}
@@ -56,7 +56,7 @@ func (n *Node) digest() *DigestMsg {
 // reconcileWith exchanges digests with one peer and pulls every range
 // the peer is ahead on.
 func (n *Node) reconcileWith(partner string) {
-	raw, err := n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.AntiEntropyInterval,
+	raw, err := n.cfg.Endpoint.CallWithin(n.ctx, n.cfg.AntiEntropyInterval,
 		partner, KindDigest, n.digest(), 8*(len(n.cfg.Channels)+1))
 	if err != nil {
 		return
@@ -68,7 +68,7 @@ func (n *Node) reconcileWith(partner string) {
 	for _, ch := range n.cfg.Channels {
 		theirs := remote.Heights[ch]
 		if mine := n.cfg.Sink.NextBlock(ch); theirs > mine {
-			n.pull(partner, ch, mine, theirs, metrics.SourceAntiEntropy)
+			n.pull(partner, ch, mine, theirs)
 		}
 	}
 }
@@ -88,7 +88,7 @@ func (n *Node) handleDigest(_ context.Context, from string, payload any) (any, i
 		theirs := msg.Heights[ch]
 		if mine := n.cfg.Sink.NextBlock(ch); theirs > mine {
 			channel, gapFrom, gapTo := ch, mine, theirs
-			n.goRun(func() { n.pull(from, channel, gapFrom, gapTo, metrics.SourceAntiEntropy) })
+			n.goRun(func() { n.pull(from, channel, gapFrom, gapTo) })
 		}
 	}
 	mine := n.digest()
@@ -117,15 +117,13 @@ func (n *Node) handleGetBlocks(_ context.Context, _ string, payload any) (any, i
 	return reply, size, nil
 }
 
-// pull pages channel blocks [from, to) out of src — an OSN's chain when
-// source is metrics.SourceDeliver, else a peer's ledger — and ingests
-// them in order as source. One pull per channel runs at a time:
-// overlapping gap triggers (several blocks running ahead at once, a
-// re-subscribe backfill) collapse into the first pull instead of
-// duplicating traffic; a later trigger re-fills any remainder. A failed
-// page just returns: the next push, anti-entropy round or re-subscribe
-// retries.
-func (n *Node) pull(src, channel string, from, to uint64, source string) {
+// pull pages channel blocks [from, to) out of peer src's ledger and
+// ingests them in order as anti-entropy. One pull per channel runs at a
+// time: overlapping gap triggers (several blocks running ahead at once)
+// collapse into the first pull instead of duplicating traffic; a later
+// trigger re-fills any remainder. A failed page just returns: the next
+// push or anti-entropy round retries.
+func (n *Node) pull(src, channel string, from, to uint64) {
 	n.mu.Lock()
 	if n.pulling[channel] {
 		n.mu.Unlock()
@@ -139,18 +137,13 @@ func (n *Node) pull(src, channel string, from, to uint64, source string) {
 		n.mu.Unlock()
 	}()
 
-	fromOrderer := source == metrics.SourceDeliver
-	timeout := n.cfg.AntiEntropyInterval
-	if fromOrderer {
-		timeout = 2 * n.cfg.LeaderLease
-	}
-	// A peer gap at least SnapshotThreshold wide is closed snapshot-first:
+	// A gap at least SnapshotThreshold wide is closed snapshot-first:
 	// install the remote ledger's snapshot (state + index + tip) and pull
 	// only the tail beyond it. A fetch/install failure falls through to
 	// the ranged block pulls — slower, never less correct.
-	if ss := n.cfg.SnapshotSink; !fromOrderer && ss != nil && n.cfg.SnapshotThreshold > 0 &&
+	if ss := n.cfg.SnapshotSink; ss != nil && n.cfg.SnapshotThreshold > 0 &&
 		to-from >= uint64(n.cfg.SnapshotThreshold) {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.AntiEntropyInterval)
+		ctx, cancel := context.WithTimeout(n.ctx, 10*n.cfg.AntiEntropyInterval)
 		height, err := ss.FetchSnapshot(ctx, src, channel)
 		cancel()
 		if err == nil && height > from {
@@ -165,7 +158,7 @@ func (n *Node) pull(src, channel string, from, to uint64, source string) {
 		if n.isStopped() {
 			return
 		}
-		raw, err := n.cfg.Endpoint.CallWithin(context.Background(), timeout, src, orderer.KindGetBlocks,
+		raw, err := n.cfg.Endpoint.CallWithin(n.ctx, n.cfg.AntiEntropyInterval, src, orderer.KindGetBlocks,
 			&orderer.GetBlocksArgs{Channel: channel, From: from, To: to}, 24)
 		if err != nil {
 			return
@@ -174,13 +167,11 @@ func (n *Node) pull(src, channel string, from, to uint64, source string) {
 		if !ok || len(reply.Blocks) == 0 {
 			return // src cannot serve (yet); the next trigger retries
 		}
-		if c := n.cfg.Collector; c != nil && !fromOrderer {
+		if c := n.cfg.Collector; c != nil {
 			c.AntiEntropyPull(len(reply.Blocks))
 		}
 		for _, b := range reply.Blocks {
-			// Orderer backfill counts (and spreads) as deliver: those
-			// blocks are new to the whole org, not a private repair.
-			n.acceptBlock(b, 0, src, source)
+			n.acceptBlock(b, 0, src, metrics.SourceAntiEntropy)
 		}
 		from += uint64(len(reply.Blocks))
 	}

@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
-
-	"fabricsim/internal/metrics"
-	"fabricsim/internal/orderer"
 )
 
 // This file is the org-leader election: per channel, the org member
-// with the lowest rotated rank that is alive holds the deliver
-// subscription, renews it with lease heartbeats, and is replaced when
-// its beats stop.
+// with the lowest rotated rank that is alive runs the deliver loop,
+// renews its lease with heartbeats, and is replaced when its beats
+// stop.
 //
 // Ranks rotate per channel (a hash of the channel ID offsets the sorted
 // member list), so in multi-channel deployments different members lead
@@ -25,7 +22,8 @@ import (
 // with an incremented term only when all of them are unreachable.
 // Members adopt the beat with the highest term (ties: lowest rank), so
 // a recovered old leader that still beats on a stale term resigns the
-// moment it hears the new leader.
+// moment it hears the new leader, and its deliver loop ends with the
+// poll in flight.
 
 // electionState tracks one channel's leadership as seen by this node.
 type electionState struct {
@@ -34,15 +32,9 @@ type electionState struct {
 	lastBeat time.Time
 	// electing guards against overlapping takeover probes.
 	electing bool
-	// subscribed reports whether this node, as the channel's leader,
-	// currently holds the orderer deliver subscription; subscribing
-	// guards against overlapping subscribe attempts. The election loop
-	// retries a failed subscribe and refreshes a held one every few
-	// leases — the refresh also re-registers a leader the orderer
-	// evicted during a transient outage (eviction resets on subscribe).
-	subscribed  bool
-	subscribing bool
-	lastSub     time.Time
+	// delivering reports that this node's deliver loop for the channel
+	// runs; the loop clears it, under n.mu, as it exits.
+	delivering bool
 }
 
 // rankOf returns a node's election rank for a channel: its index in the
@@ -92,7 +84,7 @@ func (n *Node) electionLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.stopCh:
+		case <-n.ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -104,18 +96,7 @@ func (n *Node) electionLoop() {
 			case es.leader == n.cfg.ID:
 				es.lastBeat = time.Now()
 				beat := &Beat{Channel: ch, Org: n.cfg.Org, Leader: n.cfg.ID, Term: es.term}
-				needSub := n.cfg.OrdererID != "" && !es.subscribing &&
-					(!es.subscribed || time.Since(es.lastSub) > 4*n.cfg.LeaderLease)
-				if needSub {
-					es.subscribing = true
-				}
-				channel := ch
-				action = func() {
-					n.broadcastBeat(beat)
-					if needSub {
-						n.goRun(func() { n.ensureSubscribed(channel) })
-					}
-				}
+				action = func() { n.broadcastBeat(beat) }
 			case time.Since(es.lastBeat) > n.cfg.LeaderLease && !es.electing:
 				es.electing = true
 				term := es.term
@@ -161,7 +142,7 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 		if m == n.cfg.ID || n.rankOf(channel, m) > myRank {
 			continue
 		}
-		if _, err := n.cfg.Endpoint.CallWithin(context.Background(), probeTimeout, m, KindPing, nil, 4); err == nil {
+		if _, err := n.cfg.Endpoint.CallWithin(n.ctx, probeTimeout, m, KindPing, nil, 4); err == nil {
 			// A better-ranked member is alive; give it one more lease
 			// to claim before we re-probe.
 			n.mu.Lock()
@@ -181,97 +162,32 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 	if c := n.cfg.Collector; c != nil {
 		c.LeaderElection()
 	}
-	_ = n.becomeLeader(context.Background(), channel)
+	n.becomeLeader(channel)
 }
 
 // becomeLeader claims a channel's org leadership: bump the term, start
-// beating, subscribe to the orderer's deliver for the channel, and pull
-// whatever the chain tip says we missed. A failed subscribe does not
-// void the claim — the election loop retries it every tick until it
-// lands. Only tryTakeover's claims count as elections: the rank-0 claim
-// at Start is no re-election.
-func (n *Node) becomeLeader(ctx context.Context, channel string) error {
+// beating, and start the deliver loop unless the previous one is still
+// running, which then carries on. The loop pulls from the ledger height,
+// so its first poll fetches whatever the org missed while leaderless.
+// Only tryTakeover's claims count as elections: the rank-0 claim at
+// Start is no re-election.
+func (n *Node) becomeLeader(channel string) {
 	n.mu.Lock()
 	es := n.elections[channel]
 	es.term++
 	es.leader = n.cfg.ID
 	es.lastBeat = time.Now()
-	es.subscribed = false
 	beat := &Beat{Channel: channel, Org: n.cfg.Org, Leader: n.cfg.ID, Term: es.term}
+	startLoop := n.cfg.OrdererID != "" && !es.delivering
+	if startLoop {
+		es.delivering = true
+	}
 	n.mu.Unlock()
 
 	n.broadcastBeat(beat)
-	if n.cfg.OrdererID == "" {
-		return nil
+	if startLoop {
+		n.goRun(func() { n.deliverLoop(channel) })
 	}
-	return n.subscribeLeader(ctx, channel)
-}
-
-// ensureSubscribed is the election loop's subscription keeper: while
-// this node leads the channel it (re)establishes the orderer deliver
-// subscription, retrying failures and refreshing held subscriptions.
-func (n *Node) ensureSubscribed(channel string) {
-	defer func() {
-		n.mu.Lock()
-		n.elections[channel].subscribing = false
-		n.mu.Unlock()
-	}()
-	n.mu.Lock()
-	stillLeader := n.elections[channel].leader == n.cfg.ID
-	n.mu.Unlock()
-	if !stillLeader {
-		return
-	}
-	_ = n.subscribeLeader(context.Background(), channel)
-}
-
-// subscribeLeader performs the channel-scoped subscribe call (bounded by
-// two leases as well as ctx), marks the subscription held, and backfills
-// whatever the reported chain tip says the org missed. If leadership was
-// lost while the call was in flight (a higher-term beat resigned us), the
-// stray subscription is undone — otherwise a deposed leader would stay
-// subscribed forever and the O(orgs) egress invariant would silently
-// break.
-func (n *Node) subscribeLeader(ctx context.Context, channel string) error {
-	raw, err := n.cfg.Endpoint.CallWithin(ctx, 2*n.cfg.LeaderLease, n.cfg.OrdererID, orderer.KindSubscribe,
-		&orderer.SubscribeArgs{Channels: []string{channel}}, 16)
-	if err != nil {
-		return fmt.Errorf("subscribe: %w", err)
-	}
-	n.mu.Lock()
-	es := n.elections[channel]
-	stillLeader := es.leader == n.cfg.ID
-	if stillLeader {
-		es.subscribed = true
-		es.lastSub = time.Now()
-	}
-	n.mu.Unlock()
-	if !stillLeader {
-		// Sent after our subscribe on the same link, so FIFO ordering
-		// guarantees the orderer ends unsubscribed.
-		n.resignLeader(channel)
-		return nil
-	}
-	if reply, ok := raw.(*orderer.SubscribeReply); ok {
-		tip := reply.Tips[channel]
-		if next := n.cfg.Sink.NextBlock(channel); tip >= next {
-			// The org missed blocks while leaderless (or this node was
-			// down or evicted); fetch the gap from the orderer once, then
-			// let gossip spread it.
-			n.goRun(func() { n.pull(n.cfg.OrdererID, channel, next, tip+1, metrics.SourceDeliver) })
-		}
-	}
-	return nil
-}
-
-// resignLeader drops the deliver subscription after losing a channel's
-// leadership to a higher-term claim.
-func (n *Node) resignLeader(channel string) {
-	if n.cfg.OrdererID == "" {
-		return
-	}
-	_, _ = n.cfg.Endpoint.CallWithin(context.Background(), n.cfg.LeaderLease, n.cfg.OrdererID, orderer.KindUnsubscribe,
-		&orderer.SubscribeArgs{Channels: []string{channel}}, 16)
 }
 
 // handleBeat ingests a leader heartbeat.
@@ -291,17 +207,10 @@ func (n *Node) handleBeat(_ context.Context, _ string, payload any) (any, int, e
 			n.rankOf(beat.Channel, beat.Leader) < n.rankOf(beat.Channel, es.leader))
 	switch {
 	case adopt:
-		resign := es.leader == n.cfg.ID && beat.Leader != n.cfg.ID
 		es.term = beat.Term
 		es.leader = beat.Leader
 		es.lastBeat = time.Now()
-		if resign {
-			es.subscribed = false
-		}
 		n.mu.Unlock()
-		if resign {
-			n.resignLeader(beat.Channel)
-		}
 	case beat.Term == es.term && beat.Leader == es.leader:
 		es.lastBeat = time.Now()
 		n.mu.Unlock()

@@ -1,19 +1,20 @@
 // Package gossip implements peer-to-peer block dissemination, the layer
 // real Fabric uses to keep ordering-service egress independent of the
 // peer count. Per channel and per organization, one elected leader peer
-// subscribes to the orderer's deliver service (lease-based re-election
-// replaces a dead leader); every other peer receives blocks via push
-// gossip from org members — fanout-bounded, hop-count-tagged messages
-// with duplicate suppression keyed on channel + block number — and runs
-// periodic anti-entropy: a digest exchange of ledger heights with a
-// random peer followed by ranged block pulls, so crashed or lagging
-// peers converge without orderer involvement.
+// pulls blocks from the orderer's deliver service by long poll, from its
+// own ledger height (lease-based re-election replaces a dead leader);
+// every other peer receives blocks via push gossip from org members —
+// fanout-bounded, hop-count-tagged messages with duplicate suppression
+// keyed on channel + block number — and runs periodic anti-entropy: a
+// digest exchange of ledger heights with a random peer followed by
+// ranged block pulls, so crashed or lagging peers converge without
+// orderer involvement.
 //
 // A node is the only orderer-deliver client there is: a peer deployed
 // without gossip is a node whose org is itself, so it always leads,
-// never pushes, and never runs anti-entropy. Every ranged fetch, from
-// an OSN's chain or a peer's ledger, is one orderer.KindGetBlocks
-// message.
+// never pushes, and never runs anti-entropy. Every fetch, a leader's
+// deliver poll to an OSN or a pull from a peer's ledger, is one
+// orderer.KindGetBlocks message.
 //
 // The package is deliberately ignorant of validation and commit: it
 // moves blocks between nodes and hands them to a Sink (the peer's
@@ -25,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -32,6 +34,7 @@ import (
 
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
+	"fabricsim/internal/simcpu"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
@@ -128,7 +131,7 @@ type Config struct {
 	// ChannelPeers lists every peer in the network; anti-entropy picks
 	// its partners here, so convergence crosses org boundaries.
 	ChannelPeers []string
-	// OrdererID is the OSN the elected leader subscribes to.
+	// OrdererID is the OSN the elected leader pulls blocks from.
 	OrdererID string
 	// Sink is the local peer's ingest/serve surface.
 	Sink Sink
@@ -138,7 +141,9 @@ type Config struct {
 	// AntiEntropyInterval is the digest-exchange period (default 250ms).
 	AntiEntropyInterval time.Duration
 	// LeaderLease is how long a leader's heartbeat holds off
-	// re-election (default 1s); beats go out every LeaderLease/4.
+	// re-election (default 1s); beats go out every LeaderLease/4. It
+	// also bounds one deliver long poll, and a failed poll is retried
+	// after LeaderLease/4.
 	LeaderLease time.Duration
 	// Collector, when non-nil, counts this node's accepted blocks (by
 	// source and hop count), dedup drops, anti-entropy pulls, leader
@@ -199,7 +204,10 @@ type Node struct {
 	pulling   map[string]bool // channel -> a ranged pull is in flight
 	stopped   bool
 
-	stopCh chan struct{}
+	// ctx bounds every call the node makes; Stop cancels it, so Stop
+	// never waits out a parked deliver poll or a slow pull.
+	ctx    context.Context
+	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
 
@@ -233,8 +241,8 @@ func NewNode(cfg Config) *Node {
 		seen:      make(map[string]map[uint64]struct{}, len(cfg.Channels)),
 		elections: make(map[string]*electionState, len(cfg.Channels)),
 		pulling:   make(map[string]bool, len(cfg.Channels)),
-		stopCh:    make(chan struct{}),
 	}
+	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.members = append([]string(nil), cfg.OrgMembers...)
 	sort.Strings(n.members)
 	for _, p := range cfg.ChannelPeers {
@@ -256,12 +264,10 @@ func NewNode(cfg Config) *Node {
 
 // Start claims initial leaderships and launches the election and
 // anti-entropy loops.
-func (n *Node) Start(ctx context.Context) error {
+func (n *Node) Start() {
 	for _, ch := range n.cfg.Channels {
 		if n.rankOf(ch, n.cfg.ID) == 0 {
-			if err := n.becomeLeader(ctx, ch); err != nil {
-				return fmt.Errorf("gossip %s: initial leadership of %s: %w", n.cfg.ID, ch, err)
-			}
+			n.becomeLeader(ch)
 		} else {
 			es := n.elections[ch]
 			n.mu.Lock()
@@ -272,7 +278,6 @@ func (n *Node) Start(ctx context.Context) error {
 	n.wg.Add(2)
 	go n.electionLoop()
 	go n.antiEntropyLoop()
-	return nil
 }
 
 // Stop halts the loops. Safe to call more than once; safe on a node
@@ -285,7 +290,7 @@ func (n *Node) Stop() {
 	}
 	n.stopped = true
 	n.mu.Unlock()
-	close(n.stopCh)
+	n.cancel()
 	n.wg.Wait()
 }
 
@@ -303,11 +308,35 @@ func (n *Node) channelOf(block *types.Block) string {
 	return n.cfg.Channels[0]
 }
 
-// OnDeliver ingests a block the OSN osn pushed to this (leader) node
-// and spreads it into the org; a gap the block runs ahead of is pulled
-// from that OSN.
-func (n *Node) OnDeliver(osn string, block *types.Block) {
-	n.acceptBlock(block, 0, osn, metrics.SourceDeliver)
+// deliverLoop is the channel's orderer-deliver client: it long-polls
+// the OSN for blocks from the ledger height, waiting up to LeaderLease
+// for the chain to grow, and ingests them as deliver. Replies start at
+// the height, so a deliver block never runs ahead of the chain. The
+// loop exits, under n.mu, the first time the node no longer leads the
+// channel, so a hand-off is the old leader's poll ending and the new
+// leader's starting.
+func (n *Node) deliverLoop(channel string) {
+	for {
+		n.mu.Lock()
+		es := n.elections[channel]
+		if n.stopped || es.leader != n.cfg.ID {
+			es.delivering = false
+			n.mu.Unlock()
+			return
+		}
+		n.mu.Unlock()
+		args := &orderer.GetBlocksArgs{Channel: channel, From: n.cfg.Sink.NextBlock(channel),
+			To: math.MaxUint64, Wait: n.cfg.LeaderLease}
+		raw, err := n.cfg.Endpoint.CallWithin(n.ctx, 2*n.cfg.LeaderLease, n.cfg.OrdererID, orderer.KindGetBlocks, args, 32)
+		reply, ok := raw.(*orderer.GetBlocksReply)
+		if err != nil || !ok {
+			_ = simcpu.Sleep(n.ctx, n.cfg.LeaderLease/4)
+			continue
+		}
+		for _, b := range reply.Blocks {
+			n.acceptBlock(b, 0, "", metrics.SourceDeliver)
+		}
+	}
 }
 
 // handleBlock ingests one pushed gossip message.
@@ -359,25 +388,20 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 		n.cfg.Tracer.BlockOrigin(ch, num, source, hops)
 	}
 	if res.MissFrom < res.MissTo && from != "" {
-		// The block ran ahead of the chain: close the gap without
-		// waiting for the next anti-entropy round, from whoever sent it.
-		// A leader that heard it from an OSN pulls the range there; a
-		// follower pulls from the peer that pushed the block (it owns
-		// the range or knows who does by the same recursion).
+		// The pushed block ran ahead of the chain: close the gap
+		// without waiting for the next anti-entropy round, from the peer
+		// that pushed it (it owns the range or knows who does by the
+		// same recursion).
 		gapFrom, gapTo := res.MissFrom, res.MissTo
-		pullSource := metrics.SourceAntiEntropy
-		if source == metrics.SourceDeliver {
-			pullSource = metrics.SourceDeliver
-		}
-		n.goRun(func() { n.pull(from, ch, gapFrom, gapTo, pullSource) })
+		n.goRun(func() { n.pull(from, ch, gapFrom, gapTo) })
 	}
 	// Fresh blocks keep spreading — except anti-entropy pulls: a peer
 	// repairing itself from another peer's ledger is usually the LAST
 	// to learn those blocks, and re-pushing a whole pulled chain into
 	// the org would pay full block bandwidth just to be dropped by
-	// everyone's dedup cache. Orderer backfills (leader election
-	// catch-up) arrive as metrics.SourceDeliver and do fan out, so org mates
-	// converge without issuing their own pulls.
+	// everyone's dedup cache. Deliver blocks, a new leader's catch-up
+	// included, do fan out, so org mates converge without issuing their
+	// own pulls.
 	if res.Fresh && hops < maxHops && source != metrics.SourceAntiEntropy {
 		n.forward(block, hops+1, from)
 	}

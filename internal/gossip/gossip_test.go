@@ -115,68 +115,123 @@ func testBlock(channel string, num uint64) *types.Block {
 	return b
 }
 
-// fakeOrderer is a deliver-service stub: it records subscriptions and
-// serves a static chain over KindGetBlocks.
+// fakeOrderer is a deliver-service stub: it serves a chain the test
+// grows over KindGetBlocks, parks polls past the tip until the chain
+// grows or their Wait ends, and records every poll.
 type fakeOrderer struct {
-	mu     sync.Mutex
-	subs   map[string]bool
-	unsubs []string
-	blocks []*types.Block // index 0 unused; blocks[i] has number i
+	mu       sync.Mutex
+	blocks   []*types.Block // index 0 unused; blocks[i] has number i
+	wake     chan struct{}
+	polls    []fakePoll
+	inFlight map[string]int
+}
+
+// fakePoll is one served poll: who asked, from which block, when it
+// began, and how many blocks it returned.
+type fakePoll struct {
+	poller string
+	from   uint64
+	began  time.Time
+	served int
 }
 
 func newFakeOrderer(t *testing.T, net *transport.Network, id string, height uint64) *fakeOrderer {
 	t.Helper()
-	f := &fakeOrderer{subs: make(map[string]bool)}
-	f.blocks = append(f.blocks, nil)
-	for num := uint64(1); num <= height; num++ {
-		f.blocks = append(f.blocks, testBlock(orderer.DefaultChannel, num))
-	}
+	f := &fakeOrderer{blocks: []*types.Block{nil}, inFlight: make(map[string]int)}
+	f.grow(height)
 	ep, err := net.Register(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.Handle(orderer.KindSubscribe, func(_ context.Context, from string, _ any) (any, int, error) {
-		f.mu.Lock()
-		f.subs[from] = true
-		tip := uint64(len(f.blocks) - 1)
-		f.mu.Unlock()
-		return &orderer.SubscribeReply{Tips: map[string]uint64{orderer.DefaultChannel: tip}}, 16, nil
-	})
-	ep.Handle(orderer.KindUnsubscribe, func(_ context.Context, from string, _ any) (any, int, error) {
-		f.mu.Lock()
-		delete(f.subs, from)
-		f.unsubs = append(f.unsubs, from)
-		f.mu.Unlock()
-		return "OK", 2, nil
-	})
-	ep.Handle(orderer.KindGetBlocks, func(_ context.Context, _ string, payload any) (any, int, error) {
-		args := payload.(*orderer.GetBlocksArgs)
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		reply := &orderer.GetBlocksReply{}
-		to := args.To
-		if height := uint64(len(f.blocks)); to > height {
-			to = height
-		}
-		for num := args.From; num < to && num < uint64(len(f.blocks)); num++ {
-			if num == 0 {
-				continue
-			}
-			reply.Blocks = append(reply.Blocks, f.blocks[num])
-		}
-		return reply, 64, nil
-	})
+	ep.Handle(orderer.KindGetBlocks, f.handleGetBlocks)
 	return f
 }
 
-func (f *fakeOrderer) subscribed() []string {
+func (f *fakeOrderer) handleGetBlocks(ctx context.Context, from string, payload any) (any, int, error) {
+	args := payload.(*orderer.GetBlocksArgs)
+	poll := fakePoll{poller: from, from: args.From, began: time.Now()}
+	f.mu.Lock()
+	f.inFlight[from]++
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.inFlight[from]--
+		f.polls = append(f.polls, poll)
+		f.mu.Unlock()
+	}()
+	deadline := poll.began.Add(args.Wait)
+	for {
+		f.mu.Lock()
+		reply := &orderer.GetBlocksReply{}
+		for num := max(args.From, 1); num < min(args.To, uint64(len(f.blocks))); num++ {
+			reply.Blocks = append(reply.Blocks, f.blocks[num])
+		}
+		if len(reply.Blocks) > 0 || !time.Now().Before(deadline) {
+			f.mu.Unlock()
+			poll.served = len(reply.Blocks)
+			return reply, 64, nil
+		}
+		if f.wake == nil {
+			f.wake = make(chan struct{})
+		}
+		wake := f.wake
+		f.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		case <-time.After(time.Until(deadline)):
+		}
+	}
+}
+
+// grow appends n blocks to the chain and wakes the parked polls.
+func (f *fakeOrderer) grow(n uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.subs))
-	for s := range f.subs {
-		out = append(out, s)
+	for i := uint64(0); i < n; i++ {
+		f.blocks = append(f.blocks, testBlock(orderer.DefaultChannel, uint64(len(f.blocks))))
+	}
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
+	}
+}
+
+// pollsBy returns the finished polls of one poller, in order.
+func (f *fakeOrderer) pollsBy(poller string) []fakePoll {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []fakePoll
+	for _, p := range f.polls {
+		if p.poller == poller {
+			out = append(out, p)
+		}
 	}
 	return out
+}
+
+// pollers returns every node that has polled, finished or not.
+func (f *fakeOrderer) pollers() map[string]bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make(map[string]bool)
+	for _, p := range f.polls {
+		out[p.poller] = true
+	}
+	for p, n := range f.inFlight {
+		if n > 0 {
+			out[p] = true
+		}
+	}
+	return out
+}
+
+// polling reports whether the node has a poll parked here.
+func (f *fakeOrderer) polling(poller string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.inFlight[poller] > 0
 }
 
 // cluster is a one-org gossip test fixture.
@@ -244,9 +299,7 @@ func (c *cluster) summary(i int) metrics.Summary {
 func (c *cluster) start() {
 	c.t.Helper()
 	for _, n := range c.nodes {
-		if err := n.Start(context.Background()); err != nil {
-			c.t.Fatal(err)
-		}
+		n.Start()
 		c.t.Cleanup(n.Stop)
 	}
 }
@@ -273,6 +326,11 @@ func (c *cluster) waitConverged(height uint64, d time.Duration) {
 	c.t.FailNow()
 }
 
+// deliver hands a block to n as its deliver loop does.
+func deliver(n *Node, block *types.Block) {
+	n.acceptBlock(block, 0, "", metrics.SourceDeliver)
+}
+
 // leaderOf finds the node currently leading the default channel.
 func (c *cluster) leaderOf() *Node {
 	c.t.Helper()
@@ -297,7 +355,7 @@ func TestPushGossipSpreadsBlocks(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	for num := uint64(1); num <= 3; num++ {
-		lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, num))
+		deliver(lead, testBlock(orderer.DefaultChannel, num))
 	}
 	c.waitConverged(3, 3*time.Second)
 	for i, s := range c.sinks {
@@ -329,7 +387,7 @@ func TestHopCountsBounded(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	for num := uint64(1); num <= 5; num++ {
-		lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, num))
+		deliver(lead, testBlock(orderer.DefaultChannel, num))
 	}
 	c.waitConverged(5, 5*time.Second) // anti-entropy covers past maxHops
 	sawForwarded := false
@@ -356,9 +414,9 @@ func TestDuplicateSuppression(t *testing.T) {
 	c.start()
 	lead := c.leaderOf()
 	b := testBlock(orderer.DefaultChannel, 1)
-	lead.OnDeliver("osn1", b)
+	deliver(lead, b)
 	c.waitConverged(1, 2*time.Second)
-	lead.OnDeliver("osn1", b) // replay
+	deliver(lead, b) // replay
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
 		for i, n := range c.nodes {
@@ -372,65 +430,52 @@ func TestDuplicateSuppression(t *testing.T) {
 }
 
 // TestInitialLeaderSubscribesAndCatchesUp checks the deliver side: the
-// rank-0 member claims leadership, subscribes to the orderer, pulls the
-// chain it missed, and gossip spreads it to the whole org — the orderer
-// sees exactly one subscriber for the org.
+// rank-0 member claims leadership, and its first deliver poll fetches
+// the whole chain it missed from its own height; gossip spreads it to
+// the whole org. The leader is the only node that polls the orderer.
 func TestInitialLeaderSubscribesAndCatchesUp(t *testing.T) {
 	c := newCluster(t, 4, "osn1", nil)
 	fo := newFakeOrderer(t, c.net, "osn1", 5)
 	c.start()
 	c.waitConverged(5, 5*time.Second)
-	subs := fo.subscribed()
-	if len(subs) != 1 {
-		t.Errorf("orderer subscribers = %v, want exactly 1 (the org leader)", subs)
-	}
 	lead := c.leaderOf()
-	if len(subs) == 1 && subs[0] != lead.cfg.ID {
-		t.Errorf("subscriber %s is not the leader %s", subs[0], lead.cfg.ID)
+	if pollers := fo.pollers(); len(pollers) != 1 || !pollers[lead.cfg.ID] {
+		t.Errorf("orderer pollers = %v, want only the leader %s", pollers, lead.cfg.ID)
+	}
+	if polls := fo.pollsBy(lead.cfg.ID); len(polls) == 0 || polls[0].from != 1 || polls[0].served != 5 {
+		t.Errorf("leader's first poll = %+v, want from 1 serving all 5 blocks", polls)
 	}
 }
 
 // TestLeaderFailoverReelectsAndResubscribes kills the leader and checks
-// that a surviving member claims the lease, subscribes, and that the
-// recovered old leader resigns on hearing the higher-term beat.
+// that a surviving member claims the lease and catches up from its own
+// height in one deliver poll. Once the old leader recovers and the org
+// agrees on one leader again, every other node's poll ends within a
+// lease or two, and only the leader polls from then on.
 func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	c := newCluster(t, 3, "osn1", nil)
-	fo := newFakeOrderer(t, c.net, "osn1", 0)
+	fo := newFakeOrderer(t, c.net, "osn1", 2)
 	c.start()
+	c.waitConverged(2, 5*time.Second)
 	old := c.leaderOf()
 	c.net.SetNodeDown(old.cfg.ID, true)
+	fo.grow(3)
 
-	deadline := time.Now().Add(5 * time.Second)
 	var newLead *Node
-	for time.Now().Before(deadline) {
+	waitFor(t, 5*time.Second, func() bool {
 		for _, n := range c.nodes {
 			if n != old && n.IsLeader(orderer.DefaultChannel) {
 				newLead = n
-				break
+				return true
 			}
 		}
-		if newLead != nil {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+		return false
+	}, "no new leader elected after crash")
+	waitFor(t, 2*time.Second, func() bool { return len(fo.pollsBy(newLead.cfg.ID)) > 0 },
+		"new leader never polled the orderer")
+	if first := fo.pollsBy(newLead.cfg.ID)[0]; first.from != 3 || first.served != 3 {
+		t.Errorf("new leader's first poll = %+v, want from its height 3 serving blocks 3-5", first)
 	}
-	if newLead == nil {
-		t.Fatal("no new leader elected after crash")
-	}
-	waitSubscribed := func(id string) {
-		t.Helper()
-		subDeadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(subDeadline) {
-			for _, s := range fo.subscribed() {
-				if s == id {
-					return
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		t.Fatalf("%s never subscribed", id)
-	}
-	waitSubscribed(newLead.cfg.ID)
 
 	// Recovery: the whole org converges on exactly one self-claiming
 	// leader. Which node wins is not asserted — the recovered old
@@ -438,24 +483,64 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	// preferred (rank-0) member it may legitimately re-claim the lease
 	// afterwards (preferred-leader failback).
 	c.net.SetNodeDown(old.cfg.ID, false)
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	var lead *Node
+	waitFor(t, 10*time.Second, func() bool {
 		views := make(map[string]bool)
-		selfClaims := 0
+		var claims []*Node
 		for _, n := range c.nodes {
 			if l, ok := n.Leader(orderer.DefaultChannel); ok {
 				views[l] = true
 			}
 			if n.IsLeader(orderer.DefaultChannel) {
-				selfClaims++
+				claims = append(claims, n)
 			}
 		}
-		if len(views) == 1 && selfClaims == 1 {
+		if len(views) == 1 && len(claims) == 1 {
+			lead = claims[0]
+			return true
+		}
+		return false
+	}, "org never converged on a single leader after the old one recovered")
+	// A deposed leader's loop ends with the poll it has parked, which
+	// lasts at most one lease (two here, for scheduling slack).
+	lease := c.nodes[0].cfg.LeaderLease
+	waitFor(t, 2*lease, func() bool {
+		for _, n := range c.nodes {
+			if n != lead && fo.polling(n.cfg.ID) {
+				return false
+			}
+		}
+		return true
+	}, "a node that no longer leads still polls the orderer")
+	quiet := time.Now()
+	fo.grow(1)
+	c.waitConverged(6, 5*time.Second)
+	for _, n := range c.nodes {
+		if n == lead {
+			continue
+		}
+		for _, p := range fo.pollsBy(n.cfg.ID) {
+			if p.began.After(quiet) {
+				t.Errorf("%s, not the leader, polled again at %v", n.cfg.ID, p.began.Sub(quiet))
+			}
+		}
+		if fo.polling(n.cfg.ID) {
+			t.Errorf("%s, not the leader, polls again", n.cfg.ID)
+		}
+	}
+}
+
+// waitFor polls cond every 2ms until it returns true or d passes.
+func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Error("org never converged on a single leader after the old one recovered")
+	t.Fatal(msg)
 }
 
 // TestAntiEntropyClosesGap checks pull-based repair: a node that missed
@@ -490,7 +575,7 @@ func TestGossipGapTriggersImmediatePull(t *testing.T) {
 	c.start()
 	lead := c.nodes[0]
 	// Push only block 5: node 2 sees the gap [1,5) and pulls it.
-	lead.OnDeliver("osn1", testBlock(orderer.DefaultChannel, 5))
+	deliver(lead, testBlock(orderer.DefaultChannel, 5))
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		if c.sinks[1].NextBlock("") == 6 {

@@ -91,7 +91,7 @@ type endorseSample struct {
 // Block dissemination sources: how a peer's gossip layer received a
 // block.
 const (
-	// SourceDeliver is a block pushed by the orderer (leaders only).
+	// SourceDeliver is a block an org leader polled from the orderer.
 	SourceDeliver = "deliver"
 	// SourceGossip is a block pushed by an org member.
 	SourceGossip = "gossip"
@@ -124,7 +124,6 @@ type Collector struct {
 	commitLags []commitLagSample
 	gossipDups int
 	aePulled   int
-	evictions  int
 	elections  int
 	snapshots  int
 	failovers  int
@@ -299,14 +298,6 @@ func (c *Collector) BroadcastFailover() {
 	c.failovers++
 }
 
-// SubscriberEvicted counts one deliver subscriber pruned by an orderer
-// after consecutive failed pushes.
-func (c *Collector) SubscriberEvicted() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evictions++
-}
-
 // PeerCommit records one peer's commit of one block: the wall-clock lag
 // from block cut to this peer's commit. Unlike per-transaction commit
 // records (taken on the event peer only), these samples come from every
@@ -468,19 +459,18 @@ type Summary struct {
 
 	// Gossip-dissemination breakdown (whole run, not windowed):
 	// GossipBlocks counts blocks peers accepted via push gossip,
-	// DeliverBlocks via a direct orderer push, AntiEntropyBlocks via
-	// ranged pulls. MeanGossipHops averages the hop counts of
-	// gossip-accepted blocks; GossipDuplicates counts dedup-cache drops;
-	// LeaderElections counts org-leader takeovers after a lapsed lease
-	// (the claims every org makes at start are not counted); and
-	// SubscriberEvictions counts deliver subscribers the orderers pruned.
-	GossipBlocks        int
-	DeliverBlocks       int
-	AntiEntropyBlocks   int
-	MeanGossipHops      float64
-	GossipDuplicates    int
-	LeaderElections     int
-	SubscriberEvictions int
+	// DeliverBlocks via an org leader's orderer deliver poll,
+	// AntiEntropyBlocks via ranged pulls from peers. MeanGossipHops
+	// averages the hop counts of gossip-accepted blocks;
+	// GossipDuplicates counts dedup-cache drops; and LeaderElections
+	// counts org-leader takeovers after a lapsed lease (the claims every
+	// org makes at start are not counted).
+	GossipBlocks      int
+	DeliverBlocks     int
+	AntiEntropyBlocks int
+	MeanGossipHops    float64
+	GossipDuplicates  int
+	LeaderElections   int
 	// SnapshotBootstraps counts peers that installed another peer's
 	// ledger snapshot (snapshot-then-tail repair) instead of replaying
 	// their whole gap block by block.
@@ -713,7 +703,6 @@ func (c *Collector) Summarize(opts SummaryOptions) Summary {
 	s.GossipDuplicates = c.gossipDups
 	s.AntiEntropyBlocks = c.aePulled
 	s.LeaderElections = c.elections
-	s.SubscriberEvictions = c.evictions
 	s.SnapshotBootstraps = c.snapshots
 	s.BroadcastFailovers = c.failovers
 	c.mu.Unlock()

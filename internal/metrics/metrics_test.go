@@ -318,7 +318,7 @@ func TestEndorseBreakdown(t *testing.T) {
 }
 
 // TestGossipAndCommitLagSummary checks the dissemination reductions:
-// source counting, mean hop count, duplicate/eviction counters, and the
+// source counting, mean hop count, duplicate and election counters, and the
 // windowed cluster-wide commit-lag distribution.
 func TestGossipAndCommitLagSummary(t *testing.T) {
 	c := NewCollector()
@@ -334,7 +334,6 @@ func TestGossipAndCommitLagSummary(t *testing.T) {
 	c.GossipDuplicate()
 	c.AntiEntropyPull(5)
 	c.LeaderElection()
-	c.SubscriberEvicted()
 
 	mid := base.Add(5 * time.Second) // inside the trimmed window
 	c.PeerCommit(100*time.Millisecond, mid)
@@ -351,8 +350,8 @@ func TestGossipAndCommitLagSummary(t *testing.T) {
 	if s.GossipDuplicates != 2 || s.AntiEntropyBlocks != 5 {
 		t.Errorf("dups/pulled = %d/%d, want 2/5", s.GossipDuplicates, s.AntiEntropyBlocks)
 	}
-	if s.LeaderElections != 1 || s.SubscriberEvictions != 1 {
-		t.Errorf("elections/evictions = %d/%d, want 1/1", s.LeaderElections, s.SubscriberEvictions)
+	if s.LeaderElections != 1 {
+		t.Errorf("elections = %d, want 1", s.LeaderElections)
 	}
 	if s.CommitLag.Count != 2 {
 		t.Fatalf("commit-lag samples = %d, want 2 (out-of-window excluded)", s.CommitLag.Count)

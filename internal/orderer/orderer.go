@@ -1,10 +1,13 @@
 // Package orderer implements the ordering service node (OSN): it
 // receives transaction envelopes from clients (Broadcast), establishes a
 // total order through a pluggable consenter (Solo, Kafka, or Raft),
-// cuts blocks with the BatchSize/BatchTimeout rule, and delivers blocks
-// to subscribed peers (Deliver). This mirrors Fabric v1.4's ordering
-// architecture, where consensus is modular exactly so that the three
-// ordering services the paper compares can be swapped.
+// cuts blocks with the BatchSize/BatchTimeout rule, and serves them to
+// peers (Deliver). Deliver is a pull, as in Fabric: a peer asks for
+// blocks from its height with a wait bound, and a request past the tip
+// parks until the chain grows, so the OSN keeps no state about its
+// readers beyond the requests in flight. This mirrors Fabric v1.4's
+// ordering architecture, where consensus is modular exactly so that the
+// three ordering services the paper compares can be swapped.
 //
 // Channels are the ordering service's sharding axis, as in Fabric: each
 // channel is an independent chain with its own block cutter and its own
@@ -35,34 +38,20 @@ import (
 const (
 	// KindBroadcast is the client -> OSN transaction submission.
 	KindBroadcast = "orderer.broadcast"
-	// KindSubscribe registers a peer for block delivery on the channels
-	// its *SubscribeArgs payload names (a gossip org leader, one channel
-	// per call).
-	KindSubscribe = "orderer.subscribe"
-	// KindUnsubscribe removes a peer's deliver subscription for the
-	// channels its *SubscribeArgs names. A gossip leader that loses its
-	// lease hands the subscription off this way.
-	KindUnsubscribe = "orderer.unsubscribe"
-	// KindGetBlocks fetches a block range in one round trip (deliver
-	// catch-up). Peers answer it too, from their ledgers, so it is the
-	// one ranged-fetch message.
+	// KindGetBlocks fetches a block range in one round trip: deliver,
+	// as a long poll when its Wait is positive, and catch-up. Peers
+	// answer it too, from their ledgers, so it is the one ranged-fetch
+	// message.
 	KindGetBlocks = "orderer.getblocks"
 	// KindSubmit is the intra-cluster Raft forward from follower OSNs
 	// to the leader.
 	KindSubmit = "orderer.submit"
-	// KindDeliverBlock is the OSN -> peer block push.
-	KindDeliverBlock = "orderer.deliverblock"
 )
 
 // maxGetBlocksBatch caps one KindGetBlocks reply so a peer that is very
 // far behind pages through the range instead of provoking one giant
 // message.
 const maxGetBlocksBatch = 256
-
-// maxSendFailures is how many consecutive failed deliver pushes evict a
-// subscriber. A crashed peer therefore stops consuming orderer egress
-// after a handful of blocks instead of being pushed to forever.
-const maxSendFailures = 3
 
 // DefaultChannel is the channel assumed when a node is configured
 // without an explicit channel list (single-channel deployments).
@@ -82,11 +71,15 @@ type BroadcastEnvelope struct {
 }
 
 // GetBlocksArgs is the KindGetBlocks payload: fetch channel blocks
-// [From, To). An empty channel means the default channel.
+// [From, To). An empty channel means the default channel. A positive
+// Wait makes an OSN hold a request whose range is past the tip until
+// the chain grows or Wait ends (Fabric's BLOCK_UNTIL_READY); peers
+// ignore it.
 type GetBlocksArgs struct {
 	Channel string
 	From    uint64
 	To      uint64
+	Wait    time.Duration
 }
 
 // GetBlocksReply carries a KindGetBlocks response. Blocks holds the
@@ -94,19 +87,6 @@ type GetBlocksArgs struct {
 // the orderer's batch cap — callers page until the reply runs dry.
 type GetBlocksReply struct {
 	Blocks []*types.Block
-}
-
-// SubscribeArgs scopes a KindSubscribe or KindUnsubscribe to named
-// channels; it must name at least one.
-type SubscribeArgs struct {
-	Channels []string
-}
-
-// SubscribeReply reports each subscribed channel's current chain tip so
-// a (re)joining peer can catch up immediately instead of waiting for
-// the next push.
-type SubscribeReply struct {
-	Tips map[string]uint64
 }
 
 // SubmitArgs is the channel-tagged KindSubmit payload (Raft forward).
@@ -145,9 +125,8 @@ type Config struct {
 	// single channel named DefaultChannel. The first entry is the
 	// default channel for untagged payloads.
 	Channels []string
-	// Collector, when non-nil, counts this node's subscriber evictions
-	// and, on the Recorder node, every block it cuts (the paper's
-	// block-time metric, Definition 4.3).
+	// Collector, when non-nil, counts every block the Recorder node
+	// cuts (the paper's block-time metric, Definition 4.3).
 	Collector *metrics.Collector
 	// Recorder marks the node that records the once-per-network,
 	// per-block events: every OSN cuts every block, so exactly one
@@ -160,14 +139,6 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// subscription is one peer's deliver registration.
-type subscription struct {
-	// channels is the subscribed channel set.
-	channels map[string]struct{}
-	// fails counts consecutive failed pushes (reset on success).
-	fails int
-}
-
 // chain is one channel's hash chain on this OSN.
 type chain struct {
 	id string
@@ -175,17 +146,26 @@ type chain struct {
 	mu       sync.Mutex
 	lastNum  uint64
 	prevHash []byte
-	blocks   []*types.Block // emitted blocks, for catch-up fetches
+	blocks   []*types.Block // emitted blocks, for deliver and catch-up
+	// wake is closed to wake every deliver long poll parked on the
+	// chain. The first poll to park makes it; wakeLocked closes and
+	// clears it.
+	wake chan struct{}
 }
 
-// rangeOf copies blocks [from, to), clamped to the tip, out from under
-// c.mu; nil when the range is empty. Callers walk the copy (sizes,
-// replies) outside the lock: blocks are immutable once cut, and
-// emitBatch needs the same mutex to append the next block, so catch-up
-// load must not throttle ordering.
-func (c *chain) rangeOf(from, to uint64) []*types.Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *chain) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
+// rangeLocked copies blocks [from, to), clamped to the tip; nil when the
+// range is empty. Callers hold c.mu and walk the copy (sizes, replies)
+// outside it: blocks are immutable once cut, and emitBatch needs the
+// same mutex to append the next block, so deliver load must not
+// throttle ordering.
+func (c *chain) rangeLocked(from, to uint64) []*types.Block {
 	to = min(to, uint64(len(c.blocks)))
 	if from >= to {
 		return nil
@@ -213,13 +193,12 @@ type Orderer struct {
 	chains      map[string]*chain
 	channelList []string
 
-	mu          sync.Mutex
-	subscribers map[string]*subscription
-	stopped     bool
+	mu      sync.Mutex
+	stopped bool
 
-	// Egress accounting: blocks and bytes this OSN sent to peers via
-	// deliver pushes and catch-up fetches. The dissemination bench reads
-	// these to show gossip holding orderer egress at O(orgs).
+	// Egress accounting: blocks and bytes this OSN served to peers by
+	// KindGetBlocks. The dissemination bench reads these to show gossip
+	// holding orderer egress at O(orgs).
 	egressBlocks atomic.Uint64
 	egressBytes  atomic.Uint64
 
@@ -252,14 +231,11 @@ func New(cfg Config) *Orderer {
 		cfg:         cfg,
 		chains:      make(map[string]*chain, len(cfg.Channels)),
 		channelList: append([]string(nil), cfg.Channels...),
-		subscribers: make(map[string]*subscription),
 	}
 	for _, ch := range cfg.Channels {
 		o.chains[ch] = newChain(ch)
 	}
 	cfg.Endpoint.Handle(KindBroadcast, o.handleBroadcast)
-	cfg.Endpoint.Handle(KindSubscribe, o.handleSubscribe)
-	cfg.Endpoint.Handle(KindUnsubscribe, o.handleUnsubscribe)
 	cfg.Endpoint.Handle(KindGetBlocks, o.handleGetBlocks)
 	return o
 }
@@ -302,7 +278,8 @@ func (o *Orderer) Start() error {
 	return o.consenter.Start()
 }
 
-// Stop halts the node.
+// Stop halts the node and answers every parked deliver poll with
+// ErrStopped.
 func (o *Orderer) Stop() {
 	o.mu.Lock()
 	if o.stopped {
@@ -311,9 +288,20 @@ func (o *Orderer) Stop() {
 	}
 	o.stopped = true
 	o.mu.Unlock()
+	for _, c := range o.chains {
+		c.mu.Lock()
+		c.wakeLocked()
+		c.mu.Unlock()
+	}
 	if o.consenter != nil {
 		o.consenter.Stop()
 	}
+}
+
+func (o *Orderer) isStopped() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.stopped
 }
 
 // handleBroadcast ingests one client envelope.
@@ -370,81 +358,12 @@ func (o *Orderer) handleBroadcast(ctx context.Context, _ string, payload any) (a
 	return "ACK", 4, nil
 }
 
-// parseSubscribeArgs extracts the channel scope of a subscribe or
-// unsubscribe payload, which must name at least one channel.
-func parseSubscribeArgs(payload any) (*SubscribeArgs, error) {
-	args, ok := payload.(*SubscribeArgs)
-	if !ok {
-		return nil, fmt.Errorf("orderer: bad subscribe payload %T", payload)
-	}
-	if len(args.Channels) == 0 {
-		return nil, errors.New("orderer: subscription names no channel")
-	}
-	return args, nil
-}
-
-// handleSubscribe registers a peer for block pushes on the named
-// channels. Repeat subscriptions widen the channel set and reset the
-// failure count. The reply carries each named channel's chain tip so
-// the peer can catch up without waiting for the next push.
-func (o *Orderer) handleSubscribe(_ context.Context, from string, payload any) (any, int, error) {
-	args, err := parseSubscribeArgs(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	chains := make([]*chain, len(args.Channels))
-	for i, ch := range args.Channels {
-		if chains[i], err = o.chainFor(ch); err != nil {
-			return nil, 0, err
-		}
-	}
-	o.mu.Lock()
-	sub, ok := o.subscribers[from]
-	if !ok {
-		sub = &subscription{channels: make(map[string]struct{}, len(chains))}
-		o.subscribers[from] = sub
-	}
-	sub.fails = 0
-	for _, c := range chains {
-		sub.channels[c.id] = struct{}{}
-	}
-	o.mu.Unlock()
-
-	tips := make(map[string]uint64, len(chains))
-	for _, c := range chains {
-		c.mu.Lock()
-		tips[c.id] = uint64(len(c.blocks) - 1)
-		c.mu.Unlock()
-	}
-	return &SubscribeReply{Tips: tips}, 8 * (len(tips) + 1), nil
-}
-
-// handleUnsubscribe removes a peer's deliver registration for the named
-// channels.
-func (o *Orderer) handleUnsubscribe(_ context.Context, from string, payload any) (any, int, error) {
-	args, err := parseSubscribeArgs(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	sub, ok := o.subscribers[from]
-	if !ok {
-		return "OK", 2, nil
-	}
-	for _, ch := range args.Channels {
-		delete(sub.channels, ch)
-	}
-	if len(sub.channels) == 0 {
-		delete(o.subscribers, from)
-	}
-	return "OK", 2, nil
-}
-
-// handleGetBlocks serves a ranged catch-up fetch: channel blocks
-// [From, To), truncated at the chain tip and at maxGetBlocksBatch. A
-// peer N blocks behind pays one round trip instead of N.
-func (o *Orderer) handleGetBlocks(_ context.Context, _ string, payload any) (any, int, error) {
+// handleGetBlocks serves deliver and catch-up: channel blocks [From,
+// To), truncated at the chain tip and at maxGetBlocksBatch, so a peer N
+// blocks behind pays one round trip instead of N. A request past the
+// tip with a positive Wait parks on the chain's wake channel until a
+// cut, Wait, or Stop ends it; a stopped OSN answers ErrStopped.
+func (o *Orderer) handleGetBlocks(ctx context.Context, _ string, payload any) (any, int, error) {
 	args, ok := payload.(*GetBlocksArgs)
 	if !ok {
 		return nil, 0, fmt.Errorf("orderer: bad getblocks payload %T", payload)
@@ -453,17 +372,52 @@ func (o *Orderer) handleGetBlocks(_ context.Context, _ string, payload any) (any
 	if err != nil {
 		return nil, 0, err
 	}
-	blocks := c.rangeOf(args.From, min(args.To, args.From+maxGetBlocksBatch))
-	if len(blocks) == 0 {
-		return &GetBlocksReply{}, 8, nil
+	to := min(args.To, args.From+maxGetBlocksBatch)
+	deadline := time.Now().Add(args.Wait)
+	for {
+		// Stop sets stopped before it wakes the chain under c.mu, so a
+		// poll that reads it here either sees it or parks on a wake
+		// channel that Stop then closes.
+		c.mu.Lock()
+		if o.isStopped() {
+			c.mu.Unlock()
+			return nil, 0, ErrStopped
+		}
+		blocks := c.rangeLocked(args.From, to)
+		if len(blocks) > 0 {
+			c.mu.Unlock()
+			size := 0
+			for _, b := range blocks {
+				size += b.Size()
+			}
+			o.egressBlocks.Add(uint64(len(blocks)))
+			o.egressBytes.Add(uint64(size))
+			return &GetBlocksReply{Blocks: blocks}, size, nil
+		}
+		if !time.Now().Before(deadline) {
+			c.mu.Unlock()
+			return &GetBlocksReply{}, 8, nil
+		}
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		timer := simcpu.GetTimer(time.Until(deadline))
+		select {
+		case <-wake:
+			if timer.Stop() {
+				simcpu.PutTimer(timer)
+			}
+		case <-ctx.Done():
+			if timer.Stop() {
+				simcpu.PutTimer(timer)
+			}
+			return nil, 0, ctx.Err()
+		case <-timer.C:
+			simcpu.PutTimer(timer)
+		}
 	}
-	size := 0
-	for _, b := range blocks {
-		size += b.Size()
-	}
-	o.egressBlocks.Add(uint64(len(blocks)))
-	o.egressBytes.Add(uint64(size))
-	return &GetBlocksReply{Blocks: blocks}, size, nil
 }
 
 // ChainHeight returns the number of the last cut block on a channel
@@ -487,7 +441,9 @@ func (o *Orderer) ChainBlocks(channel string, from, to uint64) []*types.Block {
 	if err != nil {
 		return nil
 	}
-	return c.rangeOf(from, to)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rangeLocked(from, to)
 }
 
 // RestoreChain primes a channel's chain with blocks recovered from
@@ -503,6 +459,7 @@ func (o *Orderer) RestoreChain(channel string, blocks []*types.Block) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.wakeLocked() // a restore that fails part-way still grew the chain
 	for _, b := range blocks {
 		if b == nil || b.Header.Number <= c.lastNum {
 			continue
@@ -537,29 +494,18 @@ func (o *Orderer) emitBatchAt(channel string, num uint64, batch [][]byte) {
 }
 
 // emitBatch turns one ordered batch into the channel's next block and
-// pushes it to subscribers. Consenters call it from one goroutine per
-// channel in that channel's consensus order, which keeps numbering
-// identical across OSNs; different channels emit concurrently.
+// wakes the deliver polls parked on the chain. Consenters call it from
+// one goroutine per channel in that channel's consensus order, which
+// keeps numbering identical across OSNs; different channels emit
+// concurrently.
 func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	if len(batch) == 0 {
 		return
 	}
 	c, err := o.chainFor(channel)
-	if err != nil {
+	if err != nil || o.isStopped() {
 		return
 	}
-	o.mu.Lock()
-	if o.stopped {
-		o.mu.Unlock()
-		return
-	}
-	subs := make([]string, 0, len(o.subscribers))
-	for s, sub := range o.subscribers {
-		if _, ok := sub.channels[c.id]; ok {
-			subs = append(subs, s)
-		}
-	}
-	o.mu.Unlock()
 
 	// Conflict-aware pass: emitBatch is the single funnel every
 	// consenter (solo, kafka, raft) drives in consensus order on every
@@ -585,6 +531,7 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	c.lastNum = num
 	c.prevHash = block.Header.Hash()
 	c.blocks = append(c.blocks, block)
+	c.wakeLocked()
 	c.mu.Unlock()
 
 	if o.cfg.Recorder && o.cfg.Collector != nil {
@@ -592,20 +539,6 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	}
 	if o.cfg.Tracer.Enabled() {
 		o.recordResidency(c.id, num, batch, now)
-	}
-	size := block.Size()
-	for _, peer := range subs {
-		// Push delivery; a congested or crashed peer fills the gap
-		// later through KindGetBlocks. The transport reports a down
-		// or unknown node synchronously, so consecutive failures here
-		// are the crash signal the pruning rule keys on.
-		if err := o.cfg.Endpoint.Send(peer, KindDeliverBlock, block, size); err != nil {
-			o.noteSendFailure(peer)
-			continue
-		}
-		o.noteSendSuccess(peer)
-		o.egressBlocks.Add(1)
-		o.egressBytes.Add(uint64(size))
 	}
 }
 
@@ -643,54 +576,10 @@ func (o *Orderer) recordResidency(channel string, num uint64, batch [][]byte, cu
 	}
 }
 
-// noteSendFailure counts one failed deliver push and evicts the
-// subscriber after maxSendFailures consecutive failures, so a crashed
-// peer stops consuming egress until it resubscribes.
-func (o *Orderer) noteSendFailure(peer string) {
-	o.mu.Lock()
-	sub, ok := o.subscribers[peer]
-	if !ok {
-		o.mu.Unlock()
-		return
-	}
-	sub.fails++
-	evict := sub.fails >= maxSendFailures
-	if evict {
-		delete(o.subscribers, peer)
-	}
-	o.mu.Unlock()
-	if evict {
-		if o.cfg.Collector != nil {
-			o.cfg.Collector.SubscriberEvicted()
-		}
-	}
-}
-
-// noteSendSuccess resets a subscriber's consecutive-failure count.
-func (o *Orderer) noteSendSuccess(peer string) {
-	o.mu.Lock()
-	if sub, ok := o.subscribers[peer]; ok {
-		sub.fails = 0
-	}
-	o.mu.Unlock()
-}
-
-// EgressStats reports the blocks and bytes this OSN has pushed or
-// served to peers (deliver pushes plus catch-up fetches).
+// EgressStats reports the blocks and bytes this OSN has served to peers
+// by KindGetBlocks (deliver polls and catch-up fetches).
 func (o *Orderer) EgressStats() (blocks, bytes uint64) {
 	return o.egressBlocks.Load(), o.egressBytes.Load()
-}
-
-// Subscribers returns the IDs of currently subscribed peers (tests and
-// diagnostics).
-func (o *Orderer) Subscribers() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	subs := make([]string, 0, len(o.subscribers))
-	for s := range o.subscribers {
-		subs = append(subs, s)
-	}
-	return subs
 }
 
 // scaledTimeout converts the configured BatchTimeout into wall time.

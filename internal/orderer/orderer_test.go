@@ -8,7 +8,6 @@ import (
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/kafka"
-	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
@@ -16,7 +15,7 @@ import (
 )
 
 // testHarness wires OSNs and a fake client endpoint that doubles as the
-// deliver subscriber.
+// deliver client.
 type testHarness struct {
 	t      *testing.T
 	net    *transport.Network
@@ -121,25 +120,93 @@ func (h *testHarness) start(kind consenterKind, o *Orderer) Consenter {
 	return c
 }
 
-// subscribe registers the client endpoint for every channel's pushes
-// and collects the pushed blocks.
-func (h *testHarness) subscribe(osn string) func() []*types.Block {
+// follow long-polls osn for default-channel blocks from block 1, as a
+// peer's deliver loop does, and collects them. It stops at its first
+// failed poll, or at cleanup.
+func (h *testHarness) follow(osn string) func() []*types.Block {
 	h.t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	var got []*types.Block
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		mu.Lock()
-		got = append(got, payload.(*types.Block))
-		mu.Unlock()
-		return nil, 0, nil
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for next := uint64(1); ; {
+			raw, err := h.client.Call(ctx, osn, KindGetBlocks,
+				&GetBlocksArgs{From: next, To: next + maxGetBlocksBatch, Wait: time.Second}, 32)
+			if err != nil {
+				return
+			}
+			blocks := raw.(*GetBlocksReply).Blocks
+			mu.Lock()
+			got = append(got, blocks...)
+			mu.Unlock()
+			next += uint64(len(blocks))
+		}
+	}()
+	h.t.Cleanup(func() {
+		cancel()
+		<-done
 	})
-	if _, err := h.client.Call(context.Background(), osn, KindSubscribe, &SubscribeArgs{Channels: []string{DefaultChannel}}, 8); err != nil {
-		h.t.Fatal(err)
-	}
 	return func() []*types.Block {
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]*types.Block(nil), got...)
+	}
+}
+
+// pollResult is one KindGetBlocks call's outcome.
+type pollResult struct {
+	blocks []*types.Block
+	err    error
+}
+
+// park sends one long poll for channel blocks from `from` on, waiting
+// up to wait, and returns once the OSN has parked it: the poll's result
+// channel, and the chain's wake channel the poll waits on.
+func (h *testHarness) park(o *Orderer, channel string, from uint64, wait time.Duration) (<-chan pollResult, chan struct{}) {
+	h.t.Helper()
+	res := make(chan pollResult, 1)
+	go func() {
+		raw, err := h.client.Call(context.Background(), o.ID(), KindGetBlocks,
+			&GetBlocksArgs{Channel: channel, From: from, To: from + 1, Wait: wait}, 32)
+		var r pollResult
+		if r.err = err; err == nil {
+			r.blocks = raw.(*GetBlocksReply).Blocks
+		}
+		res <- r
+	}()
+	return res, h.parked(o, channel)
+}
+
+// parked waits until a poll is parked on the channel's chain and returns
+// the wake channel it waits on.
+func (h *testHarness) parked(o *Orderer, channel string) chan struct{} {
+	h.t.Helper()
+	c, err := o.chainFor(channel)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	var wake chan struct{}
+	waitFor(h.t, 2*time.Second, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		wake = c.wake
+		return wake != nil
+	}, "poll never parked on the chain")
+	return wake
+}
+
+// result waits for a parked poll's outcome, failing the test if it takes
+// longer than d.
+func (h *testHarness) result(res <-chan pollResult, d time.Duration) pollResult {
+	h.t.Helper()
+	select {
+	case r := <-res:
+		return r
+	case <-time.After(d):
+		h.t.Fatalf("parked poll still waiting after %v", d)
+		return pollResult{}
 	}
 }
 
@@ -158,7 +225,7 @@ func TestSoloSizeCut(t *testing.T) {
 			h := newHarness(t)
 			o := h.newOrderer("osn1", 3, time.Minute)
 			h.start(kind, o)
-			blocks := h.subscribe("osn1")
+			blocks := h.follow("osn1")
 			h.broadcastN(o, 6)
 			waitFor(t, 2*time.Second, func() bool { return len(blocks()) >= 2 }, "two size cuts never arrived")
 			got := blocks()
@@ -186,7 +253,7 @@ func TestSoloTimeoutCut(t *testing.T) {
 			h := newHarness(t)
 			o := h.newOrderer("osn1", 100, 50*time.Millisecond)
 			h.start(kind, o)
-			blocks := h.subscribe("osn1")
+			blocks := h.follow("osn1")
 			start := time.Now()
 			if err := h.broadcast("osn1", []byte("timeout-tx")); err != nil {
 				t.Fatal(err)
@@ -379,14 +446,13 @@ func TestGetBlocksRanged(t *testing.T) {
 	}
 }
 
-// TestSubscribeChannelScoped checks that a *SubscribeArgs subscription
-// receives pushes only for its channels, and that the reply reports the
-// subscribed channels' tips.
-func TestSubscribeChannelScoped(t *testing.T) {
-	h := newHarness(t)
+// newTwoChannelOrderer starts a Solo OSN that orders chA and chB, one
+// transaction per block.
+func (h *testHarness) newTwoChannelOrderer() *Orderer {
+	h.t.Helper()
 	ep, err := h.net.Register("osn1")
 	if err != nil {
-		t.Fatal(err)
+		h.t.Fatal(err)
 	}
 	model := costmodel.Default(1.0)
 	o := New(Config{
@@ -397,110 +463,85 @@ func TestSubscribeChannelScoped(t *testing.T) {
 		CPU:      simcpu.New(model.OrdererCores, 1.0),
 		Channels: []string{"chA", "chB"},
 	})
-	NewSolo(o)
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer o.Stop()
-
-	var mu sync.Mutex
-	var got []*types.Block
-	h.client.Handle(KindDeliverBlock, func(_ context.Context, _ string, payload any) (any, int, error) {
-		mu.Lock()
-		got = append(got, payload.(*types.Block))
-		mu.Unlock()
-		return nil, 0, nil
-	})
-	raw, err := h.client.Call(context.Background(), "osn1", KindSubscribe,
-		&SubscribeArgs{Channels: []string{"chB"}}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply := raw.(*SubscribeReply)
-	if tip, ok := reply.Tips["chB"]; !ok || tip != 0 {
-		t.Errorf("tips = %v, want chB:0", reply.Tips)
-	}
-	if _, ok := reply.Tips["chA"]; ok {
-		t.Errorf("unsubscribed channel tip reported: %v", reply.Tips)
-	}
-
-	for _, ch := range []string{"chA", "chB"} {
-		if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast,
-			&BroadcastEnvelope{Channel: ch, Env: []byte(ch)}, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) >= 1
-	}, "no block pushed to chB subscriber")
-	time.Sleep(20 * time.Millisecond) // give a stray chA push time to arrive
-	mu.Lock()
-	defer mu.Unlock()
-	for _, b := range got {
-		if b.Metadata.ChannelID != "chB" {
-			t.Errorf("received block for channel %q, want only chB", b.Metadata.ChannelID)
-		}
-	}
+	h.start(soloKind, o)
+	return o
 }
 
-// TestUnsubscribeStopsPushes checks the leader-handoff path: after
-// KindUnsubscribe the peer receives no further blocks.
-func TestUnsubscribeStopsPushes(t *testing.T) {
+// TestGetBlocksWaitReturnsBlockAtCut checks the deliver long poll: a
+// request past the tip parks, and the cut of the block it asks for
+// answers it with that block, long before its wait ends.
+func TestGetBlocksWaitReturnsBlockAtCut(t *testing.T) {
 	h := newHarness(t)
 	o := h.newOrderer("osn1", 1, time.Minute)
-	NewSolo(o)
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer o.Stop()
-
-	blocks := h.subscribe("osn1")
+	h.start(soloKind, o)
+	res, _ := h.park(o, DefaultChannel, 1, time.Minute)
 	h.broadcastN(o, 1)
-	waitFor(t, 2*time.Second, func() bool { return len(blocks()) == 1 }, "subscribed block never pushed")
-
-	if _, err := h.client.Call(context.Background(), "osn1", KindUnsubscribe, &SubscribeArgs{Channels: []string{DefaultChannel}}, 8); err != nil {
-		t.Fatal(err)
+	r := h.result(res, 5*time.Second)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if subs := o.Subscribers(); len(subs) != 0 {
-		t.Fatalf("subscribers after unsubscribe: %v", subs)
-	}
-	h.broadcastN(o, 2)
-	waitFor(t, 2*time.Second, func() bool { return h.fetchBlock(3) != nil },
-		"block 3 never cut")
-	if got := len(blocks()); got != 1 {
-		t.Errorf("received %d pushes after unsubscribe, want 1 total", got)
+	if len(r.blocks) != 1 || r.blocks[0].Header.Number != 1 {
+		t.Fatalf("parked poll returned %d blocks, want block 1", len(r.blocks))
 	}
 }
 
-// TestDeadSubscriberPruned is the regression for the fire-and-forget
-// deliver leak: a crashed subscriber is evicted after maxSendFailures
-// consecutive failed pushes and stops consuming orderer egress.
-func TestDeadSubscriberPruned(t *testing.T) {
+// TestGetBlocksWaitChannelScoped checks that a poll parks on its own
+// channel's chain: a cut on chA leaves a parked chB poll waiting on the
+// same, unclosed wake channel, and the next chB cut answers it.
+func TestGetBlocksWaitChannelScoped(t *testing.T) {
 	h := newHarness(t)
-	ep, err := h.net.Register("osn1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := costmodel.Default(1.0)
-	col := metrics.NewCollector()
-	o := New(Config{
-		ID:        "osn1",
-		Endpoint:  ep,
-		Cutter:    blockcutter.Config{BatchSize: 1, BatchTimeout: time.Minute},
-		Model:     model,
-		CPU:       simcpu.New(model.OrdererCores, 1.0),
-		Collector: col,
-	})
-	NewSolo(o)
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer o.Stop()
-	h.subscribe("osn1")
+	o := h.newTwoChannelOrderer()
+	res, wake := h.park(o, "chB", 1, time.Minute)
 
-	// Crash the subscriber: pushes now fail synchronously.
+	if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast,
+		&BroadcastEnvelope{Channel: "chA", Env: []byte("a")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return o.ChainHeight("chA") == 1 }, "chA block never cut")
+	select {
+	case <-wake:
+		t.Fatal("a chA cut woke the chB poll")
+	case r := <-res:
+		t.Fatalf("chB poll returned %d blocks after a chA cut", len(r.blocks))
+	default:
+	}
+
+	if _, err := h.client.Call(context.Background(), "osn1", KindBroadcast,
+		&BroadcastEnvelope{Channel: "chB", Env: []byte("b")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	r := h.result(res, 5*time.Second)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.blocks) != 1 || r.blocks[0].Metadata.ChannelID != "chB" {
+		t.Fatalf("chB poll returned %d blocks, want one chB block", len(r.blocks))
+	}
+}
+
+// TestStopAnswersParkedPoll checks that Stop ends a parked poll with
+// ErrStopped instead of leaving it to wait out its bound.
+func TestStopAnswersParkedPoll(t *testing.T) {
+	h := newHarness(t)
+	o := h.newOrderer("osn1", 1, time.Minute)
+	h.start(soloKind, o)
+	res, _ := h.park(o, DefaultChannel, 1, time.Minute)
+	o.Stop()
+	// Errors cross the transport as text.
+	if r := h.result(res, 5*time.Second); r.err == nil || r.err.Error() != ErrStopped.Error() {
+		t.Fatalf("parked poll after stop: %v, want %v", r.err, ErrStopped)
+	}
+}
+
+// TestDownClientCostsAtMostOneBlock checks what a crashed deliver client
+// costs the OSN: the one poll it left parked, answered by the first cut.
+// It sends no further poll, so the other cuts cost no egress.
+func TestDownClientCostsAtMostOneBlock(t *testing.T) {
+	h := newHarness(t)
+	o := h.newOrderer("osn1", 1, time.Minute)
+	h.start(soloKind, o)
+	h.follow("osn1")
+	h.parked(o, DefaultChannel)
 	h.net.SetNodeDown("client", true)
 	defer h.net.SetNodeDown("client", false)
 
@@ -515,23 +556,14 @@ func TestDeadSubscriberPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	col.Submitted("probe", time.Now()) // Summarize reduces nothing without a transaction record
-	waitFor(t, 2*time.Second, func() bool {
-		return col.Summarize(metrics.SummaryOptions{}).SubscriberEvictions == 1
-	}, "dead subscriber never evicted once")
-	if subs := o.Subscribers(); len(subs) != 0 {
-		t.Errorf("subscribers after eviction: %v", subs)
-	}
-	// Exactly maxSendFailures pushes were charged against the dead
-	// subscriber; eviction stops the egress bleed.
-	blocks, _ := o.EgressStats()
-	if blocks != 0 {
-		t.Errorf("egress blocks = %d, want 0 (all pushes failed)", blocks)
+	waitFor(t, 2*time.Second, func() bool { return o.ChainHeight(DefaultChannel) == 5 }, "5 blocks never cut")
+	if blocks, _ := o.EgressStats(); blocks > 1 {
+		t.Errorf("egress = %d blocks to a down client while 5 were cut, want at most 1", blocks)
 	}
 }
 
-// TestEgressStatsCountDeliveries checks the egress accounting on the
-// push and ranged-fetch paths.
+// TestEgressStatsCountDeliveries checks the egress accounting on deliver
+// polls and ranged catch-up fetches alike.
 func TestEgressStatsCountDeliveries(t *testing.T) {
 	h := newHarness(t)
 	o := h.newOrderer("osn1", 1, time.Minute)
@@ -540,19 +572,19 @@ func TestEgressStatsCountDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	h.subscribe("osn1")
+	h.follow("osn1")
 	h.broadcastN(o, 3)
 	waitFor(t, 2*time.Second, func() bool {
 		blocks, _ := o.EgressStats()
 		return blocks >= 3
-	}, "pushes not counted")
+	}, "polled blocks not counted")
 	if _, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
 		&GetBlocksArgs{From: 1, To: 4}, 24); err != nil {
 		t.Fatal(err)
 	}
 	blocks, bytes := o.EgressStats()
 	if blocks != 6 {
-		t.Errorf("egress blocks = %d, want 6 (3 pushes + 3 fetched)", blocks)
+		t.Errorf("egress blocks = %d, want 6 (3 polled + 3 fetched)", blocks)
 	}
 	if bytes == 0 {
 		t.Error("egress bytes not counted")

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fabricsim/internal/costmodel"
-	"fabricsim/internal/orderer"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/types"
 )
@@ -144,9 +143,7 @@ func TestDuplicateTxIDAcrossPipelinedBlocks(t *testing.T) {
 	b1 := types.NewBlock(1, p.Ledger().LastHash(), [][]byte{tx.Marshal()})
 	b2 := types.NewBlock(2, b1.Header.Hash(), [][]byte{tx.Marshal()})
 	for _, b := range []*types.Block{b1, b2} {
-		if err := e.sender.Send(peerID(1), orderer.KindDeliverBlock, b, b.Size()); err != nil {
-			t.Fatal(err)
-		}
+		e.inject(0, b)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && p.Ledger().Height() != 3 {
@@ -200,7 +197,7 @@ func TestConcurrentChannelCommitPipelines(t *testing.T) {
 		go func(blocks []*types.Block) {
 			defer wg.Done()
 			for _, b := range blocks {
-				if err := e.sender.Send(peerID(1), orderer.KindDeliverBlock, b, b.Size()); err != nil {
+				if _, err := p.IngestBlock(b); err != nil {
 					t.Error(err)
 					return
 				}

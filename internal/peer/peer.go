@@ -103,14 +103,13 @@ type Config struct {
 	Channels []string
 	// Gossip configures the peer's gossip node, its only way to receive
 	// blocks. Non-nil enables org dissemination: only elected org
-	// leaders subscribe to the orderer, everyone else receives blocks
+	// leaders pull from the orderer, everyone else receives blocks
 	// peer-to-peer and converges through anti-entropy. The peer fills in
 	// ID, Endpoint, Channels, OrdererID, Sink, SnapshotSink, Collector and
 	// Tracer; the caller provides membership and tuning (including
 	// SnapshotThreshold for snapshot-then-tail repair). Nil is direct
-	// deliver: an org of one, so the peer leads every channel, subscribes
-	// to OrdererID itself and re-subscribes every
-	// deliverResubscribeEvery.
+	// deliver: an org of one, so the peer leads every channel and pulls
+	// from OrdererID itself, with directDeliverLease as its lease.
 	Gossip *gossip.Config
 	// StorageBackend selects the per-channel ledger storage engine
 	// ("mem" default, "file" persistent); see ledger.Options.
@@ -137,7 +136,7 @@ type channelState struct {
 	id     string
 	ledger *ledger.Ledger
 
-	// ingestMu serializes whole IngestBlock calls: deliver pushes,
+	// ingestMu serializes whole IngestBlock calls: deliver replies,
 	// gossip forwards, and ranged pulls ingest
 	// concurrently, and the drained blocks must enter commitCh in the
 	// order drainReadyLocked produced them — releasing cs.mu between
@@ -242,11 +241,10 @@ func New(cfg Config) (*Peer, error) {
 	p.container = newContainer(cfg.Model, cfg.CPU)
 	cfg.Endpoint.Handle(KindEndorse, p.handleEndorse)
 	cfg.Endpoint.Handle(KindSubscribeEvents, p.handleSubscribe)
-	cfg.Endpoint.Handle(orderer.KindDeliverBlock, p.handleDeliverBlock)
 	cfg.Endpoint.Handle(KindGetSnapshot, p.handleGetSnapshot)
 	gcfg := gossip.Config{
 		OrgMembers:  []string{cfg.ID},
-		LeaderLease: cfg.Model.ScaledDelay(deliverResubscribeEvery / 4),
+		LeaderLease: cfg.Model.ScaledDelay(directDeliverLease),
 	}
 	if cfg.Gossip != nil {
 		gcfg = *cfg.Gossip
@@ -299,26 +297,22 @@ func (p *Peer) LedgerFor(channel string) (*ledger.Ledger, bool) {
 
 // Start launches the per-channel commit pipelines, instantiates the
 // chaincode container, and joins block dissemination through the gossip
-// node: org leaders subscribe to the orderer and catch up to the tips
-// it reports, so a peer joining or rejoining a running network does not
-// wait for the next push; everyone else listens peer-to-peer.
+// node: org leaders pull from the orderer from their own height, so a
+// peer joining or rejoining a running network catches up in its first
+// poll; everyone else listens peer-to-peer.
 func (p *Peer) Start(ctx context.Context) error {
 	p.startOnce.Do(p.launchCommitLoops)
 	if err := p.container.launch(ctx); err != nil {
 		return fmt.Errorf("peer %s: launch container: %w", p.cfg.ID, err)
 	}
-	if err := p.gossip.Start(ctx); err != nil {
-		return fmt.Errorf("peer %s: start gossip: %w", p.cfg.ID, err)
-	}
+	p.gossip.Start()
 	return nil
 }
 
-// deliverResubscribeEvery is the direct-deliver re-subscribe period
-// (model time): a leader refreshes its subscription every four leases,
-// so a peer the orderer evicted during a transient outage re-registers
-// (subscribe resets the failure count) and backfills from the reported
-// tips instead of silently receiving nothing for the rest of the run.
-const deliverResubscribeEvery = 5 * time.Second
+// directDeliverLease is a direct-deliver peer's gossip lease (model
+// time). An org of one has no rival to hand off to, so the lease only
+// bounds one deliver long poll and spaces the retries of a failed one.
+const directDeliverLease = 1250 * time.Millisecond
 
 func (p *Peer) launchCommitLoops() {
 	for _, cs := range p.channels {
@@ -463,18 +457,6 @@ func (p *Peer) handleSubscribe(_ context.Context, from string, _ any) (any, int,
 	defer p.mu.Unlock()
 	p.subscribers[from] = struct{}{}
 	return "OK", 2, nil
-}
-
-// handleDeliverBlock hands a block the orderer pushed to the gossip
-// node, which ingests it, spreads it into the org, and pulls any gap it
-// runs ahead of from the pushing OSN.
-func (p *Peer) handleDeliverBlock(_ context.Context, from string, payload any) (any, int, error) {
-	block, ok := payload.(*types.Block)
-	if !ok {
-		return nil, 0, fmt.Errorf("peer: bad deliver payload %T", payload)
-	}
-	p.gossip.OnDeliver(from, block)
-	return nil, 0, nil
 }
 
 // IngestBlock routes one block to its channel's commit pipeline,

@@ -21,7 +21,7 @@ import (
 )
 
 // env is a two-peer test environment without an orderer: blocks are
-// injected directly through the deliver handler.
+// injected as gossip pushes (inject) or straight into IngestBlock.
 type env struct {
 	t       *testing.T
 	net     *transport.Network
@@ -135,6 +135,15 @@ func newEnvFull(t *testing.T, numPeers int, pol policy.Policy, verify bool, twea
 	return e
 }
 
+// inject pushes a block to peer i (0-based) as a gossip message from
+// the client endpoint.
+func (e *env) inject(i int, b *types.Block) {
+	e.t.Helper()
+	if err := e.sender.Send(peerID(i+1), gossip.KindBlock, &gossip.BlockMsg{Block: b}, b.Size()+8); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
 func orgName(i int) string { return "Org" + string(rune('0'+i)) }
 func peerID(i int) string  { return "peer" + string(rune('0'+i)) }
 
@@ -189,7 +198,7 @@ func (e *env) buildTx(prop *types.Proposal, endorsers ...int) *types.Transaction
 	return &types.Transaction{Proposal: *prop, Results: *rwset, Endorsements: ends}
 }
 
-// deliver pushes a block of transactions to peer i and waits for commit.
+// deliver hands a block of transactions to peer i and waits for commit.
 func (e *env) deliver(i int, txs ...*types.Transaction) *types.Block {
 	e.t.Helper()
 	p := e.peers[i]
@@ -200,9 +209,7 @@ func (e *env) deliver(i int, txs ...*types.Transaction) *types.Block {
 	num := p.Ledger().Height()
 	block := types.NewBlock(num, p.Ledger().LastHash(), data)
 	block.Metadata.OrderedTime = time.Now().UnixNano()
-	if err := e.sender.Send(peerID(i+1), orderer.KindDeliverBlock, block, block.Size()); err != nil {
-		e.t.Fatal(err)
-	}
+	e.inject(i, block)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if p.Ledger().Height() > num {
@@ -354,16 +361,12 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	b1 := types.NewBlock(1, p.Ledger().LastHash(), [][]byte{tx1.Marshal()})
 	b2 := types.NewBlock(2, b1.Header.Hash(), [][]byte{tx2.Marshal()})
 
-	if err := e.sender.Send(peerID(1), orderer.KindDeliverBlock, b2, b2.Size()); err != nil {
-		t.Fatal(err)
-	}
+	e.inject(0, b2)
 	time.Sleep(20 * time.Millisecond)
 	if p.Ledger().Height() != 1 {
 		t.Fatal("future block committed without predecessor")
 	}
-	if err := e.sender.Send(peerID(1), orderer.KindDeliverBlock, b1, b1.Size()); err != nil {
-		t.Fatal(err)
-	}
+	e.inject(0, b1)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && p.Ledger().Height() != 3 {
 		time.Sleep(2 * time.Millisecond)
@@ -511,42 +514,48 @@ func waitHeight(t *testing.T, p *Peer, h uint64) {
 }
 
 // TestRangedCatchUpSingleRoundTrip is the regression for the
-// one-block-at-a-time gap fill: a peer that is N blocks behind closes
-// the gap with one KindGetBlocks round trip.
+// one-block-at-a-time gap fill: a direct-deliver peer that is N blocks
+// behind closes the gap in one KindGetBlocks round trip, its first
+// deliver poll.
 func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
-	e := newEnv(t, 1, policy.OrOverPeers(1), false)
+	e := newEnvFull(t, 1, policy.OrOverPeers(1), false, nil, nil,
+		func(cfg *Config) { cfg.OrdererID = "osn9" })
 	chain := emptyChain(5)
 
+	type poll struct {
+		from   uint64
+		served int
+	}
 	var mu sync.Mutex
-	ranged := 0
+	var polls []poll
 	osn, err := e.net.Register("osn9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	osn.Handle(orderer.KindGetBlocks, func(_ context.Context, _ string, payload any) (any, int, error) {
+	osn.Handle(orderer.KindGetBlocks, func(ctx context.Context, _ string, payload any) (any, int, error) {
 		args := payload.(*orderer.GetBlocksArgs)
-		mu.Lock()
-		ranged++
-		mu.Unlock()
 		reply := &orderer.GetBlocksReply{}
-		for num := args.From; num < args.To && num <= uint64(len(chain)); num++ {
-			if num == 0 {
-				continue
-			}
+		for num := max(args.From, 1); num < args.To && num <= uint64(len(chain)); num++ {
 			reply.Blocks = append(reply.Blocks, chain[num-1])
+		}
+		mu.Lock()
+		polls = append(polls, poll{args.From, len(reply.Blocks)})
+		mu.Unlock()
+		if len(reply.Blocks) == 0 {
+			// Past the tip: hold the poll for its wait, as an OSN does.
+			select {
+			case <-ctx.Done():
+			case <-time.After(args.Wait):
+			}
 		}
 		return reply, 64, nil
 	})
 
-	// Push only block 5; the peer must fetch [1,5) in one ranged call.
-	if err := osn.Send(peerID(1), orderer.KindDeliverBlock, chain[4], chain[4].Size()); err != nil {
-		t.Fatal(err)
-	}
 	waitHeight(t, e.peers[0], 6)
 	mu.Lock()
 	defer mu.Unlock()
-	if ranged != 1 {
-		t.Errorf("ranged fetches = %d, want exactly 1", ranged)
+	if polls[0] != (poll{1, 5}) {
+		t.Errorf("first poll = %+v, want from 1 serving all 5 blocks", polls[0])
 	}
 	if err := e.peers[0].Ledger().VerifyChain(); err != nil {
 		t.Error(err)
@@ -554,8 +563,8 @@ func TestRangedCatchUpSingleRoundTrip(t *testing.T) {
 }
 
 // TestGossipAndDeliverDuplicateCommitsOnce is the duplicate-delivery
-// regression: the same block arriving through gossip AND through the
-// deliver push must commit exactly once through the pipelined
+// regression: the same block arriving through gossip AND through deliver
+// must commit exactly once through the pipelined
 // committer. A double commit would wedge the channel's append stage
 // (out-of-order append), so continued progress doubles as the check.
 func TestGossipAndDeliverDuplicateCommitsOnce(t *testing.T) {
@@ -577,23 +586,24 @@ func TestGossipAndDeliverDuplicateCommitsOnce(t *testing.T) {
 			}
 		})
 	chain := emptyChain(3)
-	deliver := func(peerIdx int, b *types.Block) {
+	ingest := func(peerIdx int, b *types.Block) {
 		t.Helper()
-		if err := e.sender.Send(peerID(peerIdx+1), orderer.KindDeliverBlock, b, b.Size()); err != nil {
+		if _, err := e.peers[peerIdx].IngestBlock(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Block 1 arrives at peer1 via deliver; gossip forwards it to
-	// peer2; then both peers get the same block again via deliver.
-	deliver(0, chain[0])
+	// Block 1 reaches peer1 by a push; gossip forwards it to peer2; then
+	// both peers get the same block again straight into IngestBlock, as
+	// a deliver reply hands it over.
+	e.inject(0, chain[0])
 	waitHeight(t, e.peers[0], 2)
 	waitHeight(t, e.peers[1], 2)
-	deliver(0, chain[0])
-	deliver(1, chain[0])
+	ingest(0, chain[0])
+	ingest(1, chain[0])
 	// Blocks 2 and 3 flow only through peer1; gossip must carry them to
 	// peer2 past the duplicate replays.
-	deliver(0, chain[1])
-	deliver(0, chain[2])
+	e.inject(0, chain[1])
+	e.inject(0, chain[2])
 	waitHeight(t, e.peers[0], 4)
 	waitHeight(t, e.peers[1], 4)
 	for _, p := range e.peers {

@@ -301,7 +301,16 @@ func (n *Network) pumpLink(l *link) {
 		busyUntil = start.Add(transmission)
 		deliverAt := busyUntil.Add(time.Duration(float64(msg.latency) * n.cfg.TimeScale))
 		if sleep := time.Until(deliverAt); sleep > 0 {
-			time.Sleep(sleep)
+			// Close does not wait out a frame in flight: nothing is
+			// delivered after it anyway.
+			timer := simcpu.GetTimer(sleep)
+			select {
+			case <-timer.C:
+				simcpu.PutTimer(timer)
+			case <-n.done:
+				stopTimer(timer)
+				return
+			}
 		}
 		if n.closed.Load() {
 			return
