@@ -20,8 +20,8 @@ import (
 
 // vtRun is one virtual-time life of a network at scale 1.0: the model
 // time Build and Start took, the model time from Build to the end of
-// Stop, the summary of 10 model-seconds of load at 400 tps, and the
-// fingerprint of the blocks peer 0 committed.
+// Stop, the summary of its load, and the fingerprint of the blocks peer
+// 0 committed.
 type vtRun struct {
 	setup  time.Duration
 	life   time.Duration
@@ -76,10 +76,14 @@ func firstDivergence(a, b []blockPrint) string {
 	return ""
 }
 
+// saturating is runTwice's load: 10 model-seconds at 400 tps, above the
+// validate cap.
+var saturating = workload.Config{Rate: 400, Duration: 10 * time.Second, Seed: 1}
+
 // runNetwork builds cfg with the scale-1.0 cost model and a fresh
-// collector, then starts, loads and stops it; it must run inside a
-// synctest bubble, and reports failures in the result.
-func runNetwork(cfg Config) (r vtRun) {
+// collector, then starts it, runs load on it and stops it; it must run
+// inside a synctest bubble, and reports failures in the result.
+func runNetwork(cfg Config, load workload.Config) (r vtRun) {
 	model := costmodel.Default(1.0)
 	col := metrics.NewCollector()
 	cfg.Model = model
@@ -97,12 +101,8 @@ func runNetwork(cfg Config) (r vtRun) {
 		return r
 	}
 	r.setup = time.Since(began)
-	if _, r.err = workload.Run(ctx, n.Gateways, workload.Config{
-		Rate:     400,
-		Duration: 10 * time.Second,
-		Model:    model,
-		Seed:     1,
-	}); r.err != nil {
+	load.Model = model
+	if _, r.err = workload.Run(ctx, n.Gateways, load); r.err != nil {
 		return r
 	}
 	r.sum = col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale, RejectLatency: model.OrderTimeout})
@@ -116,32 +116,41 @@ func runNetwork(cfg Config) (r vtRun) {
 // messaging.
 var maxSetup = costmodel.Default(1.0).ContainerLaunch + 10*time.Millisecond
 
-// runTwice runs cfg twice with one seed, each time inside its own
-// synctest bubble. The bubble returning proves no goroutine outlives
-// Stop, since one left blocked would deadlock it; both runs must commit,
-// and bring each network up within maxSetup. It logs the first block on
-// which the two runs' fingerprints differ.
+// runBubble runs cfg under load inside its own synctest bubble. The
+// bubble returning proves no goroutine outlives Stop, since one left
+// blocked would deadlock it; the run must commit.
+func runBubble(t *testing.T, name string, cfg Config, load workload.Config) vtRun {
+	t.Helper()
+	var r vtRun
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		synctest.Run(func() { r = runNetwork(cfg, load) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("%s: bubble still running after 2m of wall time", name)
+	}
+	if r.err != nil {
+		t.Fatalf("%s: %v", name, r.err)
+	}
+	if r.sum.Committed == 0 {
+		t.Fatalf("%s committed nothing", name)
+	}
+	return r
+}
+
+// runTwice runs cfg twice under the saturating load with one seed, each
+// time in its own bubble; both runs must bring the network up within
+// maxSetup. It logs the first block on which the two runs' fingerprints
+// differ.
 func runTwice(t *testing.T, cfg Config) [2]vtRun {
 	t.Helper()
 	var runs [2]vtRun
 	for i := range runs {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			synctest.Run(func() { runs[i] = runNetwork(cfg) })
-		}()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("run %d: bubble still running after 2m of wall time", i)
-		}
+		runs[i] = runBubble(t, fmt.Sprintf("run %d", i), cfg, saturating)
 		r := runs[i]
-		if r.err != nil {
-			t.Fatalf("run %d: %v", i, r.err)
-		}
-		if r.sum.Committed == 0 {
-			t.Fatalf("run %d committed nothing", i)
-		}
 		if r.setup > maxSetup {
 			t.Errorf("run %d: setup took %.3f model-s, want at most %.3f", i, r.setup.Seconds(), maxSetup.Seconds())
 		}
@@ -227,4 +236,36 @@ func TestRaftGossipNetworkInVirtualTime(t *testing.T) {
 		Policy:            policy.OrOverPeers(2),
 		Gossip:            GossipConfig{Enabled: true},
 	}))
+}
+
+// TestOrdererParityInVirtualTime checks the paper's second finding, that
+// Solo, Kafka and Raft perform alike, at the lowest rate of Fig. 3's
+// sweep: four peers under OR at 50 tps for 30 model-seconds, where
+// every block is a timeout cut. Kafka's (three OSNs, three brokers) and
+// Raft's (three OSNs) mean latency must each be within 1 % of Solo's.
+// Run with GOEXPERIMENT=synctest.
+func TestOrdererParityInVirtualTime(t *testing.T) {
+	load := workload.Config{Rate: 50, Duration: 30 * time.Second, Seed: 1}
+	base := Config{NumEndorsingPeers: 4, Policy: policy.OrOverPeers(4)}
+	solo := base
+	kafka := base
+	kafka.Orderer, kafka.NumOrderers, kafka.NumKafkaBrokers = Kafka, 3, 3
+	raft := base
+	raft.Orderer, raft.NumOrderers = Raft, 3
+	var soloMean time.Duration
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"solo", solo}, {"kafka", kafka}, {"raft", raft}} {
+		s := runBubble(t, c.name, c.cfg, load).sum
+		t.Logf("%s: committed %d, mean latency %v", c.name, s.Committed, s.TotalLatency.Avg)
+		if c.name == "solo" {
+			soloMean = s.TotalLatency.Avg
+			continue
+		}
+		if d := math.Abs(float64(s.TotalLatency.Avg-soloMean)) / float64(soloMean); d > 0.01 {
+			t.Errorf("%s mean latency %v is %.1f %% off Solo's %v, want within 1 %%",
+				c.name, s.TotalLatency.Avg, 100*d, soloMean)
+		}
+	}
 }

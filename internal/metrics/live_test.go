@@ -75,13 +75,14 @@ func TestSummarizeConcurrentWithCallbacks(t *testing.T) {
 	}
 
 	stopSampler := c.StartSampler(time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
+	// Let the sampler race the writer and readers until it has recorded
+	// a sample, however slowly a loaded host schedules it.
+	for _, ok := c.LatestSample(); !ok; _, ok = c.LatestSample() {
+		time.Sleep(time.Millisecond)
+	}
 	stopSampler()
 	close(stop)
 	wg.Wait()
-	if _, ok := c.LatestSample(); !ok {
-		t.Fatal("sampler recorded no samples")
-	}
 }
 
 func TestLiveCounters(t *testing.T) {

@@ -3,11 +3,11 @@ package orderer
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fabricsim/internal/kafka"
 	"fabricsim/internal/orderer/blockcutter"
+	"fabricsim/internal/simcpu"
 	"fabricsim/internal/types"
 )
 
@@ -36,52 +36,33 @@ func encodeTTCRecord(target uint64) []byte {
 
 // KafkaConsenter orders envelopes through the Kafka substrate with one
 // partition per channel (the paper's deployment rule): Submit produces
-// to the channel's partition (acks=all across the ISR), and a consume
-// loop per channel on every OSN feeds that channel's shared stream into
-// a local block cutter. Channels order concurrently because their
-// partitions replicate and are consumed independently.
+// to the channel's partition (acks=all across the ISR), and on every
+// OSN one chain loop per channel consumes that partition into a local
+// block cutter, as Fabric's Kafka chain does. Channels order
+// concurrently because their partitions replicate and are consumed
+// independently.
 type KafkaConsenter struct {
 	lanes
-	orderer *Orderer
-	client  *kafka.Client
-	chains  map[string]*kafkaChain
-}
-
-// kafkaChain is one channel's ordering lane over its Kafka partition.
-type kafkaChain struct {
-	channel   string
-	partition int
-	cutter    *blockcutter.Cutter
-
-	mu        sync.Mutex
-	ttcSent   uint64 // highest block number we posted a TTC for
-	blockSeq  uint64 // next block number to cut (1-based)
-	pendingAt time.Time
-	hasPend   bool
+	orderer    *Orderer
+	client     *kafka.Client
+	partitions map[string]int // channel -> its partition
 }
 
 var _ Consenter = (*KafkaConsenter)(nil)
 
 // NewKafkaConsenter attaches a Kafka consenter to the OSN. Each OSN gets
 // its own kafka.Client; all consume the same partitions, partition i
-// carrying the OSN's i-th channel. Every channel runs two loops: one
-// consumes the partition, one posts TTC markers.
+// carrying the OSN's i-th channel.
 func NewKafkaConsenter(o *Orderer, client *kafka.Client) *KafkaConsenter {
 	k := &KafkaConsenter{
-		lanes:   newLanes(),
-		orderer: o,
-		client:  client,
-		chains:  make(map[string]*kafkaChain),
+		lanes:      newLanes(),
+		orderer:    o,
+		client:     client,
+		partitions: make(map[string]int),
 	}
 	for i, ch := range o.Channels() {
-		kc := &kafkaChain{
-			channel:   ch,
-			partition: i,
-			cutter:    blockcutter.New(o.cfg.Cutter),
-			blockSeq:  1,
-		}
-		k.chains[ch] = kc
-		k.add(func() { k.consumeLoop(kc) }, func() { k.ttcLoop(kc) })
+		k.partitions[ch] = i
+		k.add(func() { k.chainLoop(ch, i) })
 	}
 	o.SetConsenter(k)
 	return k
@@ -90,137 +71,80 @@ func NewKafkaConsenter(o *Orderer, client *kafka.Client) *KafkaConsenter {
 // Submit implements Consenter: produce the envelope to the channel's
 // partition.
 func (k *KafkaConsenter) Submit(ctx context.Context, channel string, env []byte) error {
-	kc, ok := k.chains[channel]
+	partition, ok := k.partitions[channel]
 	if !ok {
 		return ErrUnknownChannel
 	}
-	_, err := k.client.Produce(ctx, kc.partition, encodeEnvelopeRecord(env))
-	if err != nil {
+	if _, err := k.client.Produce(ctx, partition, encodeEnvelopeRecord(env)); err != nil {
 		return fmt.Errorf("kafka consenter: %w", err)
 	}
 	return nil
 }
 
-// consumeLoop pulls one channel's ordered record stream and drives its
-// cutter.
-func (k *KafkaConsenter) consumeLoop(kc *kafkaChain) {
+// chainLoop is one channel's Kafka chain. It consumes the partition in
+// offset order into a local cutter and cuts a block on BatchSize or on
+// the first TTC for that block's number. The first pending envelope
+// starts a batch timer; when the timer expires the loop posts the TTC
+// itself, and no fetch long poll outlasts the timer, so the timer needs
+// no goroutine of its own. A failed call retries after one poll's wait.
+func (k *KafkaConsenter) chainLoop(channel string, partition int) {
+	cutter := blockcutter.New(k.orderer.cfg.Cutter)
+	timeout := k.orderer.scaledTimeout()
+	pollWait := max(timeout/2, 5*time.Millisecond)
 	offset := int64(0)
-	pollWait := k.orderer.scaledTimeout() / 2
-	if pollWait < 5*time.Millisecond {
-		pollWait = 5 * time.Millisecond
+	next := uint64(1) // number of the next block to cut
+	var due time.Time // batch timer's expiry; zero while it is stopped
+	emit := func(batch [][]byte) {
+		// Replay from partition offset 0 is deterministic, so after a
+		// restart over a rehydrated chain the recut blocks carry the
+		// same numbers and emitBatchAt drops the duplicates.
+		k.orderer.emitBatchAt(channel, next, batch)
+		next++
 	}
-	for {
-		select {
-		case <-k.ctx.Done():
-			return
-		default:
-		}
-		records, err := k.client.Fetch(k.ctx, kc.partition, offset, pollWait)
-		if err != nil {
-			select {
-			case <-k.ctx.Done():
-				return
-			case <-time.After(pollWait):
+	for k.ctx.Err() == nil {
+		if !due.IsZero() && !time.Now().Before(due) {
+			if _, err := k.client.Produce(k.ctx, partition, encodeTTCRecord(next)); err != nil {
+				_ = simcpu.Sleep(k.ctx, pollWait)
+				continue
 			}
+			due = time.Time{}
+		}
+		wait := pollWait
+		if !due.IsZero() {
+			wait = min(wait, time.Until(due))
+		}
+		records, err := k.client.Fetch(k.ctx, partition, offset, wait)
+		if err != nil {
+			_ = simcpu.Sleep(k.ctx, pollWait)
 			continue
 		}
 		for _, rec := range records {
 			offset = rec.Offset + 1
-			k.processRecord(kc, rec.Data)
-		}
-	}
-}
-
-// processRecord applies one consumed record deterministically.
-func (k *KafkaConsenter) processRecord(kc *kafkaChain, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	switch data[0] {
-	case recordEnvelope:
-		env := data[1:]
-		kc.mu.Lock()
-		batches, pending := kc.cutter.Ordered(env, time.Now())
-		if pending && !kc.hasPend {
-			kc.hasPend = true
-			kc.pendingAt = time.Now()
-		}
-		if !pending {
-			kc.hasPend = false
-		}
-		type cut struct {
-			num   uint64
-			batch [][]byte
-		}
-		var toEmit []cut
-		for _, b := range batches {
-			toEmit = append(toEmit, cut{num: kc.blockSeq, batch: b})
-			kc.blockSeq++
-		}
-		kc.mu.Unlock()
-		for _, c := range toEmit {
-			// Replay from partition offset 0 is deterministic, so after a
-			// restart over a rehydrated chain the recut blocks carry the
-			// same numbers and emitBatchAt drops the duplicates.
-			k.orderer.emitBatchAt(kc.channel, c.num, c.batch)
-		}
-	case recordTTC:
-		dec := types.NewDecoder(data[1:])
-		target := dec.Uvarint()
-		kc.mu.Lock()
-		if target != kc.blockSeq {
-			// Stale or future TTC (another OSN already cut, or the
-			// poster raced a size-based cut); ignore, as Fabric does.
-			kc.mu.Unlock()
-			return
-		}
-		batch := kc.cutter.Cut()
-		kc.hasPend = false
-		if batch == nil {
-			kc.mu.Unlock()
-			return
-		}
-		kc.blockSeq++
-		kc.mu.Unlock()
-		k.orderer.emitBatchAt(kc.channel, target, batch)
-	}
-}
-
-// ttcLoop posts a TTC record on one channel when this OSN's local batch
-// timer expires while transactions are pending.
-func (k *KafkaConsenter) ttcLoop(kc *kafkaChain) {
-	timeout := k.orderer.scaledTimeout()
-	tick := timeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-k.ctx.Done():
-			return
-		case <-ticker.C:
-			kc.mu.Lock()
-			due := kc.hasPend && time.Since(kc.pendingAt) >= timeout && kc.ttcSent < kc.blockSeq
-			target := kc.blockSeq
-			if due {
-				kc.ttcSent = target
-			}
-			kc.mu.Unlock()
-			if !due {
+			if len(rec.Data) == 0 {
 				continue
 			}
-			cctx, cancel := context.WithTimeout(k.ctx, timeout)
-			_, err := k.client.Produce(cctx, kc.partition, encodeTTCRecord(target))
-			cancel()
-			if err != nil {
-				// Allow a retry on the next tick.
-				kc.mu.Lock()
-				if kc.ttcSent == target {
-					kc.ttcSent = target - 1
+			switch rec.Data[0] {
+			case recordEnvelope:
+				batches, pending := cutter.Ordered(rec.Data[1:], time.Now())
+				for _, b := range batches {
+					emit(b)
 				}
-				kc.mu.Unlock()
+				if !pending {
+					due = time.Time{}
+				} else if due.IsZero() {
+					due = time.Now().Add(timeout)
+				}
+			case recordTTC:
+				// A TTC for another block number is stale (another OSN
+				// already cut, or a size cut came first); ignore it, as
+				// Fabric does.
+				if types.NewDecoder(rec.Data[1:]).Uvarint() != next {
+					continue
+				}
+				due = time.Time{}
+				if batch := cutter.Cut(); batch != nil {
+					emit(batch)
+				}
 			}
 		}
 	}

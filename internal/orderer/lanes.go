@@ -77,9 +77,10 @@ func (l *lanes) enqueue(ctx context.Context, in chan<- []byte, env []byte) error
 // cutLoop is one channel's batch-timer loop, run by Solo and by Raft:
 // it interleaves envelope arrival with the batch timeout, the two cut
 // conditions of Section III, and hands every cut batch to sink — Solo
-// emits it as a block, Raft proposes it to the channel's group. Kafka
-// cuts on cluster-wide TTC markers instead of a local timer, so it runs
-// its own loop.
+// emits it as a block, Raft proposes it to the channel's group. Kafka's
+// chain loop times its batch the same way, but its timer posts a TTC
+// marker to the partition instead of cutting, since every OSN must cut
+// at the same record offset.
 func (o *Orderer) cutLoop(in <-chan []byte, stop <-chan struct{}, sink func(batch [][]byte)) {
 	cutter := blockcutter.New(o.cfg.Cutter)
 	timeout := o.scaledTimeout()

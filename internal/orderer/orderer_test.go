@@ -245,10 +245,11 @@ func TestSoloSizeCut(t *testing.T) {
 	}
 }
 
-// TestSoloTimeoutCut pins the BatchTimeout cut of the same loop on Solo
-// and Raft.
+// TestSoloTimeoutCut pins the BatchTimeout cut on every consenter: the
+// batch-timer loop of Solo and Raft, and Kafka's chain loop, whose timer
+// posts the time-to-cut.
 func TestSoloTimeoutCut(t *testing.T) {
-	for _, kind := range []consenterKind{soloKind, raftKind} {
+	for _, kind := range []consenterKind{soloKind, kafkaKind, raftKind} {
 		t.Run(kind.name, func(t *testing.T) {
 			h := newHarness(t)
 			o := h.newOrderer("osn1", 100, 50*time.Millisecond)

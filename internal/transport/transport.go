@@ -66,6 +66,9 @@ type message struct {
 	// (modeled time), resolved from the LinkSet at send time so a link
 	// change mid-flight never affects already-departed messages.
 	latency time.Duration
+	// sentAt is the send instant: the earliest the link can start
+	// transmitting the frame, however late its pump gets to it.
+	sentAt time.Time
 }
 
 // Config parameterizes the emulated network.
@@ -245,6 +248,7 @@ func (n *Network) deliver(msg message) error {
 		delay += RetransmitDelay
 	}
 	msg.latency = delay
+	msg.sentAt = time.Now()
 
 	if !ok {
 		n.mu.Lock()
@@ -271,11 +275,13 @@ func (n *Network) deliver(msg message) error {
 
 // pumpLink delivers a link's messages in order. Delivery times come
 // from a transmission ledger (busyUntil), not from per-message sleeps:
-// transmission time serializes on the link at the configured bandwidth,
-// propagation latency adds on top, and the pump sleeps only until the
-// computed delivery instant. Host-timer overshoot therefore cannot
-// throttle link throughput — messages behind schedule are delivered in
-// a burst without sleeping, preserving FIFO order.
+// a frame's transmission starts at its send instant or when the link
+// finishes the frame before it, whichever is later, and serializes at
+// the configured bandwidth; propagation latency adds on top, and the
+// pump sleeps only until the computed delivery instant. Neither a
+// frame's propagation nor host-timer overshoot therefore delays the
+// frames behind it — messages behind schedule are delivered in a burst
+// without sleeping, preserving FIFO order.
 //
 // The destination endpoint is resolved per message rather than captured
 // at link creation, so a Deregister + Register cycle (peer restart)
@@ -289,10 +295,9 @@ func (n *Network) pumpLink(l *link) {
 		case <-n.done:
 			return
 		}
-		now := time.Now()
 		start := busyUntil
-		if start.Before(now) {
-			start = now
+		if start.Before(msg.sentAt) {
+			start = msg.sentAt
 		}
 		var transmission time.Duration
 		if n.cfg.Bandwidth > 0 && msg.size > 0 {
