@@ -312,11 +312,10 @@ func (l *Ledger) ApplyState(block *types.Block, txs []*types.Transaction) error 
 func (l *Ledger) indexAndApply(block *types.Block, txs []*types.Transaction) error {
 	endVersion := types.Version{BlockNum: block.Header.Number, TxNum: uint64(len(txs))}
 	applyToState := l.state.Height().Compare(endVersion) < 0
+	l.index.addBlock(block.Header.Number, txs, block.Metadata.ValidationFlags)
 	batch := statedb.NewUpdateBatch()
 	for i, tx := range txs {
-		code := block.Metadata.ValidationFlags[i]
-		l.index.Add(tx.ID(), TxInfo{BlockNum: block.Header.Number, TxNum: uint64(i), Code: code})
-		if !code.Valid() {
+		if !block.Metadata.ValidationFlags[i].Valid() {
 			continue
 		}
 		v := types.Version{BlockNum: block.Header.Number, TxNum: uint64(i)}

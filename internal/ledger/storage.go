@@ -74,37 +74,45 @@ func (s *memStore) Close() error { return nil }
 // ledgers rebuild it from the latest checkpoint plus the block-store
 // tail on reopen.
 type txIndex struct {
-	mu      sync.RWMutex
-	txs     map[types.TxID]TxInfo
-	valid   int
-	invalid int
+	mu    sync.RWMutex
+	txs   map[types.TxID]TxInfo
+	valid int // entries whose code is valid; the others are invalid
 }
 
 func newTxIndex() *txIndex {
 	return &txIndex{txs: make(map[types.TxID]TxInfo)}
 }
 
-// Add indexes a transaction; re-adding an ID replaces its record. The
-// index keeps its own copy of id, which is usually a view of a decoded
-// block (see types.Block.Transactions).
-func (x *txIndex) Add(id types.TxID, info TxInfo) {
-	// Copied even when id is indexed already: assigning a map entry also
-	// overwrites its string key.
-	id = types.TxID(strings.Clone(string(id)))
+// addBlock indexes one block's transactions with their validation
+// flags under one lock hold; re-adding an ID replaces its record. The
+// IDs are usually views of the decoded block (see
+// types.Block.Transactions), so the index copies them, all into one
+// string that every key of the block is a substring of. Each key is
+// rewritten even when its ID is indexed already, since assigning a map
+// entry also overwrites its string key.
+func (x *txIndex) addBlock(num uint64, txs []*types.Transaction, flags []types.ValidationCode) {
+	n := 0
+	for _, tx := range txs {
+		n += len(tx.ID())
+	}
+	var ids strings.Builder
+	ids.Grow(n)
+	for _, tx := range txs {
+		ids.WriteString(string(tx.ID()))
+	}
+	rest := ids.String()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if old, ok := x.txs[id]; ok {
-		if old.Code.Valid() {
+	for i, tx := range txs {
+		id := types.TxID(rest[:len(tx.ID())])
+		rest = rest[len(id):]
+		if old, ok := x.txs[id]; ok && old.Code.Valid() {
 			x.valid--
-		} else {
-			x.invalid--
 		}
-	}
-	x.txs[id] = info
-	if info.Code.Valid() {
-		x.valid++
-	} else {
-		x.invalid++
+		x.txs[id] = TxInfo{BlockNum: num, TxNum: uint64(i), Code: flags[i]}
+		if flags[i].Valid() {
+			x.valid++
+		}
 	}
 }
 
@@ -126,7 +134,7 @@ func (x *txIndex) Has(id types.TxID) bool {
 func (x *txIndex) Counts() (total, valid, invalid int) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.txs), x.valid, x.invalid
+	return len(x.txs), x.valid, len(x.txs) - x.valid
 }
 
 // Snapshot exports the full index for checkpoints and snapshots.
@@ -146,13 +154,13 @@ func (x *txIndex) Restore(snap *IndexSnapshot) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.txs = make(map[types.TxID]TxInfo, len(snap.Txs))
-	x.valid, x.invalid = 0, 0
+	x.valid = 0
 	for _, r := range snap.Txs {
 		x.txs[r.ID] = r.Info
-		if r.Info.Code.Valid() {
+	}
+	for _, info := range x.txs {
+		if info.Code.Valid() {
 			x.valid++
-		} else {
-			x.invalid++
 		}
 	}
 }

@@ -25,6 +25,10 @@ import (
 //	                         groups,        modeled fsync)
 //	                         state apply)
 //
+// The stages allocate per block, not per transaction, where they can:
+// VSCC strides the block across Model.ValidatorPool workers, and the
+// MVCC walk keys its dirty set on (namespace, key) pairs.
+//
 // A token bucket of Model.CommitDepth slots bounds how many blocks are
 // in flight between VSCC start and append completion, so depth 1
 // reproduces the legacy strictly-serial commitLoop while depth d lets
@@ -93,13 +97,17 @@ func (p *Peer) vsccLoop(cs *channelState) {
 // AND policies slow this phase down — the paper's central bottleneck
 // observation.
 //
+// Each of the pool workers owns a stride of the block: worker w checks
+// transactions w, w+pool, w+2·pool, … with one endorser scratch list,
+// so the stage starts goroutines per block, not per transaction.
+//
 // The modeled CPU cost is charged per block rather than per tx: the
 // block's total VSCC cost is split across the pool workers, each
-// reserving one Execute. This is arithmetically identical to per-tx
-// charging under the pool but immune to host-timer granularity (see the
-// simcpu package comment). Integer division would silently drop up to
-// pool-1 nanoseconds of modeled cost per block, so the remainder is
-// charged to the first worker.
+// reserving one Execute beside its checks. This is arithmetically
+// identical to per-tx charging under the pool but immune to host-timer
+// granularity (see the simcpu package comment). Integer division would
+// silently drop up to pool-1 nanoseconds of modeled cost per block, so
+// the remainder is charged to the first worker.
 func (p *Peer) runVSCCStage(cs *channelState, pb *pipelinedBlock) {
 	defer p.wg.Done()
 	defer close(pb.vsccDone)
@@ -132,11 +140,13 @@ func (p *Peer) runVSCCStage(cs *channelState, pb *pipelinedBlock) {
 		pool = 1
 	}
 	var vsccTotal time.Duration
+	maxEndorsements := 0
 	for i, tx := range txs {
 		if pb.flags[i] == types.ValidationEarlyAbort {
 			continue
 		}
 		vsccTotal += p.cfg.Model.VSCCCost(len(tx.Endorsements))
+		maxEndorsements = max(maxEndorsements, len(tx.Endorsements))
 	}
 	share := vsccTotal / time.Duration(pool)
 	remainder := vsccTotal - share*time.Duration(pool)
@@ -146,29 +156,22 @@ func (p *Peer) runVSCCStage(cs *channelState, pb *pipelinedBlock) {
 		if w == 0 {
 			cost += remainder
 		}
-		wg.Add(1)
-		go func(cost time.Duration) {
+		wg.Add(2)
+		go func() {
 			defer wg.Done()
 			_ = p.cfg.CPU.Execute(ctx, cost)
-		}(cost)
-	}
-	// The real policy checks run concurrently with the modeled cost.
-	sem := make(chan struct{}, pool)
-	var cwg sync.WaitGroup
-	for i, tx := range txs {
-		if pb.flags[i] == types.ValidationEarlyAbort {
-			continue
-		}
-		i, tx := i, tx
-		cwg.Add(1)
-		sem <- struct{}{}
+		}()
+		// The real policy checks run concurrently with the modeled cost.
 		go func() {
-			defer cwg.Done()
-			defer func() { <-sem }()
-			pb.flags[i] = p.runVSCC(tx)
+			defer wg.Done()
+			ids := make([]string, 0, maxEndorsements)
+			for i := w; i < len(txs); i += pool {
+				if pb.flags[i] != types.ValidationEarlyAbort {
+					pb.flags[i] = p.runVSCC(txs[i], ids)
+				}
+			}
 		}()
 	}
-	cwg.Wait()
 	wg.Wait()
 	pb.vsccDur = time.Since(start)
 }
@@ -313,7 +316,7 @@ func (p *Peer) applyStage(ctx context.Context, cs *channelState, pb *pipelinedBl
 // MVCCPerTxCPU — including duplicates, which Fabric still checks —
 // while only transactions that become valid pay CommitPerTxCPU.
 func (p *Peer) walkGroup(cs *channelState, txs []*types.Transaction, flags []types.ValidationCode, group []int) time.Duration {
-	dirty := make(map[string]struct{})
+	dirty := make(map[stateKey]struct{})
 	var cost time.Duration
 	for _, i := range group {
 		cost += p.cfg.Model.MVCCPerTxCPU
@@ -328,7 +331,7 @@ func (p *Peer) walkGroup(cs *channelState, txs []*types.Transaction, flags []typ
 		flags[i] = types.ValidationValid
 		ns := tx.Proposal.ChaincodeID
 		for _, w := range tx.Results.Writes {
-			dirty[ns+"/"+w.Key] = struct{}{}
+			dirty[stateKey{ns, w.Key}] = struct{}{}
 		}
 		cost += p.cfg.Model.CommitPerTxCPU
 	}

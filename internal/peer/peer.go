@@ -553,8 +553,9 @@ func drainReadyLocked(cs *channelState, block *types.Block) []*types.Block {
 // runVSCC validates one transaction's endorsements against the channel
 // policy and returns a rejection code, or ValidationPending to let the
 // serial walk continue. The modeled CPU cost is charged block-wide by
-// the caller; this function performs the real checks.
-func (p *Peer) runVSCC(tx *types.Transaction) types.ValidationCode {
+// the caller; this function performs the real checks. ids is the
+// caller's scratch for the endorser list, with room for all of tx's.
+func (p *Peer) runVSCC(tx *types.Transaction, ids []string) types.ValidationCode {
 	if len(tx.Endorsements) == 0 {
 		return types.ValidationEndorsementPolicyFailure
 	}
@@ -568,7 +569,7 @@ func (p *Peer) runVSCC(tx *types.Transaction) types.ValidationCode {
 			}
 		}
 	}
-	ids := make([]string, 0, len(tx.Endorsements))
+	ids = ids[:0]
 	for _, en := range tx.Endorsements {
 		ids = append(ids, en.EndorserID)
 	}
@@ -595,14 +596,17 @@ func (p *Peer) verifyEndorsement(id string, msg, sig []byte) bool {
 	return false
 }
 
+// stateKey is one namespace-qualified key of the MVCC walk's dirty set.
+type stateKey struct{ ns, key string }
+
 // mvccValid checks a transaction's read set against the channel's
 // committed versions and the keys already written by earlier valid txs
 // in the same block. Channels have disjoint state DBs, so the same key
 // on two channels never conflicts.
-func (p *Peer) mvccValid(cs *channelState, tx *types.Transaction, dirty map[string]struct{}) bool {
+func (p *Peer) mvccValid(cs *channelState, tx *types.Transaction, dirty map[stateKey]struct{}) bool {
 	ns := tx.Proposal.ChaincodeID
 	for _, r := range tx.Results.Reads {
-		if _, conflict := dirty[ns+"/"+r.Key]; conflict {
+		if _, conflict := dirty[stateKey{ns, r.Key}]; conflict {
 			return false
 		}
 		committed, exists, err := cs.ledger.State().Version(ns, r.Key)

@@ -97,23 +97,37 @@ func (uf unionFind) union(a, b int) {
 
 // collectGroups gathers participating indices by union-find root. Each
 // group lists indices in ascending block order; groups appear in order
-// of their first member.
+// of their first member. A first pass counts every root's members, so
+// all groups are windows of one slab, each capped at its own length so
+// that an append to one cannot spill into the next.
 func collectGroups(uf unionFind, participates []bool) [][]int {
-	byRoot := make(map[int][]int)
-	roots := make([]int, 0, len(uf))
+	scratch := make([]int, 2*len(uf))
+	size, at := scratch[:len(uf)], scratch[len(uf):]
+	ngroups := 0
+	for i := range uf {
+		if participates == nil || participates[i] {
+			r := uf.find(i)
+			if size[r] == 0 {
+				ngroups++
+			}
+			size[r]++
+		}
+	}
+	slab := make([]int, len(uf))
+	groups := make([][]int, 0, ngroups)
+	next := 0
 	for i := range uf {
 		if participates != nil && !participates[i] {
 			continue
 		}
 		r := uf.find(i)
-		if _, ok := byRoot[r]; !ok {
-			roots = append(roots, r)
+		if n := size[r]; n > 0 {
+			groups = append(groups, slab[next:next+n:next+n])
+			at[r], size[r] = next, 0
+			next += n
 		}
-		byRoot[r] = append(byRoot[r], i)
-	}
-	groups := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		groups = append(groups, byRoot[r])
+		slab[at[r]] = i
+		at[r]++
 	}
 	return groups
 }
@@ -133,6 +147,11 @@ func collectGroups(uf unionFind, participates []bool) [][]int {
 // participating transaction with an empty rwset forms its own singleton
 // group.
 func ConflictGroups(rws []RW, participates []bool) [][]int {
+	return collectGroups(overlapForest(rws, participates), participates)
+}
+
+// overlapForest unions the transactions ConflictGroups groups.
+func overlapForest(rws []RW, participates []bool) unionFind {
 	uf := newUnionFind(len(rws))
 	// Per key: the representative of every writer (and the readers
 	// already glued to one), or the reader list while no writer has
@@ -164,7 +183,7 @@ func ConflictGroups(rws []RW, participates []bool) [][]int {
 			}
 		}
 	}
-	return collectGroups(uf, participates)
+	return uf
 }
 
 // Chains partitions transactions into block-order dependency
@@ -176,6 +195,11 @@ func ConflictGroups(rws []RW, participates []bool) [][]int {
 // the legacy block-wide serial walk. Output conventions match
 // ConflictGroups (ascending indices, ordered by first member).
 func Chains(rws []RW, participates []bool) [][]int {
+	return collectGroups(chainForest(rws, participates), participates)
+}
+
+// chainForest unions the transactions Chains connects.
+func chainForest(rws []RW, participates []bool) unionFind {
 	uf := newUnionFind(len(rws))
 	// Per key: earlier writers collapse into one representative the
 	// first time a later reader touches them (the reader connects them
@@ -209,7 +233,7 @@ func Chains(rws []RW, participates []bool) [][]int {
 			newWriters[k] = append(newWriters[k], j)
 		}
 	}
-	return collectGroups(uf, participates)
+	return uf
 }
 
 // PartitionGroups distributes groups (or chains) across pool bins with

@@ -545,6 +545,56 @@ func TestViewsMatchConcatenatedKeys(t *testing.T) {
 	}
 }
 
+// TestGroupsMatchReference diffs collectGroups against the map-based
+// implementation it replaced, on the union-finds ConflictGroups and
+// Chains build over the 10 000 batches TestViewsMatchConcatenatedKeys
+// draws: every committer must fan out exactly the groups it did. All
+// groups share one slab, so each must also own its capacity: an append
+// to one group may not change any other.
+func TestGroupsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	views := []struct {
+		name   string
+		groups func([]RW, []bool) [][]int
+		forest func([]RW, []bool) unionFind
+	}{
+		{"ConflictGroups", ConflictGroups, overlapForest},
+		{"Chains", Chains, chainForest},
+	}
+	for b := 0; b < 10000; b++ {
+		rws, participates := referenceBatch(rng, b)
+		for _, view := range views {
+			got := view.groups(rws, participates)
+			want := collectGroupsReference(view.forest(rws, participates), participates)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: %s = %v, reference gives %v", b, view.name, got, want)
+			}
+			for i := range got {
+				_ = append(got[i], -1)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: %s: appending to its groups changed them to %v, want %v", b, view.name, got, want)
+			}
+		}
+	}
+}
+
+// TestConflictGroupsAllocs pins collectGroups' slab: grouping keyless
+// singletons, where only the grouping allocates, costs the same handful
+// of allocations at every block size. The map-based grouping spent one
+// more per group (100 singletons: 112, 400 singletons: 416).
+func TestConflictGroupsAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		rws := make([]RW, n)
+		return testing.AllocsPerRun(50, func() { benchSink += len(ConflictGroups(rws, nil)) })
+	}
+	small, large := allocs(100), allocs(400)
+	t.Logf("100 singletons: %.0f allocs; 400 singletons: %.0f allocs", small, large)
+	if small != large || small > 5 {
+		t.Errorf("ConflictGroups on 100 and 400 singletons: %.0f and %.0f allocations, want the same count, at most 5", small, large)
+	}
+}
+
 // TestFromTransactionsAllocs pins the views: FromRWSet copies nothing,
 // and FromTransactions allocates only the block's []RW.
 func TestFromTransactionsAllocs(t *testing.T) {
@@ -715,6 +765,40 @@ func BenchmarkFromTransactions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink += len(Chains(FromTransactions(txs), nil))
 	}
+}
+
+// BenchmarkConflictGroups times the committer's fan-out on an untagged
+// block: the contended 100-tx batch's key-overlap groups.
+func BenchmarkConflictGroups(b *testing.B) {
+	rws := zipfBatch(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(ConflictGroups(rws, nil))
+	}
+}
+
+// collectGroupsReference is the collectGroups the slab replaced, kept
+// verbatim as the oracle: one map entry per root, one append per
+// member.
+func collectGroupsReference(uf unionFind, participates []bool) [][]int {
+	byRoot := make(map[int][]int)
+	roots := make([]int, 0, len(uf))
+	for i := range uf {
+		if participates != nil && !participates[i] {
+			continue
+		}
+		r := uf.find(i)
+		if _, ok := byRoot[r]; !ok {
+			roots = append(roots, r)
+		}
+		byRoot[r] = append(byRoot[r], i)
+	}
+	groups := make([][]int, 0, len(roots))
+	for _, r := range roots {
+		groups = append(groups, byRoot[r])
+	}
+	return groups
 }
 
 // refGraph, buildRefGraph, cycleVertices and scheduleReference are the

@@ -38,14 +38,14 @@ type KV struct {
 // UpdateBatch accumulates the writes of one block's valid transactions,
 // applied atomically at commit.
 type UpdateBatch struct {
-	updates map[string]map[string]*VersionedValue // ns -> key -> value (nil Value+IsDelete => delete)
-	deletes map[string]map[string]types.Version   // ns -> key -> deleting version
+	updates map[string]map[string]VersionedValue // ns -> key -> written value
+	deletes map[string]map[string]types.Version  // ns -> key -> deleting version
 }
 
 // NewUpdateBatch returns an empty batch.
 func NewUpdateBatch() *UpdateBatch {
 	return &UpdateBatch{
-		updates: make(map[string]map[string]*VersionedValue),
+		updates: make(map[string]map[string]VersionedValue),
 		deletes: make(map[string]map[string]types.Version),
 	}
 }
@@ -54,10 +54,10 @@ func NewUpdateBatch() *UpdateBatch {
 func (b *UpdateBatch) Put(ns, key string, value []byte, v types.Version) {
 	m, ok := b.updates[ns]
 	if !ok {
-		m = make(map[string]*VersionedValue)
+		m = make(map[string]VersionedValue)
 		b.updates[ns] = m
 	}
-	m[key] = &VersionedValue{Value: value, Version: v}
+	m[key] = VersionedValue{Value: value, Version: v}
 	if dm, ok := b.deletes[ns]; ok {
 		delete(dm, key)
 	}
@@ -203,7 +203,8 @@ func (db *DB) GetRange(ns, startKey, endKey string, limit int) ([]KV, error) {
 // it keeps, as it copies every value, and updates an existing key's
 // entry in place: assigning it would overwrite the key the map owns with
 // the batch's. Readers only ever copy an entry out under the lock, so
-// the in-place update is as invisible to them as a replacement.
+// the in-place update is as invisible to them as a replacement, and a
+// rewritten key costs no more than its value copy.
 func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -220,11 +221,11 @@ func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 			db.data[strings.Clone(ns)] = target
 		}
 		for k, vv := range m {
-			update := VersionedValue{Value: append([]byte(nil), vv.Value...), Version: vv.Version}
+			value := append([]byte(nil), vv.Value...)
 			if cur, ok := target[k]; ok {
-				*cur = update
+				cur.Value, cur.Version = value, vv.Version
 			} else {
-				target[strings.Clone(k)] = &update
+				target[strings.Clone(k)] = &VersionedValue{Value: value, Version: vv.Version}
 			}
 		}
 	}

@@ -371,6 +371,77 @@ func TestHashEqualAcrossBackends(t *testing.T) {
 	}
 }
 
+// rewriteBatch puts keys in namespace "cc" at block num, all with one
+// eight-byte value.
+func rewriteBatch(keys []string, num uint64) *UpdateBatch {
+	b := NewUpdateBatch()
+	value := []byte("value-00")
+	for i, k := range keys {
+		b.Put("cc", k, value, v(num, uint64(i)))
+	}
+	return b
+}
+
+func benchKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%04d", i)
+	}
+	return keys
+}
+
+// TestApplyUpdatesAllocs pins the value-held batch. Rewriting N keys
+// the database holds costs N allocations, one value copy each; the
+// pointer-valued batch cost 2N in ApplyUpdates (64 for N = 32). Putting
+// a key the batch holds already costs nothing; the pointer-valued batch
+// allocated a fresh entry on every Put.
+func TestApplyUpdatesAllocs(t *testing.T) {
+	const n = 32
+	keys := benchKeys(n)
+	db := New()
+	batch := rewriteBatch(keys, 1)
+	if err := db.ApplyUpdates(batch, v(1, n)); err != nil {
+		t.Fatal(err)
+	}
+	num := uint64(1)
+	allocs := testing.AllocsPerRun(50, func() {
+		num++
+		if err := db.ApplyUpdates(batch, v(num, n)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != n {
+		t.Errorf("ApplyUpdates rewriting %d keys: %.0f allocations, want %d", n, allocs, n)
+	}
+	value := []byte("value-01")
+	if allocs := testing.AllocsPerRun(50, func() {
+		for i, k := range keys {
+			batch.Put("cc", k, value, v(num, uint64(i)))
+		}
+	}); allocs != 0 {
+		t.Errorf("re-putting %d batched keys: %.0f allocations, want 0", n, allocs)
+	}
+}
+
+// BenchmarkApplyUpdates times one block's state apply on the mem
+// backend: a 100-key batch built and applied over a database that
+// already holds every key.
+func BenchmarkApplyUpdates(b *testing.B) {
+	keys := benchKeys(100)
+	db := New()
+	if err := db.ApplyUpdates(rewriteBatch(keys, 1), v(1, 100)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		num := uint64(i + 2)
+		if err := db.ApplyUpdates(rewriteBatch(keys, num), v(num, 100)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- file-backend specifics ---
 
 // TestFileReopenReplaysWAL: every acknowledged batch survives a close
