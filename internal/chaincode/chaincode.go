@@ -59,6 +59,9 @@ type Simulator struct {
 	// as the read-your-writes buffer.
 	rwset   types.RWSet
 	readKey map[string]struct{} // dedup reads of the same key; made on first read
+	// firstWrite backs rwset.Writes while it holds one write, so a
+	// one-write simulation allocates no write slice.
+	firstWrite [1]types.KVWrite
 }
 
 var _ Stub = (*Simulator)(nil)
@@ -138,6 +141,11 @@ func (s *Simulator) setWrite(w types.KVWrite) {
 	i, ok := s.findWrite(w.Key)
 	if ok {
 		s.rwset.Writes[i] = w
+		return
+	}
+	if s.rwset.Writes == nil {
+		s.firstWrite[0] = w
+		s.rwset.Writes = s.firstWrite[:]
 		return
 	}
 	s.rwset.Writes = slices.Insert(s.rwset.Writes, i, w)

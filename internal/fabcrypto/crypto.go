@@ -77,10 +77,16 @@ func Verify(scheme string, pub, msg, sig []byte) error {
 }
 
 // Digest returns the SHA-256 digest of the concatenation of its inputs.
+// It only slices the array digest returns, which keeps it small enough
+// to inline, so a digest the caller does not keep stays on its stack.
 func Digest(parts ...[]byte) []byte {
+	sum := digest(parts)
+	return sum[:]
+}
+
+func digest(parts [][]byte) [sha256.Size]byte {
 	if len(parts) == 1 {
-		sum := sha256.Sum256(parts[0])
-		return sum[:]
+		return sha256.Sum256(parts[0])
 	}
 	// The endorser's ESCC input is two 32-byte digests, so the parts
 	// usually fit on the stack; append moves longer inputs to the heap.
@@ -89,8 +95,7 @@ func Digest(parts ...[]byte) []byte {
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	sum := sha256.Sum256(buf)
-	return sum[:]
+	return sha256.Sum256(buf)
 }
 
 // --- ECDSA P-256 ---

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"fabricsim/internal/fabcrypto"
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
@@ -264,7 +263,7 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 		Endorsements: endorsements,
 		SubmitTime:   p.submitted.UnixNano(),
 	}
-	clientSig, err := g.cfg.Identity.Sign(fabcrypto.Digest(p.prop.Hash(), rwset.Marshal()))
+	clientSig, err := g.cfg.Identity.Sign(tx.ClientDigest())
 	if err != nil {
 		return nil, fmt.Errorf("gateway %s: sign envelope: %w", g.cfg.ID, err)
 	}

@@ -28,16 +28,17 @@ type SigningIdentity struct {
 	Cert *ca.Certificate
 	Key  fabcrypto.KeyPair
 
+	id         string // Cert.ID(), taken once
 	serialized []byte // Cert.Marshal(), taken once
 }
 
 // NewSigningIdentity bundles an enrollment into a signing identity.
 func NewSigningIdentity(e *ca.Enrollment) *SigningIdentity {
-	return &SigningIdentity{Cert: e.Cert, Key: e.Key, serialized: slices.Clip(e.Cert.Marshal())}
+	return &SigningIdentity{Cert: e.Cert, Key: e.Key, id: e.Cert.ID(), serialized: slices.Clip(e.Cert.Marshal())}
 }
 
 // ID returns the MSP-qualified identity string "Org.Name".
-func (s *SigningIdentity) ID() string { return s.Cert.ID() }
+func (s *SigningIdentity) ID() string { return s.id }
 
 // Org returns the identity's organization.
 func (s *SigningIdentity) Org() string { return s.Cert.Org }

@@ -10,6 +10,7 @@ package peer
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -414,18 +415,18 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 	}
 	ccEnd := time.Now()
 	rwset := sim.RWSet()
-	rwBytes := rwset.Marshal()
-	resultsHash := fabcrypto.Digest(rwBytes)
+	reply := &endorseReply{}
+	copy(reply.resultsHash[:], rwset.Hash())
 
 	// 3) ESCC: sign proposal hash || results hash.
-	sig, err := p.cfg.Identity.Sign(fabcrypto.Digest(prop.Hash(), resultsHash))
+	sig, err := p.cfg.Identity.Sign(fabcrypto.Digest(prop.Hash(), reply.resultsHash[:]))
 	if err != nil {
 		return nil, 0, fmt.Errorf("peer %s: escc sign: %w", p.cfg.ID, err)
 	}
-	resp := &types.ProposalResponse{
+	reply.resp = types.ProposalResponse{
 		TxID:        prop.TxID,
 		Status:      200,
-		ResultsHash: resultsHash,
+		ResultsHash: reply.resultsHash[:],
 		Results:     rwset,
 		Payload:     ccPayload,
 		Endorsement: types.Endorsement{
@@ -442,7 +443,14 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 			"queue-wait", ccStart.Sub(entry).String(),
 			"chaincode", ccEnd.Sub(ccStart).String())
 	}
-	return resp, len(rwBytes) + 128, nil
+	return &reply.resp, rwset.Size() + 128, nil
+}
+
+// endorseReply is a successful endorsement's one allocation: the
+// response and the results hash its ResultsHash points into.
+type endorseReply struct {
+	resp        types.ProposalResponse
+	resultsHash [sha256.Size]byte
 }
 
 func (p *Peer) endorseFailure(prop *types.Proposal, msg string) (any, int, error) {
@@ -560,9 +568,8 @@ func (p *Peer) runVSCC(tx *types.Transaction, ids []string) types.ValidationCode
 		return types.ValidationEndorsementPolicyFailure
 	}
 	if p.cfg.VerifyCrypto {
-		rwBytes := tx.Results.Marshal()
-		resultsHash := fabcrypto.Digest(rwBytes)
-		signedMsg := fabcrypto.Digest(tx.Proposal.Hash(), resultsHash)
+		// The message ESCC signed in handleEndorse.
+		signedMsg := fabcrypto.Digest(tx.Proposal.Hash(), tx.Results.Hash())
 		for _, en := range tx.Endorsements {
 			if !p.verifyEndorsement(en.EndorserID, signedMsg, en.Signature) {
 				return types.ValidationBadSignature

@@ -1,10 +1,15 @@
 package types
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
+	"testing"
+
+	"fabricsim/internal/fabcrypto"
 )
 
 // This file keeps the copying envelope decode that Block.Transactions,
@@ -159,9 +164,9 @@ func genString(r *rand.Rand, max int) string {
 }
 
 // genTransaction builds a random envelope covering what the decoder must
-// handle: 0-8 endorsements, nil and empty fields, reads, writes and
-// deletes, a TraceID or none, and padding from none to past a one-byte
-// length prefix.
+// handle: 0-8 endorsements, nil and empty fields, a genRWSet set, a
+// TraceID or none, and padding from none to past a one-byte length
+// prefix.
 func genTransaction(r *rand.Rand) *Transaction {
 	tx := &Transaction{
 		Proposal: Proposal{
@@ -180,22 +185,7 @@ func genTransaction(r *rand.Rand) *Transaction {
 	for n := r.Intn(5); n > 0; n-- {
 		tx.Proposal.Args = append(tx.Proposal.Args, genBytes(r, 16))
 	}
-	for n := r.Intn(6); n > 0; n-- {
-		tx.Results.Reads = append(tx.Results.Reads, KVRead{
-			Key:     genString(r, 12),
-			Version: Version{BlockNum: uint64(r.Intn(1 << 20)), TxNum: uint64(r.Intn(300))},
-			Exists:  r.Intn(2) == 0,
-		})
-	}
-	for n := r.Intn(6); n > 0; n-- {
-		w := KVWrite{Key: genString(r, 12)}
-		if r.Intn(4) == 0 {
-			w.IsDelete = true
-		} else {
-			w.Value = genBytes(r, 40)
-		}
-		tx.Results.Writes = append(tx.Results.Writes, w)
-	}
+	tx.Results = genRWSet(r)
 	for n := r.Intn(9); n > 0; n-- {
 		tx.Endorsements = append(tx.Endorsements, Endorsement{
 			EndorserID:  genString(r, 12),
@@ -210,4 +200,127 @@ func genTransaction(r *rand.Rand) *Transaction {
 		tx.Padding = make([]byte, 128+r.Intn(300))
 	}
 	return tx
+}
+
+// refMarshalTransaction is Transaction.Marshal as it was before the
+// encoder was sized exactly: a 512-byte encoder plus the padding, grown
+// as needed, and every field written in order. Envelopes, and so blocks
+// and the signatures over them, must stay byte-identical to it.
+func refMarshalTransaction(t *Transaction) []byte {
+	enc := NewEncoder(512 + len(t.Padding))
+	p := &t.Proposal
+	enc.String(string(p.TxID))
+	enc.String(p.ChannelID)
+	enc.String(p.ChaincodeID)
+	enc.String(p.Fn)
+	enc.Uvarint(uint64(len(p.Args)))
+	for _, a := range p.Args {
+		enc.Bytes2(a)
+	}
+	enc.Bytes2(p.Creator)
+	enc.Bytes2(p.Nonce)
+	enc.Int64(p.Timestamp)
+	enc.String(p.TraceID)
+	enc.Uvarint(uint64(len(t.Results.Reads)))
+	for _, r := range t.Results.Reads {
+		enc.String(r.Key)
+		enc.Uvarint(r.Version.BlockNum)
+		enc.Uvarint(r.Version.TxNum)
+		enc.Bool(r.Exists)
+	}
+	enc.Uvarint(uint64(len(t.Results.Writes)))
+	for _, w := range t.Results.Writes {
+		enc.String(w.Key)
+		enc.Bytes2(w.Value)
+		enc.Bool(w.IsDelete)
+	}
+	enc.Uvarint(uint64(len(t.Endorsements)))
+	for _, en := range t.Endorsements {
+		enc.String(en.EndorserID)
+		enc.String(en.EndorserOrg)
+		enc.Bytes2(en.Signature)
+	}
+	enc.Bytes2(t.ClientSig)
+	enc.Int64(t.SubmitTime)
+	enc.Bytes2(t.Padding)
+	return enc.Bytes()
+}
+
+// versionEdges are the version numbers at which a Uvarint gains a byte.
+var versionEdges = []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, math.MaxUint64}
+
+func genVersionNum(r *rand.Rand) uint64 {
+	if r.Intn(2) == 0 {
+		return versionEdges[r.Intn(len(versionEdges))]
+	}
+	return r.Uint64() >> r.Intn(64)
+}
+
+// genRWSet draws a set with 0-5 reads and 0-5 writes: versions at the
+// varint boundaries, nil, empty and filled values, and deletes.
+func genRWSet(r *rand.Rand) RWSet {
+	var rw RWSet
+	for n := r.Intn(6); n > 0; n-- {
+		rw.Reads = append(rw.Reads, KVRead{
+			Key:     genString(r, 12),
+			Version: Version{BlockNum: genVersionNum(r), TxNum: genVersionNum(r)},
+			Exists:  r.Intn(2) == 0,
+		})
+	}
+	for n := r.Intn(6); n > 0; n-- {
+		w := KVWrite{Key: genString(r, 12)}
+		if r.Intn(4) == 0 {
+			w.IsDelete = true
+		} else {
+			w.Value = genBytes(r, 40)
+		}
+		rw.Writes = append(rw.Writes, w)
+	}
+	return rw
+}
+
+// TestEnvelopeEncodingMatchesReference holds the pooled hashes and the
+// exact sizes to the encodings they stand for, on 10 000 seeded draws
+// with 1-5 endorsements: RWSet.Hash and Size against Marshal,
+// ClientDigest against the digest the client signed before it, and
+// Transaction.Marshal against refMarshalTransaction, byte for byte and
+// with no spare capacity. Every 1 000th draw carries a write value and a
+// padding over 64 KiB, so hashing it takes the pool's drop path.
+func TestEnvelopeEncodingMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		tx := genTransaction(r)
+		tx.Endorsements = tx.Endorsements[:0]
+		for n := 1 + r.Intn(5); n > 0; n-- {
+			tx.Endorsements = append(tx.Endorsements, Endorsement{
+				EndorserID:  genString(r, 12),
+				EndorserOrg: genString(r, 6),
+				Signature:   genBytes(r, 72),
+			})
+		}
+		if i%1000 == 999 {
+			huge := make([]byte, maxPooledEncoder+1+r.Intn(1024))
+			tx.Results.Writes = append(tx.Results.Writes, KVWrite{Key: "huge", Value: huge})
+			tx.Padding = huge
+		}
+
+		rw := &tx.Results
+		set := rw.Marshal()
+		if got, want := rw.Hash(), fabcrypto.Digest(set); !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: RWSet.Hash = %x, want %x", i, got, want)
+		}
+		if got, want := rw.Size(), len(set); got != want {
+			t.Fatalf("draw %d: RWSet.Size = %d, want len(Marshal()) = %d", i, got, want)
+		}
+		if got, want := tx.ClientDigest(), fabcrypto.Digest(tx.Proposal.Hash(), set); !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: ClientDigest = %x, want %x", i, got, want)
+		}
+		env := tx.Marshal()
+		if len(env) != cap(env) {
+			t.Fatalf("draw %d: Marshal len %d, cap %d", i, len(env), cap(env))
+		}
+		if want := refMarshalTransaction(tx); !bytes.Equal(env, want) {
+			t.Fatalf("draw %d: Marshal differs from the reference encoding", i)
+		}
+	}
 }

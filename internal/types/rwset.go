@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"fmt"
+)
 
 // Version identifies the ledger height at which a key was last written:
 // the committing block number and the transaction's position inside it.
@@ -80,6 +83,35 @@ func (rw *RWSet) Marshal() []byte {
 	enc := NewEncoder(64 + 32*len(rw.Reads) + 64*len(rw.Writes))
 	rw.encode(enc)
 	return enc.Bytes()
+}
+
+// Size returns the length of the set's encoding without encoding it.
+func (rw *RWSet) Size() int {
+	n := uvarintSize(uint64(len(rw.Reads))) + uvarintSize(uint64(len(rw.Writes)))
+	for i := range rw.Reads {
+		r := &rw.Reads[i]
+		n += fieldSize(len(r.Key)) + uvarintSize(r.Version.BlockNum) + uvarintSize(r.Version.TxNum) + 1
+	}
+	for i := range rw.Writes {
+		w := &rw.Writes[i]
+		n += fieldSize(len(w.Key)) + fieldSize(len(w.Value)) + 1
+	}
+	return n
+}
+
+// Hash returns the SHA-256 digest of the set's encoding, the same bytes
+// as fabcrypto.Digest(rw.Marshal()), encoding the set in a pooled
+// buffer. Like Proposal.Hash it inlines, so a digest that does not
+// escape stays on the caller's stack.
+func (rw *RWSet) Hash() []byte {
+	sum := rw.hash()
+	return sum[:]
+}
+
+func (rw *RWSet) hash() [sha256.Size]byte {
+	enc := hashEncoder()
+	rw.encode(enc)
+	return sumAndRelease(enc)
 }
 
 // UnmarshalRWSet decodes a set previously produced by Marshal. Its keys

@@ -153,21 +153,41 @@ func UnmarshalProposal(b []byte) (*Proposal, error) {
 }
 
 // Hash returns the SHA-256 digest of the encoded proposal. Endorsers
-// sign over this digest together with the response payload.
+// sign over this digest together with the results hash. Hash only
+// slices the array hash returns, which keeps it small enough to inline:
+// a digest the caller does not keep then stays on the caller's stack,
+// and only one that escapes is allocated.
 func (p *Proposal) Hash() []byte {
+	sum := p.hash()
+	return sum[:]
+}
+
+func (p *Proposal) hash() [sha256.Size]byte {
+	enc := hashEncoder()
+	p.encode(enc)
+	return sumAndRelease(enc)
+}
+
+// hashEncoders recycles the encoding buffers that Hash, RWSet.Hash and
+// ClientDigest hash and discard, so no caller ever holds one.
+var hashEncoders = sync.Pool{New: func() any { return NewEncoder(256) }}
+
+// hashEncoder takes an empty encoder from hashEncoders.
+func hashEncoder() *Encoder {
 	enc := hashEncoders.Get().(*Encoder)
 	enc.buf = enc.buf[:0]
-	p.encode(enc)
+	return enc
+}
+
+// sumAndRelease returns the SHA-256 digest of enc's bytes and gives enc
+// back to hashEncoders.
+func sumAndRelease(enc *Encoder) [sha256.Size]byte {
 	sum := sha256.Sum256(enc.buf)
 	if cap(enc.buf) <= maxPooledEncoder {
 		hashEncoders.Put(enc)
 	}
-	return sum[:]
+	return sum
 }
-
-// hashEncoders recycles Hash's encoding buffers: the encoding is hashed
-// and discarded, so no caller ever holds it.
-var hashEncoders = sync.Pool{New: func() any { return NewEncoder(256) }}
 
 // maxPooledEncoder caps the buffers hashEncoders keeps, so one huge
 // proposal does not pin its buffer for the process's lifetime.
@@ -193,7 +213,7 @@ type ProposalResponse struct {
 	TxID        TxID
 	Status      int32 // 200 on success
 	Message     string
-	ResultsHash []byte // SHA-256 of the encoded RWSet
+	ResultsHash []byte // Results.Hash(); the endorser signs Digest(proposal hash, ResultsHash)
 	Results     *RWSet
 	Payload     []byte // chaincode response payload
 	Endorsement Endorsement
@@ -265,11 +285,34 @@ func (t *Transaction) encode(enc *Encoder) {
 	enc.Bytes2(t.Padding)
 }
 
-// Marshal returns the deterministic encoding of the transaction.
+// Marshal returns the deterministic encoding of the transaction, in a
+// slice sized exactly to it.
 func (t *Transaction) Marshal() []byte {
-	enc := NewEncoder(512 + len(t.Padding))
+	enc := NewEncoder(t.size())
 	t.encode(enc)
 	return enc.Bytes()
+}
+
+// size returns the length of the transaction's encoding.
+func (t *Transaction) size() int {
+	n := t.Proposal.Size() + t.Results.Size() + uvarintSize(uint64(len(t.Endorsements)))
+	for i := range t.Endorsements {
+		en := &t.Endorsements[i]
+		n += fieldSize(len(en.EndorserID)) + fieldSize(len(en.EndorserOrg)) + fieldSize(len(en.Signature))
+	}
+	return n + fieldSize(len(t.ClientSig)) + 8 + fieldSize(len(t.Padding))
+}
+
+// ClientDigest returns the message the client signs as ClientSig:
+// Digest(Proposal.Hash(), Results.Marshal()), with the set encoded in a
+// pooled buffer.
+func (t *Transaction) ClientDigest() []byte {
+	propHash := t.Proposal.hash()
+	enc := hashEncoder()
+	enc.buf = append(enc.buf, propHash[:]...)
+	t.Results.encode(enc)
+	sum := sumAndRelease(enc)
+	return sum[:]
 }
 
 // UnmarshalTransaction decodes a transaction produced by Marshal. The

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"fabricsim/internal/fabcrypto"
 )
 
 func sampleProposal() *Proposal {
@@ -417,5 +419,38 @@ func TestProposalSizeAllocs(t *testing.T) {
 	p := sampleProposal()
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Size() }); allocs != 0 {
 		t.Errorf("Proposal.Size: %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestTransactionMarshalAllocs pins Marshal of a five-endorsement
+// envelope, the AND5 case, at one allocation: the envelope, sized
+// exactly. Sized at 512 bytes plus the padding, it took 2.
+func TestTransactionMarshalAllocs(t *testing.T) {
+	tx := &Transaction{Proposal: *sampleProposal(), Results: sampleRWSet(), ClientSig: make([]byte, 64)}
+	for i := 0; i < 5; i++ {
+		tx.Endorsements = append(tx.Endorsements, Endorsement{
+			EndorserID: "Org1.peer0", EndorserOrg: "Org1", Signature: make([]byte, 72),
+		})
+	}
+	tx.Proposal.Creator = make([]byte, 300)
+	if allocs := testing.AllocsPerRun(100, func() { _ = tx.Marshal() }); allocs != 1 {
+		t.Errorf("Transaction.Marshal: %.1f allocations, want 1", allocs)
+	}
+}
+
+// TestDigestOfHashAllocs pins the ESCC message, Digest(p.Hash(), h), at
+// zero allocations when it does not escape: both wrappers inline, so
+// the two digests stay on the stack. It took 2 when each returned a
+// heap slice.
+func TestDigestOfHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	p := sampleProposal()
+	rw := sampleRWSet()
+	h := rw.Hash()
+	var msg [sha256.Size]byte
+	if allocs := testing.AllocsPerRun(100, func() { copy(msg[:], fabcrypto.Digest(p.Hash(), h)) }); allocs != 0 {
+		t.Errorf("Digest(p.Hash(), h): %.1f allocations, want 0", allocs)
 	}
 }
