@@ -97,7 +97,7 @@ func run() error {
 	deadline := time.Now().Add(10 * time.Second)
 	var newLeader string
 	for time.Now().Before(deadline) {
-		if l, ok := net.RaftLeader(); ok && l != leader && !net.Transport.IsDown(l) {
+		if l, ok := net.RaftLeader(); ok && l != leader && !net.Links().Isolated(l) {
 			newLeader = l
 			break
 		}

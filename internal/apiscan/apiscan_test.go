@@ -24,7 +24,6 @@ import (
 // The reasons an exported identifier may stay with no non-test use.
 const (
 	codecInverse = "codec inverse pinned by a differential or fuzz test"
-	waitsItem2   = "waits for ROADMAP item 2"
 	waitsItem6   = "waits for ROADMAP item 6"
 )
 
@@ -32,27 +31,25 @@ func neededBy(test string) string { return "needed by " + test + " in another pa
 
 // allowed maps an identifier, named as the scan reports it, to its reason.
 var allowed = map[string]string{
-	"types.UnmarshalTransaction":       codecInverse,
-	"types.UnmarshalProposal":          codecInverse,
-	"types.UnmarshalProposalResponse":  codecInverse,
-	"types.UnmarshalRWSet":             codecInverse,
-	"types.ProposalResponse.Marshal":   codecInverse,
-	"costmodel.Model.ScaledRate":       waitsItem2,
-	"costmodel.Model.UnscaledDuration": waitsItem2,
-	"simcpu.CPU.Stats":                 waitsItem6,
-	"simcpu.CPU.Utilization":           waitsItem6,
-	"simcpu.CPU.Scale":                 waitsItem6,
-	"chaos.Controller.Active":          neededBy("fabnet.TestChaosControllerBookkeeping"),
-	"gossip.Node.IsLeader":             neededBy("fabnet.TestGossipKilledLeaderReelects"),
-	"peer.Peer.GossipNode":             neededBy("fabnet.TestGossipKilledLeaderReelects"),
-	"kafka.Cluster.KillBroker":         neededBy("fabnet.TestKafkaBrokerFailover"),
-	"kafka.Cluster.Leader":             neededBy("fabnet.TestKafkaBrokerFailover"),
-	"msp.MSP.Orgs":                     neededBy("fabnet.TestBuildTopology"),
-	"raft.Node.CompactionBase":         neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
-	"raft.Node.LastIndex":              neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
-	"raft.Node.PersistErr":             neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
-	"transport.LinkSet.PropsFor":       neededBy("fabnet.TestChaosWANRegions"),
-	"transport.LinkSet.SetDefault":     neededBy("fabnet.TestChaosLossyLinkSnapshotCatchup"),
+	"types.UnmarshalTransaction":      codecInverse,
+	"types.UnmarshalProposal":         codecInverse,
+	"types.UnmarshalProposalResponse": codecInverse,
+	"types.UnmarshalRWSet":            codecInverse,
+	"types.ProposalResponse.Marshal":  codecInverse,
+	"simcpu.CPU.Stats":                waitsItem6,
+	"simcpu.CPU.Utilization":          waitsItem6,
+	"simcpu.CPU.Scale":                waitsItem6,
+	"chaos.Controller.Active":         neededBy("fabnet.TestChaosControllerBookkeeping"),
+	"gossip.Node.IsLeader":            neededBy("fabnet.TestGossipKilledLeaderReelects"),
+	"peer.Peer.GossipNode":            neededBy("fabnet.TestGossipKilledLeaderReelects"),
+	"kafka.Cluster.KillBroker":        neededBy("fabnet.TestKafkaBrokerFailover"),
+	"kafka.Cluster.Leader":            neededBy("fabnet.TestKafkaBrokerFailover"),
+	"msp.MSP.Orgs":                    neededBy("fabnet.TestBuildTopology"),
+	"raft.Node.CompactionBase":        neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
+	"raft.Node.LastIndex":             neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
+	"raft.Node.PersistErr":            neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
+	"transport.LinkSet.PropsFor":      neededBy("fabnet.TestChaosWANRegions"),
+	"transport.LinkSet.SetDefault":    neededBy("fabnet.TestChaosLossyLinkSnapshotCatchup"),
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -171,21 +171,3 @@ func (m *Model) VSCCCost(signatures int) time.Duration {
 func (m *Model) ScaledDelay(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * m.TimeScale)
 }
-
-// UnscaledDuration converts a measured wall-clock duration back into
-// modeled time for reporting.
-func (m *Model) UnscaledDuration(d time.Duration) time.Duration {
-	if m.TimeScale == 0 {
-		return d
-	}
-	return time.Duration(float64(d) / m.TimeScale)
-}
-
-// ScaledRate converts a modeled arrival rate (tx/s in model time) into
-// the wall-clock rate the generator must produce.
-func (m *Model) ScaledRate(rate float64) float64 {
-	if m.TimeScale == 0 {
-		return rate
-	}
-	return rate / m.TimeScale
-}

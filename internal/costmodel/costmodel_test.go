@@ -66,12 +66,6 @@ func TestScaling(t *testing.T) {
 	if got := m.ScaledDelay(time.Second); got != 100*time.Millisecond {
 		t.Errorf("ScaledDelay = %s", got)
 	}
-	if got := m.UnscaledDuration(100 * time.Millisecond); got != time.Second {
-		t.Errorf("UnscaledDuration = %s", got)
-	}
-	if got := m.ScaledRate(30); got != 300 {
-		t.Errorf("ScaledRate = %f", got)
-	}
 }
 
 func TestCostHelpers(t *testing.T) {

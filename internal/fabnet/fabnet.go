@@ -875,17 +875,11 @@ func (n *Network) Links() *transport.LinkSet {
 	return n.TCPNet.Links()
 }
 
-// SetNodeDown freezes or unfreezes a node. On the in-memory transport
-// this marks the process crashed (sends to and from it error, so
-// failure detectors fire fast); on TCP it isolates the node's links
-// (frames silently drop, like a yanked cable).
-func (n *Network) SetNodeDown(id string, down bool) {
-	if n.Transport != nil {
-		n.Transport.SetNodeDown(id, down)
-		return
-	}
-	n.TCPNet.Links().Isolate(id, down)
-}
+// SetNodeDown freezes or unfreezes a node by isolating its links on
+// either transport: calls to and from it fail with ErrLinkDown, so
+// failure detectors fire fast, and one-way frames silently drop, like a
+// yanked cable.
+func (n *Network) SetNodeDown(id string, down bool) { n.Links().Isolate(id, down) }
 
 // ThrottleCPU pins a node's simulated CPU to the given core count and
 // returns the previous count. The throttle survives a peer restart

@@ -146,7 +146,7 @@ type Config struct {
 	// after LeaderLease/4.
 	LeaderLease time.Duration
 	// Collector, when non-nil, counts this node's accepted blocks (by
-	// source and hop count), dedup drops, anti-entropy pulls, leader
+	// source and hop count), duplicates, anti-entropy pulls, leader
 	// elections and snapshot bootstraps.
 	Collector *metrics.Collector
 	// Tracer, when non-nil, records which source each freshly accepted
@@ -199,7 +199,6 @@ type Node struct {
 
 	mu        sync.Mutex
 	rng       *rand.Rand
-	seen      map[string]map[uint64]struct{} // channel -> block numbers
 	elections map[string]*electionState
 	pulling   map[string]bool // channel -> a ranged pull is in flight
 	stopped   bool
@@ -238,7 +237,6 @@ func NewNode(cfg Config) *Node {
 	n := &Node{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		seen:      make(map[string]map[uint64]struct{}, len(cfg.Channels)),
 		elections: make(map[string]*electionState, len(cfg.Channels)),
 		pulling:   make(map[string]bool, len(cfg.Channels)),
 	}
@@ -251,7 +249,6 @@ func NewNode(cfg Config) *Node {
 		}
 	}
 	for _, ch := range cfg.Channels {
-		n.seen[ch] = make(map[uint64]struct{})
 		n.elections[ch] = &electionState{}
 	}
 	cfg.Endpoint.Handle(KindBlock, n.handleBlock)
@@ -353,40 +350,25 @@ func (n *Node) handleBlock(_ context.Context, from string, payload any) (any, in
 }
 
 // acceptBlock is the single entry point for every block the node sees:
-// dedup, sink hand-off, gap-triggered pulls, and fanout forwarding.
+// sink hand-off, gap-triggered pulls, and fanout forwarding. The sink is
+// the one dedup: it reports a block it already owns or buffers as not
+// Fresh, and the node drops it there.
 func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
-	ch := n.channelOf(block)
-	num := block.Header.Number
-
-	n.mu.Lock()
-	seen, ok := n.seen[ch]
-	if !ok {
-		n.mu.Unlock()
-		return // channel we do not participate in
+	res, err := n.cfg.Sink.IngestBlock(block)
+	if err != nil {
+		return // a channel the peer does not join, or a stopped peer
 	}
-	if _, dup := seen[num]; dup {
-		n.mu.Unlock()
+	if !res.Fresh {
 		if c := n.cfg.Collector; c != nil {
 			c.GossipDuplicate()
 		}
 		return
 	}
-	seen[num] = struct{}{}
-	if len(seen) > 8192 {
-		n.pruneSeenLocked(ch, seen)
+	ch := n.channelOf(block)
+	if c := n.cfg.Collector; c != nil {
+		c.GossipBlock(source, hops)
 	}
-	n.mu.Unlock()
-
-	res, err := n.cfg.Sink.IngestBlock(block)
-	if err != nil {
-		return
-	}
-	if res.Fresh {
-		if c := n.cfg.Collector; c != nil {
-			c.GossipBlock(source, hops)
-		}
-		n.cfg.Tracer.BlockOrigin(ch, num, source, hops)
-	}
+	n.cfg.Tracer.BlockOrigin(ch, block.Header.Number, source, hops)
 	if res.MissFrom < res.MissTo && from != "" {
 		// The pushed block ran ahead of the chain: close the gap
 		// without waiting for the next anti-entropy round, from the peer
@@ -399,22 +381,11 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 	// repairing itself from another peer's ledger is usually the LAST
 	// to learn those blocks, and re-pushing a whole pulled chain into
 	// the org would pay full block bandwidth just to be dropped by
-	// everyone's dedup cache. Deliver blocks, a new leader's catch-up
+	// everyone's sink. Deliver blocks, a new leader's catch-up
 	// included, do fan out, so org mates converge without issuing their
 	// own pulls.
-	if res.Fresh && hops < maxHops && source != metrics.SourceAntiEntropy {
+	if hops < maxHops && source != metrics.SourceAntiEntropy {
 		n.forward(block, hops+1, from)
-	}
-}
-
-// pruneSeenLocked drops dedup entries the ledger already owns; callers
-// hold n.mu.
-func (n *Node) pruneSeenLocked(ch string, seen map[uint64]struct{}) {
-	floor := n.cfg.Sink.NextBlock(ch)
-	for num := range seen {
-		if num < floor {
-			delete(seen, num)
-		}
 	}
 }
 

@@ -407,8 +407,8 @@ func TestHopCountsBounded(t *testing.T) {
 	}
 }
 
-// TestDuplicateSuppression checks the dedup cache: re-pushing an
-// already-seen block is dropped without re-ingesting.
+// TestDuplicateSuppression checks the sink's dedup: re-pushing an
+// already-owned block is counted as a duplicate and goes no further.
 func TestDuplicateSuppression(t *testing.T) {
 	c := newCluster(t, 2, "", nil)
 	c.start()
@@ -458,7 +458,7 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	c.start()
 	c.waitConverged(2, 5*time.Second)
 	old := c.leaderOf()
-	c.net.SetNodeDown(old.cfg.ID, true)
+	c.net.Links().Isolate(old.cfg.ID, true)
 	fo.grow(3)
 
 	var newLead *Node
@@ -482,7 +482,7 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	// leader resigns on the higher-term beat, but as the channel's
 	// preferred (rank-0) member it may legitimately re-claim the lease
 	// afterwards (preferred-leader failback).
-	c.net.SetNodeDown(old.cfg.ID, false)
+	c.net.Links().Isolate(old.cfg.ID, false)
 	var lead *Node
 	waitFor(t, 10*time.Second, func() bool {
 		views := make(map[string]bool)

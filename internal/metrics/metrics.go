@@ -261,7 +261,8 @@ func (c *Collector) GossipBlock(source string, hops int) {
 	c.gossips = append(c.gossips, gossipSample{source: source, hops: hops})
 }
 
-// GossipDuplicate counts one block suppressed by a gossip dedup cache.
+// GossipDuplicate counts one block a gossip node handed its sink that the
+// sink already owned or buffered.
 func (c *Collector) GossipDuplicate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -462,7 +463,8 @@ type Summary struct {
 	// DeliverBlocks via an org leader's orderer deliver poll,
 	// AntiEntropyBlocks via ranged pulls from peers. MeanGossipHops
 	// averages the hop counts of gossip-accepted blocks;
-	// GossipDuplicates counts dedup-cache drops; and LeaderElections
+	// GossipDuplicates counts blocks the sink already owned or buffered,
+	// whatever their source; and LeaderElections
 	// counts org-leader takeovers after a lapsed lease (the claims every
 	// org makes at start are not counted).
 	GossipBlocks      int

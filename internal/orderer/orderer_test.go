@@ -543,8 +543,8 @@ func TestDownClientCostsAtMostOneBlock(t *testing.T) {
 	h.start(soloKind, o)
 	h.follow("osn1")
 	h.parked(o, DefaultChannel)
-	h.net.SetNodeDown("client", true)
-	defer h.net.SetNodeDown("client", false)
+	h.net.Links().Isolate("client", true)
+	defer h.net.Links().Isolate("client", false)
 
 	// Submit from a second endpoint (the downed client cannot send).
 	other, err := h.net.Register("client2")

@@ -414,7 +414,7 @@ func TestMalformedProposalChargesNoCPU(t *testing.T) {
 	// Sub-nanosecond per-byte cost rounds away under the test's time
 	// scale; the verify + chaincode-exec floor is what matters here.
 	want := model.EndorseVerifyCPU + model.ChaincodeExecCPU
-	if busy := model.UnscaledDuration(e.cpus[0].Stats().BusyScaled - base); busy < want {
+	if busy := time.Duration(float64(e.cpus[0].Stats().BusyScaled-base) / model.TimeScale); busy < want {
 		t.Errorf("valid endorsement charged %s, want >= %s", busy, want)
 	}
 }

@@ -97,9 +97,9 @@ func TestRestartedCampaignerWaitsForTimeout(t *testing.T) {
 	}
 	// Hand leadership to another member: cut the campaigner off until
 	// one is elected, then let it rejoin as a follower.
-	c.net.SetNodeDown(d, true)
+	c.net.Links().Isolate(d, true)
 	leader := c.waitLeader(10 * freshElection)
-	c.net.SetNodeDown(d, false)
+	c.net.Links().Isolate(d, false)
 	deadline := time.Now().Add(10 * freshElection)
 	for {
 		st, _ := c.nodes[d].State()

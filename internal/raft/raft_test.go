@@ -112,7 +112,7 @@ func (c *cluster) waitLeader(timeout time.Duration) *Node {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		for id, n := range c.nodes {
-			if c.net.IsDown(id) {
+			if c.net.Links().Isolated(id) {
 				continue
 			}
 			if st, _ := n.State(); st == Leader {
@@ -210,13 +210,13 @@ func TestLeaderFailover(t *testing.T) {
 		c.waitApplied(id, 1, 5*time.Second)
 	}
 
-	c.net.SetNodeDown(leader.cfg.ID, true)
+	c.net.Links().Isolate(leader.cfg.ID, true)
 	var next *Node
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		n := func() *Node {
 			for id, n := range c.nodes {
-				if id == leader.cfg.ID || c.net.IsDown(id) {
+				if id == leader.cfg.ID || c.net.Links().Isolated(id) {
 					continue
 				}
 				if st, _ := n.State(); st == Leader {

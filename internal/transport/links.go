@@ -150,6 +150,14 @@ func (ls *LinkSet) Isolate(id string, isolated bool) {
 	}
 }
 
+// Isolated reports whether Isolate has cut a node off.
+func (ls *LinkSet) Isolated(id string) bool {
+	ls.mu.RLock()
+	defer ls.mu.RUnlock()
+	_, ok := ls.isolated[id]
+	return ok
+}
+
 // SetRegion labels a node with a region; region-pair properties from
 // SetRegionProps then apply to its links.
 func (ls *LinkSet) SetRegion(node, region string) {

@@ -2,8 +2,10 @@
 // in-memory implementation models the paper's testbed network (1 Gbps
 // Ethernet, sub-millisecond RTT): every directed link has a base latency
 // and serializes messages at the configured bandwidth, preserving
-// per-link FIFO order. The same node code also runs over TCP via the
-// tcp.go implementation for real multi-process deployments.
+// per-link FIFO order; each link's pump hands its frames straight to the
+// destination endpoint, which runs a request's handler on a worker. The
+// same node code also runs over TCP via the tcp.go implementation for
+// real multi-process deployments.
 package transport
 
 import (
@@ -21,7 +23,6 @@ import (
 var (
 	ErrUnknownNode = errors.New("transport: unknown node")
 	ErrClosed      = errors.New("transport: closed")
-	ErrNodeDown    = errors.New("transport: node down")
 	ErrLinkDown    = errors.New("transport: link down")
 	ErrNoHandler   = errors.New("transport: no handler for message kind")
 )
@@ -83,16 +84,12 @@ type Config struct {
 	TimeScale float64
 }
 
-// inboxSize is each endpoint's receive buffer.
-const inboxSize = 1024
-
 // Network is the in-memory emulated cluster network.
 type Network struct {
 	cfg Config
 
 	mu    sync.RWMutex
 	nodes map[string]*MemEndpoint
-	down  map[string]bool
 	links map[linkKey]*link
 
 	// linkset holds the per-directed-link property matrix (latency,
@@ -113,7 +110,6 @@ func NewNetwork(cfg Config) *Network {
 	return &Network{
 		cfg:     cfg,
 		nodes:   make(map[string]*MemEndpoint),
-		down:    make(map[string]bool),
 		links:   make(map[linkKey]*link),
 		linkset: NewLinkSet(LinkProps{Latency: cfg.Latency}),
 		done:    make(chan struct{}),
@@ -140,23 +136,16 @@ func (n *Network) Register(id string) (*MemEndpoint, error) {
 	if _, ok := n.nodes[id]; ok {
 		return nil, fmt.Errorf("transport: duplicate node %q", id)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	ep := &MemEndpoint{
 		id:       id,
 		net:      n,
-		inbox:    make(chan message, inboxSize),
 		handlers: make(map[string]Handler),
 		pending:  make(map[uint64]chan message),
-		ctx:      context.Background(),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ep.ctx = ctx
-	ep.cancel = cancel
 	n.nodes[id] = ep
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ep.dispatchLoop()
-	}()
 	return ep, nil
 }
 
@@ -175,22 +164,8 @@ func (n *Network) Deregister(id string) {
 	}
 }
 
-// SetNodeDown marks a node crashed: traffic to and from it is dropped
-// until it is brought back up. Used by failover experiments.
-func (n *Network) SetNodeDown(id string, isDown bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.down[id] = isDown
-}
-
-// IsDown reports whether a node is currently marked crashed.
-func (n *Network) IsDown(id string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.down[id]
-}
-
-// Close shuts the network down and waits for dispatchers to exit.
+// Close shuts the network down and waits for its link pumps and every
+// endpoint's handler workers to exit.
 func (n *Network) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -215,10 +190,6 @@ func (n *Network) deliver(msg message) error {
 		return ErrClosed
 	}
 	n.mu.RLock()
-	if n.down[msg.from] || n.down[msg.to] {
-		n.mu.RUnlock()
-		return fmt.Errorf("%w: %s -> %s", ErrNodeDown, msg.from, msg.to)
-	}
 	if _, ok := n.nodes[msg.to]; !ok {
 		n.mu.RUnlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.to)
@@ -228,12 +199,12 @@ func (n *Network) deliver(msg message) error {
 	n.mu.RUnlock()
 
 	// Resolve this message's link fate now. Call frames (corr != 0)
-	// ride a retransmitting stream: a severed link fails them fast
-	// (the connection reset a real RPC would see — callers already
-	// handle the identical ErrNodeDown path), and a loss roll surfaces
-	// as an RTO-sized latency spike rather than a hung call. Only
-	// one-way sends are eaten silently by the wire; those paths
-	// (gossip pushes, event streams) are built to tolerate loss.
+	// ride a retransmitting stream: a severed link (a cut, or a down
+	// node's isolation) fails them fast, the connection reset a real
+	// RPC would see, and a loss roll surfaces as an RTO-sized latency
+	// spike rather than a hung call. Only one-way sends are eaten
+	// silently by the wire; those paths (gossip pushes, event streams)
+	// are built to tolerate loss.
 	if n.linkset.Severed(msg.from, msg.to) {
 		if msg.corr != 0 {
 			return fmt.Errorf("%w: %s -> %s", ErrLinkDown, msg.from, msg.to)
@@ -321,25 +292,15 @@ func (n *Network) pumpLink(l *link) {
 			return
 		}
 		n.mu.RLock()
-		downNow := n.down[msg.to] || n.down[msg.from]
 		dst := n.nodes[msg.to]
 		n.mu.RUnlock()
-		if downNow || dst == nil || n.linkset.Severed(msg.from, msg.to) {
+		if dst == nil || n.linkset.Severed(msg.from, msg.to) {
 			// Dropped on the floor like a real crash or cut wire —
 			// but a call frame must not strand its caller forever.
 			n.failCall(msg)
 			continue
 		}
-		select {
-		case dst.inbox <- msg:
-			if dst.ctx.Err() != nil {
-				// The endpoint closed around the push and its exit
-				// drain may already have run: sweep the stragglers.
-				dst.drainInbox()
-			}
-		case <-dst.ctx.Done():
-			n.failCall(msg) // endpoint died (restart) with the frame at its door
-		}
+		dst.dispatch(msg)
 	}
 }
 
@@ -379,7 +340,6 @@ type MemEndpoint struct {
 	id  string
 	net *Network
 
-	inbox  chan message
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -397,7 +357,7 @@ type MemEndpoint struct {
 
 	closed atomic.Bool
 	// closeMu orders the closed transition against handler-worker
-	// accounting: dispatchLoop's hwg.Add and Close's hwg.Wait must not
+	// accounting: dispatch's hwg.Add and Close's hwg.Wait must not
 	// race once the counter may be zero (sync.WaitGroup's reuse rule).
 	// It also guards idle, the LIFO cache of parked workers' job
 	// channels; hwg counts worker goroutines, parked ones included.
@@ -502,7 +462,7 @@ func stopTimer(t *time.Timer) {
 // Close detaches the endpoint and waits for its handler workers, parked
 // and running.
 func (e *MemEndpoint) Close() error {
-	// Flip closed under closeMu so dispatchLoop either observes the
+	// Flip closed under closeMu so dispatch either observes the
 	// close before starting a worker, or its hwg.Add happens strictly
 	// before this Wait. No worker parks once closed is set, so the idle
 	// list taken here is the last one.
@@ -536,51 +496,44 @@ func (e *MemEndpoint) complete(reply message) {
 	e.pendingMu.Unlock()
 }
 
-// dispatchLoop routes inbox messages to handler workers or pending
-// calls. A request goes to the most recently parked worker, or to a new
-// one if none is idle, so handler concurrency is unbounded and handler
-// start order is not the inbox order.
-func (e *MemEndpoint) dispatchLoop() {
-	for {
-		select {
-		case <-e.ctx.Done():
-			e.drainInbox()
-			return
-		case msg := <-e.inbox:
-			if msg.isReply {
-				e.complete(msg)
-				continue
-			}
-			e.handlersMu.RLock()
-			h, ok := e.handlers[msg.kind]
-			e.handlersMu.RUnlock()
-			if !ok {
-				if msg.corr != 0 {
-					e.reply(msg, nil, 0, fmt.Errorf("%w: %s", ErrNoHandler, msg.kind))
-				}
-				continue
-			}
-			e.closeMu.Lock()
-			if e.closed.Load() {
-				e.closeMu.Unlock()
-				e.net.failCall(msg)
-				e.drainInbox()
-				return
-			}
-			if n := len(e.idle); n > 0 {
-				jobs := e.idle[n-1]
-				e.idle = e.idle[:n-1]
-				e.closeMu.Unlock()
-				jobs <- job{h: h, msg: msg} // a parked worker's channel is empty
-				continue
-			}
-			e.hwg.Add(1)
-			e.closeMu.Unlock()
-			jobs := make(chan job, 1)
-			jobs <- job{h: h, msg: msg}
-			go e.work(jobs)
-		}
+// dispatch hands one delivered frame to the endpoint: a reply completes
+// its pending call, and a request goes to the most recently parked
+// worker, or to a new one if none is idle, so handler concurrency is
+// unbounded and handler start order is not the delivery order. A request
+// that reaches a closed endpoint fails its caller, as a crashed process
+// would.
+func (e *MemEndpoint) dispatch(msg message) {
+	if msg.isReply {
+		e.complete(msg)
+		return
 	}
+	e.handlersMu.RLock()
+	h, ok := e.handlers[msg.kind]
+	e.handlersMu.RUnlock()
+	if !ok {
+		if msg.corr != 0 {
+			e.reply(msg, nil, 0, fmt.Errorf("%w: %s", ErrNoHandler, msg.kind))
+		}
+		return
+	}
+	e.closeMu.Lock()
+	if e.closed.Load() {
+		e.closeMu.Unlock()
+		e.net.failCall(msg)
+		return
+	}
+	if n := len(e.idle); n > 0 {
+		jobs := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		e.closeMu.Unlock()
+		jobs <- job{h: h, msg: msg} // a parked worker's channel is empty
+		return
+	}
+	e.hwg.Add(1)
+	e.closeMu.Unlock()
+	jobs := make(chan job, 1)
+	jobs <- job{h: h, msg: msg}
+	go e.work(jobs)
 }
 
 // work runs one handler worker: it serves its job, then parks on its
@@ -612,20 +565,6 @@ func (e *MemEndpoint) park(jobs chan job) bool {
 	return true
 }
 
-// drainInbox fails the callers of any call frames still queued when the
-// endpoint closes: the process died with requests and replies in its
-// receive buffer, and those callers must not hang forever.
-func (e *MemEndpoint) drainInbox() {
-	for {
-		select {
-		case msg := <-e.inbox:
-			e.net.failCall(msg)
-		default:
-			return
-		}
-	}
-}
-
 func (e *MemEndpoint) reply(req message, payload any, size int, err error) {
 	reply := message{
 		from:    e.id,
@@ -640,8 +579,8 @@ func (e *MemEndpoint) reply(req message, payload any, size int, err error) {
 		reply.errText = err.Error()
 	}
 	if derr := e.net.deliver(reply); derr != nil {
-		// The reply could not leave this node (crashed flag, severed
-		// link, congestion): fail the waiting caller instead of
+		// The reply could not leave this node (severed link, unknown
+		// or congested destination): fail the waiting caller instead of
 		// stranding it — the error a real RPC client sees when its
 		// server's connection resets mid-call.
 		e.net.failCall(reply)

@@ -108,28 +108,48 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
+// TestNodeDown checks a crashed node's contract: a node is down while
+// its links are isolated, a call to or from it fails with ErrLinkDown, a
+// one-way send to it is dropped for good, and traffic flows again once
+// it is back up.
 func TestNodeDown(t *testing.T) {
 	n, a, b := pair(t, Config{})
-	delivered := make(chan struct{}, 8)
-	b.Handle("k", func(_ context.Context, _ string, _ any) (any, int, error) {
-		delivered <- struct{}{}
-		return nil, 0, nil
-	})
-	n.SetNodeDown("b", true)
-	if err := a.Send("b", "k", nil, 0); !errors.Is(err, ErrNodeDown) {
+	var mu sync.Mutex
+	var got []any
+	record := func(_ context.Context, _ string, payload any) (any, int, error) {
+		mu.Lock()
+		got = append(got, payload)
+		mu.Unlock()
+		return payload, 8, nil
+	}
+	a.Handle("k", record)
+	b.Handle("k", record)
+	ctx := context.Background()
+
+	n.Links().Isolate("b", true)
+	if !n.Links().Isolated("b") {
+		t.Error("Isolated false while down")
+	}
+	if _, err := a.Call(ctx, "b", "k", "to down", 8); !errors.Is(err, ErrLinkDown) {
+		t.Errorf("call to down node: err = %v, want ErrLinkDown", err)
+	}
+	if _, err := b.Call(ctx, "a", "k", "from down", 8); !errors.Is(err, ErrLinkDown) {
+		t.Errorf("call from down node: err = %v, want ErrLinkDown", err)
+	}
+	if err := a.Send("b", "k", "dropped", 8); err != nil {
 		t.Errorf("send to down node: %v", err)
 	}
-	if !n.IsDown("b") {
-		t.Error("IsDown false")
+
+	n.Links().Isolate("b", false)
+	if n.Links().Isolated("b") {
+		t.Error("Isolated true after recovery")
 	}
-	n.SetNodeDown("b", false)
-	if err := a.Send("b", "k", nil, 0); err != nil {
-		t.Fatal(err)
+	if resp, err := a.Call(ctx, "b", "k", "after", 8); err != nil || resp != "after" {
+		t.Fatalf("call after recovery = %v, %v", resp, err)
 	}
-	select {
-	case <-delivered:
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered after node recovery")
+	n.Close() // waits for every handler, so got is final
+	if len(got) != 1 || got[0] != "after" {
+		t.Errorf("handlers saw %v, want only [after]", got)
 	}
 }
 
@@ -239,7 +259,7 @@ func TestConcurrentCalls(t *testing.T) {
 // TestCloseDuringDispatch hammers the Close-vs-dispatch handoff: an
 // endpoint is closed while a flood of messages is still being dispatched
 // to its handler. Run with -race; the original implementation raced
-// hwg.Add in dispatchLoop against hwg.Wait in Close.
+// the dispatcher's hwg.Add against hwg.Wait in Close.
 func TestCloseDuringDispatch(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		n := NewNetwork(Config{})
@@ -268,6 +288,23 @@ func TestCloseDuringDispatch(t *testing.T) {
 		_ = b.Close()
 		wg.Wait()
 		n.Close()
+	}
+}
+
+// TestCallToClosedEndpointFails closes an endpoint that stays
+// registered, as a crashed process's address stays known until it
+// restarts: a call that reaches it must fail at once with ErrLinkDown,
+// not wait out its caller's deadline.
+func TestCallToClosedEndpointFails(t *testing.T) {
+	_, a, b := pair(t, Config{})
+	b.Handle("echo", echo)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := a.Call(ctx, "b", "echo", &callPayload{}, 16); err == nil || err.Error() != ErrLinkDown.Error() {
+		t.Fatalf("call to closed endpoint: err = %v, want ErrLinkDown", err)
 	}
 }
 
@@ -464,8 +501,8 @@ func TestLateReplyNotSeenByLaterCall(t *testing.T) {
 
 // TestCloseLeavesNoGoroutines drives calls and sends both ways, parks
 // handlers on the endpoint's context, closes the network, and checks the
-// goroutine count returns to where it was: no link pump, dispatcher or
-// handler goroutine outlives Close.
+// goroutine count returns to where it was: no link pump or handler
+// goroutine outlives Close.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	n := NewNetwork(Config{})
@@ -519,6 +556,29 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after Close, %d before the network:\n%s", got, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestEndpointOwnsNoGoroutine registers and closes an idle endpoint and
+// checks the goroutine count never rises: frames reach an endpoint on its
+// links' pumps, so it runs no goroutine of its own until a request
+// starts a handler worker.
+func TestEndpointOwnsNoGoroutine(t *testing.T) {
+	n := NewNetwork(Config{})
+	defer n.Close()
+	before := runtime.NumGoroutine()
+	e, err := n.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("Register: %d goroutines, %d before", got, before)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("Close: %d goroutines, %d before", got, before)
 	}
 }
 
