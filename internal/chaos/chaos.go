@@ -33,11 +33,9 @@ type Cluster interface {
 	// OrgPeers lists the peers of one org, sorted.
 	OrgPeers(org string) []string
 	// Links is the runtime link-property matrix shared with the
-	// transport (partitions, degradation, loss).
+	// transport (partitions, degradation, loss). Isolating a node on it
+	// takes the node down: its traffic drops until it is brought back.
 	Links() *transport.LinkSet
-	// SetNodeDown freezes (true) or unfreezes (false) a node's process:
-	// its traffic drops until it is brought back.
-	SetNodeDown(id string, down bool)
 	// RestartPeer rebuilds a peer process under its old ID (persistent
 	// backends reopen their disk; mem peers come back empty and
 	// re-converge via gossip).
@@ -85,12 +83,12 @@ func (f CrashPeer) Kind() string { return KindCrash }
 func (f CrashPeer) Name() string { return fmt.Sprintf("crash(%s)", f.Node) }
 
 func (f CrashPeer) Inject(_ context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, true)
+	c.Links().Isolate(f.Node, true)
 	return nil
 }
 
 func (f CrashPeer) Heal(ctx context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, false)
+	c.Links().Isolate(f.Node, false)
 	return c.RestartPeer(ctx, f.Node)
 }
 
@@ -108,12 +106,12 @@ func (f CrashOrderer) Kind() string { return KindOrdererCrash }
 func (f CrashOrderer) Name() string { return fmt.Sprintf("crash-orderer(%s)", f.Node) }
 
 func (f CrashOrderer) Inject(_ context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, true)
+	c.Links().Isolate(f.Node, true)
 	return nil
 }
 
 func (f CrashOrderer) Heal(ctx context.Context, c Cluster) error {
-	c.SetNodeDown(f.Node, false)
+	c.Links().Isolate(f.Node, false)
 	return c.RestartOrderer(ctx, f.Node)
 }
 

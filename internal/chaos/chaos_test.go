@@ -18,7 +18,6 @@ import (
 type fakeCluster struct {
 	mu          sync.Mutex
 	links       *transport.LinkSet
-	down        map[string]bool
 	restarts    []string
 	osnRestarts []string
 	cores       map[string]int
@@ -28,7 +27,6 @@ type fakeCluster struct {
 func newFakeCluster() *fakeCluster {
 	return &fakeCluster{
 		links: transport.NewLinkSet(transport.LinkProps{}),
-		down:  map[string]bool{},
 		cores: map[string]int{"p1": 4, "p2": 4, "p3": 4, "p4": 4},
 	}
 }
@@ -52,11 +50,6 @@ func (f *fakeCluster) OrgPeers(org string) []string {
 	return []string{"p3", "p4"}
 }
 func (f *fakeCluster) Links() *transport.LinkSet { return f.links }
-func (f *fakeCluster) SetNodeDown(id string, d bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.down[id] = d
-}
 func (f *fakeCluster) RestartPeer(_ context.Context, id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -78,12 +71,6 @@ func (f *fakeCluster) ThrottleCPU(id string, cores int) (int, error) {
 	}
 	f.cores[id] = cores
 	return prev, nil
-}
-
-func (f *fakeCluster) isDown(id string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[id]
 }
 
 func TestScheduleDeterminism(t *testing.T) {
@@ -165,7 +152,7 @@ func TestControllerInjectHealLifecycle(t *testing.T) {
 	if err := ctl.Inject(ctx, crash); err != nil {
 		t.Fatal(err)
 	}
-	if !fc.isDown("p4") {
+	if !fc.links.Isolated("p4") {
 		t.Fatal("inject did not down the node")
 	}
 	part := PartitionOrg(fc, "Org1")
@@ -183,7 +170,7 @@ func TestControllerInjectHealLifecycle(t *testing.T) {
 	if err := ctl.HealAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if fc.isDown("p4") || fc.links.Severed("p1", "p3") {
+	if fc.links.Isolated("p4") || fc.links.Severed("p1", "p3") {
 		t.Fatal("heal left faults applied")
 	}
 	if !reflect.DeepEqual(fc.restarts, []string{"p4"}) {
@@ -266,13 +253,13 @@ func TestCrashOrdererLifecycle(t *testing.T) {
 	if err := ctl.Inject(ctx, crash); err != nil {
 		t.Fatal(err)
 	}
-	if !fc.isDown("osn1") {
+	if !fc.links.Isolated("osn1") {
 		t.Fatal("inject did not black out the orderer")
 	}
 	if err := ctl.Heal(ctx, crash); err != nil {
 		t.Fatal(err)
 	}
-	if fc.isDown("osn1") {
+	if fc.links.Isolated("osn1") {
 		t.Fatal("heal left the orderer down")
 	}
 	if !reflect.DeepEqual(fc.osnRestarts, []string{"osn1"}) {

@@ -868,18 +868,15 @@ func (n *Network) Heights() map[string]map[string]uint64 {
 
 // Links returns the runtime link-property matrix of whichever transport
 // the network runs on (model time in-memory, wall time on TCP).
+// Isolating a node on it takes the node down: calls to and from it fail
+// with ErrLinkDown, so failure detectors fire fast, and one-way frames
+// silently drop, like a yanked cable.
 func (n *Network) Links() *transport.LinkSet {
 	if n.Transport != nil {
 		return n.Transport.Links()
 	}
 	return n.TCPNet.Links()
 }
-
-// SetNodeDown freezes or unfreezes a node by isolating its links on
-// either transport: calls to and from it fail with ErrLinkDown, so
-// failure detectors fire fast, and one-way frames silently drop, like a
-// yanked cable.
-func (n *Network) SetNodeDown(id string, down bool) { n.Links().Isolate(id, down) }
 
 // ThrottleCPU pins a node's simulated CPU to the given core count and
 // returns the previous count. The throttle survives a peer restart
@@ -940,8 +937,6 @@ func (c chaosCluster) OrgPeers(org string) []string {
 }
 
 func (c chaosCluster) Links() *transport.LinkSet { return c.n.Links() }
-
-func (c chaosCluster) SetNodeDown(id string, down bool) { c.n.SetNodeDown(id, down) }
 
 func (c chaosCluster) RestartPeer(ctx context.Context, id string) error {
 	_, err := c.n.RestartPeer(ctx, id)

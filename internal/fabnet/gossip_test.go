@@ -139,7 +139,7 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 	invokeN(t, n, "pre", 4)
 
 	lead := orgLeader(t, n.Peers, 5*time.Second)
-	n.SetNodeDown(lead.ID(), true)
+	n.Links().Isolate(lead.ID(), true)
 	egressBefore, _ := n.OrdererEgress()
 	tipBefore := n.Orderers[0].ChainHeight(orderer.DefaultChannel)
 
@@ -330,7 +330,7 @@ func TestDirectDeliverDownPeerCatchesUp(t *testing.T) {
 		Model:             costmodel.Default(0.05),
 	})
 	target := n.Peers[1]
-	n.SetNodeDown(target.ID(), true)
+	n.Links().Isolate(target.ID(), true)
 	egressBefore, _ := n.OrdererEgress()
 	tipBefore := n.Orderers[0].ChainHeight(orderer.DefaultChannel)
 	invokeN(t, n, "down", 5)
@@ -341,7 +341,7 @@ func TestDirectDeliverDownPeerCatchesUp(t *testing.T) {
 		t.Errorf("orderer egress grew by %d blocks while %d were cut for %d live peer(s), want at most %d",
 			egressAfter-egressBefore, cut, live, live*cut+1)
 	}
-	n.SetNodeDown(target.ID(), false)
+	n.Links().Isolate(target.ID(), false)
 	up := time.Now()
 	waitPeersConverged(t, n.Peers, 3*time.Second)
 	t.Logf("%s converged %s after coming back", target.ID(), time.Since(up))

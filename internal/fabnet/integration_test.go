@@ -169,7 +169,7 @@ func TestRaftOrdererFailover(t *testing.T) {
 	if !ok {
 		t.Fatal("no raft leader")
 	}
-	n.SetNodeDown(leader, true)
+	n.Links().Isolate(leader, true)
 
 	deadline := time.Now().Add(10 * time.Second)
 	recovered := false

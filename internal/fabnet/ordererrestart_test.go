@@ -304,8 +304,8 @@ func TestGatewayBroadcastFailover(t *testing.T) {
 	waitPeersConverged(t, n.Peers, 15*time.Second)
 
 	frozen, _ := nonLeaderOSN(t, n)
-	n.SetNodeDown(frozen, true)
-	defer n.SetNodeDown(frozen, false)
+	n.Links().Isolate(frozen, true)
+	defer n.Links().Isolate(frozen, false)
 
 	// Each gateway's round-robin cursor advances once per broadcast:
 	// 12 invokes over 3 clients rotate every gateway's first candidate

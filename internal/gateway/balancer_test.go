@@ -163,7 +163,7 @@ func TestSharedLoadTrackerTwoGatewaysRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 500; i++ {
-					targets, err := g.selectTargets(pol)
+					targets, err := g.selectTargets(pol, nil)
 					if err != nil {
 						t.Error(err)
 						return

@@ -16,7 +16,9 @@
 // commit-event stream. A future has no goroutine, timer or channel
 // waiting for its event: the event handler resolves it directly, and
 // ordering timeouts come from one deadline queue and one timer per
-// gateway.
+// gateway. A pending SubmitAsync or Invoke transaction has no goroutine
+// either: its attempt's goroutine ends at the broadcast ack, and what
+// settles a conflicted attempt starts the next one.
 package gateway
 
 import (
@@ -164,7 +166,7 @@ func Retryable(err error) bool {
 // retry-attempt counter from the attempt loop into propose: the first
 // attempt mints the TraceID, later attempts bind their fresh TxIDs to
 // it, and every attempt's spans carry the attempt number. It is mutated
-// only by the attempt loop's own goroutine.
+// only by the goroutine running the attempt loop's current step.
 type submissionTrace struct {
 	id      trace.TraceID
 	attempt int
@@ -278,18 +280,23 @@ func (g *Gateway) Connect(ctx context.Context) error {
 	return nil
 }
 
-// buildProposal creates and signs one proposal. The caller has already
-// charged the client CPU cost.
-func (g *Gateway) buildProposal(channel, chaincodeID, fn string, args [][]byte) (*types.Proposal, []byte, error) {
-	// The nonce is "<gateway ID>-<counter>", built in one exact-size slice.
+// maxNonce is the nonce a proposal holds in its own array: a gateway ID
+// of up to 11 bytes, '-', and a 20-digit counter. A longer one is
+// allocated.
+const maxNonce = 32
+
+// buildProposal fills in and signs p's proposal on p's channel. The
+// caller has already charged the client CPU cost.
+func (g *Gateway) buildProposal(p *Proposal, chaincodeID, fn string, args [][]byte) error {
+	// The nonce is "<gateway ID>-<counter>", capped at its length.
 	var digits [20]byte
 	n := strconv.AppendUint(digits[:0], g.nonce.Add(1), 10)
-	nonce := make([]byte, 0, len(g.cfg.ID)+1+len(n))
-	nonce = append(append(append(nonce, g.cfg.ID...), '-'), n...)
+	nonce := append(append(append(p.nonce[:0], g.cfg.ID...), '-'), n...)
+	nonce = nonce[:len(nonce):len(nonce)]
 	creator := g.cfg.Identity.Serialized()
-	prop := &types.Proposal{
+	p.prop = types.Proposal{
 		TxID:        types.ComputeTxID(nonce, creator),
-		ChannelID:   channel,
+		ChannelID:   p.channel,
 		ChaincodeID: chaincodeID,
 		Fn:          fn,
 		Args:        args,
@@ -297,15 +304,14 @@ func (g *Gateway) buildProposal(channel, chaincodeID, fn string, args [][]byte) 
 		Nonce:       nonce,
 		Timestamp:   time.Now().UnixNano(),
 	}
-	var sig []byte
 	if g.cfg.SignProposals {
-		s, err := g.cfg.Identity.Sign(prop.Hash())
+		sig, err := g.cfg.Identity.Sign(p.prop.Hash())
 		if err != nil {
-			return nil, nil, fmt.Errorf("gateway %s: sign proposal: %w", g.cfg.ID, err)
+			return fmt.Errorf("gateway %s: sign proposal: %w", g.cfg.ID, err)
 		}
-		sig = s
+		p.sig = sig
 	}
-	return prop, sig, nil
+	return nil
 }
 
 // endorseTarget is one selected endorsing peer together with the policy
@@ -376,13 +382,14 @@ func (g *Gateway) replicasFor(principal string) []string {
 // OutOf), or every named principal (AND). The balancer then picks
 // exactly one replica per required principal — an AND over orgs with
 // replicated endorsers selects one peer per org, never "all available".
-func (g *Gateway) selectTargets(pol policy.Policy) ([]endorseTarget, error) {
+// The targets are appended to targets.
+func (g *Gateway) selectTargets(pol policy.Policy, targets []endorseTarget) ([]endorseTarget, error) {
 	type replicaSet struct {
 		principal string
 		replicas  []string
 	}
 	// The candidates stay on the stack for policies over up to eight
-	// principals; only the returned targets are allocated.
+	// principals.
 	var buf [8]replicaSet
 	avail := buf[:0]
 	for _, pr := range pol.Principals() {
@@ -407,7 +414,6 @@ func (g *Gateway) selectTargets(pol policy.Policy) ([]endorseTarget, error) {
 		// even after the counter wraps on 32-bit platforms.
 		start = int(g.rr.Add(1) % uint64(len(avail)))
 	}
-	targets := make([]endorseTarget, 0, need)
 	for i := 0; i < need; i++ {
 		rs := avail[(start+i)%len(avail)]
 		node := rs.replicas[0]
@@ -429,11 +435,16 @@ func (g *Gateway) baseLatency(ctx context.Context) error {
 // target, each maintaining the shared load accounting — and gathers all
 // responses, failing on the first one in target order that is not OK.
 // The last target's call runs on the calling goroutine, so a
-// single-target proposal starts no goroutine.
-func (g *Gateway) collectEndorsements(ctx context.Context, targets []endorseTarget, prop *types.Proposal, sig []byte) ([]*types.ProposalResponse, error) {
-	req := &peer.EndorseRequest{Proposal: prop, Sig: sig}
-	size := prop.Size() + len(sig) + 32
-	out := make([]*types.ProposalResponse, len(targets))
+// single-target proposal starts no goroutine. The request and, for one
+// target, the responses are the proposal's own.
+func (g *Gateway) collectEndorsements(ctx context.Context, p *Proposal) ([]*types.ProposalResponse, error) {
+	p.req = peer.EndorseRequest{Proposal: &p.prop, Sig: p.sig}
+	req, targets := &p.req, p.targets
+	size := p.prop.Size() + len(p.sig) + 32
+	out := p.response[:]
+	if len(targets) > len(out) {
+		out = make([]*types.ProposalResponse, len(targets))
+	}
 	last := len(targets) - 1
 	var wg *sync.WaitGroup
 	if last > 0 {
@@ -531,13 +542,12 @@ func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.End
 }
 
 // checkResponses verifies all endorsers simulated identical results and
-// merges their endorsements.
-func checkResponses(responses []*types.ProposalResponse) (*types.RWSet, []types.Endorsement, []byte, error) {
+// appends their endorsements to endorsements.
+func checkResponses(responses []*types.ProposalResponse, endorsements []types.Endorsement) (*types.RWSet, []types.Endorsement, []byte, error) {
 	if len(responses) == 0 {
 		return nil, nil, nil, ErrEndorsementFailed
 	}
 	first := responses[0]
-	endorsements := make([]types.Endorsement, 0, len(responses))
 	for _, r := range responses {
 		if string(r.ResultsHash) != string(first.ResultsHash) {
 			return nil, nil, nil, ErrMismatchedResults

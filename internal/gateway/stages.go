@@ -34,7 +34,7 @@ type Status struct {
 // stage and the input of the Endorse stage.
 type Proposal struct {
 	gw        *Gateway
-	prop      *types.Proposal
+	prop      types.Proposal
 	sig       []byte
 	channel   string
 	targets   []endorseTarget
@@ -43,6 +43,14 @@ type Proposal struct {
 	// the propose phase into the endorse span.
 	attempt  int
 	boundary time.Time
+
+	// The proposal's own buffers: its nonce, its endorsement request,
+	// and the target and response arrays of a one-target endorsement, so
+	// none of them is a separate allocation.
+	nonce    [maxNonce]byte
+	req      peer.EndorseRequest
+	target   [1]endorseTarget
+	response [1]*types.ProposalResponse
 }
 
 // TxID returns the proposal's transaction ID.
@@ -70,6 +78,11 @@ func (t *Transaction) Payload() []byte { return t.payload }
 // Commit is a future for one submitted transaction's final outcome. It
 // resolves when the commit event arrives, when the ordering timeout
 // fires, or — for SubmitAsync — when an earlier stage fails.
+//
+// A Commit is also the pending record of the attempt in flight: the
+// commit event and the ordering timeout find it in the gateway's pending
+// map. SubmitAsync's and Invoke's Commit is the record of every attempt
+// of its transaction, and what settles one attempt starts the next.
 type Commit struct {
 	gw *Gateway
 
@@ -83,14 +96,26 @@ type Commit struct {
 	ackedAt time.Time
 	attempt int
 
-	// Guarded by the gateway's mu. claimed is set by whichever of the
-	// commit event, the ordering timeout and a failed broadcast takes
-	// the commit out of the pending map first; only that one resolves
-	// it. acked is set once Submit has recorded the broadcast ack, and
-	// early keeps an event that was claimed before that.
+	// Guarded by the gateway's mu. gen numbers the commit's attempts, so
+	// an expiry queued for an earlier attempt is told from the current
+	// one's. claimed is set by whichever of the commit event, the
+	// ordering timeout and a failed broadcast takes the attempt out of
+	// the pending map first; only that one settles it. acked is set once
+	// the broadcast ack is recorded, and early keeps an event that was
+	// claimed before that.
+	gen     uint64
 	claimed bool
 	acked   bool
 	early   *peer.CommitEvent
+
+	// loop is the attempt loop's state when start owns the commit, and
+	// zero (a nil ctx) when Transaction.Submit made it.
+	loop submission
+
+	// The attempt's broadcast payload and the outcome it resolves to,
+	// held here so neither is a separate allocation.
+	benv orderer.BroadcastEnvelope
+	st   Status
 
 	done   chan struct{}
 	status *Status
@@ -115,12 +140,16 @@ func (c *Commit) setTxID(id types.TxID) {
 	c.mu.Unlock()
 }
 
-// complete resolves the future exactly once.
+// complete resolves the future exactly once, then frees the window slot
+// a SubmitAsync commit holds.
 func (c *Commit) complete(st *Status, err error) {
 	c.mu.Lock()
 	c.status, c.err = st, err
 	c.mu.Unlock()
 	close(c.done)
+	if c.loop.window != nil {
+		<-c.loop.window
+	}
 }
 
 // Status blocks until the future resolves or ctx expires, and returns
@@ -159,14 +188,15 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 	if err := g.Connect(ctx); err != nil {
 		return nil, err
 	}
-	submitted := time.Now()
-	targets, err := g.selectTargets(pol)
+	p := &Proposal{gw: g, channel: channel, submitted: time.Now(), attempt: 1}
+	targets, err := g.selectTargets(pol, p.target[:0])
 	if err != nil {
 		return nil, err
 	}
 	if query {
 		targets = targets[:1]
 	}
+	p.targets = targets
 	// The whole per-transaction client CPU cost (proposal build/sign
 	// plus verification of each expected endorsement response) is
 	// charged as a single reservation: splitting it across the response
@@ -175,19 +205,18 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 	if err := g.cfg.CPU.Execute(ctx, g.cfg.Model.ClientTxCost(len(targets))); err != nil {
 		return nil, err
 	}
-	prop, sig, err := g.buildProposal(channel, chaincodeID, fn, args)
-	if err != nil {
+	if err := g.buildProposal(p, chaincodeID, fn, args); err != nil {
 		return nil, err
 	}
-	attempt := 1
 	if sub != nil {
-		attempt = sub.attempt
+		p.attempt = sub.attempt
 	}
+	prop := &p.prop
 	if g.cfg.Collector != nil && !query {
-		g.cfg.Collector.Submitted(prop.TxID, submitted)
-		g.cfg.Collector.Attempt(prop.TxID, attempt)
+		g.cfg.Collector.Submitted(prop.TxID, p.submitted)
+		g.cfg.Collector.Attempt(prop.TxID, p.attempt)
 	}
-	boundary := submitted
+	p.boundary = p.submitted
 	if tr := g.cfg.Tracer; tr.Enabled() && !query {
 		// The first attempt mints the trace; retries bind their fresh
 		// TxID to it so one trace tells the whole client-visible story.
@@ -202,26 +231,17 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 			}
 		}
 		prop.TraceID = string(tid)
-		boundary = time.Now()
+		p.boundary = time.Now()
 		nodes := make([]string, 0, len(targets))
 		for _, t := range targets {
 			nodes = append(nodes, t.node)
 		}
-		tr.Record(tid, trace.SpanGatewayPropose, g.cfg.ID, submitted, boundary,
-			"attempt", fmt.Sprint(attempt),
+		tr.Record(tid, trace.SpanGatewayPropose, g.cfg.ID, p.submitted, p.boundary,
+			"attempt", fmt.Sprint(p.attempt),
 			"channel", channel,
 			"endorsers", strings.Join(nodes, ","))
 	}
-	return &Proposal{
-		gw:        g,
-		prop:      prop,
-		sig:       sig,
-		channel:   channel,
-		targets:   targets,
-		submitted: submitted,
-		attempt:   attempt,
-		boundary:  boundary,
-	}, nil
+	return p, nil
 }
 
 // Endorse runs the Endorse stage: it pays the fixed SDK round-trip
@@ -232,14 +252,17 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 	if err := g.baseLatency(ctx); err != nil {
 		return nil, err
 	}
-	responses, err := g.collectEndorsements(ctx, p.targets, p.prop, p.sig)
+	responses, err := g.collectEndorsements(ctx, p)
 	if err != nil {
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(p.prop.TxID)
 		}
 		return nil, err
 	}
-	rwset, endorsements, payload, err := checkResponses(responses)
+	// The endorsements go into the envelope, not past it: they stay on
+	// the stack for up to eight endorsers, as the transaction does.
+	var buf [8]types.Endorsement
+	rwset, endorsements, payload, err := checkResponses(responses, buf[:0])
 	if err != nil {
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(p.prop.TxID)
@@ -258,7 +281,7 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 	}
 
 	tx := &types.Transaction{
-		Proposal:     *p.prop,
+		Proposal:     p.prop,
 		Results:      *rwset,
 		Endorsements: endorsements,
 		SubmitTime:   p.submitted.UnixNano(),
@@ -270,7 +293,7 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 	tx.ClientSig = clientSig
 	return &Transaction{
 		gw:        g,
-		prop:      p.prop,
+		prop:      &p.prop,
 		channel:   p.channel,
 		env:       tx.Marshal(),
 		payload:   payload,
@@ -282,33 +305,46 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 
 // Submit runs the Submit stage: it broadcasts the envelope to the
 // ordering service and returns a Commit future that resolves on the
-// commit event or the ordering timeout. The future enters the pending
-// map before the broadcast so the event can never outrace it; it
-// resolves only after the ack is recorded, so an event that arrives
-// first is kept on it until then.
+// commit event or the ordering timeout.
 func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
+	c := newCommit(t.gw)
+	if err := t.submit(ctx, c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// submit broadcasts the envelope as c's next attempt. c enters the
+// pending map before the broadcast so the event can never outrace it;
+// the attempt settles only after the ack is recorded, so an event that
+// arrives first is kept on c until then. Once the ack is recorded
+// submit no longer touches c, which the event may already have settled
+// and moved on to its next attempt.
+func (t *Transaction) submit(ctx context.Context, c *Commit) error {
 	g := t.gw
-	c := newCommit(g)
-	c.txID = t.prop.TxID
+	c.setTxID(t.prop.TxID)
 	c.payload = t.payload
 	c.attempt = t.attempt
+	c.traceID = ""
 	tr := g.cfg.Tracer
 	if tr.Enabled() && t.prop.TraceID != "" {
 		c.traceID = trace.TraceID(t.prop.TraceID)
 	}
+	c.benv = orderer.BroadcastEnvelope{Channel: t.channel, Env: t.env}
 	g.mu.Lock()
+	c.gen++
+	c.claimed, c.acked, c.early = false, false, nil
 	g.pending[c.txID] = c
 	g.mu.Unlock()
 
-	benv := &orderer.BroadcastEnvelope{Channel: t.channel, Env: t.env}
-	if err := g.broadcast(ctx, benv, len(t.env)+len(t.channel)+16); err != nil {
+	if err := g.broadcast(ctx, &c.benv, len(t.env)+len(t.channel)+16); err != nil {
 		g.mu.Lock()
 		g.claimLocked(c)
 		g.mu.Unlock()
 		if g.cfg.Collector != nil {
 			g.cfg.Collector.Rejected(t.prop.TxID)
 		}
-		return nil, fmt.Errorf("gateway %s: broadcast: %w", g.cfg.ID, err)
+		return fmt.Errorf("gateway %s: broadcast: %w", g.cfg.ID, err)
 	}
 	acked := g.queueExpiry(c)
 	if g.cfg.Collector != nil {
@@ -326,13 +362,15 @@ func (t *Transaction) Submit(ctx context.Context) (*Commit, error) {
 	if early != nil {
 		g.resolve(c, *early)
 	}
-	return c, nil
+	return nil
 }
 
-// expiry is one acked commit's ordering deadline.
+// expiry is one acked attempt's ordering deadline: gen is the attempt's
+// number on its commit.
 type expiry struct {
 	deadline time.Time
 	c        *Commit
+	gen      uint64
 }
 
 // commitQueue is a FIFO of expiries. Popped slots are cleared, and the
@@ -372,7 +410,7 @@ func (g *Gateway) queueExpiry(c *Commit) time.Time {
 		return c.ackedAt
 	}
 	wasEmpty := g.expiries.empty()
-	g.expiries.push(expiry{deadline: c.ackedAt.Add(timeout), c: c})
+	g.expiries.push(expiry{deadline: c.ackedAt.Add(timeout), c: c, gen: c.gen})
 	switch {
 	case g.expiryTimer == nil:
 		g.expiryTimer = time.AfterFunc(timeout, g.expire)
@@ -382,9 +420,10 @@ func (g *Gateway) queueExpiry(c *Commit) time.Time {
 	return c.ackedAt
 }
 
-// expire runs on the expiry timer: it resolves every queued commit whose
+// expire runs on the expiry timer: it settles every queued attempt whose
 // deadline has passed and that nothing else claimed, skips the claimed
-// ones, and re-arms the timer for the first deadline still ahead.
+// and superseded ones, and re-arms the timer for the first deadline
+// still ahead.
 func (g *Gateway) expire() {
 	for {
 		g.mu.Lock()
@@ -397,18 +436,23 @@ func (g *Gateway) expire() {
 	}
 }
 
-// nextExpiredLocked pops and claims the first queued commit that is
-// unclaimed and past its deadline. It returns nil, with the timer
-// re-armed, once the queue is empty or its head is still ahead of now.
+// nextExpiredLocked pops and claims the first queued attempt that is
+// still its commit's current one, unclaimed and past its deadline. An
+// entry of an earlier attempt is dropped whatever its deadline: its
+// commit has moved on, and the deadline is not the current attempt's.
+// It returns nil, with the timer re-armed, once the queue is empty or
+// its head is still ahead of now.
 func (g *Gateway) nextExpiredLocked(now time.Time) *Commit {
 	for !g.expiries.empty() {
 		e := g.expiries.front()
-		if !e.c.claimed && now.Before(e.deadline) {
+		live := e.gen == e.c.gen && !e.c.claimed
+		if live && now.Before(e.deadline) {
 			g.expiryTimer.Reset(e.deadline.Sub(now))
 			return nil
 		}
 		g.expiries.pop()
-		if g.claimLocked(e.c) {
+		if live {
+			g.claimLocked(e.c)
 			return e.c
 		}
 	}
@@ -500,7 +544,7 @@ var (
 	errEarlyAbortInvalidated = fmt.Errorf("%w: %w", ErrInvalidated, ErrEarlyAbort)
 )
 
-// resolve completes a future from a commit event.
+// resolve settles an attempt from its commit event.
 func (g *Gateway) resolve(c *Commit, ev peer.CommitEvent) {
 	committedAt := time.Now()
 	if ev.CommitTime != 0 {
@@ -518,28 +562,28 @@ func (g *Gateway) resolve(c *Commit, ev peer.CommitEvent) {
 			"code", ev.Code.String(),
 			"block", fmt.Sprint(ev.BlockNum))
 	}
-	st := &Status{
+	c.st = Status{
 		TxID:      c.txID,
 		Code:      ev.Code,
 		BlockNum:  ev.BlockNum,
 		Committed: ev.Code.Valid(),
 		Payload:   c.payload,
 	}
-	if !st.Committed {
+	var err error
+	if !c.st.Committed {
 		// Conflict aborts carry their dedicated sentinel alongside
 		// ErrInvalidated so callers (and the retry loop) can match them
 		// with errors.Is without parsing the message.
 		switch ev.Code {
 		case types.ValidationMVCCConflict:
-			c.complete(st, errMVCCInvalidated)
+			err = errMVCCInvalidated
 		case types.ValidationEarlyAbort:
-			c.complete(st, errEarlyAbortInvalidated)
+			err = errEarlyAbortInvalidated
 		default:
-			c.complete(st, fmt.Errorf("%w: %s", ErrInvalidated, ev.Code))
+			err = fmt.Errorf("%w: %s", ErrInvalidated, ev.Code)
 		}
-		return
 	}
-	c.complete(st, nil)
+	g.settle(c, &c.st, err)
 }
 
 // retryAttempts returns the configured total attempt count (minimum 1).
@@ -597,7 +641,7 @@ func (g *Gateway) retrySleep(ctx context.Context, retry int) error {
 	return simcpu.Sleep(ctx, d)
 }
 
-// resolveTimeout completes a future as rejected by the ordering
+// resolveTimeout settles an attempt as rejected by the ordering
 // timeout.
 func (g *Gateway) resolveTimeout(c *Commit) {
 	if g.cfg.Collector != nil {
@@ -608,7 +652,7 @@ func (g *Gateway) resolveTimeout(c *Commit) {
 			"attempt", fmt.Sprint(c.attempt),
 			"outcome", "ordering-timeout")
 	}
-	c.complete(nil, ErrOrderingTimeout)
+	g.settle(c, nil, ErrOrderingTimeout)
 }
 
 // Invoke runs the full staged pipeline closed-loop: Propose, Endorse,
@@ -663,50 +707,77 @@ func (g *Gateway) TrySubmitAsync(ctx context.Context, channel, chaincodeID, fn s
 	return g.start(ctx, window, channel, nil, chaincodeID, fn, args), nil
 }
 
+// submission is start's attempt loop: a transaction's arguments, the
+// in-flight window slot it holds (nil for Invoke), and its trace. The
+// attempts run one after another, so one goroutine at a time owns it.
+type submission struct {
+	ctx         context.Context
+	window      chan struct{}
+	channel     string
+	pol         policy.Policy
+	chaincodeID string
+	fn          string
+	args        [][]byte
+	trace       submissionTrace
+}
+
 // start runs one transaction in the background and returns its Commit
-// future. The attempt loop proposes, endorses, submits and waits for
-// the attempt's own future, re-running the whole pipeline after a
-// backoff while the error is Retryable and attempts remain. window,
-// when non-nil, holds the caller's in-flight slot, freed once the
-// future resolves. An empty channel and a nil pol mean the defaults,
-// as for propose.
+// future, the record of every attempt. An attempt proposes, endorses and
+// submits on its own goroutine, which ends once the broadcast is acked:
+// no goroutine waits for the commit event. The event or the ordering
+// timeout settles the attempt, and while the error is Retryable and
+// attempts remain, settle runs the whole pipeline again after a backoff.
+// window, when non-nil, holds the caller's in-flight slot, freed once
+// the future resolves. An empty channel and a nil pol mean the
+// defaults, as for propose.
 func (g *Gateway) start(ctx context.Context, window chan struct{}, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte) *Commit {
 	c := newCommit(g)
-	go func() {
-		if window != nil {
-			defer func() { <-window }()
-		}
-		sub := &submissionTrace{}
-		attempt := func() (*Status, error) {
-			prop, err := g.propose(ctx, channel, pol, chaincodeID, fn, args, sub, false)
-			if err != nil {
-				return nil, err
-			}
-			c.setTxID(prop.TxID())
-			txn, err := prop.Endorse(ctx)
-			if err != nil {
-				return nil, err
-			}
-			inner, err := txn.Submit(ctx)
-			if err != nil {
-				return nil, err
-			}
-			// The inner future resolves within the ordering timeout even
-			// if ctx is long gone; forward its resolution.
-			return inner.Status(context.Background())
-		}
-		var st *Status
-		var err error
-		for sub.attempt = 1; ; sub.attempt++ {
-			st, err = attempt()
-			if err == nil || sub.attempt >= g.retryAttempts() || !Retryable(err) ||
-				g.retrySleep(ctx, sub.attempt) != nil {
-				break
-			}
-		}
-		c.complete(st, err)
-	}()
+	c.loop = submission{ctx: ctx, window: window, channel: channel, pol: pol,
+		chaincodeID: chaincodeID, fn: fn, args: args, trace: submissionTrace{attempt: 1}}
+	go g.attempt(c)
 	return c
+}
+
+// attempt runs c's current attempt up to its broadcast ack, and settles
+// it at once when a stage fails.
+func (g *Gateway) attempt(c *Commit) {
+	s := &c.loop
+	prop, err := g.propose(s.ctx, s.channel, s.pol, s.chaincodeID, s.fn, s.args, &s.trace, false)
+	if err == nil {
+		c.setTxID(prop.TxID())
+		var txn *Transaction
+		if txn, err = prop.Endorse(s.ctx); err == nil {
+			err = txn.submit(s.ctx, c)
+		}
+	}
+	if err != nil {
+		g.settle(c, nil, err)
+	}
+}
+
+// settle ends c's current attempt with its outcome. A commit start owns
+// starts its next attempt on a new goroutine, after the backoff, while
+// the error is Retryable and attempts remain; any other outcome resolves
+// c. Its caller touches c no more.
+func (g *Gateway) settle(c *Commit, st *Status, err error) {
+	s := &c.loop
+	if s.ctx != nil && s.trace.attempt < g.retryAttempts() && Retryable(err) {
+		go g.retry(c, st, err)
+		return
+	}
+	c.complete(st, err)
+}
+
+// retry waits out the backoff after c's attempt failed with st and err,
+// then runs the next attempt; a cancelled backoff resolves c with them.
+func (g *Gateway) retry(c *Commit, st *Status, err error) {
+	s := &c.loop
+	if g.retrySleep(s.ctx, s.trace.attempt) != nil {
+		c.complete(st, err)
+		return
+	}
+	s.trace.attempt++
+	g.attempt(c)
 }
 
 // Evaluate runs the execute phase only (no ordering) and returns the
@@ -724,7 +795,7 @@ func (g *Gateway) Evaluate(ctx context.Context, chaincodeID, fn string, args [][
 	}
 	// collectEndorsements rejects any non-OK response, so a returned
 	// slice always carries a usable payload.
-	responses, err := g.collectEndorsements(ctx, prop.targets, prop.prop, prop.sig)
+	responses, err := g.collectEndorsements(ctx, prop)
 	if err != nil {
 		return nil, err
 	}

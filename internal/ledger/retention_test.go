@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"fabricsim/internal/types"
 )
@@ -83,4 +84,86 @@ func TestCommitRetainsNoEnvelope(t *testing.T) {
 	if perTx > maxRetainedPerTx {
 		t.Errorf("ledger retains %.0f B per committed tx, want <= %d: a decoded view of an envelope outlives its block", perTx, maxRetainedPerTx)
 	}
+}
+
+// TestApplyStateSharesNoMemoryWithBlock applies decoded blocks, on every
+// backend, and requires that no state-DB namespace or key and no tx-index
+// ID shares memory with the block's decode, whose strings all lie in one
+// string copy of the block. Namespaces and GetRange hand out the state
+// maps' own key strings, not copies, so their addresses are the maps'.
+// The blocks write fresh keys, overwrite keys of the block before, open
+// a fresh namespace, and carry an invalid transaction, which is indexed
+// but not applied.
+func TestApplyStateSharesNoMemoryWithBlock(t *testing.T) {
+	withBackends(t, func(t *testing.T, open func(t *testing.T) *Ledger) {
+		l := open(t)
+		for b := 0; b < 3; b++ {
+			txs := make([]*types.Transaction, 8)
+			flags := make([]types.ValidationCode, len(txs))
+			for i := range txs {
+				n := b*len(txs) + i
+				txs[i] = mkTx(fmt.Sprintf("tx-%03d", n), fmt.Sprintf("k%03d", n), fmt.Sprintf("k%03d", n-len(txs)))
+				txs[i].Proposal.ChaincodeID = fmt.Sprintf("cc%d", b)
+				if i == 0 {
+					txs[i].Proposal.ChaincodeID = "cc"
+				}
+				flags[i] = types.ValidationValid
+			}
+			flags[5] = types.ValidationMVCCConflict
+			block := mkBlock(l, txs, flags)
+			decoded, err := block.Transactions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The decode's strings, every one a substring of the block's
+			// one copy, span [lo, hi).
+			lo, hi := ^uintptr(0), uintptr(0)
+			size := 0
+			for i, tx := range decoded {
+				size += len(block.Data[i])
+				for _, s := range []string{string(tx.Proposal.TxID), tx.Proposal.ChaincodeID, tx.Proposal.Fn} {
+					p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+					lo, hi = min(lo, p), max(hi, p+uintptr(len(s)))
+				}
+				for _, w := range tx.Results.Writes {
+					p := uintptr(unsafe.Pointer(unsafe.StringData(w.Key)))
+					lo, hi = min(lo, p), max(hi, p+uintptr(len(w.Key)))
+				}
+			}
+			if hi-lo > uintptr(size) {
+				t.Fatalf("block %d: decoded strings span %d bytes, more than the block's %d", b, hi-lo, size)
+			}
+			if err := l.Commit(block, decoded); err != nil {
+				t.Fatal(err)
+			}
+			shares := func(s string) bool {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				return len(s) > 0 && p < hi && p+uintptr(len(s)) > lo
+			}
+			for _, ns := range l.State().Namespaces() {
+				if shares(ns) {
+					t.Errorf("block %d: state namespace %q shares the block's decode", b, ns)
+				}
+				kvs, err := l.State().GetRange(ns, "", "", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kv := range kvs {
+					if shares(kv.Key) {
+						t.Errorf("block %d: state key %s/%s shares the block's decode", b, ns, kv.Key)
+					}
+				}
+			}
+			l.index.mu.RLock()
+			for id := range l.index.txs {
+				if shares(string(id)) {
+					t.Errorf("block %d: tx index ID %s shares the block's decode", b, id)
+				}
+			}
+			l.index.mu.RUnlock()
+			// The decode must stay live through the checks, or a copy could
+			// be allocated where it was.
+			runtime.KeepAlive(decoded)
+		}
+	})
 }

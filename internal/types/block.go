@@ -110,19 +110,17 @@ func (b *Block) VerifyDataHash() error {
 //
 // The transactions are read-only views of the block, decoded without
 // copying a field: their []byte fields alias Data, their strings share
-// one copy of each envelope, and their slices share a few arrays per
-// block. Nothing may write to them, and what outlives the block's commit
-// must be copied: the ledger's tx index copies each TxID it keeps and
-// the state DB each new key and namespace, so a committed block's bytes
-// can still be collected.
+// one string copy of the whole block, and their slices share a few
+// arrays per block. Nothing may write to them, and what outlives the
+// block's commit must be copied, or it keeps the block's whole copy
+// alive: the ledger's tx index copies each TxID it keeps and the state
+// DB each new key and namespace, so a committed block's bytes can still
+// be collected.
 func (b *Block) Transactions() ([]*Transaction, error) {
-	later := 0
-	for _, env := range b.Data {
-		later += len(env)
-	}
+	var d txDecoder
+	later := d.begin(b.Data)
 	slab := make([]Transaction, len(b.Data))
 	txs := make([]*Transaction, len(b.Data))
-	var d txDecoder
 	for i, env := range b.Data {
 		later -= len(env)
 		d.start(env, i, len(b.Data)-1-i, later)

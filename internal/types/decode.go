@@ -1,19 +1,23 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // txDecoder is the one decode of Transaction envelopes, shared by
 // Block.Transactions, UnmarshalTransaction, PeekEnvelopeInfo and
 // PeekEnvelopeInfos (and, for their parts, by UnmarshalProposal,
 // UnmarshalProposalResponse and UnmarshalRWSet). It copies no field out
 // of the envelope: every []byte field is a capacity-capped view of the
-// input, every string a substring of one string copy of it, and the
-// slices a block's or batch's envelopes hold are carved from shared
-// slabs.
+// input, every string a substring of one string copy of the whole block
+// or batch, and the slices a block's or batch's envelopes hold are
+// carved from shared slabs.
 // Empty fields decode to nil and "", so no empty view pins an envelope.
 type txDecoder struct {
 	Decoder
-	s string // string(buf): the envelope's one copy, which strings share
+	s    string // the current envelope's part of the copy, which strings share
+	rest string // the envelopes after it, in the same copy
 
 	// Where the current envelope sits in its block, for sizing slabs.
 	done  int // envelopes decoded before it
@@ -35,11 +39,35 @@ const (
 	minWriteSize       = 3 // Key, Value, IsDelete
 )
 
-// start points the decoder at the next envelope of a block.
+// begin copies envs, a block's or a batch's envelopes, into one string,
+// and returns their total size. Each start then takes the next
+// envelope's part of it.
+func (d *txDecoder) begin(envs [][]byte) int {
+	n := 0
+	for _, env := range envs {
+		n += len(env)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, env := range envs {
+		sb.Write(env)
+	}
+	d.rest = sb.String()
+	return n
+}
+
+// start points the decoder at env, the next envelope of those begin
+// copied.
 func (d *txDecoder) start(env []byte, done, left, later int) {
 	d.Decoder = Decoder{buf: env}
-	d.s = string(env)
+	d.s, d.rest = d.rest[:len(env)], d.rest[len(env):]
 	d.done, d.left, d.later = done, left, later
+}
+
+// startOne copies the single envelope env and points the decoder at it.
+func (d *txDecoder) startOne(env []byte) {
+	d.begin([][]byte{env})
+	d.start(env, 0, 0, 0)
 }
 
 // transaction decodes the current envelope into t.
@@ -117,7 +145,7 @@ func (d *txDecoder) endorsement(en *Endorsement) {
 }
 
 // str reads a length-prefixed string as a substring of the envelope's
-// string copy.
+// part of the string copy.
 func (d *txDecoder) str() string {
 	n := d.length()
 	if n == 0 {

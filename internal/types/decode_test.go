@@ -12,22 +12,26 @@ import (
 // checkBlockDecode requires Block.Transactions and UnmarshalTransaction
 // to agree with the reference decode on b: equal transactions (nil and
 // empty slices told apart) where it accepts, the same error where it
-// rejects.
+// rejects. Where the block decodes, each of its transactions must also
+// equal its envelope decoded alone, from a string of its own.
 func checkBlockDecode(t *testing.T, b *Block) {
 	t.Helper()
 	want, werr := refBlockTransactions(b)
-	got, gerr := b.Transactions()
+	txs, gerr := b.Transactions()
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		t.Fatalf("Transactions error = %v, reference %v", gerr, werr)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Transactions differs from the reference:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(txs, want) {
+		t.Fatalf("Transactions differs from the reference:\n got %+v\nwant %+v", txs, want)
 	}
 	for i, d := range b.Data {
 		want, werr := refUnmarshalTransaction(d)
 		got, gerr := UnmarshalTransaction(d)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("UnmarshalTransaction(envelope %d) = %+v, %v; reference %+v, %v", i, got, gerr, want, werr)
+		}
+		if txs != nil && !reflect.DeepEqual(txs[i], got) {
+			t.Fatalf("Transactions()[%d] = %+v, UnmarshalTransaction %+v", i, txs[i], got)
 		}
 	}
 }
@@ -152,8 +156,11 @@ func and5Block() *Block {
 	return NewBlock(1, nil, data)
 }
 
-// TestBlockTransactionsAllocs is the decode's allocation budget: at most
-// two allocations per transaction plus a per-block constant.
+// TestBlockTransactionsAllocs is the decode's allocation budget: a
+// per-block constant, whatever the block's transaction count — the
+// block's one string copy, the transactions and their pointers, and the
+// slabs. It read 7 on go1.24, where one string copy per envelope read
+// 106.
 func TestBlockTransactionsAllocs(t *testing.T) {
 	b := and5Block()
 	allocs := testing.AllocsPerRun(20, func() {
@@ -161,8 +168,8 @@ func TestBlockTransactionsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(2*len(b.Data) + 10); allocs > limit {
-		t.Errorf("Transactions on a %d-tx block: %.0f allocations, want <= %.0f", len(b.Data), allocs, limit)
+	if allocs > 10 {
+		t.Errorf("Transactions on a %d-tx block: %.0f allocations, want <= 10", len(b.Data), allocs)
 	}
 }
 
@@ -298,9 +305,10 @@ func TestPeekEnvelopeInfosMatchesPeek(t *testing.T) {
 	}
 }
 
-// TestPeekEnvelopeInfosAllocs is the batch peek's allocation budget:
-// each envelope's one string copy, and a per-batch constant for the
-// infos and the slabs.
+// TestPeekEnvelopeInfosAllocs is the batch peek's allocation budget: a
+// per-batch constant, whatever the batch's size — the batch's one
+// string copy, the infos, and the slabs. It read 4 on go1.24, where one
+// string copy per envelope read 103.
 func TestPeekEnvelopeInfosAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not pinned under -race")
@@ -308,8 +316,8 @@ func TestPeekEnvelopeInfosAllocs(t *testing.T) {
 	batch := and5Block().Data
 	ok := make([]bool, len(batch))
 	allocs := testing.AllocsPerRun(20, func() { PeekEnvelopeInfos(batch, ok) })
-	if limit := float64(len(batch) + 10); allocs > limit {
-		t.Errorf("PeekEnvelopeInfos on %d envelopes: %.0f allocations, want <= %.0f", len(batch), allocs, limit)
+	if allocs > 10 {
+		t.Errorf("PeekEnvelopeInfos on %d envelopes: %.0f allocations, want <= 10", len(batch), allocs)
 	}
 }
 

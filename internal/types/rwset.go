@@ -118,7 +118,7 @@ func (rw *RWSet) hash() [sha256.Size]byte {
 // and values are read-only views of b, as a decoded Transaction's are.
 func UnmarshalRWSet(b []byte) (*RWSet, error) {
 	var d txDecoder
-	d.start(b, 0, 0, 0)
+	d.startOne(b)
 	var rw RWSet
 	d.rwset(&rw)
 	if err := d.Finish(); err != nil {

@@ -143,7 +143,7 @@ func (p *Proposal) Size() int {
 // read-only views of b, as a decoded Transaction's are.
 func UnmarshalProposal(b []byte) (*Proposal, error) {
 	var d txDecoder
-	d.start(b, 0, 0, 0)
+	d.startOne(b)
 	var p Proposal
 	d.proposal(&p)
 	if err := d.Finish(); err != nil {
@@ -243,7 +243,7 @@ func (pr *ProposalResponse) Marshal() []byte {
 // fields are read-only views of b, as a decoded Transaction's are.
 func UnmarshalProposalResponse(b []byte) (*ProposalResponse, error) {
 	var d txDecoder
-	d.start(b, 0, 0, 0)
+	d.startOne(b)
 	var pr ProposalResponse
 	pr.TxID = TxID(d.str())
 	pr.Status = int32(uint32(d.Uvarint()))
@@ -319,7 +319,7 @@ func (t *Transaction) ClientDigest() []byte {
 // result is a read-only view of b; see Block.Transactions.
 func UnmarshalTransaction(b []byte) (*Transaction, error) {
 	var d txDecoder
-	d.start(b, 0, 0, 0)
+	d.startOne(b)
 	var t Transaction
 	if err := d.transaction(&t); err != nil {
 		return nil, err
@@ -334,10 +334,10 @@ func UnmarshalTransaction(b []byte) (*Transaction, error) {
 // unmarshal (endorsements, signatures, and padding are skipped).
 //
 // Like Block.Transactions, a peeked EnvelopeInfo is a read-only view of
-// its envelope: the strings share one copy of it, write values alias
-// it, and Results' slices are carved for the one call. Nothing may
-// write to them, and a string kept past the batch must be copied, or it
-// keeps that copy of the whole envelope alive.
+// its envelope: the strings share one copy of it (of the whole batch,
+// for PeekEnvelopeInfos), write values alias it, and Results' slices are
+// carved for the one call. Nothing may write to them, and a string kept
+// past the batch must be copied, or it keeps that whole copy alive.
 type EnvelopeInfo struct {
 	TxID        TxID
 	ChaincodeID string
@@ -351,7 +351,7 @@ type EnvelopeInfo struct {
 // paying for (or trusting) the rest of the envelope.
 func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 	var d txDecoder
-	d.start(b, 0, 0, 0)
+	d.startOne(b)
 	info := &EnvelopeInfo{}
 	d.envelopeInfo(info)
 	if err := d.Err(); err != nil {
@@ -361,18 +361,16 @@ func PeekEnvelopeInfo(b []byte) (*EnvelopeInfo, error) {
 }
 
 // PeekEnvelopeInfos is PeekEnvelopeInfo over a whole batch with one
-// decoder, the way Block.Transactions decodes a block: the infos share
-// one array, and their reads and writes are carved from shared slabs.
-// ok must hold an entry per envelope; ok[i] reports whether envelope i
-// peeked, and the info of one that did not is left zero. Each info is a
-// view of its envelope, as PeekEnvelopeInfo's is.
+// decoder, the way Block.Transactions decodes a block: the strings share
+// one string copy of the whole batch, the infos share one array, and
+// their reads and writes are carved from shared slabs. ok must hold an
+// entry per envelope; ok[i] reports whether envelope i peeked, and the
+// info of one that did not is left zero. Each info is a view of its
+// envelope, as PeekEnvelopeInfo's is.
 func PeekEnvelopeInfos(batch [][]byte, ok []bool) []EnvelopeInfo {
-	later := 0
-	for _, env := range batch {
-		later += len(env)
-	}
-	infos := make([]EnvelopeInfo, len(batch))
 	var d txDecoder
+	later := d.begin(batch)
+	infos := make([]EnvelopeInfo, len(batch))
 	for i, env := range batch {
 		later -= len(env)
 		d.start(env, i, len(batch)-1-i, later)
