@@ -63,7 +63,8 @@ type Model struct {
 	OrderPerTxCPU time.Duration
 	// OrdererCores is the simulated core count of an OSN.
 	OrdererCores int
-	// KafkaReplicaWriteCPU is a broker's cost to append one record.
+	// KafkaReplicaWriteCPU is a broker's cost of one append: a produced
+	// record on the leader, a replicated batch on a follower.
 	KafkaReplicaWriteCPU time.Duration
 	// RaftAppendCPU is a Raft node's cost to append one entry batch.
 	RaftAppendCPU time.Duration

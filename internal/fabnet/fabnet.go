@@ -677,10 +677,8 @@ func (n *Network) buildKafka() error {
 		Brokers:           n.brokerIDs,
 		Partitions:        len(n.Cfg.channelIDs()), // one partition per channel (paper default)
 		ReplicationFactor: kafkaReplication,
-		ReplicaWriteDelay: func() {
-			time.Sleep(model.ScaledDelay(model.KafkaReplicaWriteCPU))
-		},
-		RequestTimeout: model.ScaledDelay(3 * time.Second),
+		ReplicaWriteDelay: model.ScaledDelay(model.KafkaReplicaWriteCPU),
+		RequestTimeout:    model.ScaledDelay(3 * time.Second),
 	}, brokerEPs)
 	if err != nil {
 		return fmt.Errorf("fabnet: %w", err)

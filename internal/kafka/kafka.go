@@ -8,12 +8,21 @@
 // The paper's defaults are one partition per channel and a replication
 // factor of 3 (Section III); both are configurable here. One deliberate
 // simplification: followers receive records via leader push rather than
-// follower pull. At the level the paper measures (in-sync replica
-// latency as broker count grows), the two are equivalent: commitment
-// still waits for every ISR member to acknowledge the record.
+// follower pull. The leader runs at most one sender per follower, which
+// sends the follower's log suffix from its acked offset to the log end
+// and repeats until the follower holds the whole log, so one message
+// carries every record produced meanwhile (group commit) and a follower
+// never sees a gap. The high watermark is the smallest of the leader's
+// log end and every ISR follower's acked offset, and a produce is acked
+// once it passes the record (acks=all). A follower whose call fails
+// leaves the ISR; it rejoins once a sender has brought it up to the
+// high watermark, as Kafka's ISR expansion does. At the level the paper
+// measures (in-sync replica latency as broker count grows), push and
+// pull are equivalent.
 package kafka
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -56,7 +65,8 @@ type ProduceReply struct {
 	Offset int64
 }
 
-// ReplicateArgs pushes records to a follower replica.
+// ReplicateArgs pushes the leader's log from FromOffset to a follower
+// replica, which installs it there.
 type ReplicateArgs struct {
 	Partition   int
 	FromOffset  int64
@@ -65,9 +75,7 @@ type ReplicateArgs struct {
 }
 
 // ReplicateReply acknowledges follower persistence.
-type ReplicateReply struct {
-	NextOffset int64
-}
+type ReplicateReply struct{}
 
 // FetchArgs requests records from a partition at an offset, waiting up
 // to MaxWait for data to arrive (long poll).
@@ -89,20 +97,34 @@ type MetadataReply struct {
 	Leader string
 }
 
+// wireSize is the modeled size of a message carrying recs.
+func wireSize(recs []Record) int {
+	size := 16
+	for i := range recs {
+		size += len(recs[i].Data) + 16
+	}
+	return size
+}
+
 // partitionState is one broker's replica of a partition.
 type partitionState struct {
 	mu      sync.Mutex
 	records []Record
-	// highWatermark is the committed prefix length (leader only
-	// meaningfully maintains it; followers learn it via replication).
+	// highWatermark is the committed prefix length. A leader raises it
+	// to the smallest of its log end and every ISR follower's acked
+	// offset; a follower sets it to its log end.
 	highWatermark int64
 	leader        string
 	epoch         int64
 	replicas      []string
 	isr           map[string]bool
-	ackOffset     map[string]int64 // leader-tracked follower progress
-	// wake is closed to wake every long poll parked on the partition.
-	// The first poll to park makes it; wakeLocked closes and clears it.
+	// ackOffset is the leader's record of each follower's log end in
+	// this epoch; sending marks a follower that a sender is serving.
+	ackOffset map[string]int64
+	sending   map[string]bool
+	// wake is closed to wake every produce and long poll parked on the
+	// partition. The first to park makes it; wakeLocked closes and
+	// clears it.
 	wake chan struct{}
 }
 
@@ -110,6 +132,30 @@ func (p *partitionState) wakeLocked() {
 	if p.wake != nil {
 		close(p.wake)
 		p.wake = nil
+	}
+}
+
+// parkLocked returns the channel the next wakeLocked closes.
+func (p *partitionState) parkLocked() <-chan struct{} {
+	if p.wake == nil {
+		p.wake = make(chan struct{})
+	}
+	return p.wake
+}
+
+// advanceLocked raises the leader's high watermark to the smallest of
+// its log end and every ISR follower's acked offset, and wakes the
+// parked produces and long polls if it moved.
+func (p *partitionState) advanceLocked() {
+	hw := int64(len(p.records))
+	for _, r := range p.replicas {
+		if r != p.leader && p.isr[r] {
+			hw = min(hw, p.ackOffset[r])
+		}
+	}
+	if hw > p.highWatermark {
+		p.highWatermark = hw
+		p.wakeLocked()
 	}
 }
 
@@ -121,9 +167,10 @@ type Config struct {
 	Partitions int
 	// ReplicationFactor is the replica count per partition.
 	ReplicationFactor int
-	// ReplicaWriteDelay optionally injects the cost model's per-record
-	// append cost (already scaled); nil means none.
-	ReplicaWriteDelay func()
+	// ReplicaWriteDelay is the cost model's append cost, already
+	// scaled: a leader charges it per produce, a follower per replicate
+	// message. Zero means none.
+	ReplicaWriteDelay time.Duration
 	// RequestTimeout bounds internal RPCs (wall-clock).
 	RequestTimeout time.Duration
 }
@@ -218,24 +265,14 @@ func (c *Cluster) KillBroker(id string) error {
 
 // failover moves leadership of partitions led by dead to the first
 // replica, in assignment order, that is live and in the ISR (controller
-// logic). It reads the partition state of the first live broker in
-// cfg.Brokers order, so no map walk decides the new leader.
+// logic). The ISR is the one the dead leader kept, standing in for the
+// ISR record Kafka's controller reads: followers never learn which of
+// them left it.
 func (c *Cluster) failover(dead string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := func(id string) bool {
-		b := c.brokers[id]
-		return id != dead && b != nil && !b.isStopped()
-	}
 	for p := 0; p < c.cfg.Partitions; p++ {
-		var cur *partitionState
-		for _, id := range c.cfg.Brokers {
-			if live(id) {
-				if cur = c.brokers[id].partition(p); cur != nil {
-					break
-				}
-			}
-		}
+		cur := c.brokers[dead].partition(p)
 		if cur == nil {
 			continue
 		}
@@ -254,7 +291,7 @@ func (c *Cluster) failover(dead string) {
 		// With no live ISR member the partition stays offline: unclean
 		// leader election is disabled.
 		for _, id := range isr {
-			if live(id) {
+			if b := c.brokers[id]; id != dead && b != nil && !b.isStopped() {
 				c.assignPartition(p, id, replicas, epoch+1)
 				break
 			}
@@ -335,6 +372,7 @@ func (b *Broker) installPartition(p int, leader string, replicas []string, epoch
 		ps = &partitionState{
 			isr:       make(map[string]bool),
 			ackOffset: make(map[string]int64),
+			sending:   make(map[string]bool),
 		}
 		b.partitions[p] = ps
 	}
@@ -348,6 +386,7 @@ func (b *Broker) installPartition(p int, leader string, replicas []string, epoch
 	ps.leader = leader
 	ps.epoch = epoch
 	ps.replicas = append([]string(nil), replicas...)
+	clear(ps.ackOffset) // a new epoch's leader learns its followers afresh
 	for _, r := range replicas {
 		if _, ok := ps.isr[r]; !ok {
 			ps.isr[r] = true
@@ -356,8 +395,9 @@ func (b *Broker) installPartition(p int, leader string, replicas []string, epoch
 	ps.wakeLocked()
 }
 
-// handleProduce runs on the partition leader: append locally, replicate
-// to ISR followers, advance the high watermark, ack the producer.
+// handleProduce runs on the partition leader: append locally, start a
+// sender for each follower that has none, and ack the producer once the
+// high watermark passes the record.
 func (b *Broker) handleProduce(ctx context.Context, _ string, payload any) (any, int, error) {
 	args, ok := payload.(*ProduceArgs)
 	if !ok {
@@ -372,74 +412,71 @@ func (b *Broker) handleProduce(ctx context.Context, _ string, payload any) (any,
 	}
 	// Charge the append cost before taking the partition lock so slow
 	// host timers never serialize the whole partition.
-	if b.cluster.cfg.ReplicaWriteDelay != nil {
-		b.cluster.cfg.ReplicaWriteDelay()
-	}
+	time.Sleep(b.cluster.cfg.ReplicaWriteDelay)
 
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if ps.leader != b.id {
-		leader := ps.leader
+		return nil, 0, fmt.Errorf("%w (leader is %q)", ErrNotLeader, ps.leader)
+	}
+	off, epoch := int64(len(ps.records)), ps.epoch
+	ps.records = append(ps.records, Record{Offset: off, Data: args.Data})
+	for _, f := range ps.replicas {
+		if f != b.id && !ps.sending[f] {
+			ps.sending[f] = true
+			go b.replicate(args.Partition, ps, f)
+		}
+	}
+	ps.advanceLocked()
+	// acks=all: wait until every ISR member holds the record.
+	for ps.highWatermark <= off && ps.epoch == epoch && ctx.Err() == nil {
+		wake := ps.parkLocked()
 		ps.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w (leader is %q)", ErrNotLeader, leader)
-	}
-	rec := Record{Offset: int64(len(ps.records)), Data: args.Data}
-	ps.records = append(ps.records, rec)
-	epoch := ps.epoch
-	followers := make([]string, 0, len(ps.replicas))
-	for _, r := range ps.replicas {
-		if r != b.id && ps.isr[r] {
-			followers = append(followers, r)
+		select {
+		case <-wake:
+		case <-ctx.Done():
 		}
+		ps.mu.Lock()
 	}
-	fromOffset := rec.Offset
-	ps.mu.Unlock()
-
-	// acks=all: wait for every in-sync follower.
-	var wg sync.WaitGroup
-	acks := make([]bool, len(followers))
-	for i, f := range followers {
-		i, f := i, f
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			raw, err := b.ep.CallWithin(ctx, b.cluster.cfg.RequestTimeout, f, kindReplicate, &ReplicateArgs{
-				Partition:   args.Partition,
-				FromOffset:  fromOffset,
-				Records:     []Record{rec},
-				LeaderEpoch: epoch,
-			}, len(rec.Data)+32)
-			if err != nil {
-				return
-			}
-			if _, ok := raw.(*ReplicateReply); ok {
-				acks[i] = true
-			}
-		}()
+	if ps.epoch != epoch || ps.highWatermark <= off {
+		return nil, 0, fmt.Errorf("kafka: offset %d not committed: %w", off, cmp.Or(ctx.Err(), ErrNotLeader))
 	}
-	wg.Wait()
-
-	ps.mu.Lock()
-	for i, f := range followers {
-		if acks[i] {
-			if off := fromOffset + 1; off > ps.ackOffset[f] {
-				ps.ackOffset[f] = off
-			}
-		} else {
-			// Follower missed the ack: shrink the ISR so commitment
-			// does not stall (real Kafka does this on lag timeout).
-			ps.isr[f] = false
-		}
-	}
-	if rec.Offset+1 > ps.highWatermark {
-		ps.highWatermark = rec.Offset + 1
-	}
-	ps.wakeLocked()
-	ps.mu.Unlock()
-
-	return &ProduceReply{Offset: rec.Offset}, 16, nil
+	return &ProduceReply{Offset: off}, 16, nil
 }
 
-// handleReplicate runs on followers: append pushed records in order.
+// replicate is the one sender to follower f. While this broker leads the
+// partition, it sends f the log from f's acked offset to the log end
+// until f holds the whole log. A failed call drops f from the ISR; an
+// ack that reaches the high watermark brings it back.
+func (b *Broker) replicate(p int, ps *partitionState, f string) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	defer delete(ps.sending, f)
+	for ps.leader == b.id && ps.ackOffset[f] < int64(len(ps.records)) {
+		epoch, from, end := ps.epoch, ps.ackOffset[f], int64(len(ps.records))
+		recs := append([]Record(nil), ps.records[from:end]...)
+		ps.mu.Unlock()
+		args := &ReplicateArgs{Partition: p, FromOffset: from, Records: recs, LeaderEpoch: epoch}
+		_, err := b.ep.CallWithin(context.Background(), b.cluster.cfg.RequestTimeout, f, kindReplicate, args, wireSize(recs))
+		ps.mu.Lock()
+		switch {
+		case ps.epoch != epoch: // leadership moved meanwhile
+		case err != nil:
+			ps.isr[f] = false
+			ps.advanceLocked()
+			return
+		default:
+			// An ISR member always holds the high watermark; one that
+			// left the ISR rejoins on reaching it.
+			ps.ackOffset[f] = end
+			ps.isr[f] = end >= ps.highWatermark
+			ps.advanceLocked()
+		}
+	}
+}
+
+// handleReplicate runs on followers: install the pushed suffix at its
+// offset.
 func (b *Broker) handleReplicate(_ context.Context, _ string, payload any) (any, int, error) {
 	args, ok := payload.(*ReplicateArgs)
 	if !ok {
@@ -452,32 +489,16 @@ func (b *Broker) handleReplicate(_ context.Context, _ string, payload any) (any,
 	if ps == nil {
 		return nil, 0, fmt.Errorf("%w: %d", ErrNoPartition, args.Partition)
 	}
-	if b.cluster.cfg.ReplicaWriteDelay != nil {
-		b.cluster.cfg.ReplicaWriteDelay()
-	}
+	time.Sleep(b.cluster.cfg.ReplicaWriteDelay)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if args.LeaderEpoch < ps.epoch {
-		return nil, 0, fmt.Errorf("kafka: stale leader epoch %d < %d", args.LeaderEpoch, ps.epoch)
+	if args.LeaderEpoch < ps.epoch || args.FromOffset < 0 || args.FromOffset > int64(len(ps.records)) {
+		return nil, 0, fmt.Errorf("kafka: refused records from %d at epoch %d: have %d at epoch %d", args.FromOffset, args.LeaderEpoch, len(ps.records), ps.epoch)
 	}
-	for _, rec := range args.Records {
-		switch {
-		case rec.Offset == int64(len(ps.records)):
-			ps.records = append(ps.records, rec)
-		case rec.Offset < int64(len(ps.records)):
-			ps.records[rec.Offset] = rec // idempotent re-push
-		default:
-			// Gap: the follower fell behind more than the push window;
-			// signal the leader to resend from our log end.
-			return &ReplicateReply{NextOffset: int64(len(ps.records))}, 16,
-				fmt.Errorf("kafka: replica gap, have %d want %d", len(ps.records), rec.Offset)
-		}
-	}
-	if hw := args.FromOffset + int64(len(args.Records)); hw > ps.highWatermark {
-		ps.highWatermark = hw
-	}
+	ps.records = append(ps.records[:args.FromOffset], args.Records...)
+	ps.highWatermark = int64(len(ps.records))
 	ps.wakeLocked()
-	return &ReplicateReply{NextOffset: int64(len(ps.records))}, 16, nil
+	return &ReplicateReply{}, 16, nil
 }
 
 // handleFetch serves consumer long polls.
@@ -508,20 +529,13 @@ func (b *Broker) handleFetch(ctx context.Context, _ string, payload any) (any, i
 			recs := make([]Record, end-args.Offset)
 			copy(recs, ps.records[args.Offset:end])
 			ps.mu.Unlock()
-			size := 16
-			for i := range recs {
-				size += len(recs[i].Data) + 16
-			}
-			return &FetchReply{Records: recs, HighWatermark: hw}, size, nil
+			return &FetchReply{Records: recs, HighWatermark: hw}, wireSize(recs), nil
 		}
 		if !time.Now().Before(deadline) {
 			ps.mu.Unlock()
 			return &FetchReply{HighWatermark: hw}, 16, nil
 		}
-		if ps.wake == nil {
-			ps.wake = make(chan struct{})
-		}
-		wake := ps.wake
+		wake := ps.parkLocked()
 		ps.mu.Unlock()
 		timer := simcpu.GetTimer(time.Until(deadline))
 		select {

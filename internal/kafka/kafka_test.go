@@ -86,7 +86,7 @@ func TestFetchLongPoll(t *testing.T) {
 		}
 		done <- recs
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "the long poll to park", func() bool { return parkedFetches() >= 1 })
 	if _, err := client.Produce(ctx, 0, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +98,45 @@ func TestFetchLongPoll(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("long poll never woke")
 	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for began := time.Now(); !cond(); runtime.Gosched() {
+		if time.Since(began) > 10*time.Second {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// locked runs f on a broker's replica of partition 0 under its lock.
+func locked[T any](c *Cluster, id string, f func(ps *partitionState) T) T {
+	ps := c.brokers[id].partition(0)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return f(ps)
+}
+
+// checkHighWatermark fails the test if the leader's high watermark has
+// passed an offset that some ISR member has not acked.
+func checkHighWatermark(t *testing.T, c *Cluster, leader string) {
+	t.Helper()
+	if bad := locked(c, leader, func(ps *partitionState) string {
+		for _, r := range ps.replicas {
+			if r != leader && ps.isr[r] && ps.ackOffset[r] < ps.highWatermark {
+				return fmt.Sprintf("high watermark %d passes ISR member %s's acked offset %d", ps.highWatermark, r, ps.ackOffset[r])
+			}
+		}
+		return ""
+	}); bad != "" {
+		t.Error(bad)
+	}
+}
+
+// inSync reports whether the leader counts follower in the ISR.
+func inSync(c *Cluster, leader, follower string) bool {
+	return locked(c, leader, func(ps *partitionState) bool { return ps.isr[follower] })
 }
 
 // parkedFetches counts goroutines blocked in a long poll: in a select
@@ -195,33 +234,129 @@ func TestReplication(t *testing.T) {
 }
 
 func TestLeaderFailover(t *testing.T) {
-	cluster, client, _ := testCluster(t, 3, 3)
-	ctx := context.Background()
-	if _, err := client.Produce(ctx, 0, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	leader, ok := cluster.Leader(0)
-	if !ok {
-		t.Fatal("no leader")
-	}
-	if err := cluster.KillBroker(leader); err != nil {
-		t.Fatal(err)
-	}
-	newLeader, ok := cluster.Leader(0)
-	if !ok || newLeader == leader {
-		t.Fatalf("failover did not elect a new leader: %q", newLeader)
-	}
-	// The new leader serves both history and new produces.
-	if _, err := client.Produce(ctx, 0, []byte("after")); err != nil {
-		t.Fatalf("produce after failover: %v", err)
-	}
-	recs, err := client.Fetch(ctx, 0, 0, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || string(recs[0].Data) != "before" || string(recs[1].Data) != "after" {
-		t.Errorf("post-failover log = %v", recs)
-	}
+	t.Run("kill", func(t *testing.T) {
+		cluster, client, _ := testCluster(t, 3, 3)
+		ctx := context.Background()
+		if _, err := client.Produce(ctx, 0, []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+		leader, ok := cluster.Leader(0)
+		if !ok {
+			t.Fatal("no leader")
+		}
+		if err := cluster.KillBroker(leader); err != nil {
+			t.Fatal(err)
+		}
+		newLeader, ok := cluster.Leader(0)
+		if !ok || newLeader == leader {
+			t.Fatalf("failover did not elect a new leader: %q", newLeader)
+		}
+		// The new leader serves both history and new produces.
+		if _, err := client.Produce(ctx, 0, []byte("after")); err != nil {
+			t.Fatalf("produce after failover: %v", err)
+		}
+		recs, err := client.Fetch(ctx, 0, 0, 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 || string(recs[0].Data) != "before" || string(recs[1].Data) != "after" {
+			t.Errorf("post-failover log = %v", recs)
+		}
+	})
+
+	// An isolated follower leaves the ISR while produces keep acking,
+	// catches up and rejoins after the heal, and then, as the new
+	// leader, serves every acked record.
+	t.Run("isolate, heal, kill", func(t *testing.T) {
+		cluster, client, net := testCluster(t, 3, 3)
+		// Every append costs 20 ms, so a follower's ack trails the
+		// leader's append by that much, and a produce acked before its
+		// ISR holds the record fails checkHighWatermark.
+		cluster.cfg.ReplicaWriteDelay = 20 * time.Millisecond
+		ctx := context.Background()
+		acked := make(map[int64]string)
+		produce := func(data string) {
+			t.Helper()
+			off, err := client.Produce(ctx, 0, []byte(data))
+			if err != nil {
+				t.Fatalf("produce %s: %v", data, err)
+			}
+			acked[off] = data
+			leader, _ := cluster.Leader(0)
+			checkHighWatermark(t, cluster, leader)
+		}
+		produce("before")
+
+		net.Links().Isolate("broker2", true)
+		for i := 0; i < 3; i++ {
+			produce(fmt.Sprintf("isolated%d", i))
+		}
+		if inSync(cluster, "broker1", "broker2") {
+			t.Fatal("isolated broker2 is still in the ISR")
+		}
+
+		// A severed link fails a call at once, so no sender is left; the
+		// next produce starts one that brings broker2 up to the log end.
+		net.Links().Isolate("broker2", false)
+		produce("healed")
+		logEnd := locked(cluster, "broker1", func(ps *partitionState) int { return len(ps.records) })
+		waitFor(t, "broker2 to hold the whole log and rejoin the ISR", func() bool {
+			held := locked(cluster, "broker2", func(ps *partitionState) int { return len(ps.records) })
+			return held == logEnd && inSync(cluster, "broker1", "broker2")
+		})
+
+		if err := cluster.KillBroker("broker1"); err != nil {
+			t.Fatal(err)
+		}
+		if leader, ok := cluster.Leader(0); !ok || leader != "broker2" {
+			t.Fatalf("leader after killing broker1 = %q, want broker2", leader)
+		}
+		produce("after")
+		recs, err := client.Fetch(ctx, 0, 0, 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off, data := range acked {
+			if off >= int64(len(recs)) || string(recs[off].Data) != data {
+				t.Errorf("acked record %d (%s) lost in failover; new leader serves %d records", off, data, len(recs))
+			}
+		}
+	})
+
+	// A follower that left the ISR is behind, so killing the leader must
+	// elect the follower still in it.
+	t.Run("kill with a follower out of the ISR", func(t *testing.T) {
+		cluster, client, net := testCluster(t, 3, 3)
+		ctx := context.Background()
+		net.Links().Isolate("broker2", true)
+		var acked []string
+		for i := 0; i < 3; i++ {
+			data := fmt.Sprintf("rec%d", i)
+			if _, err := client.Produce(ctx, 0, []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, data)
+		}
+		if err := cluster.KillBroker("broker1"); err != nil {
+			t.Fatal(err)
+		}
+		if leader, ok := cluster.Leader(0); !ok || leader != "broker3" {
+			t.Fatalf("leader after killing broker1 = %q, want broker3, the ISR member", leader)
+		}
+		if _, err := client.Produce(ctx, 0, []byte("after")); err != nil {
+			t.Fatalf("produce after failover: %v", err)
+		}
+		acked = append(acked, "after")
+		recs, err := client.Fetch(ctx, 0, 0, 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, data := range acked {
+			if i >= len(recs) || string(recs[i].Data) != data {
+				t.Fatalf("new leader serves %v, want %v", recs, acked)
+			}
+		}
+	})
 }
 
 // TestFailoverPicksFirstLiveReplica kills the leader of fresh RF-3
@@ -268,10 +403,13 @@ func TestClusterOwnsNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestConcurrentProducers acks 200 concurrent produces on three brokers
+// with RF 3: each takes its own offset, every broker holds every record
+// in offset order, and the ISR stays whole.
 func TestConcurrentProducers(t *testing.T) {
-	_, client, _ := testCluster(t, 3, 3)
+	cluster, client, _ := testCluster(t, 3, 3)
 	ctx := context.Background()
-	const n = 50
+	const n = 200
 	offsets := make([]int64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -300,6 +438,26 @@ func TestConcurrentProducers(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Errorf("distinct offsets = %d", len(seen))
+	}
+
+	leader, _ := cluster.Leader(0)
+	checkHighWatermark(t, cluster, leader)
+	want := locked(cluster, leader, func(ps *partitionState) []Record { return append([]Record(nil), ps.records...) })
+	for _, id := range cluster.cfg.Brokers {
+		if id != leader && !inSync(cluster, leader, id) {
+			t.Errorf("%s left the ISR", id)
+		}
+		got := locked(cluster, id, func(ps *partitionState) []Record { return append([]Record(nil), ps.records...) })
+		if len(got) != n {
+			t.Errorf("%s holds %d records, want %d", id, len(got), n)
+			continue
+		}
+		for i, r := range got {
+			if r.Offset != int64(i) || string(r.Data) != string(want[i].Data) {
+				t.Errorf("%s: record %d = %+v, leader holds %+v", id, i, r, want[i])
+				break
+			}
+		}
 	}
 }
 
