@@ -510,7 +510,7 @@ func (g *Gateway) endorseOne(ctx context.Context, t endorseTarget, req *peer.End
 			if !ok {
 				return callFailed(fmt.Errorf("gateway: bad endorse reply %T", raw))
 			}
-			if g.cfg.Collector != nil && resp.OK() {
+			if resp.OK() {
 				g.cfg.Collector.Endorse(node, rtt)
 			}
 			return resp

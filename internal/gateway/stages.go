@@ -212,7 +212,7 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 		p.attempt = sub.attempt
 	}
 	prop := &p.prop
-	if g.cfg.Collector != nil && !query {
+	if !query {
 		g.cfg.Collector.Submitted(prop.TxID, p.submitted)
 		g.cfg.Collector.Attempt(prop.TxID, p.attempt)
 	}
@@ -254,9 +254,7 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 	}
 	responses, err := g.collectEndorsements(ctx, p)
 	if err != nil {
-		if g.cfg.Collector != nil {
-			g.cfg.Collector.Rejected(p.prop.TxID)
-		}
+		g.cfg.Collector.Rejected(p.prop.TxID)
 		return nil, err
 	}
 	// The endorsements go into the envelope, not past it: they stay on
@@ -264,15 +262,11 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 	var buf [8]types.Endorsement
 	rwset, endorsements, payload, err := checkResponses(responses, buf[:0])
 	if err != nil {
-		if g.cfg.Collector != nil {
-			g.cfg.Collector.Rejected(p.prop.TxID)
-		}
+		g.cfg.Collector.Rejected(p.prop.TxID)
 		return nil, err
 	}
 	endorsed := time.Now()
-	if g.cfg.Collector != nil {
-		g.cfg.Collector.Endorsed(p.prop.TxID, endorsed)
-	}
+	g.cfg.Collector.Endorsed(p.prop.TxID, endorsed)
 	if tr := g.cfg.Tracer; tr.Enabled() && p.prop.TraceID != "" {
 		tr.Record(trace.TraceID(p.prop.TraceID), trace.SpanGatewayEndorse, g.cfg.ID,
 			p.boundary, endorsed,
@@ -341,15 +335,11 @@ func (t *Transaction) submit(ctx context.Context, c *Commit) error {
 		g.mu.Lock()
 		g.claimLocked(c)
 		g.mu.Unlock()
-		if g.cfg.Collector != nil {
-			g.cfg.Collector.Rejected(t.prop.TxID)
-		}
+		g.cfg.Collector.Rejected(t.prop.TxID)
 		return fmt.Errorf("gateway %s: broadcast: %w", g.cfg.ID, err)
 	}
 	acked := g.queueExpiry(c)
-	if g.cfg.Collector != nil {
-		g.cfg.Collector.BroadcastAcked(t.prop.TxID, acked)
-	}
+	g.cfg.Collector.BroadcastAcked(t.prop.TxID, acked)
 	if c.traceID != "" {
 		tr.Record(c.traceID, trace.SpanGatewaySubmit, g.cfg.ID, t.boundary, acked,
 			"attempt", fmt.Sprint(t.attempt),
@@ -507,9 +497,7 @@ func (g *Gateway) broadcast(ctx context.Context, benv *orderer.BroadcastEnvelope
 	var lastErr error
 	for i, osn := range candidates {
 		if i > 0 {
-			if g.cfg.Collector != nil {
-				g.cfg.Collector.BroadcastFailover()
-			}
+			g.cfg.Collector.BroadcastFailover()
 			if err := simcpu.Sleep(ctx, min(backoff, time.Until(deadline))); err != nil {
 				return fmt.Errorf("%w (budget expired after: %v)", err, lastErr)
 			}
@@ -550,12 +538,10 @@ func (g *Gateway) resolve(c *Commit, ev peer.CommitEvent) {
 	if ev.CommitTime != 0 {
 		committedAt = time.Unix(0, ev.CommitTime)
 	}
-	if g.cfg.Collector != nil {
-		if ev.OrderedTime != 0 {
-			g.cfg.Collector.Ordered(c.txID, time.Unix(0, ev.OrderedTime))
-		}
-		g.cfg.Collector.Committed(c.txID, committedAt, ev.Code)
+	if ev.OrderedTime != 0 {
+		g.cfg.Collector.Ordered(c.txID, time.Unix(0, ev.OrderedTime))
 	}
+	g.cfg.Collector.Committed(c.txID, committedAt, ev.Code)
 	if tr := g.cfg.Tracer; tr.Enabled() && c.traceID != "" {
 		tr.Record(c.traceID, trace.SpanGatewayCommitWait, g.cfg.ID, c.ackedAt, committedAt,
 			"attempt", fmt.Sprint(c.attempt),
@@ -644,9 +630,7 @@ func (g *Gateway) retrySleep(ctx context.Context, retry int) error {
 // resolveTimeout settles an attempt as rejected by the ordering
 // timeout.
 func (g *Gateway) resolveTimeout(c *Commit) {
-	if g.cfg.Collector != nil {
-		g.cfg.Collector.Rejected(c.txID)
-	}
+	g.cfg.Collector.Rejected(c.txID)
 	if tr := g.cfg.Tracer; tr.Enabled() && c.traceID != "" {
 		tr.Record(c.traceID, trace.SpanGatewayCommitWait, g.cfg.ID, c.ackedAt, time.Now(),
 			"attempt", fmt.Sprint(c.attempt),

@@ -147,9 +147,7 @@ func (n *Node) pull(src, channel string, from, to uint64) {
 		height, err := ss.FetchSnapshot(ctx, src, channel)
 		cancel()
 		if err == nil && height > from {
-			if c := n.cfg.Collector; c != nil {
-				c.SnapshotBootstrap()
-			}
+			n.cfg.Collector.SnapshotBootstrap()
 			from = height
 		}
 	}
@@ -167,9 +165,7 @@ func (n *Node) pull(src, channel string, from, to uint64) {
 		if !ok || len(reply.Blocks) == 0 {
 			return // src cannot serve (yet); the next trigger retries
 		}
-		if c := n.cfg.Collector; c != nil {
-			c.AntiEntropyPull(len(reply.Blocks))
-		}
+		n.cfg.Collector.AntiEntropyPull(len(reply.Blocks))
 		for _, b := range reply.Blocks {
 			n.acceptBlock(b, 0, src, metrics.SourceAntiEntropy)
 		}

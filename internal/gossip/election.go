@@ -159,9 +159,7 @@ func (n *Node) tryTakeover(channel string, sawTerm uint64) {
 		return
 	}
 	n.mu.Unlock()
-	if c := n.cfg.Collector; c != nil {
-		c.LeaderElection()
-	}
+	n.cfg.Collector.LeaderElection()
 	n.becomeLeader(channel)
 }
 

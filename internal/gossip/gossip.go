@@ -359,15 +359,11 @@ func (n *Node) acceptBlock(block *types.Block, hops int, from, source string) {
 		return // a channel the peer does not join, or a stopped peer
 	}
 	if !res.Fresh {
-		if c := n.cfg.Collector; c != nil {
-			c.GossipDuplicate()
-		}
+		n.cfg.Collector.GossipDuplicate()
 		return
 	}
 	ch := n.channelOf(block)
-	if c := n.cfg.Collector; c != nil {
-		c.GossipBlock(source, hops)
-	}
+	n.cfg.Collector.GossipBlock(source, hops)
 	n.cfg.Tracer.BlockOrigin(ch, block.Header.Number, source, hops)
 	if res.MissFrom < res.MissTo && from != "" {
 		// The pushed block ran ahead of the chain: close the gap

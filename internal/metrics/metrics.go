@@ -113,7 +113,9 @@ type commitLagSample struct {
 	lag time.Duration
 }
 
-// Collector accumulates records; safe for concurrent use.
+// Collector accumulates records; safe for concurrent use. Its recording
+// methods are no-ops on a nil receiver, which is how a run with metrics
+// disabled calls them.
 type Collector struct {
 	mu         sync.Mutex
 	byTx       map[types.TxID]*TxRecord
@@ -158,6 +160,9 @@ func (c *Collector) rec(id types.TxID) *TxRecord {
 
 // Submitted records proposal creation time.
 func (c *Collector) Submitted(id types.TxID, t time.Time) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := c.rec(id)
@@ -171,6 +176,9 @@ func (c *Collector) Submitted(id types.TxID, t time.Time) {
 // Attempt records which 1-based gateway retry attempt this transaction
 // ID belongs to.
 func (c *Collector) Attempt(id types.TxID, attempt int) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rec(id).Attempt = attempt
@@ -178,6 +186,9 @@ func (c *Collector) Attempt(id types.TxID, attempt int) {
 
 // Endorsed records the end of the execute phase.
 func (c *Collector) Endorsed(id types.TxID, t time.Time) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rec(id).Endorsed = t
@@ -185,6 +196,9 @@ func (c *Collector) Endorsed(id types.TxID, t time.Time) {
 
 // BroadcastAcked records ordering-service acceptance.
 func (c *Collector) BroadcastAcked(id types.TxID, t time.Time) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rec(id).Broadcast = t
@@ -192,6 +206,9 @@ func (c *Collector) BroadcastAcked(id types.TxID, t time.Time) {
 
 // Ordered records the cut time of the transaction's block.
 func (c *Collector) Ordered(id types.TxID, t time.Time) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rec(id).Ordered = t
@@ -199,6 +216,9 @@ func (c *Collector) Ordered(id types.TxID, t time.Time) {
 
 // Committed records the end of the validate phase.
 func (c *Collector) Committed(id types.TxID, t time.Time, code types.ValidationCode) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := c.rec(id)
@@ -218,6 +238,9 @@ func (c *Collector) Committed(id types.TxID, t time.Time, code types.ValidationC
 
 // Rejected marks a client-side rejection.
 func (c *Collector) Rejected(id types.TxID) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := c.rec(id)
@@ -232,6 +255,9 @@ func (c *Collector) Rejected(id types.TxID) {
 
 // Block records one cut block.
 func (c *Collector) Block(ev BlockEvent) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.live.Blocks++
@@ -241,6 +267,9 @@ func (c *Collector) Block(ev BlockEvent) {
 // Endorse records one successful endorsement round trip served by the
 // named peer (wall-clock rtt; summaries unscale it to model time).
 func (c *Collector) Endorse(peer string, rtt time.Duration) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.endorses = append(c.endorses, endorseSample{peer: peer, at: time.Now(), rtt: rtt})
@@ -248,6 +277,9 @@ func (c *Collector) Endorse(peer string, rtt time.Duration) {
 
 // CommitStage records one committed block's pipeline stage breakdown.
 func (c *Collector) CommitStage(ev CommitStageEvent) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stages = append(c.stages, ev)
@@ -256,6 +288,9 @@ func (c *Collector) CommitStage(ev CommitStageEvent) {
 // GossipBlock records one block accepted by a peer's gossip layer with
 // its arrival source and gossip hop count.
 func (c *Collector) GossipBlock(source string, hops int) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gossips = append(c.gossips, gossipSample{source: source, hops: hops})
@@ -264,6 +299,9 @@ func (c *Collector) GossipBlock(source string, hops int) {
 // GossipDuplicate counts one block a gossip node handed its sink that the
 // sink already owned or buffered.
 func (c *Collector) GossipDuplicate() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gossipDups++
@@ -271,6 +309,9 @@ func (c *Collector) GossipDuplicate() {
 
 // AntiEntropyPull counts n blocks transferred by one anti-entropy pull.
 func (c *Collector) AntiEntropyPull(n int) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.aePulled += n
@@ -278,6 +319,9 @@ func (c *Collector) AntiEntropyPull(n int) {
 
 // LeaderElection counts one gossip org-leader takeover.
 func (c *Collector) LeaderElection() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.elections++
@@ -286,6 +330,9 @@ func (c *Collector) LeaderElection() {
 // SnapshotBootstrap counts one peer installing another peer's ledger
 // snapshot instead of replaying the gap block by block.
 func (c *Collector) SnapshotBootstrap() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.snapshots++
@@ -294,6 +341,9 @@ func (c *Collector) SnapshotBootstrap() {
 // BroadcastFailover counts one gateway broadcast retried on another
 // OSN after a failed attempt.
 func (c *Collector) BroadcastFailover() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failovers++
@@ -304,6 +354,9 @@ func (c *Collector) BroadcastFailover() {
 // records (taken on the event peer only), these samples come from every
 // peer, so the summary's commit lag captures dissemination stragglers.
 func (c *Collector) PeerCommit(lag time.Duration, at time.Time) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.live.lagSum += lag

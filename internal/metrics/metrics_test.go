@@ -125,6 +125,26 @@ func TestEmptyCollector(t *testing.T) {
 	}
 }
 
+// TestNilCollectorRecordsNothing calls every recording method on a nil
+// Collector, as node code does when metrics are disabled: none may panic.
+func TestNilCollectorRecordsNothing(t *testing.T) {
+	var c *Collector
+	now := time.Now()
+	record(c, "tx", now, 0, 1, 2, 3, types.ValidationValid)
+	c.Attempt("tx", 2)
+	c.Rejected("tx")
+	c.Block(BlockEvent{Number: 1})
+	c.Endorse("p0", time.Millisecond)
+	c.CommitStage(CommitStageEvent{Number: 1})
+	c.GossipBlock(SourceGossip, 1)
+	c.GossipDuplicate()
+	c.AntiEntropyPull(2)
+	c.LeaderElection()
+	c.SnapshotBootstrap()
+	c.BroadcastFailover()
+	c.PeerCommit(time.Millisecond, now)
+}
+
 func TestLatencyStatsPercentiles(t *testing.T) {
 	lats := make([]time.Duration, 0, 100)
 	for i := 1; i <= 100; i++ {

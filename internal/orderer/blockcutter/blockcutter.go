@@ -47,8 +47,6 @@ func DefaultConfig() Config {
 type Cutter struct {
 	cfg     Config
 	pending [][]byte
-	started time.Time // arrival of the first pending tx
-	hasTime bool
 }
 
 // New creates a cutter. A BatchSize < 1 falls back to the default 100;
@@ -66,12 +64,11 @@ func New(cfg Config) *Cutter {
 // Ordered appends one transaction and returns the batches that became
 // ready because of it (at most one with size-based cutting, since each
 // call adds a single tx). The boolean reports whether a timeout timer
-// should be (re)armed: true whenever transactions remain pending.
-func (c *Cutter) Ordered(env []byte, now time.Time) (batches [][][]byte, pending bool) {
-	if len(c.pending) == 0 {
-		c.started = now
-		c.hasTime = true
-	}
+// should be (re)armed: true whenever transactions remain pending. now is
+// not read: the consenter that arms the timer keeps its own clock. The
+// parameter stays because callers outside this package, such as
+// benchmark/replay.go, pass it.
+func (c *Cutter) Ordered(env []byte, _ time.Time) (batches [][][]byte, pending bool) {
 	c.pending = append(c.pending, env)
 	if len(c.pending) >= c.cfg.BatchSize {
 		batches = append(batches, c.takePending())
@@ -91,7 +88,6 @@ func (c *Cutter) Cut() [][]byte {
 func (c *Cutter) takePending() [][]byte {
 	batch := c.pending
 	c.pending = nil
-	c.hasTime = false
 	return batch
 }
 

@@ -534,7 +534,7 @@ func (o *Orderer) emitBatch(channel string, batch [][]byte) {
 	c.wakeLocked()
 	c.mu.Unlock()
 
-	if o.cfg.Recorder && o.cfg.Collector != nil {
+	if o.cfg.Recorder {
 		o.cfg.Collector.Block(metrics.BlockEvent{Number: num, Channel: c.id, CutAt: now, Txs: len(block.Data)})
 	}
 	if o.cfg.Tracer.Enabled() {

@@ -399,7 +399,7 @@ func (p *Peer) appendLoop(cs *channelState) {
 			col := p.cfg.Collector
 			// Every peer reports its commits, so the commit-lag summary
 			// sees dissemination stragglers, not just the recorder.
-			if ot := pb.committed.Metadata.OrderedTime; col != nil && ot > 0 {
+			if ot := pb.committed.Metadata.OrderedTime; ot > 0 {
 				col.PeerCommit(now.Sub(time.Unix(0, ot)), now)
 			}
 			p.emitCommitEvents(pb.committed, pb.txs, now)

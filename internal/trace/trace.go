@@ -74,7 +74,6 @@ type Tracer struct {
 	max    int
 	traces map[TraceID]*traceEntry
 	order  []TraceID // insertion order, for eviction
-	seq    uint64    // TraceID mint counter
 	alias  map[string]TraceID
 
 	originMu sync.Mutex
@@ -121,7 +120,6 @@ func (t *Tracer) Mint(txID string) TraceID {
 		return ""
 	}
 	t.mu.Lock()
-	t.seq++
 	id := TraceID(txID)
 	if _, taken := t.traces[id]; taken || id == "" {
 		// TxIDs are unique in practice; keep a deterministic fallback.

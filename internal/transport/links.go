@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -239,6 +240,31 @@ func (ls *LinkSet) Sample(src, dst string) (delay time.Duration, drop bool) {
 		ls.rngMu.Unlock()
 	}
 	return delay, drop
+}
+
+// fate applies the link rule both wires share to one frame on src->dst.
+// Call frames (requests and replies) ride a retransmitting stream: a
+// severed link (a cut, or a down node's isolation) fails them with
+// ErrLinkDown, the connection reset a real RPC would see, and a loss roll
+// surfaces as a RetransmitDelay latency spike rather than a hung call.
+// One-way frames are dropped silently on either; the paths that send them
+// (gossip pushes, event streams) are built to tolerate loss. Otherwise
+// the frame pays delay.
+func (ls *LinkSet) fate(src, dst string, call bool) (delay time.Duration, drop bool, err error) {
+	if ls.Severed(src, dst) {
+		if call {
+			return 0, false, fmt.Errorf("%w: %s -> %s", ErrLinkDown, src, dst)
+		}
+		return 0, true, nil
+	}
+	delay, lost := ls.Sample(src, dst)
+	if lost {
+		if !call {
+			return 0, true, nil
+		}
+		delay += RetransmitDelay
+	}
+	return delay, false, nil
 }
 
 // Canned multi-region WAN matrices: region labels plus one-way

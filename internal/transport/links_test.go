@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"sync"
 	"testing"
@@ -86,49 +85,51 @@ func TestNamedMatrix(t *testing.T) {
 	}
 }
 
-// TestLinkFateForCalls pins the RPC-vs-send semantics: a severed link
-// fails a Call fast, total loss delays a Call (retransmission) but
-// still completes it, and a one-way Send is eaten silently.
+// TestLinkFateForCalls pins the RPC-vs-send semantics on both wires: a
+// severed link fails a Call fast, total loss delays a Call
+// (retransmission) but still completes it, and a one-way Send is eaten
+// silently.
 func TestLinkFateForCalls(t *testing.T) {
-	n, a, b := pair(t, Config{TimeScale: 0.01})
-	echoes := make(chan struct{}, 64)
-	b.Handle("echo", func(_ context.Context, _ string, payload any) (any, int, error) {
-		echoes <- struct{}{}
-		return payload, 8, nil
-	})
+	onEachWire(t, Config{TimeScale: 0.01}, func(t *testing.T, a, b Endpoint, links *LinkSet) {
+		echoes := make(chan struct{}, 64)
+		b.Handle("echo", func(_ context.Context, _ string, payload any) (any, int, error) {
+			echoes <- struct{}{}
+			return payload, 8, nil
+		})
 
-	n.Links().Partition([]string{"a"}, []string{"b"})
-	if _, err := a.Call(context.Background(), "b", "echo", 1, 8); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("call over cut link: err = %v, want ErrLinkDown", err)
-	}
-	n.Links().Heal([]string{"a"}, []string{"b"})
-
-	n.Links().Set("a", "b", LinkProps{Loss: 1.0})
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.Call(context.Background(), "b", "echo", 2, 8)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("call over lossy link: %v", err)
+		links.Partition([]string{"a"}, []string{"b"})
+		if _, err := a.Call(context.Background(), "b", "echo", 1, 8); !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("call over cut link: err = %v, want ErrLinkDown", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("call over lossy link hung")
-	}
+		links.Heal([]string{"a"}, []string{"b"})
 
-	// Drain the echo the call produced, then verify a one-way send
-	// disappears without a trace.
-	<-echoes
-	if err := a.Send("b", "echo", 3, 8); err != nil {
-		t.Fatalf("send over lossy link errored: %v", err)
-	}
-	select {
-	case <-echoes:
-		t.Fatal("one-way send survived a 100% lossy link")
-	case <-time.After(100 * time.Millisecond):
-	}
+		links.Set("a", "b", LinkProps{Loss: 1.0})
+		done := make(chan error, 1)
+		go func() {
+			_, err := a.Call(context.Background(), "b", "echo", 2, 8)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("call over lossy link: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("call over lossy link hung")
+		}
+
+		// Drain the echo the call produced, then verify a one-way send
+		// disappears without a trace.
+		<-echoes
+		if err := a.Send("b", "echo", 3, 8); err != nil {
+			t.Fatalf("send over lossy link errored: %v", err)
+		}
+		select {
+		case <-echoes:
+			t.Fatal("one-way send survived a 100% lossy link")
+		case <-time.After(100 * time.Millisecond):
+		}
+	})
 }
 
 // TestLinkKeysDoNotCollide sends over "a->b" to "c" and "a" to "b->c",
@@ -258,11 +259,7 @@ func TestLinkSetConcurrentMemTraffic(t *testing.T) {
 // TestLinkSetConcurrentTCPTraffic is the same race exercise over the
 // TCP transport, whose write path samples the matrix inline.
 func TestLinkSetConcurrentTCPTraffic(t *testing.T) {
-	tcpGobOnce.Do(func() {
-		gob.Register(&tcpTestPayload{})
-		gob.Register("")
-		gob.Register(0)
-	})
+	registerTestTypes()
 	reg := NewTCPNetwork()
 	t.Cleanup(reg.Close)
 	eps := map[string]*TCPEndpoint{}

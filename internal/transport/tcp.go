@@ -2,13 +2,10 @@ package transport
 
 import (
 	"bufio"
-	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,16 +13,6 @@ import (
 // Call once per concrete payload type before any traffic flows; the
 // in-memory transport needs no registration.
 func RegisterWireType(v any) { gob.Register(v) }
-
-// wireMessage is the gob frame exchanged between TCP endpoints.
-type wireMessage struct {
-	From    string
-	Kind    string
-	Corr    uint64
-	IsReply bool
-	ErrText string
-	Payload any
-}
 
 // TCPNetwork is a registry of TCP endpoints within one process. It
 // implements the same Register-based wiring as the in-memory Network so
@@ -37,8 +24,7 @@ type TCPNetwork struct {
 
 	// links carries the runtime link-property matrix. Unlike the
 	// in-memory network there is no time scale: latency and jitter are
-	// wall-clock delays injected before the write, and losses/cuts
-	// silently discard the frame before it hits the socket.
+	// wall-clock delays the sender sleeps before the write.
 	links *LinkSet
 }
 
@@ -110,29 +96,21 @@ func (n *TCPNetwork) Close() {
 	}
 }
 
-// TCPEndpoint is the Endpoint implementation over real sockets.
+// TCPEndpoint is the Endpoint implementation over real sockets. Its
+// call core is the in-memory endpoint's; this file adds the sockets and
+// the gob framing.
 type TCPEndpoint struct {
-	id  string
+	core
 	reg *TCPNetwork
 	ln  net.Listener
-
-	handlersMu sync.RWMutex
-	handlers   map[string]Handler
 
 	connsMu sync.Mutex
 	conns   map[string]*tcpConn
 	// sockets tracks every live net.Conn (inbound and outbound) so
 	// Close can unblock their read loops.
 	sockets map[net.Conn]struct{}
-
-	pendingMu sync.Mutex
-	pending   map[uint64]chan wireMessage
-	corr      atomic.Uint64
-
-	closed atomic.Bool
-	// done is closed by Close, failing every pending Call with ErrClosed.
-	done chan struct{}
-	wg   sync.WaitGroup
+	// wg counts the accept loop and the read loops.
+	wg sync.WaitGroup
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -153,15 +131,12 @@ func ListenTCP(id, addr string, reg *TCPNetwork) (*TCPEndpoint, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	e := &TCPEndpoint{
-		id:       id,
-		reg:      reg,
-		ln:       ln,
-		handlers: make(map[string]Handler),
-		conns:    make(map[string]*tcpConn),
-		sockets:  make(map[net.Conn]struct{}),
-		pending:  make(map[uint64]chan wireMessage),
-		done:     make(chan struct{}),
+		reg:     reg,
+		ln:      ln,
+		conns:   make(map[string]*tcpConn),
+		sockets: make(map[net.Conn]struct{}),
 	}
+	e.core = newCore(id, e)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -170,88 +145,29 @@ func ListenTCP(id, addr string, reg *TCPNetwork) (*TCPEndpoint, error) {
 	return e, nil
 }
 
-// ID returns the endpoint's node identifier.
-func (e *TCPEndpoint) ID() string { return e.id }
-
 // Addr returns the bound listen address.
 func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 
-// Handle registers a message handler.
-func (e *TCPEndpoint) Handle(kind string, h Handler) {
-	e.handlersMu.Lock()
-	defer e.handlersMu.Unlock()
-	e.handlers[kind] = h
-}
-
-// Send delivers a one-way message. The size argument is ignored: real
-// sockets provide real transmission delay.
-func (e *TCPEndpoint) Send(to, kind string, payload any, _ int) error {
-	return e.write(to, wireMessage{From: e.id, Kind: kind, Payload: payload})
-}
-
-// Call performs a request/response exchange.
-func (e *TCPEndpoint) Call(ctx context.Context, to, kind string, payload any, size int) (any, error) {
-	return e.CallWithin(ctx, 0, to, kind, payload, size)
-}
-
-// CallWithin is Call bounded by timeout as well. TCP calls are off the
-// hot path, so the bound is a context deadline.
-func (e *TCPEndpoint) CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, _ int) (any, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	corr := e.corr.Add(1)
-	ch := make(chan wireMessage, 1)
-	e.pendingMu.Lock()
-	e.pending[corr] = ch
-	e.pendingMu.Unlock()
-	defer func() {
-		e.pendingMu.Lock()
-		delete(e.pending, corr)
-		e.pendingMu.Unlock()
-	}()
-
-	if err := e.write(to, wireMessage{From: e.id, Kind: kind, Corr: corr, Payload: payload}); err != nil {
-		return nil, err
-	}
-	select {
-	case reply := <-ch:
-		if reply.ErrText != "" {
-			return nil, errors.New(reply.ErrText)
-		}
-		return reply.Payload, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.done:
-		return nil, ErrClosed
-	}
-}
-
-// Close shuts the listener and all connections down, and fails pending
-// calls with ErrClosed.
+// Close shuts the listener and all connections down, fails pending calls
+// with ErrClosed, and cancels and waits for running handlers.
 func (e *TCPEndpoint) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(e.done)
-	_ = e.ln.Close()
-	e.connsMu.Lock()
-	for s := range e.sockets {
-		_ = s.Close()
-	}
-	e.sockets = make(map[net.Conn]struct{})
-	e.conns = make(map[string]*tcpConn)
-	e.connsMu.Unlock()
+	e.shutdown(func() {
+		_ = e.ln.Close()
+		e.connsMu.Lock()
+		for s := range e.sockets {
+			_ = s.Close()
+		}
+		e.sockets = make(map[net.Conn]struct{})
+		e.conns = make(map[string]*tcpConn)
+		e.connsMu.Unlock()
+	})
 	e.wg.Wait()
 	return nil
 }
 
-// trackSocket records a live socket; returns false if already closed.
+// trackSocket records a live socket and counts its read loop in wg; it
+// returns false if the endpoint has closed. Close sets closed before it
+// takes connsMu, so the wg.Add here never races its wg.Wait.
 func (e *TCPEndpoint) trackSocket(c net.Conn) bool {
 	e.connsMu.Lock()
 	defer e.connsMu.Unlock()
@@ -259,6 +175,7 @@ func (e *TCPEndpoint) trackSocket(c net.Conn) bool {
 		return false
 	}
 	e.sockets[c] = struct{}{}
+	e.wg.Add(1)
 	return true
 }
 
@@ -268,68 +185,54 @@ func (e *TCPEndpoint) untrackSocket(c net.Conn) {
 	delete(e.sockets, c)
 }
 
-// write sends one frame to a peer. A cached connection to a peer that
-// restarted (Deregister + Register) is only discovered dead on first
-// use: that write fails, drops the cache entry, and the single retry
-// redials the freshly registered address — without it, replies routed
-// by node ID (readLoop's e.write(msg.From, ...)) would be silently
-// lost across a peer restart and the caller's Call would hang.
-func (e *TCPEndpoint) write(to string, msg wireMessage) error {
-	// Consult the link matrix first. One-way frames on a cut or lossy
-	// link are eaten silently, exactly like a lossy wire. Call frames
-	// instead fail fast on a severed link (the connection reset a real
-	// RPC sees) and pay an RTO-sized delay on a loss roll, so no
-	// caller is ever stranded. Latency/jitter delay the sender inline;
-	// wall-clock, TCP has no time scale.
-	if e.reg != nil && e.reg.links != nil {
-		if e.reg.links.Severed(e.id, to) {
-			switch {
-			case msg.IsReply:
-				// Cut after the request got through: turn the reply
-				// into the reset notification the caller would see.
-				msg = wireMessage{From: e.id, Kind: msg.Kind, Corr: msg.Corr, IsReply: true, ErrText: ErrLinkDown.Error()}
-			case msg.Corr != 0:
-				return fmt.Errorf("%w: %s -> %s", ErrLinkDown, e.id, to)
-			default:
-				return nil
-			}
-		} else {
-			delay, lost := e.reg.links.Sample(e.id, to)
-			if lost {
-				if msg.Corr == 0 {
-					return nil
-				}
-				delay += RetransmitDelay
-			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-		}
+// send is the carrier's send: it applies the link's fate to the frame,
+// sleeping its wall-clock delay, then writes it. A cached connection to a
+// peer that restarted (Deregister + Register) is only discovered dead on
+// first use: that write fails, drops the cache entry, and the single
+// retry redials the freshly registered address — without it, replies
+// routed by node ID would be silently lost across a peer restart and the
+// caller's Call would hang.
+func (e *TCPEndpoint) send(f frame) error {
+	delay, drop, err := e.reg.links.fate(e.id, f.to, f.Corr != 0)
+	switch {
+	case err != nil && f.IsReply:
+		// Cut after the request got through: turn the reply into the
+		// reset notification the caller would see.
+		f = frame{From: e.id, to: f.to, Kind: f.Kind, Corr: f.Corr, IsReply: true, ErrText: ErrLinkDown.Error()}
+	case drop || err != nil:
+		return err
+	case delay > 0:
+		time.Sleep(delay)
 	}
-	if err := e.writeOnce(to, msg); err == nil || e.closed.Load() {
+	if err = e.writeOnce(f); err == nil || e.closed.Load() {
 		return err
 	}
-	return e.writeOnce(to, msg)
+	return e.writeOnce(f)
 }
 
+// refuse is the carrier's refuse. A TCP endpoint has no path to a caller
+// whose frame it will not answer: that caller's deadline or context ends
+// its call.
+func (e *TCPEndpoint) refuse(frame) {}
+
 // writeOnce sends one frame on the (cached) connection to a peer.
-func (e *TCPEndpoint) writeOnce(to string, msg wireMessage) error {
+func (e *TCPEndpoint) writeOnce(f frame) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	conn, err := e.connTo(to)
+	conn, err := e.connTo(f.to)
 	if err != nil {
 		return err
 	}
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	if err := conn.enc.Encode(&msg); err != nil {
-		e.dropConn(to, conn)
-		return fmt.Errorf("transport: send to %s: %w", to, err)
+	if err := conn.enc.Encode(&f); err != nil {
+		e.dropConn(f.to, conn)
+		return fmt.Errorf("transport: send to %s: %w", f.to, err)
 	}
 	if err := conn.bw.Flush(); err != nil {
-		e.dropConn(to, conn)
-		return fmt.Errorf("transport: flush to %s: %w", to, err)
+		e.dropConn(f.to, conn)
+		return fmt.Errorf("transport: flush to %s: %w", f.to, err)
 	}
 	return nil
 }
@@ -378,7 +281,6 @@ func (e *TCPEndpoint) connTo(to string) (*tcpConn, error) {
 		_ = raw.Close()
 		return nil, ErrClosed
 	}
-	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		defer e.untrackSocket(raw)
@@ -404,7 +306,6 @@ func (e *TCPEndpoint) acceptLoop() {
 			_ = raw.Close()
 			return
 		}
-		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
 			defer e.untrackSocket(raw)
@@ -417,47 +318,10 @@ func (e *TCPEndpoint) acceptLoop() {
 func (e *TCPEndpoint) readLoop(raw net.Conn) {
 	dec := gob.NewDecoder(bufio.NewReader(raw))
 	for {
-		var msg wireMessage
-		if err := dec.Decode(&msg); err != nil {
+		var f frame
+		if err := dec.Decode(&f); err != nil {
 			return
 		}
-		if msg.IsReply {
-			e.pendingMu.Lock()
-			ch, ok := e.pending[msg.Corr]
-			e.pendingMu.Unlock()
-			if ok {
-				select {
-				case ch <- msg:
-				default:
-				}
-			}
-			continue
-		}
-		e.handlersMu.RLock()
-		h, ok := e.handlers[msg.Kind]
-		e.handlersMu.RUnlock()
-		if !ok {
-			if msg.Corr != 0 {
-				_ = e.write(msg.From, wireMessage{
-					From: e.id, Kind: msg.Kind, Corr: msg.Corr, IsReply: true,
-					ErrText: fmt.Sprintf("%v: %s", ErrNoHandler, msg.Kind),
-				})
-			}
-			continue
-		}
-		e.wg.Add(1)
-		go func(msg wireMessage) {
-			defer e.wg.Done()
-			resp, _, err := h(context.Background(), msg.From, msg.Payload)
-			if msg.Corr == 0 {
-				return
-			}
-			reply := wireMessage{From: e.id, Kind: msg.Kind, Corr: msg.Corr, IsReply: true, Payload: resp}
-			if err != nil {
-				reply.ErrText = err.Error()
-				reply.Payload = nil
-			}
-			_ = e.write(msg.From, reply)
-		}(msg)
+		e.dispatch(f)
 	}
 }

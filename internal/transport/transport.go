@@ -1,11 +1,14 @@
-// Package transport connects the nodes of the emulated cluster. The
-// in-memory implementation models the paper's testbed network (1 Gbps
-// Ethernet, sub-millisecond RTT): every directed link has a base latency
-// and serializes messages at the configured bandwidth, preserving
-// per-link FIFO order; each link's pump hands its frames straight to the
-// destination endpoint, which runs a request's handler on a worker. The
-// same node code also runs over TCP via the tcp.go implementation for
-// real multi-process deployments.
+// Package transport connects the nodes of the emulated cluster over one
+// of two wires. The in-memory network models the paper's testbed
+// network (1 Gbps Ethernet, sub-millisecond RTT): every directed link has
+// a base latency and serializes messages at the configured bandwidth,
+// preserving per-link FIFO order, and each link's pump hands its frames
+// straight to the destination endpoint. The TCP wire (tcp.go) runs the
+// same node code over real sockets for multi-process deployments. Both
+// wires share one call core (core.go): handlers, call correlation,
+// pooled reply channels and timers, and the handler workers a request
+// runs on. Closing an endpoint, on either wire, fails its pending calls
+// with ErrClosed and cancels the context its running handlers got.
 package transport
 
 import (
@@ -50,26 +53,9 @@ type Endpoint interface {
 	// context deadline would give. A non-positive timeout adds no bound,
 	// so Call is CallWithin with timeout 0.
 	CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, size int) (any, error)
-	// Close detaches the endpoint; pending calls fail.
+	// Close detaches the endpoint: pending calls fail with ErrClosed, and
+	// the context its running handlers got is cancelled.
 	Close() error
-}
-
-// message is the in-memory wire unit.
-type message struct {
-	from, to string
-	kind     string
-	corr     uint64
-	isReply  bool
-	payload  any
-	size     int
-	errText  string
-	// latency is this message's sampled one-way propagation latency
-	// (modeled time), resolved from the LinkSet at send time so a link
-	// change mid-flight never affects already-departed messages.
-	latency time.Duration
-	// sentAt is the send instant: the earliest the link can start
-	// transmitting the frame, however late its pump gets to it.
-	sentAt time.Time
 }
 
 // Config parameterizes the emulated network.
@@ -120,10 +106,10 @@ func NewNetwork(cfg Config) *Network {
 // modeled time (scaled by Config.TimeScale on delivery).
 func (n *Network) Links() *LinkSet { return n.linkset }
 
-// link serializes messages of one directed link in FIFO order with the
+// link serializes frames of one directed link in FIFO order with the
 // configured latency and bandwidth.
 type link struct {
-	ch chan message
+	ch chan frame
 }
 
 // Register attaches a new endpoint under the given node ID.
@@ -136,15 +122,7 @@ func (n *Network) Register(id string) (*MemEndpoint, error) {
 	if _, ok := n.nodes[id]; ok {
 		return nil, fmt.Errorf("transport: duplicate node %q", id)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ep := &MemEndpoint{
-		id:       id,
-		net:      n,
-		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]chan message),
-		ctx:      ctx,
-		cancel:   cancel,
-	}
+	ep := &MemEndpoint{core: newCore(id, n)}
 	n.nodes[id] = ep
 	return ep, nil
 }
@@ -183,49 +161,34 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
-// deliver routes a message onto the appropriate link, creating the link
-// pump lazily.
-func (n *Network) deliver(msg message) error {
+// send routes a frame onto its directed link, creating the link's pump
+// lazily. The link's fate for the frame is resolved now (see
+// LinkSet.fate).
+func (n *Network) send(f frame) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
 	n.mu.RLock()
-	if _, ok := n.nodes[msg.to]; !ok {
+	if _, ok := n.nodes[f.to]; !ok {
 		n.mu.RUnlock()
-		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.to)
+		return fmt.Errorf("%w: %q", ErrUnknownNode, f.to)
 	}
-	lk := linkKey{msg.from, msg.to}
+	lk := linkKey{f.From, f.to}
 	l, ok := n.links[lk]
 	n.mu.RUnlock()
 
-	// Resolve this message's link fate now. Call frames (corr != 0)
-	// ride a retransmitting stream: a severed link (a cut, or a down
-	// node's isolation) fails them fast, the connection reset a real
-	// RPC would see, and a loss roll surfaces as an RTO-sized latency
-	// spike rather than a hung call. Only one-way sends are eaten
-	// silently by the wire; those paths (gossip pushes, event streams)
-	// are built to tolerate loss.
-	if n.linkset.Severed(msg.from, msg.to) {
-		if msg.corr != 0 {
-			return fmt.Errorf("%w: %s -> %s", ErrLinkDown, msg.from, msg.to)
-		}
-		return nil
+	delay, drop, err := n.linkset.fate(f.From, f.to, f.Corr != 0)
+	if drop || err != nil {
+		return err
 	}
-	delay, lost := n.linkset.Sample(msg.from, msg.to)
-	if lost {
-		if msg.corr == 0 {
-			return nil
-		}
-		delay += RetransmitDelay
-	}
-	msg.latency = delay
-	msg.sentAt = time.Now()
+	f.latency = delay
+	f.sentAt = time.Now()
 
 	if !ok {
 		n.mu.Lock()
 		l, ok = n.links[lk]
 		if !ok {
-			l = &link{ch: make(chan message, 4096)}
+			l = &link{ch: make(chan frame, 4096)}
 			n.links[lk] = l
 			n.wg.Add(1)
 			go func() {
@@ -237,10 +200,10 @@ func (n *Network) deliver(msg message) error {
 	}
 
 	select {
-	case l.ch <- msg:
+	case l.ch <- f:
 		return nil
 	default:
-		return fmt.Errorf("transport: link %s -> %s congested", msg.from, msg.to)
+		return fmt.Errorf("transport: link %s -> %s congested", f.From, f.to)
 	}
 }
 
@@ -260,22 +223,22 @@ func (n *Network) deliver(msg message) error {
 func (n *Network) pumpLink(l *link) {
 	var busyUntil time.Time
 	for {
-		var msg message
+		var f frame
 		select {
-		case msg = <-l.ch:
+		case f = <-l.ch:
 		case <-n.done:
 			return
 		}
 		start := busyUntil
-		if start.Before(msg.sentAt) {
-			start = msg.sentAt
+		if start.Before(f.sentAt) {
+			start = f.sentAt
 		}
 		var transmission time.Duration
-		if n.cfg.Bandwidth > 0 && msg.size > 0 {
-			transmission = time.Duration(float64(msg.size) / n.cfg.Bandwidth * float64(time.Second) * n.cfg.TimeScale)
+		if n.cfg.Bandwidth > 0 && f.size > 0 {
+			transmission = time.Duration(float64(f.size) / n.cfg.Bandwidth * float64(time.Second) * n.cfg.TimeScale)
 		}
 		busyUntil = start.Add(transmission)
-		deliverAt := busyUntil.Add(time.Duration(float64(msg.latency) * n.cfg.TimeScale))
+		deliverAt := busyUntil.Add(time.Duration(float64(f.latency) * n.cfg.TimeScale))
 		if sleep := time.Until(deliverAt); sleep > 0 {
 			// Close does not wait out a frame in flight: nothing is
 			// delivered after it anyway.
@@ -292,297 +255,49 @@ func (n *Network) pumpLink(l *link) {
 			return
 		}
 		n.mu.RLock()
-		dst := n.nodes[msg.to]
+		dst := n.nodes[f.to]
 		n.mu.RUnlock()
-		if dst == nil || n.linkset.Severed(msg.from, msg.to) {
+		if dst == nil || n.linkset.Severed(f.From, f.to) {
 			// Dropped on the floor like a real crash or cut wire —
 			// but a call frame must not strand its caller forever.
-			n.failCall(msg)
+			n.refuse(f)
 			continue
 		}
-		dst.dispatch(msg)
+		dst.dispatch(f)
 	}
 }
 
-// failCall completes the pending Call attached to a dropped call frame
-// with ErrLinkDown, bypassing the (dead) link — the fail-fast a real
-// RPC client gets from a connection reset or deadline. One-way frames
-// are ignored.
-func (n *Network) failCall(msg message) {
-	if msg.corr == 0 {
+// refuse completes the pending call attached to a dropped call frame
+// with ErrLinkDown, bypassing the (dead) link — the fail-fast a real RPC
+// client gets from a connection reset or deadline. One-way frames are
+// ignored.
+func (n *Network) refuse(f frame) {
+	if f.Corr == 0 {
 		return
 	}
-	waiter := msg.from // a dropped request strands its sender ...
-	if msg.isReply {
-		waiter = msg.to // ... a dropped reply strands its receiver
+	waiter := f.From // a dropped request strands its sender ...
+	if f.IsReply {
+		waiter = f.to // ... a dropped reply strands its receiver
 	}
 	n.mu.RLock()
 	ep := n.nodes[waiter]
 	n.mu.RUnlock()
 	if ep != nil {
-		ep.complete(message{corr: msg.corr, isReply: true, errText: ErrLinkDown.Error()})
+		ep.complete(frame{Corr: f.Corr, IsReply: true, ErrText: ErrLinkDown.Error()})
 	}
 }
 
-// maxIdleWorkers caps the handler workers an endpoint keeps parked
-// between requests. It bounds only the cache, never concurrency: a
-// request that finds no parked worker starts a new one.
-const maxIdleWorkers = 64
-
-// job is one inbound request handed to a handler worker.
-type job struct {
-	h   Handler
-	msg message
-}
-
-// MemEndpoint is the in-memory Endpoint implementation.
+// MemEndpoint is the in-memory Endpoint implementation. It owns no
+// goroutine: frames reach it on its links' pumps.
 type MemEndpoint struct {
-	id  string
-	net *Network
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	handlersMu sync.RWMutex
-	handlers   map[string]Handler
-
-	// pendingMu guards pending and the free list of reply channels, and
-	// every send into a pending channel happens under it after the
-	// lookup. Once Call deletes its entry no sender can reach the
-	// channel, so a recycled channel is always empty.
-	pendingMu sync.Mutex
-	pending   map[uint64]chan message
-	free      []chan message
-	corr      atomic.Uint64
-
-	closed atomic.Bool
-	// closeMu orders the closed transition against handler-worker
-	// accounting: dispatch's hwg.Add and Close's hwg.Wait must not
-	// race once the counter may be zero (sync.WaitGroup's reuse rule).
-	// It also guards idle, the LIFO cache of parked workers' job
-	// channels; hwg counts worker goroutines, parked ones included.
-	closeMu sync.Mutex
-	idle    []chan job
-	hwg     sync.WaitGroup
+	core
 }
 
 var _ Endpoint = (*MemEndpoint)(nil)
 
-// ID returns the endpoint's node identifier.
-func (e *MemEndpoint) ID() string { return e.id }
-
-// Handle registers a message handler for the given kind.
-func (e *MemEndpoint) Handle(kind string, h Handler) {
-	e.handlersMu.Lock()
-	defer e.handlersMu.Unlock()
-	e.handlers[kind] = h
-}
-
-// Send delivers a one-way message; delivery is asynchronous.
-func (e *MemEndpoint) Send(to, kind string, payload any, size int) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	return e.net.deliver(message{from: e.id, to: to, kind: kind, payload: payload, size: size})
-}
-
-// Call sends a request and waits for the matching reply or ctx expiry.
-func (e *MemEndpoint) Call(ctx context.Context, to, kind string, payload any, size int) (any, error) {
-	return e.CallWithin(ctx, 0, to, kind, payload, size)
-}
-
-// CallWithin sends a request and waits for the matching reply, ctx
-// expiry, or the timeout, whichever comes first. The timeout runs on a
-// pooled timer, so a bounded call costs no context and no timer
-// allocation once the pool is warm.
-func (e *MemEndpoint) CallWithin(ctx context.Context, timeout time.Duration, to, kind string, payload any, size int) (any, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	corr := e.corr.Add(1)
-	e.pendingMu.Lock()
-	var ch chan message
-	if n := len(e.free); n > 0 {
-		ch = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ch = make(chan message, 1)
-	}
-	e.pending[corr] = ch
-	e.pendingMu.Unlock()
-	defer func() {
-		e.pendingMu.Lock()
-		delete(e.pending, corr)
-		select { // a reply that raced a timeout or close
-		case <-ch:
-		default:
-		}
-		e.free = append(e.free, ch)
-		e.pendingMu.Unlock()
-	}()
-
-	err := e.net.deliver(message{from: e.id, to: to, kind: kind, corr: corr, payload: payload, size: size})
-	if err != nil {
-		return nil, err
-	}
-	var timer *time.Timer
-	var expired <-chan time.Time // nil, and never ready, without a timeout
-	if timeout > 0 {
-		timer = simcpu.GetTimer(timeout)
-		expired = timer.C
-	}
-	select {
-	case reply := <-ch:
-		stopTimer(timer)
-		if reply.errText != "" {
-			return nil, errors.New(reply.errText)
-		}
-		return reply.payload, nil
-	case <-expired:
-		simcpu.PutTimer(timer) // fired and received: nothing left to deliver
-		return nil, context.DeadlineExceeded
-	case <-ctx.Done():
-		stopTimer(timer)
-		return nil, ctx.Err()
-	case <-e.ctx.Done():
-		stopTimer(timer)
-		return nil, ErrClosed
-	}
-}
-
-// stopTimer stops a call's timer, if it has one, and pools it only when
-// Stop proves it will deliver nothing: a timer that fired unreceived is
-// dropped, or its tick would end a later call's wait early.
-func stopTimer(t *time.Timer) {
-	if t != nil && t.Stop() {
-		simcpu.PutTimer(t)
-	}
-}
-
 // Close detaches the endpoint and waits for its handler workers, parked
 // and running.
 func (e *MemEndpoint) Close() error {
-	// Flip closed under closeMu so dispatch either observes the
-	// close before starting a worker, or its hwg.Add happens strictly
-	// before this Wait. No worker parks once closed is set, so the idle
-	// list taken here is the last one.
-	e.closeMu.Lock()
-	swapped := e.closed.CompareAndSwap(false, true)
-	idle := e.idle
-	e.idle = nil
-	e.closeMu.Unlock()
-	if !swapped {
-		return nil
-	}
-	e.cancel()
-	for _, jobs := range idle {
-		close(jobs)
-	}
-	e.hwg.Wait()
+	e.shutdown(nil)
 	return nil
-}
-
-// complete hands a reply frame to the pending Call it answers, if that
-// call still waits. The send happens under pendingMu after the lookup,
-// and never blocks: a second frame for the same call is dropped.
-func (e *MemEndpoint) complete(reply message) {
-	e.pendingMu.Lock()
-	if ch, ok := e.pending[reply.corr]; ok {
-		select {
-		case ch <- reply:
-		default:
-		}
-	}
-	e.pendingMu.Unlock()
-}
-
-// dispatch hands one delivered frame to the endpoint: a reply completes
-// its pending call, and a request goes to the most recently parked
-// worker, or to a new one if none is idle, so handler concurrency is
-// unbounded and handler start order is not the delivery order. A request
-// that reaches a closed endpoint fails its caller, as a crashed process
-// would.
-func (e *MemEndpoint) dispatch(msg message) {
-	if msg.isReply {
-		e.complete(msg)
-		return
-	}
-	e.handlersMu.RLock()
-	h, ok := e.handlers[msg.kind]
-	e.handlersMu.RUnlock()
-	if !ok {
-		if msg.corr != 0 {
-			e.reply(msg, nil, 0, fmt.Errorf("%w: %s", ErrNoHandler, msg.kind))
-		}
-		return
-	}
-	e.closeMu.Lock()
-	if e.closed.Load() {
-		e.closeMu.Unlock()
-		e.net.failCall(msg)
-		return
-	}
-	if n := len(e.idle); n > 0 {
-		jobs := e.idle[n-1]
-		e.idle = e.idle[:n-1]
-		e.closeMu.Unlock()
-		jobs <- job{h: h, msg: msg} // a parked worker's channel is empty
-		return
-	}
-	e.hwg.Add(1)
-	e.closeMu.Unlock()
-	jobs := make(chan job, 1)
-	jobs <- job{h: h, msg: msg}
-	go e.work(jobs)
-}
-
-// work runs one handler worker: it serves its job, then parks on its
-// channel for the next one, until the idle cache is full or the endpoint
-// closes.
-func (e *MemEndpoint) work(jobs chan job) {
-	defer e.hwg.Done()
-	for j := range jobs {
-		resp, respSize, err := j.h(e.ctx, j.msg.from, j.msg.payload)
-		if j.msg.corr != 0 {
-			e.reply(j.msg, resp, respSize, err)
-		}
-		if !e.park(jobs) {
-			return
-		}
-	}
-}
-
-// park pushes an idle worker's job channel onto the cache. It reports
-// false, and the worker exits, if the cache is full or the endpoint has
-// closed.
-func (e *MemEndpoint) park(jobs chan job) bool {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if e.closed.Load() || len(e.idle) >= maxIdleWorkers {
-		return false
-	}
-	e.idle = append(e.idle, jobs)
-	return true
-}
-
-func (e *MemEndpoint) reply(req message, payload any, size int, err error) {
-	reply := message{
-		from:    e.id,
-		to:      req.from,
-		kind:    req.kind,
-		corr:    req.corr,
-		isReply: true,
-		payload: payload,
-		size:    size,
-	}
-	if err != nil {
-		reply.errText = err.Error()
-	}
-	if derr := e.net.deliver(reply); derr != nil {
-		// The reply could not leave this node (severed link, unknown
-		// or congested destination): fail the waiting caller instead of
-		// stranding it — the error a real RPC client sees when its
-		// server's connection resets mid-call.
-		e.net.failCall(reply)
-	}
 }
