@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -382,7 +383,7 @@ func (g *Gateway) replicasFor(principal string) []string {
 // OutOf), or every named principal (AND). The balancer then picks
 // exactly one replica per required principal — an AND over orgs with
 // replicated endorsers selects one peer per org, never "all available".
-// The targets are appended to targets.
+// The targets are appended to targets, grown once to fit them all.
 func (g *Gateway) selectTargets(pol policy.Policy, targets []endorseTarget) ([]endorseTarget, error) {
 	type replicaSet struct {
 		principal string
@@ -414,6 +415,7 @@ func (g *Gateway) selectTargets(pol policy.Policy, targets []endorseTarget) ([]e
 		// even after the counter wraps on 32-bit platforms.
 		start = int(g.rr.Add(1) % uint64(len(avail)))
 	}
+	targets = slices.Grow(targets, need)
 	for i := 0; i < need; i++ {
 		rs := avail[(start+i)%len(avail)]
 		node := rs.replicas[0]

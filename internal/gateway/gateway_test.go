@@ -76,6 +76,35 @@ func TestSelectTargetsORPicksOne(t *testing.T) {
 	}
 }
 
+// TestSelectTargetsAllocatesOnce pins the target slice's growth: an
+// AND5 policy grows it once, to all five targets, where appending one
+// at a time grew it 1, 2, 4, 8; a one-target policy fills the caller's
+// own array and allocates nothing.
+func TestSelectTargetsAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		pol  policy.Policy
+		want float64
+	}{
+		{"AND5", policy.AndOverPeers(5), 1},
+		{"OR5", policy.OrOverPeers(5), 0},
+	} {
+		g := newTargetGateway(tc.pol, 5)
+		var own [1]endorseTarget
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := g.selectTargets(tc.pol, own[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("%s: selectTargets made %.0f allocations, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}
+
 func TestSelectTargetsANDPicksAll(t *testing.T) {
 	g := newTargetGateway(policy.AndOverPeers(3), 3)
 	targets, err := g.selectTargets(g.cfg.Policy, nil)

@@ -125,7 +125,7 @@ func (k *KafkaConsenter) chainLoop(channel string, partition int) {
 			}
 			switch rec.Data[0] {
 			case recordEnvelope:
-				batches, pending := cutter.Ordered(rec.Data[1:], time.Now())
+				batches, pending := cutter.Ordered(rec.Data[1:], time.Time{})
 				for _, b := range batches {
 					emit(b)
 				}

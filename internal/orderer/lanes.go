@@ -98,7 +98,7 @@ func (o *Orderer) cutLoop(in <-chan []byte, stop <-chan struct{}, sink func(batc
 	for {
 		select {
 		case env := <-in:
-			batches, pending := cutter.Ordered(env, time.Now())
+			batches, pending := cutter.Ordered(env, time.Time{})
 			for _, b := range batches {
 				sink(b)
 			}

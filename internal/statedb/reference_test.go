@@ -152,15 +152,21 @@ func refMarshalWALRecord(batch *refUpdateBatch, height types.Version) []byte {
 // to the reference on the mem backend and to UpdateBatch on both
 // backends. The batches Put, Delete and Put again over six keys in two
 // namespaces at rising heights, and values are sometimes nil or empty.
-// After every batch the three stores must dump and hash alike, and the
-// state log record must be the reference's byte for byte, so logs the
-// reference wrote still replay. Each file store is reopened at the end
-// and must replay to the same state.
+// A third of the keys a batch touches are new ones of varied length, so
+// one batch mixes keys no earlier batch wrote with rewrites, deletes and
+// re-puts of deleted keys, and later batches rewrite and delete the new
+// keys in turn. After every batch the three stores must dump and hash
+// alike, and the state log record must be the reference's byte for
+// byte, so logs the reference wrote still replay. They must still match
+// once every value the batch was given is overwritten, so no store keeps
+// a caller's bytes. Each file store is reopened at the end and must
+// replay to the same state.
 func TestUpdateBatchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	nss, keys := []string{"cc", "bank"}, []string{"a", "b", "c", "d", "e", "f"}
+	nss := []string{"cc", "bank"}
 	root := t.TempDir()
 	for seq := 0; seq < 10000; seq++ {
+		keys := []string{"a", "b", "c", "d", "e", "f"}
 		dir := filepath.Join(root, fmt.Sprint(seq))
 		file, err := OpenFile(dir)
 		if err != nil {
@@ -172,8 +178,13 @@ func TestUpdateBatchMatchesReference(t *testing.T) {
 		for nb := 1 + rng.Intn(5); nb > 0; nb-- {
 			height = types.Version{BlockNum: height.BlockNum + 1 + uint64(rng.Intn(3)), TxNum: uint64(rng.Intn(50))}
 			batch, want := NewUpdateBatch(), newRefUpdateBatch()
+			var given [][]byte
 			for op := rng.Intn(12); op > 0; op-- {
 				ns, k := nss[rng.Intn(len(nss))], keys[rng.Intn(len(keys))]
+				if rng.Intn(3) == 0 {
+					k = fmt.Sprintf("n%d%s", len(keys), strings.Repeat("x", rng.Intn(4)))
+					keys = append(keys, k)
+				}
 				ver := types.Version{BlockNum: height.BlockNum, TxNum: uint64(rng.Intn(50))}
 				if rng.Intn(3) == 0 {
 					batch.Delete(ns, k, ver)
@@ -190,6 +201,7 @@ func TestUpdateBatchMatchesReference(t *testing.T) {
 				}
 				batch.Put(ns, k, val, ver)
 				want.Put(ns, k, val, ver)
+				given = append(given, val)
 			}
 			if got, wantRec := marshalWALRecord(batch, height), refMarshalWALRecord(want, height); !bytes.Equal(got, wantRec) {
 				t.Fatalf("sequence %d at %v: log record %x, reference %x", seq, height, got, wantRec)
@@ -203,6 +215,12 @@ func TestUpdateBatchMatchesReference(t *testing.T) {
 				}
 			}
 			assertSameState(t, fmt.Sprintf("sequence %d at %v", seq, height), ref, stores...)
+			for _, val := range given {
+				for i := range val {
+					val[i] = '#'
+				}
+			}
+			assertSameState(t, fmt.Sprintf("sequence %d at %v, given values overwritten", seq, height), ref, stores...)
 		}
 		file.Close()
 		reopened, err := OpenFile(dir)

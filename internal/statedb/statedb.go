@@ -116,11 +116,14 @@ func (db *DB) Get(ns, key string) (VersionedValue, bool, error) {
 // GetVersioned returns the versioned value for (ns, key) as a zero-copy
 // read-only view: the returned Value aliases the database's committed
 // bytes instead of copying them under the read lock the way Get does.
-// The view is stable across later commits — ApplyUpdates copies
-// incoming values and replaces whole entries, never mutating a stored
-// slice in place — but callers MUST NOT modify it. It exists for the
-// peer's internal hot paths (the chaincode simulator's reads during
-// endorsement, MVCC checks); external callers keep the copying Get.
+// The view is stable across later commits — ApplyUpdates copies each
+// incoming value into a slice of its own and never writes into a stored
+// one; a rewrite points its key's entry at a fresh copy — but callers
+// MUST NOT modify it. A kept view pins only its value's bytes: the new
+// keys of a block share one key string and one entry slab, but no value
+// goes into that arena. It exists for the peer's internal hot paths
+// (the chaincode simulator's reads during endorsement, MVCC checks);
+// external callers keep the copying Get.
 func (db *DB) GetVersioned(ns, key string) (VersionedValue, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -199,12 +202,17 @@ func (db *DB) GetRange(ns, startKey, endKey string, limit int) ([]KV, error) {
 // cannot double-apply a block.
 //
 // The batch's keys and namespaces are usually views of a decoded block
-// (see types.Block.Transactions), so the database copies the new ones
-// it keeps, as it copies every value, and updates an existing key's
-// entry in place: assigning it would overwrite the key the map owns with
-// the batch's. Readers only ever copy an entry out under the lock, so
-// the in-place update is as invisible to them as a replacement, and a
-// rewritten key costs no more than its value copy.
+// (see types.Block.Transactions), so the database copies what it keeps.
+// Every value is copied into a slice of its own. A key the database
+// holds keeps its entry, updated in place: assigning it would overwrite
+// the key the map owns with the batch's. Readers only ever copy an
+// entry out under the lock, so the in-place update is as invisible to
+// them as a replacement, and a rewritten key costs its value copy only.
+// The block's new keys share one arena: their bytes are substrings of
+// one string, and their entries are elements of one slab. So a key, or
+// its entry, keeps the bytes and entries of every new key of its block
+// alive; a deleted key's stay until the other new keys of its block are
+// gone.
 func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -214,6 +222,9 @@ func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 	if height.Compare(db.height) <= 0 && (db.height != types.Version{}) {
 		return fmt.Errorf("statedb: non-monotonic commit height %v after %v", height, db.height)
 	}
+	// A key the database holds is rewritten in place here; a new key is
+	// only counted, so one arena can be sized for them all below.
+	fresh, keyBytes := 0, 0
 	for ns, m := range batch.updates {
 		target, ok := db.data[ns]
 		if !ok {
@@ -221,11 +232,31 @@ func (db *DB) ApplyUpdates(batch *UpdateBatch, height types.Version) error {
 			db.data[strings.Clone(ns)] = target
 		}
 		for k, vv := range m {
-			value := append([]byte(nil), vv.Value...)
 			if cur, ok := target[k]; ok {
-				cur.Value, cur.Version = value, vv.Version
+				cur.Value, cur.Version = append([]byte(nil), vv.Value...), vv.Version
 			} else {
-				target[strings.Clone(k)] = &VersionedValue{Value: value, Version: vv.Version}
+				fresh++
+				keyBytes += len(k)
+			}
+		}
+	}
+	if fresh > 0 {
+		// Grow sized the builder for every new key, and it never rewrites
+		// the bytes it holds, so each key is the tail of what it has
+		// built so far.
+		var arena strings.Builder
+		arena.Grow(keyBytes)
+		slab := make([]VersionedValue, 0, fresh)
+		for ns, m := range batch.updates {
+			target := db.data[ns]
+			for k, vv := range m {
+				if _, ok := target[k]; ok {
+					continue
+				}
+				arena.WriteString(k)
+				built := arena.String()
+				slab = append(slab, VersionedValue{Value: append([]byte(nil), vv.Value...), Version: vv.Version})
+				target[built[len(built)-len(k):]] = &slab[len(slab)-1]
 			}
 		}
 	}

@@ -390,11 +390,14 @@ func benchKeys(n int) []string {
 	return keys
 }
 
-// TestApplyUpdatesAllocs pins the value-held batch. Rewriting N keys
-// the database holds costs N allocations, one value copy each; the
-// pointer-valued batch cost 2N in ApplyUpdates (64 for N = 32). Putting
-// a key the batch holds already costs nothing; the pointer-valued batch
-// allocated a fresh entry on every Put.
+// TestApplyUpdatesAllocs pins the value-held batch and the block
+// arena. Rewriting N keys the database holds costs N allocations, one
+// value copy each; the pointer-valued batch cost 2N in ApplyUpdates (64
+// for N = 32). Putting N new keys into an empty database costs N value
+// copies, one key string and one entry slab, plus the namespace's name
+// and map (40 for N = 32); a key copy and an entry per key cost 102.
+// Putting a key the batch holds already costs nothing; the
+// pointer-valued batch allocated a fresh entry on every Put.
 func TestApplyUpdatesAllocs(t *testing.T) {
 	const n = 32
 	keys := benchKeys(n)
@@ -412,6 +415,20 @@ func TestApplyUpdatesAllocs(t *testing.T) {
 	})
 	if allocs != n {
 		t.Errorf("ApplyUpdates rewriting %d keys: %.0f allocations, want %d", n, allocs, n)
+	}
+	const runs = 50
+	empty := make([]*DB, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range empty {
+		empty[i] = New()
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := empty[next].ApplyUpdates(batch, v(num, n)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); allocs != 40 {
+		t.Errorf("ApplyUpdates putting %d new keys: %.0f allocations, want 40", n, allocs)
 	}
 	value := []byte("value-01")
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -437,6 +454,31 @@ func BenchmarkApplyUpdates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		num := uint64(i + 2)
 		if err := db.ApplyUpdates(rewriteBatch(keys, num), v(num, 100)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyUpdatesFresh times one block's state apply on the mem
+// backend when every key is new: a 100-key batch of keys the database
+// does not hold, built and applied. Every 100 blocks the keys repeat
+// over a fresh database (made off the clock), so the database stays
+// under 10 000 keys however long the benchmark runs.
+func BenchmarkApplyUpdatesFresh(b *testing.B) {
+	const perBlock, blocks = 100, 100
+	keys := benchKeys(perBlock * blocks)
+	var db *DB
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%blocks == 0 {
+			b.StopTimer()
+			db = New()
+			b.StartTimer()
+		}
+		num, block := uint64(i+1), i%blocks
+		batch := rewriteBatch(keys[block*perBlock:(block+1)*perBlock], num)
+		if err := db.ApplyUpdates(batch, v(num, perBlock)); err != nil {
 			b.Fatal(err)
 		}
 	}
