@@ -119,8 +119,9 @@ type PointConfig struct {
 	PolicyLabel string
 	Rate        float64
 	// Channels shards the network into this many concurrently-ordered
-	// channels ("ch1".."chN", all sharing Policy) and sprays the load
-	// round-robin across them. 0 or 1 keeps the classic single channel.
+	// channels ("ch1".."chN", all sharing Policy) and spreads the load
+	// across them (see workload.Config.Channels). 0 or 1 keeps the
+	// classic single channel.
 	Channels int
 	// Clients overrides the client-process count (0 = one per peer).
 	Clients int

@@ -8,6 +8,7 @@ package ca
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -122,20 +123,20 @@ type Enrollment struct {
 }
 
 // CA is the certificate authority for one organization (Fabric deploys
-// one CA per org). It issues enrollment certificates.
+// one CA per org). It issues one enrollment per identity, and its
+// records resolve an enrolled name to that identity's certificate.
 type CA struct {
 	org    string
 	scheme string
 	key    fabcrypto.KeyPair
 
 	mu       sync.Mutex
-	serial   uint64
-	validity time.Duration
+	enrolled map[string]*Enrollment // name -> its one enrollment
 }
 
 // New creates a CA for org issuing keys of the given fabcrypto scheme.
 func New(org, scheme string) (*CA, error) {
-	key, err := fabcrypto.GenerateKeyPair(scheme)
+	key, err := fabcrypto.NewKeyPair(scheme, identity(org, "", 0))
 	if err != nil {
 		return nil, fmt.Errorf("ca %s: %w", org, err)
 	}
@@ -143,8 +144,19 @@ func New(org, scheme string) (*CA, error) {
 		org:      org,
 		scheme:   scheme,
 		key:      key,
-		validity: 365 * 24 * time.Hour,
+		enrolled: make(map[string]*Enrollment),
 	}, nil
+}
+
+// identity names the holder of a key to fabcrypto.NewKeyPair: org, name
+// and role, length-prefixed so no two holders share one. The CA itself
+// is (org, "", 0); Enroll refuses role 0.
+func identity(org, name string, role Role) string {
+	enc := types.NewEncoder(len(org) + len(name) + 8)
+	enc.String(org)
+	enc.String(name)
+	enc.Byte(byte(role))
+	return string(enc.Bytes())
 }
 
 // Org returns the organization this CA serves.
@@ -154,33 +166,56 @@ func (ca *CA) Org() string { return ca.org }
 // as the org's root of trust.
 func (ca *CA) PublicKey() []byte { return ca.key.Public() }
 
-// Enroll issues a certificate and fresh key pair for (name, role).
+// Enroll issues name's certificate and key pair as role. Each name is
+// enrolled once: a later call returns the first enrollment, and refuses
+// a different role. Serials therefore count identities, and a
+// certificate is valid at every instant, so neither the call order nor
+// the clock reaches its bytes.
 func (ca *CA) Enroll(name string, role Role) (*Enrollment, error) {
-	key, err := fabcrypto.GenerateKeyPair(ca.scheme)
+	if role < RolePeer || role > RoleAdmin {
+		return nil, fmt.Errorf("ca %s enroll %s: unknown %s", ca.org, name, role)
+	}
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	if e, ok := ca.enrolled[name]; ok {
+		if e.Cert.Role != role {
+			return nil, fmt.Errorf("ca %s enroll %s as %s: enrolled as %s", ca.org, name, role, e.Cert.Role)
+		}
+		return e, nil
+	}
+	key, err := fabcrypto.NewKeyPair(ca.scheme, identity(ca.org, name, role))
 	if err != nil {
 		return nil, fmt.Errorf("ca %s enroll %s: %w", ca.org, name, err)
 	}
-
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	ca.serial++
-	now := time.Now()
 	cert := &Certificate{
-		Serial:    ca.serial,
+		Serial:    uint64(len(ca.enrolled)) + 1,
 		Name:      name,
 		Org:       ca.org,
 		Role:      role,
 		Scheme:    ca.scheme,
 		PubKey:    key.Public(),
-		NotBefore: now.Add(-time.Minute).UnixNano(),
-		NotAfter:  now.Add(ca.validity).UnixNano(),
+		NotBefore: 0,
+		NotAfter:  math.MaxInt64,
 	}
 	sig, err := ca.key.Sign(cert.tbs())
 	if err != nil {
 		return nil, fmt.Errorf("ca %s sign cert: %w", ca.org, err)
 	}
 	cert.CASig = sig
-	return &Enrollment{Cert: cert, Key: key}, nil
+	e := &Enrollment{Cert: cert, Key: key}
+	ca.enrolled[name] = e
+	return e, nil
+}
+
+// Lookup returns the certificate the CA issued to name, or nil if it
+// enrolled none. It is safe to call concurrently with Enroll.
+func (ca *CA) Lookup(name string) *Certificate {
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	if e := ca.enrolled[name]; e != nil {
+		return e.Cert
+	}
+	return nil
 }
 
 // Validate checks that cert was issued by this CA and is inside its

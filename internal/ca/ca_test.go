@@ -2,6 +2,9 @@ package ca
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,24 +71,41 @@ func TestTamperedCertificateRejected(t *testing.T) {
 	}
 }
 
+// TestExpiry checks both ends of the validity window. Enroll issues
+// certificates valid from the epoch on, so one is not yet valid only
+// before the epoch; an expired one is an issued certificate re-signed
+// with a past NotAfter.
 func TestExpiry(t *testing.T) {
 	authority := newTestCA(t)
 	e, _ := authority.Enroll("peer0", RolePeer)
-	future := time.Now().Add(366 * 24 * time.Hour)
-	if err := authority.Validate(e.Cert, future); !errors.Is(err, ErrExpired) {
-		t.Errorf("expired cert accepted: %v", err)
+	for _, at := range []time.Time{time.Unix(0, 0), time.Now(), time.Unix(0, math.MaxInt64)} {
+		if err := authority.Validate(e.Cert, at); err != nil {
+			t.Errorf("certificate invalid at %v: %v", at, err)
+		}
 	}
-	past := time.Now().Add(-time.Hour)
-	if err := authority.Validate(e.Cert, past); !errors.Is(err, ErrExpired) {
+	if err := authority.Validate(e.Cert, time.Unix(0, -1)); !errors.Is(err, ErrExpired) {
 		t.Errorf("not-yet-valid cert accepted: %v", err)
+	}
+	expired := *e.Cert
+	expired.NotAfter = time.Now().Add(-time.Hour).UnixNano()
+	sig, err := authority.key.Sign(expired.tbs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired.CASig = sig
+	if err := authority.Validate(&expired, time.Now()); !errors.Is(err, ErrExpired) {
+		t.Errorf("expired cert accepted: %v", err)
 	}
 }
 
+// TestSerialsUnique enrolls 20 names, which take 20 distinct serials;
+// enrolling a name again returns its first enrollment, and enrolling it
+// in a second role is refused.
 func TestSerialsUnique(t *testing.T) {
 	authority := newTestCA(t)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 20; i++ {
-		e, err := authority.Enroll("n", RoleClient)
+		e, err := authority.Enroll(fmt.Sprintf("user%d", i), RoleClient)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,6 +113,64 @@ func TestSerialsUnique(t *testing.T) {
 			t.Fatalf("serial %d reused", e.Cert.Serial)
 		}
 		seen[e.Cert.Serial] = true
+	}
+	first, _ := authority.Enroll("user3", RoleClient)
+	again, err := authority.Enroll("user3", RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || again.Cert.Serial != first.Cert.Serial {
+		t.Errorf("re-enrolling user3 issued serial %d, want its first enrollment's %d", again.Cert.Serial, first.Cert.Serial)
+	}
+	if _, err := authority.Enroll("user3", RoleAdmin); err == nil {
+		t.Error("user3 enrolled in a second role")
+	}
+	if got := authority.Lookup("user3"); got != first.Cert {
+		t.Errorf("Lookup(user3) = %v, want its certificate", got)
+	}
+	if authority.Lookup("nobody") != nil {
+		t.Error("Lookup found a name never enrolled")
+	}
+}
+
+// TestIdentitiesDeriveDistinctKeys checks that under HMAC every
+// identity, the CA's included, derives its own key, and that two CAs of
+// one org derive the same ones, so two builds enroll the same bytes.
+func TestIdentitiesDeriveDistinctKeys(t *testing.T) {
+	build := func() []string {
+		var keys []string
+		for _, org := range []string{"Org1", "Org2"} {
+			authority, err := New(org, fabcrypto.SchemeHMAC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, string(authority.PublicKey()))
+			for _, id := range []struct {
+				name string
+				role Role
+			}{{"peer0", RolePeer}, {"peer1", RolePeer}, {"osn", RoleOrderer}, {"user1", RoleClient}, {"admin", RoleAdmin}} {
+				e, err := authority.Enroll(id.name, id.role)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, string(e.Key.Public()))
+			}
+			if _, err := authority.Enroll("", 0); err == nil {
+				t.Errorf("%s enrolled role 0, the CA's own", org)
+			}
+		}
+		return keys
+	}
+	first := build()
+	seen := make(map[string]int)
+	for i, k := range first {
+		if j, ok := seen[k]; ok {
+			t.Errorf("identities %d and %d derived one key", j, i)
+		}
+		seen[k] = i
+	}
+	if second := build(); !slices.Equal(first, second) {
+		t.Error("a second build derived other keys")
 	}
 }
 

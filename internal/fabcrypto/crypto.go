@@ -12,6 +12,13 @@
 //     wall-clock second. Performance experiments inject CPU cost through
 //     the calibrated cost model instead of real crypto, so the scheme
 //     only needs to preserve the protocol's verification code paths.
+//
+// NewKeyPair makes each identity's key. An HMAC key is the SHA-256 of
+// the identity it belongs to, so two builds of one network hold the same
+// keys and write the same bytes. That weakens nothing the scheme had:
+// its verification key is its secret, and every certificate already
+// publishes it. ECDSA keys stay random, so runs that verify real
+// signatures differ in every key, certificate and signature.
 package fabcrypto
 
 import (
@@ -51,13 +58,14 @@ type KeyPair interface {
 	Public() []byte
 }
 
-// GenerateKeyPair creates a key pair for the named scheme.
-func GenerateKeyPair(scheme string) (KeyPair, error) {
+// NewKeyPair returns identity's key pair for the named scheme: a fresh
+// random one under ECDSA, and one derived from identity under HMAC.
+func NewKeyPair(scheme, identity string) (KeyPair, error) {
 	switch scheme {
 	case SchemeECDSA:
-		return GenerateECDSA()
+		return newECDSA()
 	case SchemeHMAC:
-		return GenerateHMAC()
+		return newHMAC(identity), nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, scheme)
 	}
@@ -107,8 +115,8 @@ type ECDSAKeyPair struct {
 
 var _ KeyPair = (*ECDSAKeyPair)(nil)
 
-// GenerateECDSA creates a fresh P-256 key pair.
-func GenerateECDSA() (*ECDSAKeyPair, error) {
+// newECDSA creates a fresh P-256 key pair.
+func newECDSA() (*ECDSAKeyPair, error) {
 	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("generate ecdsa key: %w", err)
@@ -175,15 +183,12 @@ type HMACKeyPair struct {
 
 var _ KeyPair = (*HMACKeyPair)(nil)
 
-// GenerateHMAC creates a fresh 32-byte HMAC key.
-func GenerateHMAC() (*HMACKeyPair, error) {
-	key := make([]byte, 32)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("generate hmac key: %w", err)
-	}
-	k := &HMACKeyPair{key: key}
+// newHMAC derives identity's 32-byte HMAC key: its SHA-256.
+func newHMAC(identity string) *HMACKeyPair {
+	key := sha256.Sum256([]byte(identity))
+	k := &HMACKeyPair{key: key[:]}
 	k.macs.New = func() any { return hmac.New(sha256.New, k.key) }
-	return k, nil
+	return k
 }
 
 // Scheme returns "hmac".

@@ -2,6 +2,7 @@ package fabcrypto
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ func TestSchemes(t *testing.T) {
 	for _, scheme := range []string{SchemeECDSA, SchemeHMAC} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			kp, err := GenerateKeyPair(scheme)
+			kp, err := NewKeyPair(scheme, "Org1.peer0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,8 +38,8 @@ func TestSchemes(t *testing.T) {
 
 func TestCrossKeyRejection(t *testing.T) {
 	for _, scheme := range []string{SchemeECDSA, SchemeHMAC} {
-		k1, _ := GenerateKeyPair(scheme)
-		k2, _ := GenerateKeyPair(scheme)
+		k1, _ := NewKeyPair(scheme, "Org1.peer0")
+		k2, _ := NewKeyPair(scheme, "Org2.peer0")
 		msg := []byte("msg")
 		sig, _ := k1.Sign(msg)
 		if err := Verify(scheme, k2.Public(), msg, sig); err == nil {
@@ -47,8 +48,36 @@ func TestCrossKeyRejection(t *testing.T) {
 	}
 }
 
+// TestKeysDeriveFromIdentity pins NewKeyPair's two rules: an HMAC key
+// is the SHA-256 of its identity, so one identity always derives the
+// same key and two identities two keys, while an ECDSA key is random on
+// every call.
+func TestKeysDeriveFromIdentity(t *testing.T) {
+	pub := func(scheme, identity string) []byte {
+		t.Helper()
+		kp, err := NewKeyPair(scheme, identity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kp.Public()
+	}
+	a := pub(SchemeHMAC, "Org1.peer0")
+	if want := sha256.Sum256([]byte("Org1.peer0")); !bytes.Equal(a, want[:]) {
+		t.Errorf("hmac key %x, want SHA-256 of the identity %x", a, want)
+	}
+	if b := pub(SchemeHMAC, "Org1.peer0"); !bytes.Equal(a, b) {
+		t.Error("one identity derived two hmac keys")
+	}
+	if b := pub(SchemeHMAC, "Org1.peer1"); bytes.Equal(a, b) {
+		t.Error("two identities derived one hmac key")
+	}
+	if a, b := pub(SchemeECDSA, "Org1.peer0"), pub(SchemeECDSA, "Org1.peer0"); bytes.Equal(a, b) {
+		t.Error("ecdsa keys repeat; they must stay random")
+	}
+}
+
 func TestUnknownScheme(t *testing.T) {
-	if _, err := GenerateKeyPair("rsa"); err == nil {
+	if _, err := NewKeyPair("rsa", "Org1.peer0"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 	if err := Verify("rsa", nil, nil, nil); err == nil {
@@ -57,7 +86,7 @@ func TestUnknownScheme(t *testing.T) {
 }
 
 func TestMalformedInputs(t *testing.T) {
-	kp, _ := GenerateECDSA()
+	kp, _ := newECDSA()
 	msg := []byte("m")
 	sig, _ := kp.Sign(msg)
 	if err := verifyECDSA([]byte{1, 2, 3}, msg, sig); err == nil {
@@ -83,7 +112,7 @@ func TestDigest(t *testing.T) {
 }
 
 func TestECDSAPublicKeyFormat(t *testing.T) {
-	kp, _ := GenerateECDSA()
+	kp, _ := newECDSA()
 	pub := kp.Public()
 	if len(pub) != 65 || pub[0] != 4 {
 		t.Errorf("public key format: len=%d first=%x", len(pub), pub[0])
@@ -91,7 +120,7 @@ func TestECDSAPublicKeyFormat(t *testing.T) {
 }
 
 func TestECDSASignatureLength(t *testing.T) {
-	kp, _ := GenerateECDSA()
+	kp, _ := newECDSA()
 	for i := 0; i < 8; i++ {
 		sig, err := kp.Sign([]byte{byte(i)})
 		if err != nil {

@@ -34,10 +34,7 @@ func randomMessages(n int) [][]byte {
 // then from eight sharing the key pair (run under -race, this is what
 // pins the pool's Reset discipline).
 func TestHMACSignMatchesHMACNew(t *testing.T) {
-	kp, err := GenerateHMAC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kp := newHMAC("Org1.peer0")
 	msgs := randomMessages(1000)
 	check := func(msg []byte) {
 		sig, err := kp.Sign(msg)
@@ -114,10 +111,7 @@ func TestSignAndDigestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	kp, err := GenerateHMAC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kp := newHMAC("Org1.peer0")
 	msg, a, b := make([]byte, 64), make([]byte, 32), make([]byte, 32)
 	for _, c := range []struct {
 		name string
@@ -134,10 +128,7 @@ func TestSignAndDigestAllocs(t *testing.T) {
 }
 
 func BenchmarkHMACSign(b *testing.B) {
-	kp, err := GenerateHMAC()
-	if err != nil {
-		b.Fatal(err)
-	}
+	kp := newHMAC("Org1.peer0")
 	msg := make([]byte, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -481,12 +481,10 @@ func Build(cfg Config) (*Network, error) {
 	}
 
 	// --- Peers ---
-	// One certificate store per network: endorser certs must not leak
-	// across networks in one process (two networks with colliding peer
-	// IDs would otherwise silently share certificates). Replicated
-	// endorsers register one certificate each under the shared org
-	// principal.
-	certs := peer.NewCertStore()
+	// Replicated endorsers share their org principal: each replica
+	// enrolls as "peer0", and the org CA hands every one the same
+	// enrollment, so committers resolve one certificate per endorser ID
+	// from the CA's records.
 	peersByPrincipal := make(map[string][]string)
 	type peerSpec struct {
 		org    string
@@ -537,7 +535,6 @@ func Build(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("fabnet: %w", err)
 		}
 		identity := msp.NewSigningIdentity(enrollment)
-		certs.Register(identity.ID(), identity.Serialized())
 		ep, err := n.register(spec.nodeID)
 		if err != nil {
 			return nil, fmt.Errorf("fabnet: %w", err)
@@ -554,7 +551,6 @@ func Build(cfg Config) (*Network, error) {
 			CPU:          newCPU(spec.nodeID, spec.cores),
 			OrdererID:    n.ordererIDs[idx%len(n.ordererIDs)],
 			VerifyCrypto: cfg.VerifyCrypto,
-			Certs:        certs,
 			Channels:     channelIDs,
 			Collector:    cfg.Collector,
 			Tracer:       cfg.Tracer,

@@ -3,6 +3,7 @@ package fabnet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -205,14 +206,13 @@ func TestPipelinedCommitterCrossPeerAgreement(t *testing.T) {
 	}
 }
 
-// TestCertStoreScopedPerNetwork is the regression for the old
-// package-global endorser-certificate registry: two networks with
-// colliding peer IDs live in one process, and the second network's
-// registrations must not clobber the first's certificates. Under the
-// global registry the first network's committers would verify
-// endorsements against the second network's keys and reject every
-// transaction with BAD_SIGNATURE.
-func TestCertStoreScopedPerNetwork(t *testing.T) {
+// TestEndorserCertificatesScopedPerNetwork is the regression for the
+// old package-global endorser-certificate registry: two networks with
+// colliding peer IDs live in one process, and each must verify its
+// endorsements against its own CAs' records. Had the first network's
+// committers resolved endorser IDs against the second network's keys,
+// they would reject every transaction with BAD_SIGNATURE.
+func TestEndorserCertificatesScopedPerNetwork(t *testing.T) {
 	build := func() *Network {
 		n, err := Build(Config{
 			Orderer:           Solo,
@@ -228,7 +228,7 @@ func TestCertStoreScopedPerNetwork(t *testing.T) {
 	}
 	a := build()
 	defer a.Stop()
-	b := build() // same peer IDs, fresh keys: would overwrite a global registry
+	b := build() // same peer IDs, fresh ECDSA keys
 	defer b.Stop()
 
 	ctx := context.Background()
@@ -253,13 +253,65 @@ func TestCertStoreScopedPerNetwork(t *testing.T) {
 	}
 }
 
+// TestBuildsEnrollIdenticalCertificates builds one network twice. Under
+// the HMAC scheme every key derives from its identity, so every peer's
+// and gateway's certificate comes out byte for byte the same; under
+// VerifyCrypto the ECDSA keys are drawn at random, so every one differs.
+func TestBuildsEnrollIdenticalCertificates(t *testing.T) {
+	certs := func(verify bool) []string {
+		n, err := Build(Config{
+			Orderer:           Solo,
+			NumEndorsingPeers: 2,
+			EndorsersPerOrg:   2,
+			NumClients:        3,
+			Policy:            policy.OrOverPeers(2),
+			Model:             costmodel.Default(0.1),
+			VerifyCrypto:      verify,
+		})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		defer n.Stop()
+		var out []string
+		for _, pc := range n.peerCfgs {
+			out = append(out, string(pc.Identity.Serialized()))
+		}
+		// A gateway's creator bytes are its enrollment's certificate,
+		// which the client CA keeps.
+		for i := range n.Gateways {
+			cert := n.CAs["ClientOrg"].Lookup(fmt.Sprintf("user%d", i+1))
+			if cert == nil {
+				t.Fatalf("gateway %d has no enrollment", i+1)
+			}
+			out = append(out, string(cert.Marshal()))
+		}
+		return out
+	}
+	a, b := certs(false), certs(false)
+	if len(a) != 7 {
+		t.Fatalf("read %d certificates, want 4 peers and 3 gateways", len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("HMAC certificate %d differs between two builds", i)
+		}
+	}
+	a, b = certs(true), certs(true)
+	for i := range a {
+		if a[i] == b[i] {
+			t.Errorf("ECDSA certificate %d repeats between two builds; its key must stay random", i)
+		}
+	}
+}
+
 // TestReplicatedEndorsersCrossPeerAgreement drives a network whose orgs
-// each deploy two endorsing replicas sharing the org identity (with
-// distinct keys), over the pipelined committer and with full crypto
-// verification. The invariants replication must preserve: endorsements
-// signed by any replica verify at every committer (the multi-certificate
-// store), every peer's hash chain verifies, and all peers converge to
-// one tip hash and byte-identical state.
+// each deploy two endorsing replicas sharing the org identity, over the
+// pipelined committer and with full crypto verification. The
+// invariants replication must preserve: every replica of an org carries
+// the org's one certificate, so endorsements signed by any replica
+// verify at every committer against the org CA's records; every peer's
+// hash chain verifies; and all peers converge to one tip hash and
+// byte-identical state.
 func TestReplicatedEndorsersCrossPeerAgreement(t *testing.T) {
 	col := metrics.NewCollector()
 	model := costmodel.Default(0.1)
@@ -281,6 +333,14 @@ func TestReplicatedEndorsersCrossPeerAgreement(t *testing.T) {
 	defer n.Stop()
 	if len(n.Peers) != 4 {
 		t.Fatalf("deployed %d peers, want 2 orgs x 2 replicas", len(n.Peers))
+	}
+	certOf := make(map[string]string)
+	for _, pc := range n.peerCfgs {
+		id, cert := pc.Identity.ID(), string(pc.Identity.Serialized())
+		if first, ok := certOf[id]; ok && first != cert {
+			t.Errorf("replica %s carries a second certificate for %s", pc.ID, id)
+		}
+		certOf[id] = cert
 	}
 	ctx := context.Background()
 	if err := n.Start(ctx); err != nil {

@@ -6,8 +6,11 @@ package fabnet
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -15,26 +18,29 @@ import (
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/types"
 	"fabricsim/internal/workload"
 )
 
 // vtRun is one virtual-time life of a network at scale 1.0: the model
 // time Build and Start took, the model time from Build to the end of
 // Stop, the summary of its load, and the fingerprint of the blocks peer
-// 0 committed.
+// 0 committed, with each block's transactions in block order.
 type vtRun struct {
 	setup  time.Duration
 	life   time.Duration
 	sum    metrics.Summary
 	blocks []blockPrint
+	txs    [][]txPrint
 	err    error
 }
 
 // blockPrint is what a run's fingerprint keeps of one committed block:
 // its number, its cut time in model time since Build, the OSN that cut
-// it and its transaction count. Transactions are left out: their IDs
-// depend on the order in which same-instant submissions reach a
-// gateway's nonce counter, which even Solo does not repeat.
+// it and its transaction count. What the block holds is in txPrint:
+// envelope bytes are a function of the seed, so the same load commits
+// the same envelopes, though same-instant envelopes may still reach a
+// block in another order.
 type blockPrint struct {
 	num   uint64
 	cutAt time.Duration
@@ -42,14 +48,25 @@ type blockPrint struct {
 	txs   int
 }
 
-// fingerprint reads peer 0's committed blocks past genesis.
-func fingerprint(n *Network, began time.Time) ([]blockPrint, error) {
+// txPrint is what a run's fingerprint keeps of one committed
+// transaction: its ID, the SHA-256 of its envelope and the validation
+// code peer 0 gave it.
+type txPrint struct {
+	id   types.TxID
+	sum  [sha256.Size]byte
+	code types.ValidationCode
+}
+
+// fingerprint reads peer 0's committed blocks past genesis, and each
+// one's transactions.
+func fingerprint(n *Network, began time.Time) ([]blockPrint, [][]txPrint, error) {
 	led := n.Peers[0].Ledger()
 	prints := make([]blockPrint, 0, led.Height())
+	var txs [][]txPrint
 	for num := uint64(1); num < led.Height(); num++ {
 		b, err := led.GetBlock(num)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		prints = append(prints, blockPrint{
 			num:   num,
@@ -57,8 +74,69 @@ func fingerprint(n *Network, began time.Time) ([]blockPrint, error) {
 			osn:   b.Metadata.OrdererID,
 			txs:   len(b.Data),
 		})
+		inBlock := make([]txPrint, len(b.Data))
+		for i, env := range b.Data {
+			info, err := types.PeekEnvelopeInfo(env)
+			if err != nil {
+				return nil, nil, fmt.Errorf("block %d tx %d: %w", num, i, err)
+			}
+			inBlock[i] = txPrint{types.TxID(strings.Clone(string(info.TxID))), sha256.Sum256(env), b.Metadata.ValidationFlags[i]}
+		}
+		txs = append(txs, inBlock)
 	}
-	return prints, nil
+	return prints, txs, nil
+}
+
+// txPairs returns every (envelope hash, validation code) pair of a
+// run's transactions: as a multiset, what the run committed, whatever
+// the blocks and their order.
+func txPairs(blocks [][]txPrint) []string {
+	var pairs []string
+	for _, txs := range blocks {
+		for _, tx := range txs {
+			pairs = append(pairs, fmt.Sprintf("%x %s", tx.sum, tx.code))
+		}
+	}
+	return pairs
+}
+
+// unmatched counts the elements of two multisets that have no match in
+// the other; 0 means they are equal.
+func unmatched(a, b []string) int {
+	count := make(map[string]int, len(a))
+	for _, x := range a {
+		count[x]++
+	}
+	for _, x := range b {
+		count[x]--
+	}
+	n := 0
+	for _, c := range count {
+		n += max(c, -c)
+	}
+	return n
+}
+
+// firstTxDivergence describes the first block whose ordered (TxID,
+// validation code) lists differ between two runs; "" means every block
+// holds the same transactions in the same order.
+func firstTxDivergence(a, b [][]txPrint) string {
+	same := func(x, y txPrint) bool { return x.id == y.id && x.code == y.code }
+	for i := range min(len(a), len(b)) {
+		if slices.EqualFunc(a[i], b[i], same) {
+			continue
+		}
+		for j := range min(len(a[i]), len(b[i])) {
+			if x, y := a[i][j], b[i][j]; !same(x, y) {
+				return fmt.Sprintf("block %d, tx %d: run 0 holds %s (%s), run 1 %s (%s)", i+1, j, x.id, x.code, y.id, y.code)
+			}
+		}
+		return fmt.Sprintf("block %d: run 0 holds %d txs, run 1 %d", i+1, len(a[i]), len(b[i]))
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("block %d: run 0 committed %d blocks, run 1 %d", min(len(a), len(b))+1, len(a), len(b))
+	}
+	return ""
 }
 
 // firstDivergence describes the first block on which two fingerprints
@@ -106,7 +184,7 @@ func runNetwork(cfg Config, load workload.Config) (r vtRun) {
 		return r
 	}
 	r.sum = col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale, RejectLatency: model.OrderTimeout})
-	r.blocks, r.err = fingerprint(n, began)
+	r.blocks, r.txs, r.err = fingerprint(n, began)
 	return r
 }
 
@@ -143,8 +221,10 @@ func runBubble(t *testing.T, name string, cfg Config, load workload.Config) vtRu
 
 // runTwice runs cfg twice under the saturating load with one seed, each
 // time in its own bubble; both runs must bring the network up within
-// maxSetup. It logs the first block on which the two runs' fingerprints
-// differ.
+// maxSetup and commit the same multiset of (envelope, validation code)
+// pairs. It logs the first block on which the two runs' fingerprints
+// differ, and the first block whose ordered (TxID, validation code)
+// lists differ.
 func runTwice(t *testing.T, cfg Config) [2]vtRun {
 	t.Helper()
 	var runs [2]vtRun
@@ -161,6 +241,15 @@ func runTwice(t *testing.T, cfg Config) [2]vtRun {
 		t.Logf("first divergence at %s", d)
 	} else {
 		t.Logf("both runs committed the same %d blocks", len(runs[0].blocks))
+	}
+	if d := firstTxDivergence(runs[0].txs, runs[1].txs); d != "" {
+		t.Logf("first transaction divergence at %s", d)
+	}
+	a, b := txPairs(runs[0].txs), txPairs(runs[1].txs)
+	if n := unmatched(a, b); n != 0 {
+		t.Errorf("the runs committed different transactions: %d of %d and %d (envelope, code) pairs have no match", n, len(a), len(b))
+	} else {
+		t.Logf("both runs committed the same %d transactions", len(a))
 	}
 	return runs
 }

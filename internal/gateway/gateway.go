@@ -163,14 +163,16 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrMVCCConflict) || errors.Is(err, ErrEarlyAbort)
 }
 
-// submissionTrace carries one logical submission's trace identity and
-// retry-attempt counter from the attempt loop into propose: the first
-// attempt mints the TraceID, later attempts bind their fresh TxIDs to
-// it, and every attempt's spans carry the attempt number. It is mutated
-// only by the goroutine running the attempt loop's current step.
+// submissionTrace carries one logical submission's trace identity,
+// retry-attempt counter and current attempt's nonce number from the
+// attempt loop into propose: the first attempt mints the TraceID, later
+// attempts bind their fresh TxIDs to it, and every attempt's spans
+// carry the attempt number. It is mutated only by the goroutine running
+// the attempt loop's current step.
 type submissionTrace struct {
 	id      trace.TraceID
 	attempt int
+	nonce   uint64
 }
 
 // Gateway is one client process's connection to the network: it signs
@@ -179,6 +181,9 @@ type submissionTrace struct {
 type Gateway struct {
 	cfg Config
 
+	// nonce numbers proposals. The caller's goroutine takes each number
+	// (a retry's on the goroutine that runs it), so a client that calls
+	// one at a time gets its nonces in call order.
 	nonce atomic.Uint64
 	rr    atomic.Uint64 // round-robin cursor for OR targets
 	rrOrd atomic.Uint64 // round-robin cursor for orderers
@@ -286,12 +291,12 @@ func (g *Gateway) Connect(ctx context.Context) error {
 // allocated.
 const maxNonce = 32
 
-// buildProposal fills in and signs p's proposal on p's channel. The
-// caller has already charged the client CPU cost.
-func (g *Gateway) buildProposal(p *Proposal, chaincodeID, fn string, args [][]byte) error {
-	// The nonce is "<gateway ID>-<counter>", capped at its length.
+// buildProposal fills in and signs p's proposal on p's channel, with
+// nonce number seq. The caller has already charged the client CPU cost.
+func (g *Gateway) buildProposal(p *Proposal, seq uint64, chaincodeID, fn string, args [][]byte) error {
+	// The nonce is "<gateway ID>-<seq>", capped at its length.
 	var digits [20]byte
-	n := strconv.AppendUint(digits[:0], g.nonce.Add(1), 10)
+	n := strconv.AppendUint(digits[:0], seq, 10)
 	nonce := append(append(append(p.nonce[:0], g.cfg.ID...), '-'), n...)
 	nonce = nonce[:len(nonce):len(nonce)]
 	creator := g.cfg.Identity.Serialized()

@@ -1346,9 +1346,8 @@ func TestEvaluateChargesCostModel(t *testing.T) {
 func TestNonceMatchesSprintf(t *testing.T) {
 	s := newStubNet(t, nil, nil)
 	for _, n := range []uint64{0, 1, math.MaxUint64} {
-		s.gw.nonce.Store(n - 1)
 		p := &Proposal{channel: "perf"}
-		if err := s.gw.buildProposal(p, "bench", "write", writeArgs); err != nil {
+		if err := s.gw.buildProposal(p, n, "bench", "write", writeArgs); err != nil {
 			t.Fatal(err)
 		}
 		prop := &p.prop
@@ -1360,6 +1359,42 @@ func TestNonceMatchesSprintf(t *testing.T) {
 		}
 		if want := types.ComputeTxID(prop.Nonce, prop.Creator); prop.TxID != want {
 			t.Errorf("TxID = %s, want %s", prop.TxID, want)
+		}
+	}
+}
+
+// TestSubmitAsyncNoncesFollowCallOrder submits n transactions back to
+// back on an eight-core client and requires the i-th call's proposal to
+// carry nonce "gw1-i": the number is taken on the caller's goroutine,
+// not by whichever attempt leaves the client CPU charge first.
+func TestSubmitAsyncNoncesFollowCallOrder(t *testing.T) {
+	const n = 32
+	s := newStubNet(t, func(cfg *Config) {
+		cfg.CPU = simcpu.New(8, cfg.Model.TimeScale)
+		t.Cleanup(cfg.CPU.Stop)
+	}, func(s *stubNet) {
+		s.commitCode = func(int, types.TxID) types.ValidationCode { return types.ValidationValid }
+	})
+	ctx := context.Background()
+	if err := s.gw.Connect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	commits := make([]*Commit, n)
+	for i := range commits {
+		c, err := s.gw.SubmitAsync(ctx, "", "bench", "write", writeArgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits[i] = c
+	}
+	creator := s.gw.cfg.Identity.Serialized()
+	for i, c := range commits {
+		st, err := c.Status(ctx)
+		if err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if want := types.ComputeTxID([]byte(fmt.Sprintf("gw1-%d", i+1)), creator); st.TxID != want {
+			t.Errorf("call %d committed %s, want the TxID of nonce gw1-%d (%s)", i+1, st.TxID, i+1, want)
 		}
 	}
 }

@@ -169,16 +169,18 @@ func (c *Commit) Status(ctx context.Context) (*Status, error) {
 // the proposal, and signs it. The gateway's endorsement policy selects
 // the endorsement targets.
 func (g *Gateway) Propose(ctx context.Context, channel, chaincodeID, fn string, args [][]byte) (*Proposal, error) {
-	return g.propose(ctx, channel, nil, chaincodeID, fn, args, nil, false)
+	return g.propose(ctx, channel, nil, chaincodeID, fn, args, g.nonce.Add(1), nil, false)
 }
 
 // propose is the shared Propose stage. An empty channel means the
-// default channel and a nil pol the gateway's policy. sub carries the
-// submission's trace and attempt number across retries; nil (a
-// single-shot call) mints a fresh trace as attempt 1. query trims the
+// default channel and a nil pol the gateway's policy. seq is the
+// nonce's number, which the caller takes on its own goroutine before
+// any wait. sub carries the submission's trace and attempt number
+// across retries; nil (a single-shot call) mints a fresh trace as
+// attempt 1. query trims the
 // endorsement to a single target and keeps the transaction out of the
 // collector (an evaluate call never orders or commits).
-func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte, sub *submissionTrace, query bool) (*Proposal, error) {
+func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte, seq uint64, sub *submissionTrace, query bool) (*Proposal, error) {
 	if channel == "" {
 		channel = g.cfg.ChannelID
 	}
@@ -205,7 +207,7 @@ func (g *Gateway) propose(ctx context.Context, channel string, pol policy.Policy
 	if err := g.cfg.CPU.Execute(ctx, g.cfg.Model.ClientTxCost(len(targets))); err != nil {
 		return nil, err
 	}
-	if err := g.buildProposal(p, chaincodeID, fn, args); err != nil {
+	if err := g.buildProposal(p, seq, chaincodeID, fn, args); err != nil {
 		return nil, err
 	}
 	if sub != nil {
@@ -713,11 +715,12 @@ type submission struct {
 // attempts remain, settle runs the whole pipeline again after a backoff.
 // window, when non-nil, holds the caller's in-flight slot, freed once
 // the future resolves. An empty channel and a nil pol mean the
-// defaults, as for propose.
+// defaults, as for propose. The first attempt's nonce number is taken
+// here, on the caller's goroutine, and each retry takes a fresh one.
 func (g *Gateway) start(ctx context.Context, window chan struct{}, channel string, pol policy.Policy, chaincodeID, fn string, args [][]byte) *Commit {
 	c := newCommit(g)
 	c.loop = submission{ctx: ctx, window: window, channel: channel, pol: pol,
-		chaincodeID: chaincodeID, fn: fn, args: args, trace: submissionTrace{attempt: 1}}
+		chaincodeID: chaincodeID, fn: fn, args: args, trace: submissionTrace{attempt: 1, nonce: g.nonce.Add(1)}}
 	go g.attempt(c)
 	return c
 }
@@ -726,7 +729,7 @@ func (g *Gateway) start(ctx context.Context, window chan struct{}, channel strin
 // it at once when a stage fails.
 func (g *Gateway) attempt(c *Commit) {
 	s := &c.loop
-	prop, err := g.propose(s.ctx, s.channel, s.pol, s.chaincodeID, s.fn, s.args, &s.trace, false)
+	prop, err := g.propose(s.ctx, s.channel, s.pol, s.chaincodeID, s.fn, s.args, s.trace.nonce, &s.trace, false)
 	if err == nil {
 		c.setTxID(prop.TxID())
 		var txn *Transaction
@@ -761,6 +764,7 @@ func (g *Gateway) retry(c *Commit, st *Status, err error) {
 		return
 	}
 	s.trace.attempt++
+	s.trace.nonce = g.nonce.Add(1)
 	g.attempt(c)
 }
 
@@ -770,7 +774,7 @@ func (g *Gateway) retry(c *Commit, st *Status, err error) {
 // endorsement, and the fixed SDK round-trip latency — so query latency
 // is comparable with invoke latency instead of unrealistically zero.
 func (g *Gateway) Evaluate(ctx context.Context, chaincodeID, fn string, args [][]byte) ([]byte, error) {
-	prop, err := g.propose(ctx, "", nil, chaincodeID, fn, args, nil, true)
+	prop, err := g.propose(ctx, "", nil, chaincodeID, fn, args, g.nonce.Add(1), nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -126,9 +127,15 @@ func (m *MSP) VerifySignature(serialized, msg, sig []byte) (*ca.Certificate, err
 // VerifyByID checks sig over msg for a known enrolled identity string
 // ("Org.Name"), resolving the public key through the org's CA records.
 // Used by VSCC, which receives endorser IDs rather than full certs.
-func (m *MSP) VerifyByID(id string, cert *ca.Certificate, msg, sig []byte) error {
-	if cert.ID() != id {
-		return fmt.Errorf("msp: certificate identity %s does not match %s", cert.ID(), id)
+func (m *MSP) VerifyByID(id string, msg, sig []byte) error {
+	org, name, _ := strings.Cut(id, ".")
+	issuer, ok := m.cas[org]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownOrg, org)
+	}
+	cert := issuer.Lookup(name)
+	if cert == nil {
+		return fmt.Errorf("msp: %s is not enrolled", id)
 	}
 	if err := fabcrypto.Verify(cert.Scheme, cert.PubKey, msg, sig); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadSig, id, err)

@@ -66,17 +66,31 @@ func TestVerifySignature(t *testing.T) {
 	}
 }
 
+// TestVerifyByID resolves the endorser's certificate from its org CA's
+// records: a signature verifies only under the identity that made it,
+// and a name the CA never enrolled, or an org the MSP does not trust,
+// is refused.
 func TestVerifyByID(t *testing.T) {
 	m, org1, _ := testMSP(t)
 	e, _ := org1.Enroll("peer0", ca.RolePeer)
-	id := NewSigningIdentity(e)
+	other, _ := org1.Enroll("peer1", ca.RolePeer)
 	msg := []byte("endorsement")
-	sig, _ := id.Sign(msg)
-	if err := m.VerifyByID("Org1.peer0", e.Cert, msg, sig); err != nil {
+	sig, _ := NewSigningIdentity(e).Sign(msg)
+	if err := m.VerifyByID("Org1.peer0", msg, sig); err != nil {
 		t.Errorf("VerifyByID: %v", err)
 	}
-	if err := m.VerifyByID("Org1.other", e.Cert, msg, sig); err == nil {
-		t.Error("identity mismatch accepted")
+	if err := m.VerifyByID("Org1.peer1", msg, sig); !errors.Is(err, ErrBadSig) {
+		t.Errorf("peer0's signature verified as peer1: %v", err)
+	}
+	otherSig, _ := NewSigningIdentity(other).Sign(msg)
+	if err := m.VerifyByID("Org1.peer0", msg, otherSig); !errors.Is(err, ErrBadSig) {
+		t.Errorf("peer1's signature verified as peer0: %v", err)
+	}
+	if err := m.VerifyByID("Org1.other", msg, sig); err == nil {
+		t.Error("unenrolled identity accepted")
+	}
+	if err := m.VerifyByID("Org9.peer0", msg, sig); !errors.Is(err, ErrUnknownOrg) {
+		t.Errorf("untrusted org: %v", err)
 	}
 }
 

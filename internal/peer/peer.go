@@ -88,10 +88,6 @@ type Config struct {
 	// modeled CPU cost. Correctness tests enable it; large sweeps rely
 	// on the cost model alone.
 	VerifyCrypto bool
-	// Certs resolves endorser certificates in VerifyCrypto mode. All
-	// peers of one network share one store (fabnet builds it); nil gets
-	// a private empty store, so VerifyCrypto rejects every endorsement.
-	Certs *CertStore
 	// Collector, when non-nil, receives every block this peer commits
 	// (commit lag) and, on the Recorder peer, each block's commit-stage
 	// breakdown. The gossip node reports its events to it too.
@@ -197,9 +193,6 @@ type Peer struct {
 func New(cfg Config) (*Peer, error) {
 	if len(cfg.Channels) == 0 {
 		cfg.Channels = []string{orderer.DefaultChannel}
-	}
-	if cfg.Certs == nil {
-		cfg.Certs = NewCertStore()
 	}
 	p := &Peer{
 		cfg:         cfg,
@@ -571,7 +564,7 @@ func (p *Peer) runVSCC(tx *types.Transaction, ids []string) types.ValidationCode
 		// The message ESCC signed in handleEndorse.
 		signedMsg := fabcrypto.Digest(tx.Proposal.Hash(), tx.Results.Hash())
 		for _, en := range tx.Endorsements {
-			if !p.verifyEndorsement(en.EndorserID, signedMsg, en.Signature) {
+			if p.cfg.MSP.VerifyByID(en.EndorserID, signedMsg, en.Signature) != nil {
 				return types.ValidationBadSignature
 			}
 		}
@@ -584,23 +577,6 @@ func (p *Peer) runVSCC(tx *types.Transaction, ids []string) types.ValidationCode
 		return types.ValidationEndorsementPolicyFailure
 	}
 	return types.ValidationPending
-}
-
-// verifyEndorsement checks one endorsement signature against the
-// certificates registered for the endorser identity. Replicated
-// endorsers share an identity with distinct keys, so every registered
-// certificate is tried until one verifies.
-func (p *Peer) verifyEndorsement(id string, msg, sig []byte) bool {
-	for _, raw := range p.cfg.Certs.get(id) {
-		cert, err := p.cfg.MSP.ValidateIdentity(raw)
-		if err != nil {
-			continue
-		}
-		if p.cfg.MSP.VerifyByID(id, cert, msg, sig) == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // stateKey is one namespace-qualified key of the MVCC walk's dirty set.

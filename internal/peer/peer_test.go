@@ -80,14 +80,12 @@ func newEnvFull(t testing.TB, numPeers int, pol policy.Policy, verify bool, twea
 	e.m = msp.New(cas...)
 
 	registry := chaincode.NewRegistry(chaincode.NewKVStore("bench"), chaincode.NewCounter("ctr"))
-	certs := NewCertStore()
 	for i := 1; i <= numPeers; i++ {
 		enr, err := cas[i-1].Enroll("peer0", ca.RolePeer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		identity := msp.NewSigningIdentity(enr)
-		certs.Register(identity.ID(), identity.Serialized())
 		e.peerIDs = append(e.peerIDs, identity)
 		ep, err := e.net.Register(peerID(i))
 		if err != nil {
@@ -105,7 +103,6 @@ func newEnvFull(t testing.TB, numPeers int, pol policy.Policy, verify bool, twea
 			Model:        model,
 			CPU:          cpu,
 			VerifyCrypto: verify,
-			Certs:        certs,
 			Channels:     channels,
 		}
 		if tweakPeer != nil {

@@ -82,9 +82,10 @@ type Config struct {
 	// mode to bound memory at extreme overload
 	// (0 = gateway.DefaultMaxInFlight).
 	MaxInFlight int
-	// Channels, when non-empty, sprays transactions round-robin across
-	// the named channels (the paper's channel-scaling axis); empty uses
-	// each client's default channel.
+	// Channels, when non-empty, spreads transactions across the named
+	// channels (the paper's channel-scaling axis) by each client's call
+	// numbers, as nextCall says; empty uses each client's default
+	// channel.
 	Channels []string
 }
 
@@ -159,7 +160,6 @@ type Stats struct {
 // guaranteed on 32-bit platforms too.
 type runState struct {
 	cfg   Config
-	txSeq atomic.Int64
 	value []byte
 
 	submitted atomic.Int64
@@ -201,7 +201,7 @@ func Run(ctx context.Context, gateways []*gateway.Gateway, cfg Config) (Stats, e
 			defer wg.Done()
 			switch cfg.Mode {
 			case Pipeline:
-				st.runPipelineClient(ctx, gw, ci)
+				st.runPipelineClient(ctx, gw, ci, len(gateways))
 			default:
 				st.runOpenLoopClient(ctx, gw, ci, len(gateways))
 			}
@@ -214,18 +214,22 @@ func Run(ctx context.Context, gateways []*gateway.Gateway, cfg Config) (Stats, e
 // ProfileSmallBank names the SmallBank mixed-operation workload profile.
 const ProfileSmallBank = "smallbank"
 
-// txgen is one client's transaction generator: a seeded rng plus the
-// optional Zipfian popularity skew over the key space.
+// txgen is one client's transaction generator: a seeded rng, the
+// optional Zipfian popularity skew over the key space, and the client's
+// own call numbering.
 type txgen struct {
 	rng  *rand.Rand
 	zipf *rand.Zipf
+	// seq numbers the client's next call; it steps by the client count,
+	// so client ci of N numbers its calls ci+1, ci+1+N, ci+1+2N, ...
+	seq, stride int
 }
 
-// newGen builds client ci's generator with the run's deterministic
-// per-client seed.
-func (st *runState) newGen(ci int) *txgen {
+// newGen builds client ci's generator, of numClients, with the run's
+// deterministic per-client seed.
+func (st *runState) newGen(ci, numClients int) *txgen {
 	rng := rand.New(rand.NewSource(st.cfg.Seed + int64(ci)*7919 + 1))
-	g := &txgen{rng: rng}
+	g := &txgen{rng: rng, seq: ci + 1, stride: numClients}
 	if st.cfg.ZipfS > 1 && st.cfg.KeySpace > 1 {
 		g.zipf = rand.NewZipf(rng, st.cfg.ZipfS, 1, uint64(st.cfg.KeySpace-1))
 	}
@@ -242,11 +246,18 @@ func (g *txgen) pick(keySpace int) int {
 }
 
 // nextCall picks the next transaction's channel, function, and
-// arguments.
+// arguments. They depend only on the seed, the client's index and the
+// client count, never on how the clients' calls interleave: the call's
+// number picks its channel and names its fresh key. With equal call
+// counts per client the fresh keys are still k1...kN. When the client
+// count is a multiple of the channel count (16 clients on 1, 2, 4 or 8
+// channels), each client sends to one channel and the clients split
+// evenly over the channels.
 func (st *runState) nextCall(g *txgen) (channel, fn string, args [][]byte) {
-	seq := st.txSeq.Add(1)
+	seq := g.seq
+	g.seq += g.stride
 	if len(st.cfg.Channels) > 0 {
-		channel = st.cfg.Channels[int(seq)%len(st.cfg.Channels)]
+		channel = st.cfg.Channels[seq%len(st.cfg.Channels)]
 	}
 	if st.cfg.Profile == ProfileSmallBank {
 		fn, args = st.nextSmallBank(g)
@@ -305,7 +316,7 @@ func (st *runState) await(cmt *gateway.Commit, cwg *sync.WaitGroup) {
 func (st *runState) runOpenLoopClient(ctx context.Context, gw *gateway.Gateway, ci, numClients int) {
 	cfg := st.cfg
 	gw.SetMaxInFlight(cfg.MaxInFlight)
-	gen := st.newGen(ci)
+	gen := st.newGen(ci, numClients)
 	perClientRate := cfg.Rate / float64(numClients)
 	meanGap := time.Duration(float64(time.Second) / perClientRate)
 	wallGap := cfg.Model.ScaledDelay(meanGap)
@@ -340,10 +351,10 @@ func (st *runState) runOpenLoopClient(ctx context.Context, gw *gateway.Gateway, 
 // runPipelineClient keeps Window transactions in flight: SubmitAsync
 // blocks exactly while the window is full, so each completion
 // immediately admits the next submission.
-func (st *runState) runPipelineClient(ctx context.Context, gw *gateway.Gateway, ci int) {
+func (st *runState) runPipelineClient(ctx context.Context, gw *gateway.Gateway, ci, numClients int) {
 	cfg := st.cfg
 	gw.SetMaxInFlight(cfg.Window)
-	gen := st.newGen(ci)
+	gen := st.newGen(ci, numClients)
 	var cwg sync.WaitGroup
 
 	end := time.Now().Add(cfg.Model.ScaledDelay(cfg.Duration))

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,7 +102,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestZipfSkewsKeyPopularity(t *testing.T) {
 	st := &runState{cfg: Config{KeySpace: 100, ZipfS: 2.0, Seed: 7, Fn: "write"}, value: []byte("v")}
-	gen := st.newGen(0)
+	gen := st.newGen(0, 1)
 	counts := make(map[int]int)
 	for i := 0; i < 2000; i++ {
 		counts[gen.pick(100)]++
@@ -110,7 +113,7 @@ func TestZipfSkewsKeyPopularity(t *testing.T) {
 		t.Errorf("hottest key drew %d of 2000, want Zipfian concentration", counts[0])
 	}
 	// Determinism: the same seed reproduces the same draw sequence.
-	g1, g2 := st.newGen(3), st.newGen(3)
+	g1, g2 := st.newGen(3, 4), st.newGen(3, 4)
 	for i := 0; i < 100; i++ {
 		if a, b := g1.pick(100), g2.pick(100); a != b {
 			t.Fatalf("draw %d: %d != %d with equal seeds", i, a, b)
@@ -146,7 +149,7 @@ func TestSmallBankProfileOpMix(t *testing.T) {
 		t.Fatalf("profile defaults = chaincode %q keyspace %d", cfg.chaincode(), cfg.KeySpace)
 	}
 	st := &runState{cfg: cfg, value: []byte("v")}
-	gen := st.newGen(0)
+	gen := st.newGen(0, 1)
 	fns := make(map[string]int)
 	for i := 0; i < 2000; i++ {
 		_, fn, args := st.nextCall(gen)
@@ -204,5 +207,80 @@ func TestRunKeySpaceContention(t *testing.T) {
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
 	if sum.Invalid == 0 {
 		t.Error("collector recorded no invalid txs")
+	}
+}
+
+// call is one drawn transaction, its arguments formatted.
+type call struct{ channel, fn, args string }
+
+// TestClientStreamsIgnoreInterleaving requires each client's (channel,
+// fn, args) stream to depend only on the seed, the client's index and
+// the client count: 16 clients draw their calls one client after
+// another, then in a shuffled interleaving, and every client's stream
+// must come out the same. With fresh keys, the run's keys are k1...kN
+// and each client sends to one channel, an equal number of clients per
+// channel; SmallBank's zipfian stream is checked too.
+func TestClientStreamsIgnoreInterleaving(t *testing.T) {
+	const clients, calls = 16, 50
+	streams := func(cfg Config, order []int) [clients][]call {
+		st := &runState{cfg: cfg, value: []byte("v")}
+		var gens [clients]*txgen
+		for ci := range gens {
+			gens[ci] = st.newGen(ci, clients)
+		}
+		var out [clients][]call
+		for _, ci := range order {
+			channel, fn, args := st.nextCall(gens[ci])
+			out[ci] = append(out[ci], call{channel, fn, fmt.Sprintf("%q", args)})
+		}
+		return out
+	}
+	inTurn := make([]int, 0, clients*calls)
+	for ci := range clients {
+		for range calls {
+			inTurn = append(inTurn, ci)
+		}
+	}
+	shuffled := slices.Clone(inTurn)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+
+	for _, nch := range []int{1, 2, 4, 8} {
+		var channels []string
+		for c := 1; c <= nch; c++ {
+			channels = append(channels, fmt.Sprintf("ch%d", c))
+		}
+		for _, cfg := range []Config{
+			{Fn: "write", Seed: 3, Channels: channels},
+			{Profile: ProfileSmallBank, KeySpace: 1000, ZipfS: 1.2, Seed: 3, Channels: channels},
+		} {
+			name := fmt.Sprintf("%d channels, profile %q", nch, cfg.Profile)
+			want, got := streams(cfg, inTurn), streams(cfg, shuffled)
+			perChannel := make(map[string]int)
+			written := make(map[string]bool)
+			for ci, stream := range want {
+				if !slices.Equal(stream, got[ci]) {
+					t.Errorf("%s: client %d's stream depends on the interleaving", name, ci)
+				}
+				for _, c := range stream {
+					if c.channel != stream[0].channel {
+						t.Fatalf("%s: client %d sends to %s and to %s", name, ci, stream[0].channel, c.channel)
+					}
+					written[c.args] = true
+				}
+				perChannel[stream[0].channel]++
+			}
+			for _, ch := range channels {
+				if perChannel[ch] != clients/nch {
+					t.Errorf("%s: %d clients send to %s, want %d", name, perChannel[ch], ch, clients/nch)
+				}
+			}
+			for k := 1; cfg.Profile == "" && k <= clients*calls; k++ {
+				if args := fmt.Sprintf(`["k%d" "v"]`, k); !written[args] {
+					t.Fatalf("%s: no call wrote k%d", name, k)
+				}
+			}
+		}
 	}
 }
