@@ -56,9 +56,9 @@ type Simulator struct {
 	state statedb.Store
 
 	// rwset.Writes is kept sorted by key, one entry per key, and doubles
-	// as the read-your-writes buffer.
-	rwset   types.RWSet
-	readKey map[string]struct{} // dedup reads of the same key; made on first read
+	// as the read-your-writes buffer. rwset.Reads holds one entry per
+	// key, in first-read order.
+	rwset types.RWSet
 	// firstWrite backs rwset.Writes while it holds one write, so a
 	// one-write simulation allocates no write slice.
 	firstWrite [1]types.KVWrite
@@ -66,9 +66,12 @@ type Simulator struct {
 
 var _ Stub = (*Simulator)(nil)
 
-// NewSimulator creates a simulator for one invocation of chaincode ns.
-func NewSimulator(txID types.TxID, ns string, state statedb.Store) *Simulator {
-	return &Simulator{txID: txID, ns: ns, state: state}
+// MakeSimulator returns a simulator for one invocation of chaincode ns,
+// as a value so a caller can embed it in an object of its own. Use it
+// through a pointer and do not copy it once used: its write set may
+// point into it.
+func MakeSimulator(txID types.TxID, ns string, state statedb.Store) Simulator {
+	return Simulator{txID: txID, ns: ns, state: state}
 }
 
 // TxID returns the simulated transaction's ID.
@@ -112,15 +115,20 @@ func (s *Simulator) GetState(key string) ([]byte, error) {
 	return append([]byte(nil), vv.Value...), nil
 }
 
-// firstRead marks key read and reports whether it was not already.
+// firstRead reports whether key is not yet in the read set, and makes
+// the read set, with room for two reads, on the first. It scans the set,
+// which is quadratic only for a chaincode that reads many keys; no
+// sample chaincode does (SmallBank reads at most three), and
+// GetStateRange, the one bulk reader, has no caller outside tests.
 func (s *Simulator) firstRead(key string) bool {
-	if _, seen := s.readKey[key]; seen {
-		return false
+	for i := range s.rwset.Reads {
+		if s.rwset.Reads[i].Key == key {
+			return false
+		}
 	}
-	if s.readKey == nil {
-		s.readKey = make(map[string]struct{})
+	if s.rwset.Reads == nil {
+		s.rwset.Reads = make([]types.KVRead, 0, 2)
 	}
-	s.readKey[key] = struct{}{}
 	return true
 }
 
@@ -153,7 +161,8 @@ func (s *Simulator) setWrite(w types.KVWrite) {
 
 // GetStateRange implements Stub. Range reads record each returned key in
 // the read set (phantom protection is out of scope, as in Fabric's
-// default validation).
+// default validation). Each key scans the read set once, so a wide range
+// costs time quadratic in its size; no sample chaincode reads a range.
 func (s *Simulator) GetStateRange(startKey, endKey string) ([]statedb.KV, error) {
 	kvs, err := s.state.GetRange(s.ns, startKey, endKey, 0)
 	if err != nil {

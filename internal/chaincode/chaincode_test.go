@@ -26,7 +26,7 @@ func seededDB(tb testing.TB, ns string, kv map[string]string) *statedb.DB {
 
 func TestSimulatorReadSetVersions(t *testing.T) {
 	db := seededDB(t, "cc", map[string]string{"a": "1"})
-	sim := NewSimulator("tx1", "cc", db)
+	sim := MakeSimulator("tx1", "cc", db)
 
 	v, err := sim.GetState("a")
 	if err != nil || string(v) != "1" {
@@ -50,7 +50,7 @@ func TestSimulatorReadSetVersions(t *testing.T) {
 
 func TestSimulatorReadYourWrites(t *testing.T) {
 	db := seededDB(t, "cc", map[string]string{"a": "old"})
-	sim := NewSimulator("tx1", "cc", db)
+	sim := MakeSimulator("tx1", "cc", db)
 	if err := sim.PutState("a", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSimulatorReadYourWrites(t *testing.T) {
 
 func TestSimulatorDelete(t *testing.T) {
 	db := seededDB(t, "cc", map[string]string{"a": "1"})
-	sim := NewSimulator("tx1", "cc", db)
+	sim := MakeSimulator("tx1", "cc", db)
 	_ = sim.DelState("a")
 	if v, _ := sim.GetState("a"); v != nil {
 		t.Error("deleted key visible")
@@ -86,10 +86,10 @@ func TestSimulatorDelete(t *testing.T) {
 
 func TestSimulatorDeterministicWriteOrder(t *testing.T) {
 	db := statedb.New()
-	s1 := NewSimulator("t", "cc", db)
+	s1 := MakeSimulator("t", "cc", db)
 	_ = s1.PutState("z", []byte("1"))
 	_ = s1.PutState("a", []byte("2"))
-	s2 := NewSimulator("t", "cc", db)
+	s2 := MakeSimulator("t", "cc", db)
 	_ = s2.PutState("a", []byte("2"))
 	_ = s2.PutState("z", []byte("1"))
 	if !bytes.Equal(s1.RWSet().Marshal(), s2.RWSet().Marshal()) {
@@ -99,7 +99,7 @@ func TestSimulatorDeterministicWriteOrder(t *testing.T) {
 
 func TestSimulatorRange(t *testing.T) {
 	db := seededDB(t, "cc", map[string]string{"k1": "1", "k2": "2", "k3": "3"})
-	sim := NewSimulator("tx1", "cc", db)
+	sim := MakeSimulator("tx1", "cc", db)
 	kvs, err := sim.GetStateRange("k1", "k3")
 	if err != nil || len(kvs) != 2 {
 		t.Fatalf("range = %d err=%v", len(kvs), err)
@@ -113,19 +113,19 @@ func TestSimulatorRange(t *testing.T) {
 func TestKVStore(t *testing.T) {
 	db := statedb.New()
 	cc := NewKVStore("bench")
-	sim := NewSimulator("t1", "bench", db)
+	sim := MakeSimulator("t1", "bench", db)
 
-	if _, err := cc.Invoke(sim, "write", [][]byte{[]byte("k"), []byte("v")}); err != nil {
+	if _, err := cc.Invoke(&sim, "write", [][]byte{[]byte("k"), []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := cc.Invoke(sim, "read", [][]byte{[]byte("k")})
+	out, err := cc.Invoke(&sim, "read", [][]byte{[]byte("k")})
 	if err != nil || string(out) != "v" {
 		t.Errorf("read = %q err=%v", out, err)
 	}
-	if _, err := cc.Invoke(sim, "nope", nil); !errors.Is(err, ErrUnknownFunction) {
+	if _, err := cc.Invoke(&sim, "nope", nil); !errors.Is(err, ErrUnknownFunction) {
 		t.Errorf("unknown fn: %v", err)
 	}
-	if _, err := cc.Invoke(sim, "write", [][]byte{[]byte("only-key")}); err == nil {
+	if _, err := cc.Invoke(&sim, "write", [][]byte{[]byte("only-key")}); err == nil {
 		t.Error("arity violation accepted")
 	}
 }
@@ -133,8 +133,8 @@ func TestKVStore(t *testing.T) {
 func TestKVStoreReadWrite(t *testing.T) {
 	db := seededDB(t, "bench", map[string]string{"k": "v0"})
 	cc := NewKVStore("bench")
-	sim := NewSimulator("t1", "bench", db)
-	if _, err := cc.Invoke(sim, "readwrite", [][]byte{[]byte("k"), []byte("v1")}); err != nil {
+	sim := MakeSimulator("t1", "bench", db)
+	if _, err := cc.Invoke(&sim, "readwrite", [][]byte{[]byte("k"), []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
 	rw := sim.RWSet()
@@ -147,21 +147,21 @@ func TestMoneyTransfer(t *testing.T) {
 	db := statedb.New()
 	cc := NewMoneyTransfer("bank")
 
-	open := NewSimulator("t0", "bank", db)
-	if _, err := cc.Invoke(open, "open", [][]byte{[]byte("alice"), []byte("100")}); err != nil {
+	open := MakeSimulator("t0", "bank", db)
+	if _, err := cc.Invoke(&open, "open", [][]byte{[]byte("alice"), []byte("100")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Invoke(open, "open", [][]byte{[]byte("bob"), []byte("50")}); err != nil {
+	if _, err := cc.Invoke(&open, "open", [][]byte{[]byte("bob"), []byte("50")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Invoke(open, "transfer", [][]byte{[]byte("alice"), []byte("bob"), []byte("30")}); err != nil {
+	if _, err := cc.Invoke(&open, "transfer", [][]byte{[]byte("alice"), []byte("bob"), []byte("30")}); err != nil {
 		t.Fatal(err)
 	}
-	bal, err := cc.Invoke(open, "balance", [][]byte{[]byte("alice")})
+	bal, err := cc.Invoke(&open, "balance", [][]byte{[]byte("alice")})
 	if err != nil || string(bal) != "70" {
 		t.Errorf("alice balance = %s err=%v", bal, err)
 	}
-	bal, _ = cc.Invoke(open, "balance", [][]byte{[]byte("bob")})
+	bal, _ = cc.Invoke(&open, "balance", [][]byte{[]byte("bob")})
 	if string(bal) != "80" {
 		t.Errorf("bob balance = %s", bal)
 	}
@@ -170,13 +170,13 @@ func TestMoneyTransfer(t *testing.T) {
 func TestMoneyTransferInsufficientFunds(t *testing.T) {
 	db := statedb.New()
 	cc := NewMoneyTransfer("bank")
-	sim := NewSimulator("t0", "bank", db)
-	_, _ = cc.Invoke(sim, "open", [][]byte{[]byte("a"), []byte("10")})
-	_, _ = cc.Invoke(sim, "open", [][]byte{[]byte("b"), []byte("0")})
-	if _, err := cc.Invoke(sim, "transfer", [][]byte{[]byte("a"), []byte("b"), []byte("11")}); !errors.Is(err, ErrInsufficientFunds) {
+	sim := MakeSimulator("t0", "bank", db)
+	_, _ = cc.Invoke(&sim, "open", [][]byte{[]byte("a"), []byte("10")})
+	_, _ = cc.Invoke(&sim, "open", [][]byte{[]byte("b"), []byte("0")})
+	if _, err := cc.Invoke(&sim, "transfer", [][]byte{[]byte("a"), []byte("b"), []byte("11")}); !errors.Is(err, ErrInsufficientFunds) {
 		t.Errorf("overdraft: %v", err)
 	}
-	if _, err := cc.Invoke(sim, "transfer", [][]byte{[]byte("ghost"), []byte("b"), []byte("1")}); err == nil {
+	if _, err := cc.Invoke(&sim, "transfer", [][]byte{[]byte("ghost"), []byte("b"), []byte("1")}); err == nil {
 		t.Error("unknown account accepted")
 	}
 }
@@ -184,42 +184,42 @@ func TestMoneyTransferInsufficientFunds(t *testing.T) {
 func TestSmallBankLazyAccountsAndOps(t *testing.T) {
 	db := statedb.New()
 	cc := NewSmallBank("smallbank")
-	sim := NewSimulator("t0", "smallbank", db)
+	sim := MakeSimulator("t0", "smallbank", db)
 
 	// Missing accounts materialize at DefaultBalance: a fresh query
 	// reads savings + checking.
-	out, err := cc.Invoke(sim, "query", [][]byte{[]byte("a1")})
+	out, err := cc.Invoke(&sim, "query", [][]byte{[]byte("a1")})
 	if err != nil || string(out) != "20000" {
 		t.Fatalf("query fresh = %s err=%v", out, err)
 	}
-	if _, err := cc.Invoke(sim, "deposit", [][]byte{[]byte("a1"), []byte("10")}); err != nil {
+	if _, err := cc.Invoke(&sim, "deposit", [][]byte{[]byte("a1"), []byte("10")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Invoke(sim, "transact", [][]byte{[]byte("a1"), []byte("5")}); err != nil {
+	if _, err := cc.Invoke(&sim, "transact", [][]byte{[]byte("a1"), []byte("5")}); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = cc.Invoke(sim, "query", [][]byte{[]byte("a1")})
+	out, _ = cc.Invoke(&sim, "query", [][]byte{[]byte("a1")})
 	if string(out) != "20015" {
 		t.Errorf("after deposit+transact = %s", out)
 	}
-	if _, err := cc.Invoke(sim, "sendpayment", [][]byte{[]byte("a1"), []byte("a2"), []byte("100")}); err != nil {
+	if _, err := cc.Invoke(&sim, "sendpayment", [][]byte{[]byte("a1"), []byte("a2"), []byte("100")}); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = cc.Invoke(sim, "query", [][]byte{[]byte("a2")})
+	out, _ = cc.Invoke(&sim, "query", [][]byte{[]byte("a2")})
 	if string(out) != "20100" {
 		t.Errorf("a2 after payment = %s", out)
 	}
-	if _, err := cc.Invoke(sim, "amalgamate", [][]byte{[]byte("a1"), []byte("a2")}); err != nil {
+	if _, err := cc.Invoke(&sim, "amalgamate", [][]byte{[]byte("a1"), []byte("a2")}); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = cc.Invoke(sim, "query", [][]byte{[]byte("a1")})
+	out, _ = cc.Invoke(&sim, "query", [][]byte{[]byte("a1")})
 	if string(out) != "0" {
 		t.Errorf("a1 after amalgamate = %s", out)
 	}
-	if _, err := cc.Invoke(sim, "sendpayment", [][]byte{[]byte("a1"), []byte("a2"), []byte("1")}); !errors.Is(err, ErrInsufficientFunds) {
+	if _, err := cc.Invoke(&sim, "sendpayment", [][]byte{[]byte("a1"), []byte("a2"), []byte("1")}); !errors.Is(err, ErrInsufficientFunds) {
 		t.Errorf("drained account payment: %v", err)
 	}
-	if _, err := cc.Invoke(sim, "nope", nil); !errors.Is(err, ErrUnknownFunction) {
+	if _, err := cc.Invoke(&sim, "nope", nil); !errors.Is(err, ErrUnknownFunction) {
 		t.Errorf("unknown fn: %v", err)
 	}
 }
@@ -229,8 +229,8 @@ func TestSmallBankRMWGeneratesConflictableRWSet(t *testing.T) {
 	// the transactions conflict-aware ordering must arbitrate.
 	db := statedb.New()
 	cc := NewSmallBank("smallbank")
-	sim := NewSimulator("t0", "smallbank", db)
-	if _, err := cc.Invoke(sim, "deposit", [][]byte{[]byte("hot"), []byte("1")}); err != nil {
+	sim := MakeSimulator("t0", "smallbank", db)
+	if _, err := cc.Invoke(&sim, "deposit", [][]byte{[]byte("hot"), []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	rw := sim.RWSet()
@@ -242,9 +242,9 @@ func TestSmallBankRMWGeneratesConflictableRWSet(t *testing.T) {
 func TestCounter(t *testing.T) {
 	db := statedb.New()
 	cc := NewCounter("ctr")
-	sim := NewSimulator("t0", "ctr", db)
+	sim := MakeSimulator("t0", "ctr", db)
 	for want := 1; want <= 3; want++ {
-		out, err := cc.Invoke(sim, "inc", [][]byte{[]byte("c")})
+		out, err := cc.Invoke(&sim, "inc", [][]byte{[]byte("c")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestCounter(t *testing.T) {
 			t.Errorf("inc -> %s, want %d", out, want)
 		}
 	}
-	out, _ := cc.Invoke(sim, "get", [][]byte{[]byte("nope")})
+	out, _ := cc.Invoke(&sim, "get", [][]byte{[]byte("nope")})
 	if string(out) != "0" {
 		t.Errorf("get missing = %s", out)
 	}
@@ -301,8 +301,8 @@ func TestMutatingChaincodeCannotCorruptCommittedState(t *testing.T) {
 	if err := db.ApplyUpdates(b, types.Version{BlockNum: 1, TxNum: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulator("tx1", "mut", db)
-	out, err := mutatorChaincode{}.Invoke(sim, "mutate", [][]byte{[]byte("k")})
+	sim := MakeSimulator("tx1", "mut", db)
+	out, err := mutatorChaincode{}.Invoke(&sim, "mutate", [][]byte{[]byte("k")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,19 +326,44 @@ func TestMutatingChaincodeCannotCorruptCommittedState(t *testing.T) {
 	}
 }
 
-// TestSimulateAllocs pins the endorser's one-write simulation at 2: the
-// simulator and the value copy. The one-entry write set lives in the
-// simulator; growing it from nil took a third.
+// TestSimulateAllocs pins a one-write simulation at 2: the simulator,
+// which escapes here as an endorser's escapes inside its reply, and the
+// value copy. The one-entry write set lives in the simulator; growing it
+// from nil took a third.
 func TestSimulateAllocs(t *testing.T) {
 	db := statedb.New()
 	value := []byte("value")
 	allocs := testing.AllocsPerRun(100, func() {
-		sim := NewSimulator("tx", "cc", db)
+		sim := MakeSimulator("tx", "cc", db)
 		_ = sim.PutState("key", value)
 		sinkRWSet = sim.RWSet()
 	})
 	if allocs > 2 {
-		t.Errorf("NewSimulator+PutState+RWSet: %.1f allocations, want <= 2", allocs)
+		t.Errorf("MakeSimulator+PutState+RWSet: %.1f allocations, want <= 2", allocs)
+	}
+}
+
+// TestSmallBankSendPaymentAllocs pins SmallBank's sendpayment from an
+// existing account to one not yet in state (accounts materialize
+// lazily) at 14: the simulator; the payer's account string (an error
+// message keeps it); four key strings; the payer's value copy out of state; the read set, made once
+// with room for both reads; two balance texts and their two copies into
+// the write set; the second write's slice; and the "OK" payload. It took
+// 19 when the reads were deduplicated through a map, the read set grew
+// from nil and each balance text was a string converted to bytes.
+func TestSmallBankSendPaymentAllocs(t *testing.T) {
+	db := seededDB(t, "smallbank", map[string]string{"c:a1": "500"})
+	cc := NewSmallBank("smallbank")
+	args := [][]byte{[]byte("a1"), []byte("a2"), []byte("10")}
+	allocs := testing.AllocsPerRun(100, func() {
+		sim := MakeSimulator("tx", "smallbank", db)
+		if _, err := cc.Invoke(&sim, "sendpayment", args); err != nil {
+			t.Fatal(err)
+		}
+		sinkRWSet = sim.RWSet()
+	})
+	if allocs > 14 {
+		t.Errorf("sendpayment simulation: %.1f allocations, want <= 14", allocs)
 	}
 }
 
@@ -347,7 +372,7 @@ func TestSimulateAllocs(t *testing.T) {
 // set to a slice of its own, still in key order.
 func TestWriteSetFirstEntry(t *testing.T) {
 	db := statedb.New()
-	sim := NewSimulator("tx", "cc", db)
+	sim := MakeSimulator("tx", "cc", db)
 	if _, err := sim.GetState("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +399,8 @@ func BenchmarkSimulate(b *testing.B) {
 	args := [][]byte{[]byte("k"), []byte("v1")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim := NewSimulator("tx", "bench", db)
-		if _, err := cc.Invoke(sim, "write", args); err != nil {
+		sim := MakeSimulator("tx", "bench", db)
+		if _, err := cc.Invoke(&sim, "write", args); err != nil {
 			b.Fatal(err)
 		}
 		sinkRWSet = sim.RWSet()

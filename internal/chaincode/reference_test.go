@@ -128,7 +128,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	values := [][]byte{nil, {}, []byte("x"), []byte("yy"), []byte("a longer value")}
 	const sequences = 5000
 	for seq := 0; seq < sequences; seq++ {
-		sim := NewSimulator("tx", ns, db)
+		sim := MakeSimulator("tx", ns, db)
 		ref := newRefSimulator("tx", ns, db)
 		ops := rng.Intn(24)
 		for op := 0; op < ops; op++ {

@@ -338,7 +338,7 @@ func (c *SmallBank) add(stub Stub, key string, amt int64) ([]byte, error) {
 }
 
 func (c *SmallBank) put(stub Stub, key string, bal int64) error {
-	return stub.PutState(key, []byte(strconv.FormatInt(bal, 10)))
+	return stub.PutState(key, strconv.AppendInt(nil, bal, 10))
 }
 
 // Counter is a minimal chaincode used by the quickstart example and

@@ -19,6 +19,16 @@
 // high watermark, as Kafka's ISR expansion does. At the level the paper
 // measures (in-sync replica latency as broker count grows), push and
 // pull are equivalent.
+//
+// As in Kafka's zero-copy design, a broker hands out its log and never
+// copies it per consumer: a fetch reply and a replicate message carry a
+// capped subslice of the log, and a record's Data is the producer's
+// bytes. Each record carries a one-byte Kind beside its Data, which the
+// broker stores and returns untouched, so a producer tags a record
+// without copying it. The log changes in one place only, a follower
+// truncating its suffix to a new leader's, and that clips the log's
+// capacity first, so records handed out earlier stay as they were.
+// Callers treat fetched records as read-only.
 package kafka
 
 import (
@@ -40,9 +50,11 @@ var (
 	ErrStopped     = errors.New("kafka: broker stopped")
 )
 
-// Record is one log entry of a partition.
+// Record is one log entry of a partition. Kind is the producer's tag,
+// which the broker stores and returns untouched.
 type Record struct {
 	Offset int64
+	Kind   byte
 	Data   []byte
 }
 
@@ -57,6 +69,7 @@ const (
 // ProduceArgs asks the partition leader to append a record.
 type ProduceArgs struct {
 	Partition int
+	Kind      byte
 	Data      []byte
 }
 
@@ -101,7 +114,7 @@ type MetadataReply struct {
 func wireSize(recs []Record) int {
 	size := 16
 	for i := range recs {
-		size += len(recs[i].Data) + 16
+		size += 1 + len(recs[i].Data) + 16
 	}
 	return size
 }
@@ -420,7 +433,7 @@ func (b *Broker) handleProduce(ctx context.Context, _ string, payload any) (any,
 		return nil, 0, fmt.Errorf("%w (leader is %q)", ErrNotLeader, ps.leader)
 	}
 	off, epoch := int64(len(ps.records)), ps.epoch
-	ps.records = append(ps.records, Record{Offset: off, Data: args.Data})
+	ps.records = append(ps.records, Record{Offset: off, Kind: args.Kind, Data: args.Data})
 	for _, f := range ps.replicas {
 		if f != b.id && !ps.sending[f] {
 			ps.sending[f] = true
@@ -454,7 +467,7 @@ func (b *Broker) replicate(p int, ps *partitionState, f string) {
 	defer delete(ps.sending, f)
 	for ps.leader == b.id && ps.ackOffset[f] < int64(len(ps.records)) {
 		epoch, from, end := ps.epoch, ps.ackOffset[f], int64(len(ps.records))
-		recs := append([]Record(nil), ps.records[from:end]...)
+		recs := ps.records[from:end:end]
 		ps.mu.Unlock()
 		args := &ReplicateArgs{Partition: p, FromOffset: from, Records: recs, LeaderEpoch: epoch}
 		_, err := b.ep.CallWithin(context.Background(), b.cluster.cfg.RequestTimeout, f, kindReplicate, args, wireSize(recs))
@@ -495,7 +508,13 @@ func (b *Broker) handleReplicate(_ context.Context, _ string, payload any) (any,
 	if args.LeaderEpoch < ps.epoch || args.FromOffset < 0 || args.FromOffset > int64(len(ps.records)) {
 		return nil, 0, fmt.Errorf("kafka: refused records from %d at epoch %d: have %d at epoch %d", args.FromOffset, args.LeaderEpoch, len(ps.records), ps.epoch)
 	}
-	ps.records = append(ps.records[:args.FromOffset], args.Records...)
+	if args.FromOffset < int64(len(ps.records)) {
+		// Truncation is the one write over existing entries: clip the
+		// capacity first so the append copies into a fresh array and no
+		// record slice handed out earlier changes.
+		ps.records = ps.records[:args.FromOffset:args.FromOffset]
+	}
+	ps.records = append(ps.records, args.Records...)
 	ps.highWatermark = int64(len(ps.records))
 	ps.wakeLocked()
 	return &ReplicateReply{}, 16, nil
@@ -507,8 +526,9 @@ func (b *Broker) handleFetch(ctx context.Context, _ string, payload any) (any, i
 	if !ok {
 		return nil, 0, fmt.Errorf("kafka: bad fetch payload %T", payload)
 	}
-	if args.MaxBatch <= 0 {
-		args.MaxBatch = 512
+	maxBatch := int64(args.MaxBatch)
+	if maxBatch <= 0 {
+		maxBatch = 512
 	}
 	deadline := time.Now().Add(args.MaxWait)
 	for {
@@ -522,12 +542,8 @@ func (b *Broker) handleFetch(ctx context.Context, _ string, payload any) (any, i
 		ps.mu.Lock()
 		hw := ps.highWatermark
 		if args.Offset < hw {
-			end := hw
-			if end > args.Offset+int64(args.MaxBatch) {
-				end = args.Offset + int64(args.MaxBatch)
-			}
-			recs := make([]Record, end-args.Offset)
-			copy(recs, ps.records[args.Offset:end])
+			end := min(hw, args.Offset+maxBatch)
+			recs := ps.records[args.Offset:end:end]
 			ps.mu.Unlock()
 			return &FetchReply{Records: recs, HighWatermark: hw}, wireSize(recs), nil
 		}
@@ -589,8 +605,10 @@ func NewClient(ep transport.Endpoint, brokers []string, timeout time.Duration) *
 	return &Client{ep: ep, brokers: brokers, timeout: timeout, leader: make(map[int]string)}
 }
 
-// Produce appends data to the partition, following leader redirects.
-func (c *Client) Produce(ctx context.Context, partition int, data []byte) (int64, error) {
+// Produce appends a record of the given kind to the partition, following
+// leader redirects. The broker keeps data, which the caller must not
+// modify afterwards.
+func (c *Client) Produce(ctx context.Context, partition int, kind byte, data []byte) (int64, error) {
 	var lastErr error
 	for attempt := 0; attempt < len(c.brokers)+2; attempt++ {
 		target, err := c.findLeader(ctx, partition)
@@ -598,7 +616,7 @@ func (c *Client) Produce(ctx context.Context, partition int, data []byte) (int64
 			lastErr = err
 			continue
 		}
-		raw, err := c.ep.CallWithin(ctx, c.timeout, target, kindProduce, &ProduceArgs{Partition: partition, Data: data}, len(data)+32)
+		raw, err := c.ep.CallWithin(ctx, c.timeout, target, kindProduce, &ProduceArgs{Partition: partition, Kind: kind, Data: data}, 1+len(data)+32)
 		if err != nil {
 			c.invalidateLeader(partition)
 			lastErr = err
@@ -613,7 +631,8 @@ func (c *Client) Produce(ctx context.Context, partition int, data []byte) (int64
 	return 0, fmt.Errorf("kafka: produce failed after retries: %w", lastErr)
 }
 
-// Fetch long-polls the partition leader for records at offset.
+// Fetch long-polls the partition leader for records at offset. The
+// records share the broker's log and are read-only.
 func (c *Client) Fetch(ctx context.Context, partition int, offset int64, maxWait time.Duration) ([]Record, error) {
 	target, err := c.findLeader(ctx, partition)
 	if err != nil {

@@ -47,11 +47,14 @@ func testCluster(t *testing.T, brokers, rf int) (*Cluster, *Client, *transport.N
 	return cluster, NewClient(cep, ids, 2*time.Second), net
 }
 
+// testKind tags the records of tests that do not look at kinds.
+const testKind byte = 1
+
 func TestProduceFetch(t *testing.T) {
 	_, client, _ := testCluster(t, 3, 3)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		off, err := client.Produce(ctx, 0, []byte(fmt.Sprintf("rec%d", i)))
+		off, err := client.Produce(ctx, 0, byte(i), []byte(fmt.Sprintf("rec%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +70,7 @@ func TestProduceFetch(t *testing.T) {
 		t.Fatalf("fetched %d records", len(recs))
 	}
 	for i, r := range recs {
-		if string(r.Data) != fmt.Sprintf("rec%d", i) || r.Offset != int64(i) {
+		if string(r.Data) != fmt.Sprintf("rec%d", i) || r.Offset != int64(i) || r.Kind != byte(i) {
 			t.Errorf("rec[%d] = %+v", i, r)
 		}
 	}
@@ -87,7 +90,7 @@ func TestFetchLongPoll(t *testing.T) {
 		done <- recs
 	}()
 	waitFor(t, "the long poll to park", func() bool { return parkedFetches() >= 1 })
-	if _, err := client.Produce(ctx, 0, []byte("late")); err != nil {
+	if _, err := client.Produce(ctx, 0, testKind, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -180,7 +183,7 @@ func TestOneProduceWakesEveryLongPoll(t *testing.T) {
 		runtime.Gosched()
 	}
 	produced := time.Now()
-	if _, err := client.Produce(ctx, 0, []byte("wake")); err != nil {
+	if _, err := client.Produce(ctx, 0, testKind, []byte("wake")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < polls; i++ {
@@ -213,7 +216,7 @@ func TestReplication(t *testing.T) {
 	cluster, client, _ := testCluster(t, 3, 3)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := client.Produce(ctx, 0, []byte{byte(i)}); err != nil {
+		if _, err := client.Produce(ctx, 0, testKind, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +240,7 @@ func TestLeaderFailover(t *testing.T) {
 	t.Run("kill", func(t *testing.T) {
 		cluster, client, _ := testCluster(t, 3, 3)
 		ctx := context.Background()
-		if _, err := client.Produce(ctx, 0, []byte("before")); err != nil {
+		if _, err := client.Produce(ctx, 0, testKind, []byte("before")); err != nil {
 			t.Fatal(err)
 		}
 		leader, ok := cluster.Leader(0)
@@ -252,7 +255,7 @@ func TestLeaderFailover(t *testing.T) {
 			t.Fatalf("failover did not elect a new leader: %q", newLeader)
 		}
 		// The new leader serves both history and new produces.
-		if _, err := client.Produce(ctx, 0, []byte("after")); err != nil {
+		if _, err := client.Produce(ctx, 0, testKind, []byte("after")); err != nil {
 			t.Fatalf("produce after failover: %v", err)
 		}
 		recs, err := client.Fetch(ctx, 0, 0, 200*time.Millisecond)
@@ -277,7 +280,7 @@ func TestLeaderFailover(t *testing.T) {
 		acked := make(map[int64]string)
 		produce := func(data string) {
 			t.Helper()
-			off, err := client.Produce(ctx, 0, []byte(data))
+			off, err := client.Produce(ctx, 0, testKind, []byte(data))
 			if err != nil {
 				t.Fatalf("produce %s: %v", data, err)
 			}
@@ -332,7 +335,7 @@ func TestLeaderFailover(t *testing.T) {
 		var acked []string
 		for i := 0; i < 3; i++ {
 			data := fmt.Sprintf("rec%d", i)
-			if _, err := client.Produce(ctx, 0, []byte(data)); err != nil {
+			if _, err := client.Produce(ctx, 0, testKind, []byte(data)); err != nil {
 				t.Fatal(err)
 			}
 			acked = append(acked, data)
@@ -343,7 +346,7 @@ func TestLeaderFailover(t *testing.T) {
 		if leader, ok := cluster.Leader(0); !ok || leader != "broker3" {
 			t.Fatalf("leader after killing broker1 = %q, want broker3, the ISR member", leader)
 		}
-		if _, err := client.Produce(ctx, 0, []byte("after")); err != nil {
+		if _, err := client.Produce(ctx, 0, testKind, []byte("after")); err != nil {
 			t.Fatalf("produce after failover: %v", err)
 		}
 		acked = append(acked, "after")
@@ -417,7 +420,7 @@ func TestConcurrentProducers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			off, err := client.Produce(ctx, 0, []byte{byte(i)})
+			off, err := client.Produce(ctx, 0, testKind, []byte{byte(i)})
 			if err != nil {
 				offsets[i] = -1
 				return
@@ -463,10 +466,128 @@ func TestConcurrentProducers(t *testing.T) {
 
 func TestReplicationFactorCapped(t *testing.T) {
 	cluster, client, _ := testCluster(t, 2, 5) // RF > brokers
-	if _, err := client.Produce(context.Background(), 0, []byte("x")); err != nil {
+	if _, err := client.Produce(context.Background(), 0, testKind, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if cluster.cfg.ReplicationFactor != 2 {
 		t.Errorf("RF = %d, want capped at 2", cluster.cfg.ReplicationFactor)
 	}
+}
+
+// TestHandedOutRecordsSurviveTruncation hands out a leader's records in
+// a fetch reply and in a replicate message, then makes that broker, now
+// a follower under a new epoch, truncate its log and re-append different
+// records: the records handed out earlier must not change, since fetch
+// and replicate share the log rather than copy it.
+func TestHandedOutRecordsSurviveTruncation(t *testing.T) {
+	cluster, client, _ := testCluster(t, 2, 2)
+	ctx := context.Background()
+	follower := cluster.brokers["broker2"]
+	var (
+		mu         sync.Mutex
+		replicated [][]Record
+	)
+	follower.ep.Handle(kindReplicate, func(ctx context.Context, from string, payload any) (any, int, error) {
+		mu.Lock()
+		replicated = append(replicated, payload.(*ReplicateArgs).Records)
+		mu.Unlock()
+		return follower.handleReplicate(ctx, from, payload)
+	})
+	const n, from = 5, 2
+	for i := 0; i < n; i++ {
+		if _, err := client.Produce(ctx, 0, testKind, []byte(fmt.Sprintf("old%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetched, err := client.Fetch(ctx, 0, 0, 100*time.Millisecond)
+	if err != nil || len(fetched) != n {
+		t.Fatalf("fetch = %d records, %v; want %d", len(fetched), err, n)
+	}
+	waitFor(t, "the sender to finish", func() bool {
+		return locked(cluster, "broker1", func(ps *partitionState) bool { return len(ps.sending) == 0 })
+	})
+	mu.Lock()
+	handedOut := append([][]Record{fetched}, replicated...)
+	mu.Unlock()
+	snapshot := func() []string {
+		var out []string
+		for _, recs := range handedOut {
+			for _, r := range recs {
+				out = append(out, fmt.Sprintf("%d/%d/%s", r.Offset, r.Kind, r.Data))
+			}
+		}
+		return out
+	}
+	before := snapshot()
+
+	// broker2 leads epoch 2 with a different suffix from offset 2 and
+	// pushes it to broker1, which truncates and appends.
+	suffix := make([]Record, n-from)
+	for i := range suffix {
+		suffix[i] = Record{Offset: int64(from + i), Kind: testKind + 1, Data: []byte(fmt.Sprintf("new%d", from+i))}
+	}
+	cluster.mu.Lock()
+	cluster.assignPartition(0, "broker2", []string{"broker1", "broker2"}, 2)
+	cluster.mu.Unlock()
+	if room := locked(cluster, "broker1", func(ps *partitionState) int { return cap(ps.records) }); room < n {
+		t.Fatalf("broker1's log has capacity %d < %d: an unclipped truncation would not write over it", room, n)
+	}
+	args := &ReplicateArgs{Partition: 0, FromOffset: from, Records: suffix, LeaderEpoch: 2}
+	if _, _, err := cluster.brokers["broker1"].handleReplicate(ctx, "broker2", args); err != nil {
+		t.Fatal(err)
+	}
+	if got := locked(cluster, "broker1", func(ps *partitionState) string { return string(ps.records[from].Data) }); got != "new2" {
+		t.Fatalf("broker1's record %d = %q after truncation, want new2", from, got)
+	}
+	after := snapshot()
+	for i := range before {
+		if before[i] != after[i] {
+			t.Errorf("handed-out record changed: %s became %s", before[i], after[i])
+		}
+	}
+}
+
+// TestFetchSharesTheLog pins the fetch path to sharing the log: a fetch
+// returning 100 records allocates no more, in count or bytes, than one
+// returning 1.
+func TestFetchSharesTheLog(t *testing.T) {
+	cluster, client, _ := testCluster(t, 1, 1)
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		if _, err := client.Produce(ctx, 0, testKind, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := cluster.brokers["broker1"]
+	fetch := func(maxBatch int) func() {
+		args := &FetchArgs{Partition: 0, MaxBatch: maxBatch}
+		return func() {
+			raw, _, err := b.handleFetch(ctx, "client", args)
+			if err != nil || len(raw.(*FetchReply).Records) != maxBatch {
+				t.Fatalf("fetch of %d: %v", maxBatch, err)
+			}
+		}
+	}
+	one, hundred := fetch(1), fetch(100)
+	if a1, a100 := testing.AllocsPerRun(100, one), testing.AllocsPerRun(100, hundred); a100 > a1 {
+		t.Errorf("a fetch of 100 records makes %.1f allocations, one of 1 makes %.1f", a100, a1)
+	}
+	if b1, b100 := bytesPerRun(100, one), bytesPerRun(100, hundred); b100 > b1 {
+		t.Errorf("a fetch of 100 records allocates %.0f B, one of 1 allocates %.0f B", b100, b1)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap bytes one call
+// of f allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return float64(m.TotalAlloc-before) / float64(runs)
 }

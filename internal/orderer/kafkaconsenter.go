@@ -11,25 +11,20 @@ import (
 	"fabricsim/internal/types"
 )
 
-// Kafka record tags: the ordering topic carries either a transaction
-// envelope or a time-to-cut (TTC) marker. TTC markers make timeout cuts
-// deterministic across OSNs: every OSN consumes the same record stream,
-// so whichever OSN's local timer fires first posts a TTC for the next
-// block number and all OSNs cut on the first TTC they see for it.
+// Kafka record kinds: the ordering topic carries either a transaction
+// envelope, produced as is, or a time-to-cut (TTC) marker. TTC markers
+// make timeout cuts deterministic across OSNs: every OSN consumes the
+// same record stream, so whichever OSN's local timer fires first posts a
+// TTC for the next block number and all OSNs cut on the first TTC they
+// see for it.
 const (
 	recordEnvelope byte = 1
 	recordTTC      byte = 2
 )
 
-func encodeEnvelopeRecord(env []byte) []byte {
-	out := make([]byte, 0, len(env)+1)
-	out = append(out, recordEnvelope)
-	return append(out, env...)
-}
-
+// encodeTTCRecord is a TTC record's data: the target block number.
 func encodeTTCRecord(target uint64) []byte {
-	enc := types.NewEncoder(11)
-	enc.Byte(recordTTC)
+	enc := types.NewEncoder(10)
 	enc.Uvarint(target)
 	return enc.Bytes()
 }
@@ -69,13 +64,13 @@ func NewKafkaConsenter(o *Orderer, client *kafka.Client) *KafkaConsenter {
 }
 
 // Submit implements Consenter: produce the envelope to the channel's
-// partition.
+// partition. The partition's log keeps env itself.
 func (k *KafkaConsenter) Submit(ctx context.Context, channel string, env []byte) error {
 	partition, ok := k.partitions[channel]
 	if !ok {
 		return ErrUnknownChannel
 	}
-	if _, err := k.client.Produce(ctx, partition, encodeEnvelopeRecord(env)); err != nil {
+	if _, err := k.client.Produce(ctx, partition, recordEnvelope, env); err != nil {
 		return fmt.Errorf("kafka consenter: %w", err)
 	}
 	return nil
@@ -103,7 +98,7 @@ func (k *KafkaConsenter) chainLoop(channel string, partition int) {
 	}
 	for k.ctx.Err() == nil {
 		if !due.IsZero() && !time.Now().Before(due) {
-			if _, err := k.client.Produce(k.ctx, partition, encodeTTCRecord(next)); err != nil {
+			if _, err := k.client.Produce(k.ctx, partition, recordTTC, encodeTTCRecord(next)); err != nil {
 				_ = simcpu.Sleep(k.ctx, pollWait)
 				continue
 			}
@@ -120,12 +115,9 @@ func (k *KafkaConsenter) chainLoop(channel string, partition int) {
 		}
 		for _, rec := range records {
 			offset = rec.Offset + 1
-			if len(rec.Data) == 0 {
-				continue
-			}
-			switch rec.Data[0] {
+			switch rec.Kind {
 			case recordEnvelope:
-				batches, pending := cutter.Ordered(rec.Data[1:], time.Time{})
+				batches, pending := cutter.Ordered(rec.Data, time.Time{})
 				for _, b := range batches {
 					emit(b)
 				}
@@ -138,7 +130,7 @@ func (k *KafkaConsenter) chainLoop(channel string, partition int) {
 				// A TTC for another block number is stale (another OSN
 				// already cut, or a size cut came first); ignore it, as
 				// Fabric does.
-				if types.NewDecoder(rec.Data[1:]).Uvarint() != next {
+				if types.NewDecoder(rec.Data).Uvarint() != next {
 					continue
 				}
 				due = time.Time{}

@@ -100,7 +100,9 @@ type SubmitArgs struct {
 type Consenter interface {
 	// Submit hands one envelope on the given channel to the consensus
 	// layer. It returns once the envelope is durably accepted for
-	// ordering (the Fabric broadcast SUCCESS semantics).
+	// ordering (the Fabric broadcast SUCCESS semantics). A consenter may
+	// keep env itself (Solo's cutter, the Raft leader's log and Kafka's
+	// partition log all do), so the caller must not modify it afterwards.
 	Submit(ctx context.Context, channel string, env []byte) error
 	// Start begins consuming the ordered streams.
 	Start() error

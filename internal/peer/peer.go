@@ -397,18 +397,17 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 	for _, a := range prop.Args {
 		valueBytes += len(a)
 	}
-	sim := chaincode.NewSimulator(prop.TxID, prop.ChaincodeID, cs.ledger.State())
+	reply := &endorseReply{sim: chaincode.MakeSimulator(prop.TxID, prop.ChaincodeID, cs.ledger.State())}
 	ccStart := time.Now()
 	if err := p.container.invoke(ctx, valueBytes); err != nil {
 		return nil, 0, err
 	}
-	ccPayload, err := cc.Invoke(sim, prop.Fn, prop.Args)
+	ccPayload, err := cc.Invoke(&reply.sim, prop.Fn, prop.Args)
 	if err != nil {
 		return p.endorseFailure(prop, "chaincode: "+err.Error())
 	}
 	ccEnd := time.Now()
-	rwset := sim.RWSet()
-	reply := &endorseReply{}
+	rwset := reply.sim.RWSet()
 	copy(reply.resultsHash[:], rwset.Hash())
 
 	// 3) ESCC: sign proposal hash || results hash.
@@ -439,10 +438,12 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 	return &reply.resp, rwset.Size() + 128, nil
 }
 
-// endorseReply is a successful endorsement's one allocation: the
-// response and the results hash its ResultsHash points into.
+// endorseReply is an endorsement's one allocation: the response, the
+// simulator whose read-write set its Results points to, and the results
+// hash its ResultsHash points into.
 type endorseReply struct {
 	resp        types.ProposalResponse
+	sim         chaincode.Simulator
 	resultsHash [sha256.Size]byte
 }
 
