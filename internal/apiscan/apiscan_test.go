@@ -16,6 +16,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +52,18 @@ var allowed = map[string]string{
 	"transport.LinkSet.PropsFor":      neededBy("fabnet.TestChaosWANRegions"),
 	"transport.LinkSet.SetDefault":    neededBy("fabnet.TestChaosLossyLinkSnapshotCatchup"),
 }
+
+// plainBuild is the build context of a plain `go build`: GOEXPERIMENT
+// in the environment would add goexperiment.* tags to build.Default and
+// bring in test-only files such as internal/simtest's, which builds
+// only under goexperiment.synctest.
+var plainBuild = func() build.Context {
+	c := build.Default
+	c.ToolTags = slices.DeleteFunc(slices.Clone(c.ToolTags), func(tag string) bool {
+		return strings.HasPrefix(tag, "goexperiment.")
+	})
+	return c
+}()
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(importPath string) (*types.Package, error)
@@ -113,7 +126,7 @@ func typeCheckModule() (*module, error) {
 		if name := d.Name(); dir != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
 			return filepath.SkipDir
 		}
-		if bp, err := build.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
+		if bp, err := plainBuild.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
 			m.paths = append(m.paths, path.Join(m.modPath, filepath.ToSlash(strings.TrimPrefix(dir, root))))
 		}
 		return nil
@@ -130,7 +143,7 @@ func typeCheckModule() (*module, error) {
 			return pkg, nil
 		}
 		dir := filepath.Join(root, strings.TrimPrefix(p, m.modPath))
-		bp, err := build.ImportDir(dir, 0)
+		bp, err := plainBuild.ImportDir(dir, 0)
 		if err != nil {
 			return nil, err
 		}

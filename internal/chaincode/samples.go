@@ -216,18 +216,19 @@ func (c *SmallBank) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) 
 		}
 		// SmallBank semantics: the check clears against the combined
 		// balance; overdraft incurs a penalty rather than failing.
+		chkKey := checkingKey(acct)
 		sav, err := c.balance(stub, savingsKey(acct))
 		if err != nil {
 			return nil, err
 		}
-		chk, err := c.balance(stub, checkingKey(acct))
+		chk, err := c.balance(stub, chkKey)
 		if err != nil {
 			return nil, err
 		}
 		if sav+chk < amt {
 			amt++ // overdraft penalty
 		}
-		return []byte("OK"), c.put(stub, checkingKey(acct), chk-amt)
+		return []byte("OK"), c.put(stub, chkKey, chk-amt)
 	case "sendpayment":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("smallbank sendpayment: want 3 args, got %d", len(args))
@@ -237,45 +238,47 @@ func (c *SmallBank) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) 
 		if err != nil {
 			return nil, fmt.Errorf("smallbank sendpayment: bad amount %q: %w", args[2], err)
 		}
-		fromBal, err := c.balance(stub, checkingKey(from))
+		fromKey, toKey := checkingKey(from), checkingKey(to)
+		fromBal, err := c.balance(stub, fromKey)
 		if err != nil {
 			return nil, err
 		}
-		toBal, err := c.balance(stub, checkingKey(to))
+		toBal, err := c.balance(stub, toKey)
 		if err != nil {
 			return nil, err
 		}
 		if fromBal < amt {
 			return nil, fmt.Errorf("%w: %s checking has %d, needs %d", ErrInsufficientFunds, from, fromBal, amt)
 		}
-		if err := c.put(stub, checkingKey(from), fromBal-amt); err != nil {
+		if err := c.put(stub, fromKey, fromBal-amt); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), c.put(stub, checkingKey(to), toBal+amt)
+		return []byte("OK"), c.put(stub, toKey, toBal+amt)
 	case "amalgamate":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("smallbank amalgamate: want 2 args, got %d", len(args))
 		}
 		from, to := string(args[0]), string(args[1])
-		sav, err := c.balance(stub, savingsKey(from))
+		savKey, chkKey, toKey := savingsKey(from), checkingKey(from), checkingKey(to)
+		sav, err := c.balance(stub, savKey)
 		if err != nil {
 			return nil, err
 		}
-		chk, err := c.balance(stub, checkingKey(from))
+		chk, err := c.balance(stub, chkKey)
 		if err != nil {
 			return nil, err
 		}
-		toBal, err := c.balance(stub, checkingKey(to))
+		toBal, err := c.balance(stub, toKey)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.put(stub, savingsKey(from), 0); err != nil {
+		if err := c.put(stub, savKey, 0); err != nil {
 			return nil, err
 		}
-		if err := c.put(stub, checkingKey(from), 0); err != nil {
+		if err := c.put(stub, chkKey, 0); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), c.put(stub, checkingKey(to), toBal+sav+chk)
+		return []byte("OK"), c.put(stub, toKey, toBal+sav+chk)
 	case "query":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("smallbank query: want 1 arg, got %d", len(args))

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"fabricsim/internal/simcpu"
 	"fabricsim/internal/transport"
 )
 
@@ -395,16 +396,5 @@ func (ctl *Controller) Run(ctx context.Context, s Schedule) error {
 
 // sleepUntil sleeps to a deadline; false means the context died first.
 func sleepUntil(ctx context.Context, t time.Time) bool {
-	d := time.Until(t)
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return simcpu.Sleep(ctx, time.Until(t)) == nil && ctx.Err() == nil
 }

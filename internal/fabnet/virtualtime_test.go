@@ -1,7 +1,5 @@
 //go:build goexperiment.synctest
 
-//go:debug asynctimerchan=0
-
 package fabnet
 
 import (
@@ -12,12 +10,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/synctest"
 	"time"
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/types"
 	"fabricsim/internal/workload"
 )
@@ -200,16 +198,7 @@ var maxSetup = costmodel.Default(1.0).ContainerLaunch + 10*time.Millisecond
 func runBubble(t *testing.T, name string, cfg Config, load workload.Config) vtRun {
 	t.Helper()
 	var r vtRun
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		synctest.Run(func() { r = runNetwork(cfg, load) })
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("%s: bubble still running after 2m of wall time", name)
-	}
+	simtest.Run(t, func() { r = runNetwork(cfg, load) })
 	if r.err != nil {
 		t.Fatalf("%s: %v", name, r.err)
 	}

@@ -84,16 +84,12 @@ func (l *lanes) enqueue(ctx context.Context, in chan<- []byte, env []byte) error
 func (o *Orderer) cutLoop(in <-chan []byte, stop <-chan struct{}, sink func(batch [][]byte)) {
 	cutter := blockcutter.New(o.cfg.Cutter)
 	timeout := o.scaledTimeout()
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
-	defer stopTimer()
+	// A stopped timer delivers nothing, not even a tick from before
+	// its Stop, so one timer serves every batch.
+	timer := time.NewTimer(timeout)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
 
 	for {
 		select {
@@ -102,15 +98,15 @@ func (o *Orderer) cutLoop(in <-chan []byte, stop <-chan struct{}, sink func(batc
 			for _, b := range batches {
 				sink(b)
 			}
-			if pending && timer == nil {
-				timer = time.NewTimer(timeout)
-				timerC = timer.C
+			switch {
+			case pending && !armed:
+				timer.Reset(timeout)
+			case !pending:
+				timer.Stop()
 			}
-			if !pending {
-				stopTimer()
-			}
-		case <-timerC:
-			stopTimer()
+			armed = pending
+		case <-timer.C:
+			armed = false
 			if batch := cutter.Cut(); batch != nil {
 				sink(batch)
 			}

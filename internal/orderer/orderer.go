@@ -408,16 +408,12 @@ func (o *Orderer) handleGetBlocks(ctx context.Context, _ string, payload any) (a
 		timer := simcpu.GetTimer(time.Until(deadline))
 		select {
 		case <-wake:
-			if timer.Stop() {
-				simcpu.PutTimer(timer)
-			}
 		case <-ctx.Done():
-			if timer.Stop() {
-				simcpu.PutTimer(timer)
-			}
-			return nil, 0, ctx.Err()
 		case <-timer.C:
-			simcpu.PutTimer(timer)
+		}
+		simcpu.PutTimer(timer)
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
 		}
 	}
 }

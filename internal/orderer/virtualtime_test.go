@@ -1,19 +1,17 @@
 //go:build goexperiment.synctest
 
-//go:debug asynctimerchan=0
-
 package orderer
 
 import (
 	"context"
 	"testing"
-	"testing/synctest"
 	"time"
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/kafka"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 )
 
@@ -26,33 +24,13 @@ func bareOrderer() *Orderer {
 	}
 }
 
-// inBubble runs f in a synctest bubble, failing t if the bubble is
-// still running after 10 s of wall time: a poll that spins at its
-// deadline never lets virtual time move past it. Run these tests alone
-// (-run), as CI does: simcpu's timer pool is process-wide, and a timer
-// pooled by an earlier test outside the bubble cannot time a wait
-// inside it.
-func inBubble(t *testing.T, f func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		synctest.Run(f)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("poll still running after 10s of wall time")
-	}
-}
-
 // TestDeliverPollEndsAtWaitInVirtualTime runs a deliver poll past the
 // tip in virtual time: it must park on the chain's wake channel and
 // return an empty reply exactly Wait after it began. Run with
 // GOEXPERIMENT=synctest.
 func TestDeliverPollEndsAtWaitInVirtualTime(t *testing.T) {
 	const wait = 100 * time.Millisecond
-	inBubble(t, func() {
+	simtest.Run(t, func() {
 		o := bareOrderer()
 		start := time.Now()
 		raw, _, err := o.handleGetBlocks(context.Background(), "peer1",
@@ -78,7 +56,7 @@ func TestDeliverPollEndsAtWaitInVirtualTime(t *testing.T) {
 // Run with GOEXPERIMENT=synctest.
 func TestDeliverPollWokenAtCutInVirtualTime(t *testing.T) {
 	const cutAfter = 30 * time.Millisecond
-	inBubble(t, func() {
+	simtest.Run(t, func() {
 		o := bareOrderer()
 		start := time.Now()
 		time.AfterFunc(cutAfter, func() { o.emitBatch(DefaultChannel, [][]byte{[]byte("tx")}) })
@@ -112,7 +90,7 @@ func TestKafkaTimeoutCutInVirtualTime(t *testing.T) {
 		// offset puts the envelope off any period of the loops' start.
 		offset = 13 * time.Millisecond
 	)
-	inBubble(t, func() {
+	simtest.Run(t, func() {
 		net := transport.NewNetwork(transport.Config{Latency: latency, TimeScale: 1})
 		defer net.Close()
 		osnEP, errO := net.Register("osn1")

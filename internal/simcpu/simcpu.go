@@ -149,18 +149,19 @@ func Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	timer := GetTimer(d)
+	var err error
 	select {
 	case <-timer.C:
-		PutTimer(timer)
-		return nil
 	case <-ctx.Done():
-		timer.Stop()
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	PutTimer(timer)
+	return err
 }
 
-// timerPool holds timers with nothing left to deliver, so Reset rearms
-// them cleanly under either timer-channel semantics.
+// timerPool holds stopped timers. Since Go 1.23 no receive after Stop or
+// Reset returns a tick from before it, so a pooled timer rearms cleanly
+// whether or not it fired.
 var timerPool sync.Pool
 
 // GetTimer returns a timer armed to fire after d, reusing a pooled one.
@@ -174,12 +175,12 @@ func GetTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-// PutTimer returns a timer to the pool. Only a timer that can deliver
-// nothing more may go back: one that fired and whose channel was
-// received from, or one whose Stop returned true. A timer that fired
-// unreceived, or whose Stop returned false, may still hold a tick that
-// would end a later wait early, and must be dropped instead.
-func PutTimer(t *time.Timer) { timerPool.Put(t) }
+// PutTimer stops a timer from GetTimer and returns it to the pool,
+// whether it fired, was received from or neither.
+func PutTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
+}
 
 // Stop makes subsequent Execute calls fail fast.
 func (c *CPU) Stop() { c.stopped.Store(true) }

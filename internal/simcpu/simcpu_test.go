@@ -2,6 +2,7 @@ package simcpu
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,11 +167,15 @@ func TestPooledTimersNeverFireEarly(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSleepPoolsOnlyFiredTimers checks the pool's entry rule from Sleep:
-// a cancelled Sleep returns ctx.Err() and keeps its timer out of the
-// pool, where its stale fire could end a later Sleep early, and a
-// completed Sleep puts its timer back.
-func TestSleepPoolsOnlyFiredTimers(t *testing.T) {
+// TestSleepPoolsEveryTimer checks that a cancelled Sleep pools its
+// timer too, and that a pooled timer which fired unreceived delivers no
+// stale tick once rearmed: since Go 1.23, Stop and Reset discard it. It
+// runs on one P, so that every Get sees what the Put before it pooled.
+func TestSleepPoolsEveryTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for timerPool.Get() != nil { // empty the pool
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -178,14 +183,21 @@ func TestSleepPoolsOnlyFiredTimers(t *testing.T) {
 	if err := Sleep(ctx, time.Hour); err != context.Canceled {
 		t.Fatalf("cancelled Sleep: %v", err)
 	}
-	if timerPool.Get() != nil {
-		t.Error("cancelled Sleep pooled its timer")
+	if timerPool.Get() == nil {
+		t.Error("cancelled Sleep did not pool its timer")
 	}
-	if err := Sleep(context.Background(), 50*time.Microsecond); err != nil {
-		t.Fatalf("Sleep: %v", err)
+	fired := GetTimer(time.Microsecond)
+	time.Sleep(time.Millisecond) // fires; nothing receives it
+	PutTimer(fired)
+	rearmed := GetTimer(time.Hour)
+	defer PutTimer(rearmed)
+	if rearmed != fired {
+		t.Fatal("GetTimer did not reuse the pooled timer")
 	}
-	if !raceEnabled && timerPool.Get() == nil {
-		t.Error("completed Sleep did not pool its timer")
+	select {
+	case <-rearmed.C:
+		t.Error("a rearmed timer delivered the tick it fired before it was pooled")
+	default:
 	}
 }
 

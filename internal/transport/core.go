@@ -158,37 +158,24 @@ func (c *core) CallWithin(ctx context.Context, timeout time.Duration, to, kind s
 	if err != nil {
 		return nil, err
 	}
-	var timer *time.Timer
 	var expired <-chan time.Time // nil, and never ready, without a timeout
 	if timeout > 0 {
-		timer = simcpu.GetTimer(timeout)
+		timer := simcpu.GetTimer(timeout)
+		defer simcpu.PutTimer(timer)
 		expired = timer.C
 	}
 	select {
 	case reply := <-ch:
-		stopTimer(timer)
 		if reply.ErrText != "" {
 			return nil, errors.New(reply.ErrText)
 		}
 		return reply.Payload, nil
 	case <-expired:
-		simcpu.PutTimer(timer) // fired and received: nothing left to deliver
 		return nil, context.DeadlineExceeded
 	case <-ctx.Done():
-		stopTimer(timer)
 		return nil, ctx.Err()
 	case <-c.ctx.Done():
-		stopTimer(timer)
 		return nil, ErrClosed
-	}
-}
-
-// stopTimer stops a call's timer, if it has one, and pools it only when
-// Stop proves it will deliver nothing: a timer that fired unreceived is
-// dropped, or its tick would end a later call's wait early.
-func stopTimer(t *time.Timer) {
-	if t != nil && t.Stop() {
-		simcpu.PutTimer(t)
 	}
 }
 

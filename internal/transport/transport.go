@@ -245,11 +245,9 @@ func (n *Network) pumpLink(l *link) {
 			timer := simcpu.GetTimer(sleep)
 			select {
 			case <-timer.C:
-				simcpu.PutTimer(timer)
 			case <-n.done:
-				stopTimer(timer)
-				return
 			}
+			simcpu.PutTimer(timer)
 		}
 		if n.closed.Load() {
 			return

@@ -593,8 +593,9 @@ func TestMemCallAllocs(t *testing.T) {
 // goroutines make timed calls to a handler whose reply delay straddles
 // the timeout, so replies and timer fires coincide often. A call that
 // returns context.DeadlineExceeded before its timeout has elapsed woke
-// on a tick a pooled timer kept from an earlier call, which is what
-// pooling a timer that fired unreceived would do. Run it under
+// on a tick a pooled timer kept from an earlier call; timers that fired
+// unreceived are pooled too, so this holds only while Stop and Reset
+// discard such a tick (Go 1.23 timer channels). Run it under
 // -race -count=10.
 func TestCallWithinNeverEndsEarly(t *testing.T) {
 	_, a, b := pair(t, Config{})

@@ -1,23 +1,20 @@
 //go:build goexperiment.synctest
 
-//go:debug asynctimerchan=0
-
 package transport
 
 import (
 	"context"
 	"testing"
-	"testing/synctest"
 	"time"
+
+	"fabricsim/internal/simtest"
 )
 
 // TestLinkPipelinesFramesInVirtualTime sends two frames on one link at
 // one instant. The link transmits them back to back, and each then
 // propagates on its own: they must arrive one transmission time apart,
-// not one transmission plus one propagation latency. Run alone (-run),
-// with GOEXPERIMENT=synctest: simcpu's timer pool is process-wide, and
-// a timer pooled by an earlier test outside the bubble cannot time a
-// wait inside it.
+// not one transmission plus one propagation latency. Run with
+// GOEXPERIMENT=synctest.
 func TestLinkPipelinesFramesInVirtualTime(t *testing.T) {
 	const (
 		latency      = time.Millisecond
@@ -25,40 +22,31 @@ func TestLinkPipelinesFramesInVirtualTime(t *testing.T) {
 		bandwidth    = 1e6 // bytes/s: one frame transmits in 1 ms
 		transmission = time.Millisecond
 	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		synctest.Run(func() {
-			n := NewNetwork(Config{Latency: latency, Bandwidth: bandwidth, TimeScale: 1})
-			defer n.Close()
-			a, errA := n.Register("a")
-			b, errB := n.Register("b")
-			if errA != nil || errB != nil {
-				t.Errorf("register: %v, %v", errA, errB)
+	simtest.Run(t, func() {
+		n := NewNetwork(Config{Latency: latency, Bandwidth: bandwidth, TimeScale: 1})
+		defer n.Close()
+		a, errA := n.Register("a")
+		b, errB := n.Register("b")
+		if errA != nil || errB != nil {
+			t.Errorf("register: %v, %v", errA, errB)
+			return
+		}
+		arrived := make(chan time.Time, 2)
+		b.Handle("frame", func(context.Context, string, any) (any, int, error) {
+			arrived <- time.Now()
+			return nil, 0, nil
+		})
+		sent := time.Now()
+		for range 2 {
+			if err := a.Send("b", "frame", nil, size); err != nil {
+				t.Errorf("send: %v", err)
 				return
 			}
-			arrived := make(chan time.Time, 2)
-			b.Handle("frame", func(context.Context, string, any) (any, int, error) {
-				arrived <- time.Now()
-				return nil, 0, nil
-			})
-			sent := time.Now()
-			for range 2 {
-				if err := a.Send("b", "frame", nil, size); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
+		}
+		for i, want := range []time.Duration{transmission + latency, 2*transmission + latency} {
+			if got := (<-arrived).Sub(sent); got != want {
+				t.Errorf("frame %d arrived %v after the send, want %v", i, got, want)
 			}
-			for i, want := range []time.Duration{transmission + latency, 2*transmission + latency} {
-				if got := (<-arrived).Sub(sent); got != want {
-					t.Errorf("frame %d arrived %v after the send, want %v", i, got, want)
-				}
-			}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("bubble still running after 10s of wall time")
-	}
+		}
+	})
 }
