@@ -8,6 +8,7 @@ import (
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/fabnet"
+	"fabricsim/internal/ledger"
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
@@ -113,7 +114,7 @@ func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
 			return Point{}, fmt.Errorf("bench: invoke %d: %w", i, err)
 		}
 	}
-	if err := waitRecoveryConverged(net.Peers[0], net.Peers[1:], 30*time.Second); err != nil {
+	if err := waitAgree(net.Peers, 30*time.Second); err != nil {
 		return Point{}, fmt.Errorf("bench: pre-restart convergence: %w", err)
 	}
 	ref := net.Peers[0]
@@ -131,7 +132,7 @@ func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
 		return Point{}, fmt.Errorf("bench: restart: %w", err)
 	}
 	r.StartHeight, r.Persistent = res.Peer.Ledger().Height(), res.Persistent
-	if err := waitRecoveryConverged(ref, []*peer.Peer{res.Peer}, 60*time.Second); err != nil {
+	if err := waitAgree([]*peer.Peer{ref, res.Peer}, 60*time.Second); err != nil {
 		return Point{}, fmt.Errorf("bench: mode=%s blocks=%d: %w", r.Mode, r.Blocks, err)
 	}
 	r.RecoverySeconds = time.Since(start).Seconds()
@@ -139,37 +140,20 @@ func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
 	return Point{Recovery: r}, nil
 }
 
-// waitRecoveryConverged polls until every peer in rest matches ref's
-// chain height, tip hash, and state hash.
-func waitRecoveryConverged(ref *peer.Peer, rest []*peer.Peer, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		rl := ref.Ledger()
-		refState, err := rl.StateHash()
-		if err != nil {
-			return fmt.Errorf("reference state hash: %w", err)
+// waitAgree polls until the peers' ledgers agree (ledger.Agree): one
+// height, tip and state, and a verified chain.
+func waitAgree(peers []*peer.Peer, d time.Duration) error {
+	ls := make([]*ledger.Ledger, len(peers))
+	var err error
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for i, p := range peers {
+			ls[i] = p.Ledger()
 		}
-		ok := true
-		for _, p := range rest {
-			l := p.Ledger()
-			st, err := l.StateHash()
-			if err != nil {
-				return fmt.Errorf("peer %s state hash: %w", p.ID(), err)
-			}
-			if l.Height() != rl.Height() ||
-				string(l.LastHash()) != string(rl.LastHash()) ||
-				string(st) != string(refState) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if err = ledger.Agree(ls...); err == nil {
 			return nil
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	rl := ref.Ledger()
-	return fmt.Errorf("peers did not converge to height %d within %s", rl.Height(), d)
+	return fmt.Errorf("peers did not agree within %s: %w", d, err)
 }
 
 // figRecovery measures wall-clock peer recovery time versus chain

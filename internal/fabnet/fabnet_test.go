@@ -1,7 +1,6 @@
 package fabnet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,7 +9,9 @@ import (
 	"time"
 
 	"fabricsim/internal/costmodel"
+	"fabricsim/internal/ledger"
 	"fabricsim/internal/metrics"
+	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/workload"
 )
@@ -60,43 +61,44 @@ func runSmoke(t *testing.T, ordererType OrdererType, pol policy.Policy, peers in
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
 	t.Logf("exec=%.1f order=%.1f validate=%.1f tps, total latency avg=%s",
 		sum.ExecuteTPS, sum.OrderTPS, sum.ValidateTPS, sum.TotalLatency.Avg)
-	waitConverged(t, n)
+	waitAgree(t, n.Peers, 5*time.Second)
 	if valid := int64(n.Peers[0].Ledger().Stats().ValidTxs); valid < stats.Succeeded {
 		t.Errorf("peer %s holds %d VALID transactions, fewer than the %d clients saw commit",
 			n.Peers[0].ID(), valid, stats.Succeeded)
 	}
 }
 
-// waitConverged waits for every peer to drain to the same height, then
-// checks each peer's hash chain verifies and ends at the same tip hash.
-func waitConverged(t *testing.T, n *Network) {
+// waitAgree polls until, on every channel, the peers' ledgers agree
+// (ledger.Agree): one height, tip and state, and a verified chain. On a
+// timeout it fails the test with each peer's height, tip and state.
+func waitAgree(t *testing.T, peers []*peer.Peer, d time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	converged := false
-	for time.Now().Before(deadline) && !converged {
-		want := n.Peers[0].Ledger().Height()
-		converged = want > 1
-		for _, p := range n.Peers[1:] {
-			if p.Ledger().Height() != want {
-				converged = false
+	agree := func() error {
+		for _, ch := range peers[0].Channels() {
+			ls := make([]*ledger.Ledger, len(peers))
+			for i, p := range peers {
+				ls[i], _ = p.LedgerFor(ch)
+			}
+			if err := ledger.Agree(ls...); err != nil {
+				return fmt.Errorf("channel %s: %w", ch, err)
 			}
 		}
-		if !converged {
-			time.Sleep(5 * time.Millisecond)
+		return nil
+	}
+	var err error
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if err = agree(); err == nil {
+			return
 		}
 	}
-	if !converged {
-		t.Fatal("peers never converged to one height")
-	}
-	refHash := n.Peers[0].Ledger().LastHash()
-	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s chain: %v", p.ID(), err)
-		}
-		if !bytes.Equal(p.Ledger().LastHash(), refHash) {
-			t.Errorf("peer %s tip hash diverges", p.ID())
+	for _, p := range peers {
+		for _, ch := range p.Channels() {
+			l, _ := p.LedgerFor(ch)
+			st, _ := l.StateHash()
+			t.Logf("peer %s channel %s: height=%d tip=%.8x state=%.8x", p.ID(), ch, l.Height(), l.LastHash(), st)
 		}
 	}
+	t.Fatalf("peers disagree after %s: %v", d, err)
 }
 
 func TestEndToEndSolo(t *testing.T) {
@@ -190,15 +192,9 @@ func TestPipelinedCommitterCrossPeerAgreement(t *testing.T) {
 	}
 
 	// Peers no client follows lag the event peers slightly.
-	waitConverged(t, n)
-	refState := n.Peers[0].Ledger().State().DumpString()
-	if refState == "" {
+	waitAgree(t, n.Peers, 5*time.Second)
+	if n.Peers[0].Ledger().State().DumpString() == "" {
 		t.Fatal("reference peer has empty state")
-	}
-	for _, p := range n.Peers {
-		if got := p.Ledger().State().DumpString(); got != refState {
-			t.Errorf("peer %s state diverges from peer %s", p.ID(), n.Peers[0].ID())
-		}
 	}
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: model.TimeScale})
 	if sum.VSCCStage.Count == 0 {
@@ -358,15 +354,9 @@ func TestReplicatedEndorsersCrossPeerAgreement(t *testing.T) {
 		t.Fatalf("no transactions committed (failed=%d) — replica endorsements rejected?", stats.Failed)
 	}
 
-	waitConverged(t, n)
-	refState := n.Peers[0].Ledger().State().DumpString()
-	if refState == "" {
+	waitAgree(t, n.Peers, 5*time.Second)
+	if n.Peers[0].Ledger().State().DumpString() == "" {
 		t.Fatal("reference peer has empty state")
-	}
-	for _, p := range n.Peers {
-		if got := p.Ledger().State().DumpString(); got != refState {
-			t.Errorf("peer %s state diverges from peer %s", p.ID(), n.Peers[0].ID())
-		}
 	}
 	// Replication must actually be used: with round-robin routing over
 	// a committed load this large, both replicas of some org served

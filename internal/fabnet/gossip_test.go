@@ -45,32 +45,6 @@ func invokeN(t *testing.T, n *Network, tag string, count int) {
 	}
 }
 
-// waitPeersConverged polls until every listed peer reports the same
-// chain height and tip hash.
-func waitPeersConverged(t *testing.T, peers []*peer.Peer, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		ref := peers[0].Ledger()
-		ok := true
-		for _, p := range peers[1:] {
-			l := p.Ledger()
-			if l.Height() != ref.Height() || string(l.LastHash()) != string(ref.LastHash()) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, p := range peers {
-		t.Errorf("peer %s height=%d tip=%x", p.ID(), p.Ledger().Height(), p.Ledger().LastHash()[:8])
-	}
-	t.FailNow()
-}
-
 // orgLeader finds the peer currently leading the default channel for
 // the org that contains the given peers.
 func orgLeader(t *testing.T, peers []*peer.Peer, d time.Duration) *peer.Peer {
@@ -97,12 +71,7 @@ func TestGossipDisseminationConverges(t *testing.T) {
 	col := metrics.NewCollector()
 	n := buildAndStart(t, gossipTestConfig(2, 3, col))
 	invokeN(t, n, "k", 12)
-	waitPeersConverged(t, n.Peers, 10*time.Second)
-	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s: %v", p.ID(), err)
-		}
-	}
+	waitAgree(t, n.Peers, 10*time.Second)
 
 	height := n.Peers[0].Ledger().Height() - 1 // blocks past genesis
 	egressBlocks, egressBytes := n.OrdererEgress()
@@ -211,12 +180,7 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 			alive = append(alive, p)
 		}
 	}
-	waitPeersConverged(t, alive, 10*time.Second)
-	for _, p := range alive {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s: %v", p.ID(), err)
-		}
-	}
+	waitAgree(t, alive, 10*time.Second)
 	// The new leader fetches each block cut since the kill once; the
 	// dead leader sends no poll after the one it left parked.
 	egressAfter, _ := n.OrdererEgress()
@@ -244,7 +208,7 @@ func TestGossipFaultFreeNoElections(t *testing.T) {
 	cfg.Model = costmodel.Default(0.25)
 	n := buildAndStart(t, cfg)
 	invokeN(t, n, "k", 2)
-	waitPeersConverged(t, n.Peers, 10*time.Second)
+	waitAgree(t, n.Peers, 10*time.Second)
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
 	if sum.LeaderElections != 0 {
 		t.Errorf("leader elections = %d in a fault-free run, want 0", sum.LeaderElections)
@@ -257,7 +221,7 @@ func TestGossipFaultFreeNoElections(t *testing.T) {
 func TestGossipPeerRestartRejoins(t *testing.T) {
 	n := buildAndStart(t, gossipTestConfig(1, 3, nil))
 	invokeN(t, n, "pre", 6)
-	waitPeersConverged(t, n.Peers, 10*time.Second)
+	waitAgree(t, n.Peers, 10*time.Second)
 
 	// Restart the last replica (never a client event peer, so the
 	// commit-event path stays up).
@@ -277,12 +241,7 @@ func TestGossipPeerRestartRejoins(t *testing.T) {
 		t.Fatalf("restarted peer starts at height %d, want 1 (genesis only)", got)
 	}
 	invokeN(t, n, "post", 4)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
-	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s: %v", p.ID(), err)
-		}
-	}
+	waitAgree(t, n.Peers, 15*time.Second)
 	// State converged too, not just headers: both a pre-restart and a
 	// post-restart write are present on the rejoined peer.
 	for _, key := range []string{"pre0", "post0"} {
@@ -303,18 +262,14 @@ func TestDirectDeliverRestartRejoins(t *testing.T) {
 		Model:             costmodel.Default(0.05),
 	})
 	invokeN(t, n, "pre", 5)
-	waitPeersConverged(t, n.Peers, 10*time.Second)
+	waitAgree(t, n.Peers, 10*time.Second)
 	target := n.Peers[len(n.Peers)-1]
-	res, err := n.RestartPeer(context.Background(), target.ID())
-	if err != nil {
+	if _, err := n.RestartPeer(context.Background(), target.ID()); err != nil {
 		t.Fatal(err)
 	}
 	// No further traffic needed: the deliver poll from the restarted
 	// peer's height alone must drive the catch-up.
-	waitPeersConverged(t, n.Peers, 10*time.Second)
-	if err := res.Peer.Ledger().VerifyChain(); err != nil {
-		t.Error(err)
-	}
+	waitAgree(t, n.Peers, 10*time.Second)
 }
 
 // TestDirectDeliverDownPeerCatchesUp covers a direct-deliver peer that
@@ -343,9 +298,6 @@ func TestDirectDeliverDownPeerCatchesUp(t *testing.T) {
 	}
 	n.Links().Isolate(target.ID(), false)
 	up := time.Now()
-	waitPeersConverged(t, n.Peers, 3*time.Second)
+	waitAgree(t, n.Peers, 3*time.Second)
 	t.Logf("%s converged %s after coming back", target.ID(), time.Since(up))
-	if err := target.Ledger().VerifyChain(); err != nil {
-		t.Error(err)
-	}
 }

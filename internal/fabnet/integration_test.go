@@ -122,26 +122,7 @@ func TestAllPeersConverge(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitPeersConverged(t, n.Peers, 5*time.Second)
-
-	ref := n.Peers[0].Ledger()
-	for _, p := range n.Peers[1:] {
-		l := p.Ledger()
-		if l.Height() != ref.Height() {
-			t.Errorf("peer %s height %d != %d", p.ID(), l.Height(), ref.Height())
-			continue
-		}
-		for num := uint64(1); num < ref.Height(); num++ {
-			a, _ := ref.GetBlock(num)
-			b, _ := l.GetBlock(num)
-			if string(a.Header.Hash()) != string(b.Header.Hash()) {
-				t.Errorf("peer %s block %d hash differs", p.ID(), num)
-			}
-		}
-		if err := l.VerifyChain(); err != nil {
-			t.Errorf("peer %s: %v", p.ID(), err)
-		}
-	}
+	waitAgree(t, n.Peers, 5*time.Second)
 }
 
 // TestRaftOrdererFailover kills the Raft leader OSN mid-run and expects

@@ -79,12 +79,9 @@ func TestMultiChannelConcurrentCommit(t *testing.T) {
 	for _, p := range n.Peers {
 		for _, ch := range n.ChannelIDs() {
 			waitValidTxs(t, p, ch, perChannel)
-			l, _ := p.LedgerFor(ch)
-			if err := l.VerifyChain(); err != nil {
-				t.Errorf("peer %s channel %s: %v", p.ID(), ch, err)
-			}
 		}
 	}
+	waitAgree(t, n.Peers, 2*time.Second)
 }
 
 // TestMultiChannelMVCCIsolation writes and read-modify-writes the SAME
@@ -264,12 +261,9 @@ func TestMultiChannelKafka(t *testing.T) {
 	for _, p := range n.Peers {
 		for _, ch := range n.ChannelIDs() {
 			waitValidTxs(t, p, ch, 3)
-			l, _ := p.LedgerFor(ch)
-			if err := l.VerifyChain(); err != nil {
-				t.Errorf("peer %s channel %s: %v", p.ID(), ch, err)
-			}
 		}
 	}
+	waitAgree(t, n.Peers, 2*time.Second)
 }
 
 // TestMultiChannelRaft orders on two channels through independent Raft

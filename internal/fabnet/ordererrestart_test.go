@@ -92,7 +92,7 @@ func TestRestartRaftOrdererFromPersistedState(t *testing.T) {
 	ch := n.Cfg.ChannelID
 	const blocks = 24
 	invokeN(t, n, "r", blocks)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	target, idx := nonLeaderOSN(t, n)
 	// Followers compact to their applied prefix; wait for the target's
@@ -139,7 +139,7 @@ func TestRestartRaftOrdererFromPersistedState(t *testing.T) {
 	// The restarted OSN keeps ordering: new writes commit and its chain
 	// converges past the pre-restart tip.
 	invokeLenient(t, n, "r2", 4, 15*time.Second)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 	deadline = time.Now().Add(15 * time.Second)
 	want := res.OldHeights[ch] + 4
 	for res.Orderer.ChainHeight(ch) < want && time.Now().Before(deadline) {
@@ -170,7 +170,7 @@ func TestRestartSoloOrdererPrimesFromPeerTail(t *testing.T) {
 	ch := n.Cfg.ChannelID
 	const blocks = 10
 	invokeN(t, n, "s", blocks)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	res, err := n.RestartOrderer(context.Background(), n.Orderers[0].ID())
 	if err != nil {
@@ -185,7 +185,7 @@ func TestRestartSoloOrdererPrimesFromPeerTail(t *testing.T) {
 	// New writes continue the numbering from the primed tip; committing
 	// peers would reject duplicate or gapped numbers.
 	invokeLenient(t, n, "s2", 4, 15*time.Second)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 	if got := res.Orderer.ChainHeight(ch); got < res.OldHeights[ch]+4 {
 		t.Errorf("post-restart chain height %d, want >= %d", got, res.OldHeights[ch]+4)
 	}
@@ -209,7 +209,7 @@ func TestRestartKafkaOrdererReplaysWithoutDuplicates(t *testing.T) {
 	ch := n.Cfg.ChannelID
 	const blocks = 10
 	invokeN(t, n, "k", blocks)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	res, err := n.RestartOrderer(context.Background(), n.Orderers[1].ID())
 	if err != nil {
@@ -219,7 +219,7 @@ func TestRestartKafkaOrdererReplaysWithoutDuplicates(t *testing.T) {
 		t.Fatalf("rehydrated %d blocks, want >= %d", res.Rehydrated[ch], blocks)
 	}
 	invokeLenient(t, n, "k2", 4, 15*time.Second)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	led := n.Peers[0].Ledger()
 	tip := led.Height() - 1 // Height counts genesis
@@ -278,7 +278,7 @@ func TestRestartOrdererBeforeFirstBlock(t *testing.T) {
 				t.Errorf("restart took %s, want < 5s", took)
 			}
 			invokeLenient(t, n, "b", 2, 15*time.Second)
-			waitPeersConverged(t, n.Peers, 15*time.Second)
+			waitAgree(t, n.Peers, 15*time.Second)
 			ch := n.Cfg.ChannelID
 			deadline := time.Now().Add(15 * time.Second)
 			for res.Orderer.ChainHeight(ch) < 2 && time.Now().Before(deadline) {
@@ -301,7 +301,7 @@ func TestGatewayBroadcastFailover(t *testing.T) {
 	// of them is always a safe freeze target.
 	n := buildAndStart(t, raftRestartConfig(t, 4, col))
 	invokeN(t, n, "w", 3) // warm up, let a leader settle
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	frozen, _ := nonLeaderOSN(t, n)
 	n.Links().Isolate(frozen, true)
@@ -312,7 +312,7 @@ func TestGatewayBroadcastFailover(t *testing.T) {
 	// through all 4 OSNs, so some broadcast tries the frozen OSN first
 	// and must fail over.
 	invokeN(t, n, "f", 12)
-	waitPeersConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	sum := col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale})
 	if sum.BroadcastFailovers < 1 {

@@ -1,7 +1,6 @@
 package fabnet
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -15,65 +14,21 @@ import (
 )
 
 // runContended drives a hot-key read-modify-write load through a fresh
-// network and returns the converged network plus the summary.
+// network and returns it, once its peers agree, with its summary.
 func runContended(t *testing.T, cfg Config, wl workload.Config) (*Network, metrics.Summary) {
 	t.Helper()
 	col := metrics.NewCollector()
 	cfg.Collector = col
-	n, err := Build(cfg)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	t.Cleanup(n.Stop)
-	ctx := context.Background()
-	if err := n.Start(ctx); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	stats, err := workload.Run(ctx, n.Gateways, wl)
+	n := buildAndStart(t, cfg)
+	stats, err := workload.Run(context.Background(), n.Gateways, wl)
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
 	if stats.Succeeded == 0 {
 		t.Fatalf("no transactions committed (submitted=%d failed=%d)", stats.Submitted, stats.Failed)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	converged := false
-	for time.Now().Before(deadline) && !converged {
-		want := n.Peers[0].Ledger().Height()
-		converged = want > 1
-		for _, p := range n.Peers[1:] {
-			if p.Ledger().Height() != want {
-				converged = false
-			}
-		}
-		if !converged {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if !converged {
-		t.Fatal("peers never converged to one height")
-	}
+	waitAgree(t, n.Peers, 5*time.Second)
 	return n, col.Summarize(metrics.SummaryOptions{TimeScale: cfg.Model.TimeScale})
-}
-
-// checkAgreement asserts every peer verified, reached the same tip, and
-// holds byte-identical state.
-func checkAgreement(t *testing.T, n *Network) {
-	t.Helper()
-	refHash := n.Peers[0].Ledger().LastHash()
-	refState := n.Peers[0].Ledger().State().DumpString()
-	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s chain: %v", p.ID(), err)
-		}
-		if !bytes.Equal(p.Ledger().LastHash(), refHash) {
-			t.Errorf("peer %s tip hash diverges", p.ID())
-		}
-		if got := p.Ledger().State().DumpString(); got != refState {
-			t.Errorf("peer %s state diverges", p.ID())
-		}
-	}
 }
 
 // TestReorderCrossPeerAgreement turns conflict-aware ordering on under
@@ -97,7 +52,6 @@ func TestReorderCrossPeerAgreement(t *testing.T) {
 		KeySpace: 2,
 		Seed:     5,
 	})
-	checkAgreement(t, n)
 
 	// The contended load must have produced reordered blocks; any
 	// early-aborted transactions sit at the tail with the dedicated
@@ -160,7 +114,6 @@ func TestReorderOffPreservesLegacyBlocks(t *testing.T) {
 		KeySpace: 2,
 		Seed:     5,
 	})
-	checkAgreement(t, n)
 	l := n.Peers[0].Ledger()
 	mvccFlags := 0
 	for num := uint64(1); num < l.Height(); num++ {
@@ -200,10 +153,11 @@ func TestReorderOffPreservesLegacyBlocks(t *testing.T) {
 // TestReorderRaftClusterDeterminism runs conflict-aware ordering under
 // Raft with three OSNs: every OSN applies the reorder pass
 // independently at emitBatch, so a non-deterministic pass would fork
-// the peers' chains. Cross-peer tip equality is the determinism proof.
+// the peers' chains. runContended's cross-peer agreement is the
+// determinism proof.
 func TestReorderRaftClusterDeterminism(t *testing.T) {
 	model := costmodel.Default(0.1)
-	n, _ := runContended(t, Config{
+	runContended(t, Config{
 		Orderer:           Raft,
 		NumOrderers:       3,
 		NumEndorsingPeers: 3,
@@ -218,7 +172,6 @@ func TestReorderRaftClusterDeterminism(t *testing.T) {
 		KeySpace: 2,
 		Seed:     9,
 	})
-	checkAgreement(t, n)
 }
 
 // TestReorderWithRetryRecoversConflicts stacks the gateway retry loop
@@ -227,7 +180,7 @@ func TestReorderRaftClusterDeterminism(t *testing.T) {
 // makes end-to-end progress.
 func TestReorderWithRetryRecoversConflicts(t *testing.T) {
 	model := costmodel.Default(0.1)
-	n, sum := runContended(t, Config{
+	_, sum := runContended(t, Config{
 		Orderer:           Solo,
 		NumEndorsingPeers: 3,
 		Policy:            policy.OrOverPeers(3),
@@ -248,7 +201,6 @@ func TestReorderWithRetryRecoversConflicts(t *testing.T) {
 		ZipfS:    1.5,
 		Seed:     7,
 	})
-	checkAgreement(t, n)
 	if sum.Committed == 0 {
 		t.Error("no committed transactions in the summary window")
 	}

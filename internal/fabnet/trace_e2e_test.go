@@ -118,7 +118,7 @@ func TestTraceGossipDeliveredCommit(t *testing.T) {
 	n := buildAndStart(t, cfg)
 	leader := orgLeader(t, n.Peers, 5*time.Second)
 	invokeN(t, n, "g", 8)
-	waitPeersConverged(t, n.Peers, 10*time.Second)
+	waitAgree(t, n.Peers, 10*time.Second)
 
 	tracePeer := n.Peers[0]
 	ch := orderer.DefaultChannel

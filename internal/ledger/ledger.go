@@ -473,6 +473,42 @@ func (l *Ledger) StateHash() ([]byte, error) {
 	return statedb.Hash(l.state)
 }
 
+// Agree returns nil when the ledgers hold one chain and one world state:
+// the same height, tip hash and state hash, and a chain that verifies on
+// each. It checks the cheapest first, and verifies the chains only once
+// everything else agrees, so a poll of ledgers still converging hashes
+// no state until their tips meet. The error names the first ledger, by
+// position, that differs and what differs: height, tip, state or chain.
+func Agree(ledgers ...*Ledger) error {
+	for _, c := range []struct {
+		what string
+		read func(*Ledger) (string, error)
+	}{
+		{"height", func(l *Ledger) (string, error) { return fmt.Sprint(l.Height()), nil }},
+		{"tip", func(l *Ledger) (string, error) { return fmt.Sprintf("%x", l.LastHash()), nil }},
+		{"state", func(l *Ledger) (string, error) { h, err := l.StateHash(); return fmt.Sprintf("%x", h), err }},
+	} {
+		var want string
+		for i, l := range ledgers {
+			got, err := c.read(l)
+			if err != nil {
+				return fmt.Errorf("ledger %d %s: %w", i, c.what, err)
+			}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				return fmt.Errorf("ledger %d %s %s differs from ledger 0's %s", i, c.what, got, want)
+			}
+		}
+	}
+	for i, l := range ledgers {
+		if err := l.VerifyChain(); err != nil {
+			return fmt.Errorf("ledger %d chain: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Close releases the storage backends. A file-backed ledger can be
 // reopened from its directory afterwards; every acknowledged commit is
 // already on disk (block log + state log), so nothing is flushed
