@@ -131,7 +131,9 @@ func (r RecoveryPoint) measure(ctx context.Context, _ Options) (Point, error) {
 	if err != nil {
 		return Point{}, fmt.Errorf("bench: restart: %w", err)
 	}
-	r.StartHeight, r.Persistent = res.Peer.Ledger().Height(), res.Persistent
+	// The height the new incarnation was rebuilt at: by now it is
+	// already catching up, so its live height would overstate it.
+	r.StartHeight, r.Persistent = res.StartHeights[net.Cfg.ChannelID], res.Persistent
 	if err := waitAgree([]*peer.Peer{ref, res.Peer}, 60*time.Second); err != nil {
 		return Point{}, fmt.Errorf("bench: mode=%s blocks=%d: %w", r.Mode, r.Blocks, err)
 	}

@@ -197,7 +197,7 @@ func (ca *CA) Enroll(name string, role Role) (*Enrollment, error) {
 		NotBefore: 0,
 		NotAfter:  math.MaxInt64,
 	}
-	sig, err := ca.key.Sign(cert.tbs())
+	sig, err := ca.key.Sign(nil, cert.tbs())
 	if err != nil {
 		return nil, fmt.Errorf("ca %s sign cert: %w", ca.org, err)
 	}

@@ -88,7 +88,7 @@ func TestExpiry(t *testing.T) {
 	}
 	expired := *e.Cert
 	expired.NotAfter = time.Now().Add(-time.Hour).UnixNano()
-	sig, err := authority.key.Sign(expired.tbs())
+	sig, err := authority.key.Sign(nil, expired.tbs())
 	if err != nil {
 		t.Fatal(err)
 	}

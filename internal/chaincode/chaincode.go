@@ -43,7 +43,8 @@ type Chaincode interface {
 	// Name returns the chaincode's installed name (its state namespace).
 	Name() string
 	// Invoke runs one function against the stub and returns an
-	// application-level response payload.
+	// application-level response payload. The payload is read-only: an
+	// Invoke may return one slice to every caller.
 	Invoke(stub Stub, fn string, args [][]byte) ([]byte, error)
 }
 

@@ -6,6 +6,13 @@ import (
 	"strconv"
 )
 
+// okPayload backs the "OK" the sample chaincodes return on success.
+// Each Invoke returns okPayload[:2:2], one slice shared by every call and
+// read-only; the full slice expression ends its capacity with its bytes,
+// so a caller's append copies instead of writing into the next caller's
+// payload.
+var okPayload = []byte("OK")
+
 // KVStore is the benchmark chaincode from the paper's workload: "write"
 // stores a value of the configured transaction size under a key, "read"
 // returns it, "del" removes it. The paper sweeps the value ("transaction
@@ -33,7 +40,7 @@ func (c *KVStore) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 		if err := stub.PutState(string(args[0]), args[1]); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), nil
+		return okPayload[:2:2], nil
 	case "read":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("kvstore read: want 1 arg, got %d", len(args))
@@ -55,7 +62,7 @@ func (c *KVStore) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 		if err := stub.PutState(string(args[0]), args[1]); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), nil
+		return okPayload[:2:2], nil
 	case "del":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("kvstore del: want 1 arg, got %d", len(args))
@@ -63,7 +70,7 @@ func (c *KVStore) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 		if err := stub.DelState(string(args[0])); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), nil
+		return okPayload[:2:2], nil
 	default:
 		return nil, fmt.Errorf("%w: kvstore %q", ErrUnknownFunction, fn)
 	}
@@ -106,7 +113,7 @@ func (c *MoneyTransfer) Invoke(stub Stub, fn string, args [][]byte) ([]byte, err
 		if err := stub.PutState(string(args[0]), args[1]); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), nil
+		return okPayload[:2:2], nil
 	case "transfer":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("moneytransfer transfer: want 3 args, got %d", len(args))
@@ -133,7 +140,7 @@ func (c *MoneyTransfer) Invoke(stub Stub, fn string, args [][]byte) ([]byte, err
 		if err := stub.PutState(to, []byte(strconv.FormatInt(toBal+amt, 10))); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), nil
+		return okPayload[:2:2], nil
 	case "balance":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("moneytransfer balance: want 1 arg, got %d", len(args))
@@ -228,7 +235,7 @@ func (c *SmallBank) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) 
 		if sav+chk < amt {
 			amt++ // overdraft penalty
 		}
-		return []byte("OK"), c.put(stub, chkKey, chk-amt)
+		return okPayload[:2:2], c.put(stub, chkKey, chk-amt)
 	case "sendpayment":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("smallbank sendpayment: want 3 args, got %d", len(args))
@@ -253,7 +260,7 @@ func (c *SmallBank) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) 
 		if err := c.put(stub, fromKey, fromBal-amt); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), c.put(stub, toKey, toBal+amt)
+		return okPayload[:2:2], c.put(stub, toKey, toBal+amt)
 	case "amalgamate":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("smallbank amalgamate: want 2 args, got %d", len(args))
@@ -278,7 +285,7 @@ func (c *SmallBank) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) 
 		if err := c.put(stub, chkKey, 0); err != nil {
 			return nil, err
 		}
-		return []byte("OK"), c.put(stub, toKey, toBal+sav+chk)
+		return okPayload[:2:2], c.put(stub, toKey, toBal+sav+chk)
 	case "query":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("smallbank query: want 1 arg, got %d", len(args))
@@ -337,7 +344,7 @@ func (c *SmallBank) add(stub Stub, key string, amt int64) ([]byte, error) {
 	if err := c.put(stub, key, bal+amt); err != nil {
 		return nil, err
 	}
-	return []byte("OK"), nil
+	return okPayload[:2:2], nil
 }
 
 func (c *SmallBank) put(stub Stub, key string, bal int64) error {

@@ -52,8 +52,12 @@ var (
 type KeyPair interface {
 	// Scheme names the signature scheme ("ecdsa" or "hmac").
 	Scheme() string
-	// Sign returns a signature over the SHA-256 digest of msg.
-	Sign(msg []byte) ([]byte, error)
+	// Sign appends a signature over msg to dst and returns the extended
+	// slice, as append does: it allocates only when dst lacks the room,
+	// so a caller that passes a buffer with the room keeps the signature
+	// in it, and one that passes nil gets a fresh slice. An HMAC
+	// signature is sha256.Size bytes, an ECDSA one 64.
+	Sign(dst, msg []byte) ([]byte, error)
 	// Public returns the serialized public key.
 	Public() []byte
 }
@@ -86,7 +90,11 @@ func Verify(scheme string, pub, msg, sig []byte) error {
 
 // Digest returns the SHA-256 digest of the concatenation of its inputs.
 // It only slices the array digest returns, which keeps it small enough
-// to inline, so a digest the caller does not keep stays on its stack.
+// to inline, so a digest stays on the caller's stack when nothing the
+// compiler cannot see through holds it: a copy into an array, a
+// comparison or a concrete call that keeps no reference. Passed to an
+// interface method, KeyPair.Sign among them, it escapes and is
+// allocated; copy it into a buffer the caller already owns first.
 func Digest(parts ...[]byte) []byte {
 	sum := digest(parts)
 	return sum[:]
@@ -127,18 +135,18 @@ func newECDSA() (*ECDSAKeyPair, error) {
 // Scheme returns "ecdsa".
 func (k *ECDSAKeyPair) Scheme() string { return SchemeECDSA }
 
-// Sign signs the SHA-256 digest of msg. The signature is r||s with each
-// component left-padded to 32 bytes.
-func (k *ECDSAKeyPair) Sign(msg []byte) ([]byte, error) {
+// Sign appends a signature over the SHA-256 digest of msg to dst. The
+// signature is r||s with each component left-padded to 32 bytes.
+func (k *ECDSAKeyPair) Sign(dst, msg []byte) ([]byte, error) {
 	digest := sha256.Sum256(msg)
 	r, s, err := ecdsa.Sign(rand.Reader, k.priv, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}
-	sig := make([]byte, 64)
+	var sig [64]byte
 	r.FillBytes(sig[:32])
 	s.FillBytes(sig[32:])
-	return sig, nil
+	return append(dst, sig[:]...), nil
 }
 
 // Public returns the uncompressed point encoding (0x04 || X || Y).
@@ -194,12 +202,13 @@ func newHMAC(identity string) *HMACKeyPair {
 // Scheme returns "hmac".
 func (k *HMACKeyPair) Scheme() string { return SchemeHMAC }
 
-// Sign returns HMAC-SHA256(key, msg). It is safe for concurrent use.
-func (k *HMACKeyPair) Sign(msg []byte) ([]byte, error) {
+// Sign appends HMAC-SHA256(key, msg) to dst. It is safe for concurrent
+// use.
+func (k *HMACKeyPair) Sign(dst, msg []byte) ([]byte, error) {
 	m := k.macs.Get().(hash.Hash)
 	m.Reset()
 	m.Write(msg)
-	sig := m.Sum(make([]byte, 0, sha256.Size))
+	sig := m.Sum(dst)
 	k.macs.Put(m)
 	return sig, nil
 }

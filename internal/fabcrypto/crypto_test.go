@@ -18,7 +18,7 @@ func TestSchemes(t *testing.T) {
 				t.Errorf("Scheme() = %s", kp.Scheme())
 			}
 			msg := []byte("the quick brown fox")
-			sig, err := kp.Sign(msg)
+			sig, err := kp.Sign(nil, msg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestCrossKeyRejection(t *testing.T) {
 		k1, _ := NewKeyPair(scheme, "Org1.peer0")
 		k2, _ := NewKeyPair(scheme, "Org2.peer0")
 		msg := []byte("msg")
-		sig, _ := k1.Sign(msg)
+		sig, _ := k1.Sign(nil, msg)
 		if err := Verify(scheme, k2.Public(), msg, sig); err == nil {
 			t.Errorf("%s: signature verified under wrong key", scheme)
 		}
@@ -88,7 +88,7 @@ func TestUnknownScheme(t *testing.T) {
 func TestMalformedInputs(t *testing.T) {
 	kp, _ := newECDSA()
 	msg := []byte("m")
-	sig, _ := kp.Sign(msg)
+	sig, _ := kp.Sign(nil, msg)
 	if err := verifyECDSA([]byte{1, 2, 3}, msg, sig); err == nil {
 		t.Error("short public key accepted")
 	}
@@ -122,12 +122,40 @@ func TestECDSAPublicKeyFormat(t *testing.T) {
 func TestECDSASignatureLength(t *testing.T) {
 	kp, _ := newECDSA()
 	for i := 0; i < 8; i++ {
-		sig, err := kp.Sign([]byte{byte(i)})
+		sig, err := kp.Sign(nil, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(sig) != 64 {
 			t.Fatalf("signature length %d, want 64", len(sig))
+		}
+	}
+}
+
+// TestSignAppends holds both schemes to Sign's append contract: the
+// signature follows what dst holds, lands in dst's own array when it has
+// the room, and verifies on its own.
+func TestSignAppends(t *testing.T) {
+	for _, scheme := range []string{SchemeECDSA, SchemeHMAC} {
+		kp, err := NewKeyPair(scheme, "Org1.peer0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("msg")
+		buf := make([]byte, 3, 3+64)
+		copy(buf, "pre")
+		out, err := kp.Sign(buf, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out[:3]) != "pre" {
+			t.Errorf("%s: Sign overwrote dst's bytes: %q", scheme, out[:3])
+		}
+		if &out[0] != &buf[0] {
+			t.Errorf("%s: Sign moved a dst with room for the signature", scheme)
+		}
+		if err := Verify(scheme, kp.Public(), msg, out[3:]); err != nil {
+			t.Errorf("%s: appended signature rejected: %v", scheme, err)
 		}
 	}
 }

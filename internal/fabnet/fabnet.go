@@ -1212,6 +1212,11 @@ func (n *Network) Stop() {
 	if n.TCPNet != nil {
 		n.TCPNet.Close()
 	}
+	// After the endpoints: a busy fan-out worker's call then fails at
+	// once, so Close waits for no endorsement.
+	for _, gw := range n.Gateways {
+		gw.Close()
+	}
 }
 
 // registerWireTypes declares every payload type the nodes exchange so

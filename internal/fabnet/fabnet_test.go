@@ -147,6 +147,48 @@ func TestStartCancelledNamesPeerAndLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestStopEndsGatewayWorkers runs concurrent AND3 invokes, so each
+// gateway parks fan-out workers, and requires Stop to end every
+// goroutine Build and Start began, the parked workers included.
+func TestStopEndsGatewayWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n, err := Build(Config{
+		Orderer:           Solo,
+		NumEndorsingPeers: 3,
+		Policy:            policy.AndOverPeers(3),
+		Model:             costmodel.Default(0.1),
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ctx := context.Background()
+	if err := n.Start(ctx); err != nil {
+		n.Stop()
+		t.Fatalf("Start: %v", err)
+	}
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		go func() {
+			_, err := n.Gateways[0].Invoke(ctx, "", ChaincodeBench, "write", [][]byte{[]byte(fmt.Sprint("stop", i)), []byte("v")})
+			errs <- err
+		}()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	n.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after Stop, %d before Build:\n%s", after, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 func TestEndToEndANDPolicy(t *testing.T) {
 	runSmoke(t, Solo, policy.AndOverPeers(3), 3)
 }

@@ -43,6 +43,7 @@ import (
 	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
+	"fabricsim/internal/workers"
 )
 
 // Errors returned by the gateway stages.
@@ -212,6 +213,9 @@ type Gateway struct {
 	// conflict-retry backoff.
 	retryMu  sync.Mutex
 	retryRng *rand.Rand
+
+	// fan runs collectEndorsements' jobs on parked workers.
+	fan workers.Pool[endorseJob]
 }
 
 // New creates a gateway and registers its commit-event handler.
@@ -311,7 +315,7 @@ func (g *Gateway) buildProposal(p *Proposal, seq uint64, chaincodeID, fn string,
 		Timestamp:   time.Now().UnixNano(),
 	}
 	if g.cfg.SignProposals {
-		sig, err := g.cfg.Identity.Sign(p.prop.Hash())
+		sig, err := g.cfg.Identity.Sign(nil, p.prop.Hash())
 		if err != nil {
 			return fmt.Errorf("gateway %s: sign proposal: %w", g.cfg.ID, err)
 		}
@@ -441,9 +445,11 @@ func (g *Gateway) baseLatency(ctx context.Context) error {
 // collectEndorsements fans the proposal out — one call per selected
 // target, each maintaining the shared load accounting — and gathers all
 // responses, failing on the first one in target order that is not OK.
-// The last target's call runs on the calling goroutine, so a
-// single-target proposal starts no goroutine. The request and, for one
-// target, the responses are the proposal's own.
+// Every target but the last is a job for one of the gateway's parked
+// workers, and the last target's call runs on the calling goroutine, so
+// a single-target proposal hands out no job. The request, the group the
+// jobs report to and, for one target, the responses are the proposal's
+// own.
 func (g *Gateway) collectEndorsements(ctx context.Context, p *Proposal) ([]*types.ProposalResponse, error) {
 	p.req = peer.EndorseRequest{Proposal: &p.prop, Sig: p.sig}
 	req, targets := &p.req, p.targets
@@ -453,14 +459,15 @@ func (g *Gateway) collectEndorsements(ctx context.Context, p *Proposal) ([]*type
 		out = make([]*types.ProposalResponse, len(targets))
 	}
 	last := len(targets) - 1
-	var wg *sync.WaitGroup
-	if last > 0 {
-		wg = g.fanOut(ctx, targets[:last], req, size, out)
+	p.wg.Add(last)
+	for i, t := range targets[:last] {
+		j := endorseJob{g: g, ctx: ctx, t: t, req: req, size: size, out: &out[i], wg: &p.wg}
+		if !g.fan.Go(j) {
+			j.Run() // a closed gateway endorses one target at a time
+		}
 	}
 	out[last] = g.endorseOne(ctx, targets[last], req, size)
-	if wg != nil {
-		wg.Wait()
-	}
+	p.wg.Wait()
 	for _, r := range out {
 		if !r.OK() {
 			return nil, fmt.Errorf("%w: %s", ErrEndorsementFailed, r.Message)
@@ -469,20 +476,32 @@ func (g *Gateway) collectEndorsements(ctx context.Context, p *Proposal) ([]*type
 	return out, nil
 }
 
-// fanOut starts one endorseOne goroutine per target, each writing its
-// response to the same index of out, and returns the group to wait on.
-// It is its own function so that a single-target collectEndorsements,
-// which never calls it, allocates no WaitGroup.
-func (g *Gateway) fanOut(ctx context.Context, targets []endorseTarget, req *peer.EndorseRequest, size int, out []*types.ProposalResponse) *sync.WaitGroup {
-	wg := new(sync.WaitGroup)
-	wg.Add(len(targets))
-	for i, t := range targets {
-		go func() {
-			defer wg.Done()
-			out[i] = g.endorseOne(ctx, t, req, size)
-		}()
-	}
-	return wg
+// endorseJob is one fanned-out endorsement: it writes the target's
+// response to out and reports to wg.
+type endorseJob struct {
+	g    *Gateway
+	ctx  context.Context
+	t    endorseTarget
+	req  *peer.EndorseRequest
+	size int
+	out  **types.ProposalResponse
+	wg   *sync.WaitGroup
+}
+
+// Run endorses at the job's target.
+func (j endorseJob) Run() {
+	*j.out = j.g.endorseOne(j.ctx, j.t, j.req, j.size)
+	j.wg.Done()
+}
+
+// Close ends the workers the gateway keeps parked for its endorsement
+// fan-out, and waits for busy ones to finish their endorsement: close
+// the gateway's endpoint first, or end the contexts of the endorsements
+// in flight, so their calls return. A later endorsement still works, one
+// target at a time.
+func (g *Gateway) Close() {
+	g.fan.Close()
+	g.fan.Wait()
 }
 
 // callFailed is the refusal endorseOne reports when no replica answered:

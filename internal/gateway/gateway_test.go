@@ -241,6 +241,13 @@ type stubNet struct {
 	broadcasts atomic.Int64
 	// endorseDelay stalls the stub endorser (for window tests).
 	endorseDelay time.Duration
+	// endorsers is how many stub endorsing peers the network has (0
+	// means 1): peer1..peerN carry principals Org1.peer0..OrgN.peer0,
+	// and the gateway's policy is AND over all of them when N > 1.
+	endorsers int
+	// respond, when non-nil, makes the response of the stub endorser
+	// at node; otherwise every endorser answers one fixed OK response.
+	respond func(ctx context.Context, node string, req *peer.EndorseRequest) (*types.ProposalResponse, error)
 	// commitCode, when non-nil, commits every broadcast at once: the
 	// stub orderer pushes the envelope's commit event through the stub
 	// peer with the code commitCode returns. attempt counts broadcasts
@@ -268,40 +275,49 @@ func newStubNet(t testing.TB, mutate func(cfg *Config), opts func(s *stubNet)) *
 	t.Cleanup(func() { net.Close() })
 	s.net = net
 
-	gwEP, err := net.Register("gw1")
-	if err != nil {
-		t.Fatal(err)
+	register := func(id string) *transport.MemEndpoint {
+		ep, err := net.Register(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
 	}
-	peerEP, err := net.Register("peer1")
-	if err != nil {
-		t.Fatal(err)
+	gwEP, osnEP := register("gw1"), register("osn1")
+	endorsers := max(s.endorsers, 1)
+	peersByPrincipal := make(map[string][]string, endorsers)
+	for i := 1; i <= endorsers; i++ {
+		node := fmt.Sprintf("peer%d", i)
+		ep := register(node)
+		if i == 1 {
+			s.peerEP = ep
+		}
+		peersByPrincipal[fmt.Sprintf("Org%d.peer0", i)] = []string{node}
+		ep.Handle(peer.KindEndorse, func(ctx context.Context, _ string, payload any) (any, int, error) {
+			req := payload.(*peer.EndorseRequest)
+			if s.endorseDelay > 0 {
+				time.Sleep(s.endorseDelay)
+			}
+			if s.respond != nil {
+				resp, err := s.respond(ctx, node, req)
+				return resp, 64, err
+			}
+			return &types.ProposalResponse{
+				TxID:        req.Proposal.TxID,
+				Status:      200,
+				ResultsHash: []byte("h"),
+				Results:     &types.RWSet{},
+				Payload:     []byte("payload"),
+				Endorsement: types.Endorsement{EndorserID: "Org1.peer0", EndorserOrg: "Org1"},
+			}, 64, nil
+		})
 	}
-	osnEP, err := net.Register("osn1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.peerEP = peerEP
 
-	peerEP.Handle(peer.KindSubscribeEvents, func(_ context.Context, _ string, _ any) (any, int, error) {
+	s.peerEP.Handle(peer.KindSubscribeEvents, func(_ context.Context, _ string, _ any) (any, int, error) {
 		if s.subscribeFailures.Add(-1) >= 0 {
 			return nil, 0, errors.New("stub peer: subscribe refused")
 		}
 		s.subscribed.Store(true)
 		return "OK", 2, nil
-	})
-	peerEP.Handle(peer.KindEndorse, func(_ context.Context, _ string, payload any) (any, int, error) {
-		req := payload.(*peer.EndorseRequest)
-		if s.endorseDelay > 0 {
-			time.Sleep(s.endorseDelay)
-		}
-		return &types.ProposalResponse{
-			TxID:        req.Proposal.TxID,
-			Status:      200,
-			ResultsHash: []byte("h"),
-			Results:     &types.RWSet{},
-			Payload:     []byte("payload"),
-			Endorsement: types.Endorsement{EndorserID: "Org1.peer0", EndorserOrg: "Org1"},
-		}, 64, nil
 	})
 	osnEP.Handle(orderer.KindBroadcast, func(_ context.Context, _ string, payload any) (any, int, error) {
 		n := s.broadcasts.Add(1)
@@ -345,8 +361,11 @@ func newStubNet(t testing.TB, mutate func(cfg *Config), opts func(s *stubNet)) *
 		Orderers:         []string{"osn1"},
 		EventPeer:        "peer1",
 		Policy:           policy.OrOverPeers(1),
-		PeersByPrincipal: map[string][]string{"Org1.peer0": {"peer1"}},
+		PeersByPrincipal: peersByPrincipal,
 		ChannelID:        "perf",
+	}
+	if endorsers > 1 {
+		cfg.Policy = policy.AndOverPeers(endorsers)
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -1154,9 +1173,7 @@ func TestBroadcastBudget(t *testing.T) {
 func TestSubmitStartsNoGoroutine(t *testing.T) {
 	s := newStubNet(t, func(cfg *Config) {
 		cfg.Model.OrderTimeout = time.Hour
-		cfg.Model.ClientBaseLatency = 0
-		cfg.Model.ClientPerTxCPU = 0
-		cfg.Model.ClientPerEndorsementCPU = 0
+		zeroClientCosts(cfg)
 	}, nil)
 	ctx := context.Background()
 	submit := func() {
@@ -1204,6 +1221,101 @@ func TestSubmitStartsNoGoroutine(t *testing.T) {
 	}
 	if n := s.gw.pendingCount(); n != 2001 {
 		t.Fatalf("pending = %d, want 2001", n)
+	}
+}
+
+// zeroClientCosts zeroes the modeled client costs, for tests that count
+// goroutines or calls, not client CPU time.
+func zeroClientCosts(cfg *Config) {
+	cfg.Model.ClientBaseLatency = 0
+	cfg.Model.ClientPerTxCPU = 0
+	cfg.Model.ClientPerEndorsementCPU = 0
+}
+
+// endorseConcurrently proposes and endorses n transactions at once on
+// the gateway's default policy and returns the first error.
+func endorseConcurrently(ctx context.Context, g *Gateway, n int) error {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			prop, err := g.Propose(ctx, "", "bench", "write", writeArgs)
+			if err == nil {
+				_, err = prop.Endorse(ctx)
+			}
+			errs <- err
+		}()
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// TestCloseEndsFanOutWorkers fans out five-target endorsements from
+// eight goroutines at once, so the gateway parks several workers, then
+// closes the gateway, which must still endorse, one target at a time,
+// and the network: no goroutine may be left.
+func TestCloseEndsFanOutWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := newStubNet(t, zeroClientCosts, func(s *stubNet) { s.endorsers = 5 })
+	ctx := context.Background()
+	if err := endorseConcurrently(ctx, s.gw, 8); err != nil {
+		t.Fatal(err)
+	}
+	s.gw.Close()
+	if err := endorseConcurrently(ctx, s.gw, 2); err != nil {
+		t.Fatalf("endorse after Close: %v", err)
+	}
+	s.net.Close()
+	s.gw.cfg.CPU.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after Close, %d before the network:\n%s", after, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestFanOutConcurrencyUnbounded runs 200 five-target endorsements at
+// once against stub endorsers that answer only once all 1 000 endorse
+// calls have arrived, 800 of them fanned out to the gateway's workers:
+// the endorsements complete only if the gateway runs every fan-out job
+// at once. A pool that bounds its busy workers deadlocks here.
+func TestFanOutConcurrencyUnbounded(t *testing.T) {
+	const txs, targets = 200, 5
+	const calls = txs * targets
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	s := newStubNet(t, zeroClientCosts, func(s *stubNet) {
+		s.endorsers = targets
+		s.respond = func(ctx context.Context, _ string, req *peer.EndorseRequest) (*types.ProposalResponse, error) {
+			if arrived.Add(1) == calls {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-ctx.Done(): // the network closed on a failed test
+				return nil, ctx.Err()
+			}
+			return &types.ProposalResponse{TxID: req.Proposal.TxID, Status: 200, Results: &types.RWSet{}}, nil
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- endorseConcurrently(ctx, s.gw, txs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%d of %d endorse calls arrived: %v", arrived.Load(), calls, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("only %d of %d endorse calls arrived", arrived.Load(), calls)
 	}
 }
 
@@ -1399,10 +1511,11 @@ func TestSubmitAsyncNoncesFollowCallOrder(t *testing.T) {
 	}
 }
 
-// newCommittingStub is a stub network whose orderer commits every
-// broadcast as valid.
-func newCommittingStub(tb testing.TB) *stubNet {
+// newCommittingStub is a stub network of the given number of endorsers
+// whose orderer commits every broadcast as valid.
+func newCommittingStub(tb testing.TB, endorsers int) *stubNet {
 	return newStubNet(tb, nil, func(s *stubNet) {
+		s.endorsers = endorsers
 		s.commitCode = func(int, types.TxID) types.ValidationCode { return types.ValidationValid }
 	})
 }
@@ -1410,15 +1523,16 @@ func newCommittingStub(tb testing.TB) *stubNet {
 // TestInvokeAllocs pins the allocations of one closed-loop Invoke on the
 // stub network, the stubs' own included. It read 51 while each commit
 // had a waiter goroutine, channel and timer and each proposal a
-// formatted nonce and scratch slices, 35 without them, and 18 once one
+// formatted nonce and scratch slices, 35 without them, 18 once one
 // Commit served every attempt and the proposal and commit held their
-// own buffers (go1.24); the bound leaves 3 for the toolchain's own timer
-// and context allocations.
+// own buffers, and 16 once the envelope's client message and signature
+// lived in the proposal (go1.24); the bound leaves 3 for the toolchain's
+// own timer and context allocations.
 func TestInvokeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	s := newCommittingStub(t)
+	s := newCommittingStub(t, 1)
 	ctx := context.Background()
 	invoke := func() {
 		if _, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs); err != nil {
@@ -1426,13 +1540,37 @@ func TestInvokeAllocs(t *testing.T) {
 		}
 	}
 	invoke()
-	if allocs := testing.AllocsPerRun(200, invoke); allocs > 21 {
-		t.Errorf("Invoke: %.1f allocations, want <= 21", allocs)
+	if allocs := testing.AllocsPerRun(200, invoke); allocs > 19 {
+		t.Errorf("Invoke: %.1f allocations, want <= 19", allocs)
+	}
+}
+
+// TestInvokeFiveTargetsAllocs pins one closed-loop Invoke under AND over
+// five stub endorsers, the stubs' own included, at 34. Four of the five
+// calls are fan-out jobs on parked workers. It read 41 when the fan-out
+// started a goroutine per extra target and allocated its WaitGroup, and
+// the envelope's client message and signature were allocations of their
+// own (go1.24); the bound leaves 3 for the toolchain's own timer and
+// context allocations.
+func TestInvokeFiveTargetsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	s := newCommittingStub(t, 5)
+	ctx := context.Background()
+	invoke := func() {
+		if _, err := s.gw.Invoke(ctx, "", "bench", "write", writeArgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke()
+	if allocs := testing.AllocsPerRun(200, invoke); allocs > 37 {
+		t.Errorf("Invoke on five targets: %.1f allocations, want <= 37", allocs)
 	}
 }
 
 func BenchmarkInvoke(b *testing.B) {
-	s := newCommittingStub(b)
+	s := newCommittingStub(b, 1)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

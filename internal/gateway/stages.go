@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -45,12 +46,17 @@ type Proposal struct {
 	boundary time.Time
 
 	// The proposal's own buffers: its nonce, its endorsement request,
-	// and the target and response arrays of a one-target endorsement, so
-	// none of them is a separate allocation.
-	nonce    [maxNonce]byte
-	req      peer.EndorseRequest
-	target   [1]endorseTarget
-	response [1]*types.ProposalResponse
+	// the group its fanned-out endorsements report to, the target and
+	// response arrays of a one-target endorsement, and the message and
+	// signature of the envelope's client signature, so none of them is a
+	// separate allocation.
+	nonce     [maxNonce]byte
+	req       peer.EndorseRequest
+	wg        sync.WaitGroup
+	target    [1]endorseTarget
+	response  [1]*types.ProposalResponse
+	clientMsg [sha256.Size]byte
+	clientSig [sha256.Size]byte
 }
 
 // TxID returns the proposal's transaction ID.
@@ -282,7 +288,8 @@ func (p *Proposal) Endorse(ctx context.Context) (*Transaction, error) {
 		Endorsements: endorsements,
 		SubmitTime:   p.submitted.UnixNano(),
 	}
-	clientSig, err := g.cfg.Identity.Sign(tx.ClientDigest())
+	p.clientMsg = tx.ClientDigest()
+	clientSig, err := g.cfg.Identity.Sign(p.clientSig[:0], p.clientMsg[:])
 	if err != nil {
 		return nil, fmt.Errorf("gateway %s: sign envelope: %w", g.cfg.ID, err)
 	}

@@ -49,9 +49,10 @@ func (s *SigningIdentity) Org() string { return s.Cert.Org }
 // their capacity ends with them, so an append copies.
 func (s *SigningIdentity) Serialized() []byte { return s.serialized }
 
-// Sign signs msg with the identity's private key.
-func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {
-	sig, err := s.Key.Sign(msg)
+// Sign appends a signature over msg by the identity's private key to
+// dst, as fabcrypto.KeyPair.Sign does.
+func (s *SigningIdentity) Sign(dst, msg []byte) ([]byte, error) {
+	sig, err := s.Key.Sign(dst, msg)
 	if err != nil {
 		return nil, fmt.Errorf("msp sign as %s: %w", s.ID(), err)
 	}

@@ -54,7 +54,7 @@ func TestVerifySignature(t *testing.T) {
 	e, _ := org1.Enroll("client1", ca.RoleClient)
 	id := NewSigningIdentity(e)
 	msg := []byte("payload")
-	sig, err := id.Sign(msg)
+	sig, err := id.Sign(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestVerifyByID(t *testing.T) {
 	e, _ := org1.Enroll("peer0", ca.RolePeer)
 	other, _ := org1.Enroll("peer1", ca.RolePeer)
 	msg := []byte("endorsement")
-	sig, _ := NewSigningIdentity(e).Sign(msg)
+	sig, _ := NewSigningIdentity(e).Sign(nil, msg)
 	if err := m.VerifyByID("Org1.peer0", msg, sig); err != nil {
 		t.Errorf("VerifyByID: %v", err)
 	}
 	if err := m.VerifyByID("Org1.peer1", msg, sig); !errors.Is(err, ErrBadSig) {
 		t.Errorf("peer0's signature verified as peer1: %v", err)
 	}
-	otherSig, _ := NewSigningIdentity(other).Sign(msg)
+	otherSig, _ := NewSigningIdentity(other).Sign(nil, msg)
 	if err := m.VerifyByID("Org1.peer0", msg, otherSig); !errors.Is(err, ErrBadSig) {
 		t.Errorf("peer1's signature verified as peer0: %v", err)
 	}

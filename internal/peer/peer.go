@@ -410,8 +410,12 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 	rwset := reply.sim.RWSet()
 	copy(reply.resultsHash[:], rwset.Hash())
 
-	// 3) ESCC: sign proposal hash || results hash.
-	sig, err := p.cfg.Identity.Sign(fabcrypto.Digest(prop.Hash(), reply.resultsHash[:]))
+	// 3) ESCC: sign proposal hash || results hash. The message and the
+	// signature live in the reply, so neither is an allocation of its
+	// own; the copy keeps the digest from escaping through Sign's
+	// interface call.
+	copy(reply.escc[:], fabcrypto.Digest(prop.Hash(), reply.resultsHash[:]))
+	sig, err := p.cfg.Identity.Sign(reply.sig[:0], reply.escc[:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("peer %s: escc sign: %w", p.cfg.ID, err)
 	}
@@ -439,12 +443,16 @@ func (p *Peer) handleEndorse(ctx context.Context, _ string, payload any) (any, i
 }
 
 // endorseReply is an endorsement's one allocation: the response, the
-// simulator whose read-write set its Results points to, and the results
-// hash its ResultsHash points into.
+// simulator whose read-write set its Results points to, the results hash
+// its ResultsHash points into, the ESCC message and the signature its
+// Endorsement holds. An HMAC signature fits sig; a longer one (ECDSA's
+// 64 bytes) grows out of it by append.
 type endorseReply struct {
 	resp        types.ProposalResponse
 	sim         chaincode.Simulator
 	resultsHash [sha256.Size]byte
+	escc        [sha256.Size]byte
+	sig         [sha256.Size]byte
 }
 
 func (p *Peer) endorseFailure(prop *types.Proposal, msg string) (any, int, error) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/workers"
 )
 
 // frame is the unit both wires carry. gob encodes its exported header
@@ -43,15 +44,19 @@ type carrier interface {
 	refuse(f frame)
 }
 
-// maxIdleWorkers caps the handler workers an endpoint keeps parked
-// between requests. It bounds only the cache, never concurrency: a
-// request that finds no parked worker starts a new one.
-const maxIdleWorkers = 64
-
 // job is one inbound request handed to a handler worker.
 type job struct {
+	c *core
 	h Handler
 	f frame
+}
+
+// Run serves the request and answers it if it is a call.
+func (j job) Run() {
+	resp, respSize, err := j.h(j.c.ctx, j.f.From, j.f.Payload)
+	if j.f.Corr != 0 {
+		j.c.reply(j.f, resp, respSize, err)
+	}
 }
 
 // core is the part of an endpoint that does not depend on its wire:
@@ -78,14 +83,9 @@ type core struct {
 	corr      atomic.Uint64
 
 	closed atomic.Bool
-	// closeMu orders the closed transition against handler-worker
-	// accounting: dispatch's hwg.Add and Close's hwg.Wait must not
-	// race once the counter may be zero (sync.WaitGroup's reuse rule).
-	// It also guards idle, the LIFO cache of parked workers' job
-	// channels; hwg counts worker goroutines, parked ones included.
-	closeMu sync.Mutex
-	idle    []chan job
-	hwg     sync.WaitGroup
+	// workers runs the handlers; shutdown closes it, after which it
+	// refuses every request.
+	workers workers.Pool[job]
 }
 
 func newCore(id string, wire carrier) core {
@@ -184,26 +184,17 @@ func (c *core) CallWithin(ctx context.Context, timeout time.Duration, to, kind s
 // runs halt, the wire's own teardown, if there is one, and waits for
 // every handler worker. Only the first call does anything.
 func (c *core) shutdown(halt func()) {
-	// Flip closed under closeMu so dispatch either observes the close
-	// before starting a worker, or its hwg.Add happens strictly before
-	// the Wait below. No worker parks once closed is set, so the idle
-	// list taken here is the last one.
-	c.closeMu.Lock()
-	first := c.closed.CompareAndSwap(false, true)
-	idle := c.idle
-	c.idle = nil
-	c.closeMu.Unlock()
-	if !first {
+	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
+	// Once the pool is closed, dispatch refuses every request, so the
+	// Wait below covers every handler worker there will ever be.
+	c.workers.Close()
 	c.cancel()
-	for _, jobs := range idle {
-		close(jobs)
-	}
 	if halt != nil {
 		halt()
 	}
-	c.hwg.Wait()
+	c.workers.Wait()
 }
 
 // complete hands a reply frame to the pending call it answers, if that
@@ -240,53 +231,9 @@ func (c *core) dispatch(f frame) {
 		}
 		return
 	}
-	c.closeMu.Lock()
-	if c.closed.Load() {
-		c.closeMu.Unlock()
+	if !c.workers.Go(job{c: c, h: h, f: f}) {
 		c.wire.refuse(f)
-		return
 	}
-	if n := len(c.idle); n > 0 {
-		jobs := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.closeMu.Unlock()
-		jobs <- job{h: h, f: f} // a parked worker's channel is empty
-		return
-	}
-	c.hwg.Add(1)
-	c.closeMu.Unlock()
-	jobs := make(chan job, 1)
-	jobs <- job{h: h, f: f}
-	go c.work(jobs)
-}
-
-// work runs one handler worker: it serves its job, then parks on its
-// channel for the next one, until the idle cache is full or the endpoint
-// closes.
-func (c *core) work(jobs chan job) {
-	defer c.hwg.Done()
-	for j := range jobs {
-		resp, respSize, err := j.h(c.ctx, j.f.From, j.f.Payload)
-		if j.f.Corr != 0 {
-			c.reply(j.f, resp, respSize, err)
-		}
-		if !c.park(jobs) {
-			return
-		}
-	}
-}
-
-// park pushes an idle worker's job channel onto the cache. It reports
-// false, and the worker exits, if the cache is full or the endpoint has
-// closed.
-func (c *core) park(jobs chan job) bool {
-	c.closeMu.Lock()
-	defer c.closeMu.Unlock()
-	if c.closed.Load() || len(c.idle) >= maxIdleWorkers {
-		return false
-	}
-	c.idle = append(c.idle, jobs)
-	return true
 }
 
 // reply answers a request. A handler's error travels as text and drops

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fabricsim/internal/workers"
 )
 
 func pair(t *testing.T, cfg Config) (*Network, *MemEndpoint, *MemEndpoint) {
@@ -511,8 +513,8 @@ func TestBlockedHandlerDoesNotStallOthers(t *testing.T) {
 // pool deadlocks here.
 func TestHandlerConcurrencyUnbounded(t *testing.T) {
 	const calls = 200
-	if calls <= maxIdleWorkers {
-		t.Fatalf("%d calls do not exceed the %d-worker idle cache", calls, maxIdleWorkers)
+	if calls <= workers.MaxIdle {
+		t.Fatalf("%d calls do not exceed the %d-worker idle cache", calls, workers.MaxIdle)
 	}
 	_, a, b := pair(t, Config{})
 	var started atomic.Int32

@@ -312,7 +312,7 @@ func TestEnvelopeEncodingMatchesReference(t *testing.T) {
 		if got, want := rw.Size(), len(set); got != want {
 			t.Fatalf("draw %d: RWSet.Size = %d, want len(Marshal()) = %d", i, got, want)
 		}
-		if got, want := tx.ClientDigest(), fabcrypto.Digest(tx.Proposal.Hash(), set); !bytes.Equal(got, want) {
+		if got, want := tx.ClientDigest(), fabcrypto.Digest(tx.Proposal.Hash(), set); !bytes.Equal(got[:], want) {
 			t.Fatalf("draw %d: ClientDigest = %x, want %x", i, got, want)
 		}
 		env := tx.Marshal()

@@ -305,14 +305,14 @@ func (t *Transaction) size() int {
 
 // ClientDigest returns the message the client signs as ClientSig:
 // Digest(Proposal.Hash(), Results.Marshal()), with the set encoded in a
-// pooled buffer.
-func (t *Transaction) ClientDigest() []byte {
+// pooled buffer. It returns an array, so the caller decides where the
+// message lives.
+func (t *Transaction) ClientDigest() [sha256.Size]byte {
 	propHash := t.Proposal.hash()
 	enc := hashEncoder()
 	enc.buf = append(enc.buf, propHash[:]...)
 	t.Results.encode(enc)
-	sum := sumAndRelease(enc)
-	return sum[:]
+	return sumAndRelease(enc)
 }
 
 // UnmarshalTransaction decodes a transaction produced by Marshal. The
