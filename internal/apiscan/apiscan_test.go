@@ -1,7 +1,9 @@
-// Package apiscan holds one test: every exported identifier of the
-// module's library packages must be used by some non-test file of the
-// module, cmd/, examples/ and benchmark/ included. It type-checks the
-// module from source with the standard library alone.
+// Package apiscan holds the module's source scans: every exported
+// identifier of the module's library packages must be used by some
+// non-test file of the module, cmd/, examples/ and benchmark/ included,
+// every exported Config or Options field set and read, and every test
+// wait on a condition (waits_test.go). It type-checks the module from
+// source with the standard library alone.
 package apiscan
 
 import (
@@ -51,12 +53,13 @@ var allowed = map[string]string{
 	"raft.Node.PersistErr":            neededBy("fabnet.TestRestartRaftOrdererFromPersistedState"),
 	"transport.LinkSet.PropsFor":      neededBy("fabnet.TestChaosWANRegions"),
 	"transport.LinkSet.SetDefault":    neededBy("fabnet.TestChaosLossyLinkSnapshotCatchup"),
+	"simtest.Until":                   "needed by every package's tests: their one wait on a condition",
 }
 
 // plainBuild is the build context of a plain `go build`: GOEXPERIMENT
 // in the environment would add goexperiment.* tags to build.Default and
-// bring in test-only files such as internal/simtest's, which builds
-// only under goexperiment.synctest.
+// bring in test-only files such as internal/simtest's Run, which builds
+// only under goexperiment.synctest. The scans see simtest's Until alone.
 var plainBuild = func() build.Context {
 	c := build.Default
 	c.ToolTags = slices.DeleteFunc(slices.Clone(c.ToolTags), func(tag string) bool {

@@ -13,6 +13,7 @@ import (
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/workload"
 )
 
@@ -86,10 +87,8 @@ func waitAgree(t *testing.T, peers []*peer.Peer, d time.Duration) {
 		return nil
 	}
 	var err error
-	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if err = agree(); err == nil {
-			return
-		}
+	if simtest.Until(d, func() bool { err = agree(); return err == nil }) {
+		return
 	}
 	for _, p := range peers {
 		for _, ch := range p.Channels() {
@@ -137,11 +136,8 @@ func TestStartCancelledNamesPeerAndLeaksNothing(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "start peer ") {
 		t.Errorf("Start under a cancelled context: err = %v, want one naming a peer", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
+	if !simtest.Until(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		after := runtime.NumGoroutine()
 		buf := make([]byte, 1<<20)
 		t.Errorf("%d goroutines after Stop, %d before Build:\n%s", after, before, buf[:runtime.Stack(buf, true)])
 	}
@@ -179,11 +175,8 @@ func TestStopEndsGatewayWorkers(t *testing.T) {
 		}
 	}
 	n.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
+	if !simtest.Until(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		after := runtime.NumGoroutine()
 		buf := make([]byte, 1<<20)
 		t.Errorf("%d goroutines after Stop, %d before Build:\n%s", after, before, buf[:runtime.Stack(buf, true)])
 	}

@@ -11,6 +11,7 @@ import (
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 )
 
 // gossipTestConfig is a gossip-enabled topology tuned for fast tests:
@@ -49,17 +50,19 @@ func invokeN(t *testing.T, n *Network, tag string, count int) {
 // the org that contains the given peers.
 func orgLeader(t *testing.T, peers []*peer.Peer, d time.Duration) *peer.Peer {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	var lead *peer.Peer
+	if !simtest.Until(d, func() bool {
 		for _, p := range peers {
 			if g := p.GossipNode(); g != nil && g.IsLeader(orderer.DefaultChannel) {
-				return p
+				lead = p
+				return true
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		return false
+	}) {
+		t.Fatal("no gossip leader emerged")
 	}
-	t.Fatal("no gossip leader emerged")
-	return nil
+	return lead
 }
 
 // TestGossipDisseminationConverges is the end-to-end gossip path: with
@@ -113,24 +116,14 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 	tipBefore := n.Orderers[0].ChainHeight(orderer.DefaultChannel)
 
 	// A survivor claims the channel within a few leases.
-	deadline := time.Now().Add(10 * time.Second)
-	var newLead *peer.Peer
-	for time.Now().Before(deadline) {
+	if !simtest.Until(10*time.Second, func() bool {
 		for _, p := range n.Peers {
-			if p == lead {
-				continue
-			}
-			if p.GossipNode().IsLeader(orderer.DefaultChannel) {
-				newLead = p
-				break
+			if p != lead && p.GossipNode().IsLeader(orderer.DefaultChannel) {
+				return true
 			}
 		}
-		if newLead != nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if newLead == nil {
+		return false
+	}) {
 		t.Fatal("no replacement leader elected")
 	}
 
@@ -158,16 +151,7 @@ func TestGossipKilledLeaderReelects(t *testing.T) {
 			_, _ = gw.Invoke(ctx, "", ChaincodeBench, "write",
 				[][]byte{[]byte(fmt.Sprintf("post%d", i)), []byte("v")})
 		}
-		grown := false
-		growDeadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(growDeadline) {
-			if n.Peers[1].Ledger().Height() > before {
-				grown = true
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !grown {
+		if !simtest.Until(10*time.Second, func() bool { return n.Peers[1].Ledger().Height() > before }) {
 			t.Fatal("chain did not grow after leader kill")
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/gateway"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/types"
 )
 
@@ -152,16 +153,10 @@ func TestRaftOrdererFailover(t *testing.T) {
 	}
 	n.Links().Isolate(leader, true)
 
-	deadline := time.Now().Add(10 * time.Second)
-	recovered := false
-	for time.Now().Before(deadline) {
-		if l, ok := n.RaftLeader(); ok && l != leader {
-			recovered = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !recovered {
+	if !simtest.Until(10*time.Second, func() bool {
+		l, ok := n.RaftLeader()
+		return ok && l != leader
+	}) {
 		t.Fatal("no new leader elected")
 	}
 	ok2 := 0

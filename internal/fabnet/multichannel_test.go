@@ -10,6 +10,7 @@ import (
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/types"
 )
 
@@ -23,13 +24,8 @@ func waitValidTxs(t *testing.T, p *peer.Peer, ch string, want int) {
 	if !ok {
 		t.Fatalf("peer %s missing channel %s", p.ID(), ch)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	got := l.Stats().ValidTxs
-	for got != want && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		got = l.Stats().ValidTxs
-	}
-	if got != want {
+	var got int
+	if !simtest.Until(2*time.Second, func() bool { got = l.Stats().ValidTxs; return got == want }) {
 		t.Errorf("peer %s channel %s: valid txs = %d, want %d", p.ID(), ch, got, want)
 	}
 }
@@ -147,21 +143,16 @@ func TestMultiChannelMVCCIsolation(t *testing.T) {
 			l, _ := p.LedgerFor(ch)
 			want := "update-" + ch
 			var got string
-			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) {
+			if !simtest.Until(2*time.Second, func() bool {
 				vv, ok, err := l.State().Get(ChaincodeBench, "shared")
 				if err != nil {
 					t.Fatalf("peer %s channel %s: %v", p.ID(), ch, err)
 				}
 				if ok {
 					got = string(vv.Value)
-					if got == want {
-						break
-					}
 				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got != want {
+				return got == want
+			}) {
 				t.Errorf("peer %s channel %s: value = %q, want %q", p.ID(), ch, got, want)
 			}
 		}
@@ -198,11 +189,8 @@ func TestMultiChannelBlockNumbering(t *testing.T) {
 			// Invoke futures resolve on the client's event peer; the
 			// other peers commit the same block asynchronously, so give
 			// them a bounded moment to catch up.
-			deadline := time.Now().Add(2 * time.Second)
-			for l.Height() != wantHeight && time.Now().Before(deadline) {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if got := l.Height(); got != wantHeight {
+			if !simtest.Until(2*time.Second, func() bool { return l.Height() == wantHeight }) {
+				got := l.Height()
 				t.Errorf("peer %s channel %s: height = %d, want %d", p.ID(), ch, got, wantHeight)
 				continue
 			}

@@ -10,6 +10,7 @@ import (
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 )
 
 func raftRestartConfig(t *testing.T, osns int, col *metrics.Collector) Config {
@@ -64,20 +65,19 @@ func nonLeaderOSN(t *testing.T, n *Network) (string, int) {
 func invokeLenient(t *testing.T, n *Network, tag string, count int, d time.Duration) {
 	t.Helper()
 	ctx := context.Background()
-	deadline := time.Now().Add(d)
-	for i := 0; i < count; i++ {
-		for {
+	i := 0
+	var err error
+	if !simtest.Until(d, func() bool {
+		for ; i < count; i++ {
 			gw := n.Gateways[i%len(n.Gateways)]
-			_, err := gw.Invoke(ctx, "", ChaincodeBench, "write",
-				[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")})
-			if err == nil {
-				break
+			if _, err = gw.Invoke(ctx, "", ChaincodeBench, "write",
+				[][]byte{[]byte(fmt.Sprintf("%s%d", tag, i)), []byte("v")}); err != nil {
+				return false
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("invoke %s%d: %v (deadline exhausted)", tag, i, err)
-			}
-			time.Sleep(10 * time.Millisecond)
 		}
+		return true
+	}) {
+		t.Fatalf("invoke %s%d: %v (deadline exhausted)", tag, i, err)
 	}
 }
 
@@ -102,11 +102,7 @@ func TestRestartRaftOrdererFromPersistedState(t *testing.T) {
 	if !ok {
 		t.Fatalf("no raft node for %s on %s", ch, target)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for node.CompactionBase() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if node.CompactionBase() == 0 {
+	if !simtest.Until(10*time.Second, func() bool { return node.CompactionBase() != 0 }) {
 		t.Fatalf("OSN %s never compacted its log (threshold %d, %d blocks)",
 			target, n.Cfg.RaftCompactThreshold, blocks)
 	}
@@ -140,13 +136,9 @@ func TestRestartRaftOrdererFromPersistedState(t *testing.T) {
 	// converges past the pre-restart tip.
 	invokeLenient(t, n, "r2", 4, 15*time.Second)
 	waitAgree(t, n.Peers, 15*time.Second)
-	deadline = time.Now().Add(15 * time.Second)
 	want := res.OldHeights[ch] + 4
-	for res.Orderer.ChainHeight(ch) < want && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := res.Orderer.ChainHeight(ch); got < want {
-		t.Errorf("restarted OSN chain height %d, want >= %d", got, want)
+	if !simtest.Until(15*time.Second, func() bool { return res.Orderer.ChainHeight(ch) >= want }) {
+		t.Errorf("restarted OSN chain height %d, want >= %d", res.Orderer.ChainHeight(ch), want)
 	}
 	if err := newNode.PersistErr(); err != nil {
 		t.Errorf("restarted node persist error: %v", err)
@@ -227,10 +219,7 @@ func TestRestartKafkaOrdererReplaysWithoutDuplicates(t *testing.T) {
 		t.Fatalf("peer tip %d, want >= %d", tip, res.OldHeights[ch]+4)
 	}
 	for _, o := range n.Orderers {
-		deadline := time.Now().Add(15 * time.Second)
-		for o.ChainHeight(ch) < tip && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
+		simtest.Until(15*time.Second, func() bool { return o.ChainHeight(ch) >= tip })
 		chain := o.ChainBlocks(ch, 1, tip+1)
 		if got := o.ChainHeight(ch); got != tip || uint64(len(chain)) != tip {
 			t.Fatalf("OSN %s chain height %d (%d blocks), want %d", o.ID(), got, len(chain), tip)
@@ -280,12 +269,8 @@ func TestRestartOrdererBeforeFirstBlock(t *testing.T) {
 			invokeLenient(t, n, "b", 2, 15*time.Second)
 			waitAgree(t, n.Peers, 15*time.Second)
 			ch := n.Cfg.ChannelID
-			deadline := time.Now().Add(15 * time.Second)
-			for res.Orderer.ChainHeight(ch) < 2 && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if got := res.Orderer.ChainHeight(ch); got < 2 {
-				t.Errorf("restarted OSN chain height %d, want >= 2", got)
+			if !simtest.Until(15*time.Second, func() bool { return res.Orderer.ChainHeight(ch) >= 2 }) {
+				t.Errorf("restarted OSN chain height %d, want >= 2", res.Orderer.ChainHeight(ch))
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
 )
 
 // followerReplica returns a replica that neither serves client commit
@@ -34,14 +35,11 @@ func followerReplica(t *testing.T, n *Network) *peer.Peer {
 // assertion made on convergence alone loses that race on a busy box.
 func waitSnapshotBootstrap(t *testing.T, n *Network, col *metrics.Collector, why string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale}).SnapshotBootstraps >= 1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !simtest.Until(5*time.Second, func() bool {
+		return col.Summarize(metrics.SummaryOptions{TimeScale: n.Cfg.Model.TimeScale}).SnapshotBootstraps >= 1
+	}) {
+		t.Errorf("SnapshotBootstraps = 0, want >= 1 (%s)", why)
 	}
-	t.Errorf("SnapshotBootstraps = 0, want >= 1 (%s)", why)
 }
 
 // TestMixedBackendConvergence runs one network where peer1 keeps the

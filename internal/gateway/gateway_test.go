@@ -20,6 +20,7 @@ import (
 	"fabricsim/internal/peer"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
@@ -1210,13 +1211,10 @@ func TestSubmitStartsNoGoroutine(t *testing.T) {
 	// may each keep up to 64 parked handler workers: the bound allows
 	// those, and is far below one goroutine per pending commit.
 	const asyncBound = 200
-	deadline := time.Now().Add(10 * time.Second)
-	grown := runtime.NumGoroutine() - before
-	for (grown > asyncBound || s.gw.pendingCount() != 2001) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		grown = runtime.NumGoroutine() - before
-	}
-	if grown > asyncBound {
+	simtest.Until(10*time.Second, func() bool {
+		return runtime.NumGoroutine()-before <= asyncBound && s.gw.pendingCount() == 2001
+	})
+	if grown := runtime.NumGoroutine() - before; grown > asyncBound {
 		t.Fatalf("1 000 pending SubmitAsync commits grew the goroutine count by %d, want <= %d", grown, asyncBound)
 	}
 	if n := s.gw.pendingCount(); n != 2001 {
@@ -1271,11 +1269,8 @@ func TestCloseEndsFanOutWorkers(t *testing.T) {
 	}
 	s.net.Close()
 	s.gw.cfg.CPU.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
+	if !simtest.Until(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		after := runtime.NumGoroutine()
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%d goroutines after Close, %d before the network:\n%s", after, before, buf[:runtime.Stack(buf, true)])
 	}

@@ -9,6 +9,7 @@ import (
 
 	"fabricsim/internal/metrics"
 	"fabricsim/internal/orderer"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
@@ -306,19 +307,15 @@ func (c *cluster) start() {
 
 func (c *cluster) waitConverged(height uint64, d time.Duration) {
 	c.t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		done := true
+	if simtest.Until(d, func() bool {
 		for _, s := range c.sinks {
 			if s.NextBlock("") != height+1 {
-				done = false
-				break
+				return false
 			}
 		}
-		if done {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+		return true
+	}) {
+		return
 	}
 	for i, s := range c.sinks {
 		c.t.Errorf("node %d next = %d, want %d", i+1, s.NextBlock(""), height+1)
@@ -334,17 +331,19 @@ func deliver(n *Node, block *types.Block) {
 // leaderOf finds the node currently leading the default channel.
 func (c *cluster) leaderOf() *Node {
 	c.t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	var lead *Node
+	if !simtest.Until(2*time.Second, func() bool {
 		for _, n := range c.nodes {
 			if n.IsLeader(orderer.DefaultChannel) {
-				return n
+				lead = n
+				return true
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		return false
+	}) {
+		c.t.Fatal("no leader emerged")
 	}
-	c.t.Fatal("no leader emerged")
-	return nil
+	return lead
 }
 
 // TestPushGossipSpreadsBlocks checks that a block handed to one member
@@ -417,16 +416,16 @@ func TestDuplicateSuppression(t *testing.T) {
 	deliver(lead, b)
 	c.waitConverged(1, 2*time.Second)
 	deliver(lead, b) // replay
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
+	if !simtest.Until(time.Second, func() bool {
 		for i, n := range c.nodes {
 			if n == lead && c.summary(i).GossipDuplicates >= 1 {
-				return
+				return true
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		return false
+	}) {
+		t.Error("replayed block not suppressed as duplicate")
 	}
-	t.Error("replayed block not suppressed as duplicate")
 }
 
 // TestInitialLeaderSubscribesAndCatchesUp checks the deliver side: the
@@ -462,7 +461,7 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	fo.grow(3)
 
 	var newLead *Node
-	waitFor(t, 5*time.Second, func() bool {
+	if !simtest.Until(5*time.Second, func() bool {
 		for _, n := range c.nodes {
 			if n != old && n.IsLeader(orderer.DefaultChannel) {
 				newLead = n
@@ -470,9 +469,12 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 			}
 		}
 		return false
-	}, "no new leader elected after crash")
-	waitFor(t, 2*time.Second, func() bool { return len(fo.pollsBy(newLead.cfg.ID)) > 0 },
-		"new leader never polled the orderer")
+	}) {
+		t.Fatal("no new leader elected after crash")
+	}
+	if !simtest.Until(2*time.Second, func() bool { return len(fo.pollsBy(newLead.cfg.ID)) > 0 }) {
+		t.Fatal("new leader never polled the orderer")
+	}
 	if first := fo.pollsBy(newLead.cfg.ID)[0]; first.from != 3 || first.served != 3 {
 		t.Errorf("new leader's first poll = %+v, want from its height 3 serving blocks 3-5", first)
 	}
@@ -484,7 +486,7 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 	// afterwards (preferred-leader failback).
 	c.net.Links().Isolate(old.cfg.ID, false)
 	var lead *Node
-	waitFor(t, 10*time.Second, func() bool {
+	if !simtest.Until(10*time.Second, func() bool {
 		views := make(map[string]bool)
 		var claims []*Node
 		for _, n := range c.nodes {
@@ -500,18 +502,22 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 			return true
 		}
 		return false
-	}, "org never converged on a single leader after the old one recovered")
+	}) {
+		t.Fatal("org never converged on a single leader after the old one recovered")
+	}
 	// A deposed leader's loop ends with the poll it has parked, which
 	// lasts at most one lease (two here, for scheduling slack).
 	lease := c.nodes[0].cfg.LeaderLease
-	waitFor(t, 2*lease, func() bool {
+	if !simtest.Until(2*lease, func() bool {
 		for _, n := range c.nodes {
 			if n != lead && fo.polling(n.cfg.ID) {
 				return false
 			}
 		}
 		return true
-	}, "a node that no longer leads still polls the orderer")
+	}) {
+		t.Fatal("a node that no longer leads still polls the orderer")
+	}
 	quiet := time.Now()
 	fo.grow(1)
 	c.waitConverged(6, 5*time.Second)
@@ -528,19 +534,6 @@ func TestLeaderFailoverReelectsAndResubscribes(t *testing.T) {
 			t.Errorf("%s, not the leader, polls again", n.cfg.ID)
 		}
 	}
-}
-
-// waitFor polls cond every 2ms until it returns true or d passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal(msg)
 }
 
 // TestAntiEntropyClosesGap checks pull-based repair: a node that missed
@@ -576,12 +569,8 @@ func TestGossipGapTriggersImmediatePull(t *testing.T) {
 	lead := c.nodes[0]
 	// Push only block 5: node 2 sees the gap [1,5) and pulls it.
 	deliver(lead, testBlock(orderer.DefaultChannel, 5))
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.sinks[1].NextBlock("") == 6 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if simtest.Until(3*time.Second, func() bool { return c.sinks[1].NextBlock("") == 6 }) {
+		return
 	}
 	t.Fatalf("node 2 next = %d, want 6 (gap pull from sender)", c.sinks[1].NextBlock(""))
 }

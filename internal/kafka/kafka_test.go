@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 )
 
@@ -89,7 +90,9 @@ func TestFetchLongPoll(t *testing.T) {
 		}
 		done <- recs
 	}()
-	waitFor(t, "the long poll to park", func() bool { return parkedFetches() >= 1 })
+	if !simtest.Until(10*time.Second, func() bool { return parkedFetches() >= 1 }) {
+		t.Fatal("timed out waiting for the long poll to park")
+	}
 	if _, err := client.Produce(ctx, 0, testKind, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +103,6 @@ func TestFetchLongPoll(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("long poll never woke")
-	}
-}
-
-// waitFor polls cond until it holds, failing the test after 10 s.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for began := time.Now(); !cond(); runtime.Gosched() {
-		if time.Since(began) > 10*time.Second {
-			t.Fatalf("timed out waiting for %s", what)
-		}
 	}
 }
 
@@ -175,12 +168,8 @@ func TestOneProduceWakesEveryLongPoll(t *testing.T) {
 			results <- result{recs, err, time.Now()}
 		}()
 	}
-	began := time.Now()
-	for parkedFetches() < polls {
-		if time.Since(began) > maxWait/2 {
-			t.Fatalf("only %d of %d long polls parked", parkedFetches(), polls)
-		}
-		runtime.Gosched()
+	if !simtest.Until(maxWait/2, func() bool { return parkedFetches() >= polls }) {
+		t.Fatalf("only %d of %d long polls parked", parkedFetches(), polls)
 	}
 	produced := time.Now()
 	if _, err := client.Produce(ctx, 0, testKind, []byte("wake")); err != nil {
@@ -303,10 +292,12 @@ func TestLeaderFailover(t *testing.T) {
 		net.Links().Isolate("broker2", false)
 		produce("healed")
 		logEnd := locked(cluster, "broker1", func(ps *partitionState) int { return len(ps.records) })
-		waitFor(t, "broker2 to hold the whole log and rejoin the ISR", func() bool {
+		if !simtest.Until(10*time.Second, func() bool {
 			held := locked(cluster, "broker2", func(ps *partitionState) int { return len(ps.records) })
 			return held == logEnd && inSync(cluster, "broker1", "broker2")
-		})
+		}) {
+			t.Fatal("timed out waiting for broker2 to hold the whole log and rejoin the ISR")
+		}
 
 		if err := cluster.KillBroker("broker1"); err != nil {
 			t.Fatal(err)
@@ -503,9 +494,11 @@ func TestHandedOutRecordsSurviveTruncation(t *testing.T) {
 	if err != nil || len(fetched) != n {
 		t.Fatalf("fetch = %d records, %v; want %d", len(fetched), err, n)
 	}
-	waitFor(t, "the sender to finish", func() bool {
+	if !simtest.Until(10*time.Second, func() bool {
 		return locked(cluster, "broker1", func(ps *partitionState) bool { return len(ps.sending) == 0 })
-	})
+	}) {
+		t.Fatal("timed out waiting for the sender to finish")
+	}
 	mu.Lock()
 	handedOut := append([][]Record{fetched}, replicated...)
 	mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/types"
 )
 
@@ -76,9 +77,9 @@ func TestSummarizeConcurrentWithCallbacks(t *testing.T) {
 
 	stopSampler := c.StartSampler(time.Millisecond)
 	// Let the sampler race the writer and readers until it has recorded
-	// a sample, however slowly a loaded host schedules it.
-	for _, ok := c.LatestSample(); !ok; _, ok = c.LatestSample() {
-		time.Sleep(time.Millisecond)
+	// a sample.
+	if !simtest.Until(10*time.Second, func() bool { _, ok := c.LatestSample(); return ok }) {
+		t.Error("sampler recorded no sample")
 	}
 	stopSampler()
 	close(stop)
@@ -132,15 +133,8 @@ func TestSamplerWindows(t *testing.T) {
 		c.PeerCommit(10*time.Millisecond, base)
 		time.Sleep(time.Millisecond)
 	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		if s := c.Samples(); len(s) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampler produced no samples")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !simtest.Until(time.Second, func() bool { return len(c.Samples()) >= 2 }) {
+		t.Fatal("sampler produced no samples")
 	}
 	var sawTPS, sawLag, sawAbort bool
 	for _, p := range c.Samples() {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fabricsim/internal/metrics"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/trace"
 	"fabricsim/internal/types"
 )
@@ -51,7 +52,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	stop := col.StartSampler(5 * time.Millisecond)
 	defer stop()
-	time.Sleep(20 * time.Millisecond)
+	// The tps gauge reads the sampler's latest window.
+	if !simtest.Until(5*time.Second, func() bool { _, ok := col.LatestSample(); return ok }) {
+		t.Fatal("sampler took no sample")
+	}
 
 	s := startTestServer(t, Config{Collector: col, TimeScale: 0.5})
 	code, body := get(t, "http://"+s.Addr()+"/metrics")

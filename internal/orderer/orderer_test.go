@@ -10,6 +10,7 @@ import (
 	"fabricsim/internal/kafka"
 	"fabricsim/internal/orderer/blockcutter"
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
@@ -112,10 +113,12 @@ func (h *testHarness) start(kind consenterKind, o *Orderer) Consenter {
 	h.t.Cleanup(o.Stop)
 	if rc, ok := c.(*RaftConsenter); ok {
 		node, _ := rc.NodeFor(o.defaultChannel())
-		waitFor(h.t, 5*time.Second, func() bool {
+		if !simtest.Until(5*time.Second, func() bool {
 			_, ok := node.Leader()
 			return ok
-		}, "single-node raft never elected itself")
+		}) {
+			h.t.Fatal("single-node raft never elected itself")
+		}
 	}
 	return c
 }
@@ -188,12 +191,14 @@ func (h *testHarness) parked(o *Orderer, channel string) chan struct{} {
 		h.t.Fatal(err)
 	}
 	var wake chan struct{}
-	waitFor(h.t, 2*time.Second, func() bool {
+	if !simtest.Until(2*time.Second, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		wake = c.wake
 		return wake != nil
-	}, "poll never parked on the chain")
+	}) {
+		h.t.Fatal("poll never parked on the chain")
+	}
 	return wake
 }
 
@@ -227,7 +232,9 @@ func TestSoloSizeCut(t *testing.T) {
 			h.start(kind, o)
 			blocks := h.follow("osn1")
 			h.broadcastN(o, 6)
-			waitFor(t, 2*time.Second, func() bool { return len(blocks()) >= 2 }, "two size cuts never arrived")
+			if !simtest.Until(2*time.Second, func() bool { return len(blocks()) >= 2 }) {
+				t.Fatal("two size cuts never arrived")
+			}
 			got := blocks()
 			if len(got) != 2 {
 				t.Fatalf("blocks = %d, want 2", len(got))
@@ -259,7 +266,9 @@ func TestSoloTimeoutCut(t *testing.T) {
 			if err := h.broadcast("osn1", []byte("timeout-tx")); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 2*time.Second, func() bool { return len(blocks()) >= 1 }, "timeout cut never arrived")
+			if !simtest.Until(2*time.Second, func() bool { return len(blocks()) >= 1 }) {
+				t.Fatal("timeout cut never arrived")
+			}
 			elapsed := time.Since(start)
 			if got := blocks(); len(got) != 1 || len(got[0].Data) != 1 {
 				t.Fatalf("blocks = %+v", got)
@@ -331,10 +340,12 @@ func TestGetBlockCatchUp(t *testing.T) {
 	h.broadcastN(o, 3)
 	// Allow the cut loop to emit all three single-tx blocks.
 	var b *types.Block
-	waitFor(t, 2*time.Second, func() bool {
+	if !simtest.Until(2*time.Second, func() bool {
 		b = h.fetchBlock(3)
 		return b != nil
-	}, "block 3 never became fetchable")
+	}) {
+		t.Fatal("block 3 never became fetchable")
+	}
 	if b.Header.Number != 3 {
 		t.Errorf("block number = %d", b.Header.Number)
 	}
@@ -385,19 +396,6 @@ func TestBatchEncodeDecode(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it returns true or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal(msg)
-}
-
 // broadcastN submits n one-byte envelopes on the default channel.
 func (h *testHarness) broadcastN(o *Orderer, n int) {
 	h.t.Helper()
@@ -419,8 +417,9 @@ func TestGetBlocksRanged(t *testing.T) {
 	}
 	defer o.Stop()
 	h.broadcastN(o, 4)
-	waitFor(t, 2*time.Second, func() bool { return h.fetchBlock(4) != nil },
-		"block 4 never became fetchable")
+	if !simtest.Until(2*time.Second, func() bool { return h.fetchBlock(4) != nil }) {
+		t.Fatal("block 4 never became fetchable")
+	}
 
 	raw, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
 		&GetBlocksArgs{From: 1, To: 99}, 24)
@@ -498,7 +497,9 @@ func TestGetBlocksWaitChannelScoped(t *testing.T) {
 		&BroadcastEnvelope{Channel: "chA", Env: []byte("a")}, 1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return o.ChainHeight("chA") == 1 }, "chA block never cut")
+	if !simtest.Until(2*time.Second, func() bool { return o.ChainHeight("chA") == 1 }) {
+		t.Fatal("chA block never cut")
+	}
 	select {
 	case <-wake:
 		t.Fatal("a chA cut woke the chB poll")
@@ -560,14 +561,18 @@ func TestDownClientCostsAtMostOneBlock(t *testing.T) {
 		}
 	}
 	broadcast(0)
-	waitFor(t, 2*time.Second, func() bool {
+	if !simtest.Until(2*time.Second, func() bool {
 		blocks, _ := o.EgressStats()
 		return blocks == 1
-	}, "the parked poll never answered block 1")
+	}) {
+		t.Fatal("the parked poll never answered block 1")
+	}
 	for i := 1; i < 5; i++ {
 		broadcast(i)
 	}
-	waitFor(t, 2*time.Second, func() bool { return o.ChainHeight(DefaultChannel) == 5 }, "5 blocks never cut")
+	if !simtest.Until(2*time.Second, func() bool { return o.ChainHeight(DefaultChannel) == 5 }) {
+		t.Fatal("5 blocks never cut")
+	}
 	if blocks, _ := o.EgressStats(); blocks > 1 {
 		t.Errorf("egress = %d blocks to a down client while 5 were cut, want at most 1", blocks)
 	}
@@ -585,10 +590,12 @@ func TestEgressStatsCountDeliveries(t *testing.T) {
 	defer o.Stop()
 	h.follow("osn1")
 	h.broadcastN(o, 3)
-	waitFor(t, 2*time.Second, func() bool {
+	if !simtest.Until(2*time.Second, func() bool {
 		blocks, _ := o.EgressStats()
 		return blocks >= 3
-	}, "polled blocks not counted")
+	}) {
+		t.Fatal("polled blocks not counted")
+	}
 	if _, err := h.client.Call(context.Background(), "osn1", KindGetBlocks,
 		&GetBlocksArgs{From: 1, To: 4}, 24); err != nil {
 		t.Fatal(err)

@@ -402,10 +402,12 @@ func (p *Peer) appendLoop(cs *channelState) {
 			if ot := pb.committed.Metadata.OrderedTime; ot > 0 {
 				col.PeerCommit(now.Sub(time.Unix(0, ot)), now)
 			}
-			p.emitCommitEvents(pb.committed, pb.txs, now)
+			// Spans first: a client that returns on its commit event may
+			// read the trace at once.
 			if p.cfg.Recorder && p.cfg.Tracer.Enabled() {
 				p.recordCommitSpans(cs, pb, start, now)
 			}
+			p.emitCommitEvents(pb.committed, pb.txs, now)
 			if p.cfg.Recorder && col != nil {
 				mvccAborts, earlyAborts := 0, 0
 				for _, f := range pb.committed.Metadata.ValidationFlags {

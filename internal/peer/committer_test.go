@@ -1,12 +1,17 @@
 package peer
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fabricsim/internal/costmodel"
 	"fabricsim/internal/policy"
+	"fabricsim/internal/simtest"
+	"fabricsim/internal/trace"
+	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
 
@@ -145,11 +150,7 @@ func TestDuplicateTxIDAcrossPipelinedBlocks(t *testing.T) {
 	for _, b := range []*types.Block{b1, b2} {
 		e.inject(0, b)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && p.Ledger().Height() != 3 {
-		time.Sleep(time.Millisecond)
-	}
-	if p.Ledger().Height() != 3 {
+	if !simtest.Until(5*time.Second, func() bool { return p.Ledger().Height() == 3 }) {
 		t.Fatalf("height = %d, want 3", p.Ledger().Height())
 	}
 	c1, _ := p.Ledger().GetBlock(1)
@@ -206,12 +207,16 @@ func TestConcurrentChannelCommitPipelines(t *testing.T) {
 	}
 	wg.Wait()
 
-	deadline := time.Now().Add(5 * time.Second)
+	simtest.Until(5*time.Second, func() bool {
+		for _, ch := range channels {
+			if l, _ := p.LedgerFor(ch); l.Height() != blocksPerChannel+1 {
+				return false
+			}
+		}
+		return true
+	})
 	for _, ch := range channels {
 		l, _ := p.LedgerFor(ch)
-		for time.Now().Before(deadline) && l.Height() != blocksPerChannel+1 {
-			time.Sleep(time.Millisecond)
-		}
 		if l.Height() != blocksPerChannel+1 {
 			t.Fatalf("channel %s height = %d, want %d", ch, l.Height(), blocksPerChannel+1)
 		}
@@ -267,5 +272,60 @@ func TestPipelinedCommitMatchesSerialOutcome(t *testing.T) {
 	}
 	if serialState != pipeState {
 		t.Errorf("states diverge:\nserial:\n%s\npipelined:\n%s", serialState, pipeState)
+	}
+}
+
+// spanCheckEndpoint is a recorder peer's endpoint that, on each commit
+// event it sends, checks that the tracer already holds the commit-stage
+// spans of every transaction in the batch. Every transaction it sees is
+// traced under its own TxID.
+type spanCheckEndpoint struct {
+	transport.Endpoint
+	t       testing.TB
+	tr      *trace.Tracer
+	checked atomic.Int32
+}
+
+func (e *spanCheckEndpoint) Send(to, kind string, payload any, size int) error {
+	if kind == KindCommitEvent {
+		for _, ev := range payload.([]CommitEvent) {
+			have := map[string]bool{}
+			for _, sp := range e.tr.Spans(trace.TraceID(ev.TxID)) {
+				have[sp.Name] = true
+			}
+			for _, name := range []string{trace.SpanCommitVSCC, trace.SpanCommitApply, trace.SpanCommitAppend} {
+				if !have[name] {
+					e.t.Errorf("commit event for %s sent before its %s span was recorded", ev.TxID, name)
+				}
+			}
+			e.checked.Add(1)
+		}
+	}
+	return e.Endpoint.Send(to, kind, payload, size)
+}
+
+// TestCommitSpansPrecedeCommitEvents: the recorder peer records a
+// block's commit-stage spans before it sends the block's commit events,
+// so a client that returns on its event finds them in the trace.
+func TestCommitSpansPrecedeCommitEvents(t *testing.T) {
+	tr := trace.New(0)
+	var ep *spanCheckEndpoint
+	e := newEnvFull(t, 1, policy.MustParse("OR('Org1.peer0')"), false, nil, nil, func(cfg *Config) {
+		cfg.Tracer, cfg.Recorder = tr, true
+		ep = &spanCheckEndpoint{Endpoint: cfg.Endpoint, t: t, tr: tr}
+		cfg.Endpoint = ep
+	})
+	if _, err := e.sender.Call(context.Background(), peerID(1), KindSubscribeEvents, nil, 8); err != nil {
+		t.Fatal(err)
+	}
+	var txs []*types.Transaction
+	for _, key := range []string{"a", "b"} {
+		prop := e.proposal("write", key, "v")
+		prop.TraceID = string(prop.TxID)
+		txs = append(txs, e.buildTx(prop, 0))
+	}
+	e.deliver(0, txs...)
+	if !simtest.Until(5*time.Second, func() bool { return int(ep.checked.Load()) == len(txs) }) {
+		t.Fatalf("%d of %d commit events sent", ep.checked.Load(), len(txs))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"fabricsim/internal/orderer"
 	"fabricsim/internal/policy"
 	"fabricsim/internal/simcpu"
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 	"fabricsim/internal/types"
 )
@@ -208,19 +210,14 @@ func (e *env) deliver(i int, txs ...*types.Transaction) *types.Block {
 	block := types.NewBlock(num, p.Ledger().LastHash(), data)
 	block.Metadata.OrderedTime = time.Now().UnixNano()
 	e.inject(i, block)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if p.Ledger().Height() > num {
-			committed, err := p.Ledger().GetBlock(num)
-			if err != nil {
-				e.t.Fatal(err)
-			}
-			return committed
-		}
-		time.Sleep(time.Millisecond)
+	if !simtest.Until(5*time.Second, func() bool { return p.Ledger().Height() > num }) {
+		e.t.Fatalf("block %d never committed on %s", num, p.ID())
 	}
-	e.t.Fatalf("block %d never committed on %s", num, p.ID())
-	return nil
+	committed, err := p.Ledger().GetBlock(num)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return committed
 }
 
 func TestEndorseAndCommitValid(t *testing.T) {
@@ -370,11 +367,7 @@ func TestOutOfOrderDelivery(t *testing.T) {
 		t.Fatalf("height = %d after a future block, want 1", h)
 	}
 	e.inject(0, b1)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && p.Ledger().Height() != 3 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.Ledger().Height() != 3 {
+	if !simtest.Until(5*time.Second, func() bool { return p.Ledger().Height() == 3 }) {
 		t.Fatalf("height = %d, want 3", p.Ledger().Height())
 	}
 	if err := p.Ledger().VerifyChain(); err != nil {
@@ -436,16 +429,22 @@ func TestContainerBoundsConcurrentInvocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const backlog = 50
 	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
+	var started atomic.Int32
+	for i := 0; i < backlog; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			started.Add(1)
 			_ = c.invoke(ctx, 0)
 		}()
 	}
-	// Let the backlog queue up, then probe with committer-style work.
-	time.Sleep(20 * time.Millisecond)
+	// Let the backlog queue up behind a full executor pool, then probe
+	// with committer-style work.
+	if !simtest.Until(5*time.Second, func() bool { return started.Load() == backlog && len(c.slots) == cap(c.slots) }) {
+		t.Fatal("the endorse backlog never filled the executor pool")
+	}
 	start := time.Now()
 	if err := cpu.Execute(ctx, time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -506,14 +505,9 @@ func emptyChain(n int) []*types.Block {
 // waitHeight polls one peer's default ledger until it reaches height h.
 func waitHeight(t *testing.T, p *Peer, h uint64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if p.Ledger().Height() >= h {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if !simtest.Until(5*time.Second, func() bool { return p.Ledger().Height() >= h }) {
+		t.Fatalf("peer %s height %d never reached %d", p.ID(), p.Ledger().Height(), h)
 	}
-	t.Fatalf("peer %s height %d never reached %d", p.ID(), p.Ledger().Height(), h)
 }
 
 // TestRangedCatchUpSingleRoundTrip is the regression for the

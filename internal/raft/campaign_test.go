@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 )
 
@@ -30,13 +31,16 @@ func TestFreshGroupElectsCampaignerAtOnce(t *testing.T) {
 	}
 	// The member whose vote the campaign did not need learns term 1
 	// from the leader's first message, which a busy host may delay.
-	deadline := time.Now().Add(10 * freshElection)
-	for id, n := range c.nodes {
-		_, term := n.State()
-		for ; term == 0 && time.Now().Before(deadline); _, term = n.State() {
-			time.Sleep(time.Millisecond)
+	simtest.Until(10*freshElection, func() bool {
+		for _, n := range c.nodes {
+			if _, term := n.State(); term == 0 {
+				return false
+			}
 		}
-		if term != 1 {
+		return true
+	})
+	for id, n := range c.nodes {
+		if _, term := n.State(); term != 1 {
 			t.Errorf("node %s at term %d, want 1", id, term)
 		}
 	}
@@ -53,7 +57,7 @@ func TestFreshGroupsSpreadCampaigners(t *testing.T) {
 	net := transport.NewNetwork(transport.Config{TimeScale: 1.0, Latency: 200 * time.Microsecond})
 	t.Cleanup(net.Close)
 	members := make(map[string][]*Node)
-	deadline := time.Now().Add(freshElection)
+	began := time.Now()
 	for _, id := range peers {
 		ep, err := net.Register(id)
 		if err != nil {
@@ -78,14 +82,14 @@ func TestFreshGroupsSpreadCampaigners(t *testing.T) {
 	for _, g := range groups {
 		want := campaigner(g, peers)
 		leader := ""
-		for leader == "" && time.Now().Before(deadline) {
+		simtest.Until(freshElection-time.Since(began), func() bool {
 			for _, n := range members[g] {
 				if st, _ := n.State(); st == Leader {
 					leader = n.cfg.ID
 				}
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
+			return leader != ""
+		})
 		if leader != want {
 			t.Errorf("group %s: leader %q inside one election timeout, want the campaigner %s", g, leader, want)
 		}
@@ -108,17 +112,12 @@ func TestRestartedCampaignerWaitsForTimeout(t *testing.T) {
 	c.net.Links().Isolate(d, true)
 	leader := c.waitLeader(10 * freshElection)
 	c.net.Links().Isolate(d, false)
-	deadline := time.Now().Add(10 * freshElection)
-	for {
+	if !simtest.Until(10*freshElection, func() bool {
 		st, _ := c.nodes[d].State()
 		l, _ := c.nodes[d].Leader()
-		if st == Follower && l == leader.cfg.ID {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never followed the new leader %s", d, leader.cfg.ID)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return st == Follower && l == leader.cfg.ID
+	}) {
+		t.Fatalf("%s never followed the new leader %s", d, leader.cfg.ID)
 	}
 	_, term := leader.State()
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 )
 
@@ -109,20 +110,22 @@ func (c *cluster) restart(id string) *Node {
 
 // waitLeader blocks until exactly one live node considers itself leader.
 func (c *cluster) waitLeader(timeout time.Duration) *Node {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	var leader *Node
+	if !simtest.Until(timeout, func() bool {
 		for id, n := range c.nodes {
 			if c.net.Links().Isolated(id) {
 				continue
 			}
 			if st, _ := n.State(); st == Leader {
-				return n
+				leader = n
+				return true
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		return false
+	}) {
+		c.t.Fatal("no leader elected")
 	}
-	c.t.Fatal("no leader elected")
-	return nil
+	return leader
 }
 
 func (c *cluster) appliedOn(id string) []Entry {
@@ -134,16 +137,11 @@ func (c *cluster) appliedOn(id string) []Entry {
 }
 
 func (c *cluster) waitApplied(id string, count int, timeout time.Duration) []Entry {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if got := c.appliedOn(id); len(got) >= count {
-			return got
-		}
-		time.Sleep(5 * time.Millisecond)
+	var got []Entry
+	if !simtest.Until(timeout, func() bool { got = c.appliedOn(id); return len(got) >= count }) {
+		c.t.Fatalf("node %s applied %d entries, want %d", id, len(got), count)
 	}
-	got := c.appliedOn(id)
-	c.t.Fatalf("node %s applied %d entries, want %d", id, len(got), count)
-	return nil
+	return got
 }
 
 func TestElection(t *testing.T) {
@@ -153,20 +151,16 @@ func TestElection(t *testing.T) {
 		t.Error("leader at term 0")
 	}
 	// All nodes eventually agree on the leader.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		agree := 0
+	if !simtest.Until(2*time.Second, func() bool {
 		for _, n := range c.nodes {
-			if l, ok := n.Leader(); ok && l == leader.cfg.ID {
-				agree++
+			if l, ok := n.Leader(); !ok || l != leader.cfg.ID {
+				return false
 			}
 		}
-		if agree == 3 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+		return true
+	}) {
+		t.Error("nodes never agreed on the leader")
 	}
-	t.Error("nodes never agreed on the leader")
 }
 
 func TestReplicationAndApply(t *testing.T) {
@@ -212,26 +206,18 @@ func TestLeaderFailover(t *testing.T) {
 
 	c.net.Links().Isolate(leader.cfg.ID, true)
 	var next *Node
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		n := func() *Node {
-			for id, n := range c.nodes {
-				if id == leader.cfg.ID || c.net.Links().Isolated(id) {
-					continue
-				}
-				if st, _ := n.State(); st == Leader {
-					return n
-				}
+	if !simtest.Until(5*time.Second, func() bool {
+		for id, n := range c.nodes {
+			if id == leader.cfg.ID || c.net.Links().Isolated(id) {
+				continue
 			}
-			return nil
-		}()
-		if n != nil {
-			next = n
-			break
+			if st, _ := n.State(); st == Leader {
+				next = n
+				return true
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if next == nil {
+		return false
+	}) {
 		t.Fatal("no new leader after crash")
 	}
 	if _, err := next.Propose([]byte("post")); err != nil {
@@ -266,8 +252,17 @@ func TestLogMatchingUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	want := c.waitApplied(leader.cfg.ID, 1, 5*time.Second)
 	// All proposals may not commit if leadership churned; compare the
-	// common applied prefix across nodes.
-	time.Sleep(300 * time.Millisecond)
+	// common applied prefix across nodes, once every node has applied
+	// what the leader has, or after 300 ms.
+	simtest.Until(300*time.Millisecond, func() bool {
+		ref := c.appliedOn(leader.cfg.ID)
+		for id := range c.nodes {
+			if len(c.appliedOn(id)) < len(ref) {
+				return false
+			}
+		}
+		return true
+	})
 	ref := c.appliedOn(leader.cfg.ID)
 	for id := range c.nodes {
 		got := c.appliedOn(id)

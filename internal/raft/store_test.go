@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/transport"
 )
 
@@ -454,23 +455,17 @@ func TestRestartPreservesLog(t *testing.T) {
 		t.Fatalf("restarted follower last index = %d, want 5", node.LastIndex())
 	}
 	leader = c.waitLeader(3 * time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	if !simtest.Until(5*time.Second, func() bool {
 		if _, err := leader.Propose([]byte("post")); err == nil {
-			break
+			return true
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no leader accepted the post-restart proposal")
-		}
-		time.Sleep(20 * time.Millisecond)
 		leader = c.waitLeader(3 * time.Second)
+		return false
+	}) {
+		t.Fatal("no leader accepted the post-restart proposal")
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for node.CommitIndex() < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted follower commit index = %d, want >= 6", node.CommitIndex())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !simtest.Until(5*time.Second, func() bool { return node.CommitIndex() >= 6 }) {
+		t.Fatalf("restarted follower commit index = %d, want >= 6", node.CommitIndex())
 	}
 	if err := node.PersistErr(); err != nil {
 		t.Fatal(err)
@@ -507,27 +502,16 @@ func TestCompactionAndRestartFromBase(t *testing.T) {
 		return n
 	}
 	n := newSolo()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if st, _ := n.State(); st == Leader {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("single node never became leader")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !simtest.Until(3*time.Second, func() bool { st, _ := n.State(); return st == Leader }) {
+		t.Fatal("single node never became leader")
 	}
 	for i := 0; i < 30; i++ {
 		if _, err := n.Propose([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for n.CompactionBase() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("log never compacted")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !simtest.Until(5*time.Second, func() bool { return n.CompactionBase() != 0 }) {
+		t.Fatal("log never compacted")
 	}
 	// Compaction can still be running: read what the restart must
 	// recover only once the node has stopped.

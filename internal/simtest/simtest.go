@@ -1,8 +1,5 @@
 //go:build goexperiment.synctest
 
-// Package simtest runs tests in testing/synctest's virtual time. Its
-// one file builds only with GOEXPERIMENT=synctest (go1.24), so a plain
-// build, vet or test of the module never sees it.
 package simtest
 
 import (

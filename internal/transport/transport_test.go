@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fabricsim/internal/simtest"
 	"fabricsim/internal/workers"
 )
 
@@ -445,17 +446,11 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for waiting.Load() < waiters && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
+	simtest.Until(5*time.Second, func() bool { return waiting.Load() >= waiters })
 	n.Close()
 
-	deadline = time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	if got := runtime.NumGoroutine(); got > before {
+	if !simtest.Until(time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		got := runtime.NumGoroutine()
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after Close, %d before the network:\n%s", got, before, buf[:runtime.Stack(buf, true)])
 	}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fabricsim/internal/simtest"
 )
 
 // fn adapts a function to Job.
@@ -16,10 +18,7 @@ func (f fn) Run() { f() }
 // settle waits until the goroutine count is at most want, and returns
 // the count.
 func settle(want int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	simtest.Until(5*time.Second, func() bool { return runtime.NumGoroutine() <= want })
 	return runtime.NumGoroutine()
 }
 
